@@ -157,10 +157,9 @@ pub fn run_deflation_with_clock(
             let reg = Registry::new();
             let (stats, xb, seconds) = {
                 let _guard = reg.install_scoped();
-                let mut rb = ReliableBlock::new(&a);
                 let mut xb = BlockSpinor::zeros(v, nrhs);
                 let t0 = clock.now();
-                let stats = cg_block(&mut rb, &mut xb, &bb, params);
+                let stats = cg_block(&mut &a, &mut xb, &bb, params);
                 (stats, xb, clock.now() - t0)
             };
             let applies = reg.counter("solver.cg_block.block_applies").get();
@@ -173,10 +172,9 @@ pub fn run_deflation_with_clock(
             let reg = Registry::new();
             let (stats, xb, seconds) = {
                 let _guard = reg.install_scoped();
-                let mut rb = ReliableBlock::new(&a);
                 let mut xb = BlockSpinor::zeros(v, nrhs);
                 let t0 = clock.now();
-                let stats = deflated_cg_block(&mut rb, &defl, &mut xb, &bb, params);
+                let stats = deflated_cg_block(&mut &a, &defl, &mut xb, &bb, params);
                 (stats, xb, clock.now() - t0)
             };
             let applies = reg.counter("solver.cg_block.block_applies").get();

@@ -5,9 +5,8 @@
 //! emits a machine-readable `BENCH_kernels.json` and a human-readable
 //! `bench.md` table with GiB/s, Gflop/s, and the N-thread speedup.
 //!
-//! The vendored criterion shim only prints to stdout, so this harness keeps
-//! its own best-of-N wall-clock timer: one warmup call, then `reps` timed
-//! calls, reporting the minimum (least-noise) iteration.
+//! The harness keeps its own best-of-N wall-clock timer: one warmup call,
+//! then `reps` timed calls, reporting the minimum (least-noise) iteration.
 //!
 //! Byte counts are per-application traffic estimates (spinors and links
 //! actually touched, assuming no cache reuse); flop counts come from each

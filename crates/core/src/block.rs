@@ -24,6 +24,12 @@
 //!   tree has the same shape as `blas::norm_sqr`/`blas::dot` on the packed
 //!   column regardless of the interleaved storage or the pool width.
 //!
+//! The solver-facing functions take interleaved slices plus `nrhs`, so the
+//! CG core can borrow a caller's plain vector as a one-column block, and
+//! dispatch on that stride: a one-column block *is* the packed column, so
+//! `nrhs == 1` runs the contiguous `blas` kernels (with their SIMD twins)
+//! and wider blocks run the strided loops — the same bits either way.
+//!
 //! `tests/block_solver.rs` enforces this contract end-to-end: `cg_block`
 //! at any block size is bit-identical to N sequential `cg` solves.
 
@@ -116,36 +122,39 @@ impl<R: Real> BlockSpinor<R> {
 /// elements), mirroring `blas::update2`; per-element arithmetic is
 /// order-independent, so the result is bit-identical to the packed-column
 /// update at any pool width.
-fn update_col2<R: Real, F>(x: &BlockSpinor<R>, y: &mut BlockSpinor<R>, j: usize, f: F)
+fn update_col2<R: Real, F>(x: &[Spinor<R>], y: &mut [Spinor<R>], nrhs: usize, j: usize, f: F)
 where
     F: Fn(&mut Spinor<R>, &Spinor<R>) + Sync + Send,
 {
-    assert_eq!(x.len, y.len);
-    assert_eq!(x.nrhs, y.nrhs);
-    assert!(j < y.nrhs);
-    let nrhs = y.nrhs;
-    let grain = blas::grain_for(x.len) * nrhs;
-    let xd = &x.data;
-    rayon::for_each_chunk_mut(&mut y.data, grain, |base, chunk| {
+    assert_eq!(x.len(), y.len());
+    assert!(j < nrhs);
+    let grain = blas::grain_for(x.len() / nrhs) * nrhs;
+    rayon::for_each_chunk_mut(y, grain, |base, chunk| {
         let mut i = base + j;
         let end = base + chunk.len();
         while i < end {
-            f(&mut chunk[i - base], &xd[i]);
+            f(&mut chunk[i - base], &x[i]);
             i += nrhs;
         }
     });
 }
 
 /// `y[:,j] += a * x[:,j]` with real `a`.
-pub fn axpy_col<R: Real>(a: f64, x: &BlockSpinor<R>, y: &mut BlockSpinor<R>, j: usize) {
+pub fn axpy_col<R: Real>(a: f64, x: &[Spinor<R>], y: &mut [Spinor<R>], nrhs: usize, j: usize) {
+    if nrhs == 1 {
+        return blas::axpy(a, x, y);
+    }
     let a = R::from_f64(a);
-    update_col2(x, y, j, |yi, xi| *yi += xi.scale(a));
+    update_col2(x, y, nrhs, j, |yi, xi| *yi += xi.scale(a));
 }
 
 /// `y[:,j] = x[:,j] + b * y[:,j]` (the CG search-direction update).
-pub fn xpby_col<R: Real>(x: &BlockSpinor<R>, b: f64, y: &mut BlockSpinor<R>, j: usize) {
+pub fn xpby_col<R: Real>(x: &[Spinor<R>], b: f64, y: &mut [Spinor<R>], nrhs: usize, j: usize) {
+    if nrhs == 1 {
+        return blas::xpby(x, b, y);
+    }
     let b = R::from_f64(b);
-    update_col2(x, y, j, |yi, xi| *yi = *xi + yi.scale(b));
+    update_col2(x, y, nrhs, j, |yi, xi| *yi = *xi + yi.scale(b));
 }
 
 /// `y[:,j] += a * v` with complex `a` and a contiguous `v` (deflation's
@@ -167,47 +176,48 @@ pub fn caxpy_vec_col<R: Real>(a: C64, v: &[Spinor<R>], y: &mut BlockSpinor<R>, j
 }
 
 /// Zero column `j`.
-pub fn zero_col<R: Real>(y: &mut BlockSpinor<R>, j: usize) {
-    assert!(j < y.nrhs);
-    let nrhs = y.nrhs;
+pub fn zero_col<R: Real>(y: &mut [Spinor<R>], nrhs: usize, j: usize) {
+    assert!(j < nrhs);
     let mut i = j;
-    while i < y.data.len() {
-        y.data[i] = Spinor::zero();
+    while i < y.len() {
+        y[i] = Spinor::zero();
         i += nrhs;
     }
 }
 
 /// `‖x[:,j]‖²` accumulated in `f64` — same chunk shape and fold order as
 /// `blas::norm_sqr` on the packed column.
-pub fn norm_sqr_col<R: Real>(x: &BlockSpinor<R>, j: usize) -> f64 {
-    assert!(j < x.nrhs);
-    let nrhs = x.nrhs;
-    let d = &x.data;
+pub fn norm_sqr_col<R: Real>(x: &[Spinor<R>], nrhs: usize, j: usize) -> f64 {
+    if nrhs == 1 {
+        return blas::norm_sqr(x);
+    }
+    assert!(j < nrhs);
+    let len = x.len() / nrhs;
     rayon::reduce_chunks(
-        x.len,
-        blas::grain_for(x.len),
+        len,
+        blas::grain_for(len),
         || 0.0f64,
-        |acc, r| r.fold(acc, |a, i| a + d[i * nrhs + j].norm_sqr().to_f64()),
+        |acc, r| r.fold(acc, |a, i| a + x[i * nrhs + j].norm_sqr().to_f64()),
         |a, b| a + b,
     )
 }
 
 /// `⟨x[:,j], y[:,j]⟩` accumulated in `f64` — same chunk shape and fold
 /// order as `blas::dot` on the packed columns.
-pub fn dot_cols<R: Real>(x: &BlockSpinor<R>, y: &BlockSpinor<R>, j: usize) -> C64 {
-    assert_eq!(x.len, y.len);
-    assert_eq!(x.nrhs, y.nrhs);
-    assert!(j < x.nrhs);
-    let nrhs = x.nrhs;
-    let xd = &x.data;
-    let yd = &y.data;
+pub fn dot_cols<R: Real>(x: &[Spinor<R>], y: &[Spinor<R>], nrhs: usize, j: usize) -> C64 {
+    if nrhs == 1 {
+        return blas::dot(x, y);
+    }
+    assert_eq!(x.len(), y.len());
+    assert!(j < nrhs);
+    let len = x.len() / nrhs;
     let (re, im) = rayon::reduce_chunks(
-        x.len,
-        blas::grain_for(x.len),
+        len,
+        blas::grain_for(len),
         || (0.0f64, 0.0f64),
         |acc, r| {
             r.fold(acc, |(re, im), i| {
-                let d = xd[i * nrhs + j].dot(&yd[i * nrhs + j]).to_c64();
+                let d = x[i * nrhs + j].dot(&y[i * nrhs + j]).to_c64();
                 (re + d.re, im + d.im)
             })
         },
@@ -267,8 +277,8 @@ mod tests {
         let cs = cols(2, n, 4);
         let b = BlockSpinor::from_columns(&cs);
         for (j, c) in cs.iter().enumerate() {
-            assert_eq!(norm_sqr_col(&b, j), blas::norm_sqr(c));
-            assert_eq!(dot_cols(&b, &b, j), blas::dot(c, c));
+            assert_eq!(norm_sqr_col(b.data(), 4, j), blas::norm_sqr(c));
+            assert_eq!(dot_cols(b.data(), b.data(), 4, j), blas::dot(c, c));
             assert_eq!(dot_vec_col(&cs[0], &b, j), blas::dot(&cs[0], c));
         }
     }
@@ -284,13 +294,13 @@ mod tests {
             let mut yref = ys[j].clone();
             blas::axpy(0.7, &xs[j], &mut yref);
             blas::xpby(&xs[j], -1.25, &mut yref);
-            axpy_col(0.7, &xb, &mut yb, j);
-            xpby_col(&xb, -1.25, &mut yb, j);
+            axpy_col(0.7, xb.data(), yb.data_mut(), 3, j);
+            xpby_col(xb.data(), -1.25, yb.data_mut(), 3, j);
             assert_eq!(yb.col(j), yref);
         }
         // Untouched interleaving: columns do not bleed into each other.
         let mut yb2 = BlockSpinor::from_columns(&ys);
-        axpy_col(2.0, &xb, &mut yb2, 1);
+        axpy_col(2.0, xb.data(), yb2.data_mut(), 3, 1);
         assert_eq!(yb2.col(0), ys[0]);
         assert_eq!(yb2.col(2), ys[2]);
     }
@@ -306,8 +316,8 @@ mod tests {
         blas::caxpy(a, &v, &mut yref);
         caxpy_vec_col(a, &v, &mut yb, 1);
         assert_eq!(yb.col(1), yref);
-        zero_col(&mut yb, 1);
-        assert_eq!(norm_sqr_col(&yb, 1), 0.0);
+        zero_col(yb.data_mut(), 2, 1);
+        assert_eq!(norm_sqr_col(yb.data(), 2, 1), 0.0);
         assert_eq!(yb.col(0), ys[0]);
     }
 }

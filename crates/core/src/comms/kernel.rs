@@ -860,30 +860,41 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         self.mobius.params().l5 * self.mobius.lattice().volume()
     }
 
-    /// `out = D inp` on global s-major 5D vectors: scatter the hopping
-    /// operand, run the decomposed dslash, gather — fifth-dimension algebra
-    /// untouched. On a comm failure, `out` is unspecified and the error is
-    /// surfaced for the solver's recovery machinery.
-    pub fn apply(&mut self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) -> Result<(), CommError> {
+    /// Run one of [`MobiusDirac`]'s `*_with_hop` applies with the sharded
+    /// kernel as its (blocked) hopping term: scatter the hopping operand,
+    /// run the decomposed dslash, gather — fifth-dimension algebra
+    /// untouched. The first comm failure is kept for the solver's recovery
+    /// machinery (`out` is then unspecified) and the apply's remaining hops
+    /// are skipped.
+    fn with_sharded_hop(
+        &mut self,
+        apply: impl FnOnce(
+            &MobiusDirac<'a, R, G>,
+            &mut dyn FnMut(&mut [Spinor<R>], &[Spinor<R>], usize),
+        ),
+    ) -> Result<(), CommError> {
         let Self { mobius, hop } = self;
         let l5 = mobius.params().l5;
         let domain = hop.domain().clone();
         let mut err = None;
-        mobius.apply_with_hop(out, inp, &mut |o, i| {
+        apply(mobius, &mut |o, i, n| {
             if err.is_some() {
                 return;
             }
-            let mut si = ShardedField::scatter(&domain, i, l5);
-            let mut so = ShardedField::zeros(&domain, l5);
+            let mut si = ShardedField::scatter_block(&domain, i, l5, n);
+            let mut so = ShardedField::zeros_block(&domain, l5, n);
             match hop.apply(&mut so, &mut si) {
                 Ok(()) => so.gather_into(&domain, o),
                 Err(e) => err = Some(e),
             }
         });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        err.map_or(Ok(()), Err)
+    }
+
+    /// `out = D inp` on global s-major 5D vectors, bit-identical to the
+    /// single-domain operator; fallible (see [`Self::with_sharded_hop`]).
+    pub fn apply(&mut self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) -> Result<(), CommError> {
+        self.with_sharded_hop(|m, hop| m.apply_with_hop(out, inp, &mut |o, i| hop(o, i, 1)))
     }
 
     /// Fifth-dimension extent × volume geometry parameters.
@@ -898,25 +909,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
     ) -> Result<(), CommError> {
-        let Self { mobius, hop } = self;
-        let l5 = mobius.params().l5;
-        let domain = hop.domain().clone();
-        let mut err = None;
-        mobius.apply_dagger_with_hop(out, inp, &mut |o, i| {
-            if err.is_some() {
-                return;
-            }
-            let mut si = ShardedField::scatter(&domain, i, l5);
-            let mut so = ShardedField::zeros(&domain, l5);
-            match hop.apply(&mut so, &mut si) {
-                Ok(()) => so.gather_into(&domain, o),
-                Err(e) => err = Some(e),
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.with_sharded_hop(|m, hop| m.apply_dagger_with_hop(out, inp, &mut |o, i| hop(o, i, 1)))
     }
 
     /// Batched [`Self::apply`] on RHS-innermost interleaved vectors: one
@@ -928,25 +921,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         inp: &[Spinor<R>],
         nrhs: usize,
     ) -> Result<(), CommError> {
-        let Self { mobius, hop } = self;
-        let l5 = mobius.params().l5;
-        let domain = hop.domain().clone();
-        let mut err = None;
-        mobius.apply_block_with_hop(out, inp, nrhs, &mut |o, i, n| {
-            if err.is_some() {
-                return;
-            }
-            let mut si = ShardedField::scatter_block(&domain, i, l5, n);
-            let mut so = ShardedField::zeros_block(&domain, l5, n);
-            match hop.apply(&mut so, &mut si) {
-                Ok(()) => so.gather_into(&domain, o),
-                Err(e) => err = Some(e),
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.with_sharded_hop(|m, hop| m.apply_block_with_hop(out, inp, nrhs, hop))
     }
 
     /// Batched [`Self::apply_dagger`], fallible like [`Self::apply_block`].
@@ -956,25 +931,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         inp: &[Spinor<R>],
         nrhs: usize,
     ) -> Result<(), CommError> {
-        let Self { mobius, hop } = self;
-        let l5 = mobius.params().l5;
-        let domain = hop.domain().clone();
-        let mut err = None;
-        mobius.apply_dagger_block_with_hop(out, inp, nrhs, &mut |o, i, n| {
-            if err.is_some() {
-                return;
-            }
-            let mut si = ShardedField::scatter_block(&domain, i, l5, n);
-            let mut so = ShardedField::zeros_block(&domain, l5, n);
-            match hop.apply(&mut so, &mut si) {
-                Ok(()) => so.gather_into(&domain, o),
-                Err(e) => err = Some(e),
-            }
-        });
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.with_sharded_hop(|m, hop| m.apply_dagger_block_with_hop(out, inp, nrhs, hop))
     }
 }
 
@@ -1065,9 +1022,22 @@ impl<'a, R: Real, G: GaugeLinks<R>> FallibleOp<R> for ShardedNormal<'a, R, G> {
         self.op.vec_len()
     }
 
-    fn apply(&mut self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) -> Result<(), CommError> {
-        self.op.apply(&mut self.tmp, inp)?;
-        self.op.apply_dagger(out, &self.tmp)
+    /// One halo exchange per hop serves the whole interleaved block, and
+    /// each column's result is bit-identical to the single-RHS operator —
+    /// which is what a one-column block runs.
+    fn apply_block(
+        &mut self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+    ) -> Result<(), CommError> {
+        if nrhs == 1 {
+            self.op.apply(&mut self.tmp, inp)?;
+            return self.op.apply_dagger(out, &self.tmp);
+        }
+        let mut tmp = vec![Spinor::zero(); self.op.vec_len() * nrhs];
+        self.op.apply_block(&mut tmp, inp, nrhs)?;
+        self.op.apply_dagger_block(out, &tmp, nrhs)
     }
 
     fn flops_per_apply(&self) -> f64 {
@@ -1113,31 +1083,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> FallibleOp<R> for ShardedNormal<'a, R, G> {
             ],
         );
         Ok(())
-    }
-}
-
-/// Batched analogue of the [`FallibleOp`] impl: the whole interleaved block
-/// rides one exchange per apply, and each column's result is bit-identical
-/// to the single-RHS operator. Rank-loss recovery is shared with the
-/// single-RHS path through [`FallibleOp::recover`].
-impl<'a, R: Real, G: GaugeLinks<R>> crate::solver::BlockOp<R> for ShardedNormal<'a, R, G> {
-    fn vec_len(&self) -> usize {
-        self.op.vec_len()
-    }
-
-    fn apply_block(
-        &mut self,
-        out: &mut crate::block::BlockSpinor<R>,
-        inp: &crate::block::BlockSpinor<R>,
-    ) -> Result<(), CommError> {
-        let nrhs = inp.nrhs();
-        let mut tmp = vec![Spinor::zero(); self.op.vec_len() * nrhs];
-        self.op.apply_block(&mut tmp, inp.data(), nrhs)?;
-        self.op.apply_dagger_block(out.data_mut(), &tmp, nrhs)
-    }
-
-    fn flops_per_apply(&self) -> f64 {
-        FallibleOp::flops_per_apply(self)
     }
 }
 

@@ -33,5 +33,6 @@ pub use kernel::{
     ShardedNormal,
 };
 pub use transport::{
-    CommFaultStats, CommStats, FaultyTransport, Frame, Mailboxes, Payload, BOX_BWD, BOX_FWD,
+    fnv1a_u64, CommFaultStats, CommStats, FaultyTransport, Frame, Mailboxes, Payload, BOX_BWD,
+    BOX_FWD, FNV_OFFSET,
 };

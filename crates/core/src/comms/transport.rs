@@ -144,10 +144,13 @@ pub struct Frame<R: Real> {
     pub payload: Payload<R>,
 }
 
-const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+/// FNV-1a-64 offset basis: the hash state before any input.
+pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
 
-fn fnv1a_u64(mut h: u64, word: u64) -> u64 {
+/// Fold the eight bytes of `word`, least significant first, into the
+/// FNV-1a-64 state `h`.
+pub fn fnv1a_u64(mut h: u64, word: u64) -> u64 {
     for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
         h ^= (word >> shift) & 0xFF;
         h = h.wrapping_mul(FNV_PRIME);

@@ -27,7 +27,7 @@
 //! unchanged.
 
 use super::hopping::{HoppingKernel, HOPPING_FLOPS_PER_SITE};
-use super::{BlockDiracOp, BlockLinearOp, DiracOp, DslashVariant, LinearOp};
+use super::{DiracOp, DslashVariant, LinearOp};
 use crate::field::GaugeLinks;
 use crate::lattice::{Lattice, Parity};
 use crate::real::Real;
@@ -707,18 +707,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
     }
 }
 
-impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for MobiusDirac<'a, R, G> {
-    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.apply_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n));
-    }
-}
-
-impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for MobiusDirac<'a, R, G> {
-    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.apply_dagger_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n));
-    }
-}
-
 impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for MobiusDirac<'a, R, G> {
     fn vec_len(&self) -> usize {
         self.l5() * self.lattice.volume()
@@ -740,6 +728,10 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for MobiusDirac<'a, R, G> {
         // Hopping dominates; shift/affine contribute ~250 flops per 5D site.
         sites * (HOPPING_FLOPS_PER_SITE + 250.0)
     }
+
+    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        self.apply_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n));
+    }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for MobiusDirac<'a, R, G> {
@@ -749,6 +741,10 @@ impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for MobiusDirac<'a, R, G> {
         // — like QUDA's Mdag — the adjoint is applied explicitly:
         // D† = A† − ½ ρ† H† with H† = γ5 H γ5.
         self.apply_dagger_with_hop(out, inp, &mut |o, i| self.hop_5d(o, i));
+    }
+
+    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        self.apply_dagger_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n));
     }
 }
 
@@ -1034,6 +1030,24 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
         // Two half-volume hops per 5D site pair + fifth-dimension algebra.
         sites * (HOPPING_FLOPS_PER_SITE + 250.0 + 48.0 * self.l5() as f64)
     }
+
+    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        let hvb = self.hv() * nrhs;
+        let p = &self.fifth.params;
+        assert_eq!(out.len(), self.vec_len() * nrhs);
+        assert_eq!(inp.len(), self.vec_len() * nrhs);
+
+        let meo = self.offdiag_block(inp, Parity::Even, nrhs);
+        let mut ainv = vec![Spinor::zero(); meo.len()];
+        self.fifth.apply_a_inverse(&mut ainv, &meo, hvb, false);
+        let moe = self.offdiag_block(&ainv, Parity::Odd, nrhs);
+
+        self.fifth
+            .affine_shift(out, inp, hvb, p.alpha(), p.beta(), false);
+        out.par_iter_mut().zip(moe.par_iter()).for_each(|(o, m)| {
+            *o = *o - *m;
+        });
+    }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
@@ -1078,29 +1092,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
                 *o = *o - *m;
             });
     }
-}
 
-impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for PrecMobius<'a, R, G> {
-    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let hvb = self.hv() * nrhs;
-        let p = &self.fifth.params;
-        assert_eq!(out.len(), self.vec_len() * nrhs);
-        assert_eq!(inp.len(), self.vec_len() * nrhs);
-
-        let meo = self.offdiag_block(inp, Parity::Even, nrhs);
-        let mut ainv = vec![Spinor::zero(); meo.len()];
-        self.fifth.apply_a_inverse(&mut ainv, &meo, hvb, false);
-        let moe = self.offdiag_block(&ainv, Parity::Odd, nrhs);
-
-        self.fifth
-            .affine_shift(out, inp, hvb, p.alpha(), p.beta(), false);
-        out.par_iter_mut().zip(moe.par_iter()).for_each(|(o, m)| {
-            *o = *o - *m;
-        });
-    }
-}
-
-impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for PrecMobius<'a, R, G> {
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let hvb = self.hv() * nrhs;
         let p = &self.fifth.params;

@@ -54,6 +54,18 @@ pub trait LinearOp<R: Real>: Sync {
     fn flops_per_apply(&self) -> f64 {
         0.0
     }
+    /// `out = A · inp` on an interleaved block of `nrhs` right-hand-sides.
+    ///
+    /// Slices hold `vec_len() * nrhs` spinors interleaved RHS-innermost
+    /// (`data[i * nrhs + j]`, see [`crate::block::BlockSpinor`]). The
+    /// contract is *bit-exactness*: column `j` must equal `apply` on a
+    /// packed copy of column `j`, to the last bit. The default honours it
+    /// by construction (one column at a time through `apply`); the Dirac
+    /// operators override it with blocked kernels that reuse the single-RHS
+    /// per-site arithmetic and amortize the gauge-link loads across columns.
+    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        by_column(out, inp, nrhs, |o, i| self.apply(o, i));
+    }
 }
 
 /// A Dirac-type operator: knows its adjoint (via γ5-hermiticity), so the
@@ -61,26 +73,29 @@ pub trait LinearOp<R: Real>: Sync {
 pub trait DiracOp<R: Real>: LinearOp<R> {
     /// `out = D† · inp`.
     fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]);
+    /// `out = D† · inp` on an interleaved block, under the same
+    /// bit-exactness contract as [`LinearOp::apply_block`].
+    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        by_column(out, inp, nrhs, |o, i| self.apply_dagger(o, i));
+    }
 }
 
-/// A linear operator with a batched multi-RHS entry point.
-///
-/// Slices hold `vec_len() * nrhs` spinors interleaved RHS-innermost
-/// (`data[i * nrhs + j]`, see [`crate::block::BlockSpinor`]). The contract
-/// is *bit-exactness*: column `j` of `apply_block` must equal `apply` on a
-/// packed copy of column `j`, to the last bit — the blocked kernels reuse
-/// the single-RHS per-site arithmetic and only amortize the gauge-link
-/// loads across columns.
-pub trait BlockLinearOp<R: Real>: LinearOp<R> {
-    /// `out = A · inp` on an interleaved block of `nrhs` right-hand-sides.
-    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize);
-}
-
-/// A Dirac-type operator with a batched adjoint, so blocked normal
-/// equations can be formed.
-pub trait BlockDiracOp<R: Real>: BlockLinearOp<R> + DiracOp<R> {
-    /// `out = D† · inp` on an interleaved block of `nrhs` right-hand-sides.
-    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize);
+/// Run a single-RHS `apply` over each column of an interleaved block.
+fn by_column<R: Real>(
+    out: &mut [Spinor<R>],
+    inp: &[Spinor<R>],
+    nrhs: usize,
+    mut apply: impl FnMut(&mut [Spinor<R>], &[Spinor<R>]),
+) {
+    let n = inp.len() / nrhs;
+    let mut col_out = vec![Spinor::zero(); n];
+    for j in 0..nrhs {
+        let col_in: Vec<Spinor<R>> = (0..n).map(|i| inp[i * nrhs + j]).collect();
+        apply(&mut col_out, &col_in);
+        for (i, s) in col_out.iter().enumerate() {
+            out[i * nrhs + j] = *s;
+        }
+    }
 }
 
 /// `D† D`, the Hermitian positive-definite operator CG actually inverts —
@@ -120,9 +135,7 @@ impl<'a, R: Real, D: DiracOp<R>> LinearOp<R> for NormalOp<'a, R, D> {
     fn flops_per_apply(&self) -> f64 {
         2.0 * self.op.flops_per_apply()
     }
-}
 
-impl<'a, R: Real, D: BlockDiracOp<R>> BlockLinearOp<R> for NormalOp<'a, R, D> {
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let mut tmp = vec![Spinor::zero(); self.op.vec_len() * nrhs];
         self.op.apply_block(&mut tmp, inp, nrhs);

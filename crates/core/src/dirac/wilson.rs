@@ -12,7 +12,7 @@
 //! block is the 5th-dimension structure, see [`super::mobius`]).
 
 use super::hopping::{HoppingKernel, HOPPING_FLOPS_PER_SITE};
-use super::{BlockDiracOp, BlockLinearOp, DiracOp, DslashVariant, LinearOp};
+use super::{DiracOp, DslashVariant, LinearOp};
 use crate::field::GaugeLinks;
 use crate::lattice::{Lattice, Parity};
 use crate::layout::{hop_full_soa, SoaGaugeField, SoaSpinorField};
@@ -144,18 +144,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for WilsonDirac<'a, R, G> {
         // Hopping + diagonal axpy-like update (4 real ops per component).
         self.lattice.volume() as f64 * (HOPPING_FLOPS_PER_SITE + 96.0)
     }
-}
 
-impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for WilsonDirac<'a, R, G> {
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        // γ5-hermiticity: D† = γ5 D γ5.
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        self.apply(out, &g5in);
-        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
-    }
-}
-
-impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for WilsonDirac<'a, R, G> {
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         self.hopping.apply_full_block(out, inp, nrhs, self.grain);
         let diag = R::from_f64(4.0 + self.mass);
@@ -166,7 +155,14 @@ impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for WilsonDirac<'a, R, G> {
     }
 }
 
-impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for WilsonDirac<'a, R, G> {
+impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for WilsonDirac<'a, R, G> {
+    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        // γ5-hermiticity: D† = γ5 D γ5.
+        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
+        self.apply(out, &g5in);
+        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
+    }
+
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
         self.apply_block(out, &g5in, nrhs);
@@ -322,17 +318,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecWilson<'a, R, G> {
         // Two half-volume hopping applications + the diagonal combination.
         self.lattice.volume() as f64 * (HOPPING_FLOPS_PER_SITE + 48.0)
     }
-}
 
-impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecWilson<'a, R, G> {
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        self.apply(out, &g5in);
-        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
-    }
-}
-
-impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for PrecWilson<'a, R, G> {
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let hv = self.lattice.half_volume();
         let mut even = vec![Spinor::zero(); hv * nrhs];
@@ -348,7 +334,13 @@ impl<'a, R: Real, G: GaugeLinks<R>> BlockLinearOp<R> for PrecWilson<'a, R, G> {
     }
 }
 
-impl<'a, R: Real, G: GaugeLinks<R>> BlockDiracOp<R> for PrecWilson<'a, R, G> {
+impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecWilson<'a, R, G> {
+    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
+        self.apply(out, &g5in);
+        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
+    }
+
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
         self.apply_block(out, &g5in, nrhs);

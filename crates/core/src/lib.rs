@@ -75,8 +75,8 @@ pub mod prelude {
         proton_correlator, proton_correlator_general,
     };
     pub use crate::dirac::{
-        BlockDiracOp, BlockLinearOp, DiracOp, DslashVariant, HoppingKernel, LinearOp, MobiusDirac,
-        MobiusParams, NormalOp, PrecMobius, PrecWilson, WilsonDirac,
+        DiracOp, DslashVariant, HoppingKernel, LinearOp, MobiusDirac, MobiusParams, NormalOp,
+        PrecMobius, PrecWilson, WilsonDirac,
     };
     pub use crate::fh::{effective_ga, fh_nucleon_correlator, FeynmanHellmann};
     pub use crate::field::{FermionField, GaugeField, GaugeLinks};
@@ -95,9 +95,8 @@ pub mod prelude {
     pub use crate::simd::{CVec, LaneReal, LANES};
     pub use crate::smear::{ape_smear_spatial, gaussian_smear};
     pub use crate::solver::{
-        bicgstab, cg, cg_block, cgne, deflated_cg, deflated_cg_block, lanczos, lanczos_lowest,
-        mixed_cg, multishift_cg, BlockOp, CgParams, Deflation, EigenPair, LanczosParams,
-        MixedParams, ReliableBlock, SolveStats,
+        bicgstab, cg, cg_block, cgne, deflated_cg_block, lanczos, lanczos_lowest, mixed_cg,
+        CgParams, Deflation, EigenPair, LanczosParams, MixedParams, SolveStats,
     };
     pub use crate::spinor::Spinor;
     pub use crate::su3::{ColorVec, Su3, NC};

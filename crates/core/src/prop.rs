@@ -12,12 +12,11 @@
 //! CGNE (optionally mixed-precision) → reconstruct), exactly the production
 //! path of the paper.
 
-use crate::blas;
 use crate::complex::C64;
 use crate::dirac::{LinearOp, MobiusParams, NormalOp, PrecMobius, WilsonDirac};
 use crate::field::{FermionField, GaugeField};
 use crate::lattice::Lattice;
-use crate::solver::{bicgstab, cgne, mixed_cg, CgParams, MixedParams, SolveStats};
+use crate::solver::{bicgstab, cgne, mixed_cg, solve_normal, CgParams, MixedParams, SolveStats};
 use crate::spinor::Spinor;
 
 /// Which action / solver pipeline produces the propagator.
@@ -212,29 +211,20 @@ impl<'a> PropagatorSolver<'a> {
             let prec32 = PrecMobius::new(self.lattice, &self.gauge32, params);
             let n64 = NormalOp::new(&prec);
             let n32 = NormalOp::new(&prec32);
-            // CGNE source: apply M̂† to rhs, then run mixed CG on M̂†M̂.
-            let mut ne_rhs = vec![Spinor::zero(); prec.vec_len()];
-            use crate::dirac::DiracOp;
-            prec.apply_dagger(&mut ne_rhs, &rhs);
-            let mut stats = mixed_cg(
-                &n64,
-                &n32,
-                &mut x_o,
-                &ne_rhs,
-                MixedParams {
-                    outer: self.solve_params,
-                    ..MixedParams::default()
-                },
-            );
-            // Report the residual of the first-order system.
-            let mut mx = vec![Spinor::zero(); prec.vec_len()];
-            prec.apply(&mut mx, &x_o);
-            let diff = blas::sub(&rhs, &mx);
-            let b2 = blas::norm_sqr(&rhs);
-            if b2 > 0.0 {
-                stats.final_rel_residual = (blas::norm_sqr(&diff) / b2).sqrt();
-            }
-            stats
+            // CGNE: mixed CG on M̂†M̂ x = M̂† rhs, reporting the residual of
+            // the first-order system.
+            solve_normal(&prec, &mut x_o, &rhs, |x, ne_rhs| {
+                mixed_cg(
+                    &n64,
+                    &n32,
+                    x,
+                    ne_rhs,
+                    MixedParams {
+                        outer: self.solve_params,
+                        ..MixedParams::default()
+                    },
+                )
+            })
         } else {
             cgne(&prec, &mut x_o, &rhs, self.solve_params)
         };
@@ -313,6 +303,7 @@ impl<'a> PropagatorSolver<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::blas;
     use crate::gamma::gamma5_dense;
 
     fn small_setup() -> (Lattice, GaugeField<f64>) {

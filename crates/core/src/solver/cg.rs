@@ -1,10 +1,33 @@
-//! Conjugate gradient and CG on the normal equations (CGNE).
+//! The conjugate-gradient recurrence, written once, and its plain drivers
+//! [`cg`], [`cg_block`] and [`cgne`].
+//!
+//! [`cg_core`] *continues* a recurrence from a [`Recurrence`] state
+//! `(k, x, r, p, ρ)` per column over a (possibly fallible) block apply. It is
+//! silent (no metrics, no events) and monomorphised over the operator and
+//! two hooks; each public solver is a thin driver adding what makes it
+//! different: [`cg`] = source prologue + initial residual + core at
+//! `nrhs = 1`; [`cg_block`] = the same at `nrhs = N`, plus retirement
+//! events; [`cg_ft`](super::cg_ft) = a snapshot hook before the apply, and
+//! restore-and-re-enter when it fails; [`mixed_cg`](super::mixed_cg) = the
+//! core seeded with the low-precision residual between reliable updates.
+//!
+//! **Retirement rule.** A column leaves the active set the moment its own
+//! loop condition fails (converged, budget exhausted, or broken down). From
+//! then on its `x`, `r`, `p` are never written again — the block operator
+//! still reads the whole interleaved block, but retired outputs are
+//! discarded — so column `j` of a block solve is bit-identical (solution,
+//! residual, [`SolveStats`]) to the single-column solve.
+//! `tests/block_solver.rs` enforces this across block sizes, precisions,
+//! comm policies, and thread widths.
 
-use super::SolveStats;
+use super::{record_solve, SolveStats};
 use crate::blas;
-use crate::dirac::{DiracOp, LinearOp};
+use crate::block::{self, BlockSpinor};
+use crate::comms::CommError;
+use crate::dirac::{DiracOp, LinearOp, NormalOp};
 use crate::real::Real;
 use crate::spinor::Spinor;
+use obs::Json;
 
 /// Stopping criteria for CG-family solvers.
 #[derive(Clone, Copy, Debug)]
@@ -24,107 +47,345 @@ impl Default for CgParams {
     }
 }
 
+/// The operator as the solvers see it: a (possibly fallible, possibly
+/// stateful) apply on an interleaved block of `nrhs` columns
+/// (`data[i * nrhs + j]`; a plain vector is the `nrhs = 1` block) that may be
+/// able to repair itself after a typed communication failure. Every `&A`
+/// with `A: LinearOp` is one; the sharded halo-exchange operator is the
+/// fallible one.
+pub trait FallibleOp<R: Real> {
+    /// Length (in spinors) of each column.
+    fn vec_len(&self) -> usize;
+
+    /// `out = A · inp` on the whole block, or a typed failure (in which
+    /// case `out` is unspecified).
+    fn apply_block(
+        &mut self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+    ) -> Result<(), CommError>;
+
+    /// Flops of one successful apply *per column*, so a column's flop
+    /// ledger does not depend on the block size.
+    fn flops_per_apply(&self) -> f64;
+
+    /// Attempt to repair the operator after `err`. `Ok(())` means a retry
+    /// can make progress (possibly on a degraded configuration); `Err`
+    /// means the failure is terminal, which is the default.
+    fn recover(&mut self, err: &CommError) -> Result<(), CommError> {
+        Err(*err)
+    }
+}
+
+impl<R: Real, A: LinearOp<R> + ?Sized> FallibleOp<R> for &A {
+    fn vec_len(&self) -> usize {
+        (**self).vec_len()
+    }
+
+    fn apply_block(
+        &mut self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+    ) -> Result<(), CommError> {
+        // A one-column block is a plain vector: run the single-RHS kernel.
+        if nrhs == 1 {
+            (**self).apply(out, inp);
+        } else {
+            (**self).apply_block(out, inp, nrhs);
+        }
+        Ok(())
+    }
+
+    fn flops_per_apply(&self) -> f64 {
+        (**self).flops_per_apply()
+    }
+}
+
+/// The scalar part of one column's recurrence, with its work ledger.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Column {
+    /// Recurrence index (rolled back by a checkpoint restore, unlike
+    /// `stats.iterations`, which counts replayed work too).
+    pub k: usize,
+    /// `ρ = ‖r‖²`; NaN until the initial residual exists.
+    pub rho: f64,
+    /// Absolute target on `ρ`.
+    pub target: f64,
+    /// `‖b‖²`, the scale the exit residual is reported against.
+    pub b_norm2: f64,
+    /// Still iterating.
+    pub live: bool,
+    /// The core adds iterations and flops and sets `breakdown`; retirement
+    /// fills in the verdict.
+    pub stats: SolveStats,
+}
+
+impl Column {
+    /// The exit epilogue every driver shares: fill in the verdict from the
+    /// final `ρ` — a non-finite one is a breakdown reported as `∞`, never
+    /// NaN — and leave the active set.
+    pub(crate) fn retire(&mut self) {
+        let finite = self.rho.is_finite();
+        self.stats.breakdown |= !finite;
+        self.stats.final_rel_residual = if finite {
+            (self.rho / self.b_norm2).sqrt()
+        } else {
+            f64::INFINITY
+        };
+        self.stats.converged = finite && self.rho <= self.target;
+        self.live = false;
+    }
+}
+
+/// Everything that determines the remaining iteration sequence bit-for-bit:
+/// interleaved `x`, `r`, `p` plus `(k, ρ)` per column. `x` is borrowed, so a
+/// driver's solution vector is iterated in place.
+pub(crate) struct Recurrence<'a, R: Real> {
+    pub x: &'a mut [Spinor<R>],
+    pub r: Vec<Spinor<R>>,
+    pub p: Vec<Spinor<R>>,
+    pub cols: Vec<Column>,
+    /// Successful block applies so far, the initial residual included.
+    pub applies: u64,
+}
+
+impl<'a, R: Real> Recurrence<'a, R> {
+    /// The source prologue every driver shares, per column: a zero source
+    /// is solved by zero (converged, no applies); a NaN/∞ source is a
+    /// breakdown with `x` untouched, since iterating would only propagate
+    /// garbage; any other column goes live with target `tol²·‖b‖²`.
+    pub(crate) fn open(x: &'a mut [Spinor<R>], b: &[Spinor<R>], nrhs: usize, tol: f64) -> Self {
+        assert_eq!(x.len(), b.len());
+        let column = |j| {
+            let b_norm2 = block::norm_sqr_col(b, nrhs, j);
+            let mut stats = SolveStats::new();
+            if b_norm2 == 0.0 {
+                block::zero_col(x, nrhs, j);
+                stats.converged = true;
+                stats.final_rel_residual = 0.0;
+            } else if !b_norm2.is_finite() {
+                stats.breakdown = true;
+            }
+            Column {
+                k: 0,
+                rho: f64::NAN,
+                target: tol * tol * b_norm2,
+                b_norm2,
+                live: !stats.converged && !stats.breakdown,
+                stats,
+            }
+        };
+        let cols = (0..nrhs).map(column).collect();
+        Self {
+            x,
+            r: Vec::new(),
+            p: Vec::new(),
+            cols,
+            applies: 0,
+        }
+    }
+
+    fn any_live(&self) -> bool {
+        self.cols.iter().any(|c| c.live)
+    }
+
+    /// (Re)start every live column from the guess in `x`: `r = b − A x`,
+    /// `p = r`, `ρ = ‖r‖²`, `k = 0`. The apply is performed and charged even
+    /// for a zero guess — skipping it would flip zero signs in `r` and
+    /// change the flop ledger. It spans retired columns too; their outputs
+    /// are discarded.
+    pub(crate) fn start<A: FallibleOp<R> + ?Sized>(
+        &mut self,
+        op: &mut A,
+        b: &[Spinor<R>],
+    ) -> Result<(), CommError> {
+        if !self.any_live() {
+            return Ok(());
+        }
+        let nrhs = self.cols.len();
+        for col in self.cols.iter_mut().filter(|c| c.live) {
+            (col.k, col.rho) = (0, f64::NAN);
+        }
+        self.r.resize(b.len(), Spinor::zero());
+        op.apply_block(&mut self.r, self.x, nrhs)?;
+        self.applies += 1;
+        for (j, col) in self.cols.iter_mut().enumerate().filter(|(_, c)| c.live) {
+            col.stats.flops += op.flops_per_apply();
+            for i in (j..b.len()).step_by(nrhs) {
+                self.r[i] = b[i] - self.r[i];
+            }
+            col.rho = block::norm_sqr_col(&self.r, nrhs, j);
+        }
+        self.p.clone_from(&self.r);
+        Ok(())
+    }
+}
+
+/// The CG recurrence. Continues every live column of `state` until its
+/// `ρ ≤ target`, its `k` reaches `max_k`, or it breaks down (`p·Ap ≤ 0`,
+/// non-finite `ρ`), in the operation order `dot → α → axpy x → axpy r →
+/// ‖r‖² → β → xpby p`. Two hooks let a driver observe it: `before_apply`
+/// sees the state a restore must reproduce to replay the coming apply;
+/// `retired` sees each column as it leaves with its verdict filled in. An
+/// `Err` is a failed apply: the state is as it was before that apply,
+/// columns still live, so the driver can recover and re-enter or give up.
+pub(crate) fn cg_core<R: Real, A: FallibleOp<R> + ?Sized>(
+    op: &mut A,
+    state: &mut Recurrence<'_, R>,
+    max_k: usize,
+    mut before_apply: impl FnMut(&Recurrence<'_, R>),
+    mut retired: impl FnMut(usize, &Column),
+) -> Result<(), CommError> {
+    let nrhs = state.cols.len();
+    let blas_flops = 6.0 * 24.0 * op.vec_len() as f64; // three axpys + two reductions per iteration
+    let mut ap = vec![Spinor::zero(); state.p.len()];
+    loop {
+        // Retire every column whose own loop would exit here, before the
+        // next shared apply. A non-finite ρ is a divergence: stop with an
+        // error status instead of spinning on NaN until the budget.
+        for (j, col) in state.cols.iter_mut().enumerate().filter(|(_, c)| c.live) {
+            if !(col.k < max_k && col.rho > col.target && col.rho.is_finite()) {
+                col.retire();
+                retired(j, col);
+            }
+        }
+        if !state.any_live() {
+            return Ok(());
+        }
+        before_apply(state);
+        op.apply_block(&mut ap, &state.p, nrhs)?;
+        state.applies += 1;
+
+        for (j, col) in state.cols.iter_mut().enumerate().filter(|(_, c)| c.live) {
+            col.k += 1;
+            col.stats.iterations += 1;
+            col.stats.flops += op.flops_per_apply() + blas_flops;
+
+            let pap = block::dot_cols(&state.p, &ap, nrhs, j).re;
+            if !pap.is_finite() || pap <= 0.0 {
+                // Not positive definite (or total loss of precision).
+                col.stats.breakdown = true;
+                col.retire();
+                retired(j, col);
+                continue;
+            }
+            let alpha = col.rho / pap;
+            block::axpy_col(alpha, &state.p, state.x, nrhs, j);
+            block::axpy_col(-alpha, &ap, &mut state.r, nrhs, j);
+            let rho_new = block::norm_sqr_col(&state.r, nrhs, j);
+            let beta = rho_new / col.rho;
+            block::xpby_col(&state.r, beta, &mut state.p, nrhs, j);
+            col.rho = rho_new;
+        }
+    }
+}
+
+/// What [`cg`] and [`cg_block`] share: prologue, initial residual, core. On
+/// a communication failure every still-live column is retired as a
+/// breakdown (the data is intact but the iteration cannot continue
+/// deterministically) and `true` is returned alongside the final state.
+fn solve<'a, R: Real, A: FallibleOp<R> + ?Sized>(
+    op: &mut A,
+    x: &'a mut [Spinor<R>],
+    b: &[Spinor<R>],
+    nrhs: usize,
+    params: CgParams,
+    mut retired: impl FnMut(usize, &Column),
+) -> (Recurrence<'a, R>, bool) {
+    assert_eq!(x.len(), op.vec_len() * nrhs);
+    let mut state = Recurrence::open(x, b, nrhs, params.tol);
+    let run = state
+        .start(op, b)
+        .and_then(|()| cg_core(op, &mut state, params.max_iter, |_| {}, &mut retired));
+    if run.is_err() {
+        for (j, col) in state.cols.iter_mut().enumerate().filter(|(_, c)| c.live) {
+            col.stats.breakdown = true;
+            col.retire();
+            retired(j, col);
+        }
+    }
+    (state, run.is_err())
+}
+
 /// Standard CG for a Hermitian positive-definite operator `A`.
 ///
 /// Solves `A x = b`, starting from the value already in `x` (zero it for a
 /// fresh solve). BLAS-1 flop accounting uses the paper's convention of ~50
 /// flops per site-iteration beyond the stencil.
 pub fn cg<R: Real, A: LinearOp<R> + ?Sized>(
-    op: &A,
+    mut op: &A,
     x: &mut [Spinor<R>],
     b: &[Spinor<R>],
     params: CgParams,
 ) -> SolveStats {
-    let n = op.vec_len();
-    assert_eq!(x.len(), n);
-    assert_eq!(b.len(), n);
-    let mut stats = SolveStats::new();
-
-    let b_norm2 = blas::norm_sqr(b);
-    if b_norm2 == 0.0 {
-        blas::zero(x);
-        stats.converged = true;
-        stats.final_rel_residual = 0.0;
-        super::record_solve("cg", &stats);
-        return stats;
-    }
-    if !b_norm2.is_finite() {
-        // Corrupted source (NaN/∞): iterating would only propagate garbage.
-        stats.breakdown = true;
-        super::record_solve("cg", &stats);
-        return stats;
-    }
-
-    // r = b − A x.
-    let mut r = vec![Spinor::zero(); n];
-    op.apply(&mut r, x);
-    stats.flops += op.flops_per_apply();
-    for (ri, (bi, _)) in r.iter_mut().zip(b.iter().zip(x.iter())) {
-        *ri = *bi - *ri;
-    }
-
-    let mut p = r.clone();
-    let mut ap = vec![Spinor::zero(); n];
-    let mut r2 = blas::norm_sqr(&r);
-    let target = params.tol * params.tol * b_norm2;
-    let blas_flops = 6.0 * 24.0 * n as f64; // three axpys + two reductions per iteration
-
-    while stats.iterations < params.max_iter && r2 > target {
-        if !r2.is_finite() {
-            // Divergence: terminate with an error status instead of
-            // spinning on NaN until `max_iter`.
-            stats.breakdown = true;
-            break;
-        }
-        op.apply(&mut ap, &p);
-        stats.iterations += 1;
-        stats.flops += op.flops_per_apply() + blas_flops;
-
-        let pap = blas::dot(&p, &ap).re;
-        if !pap.is_finite() || pap <= 0.0 {
-            // Not positive definite (or total loss of precision) — bail out.
-            stats.breakdown = true;
-            break;
-        }
-        let alpha = r2 / pap;
-        blas::axpy(alpha, &p, x);
-        blas::axpy(-alpha, &ap, &mut r);
-        let r2_new = blas::norm_sqr(&r);
-        let beta = r2_new / r2;
-        blas::xpby(&r, beta, &mut p);
-        r2 = r2_new;
-    }
-
-    if !r2.is_finite() {
-        stats.breakdown = true;
-    }
-    stats.final_rel_residual = if r2.is_finite() {
-        (r2 / b_norm2).sqrt()
-    } else {
-        f64::INFINITY
-    };
-    stats.converged = r2.is_finite() && r2 <= target;
-    super::record_solve("cg", &stats);
+    let (state, _) = solve(&mut op, x, b, 1, params, |_, _| {});
+    let stats = state.cols[0].stats;
+    record_solve("cg", &stats);
     stats
 }
 
-/// CG on the normal equations: solves `D x = b` by running [`cg`] on
-/// `D†D x = D†b` — the paper's solver for the Möbius discretization.
-pub fn cgne<R: Real, D: DiracOp<R>>(
+/// Batched CG over `nrhs` right-hand-sides sharing link traffic.
+///
+/// Solves `A x[:,j] = b[:,j]` for every column, starting from the values
+/// already in `x` (zero them for fresh solves), each operator application
+/// amortizing the gauge-link loads across all columns. Column `j` of the
+/// result — solution, residual history, and the returned [`SolveStats`]
+/// including flop counts — is bit-identical to `cg(op, x_j, b_j, params)`
+/// on the packed column (see the module docs for the retirement rule). On a
+/// communication failure every still-active column is finalized as a
+/// breakdown.
+pub fn cg_block<R: Real, A: FallibleOp<R> + ?Sized>(
+    op: &mut A,
+    x: &mut BlockSpinor<R>,
+    b: &BlockSpinor<R>,
+    params: CgParams,
+) -> Vec<SolveStats> {
+    let nrhs = b.nrhs();
+    assert_eq!(x.nrhs(), nrhs);
+    let reg = obs::Registry::current();
+    let retire_event = |j: usize, col: &Column| {
+        reg.event(
+            "solver.cg_block.retire",
+            vec![
+                ("rhs", Json::from(j as u64)),
+                ("iterations", Json::from(col.stats.iterations as u64)),
+                ("converged", Json::from(col.stats.converged)),
+            ],
+        );
+    };
+    let (state, comm_failed) = solve(op, x.data_mut(), b.data(), nrhs, params, retire_event);
+
+    reg.counter("solver.cg_block.block_solves").inc();
+    reg.counter("solver.cg_block.rhs").add(nrhs as u64);
+    reg.counter("solver.cg_block.block_applies")
+        .add(state.applies);
+    if comm_failed {
+        reg.counter("solver.cg_block.comm_failures").inc();
+    }
+    let stats: Vec<SolveStats> = state.cols.iter().map(|c| c.stats).collect();
+    for s in &stats {
+        record_solve("cg_block", s);
+    }
+    stats
+}
+
+/// Solve `D x = b` through the normal equations: form `D†b`, hand
+/// `(x, D†b)` to `solve` (some CG on `D†D`), then report the recomputed
+/// true residual `‖b − D x‖/‖b‖` of the original system. A non-finite true
+/// residual is a breakdown, never a NaN in the report.
+pub(crate) fn solve_normal<R: Real, D: DiracOp<R>>(
     op: &D,
     x: &mut [Spinor<R>],
     b: &[Spinor<R>],
-    params: CgParams,
+    solve: impl FnOnce(&mut [Spinor<R>], &[Spinor<R>]) -> SolveStats,
 ) -> SolveStats {
     let n = op.vec_len();
     let mut rhs = vec![Spinor::zero(); n];
     op.apply_dagger(&mut rhs, b);
+    let mut stats = solve(x, &rhs);
 
-    let normal = crate::dirac::NormalOp::new(op);
-    let mut stats = cg(&normal, x, &rhs, params);
-    stats.flops += op.flops_per_apply();
-
-    // Report the true residual of the original system.
     let mut dx = vec![Spinor::zero(); n];
     op.apply(&mut dx, x);
     let diff = blas::sub(b, &dx);
@@ -142,10 +403,23 @@ pub fn cgne<R: Real, D: DiracOp<R>>(
     stats
 }
 
+/// CG on the normal equations: solves `D x = b` by running [`cg`] on
+/// `D†D x = D†b` — the paper's solver for the Möbius discretization.
+pub fn cgne<R: Real, D: DiracOp<R>>(
+    op: &D,
+    x: &mut [Spinor<R>],
+    b: &[Spinor<R>],
+    params: CgParams,
+) -> SolveStats {
+    let mut stats = solve_normal(op, x, b, |x, rhs| cg(&NormalOp::new(op), x, rhs, params));
+    stats.flops += op.flops_per_apply();
+    stats
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dirac::{MobiusDirac, MobiusParams, NormalOp, PrecMobius, PrecWilson, WilsonDirac};
+    use crate::dirac::{MobiusDirac, MobiusParams, PrecMobius, PrecWilson, WilsonDirac};
     use crate::field::{FermionField, GaugeField};
     use crate::lattice::Lattice;
 
@@ -180,50 +454,6 @@ mod tests {
         );
         assert!(!stats.converged);
         assert_eq!(stats.iterations, 3);
-    }
-
-    #[test]
-    fn nan_source_terminates_with_breakdown_not_max_iter() {
-        // A corrupted propagator source (NaN) must stop the solve with an
-        // error status immediately, not iterate to max_iter on garbage.
-        let lat = Lattice::new([4, 4, 4, 4]);
-        let gauge = GaugeField::<f64>::hot(&lat, 61);
-        let d = WilsonDirac::new(&lat, &gauge, 0.3, true);
-        let mut b = FermionField::<f64>::gaussian(lat.volume(), 11).data;
-        b[7].s[0].c[0].re = f64::NAN;
-        let mut x = vec![Spinor::zero(); lat.volume()];
-        let stats = cgne(&d, &mut x, &b, CgParams::default());
-        assert!(stats.breakdown, "{stats:?}");
-        assert!(!stats.converged);
-        assert!(stats.iterations < 10, "must not spin on NaN: {stats:?}");
-    }
-
-    #[test]
-    fn nan_initial_guess_terminates_with_breakdown() {
-        let lat = Lattice::new([4, 4, 4, 4]);
-        let gauge = GaugeField::<f64>::hot(&lat, 61);
-        let d = WilsonDirac::new(&lat, &gauge, 0.3, true);
-        let normal = NormalOp::new(&d);
-        let b = FermionField::<f64>::gaussian(lat.volume(), 11).data;
-        let mut x = vec![Spinor::zero(); lat.volume()];
-        x[0].s[0].c[0].re = f64::INFINITY;
-        let stats = cg(&normal, &mut x, &b, CgParams::default());
-        assert!(stats.breakdown, "{stats:?}");
-        assert!(!stats.converged);
-        assert!(stats.iterations < 10);
-    }
-
-    #[test]
-    fn cg_on_zero_rhs_returns_zero() {
-        let lat = Lattice::new([2, 2, 2, 2]);
-        let gauge = GaugeField::<f64>::cold(&lat);
-        let d = WilsonDirac::new(&lat, &gauge, 0.5, true);
-        let normal = NormalOp::new(&d);
-        let b = vec![Spinor::zero(); lat.volume()];
-        let mut x = FermionField::<f64>::gaussian(lat.volume(), 13).data;
-        let stats = cg(&normal, &mut x, &b, CgParams::default());
-        assert!(stats.converged);
-        assert_eq!(crate::blas::norm_sqr(&x), 0.0);
     }
 
     #[test]

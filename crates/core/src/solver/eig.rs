@@ -9,7 +9,7 @@
 //! full reorthogonalization, a tridiagonal Rayleigh–Ritz, and a final
 //! block rotation against `A` itself.
 
-use super::{CgParams, SolveStats};
+use super::CgParams;
 use crate::blas;
 use crate::complex::C64;
 use crate::dirac::LinearOp;
@@ -376,28 +376,6 @@ fn block_rayleigh_ritz<A: LinearOp<f64> + ?Sized>(
     out
 }
 
-/// CG with low-mode deflation used as the initial guess:
-/// `x₀ = Σ ⟨v_k, b⟩ / λ_k · v_k`, then plain CG from `x₀`.
-///
-/// Robust to imperfect modes (unlike strict complement-space deflation): an
-/// approximate low-mode guess still removes most of the slow components,
-/// and CG corrects the rest.
-pub fn deflated_cg<A: LinearOp<f64> + ?Sized>(
-    op: &A,
-    modes: &[EigenPair],
-    x: &mut [Spinor<f64>],
-    b: &[Spinor<f64>],
-    params: CgParams,
-) -> SolveStats {
-    let n = op.vec_len();
-    assert_eq!(x.len(), n);
-    assert_eq!(b.len(), n);
-
-    // Deflation initial guess.
-    super::deflate::guess_from(modes, x, b);
-    super::cg(op, x, b, params)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -478,7 +456,8 @@ mod tests {
 
         let modes = lanczos_lowest(&a, 8, 80, 9);
         let mut x_defl = vec![Spinor::zero(); lat.volume()];
-        let s_defl = deflated_cg(&a, &modes, &mut x_defl, &b, params);
+        crate::solver::Deflation::new(modes).guess(&mut x_defl, &b);
+        let s_defl = cg(&a, &mut x_defl, &b, params);
         assert!(s_defl.converged, "{s_defl:?}");
         assert!(
             s_defl.iterations < s_plain.iterations,

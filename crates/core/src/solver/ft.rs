@@ -1,20 +1,21 @@
 //! Fault-tolerant CG: checkpoint-restart over a fallible operator.
 //!
-//! [`cg_ft`] runs the exact conjugate-gradient recurrence of [`super::cg`]
-//! against a [`FallibleOp`] — an operator whose apply can fail with a typed
-//! [`CommError`] (the sharded halo-exchange dslash under fault injection).
-//! Every `checkpoint_every` iterations it snapshots the full recurrence
-//! state `(k, x, r, p, ρ)` — which determines the entire remaining
-//! iteration sequence bit-for-bit — in memory, and optionally through a
+//! [`cg_ft`] drives the one CG recurrence ([`super::cg`]'s core) against a
+//! [`FallibleOp`] whose apply can fail with a typed
+//! [`CommError`](crate::comms::CommError) (the sharded halo-exchange dslash
+//! under fault injection). Every `checkpoint_every` iterations it snapshots
+//! the full recurrence state
+//! `(k, x, r, p, ρ)` — which determines the entire remaining iteration
+//! sequence bit-for-bit — in memory, and optionally through a
 //! [`CheckpointSink`] for durable CRC-protected storage. When an apply
 //! fails:
 //!
 //! 1. the operator is asked to [`FallibleOp::recover`] — a no-op for
 //!    transient wire faults, a grid degradation (rebuild on the surviving
-//!    ranks) for [`CommError::RankLost`];
+//!    ranks) for [`CommError::RankLost`](crate::comms::CommError::RankLost);
 //! 2. the recurrence state is restored from the last checkpoint (or
 //!    re-initialized from the starting guess if none was taken), and
-//!    iteration resumes.
+//!    the core is re-entered.
 //!
 //! Because the sharded apply is bit-identical at every rank grid and thread
 //! width, the restored recurrence continues the *exact* bit sequence of an
@@ -28,67 +29,11 @@
 //! `solver.checkpoint` / `solver.restore` events through obs, mirroring the
 //! `comms.*` fault metrics one layer down.
 
-use super::{record_solve, CgParams, SolveStats, SolverOutcome};
-use crate::blas;
-use crate::comms::CommError;
-use crate::dirac::LinearOp;
+use super::cg::{cg_core, FallibleOp, Recurrence};
+use super::{record_solve, CgParams, SolverOutcome};
 use crate::real::Real;
 use crate::spinor::Spinor;
 use obs::{Json, Registry};
-
-/// A linear operator whose application may fail with a typed communication
-/// error and which may be able to repair itself afterwards.
-pub trait FallibleOp<R: Real> {
-    /// Vector length the operator acts on.
-    fn vec_len(&self) -> usize;
-
-    /// `out = A inp`, or a typed failure (in which case `out` is
-    /// unspecified).
-    fn apply(&mut self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) -> Result<(), CommError>;
-
-    /// Flops of one successful apply.
-    fn flops_per_apply(&self) -> f64;
-
-    /// Attempt to repair the operator after `err`. `Ok(())` means a retry
-    /// can make progress (possibly on a degraded configuration); `Err`
-    /// means the failure is terminal. The default treats every error as
-    /// terminal.
-    fn recover(&mut self, err: &CommError) -> Result<(), CommError> {
-        Err(*err)
-    }
-}
-
-/// Adapter making any infallible [`LinearOp`] a [`FallibleOp`], so the
-/// checkpointed solver can be validated against the plain one.
-pub struct Reliable<'a, R: Real, A: LinearOp<R> + ?Sized> {
-    op: &'a A,
-    _marker: std::marker::PhantomData<R>,
-}
-
-impl<'a, R: Real, A: LinearOp<R> + ?Sized> Reliable<'a, R, A> {
-    /// Wrap `op`.
-    pub fn new(op: &'a A) -> Self {
-        Self {
-            op,
-            _marker: std::marker::PhantomData,
-        }
-    }
-}
-
-impl<'a, R: Real, A: LinearOp<R> + ?Sized> FallibleOp<R> for Reliable<'a, R, A> {
-    fn vec_len(&self) -> usize {
-        self.op.vec_len()
-    }
-
-    fn apply(&mut self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) -> Result<(), CommError> {
-        self.op.apply(out, inp);
-        Ok(())
-    }
-
-    fn flops_per_apply(&self) -> f64 {
-        self.op.flops_per_apply()
-    }
-}
 
 /// One CG recurrence snapshot: everything needed to continue the iteration
 /// sequence bit-exactly from iteration `iteration`.
@@ -209,10 +154,10 @@ impl Default for FtParams {
 
 /// Checkpoint-restart CG for a Hermitian positive-definite [`FallibleOp`].
 ///
-/// Runs the bit-exact recurrence of [`super::cg`] (same operation order,
-/// same BLAS calls), so with a fault-free operator the iterates — and the
-/// final residual — are identical to the plain solver's. See the module
-/// docs for the recovery protocol.
+/// Runs the recurrence of [`super::cg`] (the same core), so with a
+/// fault-free operator the iterates — and the final residual — are
+/// identical to the plain solver's. See the module docs for the recovery
+/// protocol.
 pub fn cg_ft<R: Real, A: FallibleOp<R> + ?Sized>(
     op: &mut A,
     x: &mut [Spinor<R>],
@@ -220,208 +165,122 @@ pub fn cg_ft<R: Real, A: FallibleOp<R> + ?Sized>(
     params: &FtParams,
     mut sink: Option<&mut dyn CheckpointSink<R>>,
 ) -> SolverOutcome {
-    let n = op.vec_len();
-    assert_eq!(x.len(), n);
-    assert_eq!(b.len(), n);
-    let mut stats = SolveStats::new();
-    let mut restarts = 0usize;
+    assert_eq!(x.len(), op.vec_len());
+    let mut state = Recurrence::open(x, b, 1, params.cg.tol);
+    let mut last_ckpt: Option<CgCheckpoint<R>> = None;
+    let mut checkpoints = 0usize;
+    let reg = Registry::current();
 
-    let b_norm2 = blas::norm_sqr(b);
-    if b_norm2 == 0.0 {
-        blas::zero(x);
-        stats.converged = true;
-        stats.final_rel_residual = 0.0;
-        record_solve("cg_ft", &stats);
-        return SolverOutcome::Converged {
+    let failure = if !state.cols[0].live {
+        state.cols[0].stats.breakdown.then_some("non-finite source")
+    } else {
+        let x0 = state.x.to_vec();
+        // One pass = one solve segment: establish the recurrence state
+        // (from the last checkpoint, or r = b − A x₀ re-derived when none
+        // exists: the whole history is replayed), then iterate until done
+        // or a comm failure forces recovery + restore.
+        loop {
+            let established = match &last_ckpt {
+                Some(c) => {
+                    state.x.copy_from_slice(&c.x);
+                    state.r.clone_from(&c.r);
+                    state.p.clone_from(&c.p);
+                    (state.cols[0].k, state.cols[0].rho) = (c.iteration, c.rho);
+                    Ok(())
+                }
+                None => {
+                    state.x.copy_from_slice(&x0);
+                    state.start(op, b)
+                }
+            };
+            // `max_total_iters` caps applies, replays included: it bounds
+            // how far this segment may advance `k`.
+            let col = &state.cols[0];
+            let max_k = match params.max_total_iters {
+                0 => params.cg.max_iter,
+                total => {
+                    (col.k + total.saturating_sub(col.stats.iterations)).min(params.cg.max_iter)
+                }
+            };
+            // Snapshot on schedule, *before* the apply that might fail, so
+            // a failure at iteration k replays at most `checkpoint_every − 1`
+            // healthy iterations.
+            let snapshot = |state: &Recurrence<'_, R>| {
+                let col = &state.cols[0];
+                if params.checkpoint_every == 0 || !col.k.is_multiple_of(params.checkpoint_every) {
+                    return;
+                }
+                let ckpt = CgCheckpoint {
+                    iteration: col.k,
+                    rho: col.rho,
+                    x: state.x.to_vec(),
+                    r: state.r.clone(),
+                    p: state.p.clone(),
+                };
+                checkpoints += 1;
+                reg.counter("solver.checkpoints").inc();
+                reg.event("solver.checkpoint", vec![("iteration", Json::from(col.k))]);
+                if let Some(Err(msg)) = sink.as_deref_mut().map(|s| s.store(&ckpt)) {
+                    reg.counter("solver.checkpoint_sink_errors").inc();
+                    reg.event(
+                        "solver.checkpoint_sink_error",
+                        vec![("error", Json::from(msg))],
+                    );
+                }
+                last_ckpt = Some(ckpt);
+            };
+            let run =
+                established.and_then(|()| cg_core(op, &mut state, max_k, snapshot, |_, _| {}));
+            let Err(e) = run else { break None };
+
+            // Spend one comm restart, let the operator repair itself, and
+            // record the recovery before restoring.
+            let col = &mut state.cols[0];
+            if col.stats.comm_restarts >= params.max_comm_restarts {
+                break Some("comm-restart budget exhausted");
+            }
+            if op.recover(&e).is_err() {
+                break Some("unrecoverable comm failure");
+            }
+            col.stats.comm_restarts += 1;
+            reg.counter("solver.restarts").inc();
+            reg.event(
+                "solver.restore",
+                vec![
+                    ("restart", Json::from(col.stats.comm_restarts)),
+                    ("iteration", Json::from(col.k)),
+                    ("error", Json::from(e.to_string())),
+                ],
+            );
+        }
+    };
+
+    let mut stats = state.cols[0].stats;
+    stats.checkpoints = checkpoints;
+    let restarts = stats.comm_restarts;
+    record_solve("cg_ft", &stats);
+    match failure.or((!stats.converged && stats.breakdown).then_some("breakdown")) {
+        Some(reason) => SolverOutcome::Failed {
+            stats,
+            restarts,
+            reason,
+        },
+        None if stats.converged => SolverOutcome::Converged {
             stats,
             restarts,
             escalated: false,
-        };
+        },
+        None => SolverOutcome::MaxIterations { stats, restarts },
     }
-    if !b_norm2.is_finite() {
-        stats.breakdown = true;
-        record_solve("cg_ft", &stats);
-        return SolverOutcome::Failed {
-            stats,
-            restarts,
-            reason: "non-finite source",
-        };
-    }
-
-    let target = params.cg.tol * params.cg.tol * b_norm2;
-    let blas_flops = 6.0 * 24.0 * n as f64; // as in `cg`
-    let x0: Vec<Spinor<R>> = x.to_vec();
-    let mut ap = vec![Spinor::zero(); n];
-    let mut last_ckpt: Option<CgCheckpoint<R>> = None;
-
-    // One pass of the outer loop = one solve attempt segment: establish the
-    // recurrence state (fresh or from checkpoint), iterate until done or a
-    // comm failure forces recovery + restore.
-    'solve: loop {
-        let (mut k, mut r, mut p, mut r2) = match &last_ckpt {
-            Some(c) => {
-                x.copy_from_slice(&c.x);
-                (c.iteration, c.r.clone(), c.p.clone(), c.rho)
-            }
-            None => {
-                // r = b − A x₀ (re-derived on restart when no checkpoint
-                // exists: the whole history is replayed).
-                x.copy_from_slice(&x0);
-                let mut r = vec![Spinor::zero(); n];
-                if let Err(e) = op.apply(&mut r, x) {
-                    match handle_failure(op, &e, &mut restarts, &mut stats, params, 0) {
-                        Ok(()) => continue 'solve,
-                        Err(reason) => {
-                            record_solve("cg_ft", &stats);
-                            return SolverOutcome::Failed {
-                                stats,
-                                restarts,
-                                reason,
-                            };
-                        }
-                    }
-                }
-                stats.flops += op.flops_per_apply();
-                for (ri, bi) in r.iter_mut().zip(b.iter()) {
-                    *ri = *bi - *ri;
-                }
-                let r2 = blas::norm_sqr(&r);
-                let p = r.clone();
-                (0, r, p, r2)
-            }
-        };
-
-        while k < params.cg.max_iter && r2 > target {
-            if !r2.is_finite() {
-                stats.breakdown = true;
-                break;
-            }
-            if params.max_total_iters > 0 && stats.iterations >= params.max_total_iters {
-                break;
-            }
-            // Snapshot on schedule, *before* the apply that might fail, so a
-            // failure at iteration k replays at most `checkpoint_every − 1`
-            // healthy iterations.
-            if params.checkpoint_every > 0 && k % params.checkpoint_every == 0 {
-                let ckpt = CgCheckpoint {
-                    iteration: k,
-                    rho: r2,
-                    x: x.to_vec(),
-                    r: r.clone(),
-                    p: p.clone(),
-                };
-                stats.checkpoints += 1;
-                let reg = Registry::current();
-                reg.counter("solver.checkpoints").inc();
-                reg.event("solver.checkpoint", vec![("iteration", Json::from(k))]);
-                if let Some(s) = sink.as_deref_mut() {
-                    if let Err(msg) = s.store(&ckpt) {
-                        reg.counter("solver.checkpoint_sink_errors").inc();
-                        reg.event(
-                            "solver.checkpoint_sink_error",
-                            vec![("error", Json::from(msg))],
-                        );
-                    }
-                }
-                last_ckpt = Some(ckpt);
-            }
-
-            if let Err(e) = op.apply(&mut ap, &p) {
-                match handle_failure(op, &e, &mut restarts, &mut stats, params, k) {
-                    Ok(()) => continue 'solve,
-                    Err(reason) => {
-                        record_solve("cg_ft", &stats);
-                        return SolverOutcome::Failed {
-                            stats,
-                            restarts,
-                            reason,
-                        };
-                    }
-                }
-            }
-            k += 1;
-            stats.iterations += 1;
-            stats.flops += op.flops_per_apply() + blas_flops;
-
-            let pap = blas::dot(&p, &ap).re;
-            if !pap.is_finite() || pap <= 0.0 {
-                stats.breakdown = true;
-                break;
-            }
-            let alpha = r2 / pap;
-            blas::axpy(alpha, &p, x);
-            blas::axpy(-alpha, &ap, &mut r);
-            let r2_new = blas::norm_sqr(&r);
-            let beta = r2_new / r2;
-            blas::xpby(&r, beta, &mut p);
-            r2 = r2_new;
-        }
-
-        if !r2.is_finite() {
-            stats.breakdown = true;
-        }
-        stats.final_rel_residual = if r2.is_finite() {
-            (r2 / b_norm2).sqrt()
-        } else {
-            f64::INFINITY
-        };
-        stats.converged = r2.is_finite() && r2 <= target;
-        record_solve("cg_ft", &stats);
-        return if stats.converged {
-            SolverOutcome::Converged {
-                stats,
-                restarts,
-                escalated: false,
-            }
-        } else if stats.breakdown {
-            SolverOutcome::Failed {
-                stats,
-                restarts,
-                reason: "breakdown",
-            }
-        } else {
-            SolverOutcome::MaxIterations { stats, restarts }
-        };
-    }
-}
-
-/// Shared failure path of `cg_ft`: spend one comm restart, let the operator
-/// repair itself, and record the recovery. `Ok(())` means "restore and
-/// resume"; `Err(reason)` is terminal.
-fn handle_failure<R: Real, A: FallibleOp<R> + ?Sized>(
-    op: &mut A,
-    err: &CommError,
-    restarts: &mut usize,
-    stats: &mut SolveStats,
-    params: &FtParams,
-    at_iteration: usize,
-) -> Result<(), &'static str> {
-    if *restarts >= params.max_comm_restarts {
-        return Err("comm-restart budget exhausted");
-    }
-    op.recover(err).map_err(|_| "unrecoverable comm failure")?;
-    *restarts += 1;
-    stats.comm_restarts += 1;
-    let reg = Registry::current();
-    reg.counter("solver.restarts").inc();
-    reg.event(
-        "solver.restore",
-        vec![
-            ("restart", Json::from(*restarts)),
-            ("iteration", Json::from(at_iteration)),
-            ("error", Json::from(err.to_string())),
-        ],
-    );
-    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dirac::{NormalOp, WilsonDirac};
+    use crate::comms::CommError;
+    use crate::dirac::{LinearOp, NormalOp, WilsonDirac};
     use crate::field::{FermionField, GaugeField};
     use crate::lattice::Lattice;
-    use crate::solver::cg;
 
     struct CountingSink {
         stored: Vec<usize>,
@@ -446,7 +305,12 @@ mod tests {
             self.op.vec_len()
         }
 
-        fn apply(&mut self, out: &mut [Spinor<f64>], inp: &[Spinor<f64>]) -> Result<(), CommError> {
+        fn apply_block(
+            &mut self,
+            out: &mut [Spinor<f64>],
+            inp: &[Spinor<f64>],
+            _nrhs: usize,
+        ) -> Result<(), CommError> {
             let idx = self.calls;
             self.calls += 1;
             if self.fail_at.contains(&idx) {
@@ -478,40 +342,13 @@ mod tests {
     }
 
     #[test]
-    fn cg_ft_matches_plain_cg_bit_for_bit_when_fault_free() {
-        let (lat, gauge, b) = wilson_problem();
-        let d = WilsonDirac::new(&lat, &gauge, 0.3, true);
-        let normal = NormalOp::new(&d);
-
-        let mut x_plain = vec![Spinor::zero(); lat.volume()];
-        let s_plain = cg(&normal, &mut x_plain, &b, CgParams::default());
-
-        let mut x_ft = vec![Spinor::zero(); lat.volume()];
-        let mut rel = Reliable::new(&normal);
-        let out = cg_ft(&mut rel, &mut x_ft, &b, &FtParams::default(), None);
-
-        assert!(out.is_converged(), "{out:?}");
-        assert_eq!(out.stats().iterations, s_plain.iterations);
-        assert_eq!(
-            out.stats().final_rel_residual.to_bits(),
-            s_plain.final_rel_residual.to_bits(),
-            "identical recurrence must give identical residual"
-        );
-        assert_eq!(
-            x_ft, x_plain,
-            "identical recurrence must give identical iterates"
-        );
-    }
-
-    #[test]
     fn checkpointed_restart_reaches_identical_residual_with_bounded_waste() {
         let (lat, gauge, b) = wilson_problem();
         let d = WilsonDirac::new(&lat, &gauge, 0.3, true);
         let normal = NormalOp::new(&d);
 
         let mut x_clean = vec![Spinor::zero(); lat.volume()];
-        let mut rel = Reliable::new(&normal);
-        let clean = cg_ft(&mut rel, &mut x_clean, &b, &FtParams::default(), None);
+        let clean = cg_ft(&mut &normal, &mut x_clean, &b, &FtParams::default(), None);
         let clean_iters = clean.stats().iterations;
 
         let params = FtParams {
@@ -565,8 +402,7 @@ mod tests {
         let normal = NormalOp::new(&d);
 
         let mut x_clean = vec![Spinor::zero(); lat.volume()];
-        let mut rel = Reliable::new(&normal);
-        let clean = cg_ft(&mut rel, &mut x_clean, &b, &FtParams::default(), None);
+        let clean = cg_ft(&mut &normal, &mut x_clean, &b, &FtParams::default(), None);
         let clean_iters = clean.stats().iterations;
 
         let params = FtParams {

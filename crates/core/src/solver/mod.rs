@@ -2,30 +2,26 @@
 //!
 //! The paper's production solver is conjugate gradient on the normal
 //! equations ([`cgne`]) over the red–black preconditioned Möbius operator,
-//! run double/half mixed-precision with reliable updates ([`mixed`]). A
-//! BiCGStab variant covers non-Hermitian 4D Wilson solves; multi-shift CG
-//! solves a family of masses in one Krylov sequence; shift-invert Lanczos
-//! plus deflated CG accelerate ill-conditioned light-quark systems.
+//! run double/half mixed-precision with reliable updates ([`mixed`]). The
+//! CG recurrence is written once (see [`cg`]'s module); [`cg`],
+//! [`cg_block`], [`cg_ft`] and [`mixed_cg`] are drivers over it. A BiCGStab
+//! variant covers non-Hermitian 4D Wilson solves; shift-invert Lanczos plus
+//! deflated block CG accelerate ill-conditioned light-quark systems.
 
 mod bicgstab;
-mod block;
 mod cg;
 mod deflate;
 mod eig;
 mod ft;
 mod mixed;
-mod multishift;
 
 pub use bicgstab::bicgstab;
-pub use block::{cg_block, BlockOp, ReliableBlock};
-pub use cg::{cg, cgne, CgParams};
+pub(crate) use cg::solve_normal;
+pub use cg::{cg, cg_block, cgne, CgParams, FallibleOp};
 pub use deflate::{deflated_cg_block, Deflation};
-pub use eig::{deflated_cg, lanczos, lanczos_lowest, EigenPair, LanczosParams};
-pub use ft::{
-    cg_ft, CgCheckpoint, CheckpointSink, FallibleOp, FtParams, Reliable, CKPT_SPINOR_F64,
-};
+pub use eig::{lanczos, lanczos_lowest, EigenPair, LanczosParams};
+pub use ft::{cg_ft, CgCheckpoint, CheckpointSink, FtParams, CKPT_SPINOR_F64};
 pub use mixed::{mixed_cg, mixed_cg_robust, MixedParams, RobustParams};
-pub use multishift::multishift_cg;
 
 /// Outcome of a linear solve.
 #[derive(Clone, Copy, Debug, PartialEq)]

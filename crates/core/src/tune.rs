@@ -6,10 +6,11 @@
 //! Dirac operators to the [`autotune::Tunable`] interface so a shared
 //! [`autotune::Tuner`] can sweep and cache per (kernel, volume, precision).
 
-use crate::dirac::{BlockLinearOp, DslashVariant, LinearOp};
+use crate::dirac::{DslashVariant, LinearOp};
 use crate::field::FermionField;
 use crate::lattice::volume_string;
 use crate::real::Real;
+use crate::solver::FallibleOp;
 use crate::spinor::Spinor;
 use autotune::{ParamSpace, TimingHarness, Tunable, TuneKey, TuneParam, Tuner};
 
@@ -111,75 +112,19 @@ impl_variant_tunable!(PrecWilson);
 impl_variant_tunable!(MobiusDirac);
 impl_variant_tunable!(PrecMobius);
 
-/// Adapter that times one operator application at a candidate grain size.
+/// Adapter that times one operator application at a candidate grain size,
+/// on a plain vector (`nrhs = 1`) or batched over an interleaved
+/// `nrhs`-column block. The key carries the block-size axis — the optimum
+/// grain genuinely shifts with how many columns each site row holds, so
+/// block sizes must not share cache entries.
 struct OpTunable<'t, R: Real, Op: GrainTunable<R>> {
-    op: &'t mut Op,
-    input: Vec<Spinor<R>>,
-    output: Vec<Spinor<R>>,
-}
-
-impl<'t, R: Real, Op: GrainTunable<R>> OpTunable<'t, R, Op> {
-    fn new(op: &'t mut Op) -> Self {
-        let n = op.vec_len();
-        Self {
-            input: FermionField::<R>::gaussian(n, 0xC0FFEE).data,
-            output: vec![Spinor::zero(); n],
-            op,
-        }
-    }
-}
-
-impl<'t, R: Real, Op: GrainTunable<R>> Tunable for OpTunable<'t, R, Op> {
-    fn key(&self) -> TuneKey {
-        TuneKey::new(
-            self.op.kernel_name(),
-            self.op.volume_key(),
-            format!("prec={}", R::NAME),
-        )
-    }
-
-    fn param_space(&self) -> ParamSpace {
-        ParamSpace::grain_ladder(self.op.vec_len())
-    }
-
-    fn run(&mut self, param: TuneParam) {
-        self.op.set_grain(param.grain);
-        self.op.apply(&mut self.output, &self.input);
-    }
-
-    fn harness(&self) -> TimingHarness {
-        TimingHarness::WallClock { reps: 2 }
-    }
-
-    fn flops(&self) -> f64 {
-        self.op.flops_per_apply()
-    }
-}
-
-/// Tune `op`'s grain size through `tuner` (sweeping on first encounter) and
-/// leave the operator configured with the optimum. Returns the chosen grain.
-pub fn tune_operator<R: Real, Op: GrainTunable<R>>(tuner: &Tuner, op: &mut Op) -> usize {
-    let param = {
-        let mut adapter = OpTunable::new(op);
-        tuner.tune(&mut adapter)
-    };
-    op.set_grain(param.grain);
-    param.grain
-}
-
-/// Adapter that times one *batched* operator application at a candidate
-/// grain size. Same sweep as [`OpTunable`], but over the interleaved
-/// `nrhs`-column block and under a key carrying the block-size axis — the
-/// optimum grain genuinely shifts with how many columns each site row
-/// holds, so block sizes must not share cache entries.
-struct BlockOpTunable<'t, R: Real, Op: GrainTunable<R> + BlockLinearOp<R>> {
     op: &'t mut Op,
     nrhs: usize,
     input: Vec<Spinor<R>>,
     output: Vec<Spinor<R>>,
 }
 
-impl<'t, R: Real, Op: GrainTunable<R> + BlockLinearOp<R>> BlockOpTunable<'t, R, Op> {
+impl<'t, R: Real, Op: GrainTunable<R>> OpTunable<'t, R, Op> {
     fn new(op: &'t mut Op, nrhs: usize) -> Self {
         assert!(nrhs > 0, "a block needs at least one column");
         let n = op.vec_len() * nrhs;
@@ -192,7 +137,7 @@ impl<'t, R: Real, Op: GrainTunable<R> + BlockLinearOp<R>> BlockOpTunable<'t, R, 
     }
 }
 
-impl<'t, R: Real, Op: GrainTunable<R> + BlockLinearOp<R>> Tunable for BlockOpTunable<'t, R, Op> {
+impl<'t, R: Real, Op: GrainTunable<R>> Tunable for OpTunable<'t, R, Op> {
     fn key(&self) -> TuneKey {
         TuneKey::new(
             self.op.kernel_name(),
@@ -208,8 +153,10 @@ impl<'t, R: Real, Op: GrainTunable<R> + BlockLinearOp<R>> Tunable for BlockOpTun
 
     fn run(&mut self, param: TuneParam) {
         self.op.set_grain(param.grain);
-        self.op
-            .apply_block(&mut self.output, &self.input, self.nrhs);
+        // Time what a solver runs, through the solver-facing trait (a
+        // one-column block is the single-RHS kernel); `&Op` cannot fail.
+        let mut op: &Op = self.op;
+        let _ = FallibleOp::apply_block(&mut op, &mut self.output, &self.input, self.nrhs);
     }
 
     fn harness(&self) -> TimingHarness {
@@ -221,17 +168,23 @@ impl<'t, R: Real, Op: GrainTunable<R> + BlockLinearOp<R>> Tunable for BlockOpTun
     }
 }
 
+/// Tune `op`'s grain size through `tuner` (sweeping on first encounter) and
+/// leave the operator configured with the optimum. Returns the chosen grain.
+pub fn tune_operator<R: Real, Op: GrainTunable<R>>(tuner: &Tuner, op: &mut Op) -> usize {
+    tune_block_operator(tuner, op, 1)
+}
+
 /// Tune `op`'s grain size for batched applies at block size `nrhs` and
 /// leave the operator configured with the optimum. Cached independently of
 /// the single-RHS entry (and of other block sizes) via the key's `nrhs`
 /// axis. Returns the chosen grain.
-pub fn tune_block_operator<R: Real, Op: GrainTunable<R> + BlockLinearOp<R>>(
+pub fn tune_block_operator<R: Real, Op: GrainTunable<R>>(
     tuner: &Tuner,
     op: &mut Op,
     nrhs: usize,
 ) -> usize {
     let param = {
-        let mut adapter = BlockOpTunable::new(op, nrhs);
+        let mut adapter = OpTunable::new(op, nrhs);
         tuner.tune(&mut adapter)
     };
     op.set_grain(param.grain);
@@ -389,7 +342,6 @@ mod tests {
 
     #[test]
     fn block_sizes_tune_separately_and_preserve_bits() {
-        use crate::dirac::BlockLinearOp;
         let lat = Lattice::new([4, 4, 2, 4]);
         let gauge = GaugeField::<f64>::hot(&lat, 11);
         let mut d = WilsonDirac::new(&lat, &gauge, 0.1, true);

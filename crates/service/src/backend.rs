@@ -12,11 +12,13 @@
 use crate::error::ServiceError;
 use crate::request::{Policy, Precision};
 use lqcd_core::block::BlockSpinor;
-use lqcd_core::comms::{policy_from_index, CommFaultProfile, CommRetryPolicy, ShardedNormal};
+use lqcd_core::comms::{
+    fnv1a_u64, policy_from_index, CommFaultProfile, CommRetryPolicy, ShardedNormal, FNV_OFFSET,
+};
 use lqcd_core::dirac::{MobiusParams, NormalOp, WilsonDirac};
 use lqcd_core::field::{FermionField, GaugeField};
 use lqcd_core::lattice::Lattice;
-use lqcd_core::solver::{cg, cg_block, cg_ft, CgParams, FtParams, ReliableBlock, SolverOutcome};
+use lqcd_core::solver::{cg, cg_block, cg_ft, CgParams, FtParams, SolverOutcome};
 use lqcd_core::spinor::Spinor;
 use obs::Registry;
 
@@ -82,18 +84,12 @@ pub struct Backend {
 /// same links under a different id hashes identically, and any single-bit
 /// change anywhere flips it.
 fn content_hash(gauge: &GaugeField<f64>) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut fold = |bits: u64| {
-        for byte in bits.to_le_bytes() {
-            h ^= byte as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
+    let mut h = FNV_OFFSET;
     for u in gauge.links() {
         for row in &u.m {
             for z in row {
-                fold(z.re.to_bits());
-                fold(z.im.to_bits());
+                h = fnv1a_u64(h, z.re.to_bits());
+                h = fnv1a_u64(h, z.im.to_bits());
             }
         }
     }
@@ -174,6 +170,9 @@ impl Backend {
         seeds: &[u64],
     ) -> Result<Vec<SolveResult>, ServiceError> {
         let gauge = self.gauge(config_id)?;
+        if seeds.is_empty() {
+            return Ok(Vec::new());
+        }
         let mass = f64::from_bits(mass_bits);
         let d = WilsonDirac::new(&self.lat, gauge, mass, true);
         let a = NormalOp::new(&d);
@@ -183,8 +182,7 @@ impl Backend {
             .collect();
         let b = BlockSpinor::from_columns(&cols);
         let mut x = BlockSpinor::zeros(self.lat.volume(), seeds.len());
-        let mut rb = ReliableBlock::new(&a);
-        let stats = cg_block(&mut rb, &mut x, &b, self.params(precision));
+        let stats = cg_block(&mut &a, &mut x, &b, self.params(precision));
         Ok(stats
             .iter()
             .enumerate()
@@ -325,6 +323,18 @@ mod tests {
             );
             assert_eq!(batch[j].solution, solo.solution, "column {j} bits differ");
         }
+    }
+
+    #[test]
+    fn empty_batch_is_an_empty_answer_not_a_panic() {
+        let be = backend();
+        let mass_bits = 0.2f64.to_bits();
+        let batch = be.solve_dense_batch(0, mass_bits, Precision::Sloppy, &[]);
+        assert_eq!(batch.expect("empty batch"), Vec::new());
+        // An unknown configuration is still an error, batch or no batch.
+        assert!(be
+            .solve_dense_batch(99, mass_bits, Precision::Sloppy, &[])
+            .is_err());
     }
 
     #[test]

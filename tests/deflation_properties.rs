@@ -138,8 +138,7 @@ fn retired_column_is_bit_stable_under_continued_iteration() {
     let (stats, xb) = {
         let _guard = reg.install_scoped();
         let mut xb = BlockSpinor::zeros(v, 2);
-        let mut rb = ReliableBlock::new(&a);
-        let stats = cg_block(&mut rb, &mut xb, &bb, params);
+        let stats = cg_block(&mut &a, &mut xb, &bb, params);
         (stats, xb)
     };
     assert!(stats[0].converged && stats[1].converged);

@@ -166,32 +166,6 @@ proptest! {
     }
 
     #[test]
-    fn multishift_identity_holds(seed in 0u64..200, sigma in 0.01f64..2.0) {
-        // Solving (A + σ) with multishift at [0, σ] matches applying
-        // (A + σ) to the shifted solution and recovering b.
-        use lqcd::core::dirac::{NormalOp, WilsonDirac, LinearOp};
-        use lqcd::core::solver::multishift_cg;
-        let lat = Lattice::new([2, 2, 2, 4]);
-        let gauge = GaugeField::<f64>::hot(&lat, seed);
-        let d = WilsonDirac::new(&lat, &gauge, 0.4, true);
-        let a = NormalOp::new(&d);
-        let b = FermionField::<f64>::gaussian(lat.volume(), seed + 1).data;
-        let (xs, stats) = multishift_cg(
-            &a,
-            &[0.0, sigma],
-            &b,
-            CgParams { tol: 1e-10, max_iter: 5000 },
-        );
-        prop_assert!(stats.converged);
-        let mut ax = vec![Spinor::zero(); lat.volume()];
-        a.apply(&mut ax, &xs[1]);
-        blas::axpy(sigma, &xs[1], &mut ax);
-        let diff = blas::sub(&ax, &b);
-        let rel = blas::norm_sqr(&diff) / blas::norm_sqr(&b);
-        prop_assert!(rel < 1e-14, "shifted residual {}", rel);
-    }
-
-    #[test]
     fn placement_never_double_books_gpus(
         n_jobs in 1usize..5, job_gpus in prop::sample::select(vec![4usize, 8, 12, 16]),
         nodes in 4usize..16
