@@ -24,56 +24,22 @@ pub struct TuneKey {
     /// pre-batching cache files, which [`crate::Tuner::merge_json`] reads
     /// as single-RHS).
     pub nrhs: usize,
-    /// Data-layout axis of a layout-aware kernel (`"aos"`, `"soa"`, or the
-    /// marker `"variant"` for a combined variant sweep); `"aos"` for kernels
-    /// without a layout choice, absent from their displayed keys and from
-    /// pre-layout cache files.
-    #[serde(default = "default_layout")]
-    pub layout: String,
-    /// Gauge storage/reconstruction axis (`"full"`, `"r12"`, `"r8"`,
-    /// `"half"`, …); `"full"` for uncompressed links, absent from their
-    /// displayed keys and from pre-reconstruction cache files.
-    #[serde(default = "default_recon")]
-    pub recon: String,
-}
-
-pub(crate) fn default_layout() -> String {
-    "aos".to_string()
-}
-
-pub(crate) fn default_recon() -> String {
-    "full".to_string()
 }
 
 impl TuneKey {
-    /// Build a single-RHS, AoS-layout, full-storage key from its three
-    /// string components.
+    /// Build a single-RHS key from its three string components.
     pub fn new(name: impl Into<String>, volume: impl Into<String>, aux: impl Into<String>) -> Self {
         Self {
             name: name.into(),
             volume: volume.into(),
             aux: aux.into(),
             nrhs: 1,
-            layout: default_layout(),
-            recon: default_recon(),
         }
     }
 
     /// The same key at RHS block size `nrhs`.
     pub fn with_nrhs(mut self, nrhs: usize) -> Self {
         self.nrhs = nrhs;
-        self
-    }
-
-    /// The same key on the given data-layout axis.
-    pub fn with_layout(mut self, layout: impl Into<String>) -> Self {
-        self.layout = layout.into();
-        self
-    }
-
-    /// The same key on the given gauge storage/reconstruction axis.
-    pub fn with_recon(mut self, recon: impl Into<String>) -> Self {
-        self.recon = recon.into();
         self
     }
 }
@@ -83,12 +49,6 @@ impl fmt::Display for TuneKey {
         write!(f, "{}::{}::{}", self.name, self.volume, self.aux)?;
         if self.nrhs != 1 {
             write!(f, "::rhs{}", self.nrhs)?;
-        }
-        if self.layout != "aos" {
-            write!(f, "::{}", self.layout)?;
-        }
-        if self.recon != "full" {
-            write!(f, "::{}", self.recon)?;
         }
         Ok(())
     }

@@ -49,18 +49,6 @@ pub struct ParamSpace {
 }
 
 impl ParamSpace {
-    /// Space containing exactly the given candidates.
-    ///
-    /// Returns `None` if `candidates` is empty — an empty space cannot be
-    /// tuned.
-    pub fn from_candidates(candidates: Vec<TuneParam>) -> Option<Self> {
-        if candidates.is_empty() {
-            None
-        } else {
-            Some(Self { candidates })
-        }
-    }
-
     /// Geometric ladder of grain sizes crossed with block sizes, clamped so
     /// no candidate exceeds `max_sites`.
     pub fn grain_ladder(max_sites: usize) -> Self {

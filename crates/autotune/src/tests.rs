@@ -152,6 +152,33 @@ fn merge_json_rejects_garbage() {
 }
 
 #[test]
+fn merge_json_skips_entries_on_retired_key_axes() {
+    // A cache persisted by a build whose key still had layout/recon axes:
+    // all three entries share (name, volume, aux, nrhs), so without the skip
+    // the later two would overwrite the plain grain entry.
+    let entry = |extra: &str, grain: usize, policy: usize| {
+        format!(
+            r#"{{"name": "dslash_wilson", "volume": "4x4x4x4", "aux": "prec=f64", "nrhs": 1,{extra}
+                "grain": {grain}, "block": 64, "policy": {policy},
+                "seconds": 1.0e-3, "gflops": 1.0, "candidates_swept": 5}}"#
+        )
+    };
+    let json = format!(
+        "[{},{},{}]",
+        entry("", 256, 0),
+        entry(r#" "layout": "variant", "recon": "full","#, 64, 2),
+        entry(r#" "layout": "aos", "recon": "r12","#, 128, 1),
+    );
+    let tuner = Tuner::new();
+    assert_eq!(tuner.merge_json(&json).expect("cache parses"), 1);
+    assert_eq!(tuner.len(), 1);
+    let kept = tuner
+        .lookup(&TuneKey::new("dslash_wilson", "4x4x4x4", "prec=f64"))
+        .expect("plain entry kept");
+    assert_eq!((kept.param.grain, kept.param.policy), (256, 0));
+}
+
+#[test]
 fn wall_clock_harness_runs_each_candidate() {
     struct Sleepy {
         runs: usize,
@@ -227,12 +254,6 @@ fn grain_ladder_space_is_bounded_and_nonempty() {
     // Tiny problems still get at least one candidate.
     let tiny = ParamSpace::grain_ladder(8);
     assert!(!tiny.is_empty());
-}
-
-#[test]
-fn from_candidates_rejects_empty() {
-    assert!(ParamSpace::from_candidates(vec![]).is_none());
-    assert!(ParamSpace::from_candidates(vec![TuneParam::default()]).is_some());
 }
 
 #[test]

@@ -37,8 +37,8 @@ struct Inner {
 
 /// Deterministic ordering over every key axis, shared by the JSON dump and
 /// the human-readable summary.
-fn sort_key(k: &TuneKey) -> (&String, &String, &String, usize, &String, &String) {
-    (&k.name, &k.volume, &k.aux, k.nrhs, &k.layout, &k.recon)
+fn sort_key(k: &TuneKey) -> (&String, &String, &String, usize) {
+    (&k.name, &k.volume, &k.aux, k.nrhs)
 }
 
 /// The autotuner cache.
@@ -200,8 +200,6 @@ impl Tuner {
                         ("volume", Json::from(k.volume.as_str())),
                         ("aux", Json::from(k.aux.as_str())),
                         ("nrhs", Json::from(k.nrhs)),
-                        ("layout", Json::from(k.layout.as_str())),
-                        ("recon", Json::from(k.recon.as_str())),
                         ("grain", Json::from(e.param.grain)),
                         ("block", Json::from(e.param.block)),
                         ("policy", Json::from(e.param.policy)),
@@ -216,7 +214,8 @@ impl Tuner {
     }
 
     /// Restore a cache previously produced by `to_json`, merging into the
-    /// current cache (disk entries win on key collision).
+    /// current cache (disk entries win on key collision). Returns the number
+    /// of entries merged; entries on a retired key axis are skipped.
     pub fn merge_json(&self, json: &str) -> Result<usize, JsonError> {
         let bad = |msg: &str| JsonError {
             offset: 0,
@@ -245,25 +244,19 @@ impl Tuner {
                     .and_then(Json::as_f64)
                     .ok_or_else(|| bad(&format!("tune cache: missing {f}")))
             };
-            // Pre-batching cache files have no `nrhs` (single-RHS); files
-            // predating the layout/reconstruction axes likewise read as
-            // AoS-layout, full-storage entries.
+            // Caches written while the key still had layout/reconstruction
+            // axes may hold variant sweeps (`policy` = variant index) that
+            // would now alias the plain grain key and, since disk entries
+            // win, overwrite it: skip anything off the default axes.
+            let off_axis =
+                |f: &str, default: &str| item.get(f).is_some_and(|v| v.as_str() != Some(default));
+            if off_axis("layout", "aos") || off_axis("recon", "full") {
+                continue;
+            }
+            // Pre-batching cache files have no `nrhs` (single-RHS).
             let nrhs = item.get("nrhs").and_then(Json::as_u64).unwrap_or(1) as usize;
-            let layout = item
-                .get("layout")
-                .and_then(Json::as_str)
-                .unwrap_or("aos")
-                .to_string();
-            let recon = item
-                .get("recon")
-                .and_then(Json::as_str)
-                .unwrap_or("full")
-                .to_string();
             entries.push((
-                TuneKey::new(s("name")?, s("volume")?, s("aux")?)
-                    .with_nrhs(nrhs)
-                    .with_layout(layout)
-                    .with_recon(recon),
+                TuneKey::new(s("name")?, s("volume")?, s("aux")?).with_nrhs(nrhs),
                 TuneEntry {
                     param: TuneParam {
                         grain: u("grain")?,

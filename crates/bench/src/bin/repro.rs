@@ -21,9 +21,6 @@
 //!   ablation  design-choice ablations (policy tuning, delta, precision, placement)
 //!   pipeline  real end-to-end physics run on a small lattice
 //!   metrics   deterministic observability snapshot (results/metrics.json golden)
-//!   bench     threaded kernel benchmarks at 1 and N pool threads
-//!             (--quick for CI smoke, --check-schema FILE to diff a
-//!             committed BENCH_kernels.json against this build's schema)
 //!   comms     execute the halo-exchange policies on the sharded dslash
 //!             and write measured-vs-analytic columns to comms.csv
 //!             (--quick for CI smoke, --check-schema FILE to verify a
@@ -51,15 +48,15 @@
 //!             plus seeded-defect twins;
 //!             --check gates on results/verify.{json,md} and the
 //!             committed traces, --trace FILE replays one schedule
-//!   all       everything above except bench, comms, chaos, and deflation
+//!   all       everything above except comms, chaos, and deflation
 //!             (timings are machine-specific)
 //! ```
 
 use bench::experiments::{
-    ablation, chaos, comms, deflation, faults, fig1, fig3, fig5, jobs, kernels, lint, metrics,
-    pipeline, serve, tables, verify,
+    ablation, chaos, comms, deflation, faults, fig1, fig3, fig5, jobs, lint, metrics, pipeline,
+    serve, tables, verify,
 };
-use bench::output::ExperimentOutput;
+use bench::output::{check_csv_header, check_json_shape, ExperimentOutput};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -104,7 +101,7 @@ fn main() {
     }
     let Some(experiment) = experiment else {
         eprintln!(
-            "usage: repro <table1|table2|fig1|fig3|fig4|fig5|fig6|fig7|backfill|faults|startup|budget|speedup|memory|ablation|pipeline|metrics|bench|comms|chaos|deflation|serve|all> [--results DIR] [--quick] [--check-schema FILE]"
+            "usage: repro <table1|table2|fig1|fig3|fig4|fig5|fig6|fig7|backfill|faults|startup|budget|speedup|memory|ablation|pipeline|metrics|comms|chaos|deflation|serve|all> [--results DIR] [--quick] [--check-schema FILE]"
         );
         std::process::exit(2);
     };
@@ -117,6 +114,25 @@ fn main() {
         eprintln!("repro: results directory {results_dir} is not writable: {e}");
         std::process::exit(1);
     }
+
+    // The one place a failed write or a failed `--check-schema` of the
+    // experiments that take those flags becomes exit code 1.
+    let finish =
+        |name: &str, ran: std::io::Result<()>, check: &dyn Fn(&str) -> Result<(), String>| {
+            if let Err(e) = ran {
+                eprintln!("repro {name}: cannot write results: {e}");
+                std::process::exit(1);
+            }
+            if let Some(file) = &check_schema {
+                match check(file) {
+                    Ok(()) => println!("schema check OK: {file} matches what this build writes"),
+                    Err(msg) => {
+                        eprintln!("repro {name} --check-schema: {msg}");
+                        std::process::exit(1);
+                    }
+                }
+            }
+        };
 
     let run_one = |name: &str, out: &ExperimentOutput| match name {
         "table1" => tables::table1(),
@@ -162,51 +178,26 @@ fn main() {
         "metrics" => {
             metrics::run_metrics(out);
         }
-        "bench" => {
-            if let Err(e) = kernels::run_bench(out, &kernels::BenchOpts { quick }) {
-                eprintln!("repro bench: cannot write results: {e}");
-                std::process::exit(1);
-            }
-            if let Some(file) = &check_schema {
-                kernels::check_schema(out, file);
-            }
-        }
-        "comms" => {
-            if let Err(e) = comms::run_comms(out, &comms::CommsOpts { quick }) {
-                eprintln!("repro comms: cannot write results: {e}");
-                std::process::exit(1);
-            }
-            if let Some(file) = &check_schema {
-                comms::check_schema(file);
-            }
-        }
-        "chaos" => {
-            if let Err(e) = chaos::run_chaos(out, &chaos::ChaosOpts { quick }) {
-                eprintln!("repro chaos: cannot write results: {e}");
-                std::process::exit(1);
-            }
-            if let Some(file) = &check_schema {
-                chaos::check_schema(file);
-            }
-        }
-        "deflation" => {
-            if let Err(e) = deflation::run_deflation(out, &deflation::DeflationOpts { quick }) {
-                eprintln!("repro deflation: cannot write results: {e}");
-                std::process::exit(1);
-            }
-            if let Some(file) = &check_schema {
-                deflation::check_schema(file);
-            }
-        }
-        "serve" => {
-            if let Err(e) = serve::run_serve(out, &serve::ServeOpts { quick }) {
-                eprintln!("repro serve: cannot write results: {e}");
-                std::process::exit(1);
-            }
-            if let Some(file) = &check_schema {
-                serve::check_schema(out, file);
-            }
-        }
+        "comms" => finish(
+            name,
+            comms::run_comms(out, &comms::CommsOpts { quick }),
+            &|file| check_csv_header(file, comms::CSV_HEADER),
+        ),
+        "chaos" => finish(
+            name,
+            chaos::run_chaos(out, &chaos::ChaosOpts { quick }),
+            &|file| check_csv_header(file, chaos::CSV_HEADER),
+        ),
+        "deflation" => finish(
+            name,
+            deflation::run_deflation(out, &deflation::DeflationOpts { quick }),
+            &|file| check_csv_header(file, deflation::CSV_HEADER),
+        ),
+        "serve" => finish(
+            name,
+            serve::run_serve(out, &serve::ServeOpts { quick }),
+            &|file| check_json_shape(file, &out.path("serve.json")),
+        ),
         other => {
             eprintln!("unknown experiment: {other}");
             std::process::exit(2);

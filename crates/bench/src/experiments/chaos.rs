@@ -377,24 +377,6 @@ fn write_summary(
     Ok(())
 }
 
-/// `--check-schema FILE`: verify a committed `chaos.csv` still has the
-/// column layout this build writes. Exits non-zero on mismatch.
-pub fn check_schema(file: &str) {
-    let committed = std::fs::read_to_string(file).unwrap_or_else(|e| {
-        eprintln!("repro chaos --check-schema: cannot read {file}: {e}");
-        std::process::exit(1);
-    });
-    let header = committed.lines().next().unwrap_or("");
-    if header == CSV_HEADER {
-        println!("schema check OK: {file} matches the current chaos.csv columns");
-    } else {
-        eprintln!("schema mismatch in {file}:");
-        eprintln!("  committed: {header}");
-        eprintln!("  expected:  {CSV_HEADER}");
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -196,24 +196,6 @@ pub fn run_comms(out: &ExperimentOutput, opts: &CommsOpts) -> std::io::Result<()
     Ok(())
 }
 
-/// `--check-schema FILE`: verify a committed `comms.csv` still has the
-/// column layout this build writes. Exits non-zero on mismatch.
-pub fn check_schema(file: &str) {
-    let committed = std::fs::read_to_string(file).unwrap_or_else(|e| {
-        eprintln!("repro comms --check-schema: cannot read {file}: {e}");
-        std::process::exit(1);
-    });
-    let header = committed.lines().next().unwrap_or("");
-    if header == CSV_HEADER {
-        println!("schema check OK: {file} matches the current comms.csv columns");
-    } else {
-        eprintln!("schema mismatch in {file}:");
-        eprintln!("  committed: {header}");
-        eprintln!("  expected:  {CSV_HEADER}");
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,7 +9,6 @@ pub mod fig1;
 pub mod fig3;
 pub mod fig5;
 pub mod jobs;
-pub mod kernels;
 pub mod lint;
 pub mod metrics;
 pub mod pipeline;

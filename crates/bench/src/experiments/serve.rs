@@ -393,36 +393,6 @@ fn render_markdown(s: &ServeSetup, report: &ServeReport, cache: &CacheStats) -> 
     md
 }
 
-/// `--check-schema FILE`: structural comparison of a committed
-/// `serve.json` against this build's output (values may differ freely;
-/// keys and shapes may not).
-pub fn check_schema(out: &ExperimentOutput, file: &str) {
-    let committed = std::fs::read_to_string(file).unwrap_or_else(|e| {
-        eprintln!("repro serve --check-schema: cannot read {file}: {e}");
-        std::process::exit(1);
-    });
-    let committed = Json::parse(&committed).expect("parse committed serve JSON");
-    let fresh_path = out.path("serve.json");
-    let fresh = std::fs::read_to_string(&fresh_path).unwrap_or_else(|e| {
-        eprintln!(
-            "repro serve --check-schema: cannot read {}: {e} (run `repro serve` first)",
-            fresh_path.display()
-        );
-        std::process::exit(1);
-    });
-    let fresh = Json::parse(&fresh).expect("parse fresh serve JSON");
-    let diff = super::kernels::schema_diff(&committed, &fresh);
-    if diff.is_empty() {
-        println!("schema check OK: {file} matches the current serve schema");
-    } else {
-        eprintln!("schema mismatch between {file} and this build:");
-        for d in &diff {
-            eprintln!("  {d}");
-        }
-        std::process::exit(1);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

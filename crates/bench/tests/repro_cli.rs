@@ -109,7 +109,8 @@ fn serve_unwritable_results_dir_is_a_clean_error() {
 
 /// `repro serve --check-schema` against the committed golden passes (the
 /// quick run's *values* differ from the committed full run, but the JSON
-/// shape must match), and fails cleanly against a stale schema.
+/// shape must match), and fails cleanly against a stale schema or a
+/// malformed file.
 #[test]
 fn serve_check_schema_gates_on_shape_not_values() {
     let results = std::env::temp_dir().join(format!("repro-cli-serve-{}", std::process::id()));
@@ -139,6 +140,21 @@ fn serve_check_schema_gates_on_shape_not_values() {
     assert_eq!(out.status.code(), Some(1));
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("schema mismatch"), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
+
+    // So must a committed file that is not JSON at all (truncated write).
+    let truncated = results.join("truncated-serve.json");
+    std::fs::write(&truncated, "{\"schema\": \"serve-v1\", \"work").unwrap();
+    let out = repro()
+        .args(["serve", "--quick", "--results"])
+        .arg(&results)
+        .arg("--check-schema")
+        .arg(&truncated)
+        .output()
+        .unwrap();
+    assert_eq!(out.status.code(), Some(1));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("cannot parse"), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     std::fs::remove_dir_all(&results).ok();
 }

@@ -46,7 +46,6 @@ use super::transport::{CommFaultStats, CommStats, FaultyTransport, BOX_BWD, BOX_
 use crate::dirac::{hop_site_block, MobiusDirac, MobiusParams, HOPPING_FLOPS_PER_SITE};
 use crate::field::GaugeLinks;
 use crate::lattice::{volume_string, Lattice, ND};
-use crate::layout::SoaSpinorField;
 use crate::real::Real;
 use crate::solver::FallibleOp;
 use crate::spinor::Spinor;
@@ -146,45 +145,6 @@ impl<R: Real> ShardedField<R> {
                     global[(s * v + g) * nrhs..(s * v + g + 1) * nrhs].copy_from_slice(
                         &local[(s * self.v_loc + lx) * nrhs..(s * self.v_loc + lx + 1) * nrhs],
                     );
-                }
-            }
-        }
-    }
-
-    /// Shard a blocked-SoA 5D vector (`l5 × volume` spinors in
-    /// [`SoaSpinorField`] lane order) onto ranks. The halo frames stay
-    /// plain `Spinor` AoS on the wire, so storage layout is a per-rank
-    /// choice that never changes what gets packed, sent, or unpacked — and
-    /// the sharded apply stays bit-identical to the AoS scatter path.
-    pub fn scatter_soa(domain: &DomainDecomposition, soa: &SoaSpinorField<R>, l5: usize) -> Self {
-        let v = domain.lattice().volume();
-        assert_eq!(soa.len(), l5 * v, "SoA vector length mismatch");
-        let mut f = Self::zeros_block(domain, l5, 1);
-        let v_loc = f.v_loc;
-        for (r, rank) in domain.ranks().iter().enumerate() {
-            let local = &mut f.locals[r];
-            for s in 0..l5 {
-                for lx in 0..v_loc {
-                    let g = rank.local_to_global[lx] as usize;
-                    local[s * v_loc + lx] = soa.get(s * v + g);
-                }
-            }
-        }
-        f
-    }
-
-    /// Reassemble the rank locals into a blocked-SoA vector (inverse of
-    /// [`Self::scatter_soa`]; single-column fields only).
-    pub fn gather_into_soa(&self, domain: &DomainDecomposition, out: &mut SoaSpinorField<R>) {
-        let v = domain.lattice().volume();
-        assert_eq!(self.nrhs, 1, "SoA gather is single-column");
-        assert_eq!(out.len(), self.l5 * v, "SoA vector length mismatch");
-        for (r, rank) in domain.ranks().iter().enumerate() {
-            let local = &self.locals[r];
-            for s in 0..self.l5 {
-                for lx in 0..self.v_loc {
-                    let g = rank.local_to_global[lx] as usize;
-                    out.set(s * v + g, &local[s * self.v_loc + lx]);
                 }
             }
         }

@@ -169,22 +169,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         self.lattice
     }
 
-    /// The bound gauge-link storage.
-    pub fn gauge(&self) -> &G {
-        self.gauge
-    }
-
-    /// Whether temporal antiperiodic boundary conditions are applied.
-    pub fn antiperiodic_t(&self) -> bool {
-        self.antiperiodic_t
-    }
-
-    /// Storage/reconstruction label of the bound gauge field (autotune and
-    /// bench reporting axis).
-    pub fn recon_name(&self) -> &'static str {
-        self.gauge.recon_name()
-    }
-
     /// One site of `H ψ`. `fetch` maps a lexicographic neighbor index to the
     /// neighbor's spinor (identity for full-volume vectors, checkerboard
     /// lookup for parity-restricted ones).

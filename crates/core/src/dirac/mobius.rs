@@ -27,7 +27,7 @@
 //! unchanged.
 
 use super::hopping::{HoppingKernel, HOPPING_FLOPS_PER_SITE};
-use super::{DiracOp, DslashVariant, LinearOp};
+use super::{DiracOp, LinearOp};
 use crate::field::GaugeLinks;
 use crate::lattice::{Lattice, Parity};
 use crate::real::Real;
@@ -474,10 +474,8 @@ pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     fifth: FifthDim<R>,
     /// Parallel chunk size for the 4D stencil, set by the autotuner.
     pub grain: usize,
-    /// Execution strategy of `apply`; every supported variant is bit-identical.
-    pub variant: DslashVariant,
-    /// Reusable 5D staging buffers for the fused path (`ρ(ψ)` and the
-    /// precomputed diagonal `A(ψ)`).
+    /// Reusable 5D staging buffers for `apply` (`ρ(ψ)` and the precomputed
+    /// diagonal `A(ψ)`).
     scratch: Scratch2<R>,
 }
 
@@ -490,7 +488,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
             lattice,
             fifth: FifthDim::new(params),
             grain: 1024,
-            variant: DslashVariant::AosFused,
             scratch: Mutex::new((Vec::new(), Vec::new())),
         }
     }
@@ -510,40 +507,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         &self.hopping
     }
 
-    /// Variants this operator can execute (SoA needs full-volume 4D
-    /// operators; the 5D s-major layout keeps it off the menu here).
-    pub fn supported_variants(&self) -> Vec<DslashVariant> {
-        vec![DslashVariant::AosScalar, DslashVariant::AosFused]
-    }
-
     fn l5(&self) -> usize {
         self.fifth.params.l5
-    }
-
-    /// Fused apply in two passes: one column-wise sweep producing both
-    /// `ρ = b5·ψ + c5·shift(ψ)` and the diagonal `A(ψ) = α·ψ + β·shift(ψ)`,
-    /// then a single 5D stencil pass that reuses each site's eight gauge
-    /// links across the whole s-extent and folds `A(ψ) − ½ H ρ(ψ)` into the
-    /// output write. Every per-element operation chain matches the
-    /// slice-by-slice path, so the result is bit-identical to
-    /// [`DslashVariant::AosScalar`].
-    fn apply_fused(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let v = self.lattice.volume();
-        let n = self.vec_len();
-        assert_eq!(out.len(), n);
-        assert_eq!(inp.len(), n);
-        let half = R::from_f64(0.5);
-
-        let mut guard = self.scratch.lock();
-        let (rho, diag) = &mut *guard;
-        rho.resize(n, Spinor::zero());
-        diag.resize(n, Spinor::zero());
-        self.fifth.rho_and_diag(rho, diag, inp, v);
-        let diag = &*diag;
-        self.hopping
-            .apply_full_fused_5d(out, rho, self.l5(), self.grain, &|s, x, h| {
-                diag[s * v + x] - h.scale(half)
-            });
     }
 
     /// Apply the 4D hopping slice-by-slice on full-volume 5D vectors.
@@ -712,15 +677,30 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for MobiusDirac<'a, R, G> {
         self.l5() * self.lattice.volume()
     }
 
+    /// Two passes: one column-wise sweep producing both
+    /// `ρ = b5·ψ + c5·shift(ψ)` and the diagonal `A(ψ) = α·ψ + β·shift(ψ)`,
+    /// then a single 5D stencil pass that reuses each site's eight gauge
+    /// links across the whole s-extent and folds `A(ψ) − ½ H ρ(ψ)` into the
+    /// output write. Every per-element operation chain matches the
+    /// slice-by-slice composition of [`Self::apply_block`], so the result is
+    /// bit-identical to it.
     fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        match self.variant {
-            // SoA is not supported on s-major 5D vectors; fall back to the
-            // reference path (bit-identical anyway).
-            DslashVariant::AosScalar | DslashVariant::Soa => {
-                self.apply_with_hop(out, inp, &mut |o, i| self.hop_5d(o, i));
-            }
-            DslashVariant::AosFused => self.apply_fused(out, inp),
-        }
+        let v = self.lattice.volume();
+        let n = self.vec_len();
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+        let half = R::from_f64(0.5);
+
+        let mut guard = self.scratch.lock();
+        let (rho, diag) = &mut *guard;
+        rho.resize(n, Spinor::zero());
+        diag.resize(n, Spinor::zero());
+        self.fifth.rho_and_diag(rho, diag, inp, v);
+        let diag = &*diag;
+        self.hopping
+            .apply_full_fused_5d(out, rho, self.l5(), self.grain, &|s, x, h| {
+                diag[s * v + x] - h.scale(half)
+            });
     }
 
     fn flops_per_apply(&self) -> f64 {
@@ -756,10 +736,8 @@ pub struct PrecMobius<'a, R: Real, G: GaugeLinks<R>> {
     fifth: FifthDim<R>,
     /// Parallel chunk size for the 4D stencil, set by the autotuner.
     pub grain: usize,
-    /// Execution strategy of `apply`; every supported variant is bit-identical.
-    pub variant: DslashVariant,
-    /// Reusable 5D half-volume staging buffers for the fused path
-    /// (`ρ`-stage, hop target, precomputed diagonal).
+    /// Reusable 5D half-volume staging buffers for `apply` (`ρ`-stage, hop
+    /// target, precomputed diagonal).
     scratch: Scratch3<R>,
 }
 
@@ -771,7 +749,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             lattice,
             fifth: FifthDim::new(params),
             grain: 1024,
-            variant: DslashVariant::AosFused,
             scratch: Mutex::new((Vec::new(), Vec::new(), Vec::new())),
         }
     }
@@ -791,66 +768,12 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         &self.hopping
     }
 
-    /// Variants this operator can execute (SoA needs full-volume 4D
-    /// operators; the checkerboarding strides the x-lines by 2).
-    pub fn supported_variants(&self) -> Vec<DslashVariant> {
-        vec![DslashVariant::AosScalar, DslashVariant::AosFused]
-    }
-
     fn l5(&self) -> usize {
         self.fifth.params.l5
     }
 
     fn hv(&self) -> usize {
         self.lattice.half_volume()
-    }
-
-    /// Fused Schur apply in four passes over reused scratch buffers (the
-    /// reference path makes eleven, allocating six fresh vectors):
-    ///
-    /// 1. `ρ ← b5·ψ + c5·shift(ψ)` and `diag ← α·ψ + β·shift(ψ)` in a single
-    ///    column-wise sweep (the s-shift of `ψ` is read once, feeding both),
-    /// 2. `t ← −½ H_eo ρ` (5D-fused stencil, `−½` folded into the write),
-    /// 3. `ρ ← b5·(A⁻¹t) + c5·shift(A⁻¹t)` column-wise: each s-column of
-    ///    `A⁻¹t` stays register/cache resident through the following affine,
-    /// 4. `out ← diag − (−½ H_oe ρ)` (stencil pass with the precomputed
-    ///    diagonal folded into the output write).
-    ///
-    /// Each fused expression evaluates the identical per-element operation
-    /// chain as the reference path, so the result is bit-identical to
-    /// [`DslashVariant::AosScalar`].
-    fn apply_fused(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let hv = self.hv();
-        let n = self.vec_len();
-        assert_eq!(out.len(), n);
-        assert_eq!(inp.len(), n);
-        let neg_half = R::from_f64(-0.5);
-
-        let mut guard = self.scratch.lock();
-        let (rho, tmp, diag) = &mut *guard;
-        rho.resize(n, Spinor::zero());
-        tmp.resize(n, Spinor::zero());
-        diag.resize(n, Spinor::zero());
-
-        self.fifth.rho_and_diag(rho, diag, inp, hv);
-        self.hopping.apply_parity_fused_5d(
-            tmp,
-            rho,
-            Parity::Even,
-            self.l5(),
-            self.grain,
-            &|_, _, h| h.scale(neg_half),
-        );
-        self.fifth.ainv_then_rho(rho, tmp, hv);
-        let diag = &*diag;
-        self.hopping.apply_parity_fused_5d(
-            out,
-            rho,
-            Parity::Odd,
-            self.l5(),
-            self.grain,
-            &|s, cb, h| diag[s * hv + cb] - h.scale(neg_half),
-        );
     }
 
     /// Slice-wise checkerboarded hopping on 5D half-volume vectors.
@@ -1018,11 +941,53 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
         self.l5() * self.hv()
     }
 
+    /// The Schur complement in four passes over reused scratch buffers (the
+    /// unfused composition of [`Self::apply_block`] makes eleven, allocating
+    /// six fresh vectors):
+    ///
+    /// 1. `ρ ← b5·ψ + c5·shift(ψ)` and `diag ← α·ψ + β·shift(ψ)` in a single
+    ///    column-wise sweep (the s-shift of `ψ` is read once, feeding both),
+    /// 2. `t ← −½ H_eo ρ` (5D-fused stencil, `−½` folded into the write),
+    /// 3. `ρ ← b5·(A⁻¹t) + c5·shift(A⁻¹t)` column-wise: each s-column of
+    ///    `A⁻¹t` stays register/cache resident through the following affine,
+    /// 4. `out ← diag − (−½ H_oe ρ)` (stencil pass with the precomputed
+    ///    diagonal folded into the output write).
+    ///
+    /// Each fused expression evaluates the identical per-element operation
+    /// chain as the unfused composition, so the result is bit-identical to
+    /// `apply_block(.., 1)`.
     fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        match self.variant {
-            DslashVariant::AosScalar | DslashVariant::Soa => self.apply_reference(out, inp),
-            DslashVariant::AosFused => self.apply_fused(out, inp),
-        }
+        let hv = self.hv();
+        let n = self.vec_len();
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+        let neg_half = R::from_f64(-0.5);
+
+        let mut guard = self.scratch.lock();
+        let (rho, tmp, diag) = &mut *guard;
+        rho.resize(n, Spinor::zero());
+        tmp.resize(n, Spinor::zero());
+        diag.resize(n, Spinor::zero());
+
+        self.fifth.rho_and_diag(rho, diag, inp, hv);
+        self.hopping.apply_parity_fused_5d(
+            tmp,
+            rho,
+            Parity::Even,
+            self.l5(),
+            self.grain,
+            &|_, _, h| h.scale(neg_half),
+        );
+        self.fifth.ainv_then_rho(rho, tmp, hv);
+        let diag = &*diag;
+        self.hopping.apply_parity_fused_5d(
+            out,
+            rho,
+            Parity::Odd,
+            self.l5(),
+            self.grain,
+            &|s, cb, h| diag[s * hv + cb] - h.scale(neg_half),
+        );
     }
 
     fn flops_per_apply(&self) -> f64 {
@@ -1044,29 +1009,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
 
         self.fifth
             .affine_shift(out, inp, hvb, p.alpha(), p.beta(), false);
-        out.par_iter_mut().zip(moe.par_iter()).for_each(|(o, m)| {
-            *o = *o - *m;
-        });
-    }
-}
-
-impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
-    /// Reference Schur apply: slice-by-slice hops with separate algebra
-    /// passes, building each intermediate in a fresh vector.
-    fn apply_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let hv = self.hv();
-        let p = &self.fifth.params;
-        assert_eq!(out.len(), self.vec_len());
-        assert_eq!(inp.len(), self.vec_len());
-
-        let meo = self.offdiag(inp, Parity::Even);
-        let mut ainv = vec![Spinor::zero(); meo.len()];
-        self.fifth.apply_a_inverse(&mut ainv, &meo, hv, false);
-        let moe = self.offdiag(&ainv, Parity::Odd);
-
-        // out = A(inp) − M_oe A⁻¹ M_eo inp.
-        self.fifth
-            .affine_shift(out, inp, hv, p.alpha(), p.beta(), false);
         out.par_iter_mut().zip(moe.par_iter()).for_each(|(o, m)| {
             *o = *o - *m;
         });
@@ -1352,48 +1294,6 @@ mod tests {
         let mut fused = vec![Spinor::zero(); n];
         fifth.ainv_then_rho(&mut fused, &x, slice_len);
         assert_eq!(fused, reference);
-    }
-
-    #[test]
-    fn mobius_variants_are_bit_identical() {
-        let lat = Lattice::new([4, 4, 2, 4]);
-        let gauge = GaugeField::<f64>::hot(&lat, 61);
-        let mut op = MobiusDirac::new(&lat, &gauge, MobiusParams::standard(6, 0.1));
-        let n = op.vec_len();
-        let x = FermionField::<f64>::gaussian(n, 23).data;
-        let mut reference = vec![Spinor::zero(); n];
-        op.variant = DslashVariant::AosScalar;
-        op.apply(&mut reference, &x);
-        for v in op.supported_variants() {
-            op.variant = v;
-            let mut out = vec![Spinor::zero(); n];
-            op.apply(&mut out, &x);
-            assert_eq!(out, reference, "variant {v:?}");
-        }
-    }
-
-    #[test]
-    fn prec_mobius_variants_are_bit_identical() {
-        let lat = Lattice::new([4, 4, 2, 4]);
-        let gauge = GaugeField::<f64>::hot(&lat, 67);
-        let mut op = PrecMobius::new(&lat, &gauge, MobiusParams::standard(4, 0.1));
-        let n = op.vec_len();
-        let x = FermionField::<f64>::gaussian(n, 24).data;
-        let mut reference = vec![Spinor::zero(); n];
-        op.variant = DslashVariant::AosScalar;
-        op.apply(&mut reference, &x);
-        for v in op.supported_variants() {
-            op.variant = v;
-            let mut out = vec![Spinor::zero(); n];
-            op.apply(&mut out, &x);
-            assert_eq!(out, reference, "variant {v:?}");
-        }
-        // The fused path reuses scratch buffers across calls; a second
-        // application must still be bit-identical.
-        op.variant = DslashVariant::AosFused;
-        let mut again = vec![Spinor::zero(); n];
-        op.apply(&mut again, &x);
-        assert_eq!(again, reference);
     }
 
     #[test]

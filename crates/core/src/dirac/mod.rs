@@ -11,39 +11,6 @@ pub use wilson::{PrecWilson, WilsonDirac};
 use crate::real::Real;
 use crate::spinor::Spinor;
 
-/// Execution strategy of a Dirac operator's `apply` — the axis the
-/// layout-aware autotuner sweeps (see [`crate::tune::tune_dslash_variant`]).
-///
-/// Every variant is deterministic, width-invariant, and **bit-identical** to
-/// every other variant of the same operator: the fused paths fold algebra
-/// passes into the stencil's output write without reassociating any
-/// per-element operation chain, and the SoA path evaluates the identical
-/// scalar chains lane-parallel (see [`crate::simd`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum DslashVariant {
-    /// Reference path: slice-by-slice hops with separate algebra passes over
-    /// AoS storage.
-    AosScalar,
-    /// AoS storage with the diagonal/5th-dimension algebra fused into the
-    /// hop's output write and gauge links reused across the whole s-extent.
-    AosFused,
-    /// Blocked SoA storage with lane-vectorized complex arithmetic
-    /// (full-volume 4D operators; requires the x-extent to be a multiple of
-    /// [`crate::simd::LANES`]).
-    Soa,
-}
-
-impl DslashVariant {
-    /// Stable short name used in tune keys and bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            DslashVariant::AosScalar => "aos",
-            DslashVariant::AosFused => "aos_fused",
-            DslashVariant::Soa => "soa",
-        }
-    }
-}
-
 /// A general linear operator on a fermion vector, as seen by Krylov solvers.
 pub trait LinearOp<R: Real>: Sync {
     /// Length (in spinors) of vectors this operator acts on.

@@ -12,23 +12,13 @@
 //! block is the 5th-dimension structure, see [`super::mobius`]).
 
 use super::hopping::{HoppingKernel, HOPPING_FLOPS_PER_SITE};
-use super::{DiracOp, DslashVariant, LinearOp};
+use super::{DiracOp, LinearOp};
 use crate::field::GaugeLinks;
 use crate::lattice::{Lattice, Parity};
-use crate::layout::{hop_full_soa, SoaGaugeField, SoaSpinorField};
 use crate::real::Real;
-use crate::simd::LANES;
 use crate::spinor::Spinor;
 use parking_lot::Mutex;
 use rayon::prelude::*;
-
-/// Lazily built SoA mirrors of the gauge field plus I/O staging buffers for
-/// the [`DslashVariant::Soa`] path.
-struct SoaCache<R> {
-    gauge: SoaGaugeField<R>,
-    inp: SoaSpinorField<R>,
-    out: SoaSpinorField<R>,
-}
 
 /// The full-lattice Wilson operator.
 pub struct WilsonDirac<'a, R: Real, G: GaugeLinks<R>> {
@@ -37,9 +27,6 @@ pub struct WilsonDirac<'a, R: Real, G: GaugeLinks<R>> {
     mass: f64,
     /// Parallel chunk size for the stencil, set by the autotuner.
     pub grain: usize,
-    /// Execution strategy of `apply`; all variants are bit-identical.
-    pub variant: DslashVariant,
-    soa: Mutex<Option<SoaCache<R>>>,
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
@@ -51,8 +38,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
             lattice,
             mass,
             grain: 1024,
-            variant: DslashVariant::AosFused,
-            soa: Mutex::new(None),
         }
     }
 
@@ -70,47 +55,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
     pub fn hopping(&self) -> &HoppingKernel<'a, R, G> {
         &self.hopping
     }
-
-    /// Variants executable on this geometry (the SoA path needs whole lane
-    /// blocks per x-line).
-    pub fn supported_variants(&self) -> Vec<DslashVariant> {
-        let mut v = vec![DslashVariant::AosScalar, DslashVariant::AosFused];
-        if self.lattice.dims()[0].is_multiple_of(LANES) {
-            v.push(DslashVariant::Soa);
-        }
-        v
-    }
-
-    /// The SoA execution path: transpose in, lane-parallel fused stencil,
-    /// transpose out. The gauge transpose is built once and cached; the
-    /// staging conversions are part of what the autotuner times, so this
-    /// variant only wins when the lane arithmetic pays for them.
-    fn apply_soa(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let diag = R::from_f64(4.0 + self.mass);
-        let half = R::from_f64(0.5);
-        let mut guard = self.soa.lock();
-        let cache = guard.get_or_insert_with(|| SoaCache {
-            gauge: SoaGaugeField::from_links(self.hopping.gauge()),
-            inp: SoaSpinorField::zeros(self.lattice.volume()),
-            out: SoaSpinorField::zeros(self.lattice.volume()),
-        });
-        cache.inp.fill_from_aos(inp);
-        let SoaCache {
-            gauge,
-            inp: sinp,
-            out: sout,
-        } = &mut *cache;
-        hop_full_soa(
-            self.lattice,
-            gauge,
-            sout,
-            sinp,
-            self.hopping.antiperiodic_t(),
-            self.grain,
-            Some((diag, half)),
-        );
-        sout.store_to_aos(out);
-    }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for WilsonDirac<'a, R, G> {
@@ -121,23 +65,13 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for WilsonDirac<'a, R, G> {
     fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
         let diag = R::from_f64(4.0 + self.mass);
         let half = R::from_f64(0.5);
-        match self.variant {
-            DslashVariant::AosScalar => {
-                self.hopping.apply_full(out, inp, self.grain);
-                out.par_iter_mut().zip(inp.par_iter()).for_each(|(o, i)| {
-                    *o = i.scale(diag) - o.scale(half);
-                });
-            }
-            // Same per-site value chain (`i·a − h·b` with `h` the hop) fused
-            // into the stencil's single output write: bit-identical.
-            DslashVariant::AosFused => {
-                self.hopping
-                    .apply_full_fused_5d(out, inp, 1, self.grain, &|_, x, h| {
-                        inp[x].scale(diag) - h.scale(half)
-                    });
-            }
-            DslashVariant::Soa => self.apply_soa(out, inp),
-        }
+        // The diagonal combination (`i·a − h·b` with `h` the hop) is fused
+        // into the stencil's single output write: the same per-site value
+        // chain as the separate passes of `apply_block`, so bit-identical.
+        self.hopping
+            .apply_full_fused_5d(out, inp, 1, self.grain, &|_, x, h| {
+                inp[x].scale(diag) - h.scale(half)
+            });
     }
 
     fn flops_per_apply(&self) -> f64 {
@@ -177,9 +111,7 @@ pub struct PrecWilson<'a, R: Real, G: GaugeLinks<R>> {
     mass: f64,
     /// Parallel chunk size for the stencil, set by the autotuner.
     pub grain: usize,
-    /// Execution strategy of `apply`; all variants are bit-identical.
-    pub variant: DslashVariant,
-    /// Reused half-volume intermediate for the fused path (behind a lock so
+    /// Reused half-volume intermediate for `apply` (behind a lock so
     /// `apply` keeps its `&self` solver interface).
     scratch: Mutex<Vec<Spinor<R>>>,
 }
@@ -192,7 +124,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
             lattice,
             mass,
             grain: 1024,
-            variant: DslashVariant::AosFused,
             scratch: Mutex::new(Vec::new()),
         }
     }
@@ -204,12 +135,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
     /// The bound 4D hopping kernel.
     pub fn hopping(&self) -> &HoppingKernel<'a, R, G> {
         &self.hopping
-    }
-
-    /// Variants executable on this geometry (the checkerboarded stencil has
-    /// no SoA path — parity splits the x-lines to stride 2).
-    pub fn supported_variants(&self) -> Vec<DslashVariant> {
-        vec![DslashVariant::AosScalar, DslashVariant::AosFused]
     }
 
     /// The lattice.
@@ -281,37 +206,20 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecWilson<'a, R, G> {
         let hv = self.lattice.half_volume();
         let a = R::from_f64(self.diag());
         let c = R::from_f64(0.25 / self.diag());
-        match self.variant {
-            DslashVariant::AosScalar | DslashVariant::Soa => {
-                let mut even = vec![Spinor::zero(); hv];
-                self.hopping
-                    .apply_parity(&mut even, inp, Parity::Even, self.grain);
-                self.hopping
-                    .apply_parity(out, &even, Parity::Odd, self.grain);
-                out.par_iter_mut().zip(inp.par_iter()).for_each(|(o, i)| {
-                    *o = i.scale(a) - o.scale(c);
-                });
-            }
-            // Fused: the second hop's diagonal combination (`i·a − h·c`) is
-            // folded into its output write — the identical value chain, one
-            // fewer full pass, and a reused intermediate buffer.
-            DslashVariant::AosFused => {
-                let mut even = self.scratch.lock();
-                if even.len() != hv {
-                    even.resize(hv, Spinor::zero());
-                }
-                self.hopping
-                    .apply_parity(&mut even, inp, Parity::Even, self.grain);
-                self.hopping.apply_parity_fused_5d(
-                    out,
-                    &even,
-                    Parity::Odd,
-                    1,
-                    self.grain,
-                    &|_, cb, h| inp[cb].scale(a) - h.scale(c),
-                );
-            }
+        // The second hop's diagonal combination (`i·a − h·c`) is folded
+        // into its output write — the identical value chain as the separate
+        // passes of `apply_block`, one fewer full pass, and a reused
+        // intermediate buffer.
+        let mut even = self.scratch.lock();
+        if even.len() != hv {
+            even.resize(hv, Spinor::zero());
         }
+        self.hopping
+            .apply_parity(&mut even, inp, Parity::Even, self.grain);
+        self.hopping
+            .apply_parity_fused_5d(out, &even, Parity::Odd, 1, self.grain, &|_, cb, h| {
+                inp[cb].scale(a) - h.scale(c)
+            });
     }
 
     fn flops_per_apply(&self) -> f64 {
@@ -448,46 +356,6 @@ mod tests {
         let x_e = p.reconstruct_even(&b_e, &psi_o);
         let diff = blas::sub(&x_e, &psi_e);
         assert!(blas::norm_sqr(&diff) / blas::norm_sqr(&psi_e) < 1e-22);
-    }
-
-    #[test]
-    fn wilson_variants_are_bit_identical() {
-        let lat = Lattice::new([4, 4, 2, 4]);
-        let gauge = GaugeField::<f64>::hot(&lat, 37);
-        let mut d = WilsonDirac::new(&lat, &gauge, 0.1, true);
-        let x = FermionField::<f64>::gaussian(lat.volume(), 8).data;
-        let mut reference = vec![Spinor::zero(); lat.volume()];
-        d.variant = DslashVariant::AosScalar;
-        d.apply(&mut reference, &x);
-        let variants = d.supported_variants();
-        assert!(
-            variants.contains(&DslashVariant::Soa),
-            "x-extent 4 supports SoA"
-        );
-        for v in variants {
-            d.variant = v;
-            let mut out = vec![Spinor::zero(); lat.volume()];
-            d.apply(&mut out, &x);
-            assert_eq!(out, reference, "variant {v:?}");
-        }
-    }
-
-    #[test]
-    fn prec_wilson_variants_are_bit_identical() {
-        let lat = Lattice::new([4, 4, 2, 4]);
-        let gauge = GaugeField::<f64>::hot(&lat, 39);
-        let mut p = PrecWilson::new(&lat, &gauge, 0.1, true);
-        let hv = lat.half_volume();
-        let x = FermionField::<f64>::gaussian(hv, 9).data;
-        let mut reference = vec![Spinor::zero(); hv];
-        p.variant = DslashVariant::AosScalar;
-        p.apply(&mut reference, &x);
-        for v in p.supported_variants() {
-            p.variant = v;
-            let mut out = vec![Spinor::zero(); hv];
-            p.apply(&mut out, &x);
-            assert_eq!(out, reference, "prec variant {v:?}");
-        }
     }
 
     #[test]

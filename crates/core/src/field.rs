@@ -24,11 +24,6 @@ pub trait GaugeLinks<R: Real>: Sync {
     fn link(&self, site: usize, mu: usize) -> Su3<R>;
     /// Number of sites.
     fn volume(&self) -> usize;
-    /// Short storage/reconstruction label ("full", "r12", "r8", "half", …)
-    /// used as an autotune-key axis and in bench reporting.
-    fn recon_name(&self) -> &'static str {
-        "full"
-    }
 }
 
 /// Full-precision gauge field: 4 links per site.

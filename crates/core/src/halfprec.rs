@@ -139,9 +139,6 @@ impl GaugeLinks<f32> for HalfGaugeField {
     fn volume(&self) -> usize {
         self.volume
     }
-    fn recon_name(&self) -> &'static str {
-        "half"
-    }
 }
 
 /// Gauge links combining 16-bit fixed-point storage with 12-real
@@ -219,9 +216,6 @@ impl GaugeLinks<f32> for HalfRecon12Gauge {
     }
     fn volume(&self) -> usize {
         self.volume
-    }
-    fn recon_name(&self) -> &'static str {
-        "half-r12"
     }
 }
 
@@ -352,7 +346,6 @@ mod tests {
         let hr = HalfRecon12Gauge::from_gauge(&gauge);
         let plain = HalfGaugeField::from_gauge(&gauge);
         assert!(hr.storage_bytes() < plain.storage_bytes(), "28 < 40 B/link");
-        assert_eq!(hr.recon_name(), "half-r12");
         let mut worst = 0.0f64;
         for site in 0..lat.volume() {
             for mu in 0..ND {

@@ -43,9 +43,7 @@ pub mod flops;
 pub mod gamma;
 pub mod gauge;
 pub mod halfprec;
-pub mod hmc;
 pub mod lattice;
-pub mod layout;
 pub mod observables;
 pub mod prop;
 pub mod real;
@@ -75,24 +73,21 @@ pub mod prelude {
         proton_correlator, proton_correlator_general,
     };
     pub use crate::dirac::{
-        DiracOp, DslashVariant, HoppingKernel, LinearOp, MobiusDirac, MobiusParams, NormalOp,
-        PrecMobius, PrecWilson, WilsonDirac,
+        DiracOp, HoppingKernel, LinearOp, MobiusDirac, MobiusParams, NormalOp, PrecMobius,
+        PrecWilson, WilsonDirac,
     };
     pub use crate::fh::{effective_ga, fh_nucleon_correlator, FeynmanHellmann};
     pub use crate::field::{FermionField, GaugeField, GaugeLinks};
     pub use crate::gamma::{gamma5_dense, gamma_dense, SpinMatrix, NS};
     pub use crate::gauge::{average_plaquette, HeatbathParams, QuenchedEnsemble};
     pub use crate::halfprec::{HalfFermionField, HalfGaugeField, HalfRecon12Gauge};
-    pub use crate::hmc::{HmcParams, HmcSampler};
     pub use crate::lattice::{Lattice, Parity, ND};
-    pub use crate::layout::{hop_full_soa, SoaGaugeField, SoaSpinorField};
     pub use crate::observables::{polyakov_loop, static_potential, wilson_loop};
     pub use crate::prop::{
         point_source, wall_source, z2_noise_source, Propagator, PropagatorSolver, SolverKind,
     };
     pub use crate::real::Real;
     pub use crate::recon::{Recon12Gauge, Recon8Gauge};
-    pub use crate::simd::{CVec, LaneReal, LANES};
     pub use crate::smear::{ape_smear_spatial, gaussian_smear};
     pub use crate::solver::{
         bicgstab, cg, cg_block, cgne, deflated_cg_block, lanczos, lanczos_lowest, mixed_cg,
@@ -101,9 +96,7 @@ pub mod prelude {
     pub use crate::spinor::Spinor;
     pub use crate::su3::{ColorVec, Su3, NC};
     pub use crate::topology::{action_density, topological_charge};
-    pub use crate::tune::{
-        tune_block_operator, tune_dslash_variant, tune_operator, GrainTunable, VariantTunable,
-    };
+    pub use crate::tune::{tune_block_operator, tune_operator, GrainTunable};
 }
 
 pub use prelude::*;

@@ -53,34 +53,6 @@ pub trait Real:
     /// Four-quadrant arctangent `atan2(self, x)` (phase extraction in the
     /// 8-real gauge compression encode).
     fn atan2(self, x: Self) -> Self;
-
-    // Fixed-width 4-lane elementwise primitives (width = [`crate::simd::LANES`]).
-    // Portable autovectorizable loops: at the baseline ISA they compile to
-    // 128-bit vectors, and inside the `arch-simd` AVX2-recompiled kernel
-    // twins (see [`crate::simd`]) the same loops fill 256-bit registers.
-    // Either codegen performs the same elementwise IEEE operation (no FMA),
-    // so results are bit-identical whichever path runs.
-
-    /// Elementwise `a + b` over one lane group.
-    #[inline(always)]
-    fn l4_add(a: [Self; 4], b: [Self; 4]) -> [Self; 4] {
-        std::array::from_fn(|i| a[i] + b[i])
-    }
-    /// Elementwise `a - b` over one lane group.
-    #[inline(always)]
-    fn l4_sub(a: [Self; 4], b: [Self; 4]) -> [Self; 4] {
-        std::array::from_fn(|i| a[i] - b[i])
-    }
-    /// Elementwise `a * b` over one lane group.
-    #[inline(always)]
-    fn l4_mul(a: [Self; 4], b: [Self; 4]) -> [Self; 4] {
-        std::array::from_fn(|i| a[i] * b[i])
-    }
-    /// Elementwise `-a` over one lane group.
-    #[inline(always)]
-    fn l4_neg(a: [Self; 4]) -> [Self; 4] {
-        std::array::from_fn(|i| -a[i])
-    }
 }
 
 impl Real for f64 {

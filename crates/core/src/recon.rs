@@ -93,9 +93,6 @@ impl<R: Real> GaugeLinks<R> for Recon12Gauge<R> {
     fn volume(&self) -> usize {
         self.volume
     }
-    fn recon_name(&self) -> &'static str {
-        "r12"
-    }
 }
 
 /// Gauge field compressed to 8 reals per link (see module docs).
@@ -170,9 +167,6 @@ impl<R: Real> GaugeLinks<R> for Recon8Gauge<R> {
     fn volume(&self) -> usize {
         self.volume
     }
-    fn recon_name(&self) -> &'static str {
-        "r8"
-    }
 }
 
 /// Clamp tiny negative round-off before a square root.
@@ -223,7 +217,6 @@ mod tests {
         let r12 = Recon12Gauge::from_gauge(&gauge);
         let err = max_err(&gauge, &r12);
         assert!(err < 1e-13, "recon-12 error {err}");
-        assert_eq!(r12.recon_name(), "r12");
     }
 
     #[test]
@@ -232,7 +225,6 @@ mod tests {
         let r8 = Recon8Gauge::from_gauge(&gauge);
         let err = max_err(&gauge, &r8);
         assert!(err < 1e-12, "recon-8 error {err}");
-        assert_eq!(r8.recon_name(), "r8");
     }
 
     #[test]

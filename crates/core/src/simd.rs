@@ -1,34 +1,13 @@
-//! Explicitly vectorized complex-arithmetic layer.
+//! Runtime dispatch to the AVX2-compiled kernel twins.
 //!
-//! The stencil kernels bottom out in complex multiply–adds over 3-vectors
-//! and 3×3 matrices. This module provides fixed-width *lane* types that
-//! perform the same arithmetic on [`LANES`] independent lattice sites at
-//! once: a [`CVec`] is one complex number per lane, stored as separate
-//! re/im arrays (component-innermost SoA) so the compiler can map every
-//! operation onto vector registers.
-//!
-//! Determinism contract: every lane operation applies, per lane, **exactly
-//! the scalar operation sequence** of the corresponding [`Complex`] method
-//! (same operations, same association, no FMA contraction). IEEE 754
-//! arithmetic is elementwise, so a lane-vectorized kernel produces
-//! bit-identical results to the scalar kernel on each site — this is what
-//! lets the SoA dslash variants share goldens with the AoS path.
-//!
-//! The portable path is plain per-lane loops, written so rustc's
+//! The hot kernel bodies are plain scalar loops, written so rustc's
 //! autovectorizer handles them (at the baseline ISA, 128-bit on `x86_64`).
-//! The `arch-simd` cargo feature additionally compiles the hot kernel
-//! bodies a second time with `#[target_feature(enable = "avx2")]` and
-//! dispatches to that twin after `std::arch::is_x86_feature_detected!`
-//! confirms support — one lane group then fills a single 256-bit register.
+//! The `arch-simd` cargo feature additionally compiles those bodies a
+//! second time with `#[target_feature(enable = "avx2")]` and dispatches to
+//! that twin after `std::arch::is_x86_feature_detected!` confirms support.
 //! Because the recompiled code still consists of the same elementwise IEEE
 //! add/sub/mul operations (rustc never contracts mul+add to FMA), the
 //! feature gate cannot change a single bit of any result.
-
-use crate::complex::Complex;
-use crate::real::Real;
-use crate::spinor::Spinor;
-use crate::su3::{ColorVec, Su3};
-use std::ops::{Add, Mul, Neg, Sub};
 
 /// Whether the AVX2-compiled kernel twins should run: requires the
 /// `arch-simd` feature, an `x86_64` target, and runtime CPU support.
@@ -41,425 +20,5 @@ pub fn avx2_detected() -> bool {
     #[cfg(not(all(feature = "arch-simd", target_arch = "x86_64")))]
     {
         false
-    }
-}
-
-/// Number of lattice sites processed per lane group.
-///
-/// Four lanes fill one 256-bit vector at `f64`-pair granularity and keep a
-/// spinor block (24 × [`LANES`] reals) within a handful of cache lines.
-pub const LANES: usize = 4;
-
-/// Marker for reals with lane primitives, blanket-implemented for every
-/// [`Real`]. The primitives themselves (`l4_add` …) live on `Real` so the
-/// generic operators can reach them without changing their bounds; this
-/// name survives for kernel signatures that read better as "lane-capable
-/// real".
-pub trait LaneReal: Real {}
-
-impl<R: Real> LaneReal for R {}
-
-/// [`LANES`] complex numbers in SoA form (separate re/im lane arrays).
-///
-/// Each method mirrors the corresponding [`Complex`] method's exact scalar
-/// operation sequence, per lane.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CVec<R> {
-    /// Real parts, one per lane.
-    pub re: [R; LANES],
-    /// Imaginary parts, one per lane.
-    pub im: [R; LANES],
-}
-
-impl<R: LaneReal> CVec<R> {
-    /// All-zero lanes.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        Self {
-            re: [R::ZERO; LANES],
-            im: [R::ZERO; LANES],
-        }
-    }
-
-    /// The same complex value in every lane.
-    #[inline(always)]
-    pub fn splat(c: Complex<R>) -> Self {
-        Self {
-            re: [c.re; LANES],
-            im: [c.im; LANES],
-        }
-    }
-
-    /// Gather one complex value per lane.
-    #[inline(always)]
-    pub fn gather(f: impl FnMut(usize) -> Complex<R>) -> Self {
-        let mut f = f;
-        let mut out = Self::zero();
-        for l in 0..LANES {
-            let c = f(l);
-            out.re[l] = c.re;
-            out.im[l] = c.im;
-        }
-        out
-    }
-
-    /// Extract lane `l`.
-    #[inline(always)]
-    pub fn lane(&self, l: usize) -> Complex<R> {
-        Complex::new(self.re[l], self.im[l])
-    }
-
-    /// Mirrors `Complex::conj`.
-    #[inline(always)]
-    pub fn conj(self) -> Self {
-        Self {
-            re: self.re,
-            im: R::l4_neg(self.im),
-        }
-    }
-
-    /// Mirrors `Complex::scale` with a lane-uniform real factor.
-    #[inline(always)]
-    pub fn scale(self, s: R) -> Self {
-        let sv = [s; LANES];
-        Self {
-            re: R::l4_mul(self.re, sv),
-            im: R::l4_mul(self.im, sv),
-        }
-    }
-
-    /// Mirrors `Complex::add_mul`: `self + a·b` with the scalar method's
-    /// association `(self + a.re·b.re) − a.im·b.im` on the real part and
-    /// `(self + a.re·b.im) + a.im·b.re` on the imaginary part.
-    #[inline(always)]
-    pub fn add_mul(self, a: Self, b: Self) -> Self {
-        Self {
-            re: R::l4_sub(
-                R::l4_add(self.re, R::l4_mul(a.re, b.re)),
-                R::l4_mul(a.im, b.im),
-            ),
-            im: R::l4_add(
-                R::l4_add(self.im, R::l4_mul(a.re, b.im)),
-                R::l4_mul(a.im, b.re),
-            ),
-        }
-    }
-}
-
-impl<R: LaneReal> Add for CVec<R> {
-    type Output = Self;
-    /// Mirrors `Complex + Complex`: `re + re, im + im`.
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        Self {
-            re: R::l4_add(self.re, rhs.re),
-            im: R::l4_add(self.im, rhs.im),
-        }
-    }
-}
-
-impl<R: LaneReal> Sub for CVec<R> {
-    type Output = Self;
-    /// Mirrors `Complex - Complex`.
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        Self {
-            re: R::l4_sub(self.re, rhs.re),
-            im: R::l4_sub(self.im, rhs.im),
-        }
-    }
-}
-
-impl<R: LaneReal> Neg for CVec<R> {
-    type Output = Self;
-    /// Mirrors `-Complex`.
-    #[inline(always)]
-    fn neg(self) -> Self {
-        Self {
-            re: R::l4_neg(self.re),
-            im: R::l4_neg(self.im),
-        }
-    }
-}
-
-impl<R: LaneReal> Mul for CVec<R> {
-    type Output = Self;
-    /// Mirrors `Complex * Complex`:
-    /// `(re·re − im·im, re·im + im·re)` with identical association.
-    #[inline(always)]
-    fn mul(self, rhs: Self) -> Self {
-        Self {
-            re: R::l4_sub(R::l4_mul(self.re, rhs.re), R::l4_mul(self.im, rhs.im)),
-            im: R::l4_add(R::l4_mul(self.re, rhs.im), R::l4_mul(self.im, rhs.re)),
-        }
-    }
-}
-
-/// [`LANES`] color 3-vectors in SoA form. Methods mirror
-/// [`crate::su3::ColorVec`].
-#[derive(Clone, Copy, Debug)]
-pub struct CvColor<R> {
-    /// Color components, each [`LANES`] wide.
-    pub c: [CVec<R>; 3],
-}
-
-impl<R: LaneReal> CvColor<R> {
-    /// All-zero lanes.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        Self {
-            c: [CVec::zero(); 3],
-        }
-    }
-
-    /// Mirrors `ColorVec::scale_c` (`c[i] * s`, a full complex multiply).
-    #[inline(always)]
-    pub fn scale_c(self, s: CVec<R>) -> Self {
-        Self {
-            c: [self.c[0] * s, self.c[1] * s, self.c[2] * s],
-        }
-    }
-
-    /// Mirrors `ColorVec::scale` (real factor).
-    #[inline(always)]
-    pub fn scale(self, s: R) -> Self {
-        Self {
-            c: [self.c[0].scale(s), self.c[1].scale(s), self.c[2].scale(s)],
-        }
-    }
-}
-
-impl<R: LaneReal> Add for CvColor<R> {
-    type Output = Self;
-    /// Mirrors `ColorVec + ColorVec`.
-    #[inline(always)]
-    fn add(self, rhs: Self) -> Self {
-        Self {
-            c: [
-                self.c[0] + rhs.c[0],
-                self.c[1] + rhs.c[1],
-                self.c[2] + rhs.c[2],
-            ],
-        }
-    }
-}
-
-impl<R: LaneReal> Sub for CvColor<R> {
-    type Output = Self;
-    /// Mirrors `ColorVec - ColorVec`.
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        Self {
-            c: [
-                self.c[0] - rhs.c[0],
-                self.c[1] - rhs.c[1],
-                self.c[2] - rhs.c[2],
-            ],
-        }
-    }
-}
-
-impl<R: LaneReal> Neg for CvColor<R> {
-    type Output = Self;
-    /// Mirrors `-ColorVec`.
-    #[inline(always)]
-    fn neg(self) -> Self {
-        Self {
-            c: [-self.c[0], -self.c[1], -self.c[2]],
-        }
-    }
-}
-
-/// [`LANES`] SU(3) matrices in SoA form. Products mirror [`crate::su3::Su3`].
-#[derive(Clone, Copy, Debug)]
-pub struct CvSu3<R> {
-    /// Row-major entries, each [`LANES`] wide.
-    pub m: [[CVec<R>; 3]; 3],
-}
-
-impl<R: LaneReal> CvSu3<R> {
-    /// All-zero lanes.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        Self {
-            m: [[CVec::zero(); 3]; 3],
-        }
-    }
-
-    /// Mirrors `Su3::mul_vec`: per row, fold `acc = acc.add_mul(u, v_j)`
-    /// from zero in column order.
-    #[inline(always)]
-    pub fn mul_vec(&self, v: &CvColor<R>) -> CvColor<R> {
-        let mut out = CvColor::zero();
-        for (i, row) in self.m.iter().enumerate() {
-            let mut acc = CVec::zero();
-            for (j, &u) in row.iter().enumerate() {
-                acc = acc.add_mul(u, v.c[j]);
-            }
-            out.c[i] = acc;
-        }
-        out
-    }
-
-    /// Mirrors `Su3::dagger_mul_vec`: `acc += conj(m[j][i]) * v_j` — note
-    /// the scalar path multiplies first and then adds (`acc + (u*v)`), which
-    /// associates differently from `add_mul`; this mirrors that exactly.
-    #[inline(always)]
-    pub fn dagger_mul_vec(&self, v: &CvColor<R>) -> CvColor<R> {
-        let mut out = CvColor::zero();
-        for i in 0..3 {
-            let mut acc = CVec::zero();
-            for j in 0..3 {
-                acc = acc + self.m[j][i].conj() * v.c[j];
-            }
-            out.c[i] = acc;
-        }
-        out
-    }
-
-    /// The same SU(3) matrix in every lane — the link-broadcast used when
-    /// one gauge link feeds [`LANES`] fifth-dimension slices at once.
-    #[inline(always)]
-    pub fn splat(u: &Su3<R>) -> Self {
-        Self {
-            m: std::array::from_fn(|i| std::array::from_fn(|j| CVec::splat(u.m[i][j]))),
-        }
-    }
-}
-
-/// [`LANES`] Wilson spinors in SoA form. Operations mirror
-/// [`crate::spinor::Spinor`].
-#[derive(Clone, Copy, Debug)]
-pub struct CvSpinor<R> {
-    /// Spin components, each a lane-wide color vector.
-    pub s: [CvColor<R>; 4],
-}
-
-impl<R: LaneReal> CvSpinor<R> {
-    /// All-zero lanes.
-    #[inline(always)]
-    pub fn zero() -> Self {
-        Self {
-            s: [CvColor::zero(); 4],
-        }
-    }
-
-    /// Mirrors `Spinor::scale`.
-    #[inline(always)]
-    pub fn scale(self, f: R) -> Self {
-        Self {
-            s: [
-                self.s[0].scale(f),
-                self.s[1].scale(f),
-                self.s[2].scale(f),
-                self.s[3].scale(f),
-            ],
-        }
-    }
-
-    /// Gather one spinor per lane (AoS → lane-SoA transpose).
-    #[inline(always)]
-    pub fn gather(mut f: impl FnMut(usize) -> Spinor<R>) -> Self {
-        let ps: [Spinor<R>; LANES] = std::array::from_fn(&mut f);
-        Self {
-            s: std::array::from_fn(|sp| CvColor {
-                c: std::array::from_fn(|c| CVec {
-                    re: std::array::from_fn(|l| ps[l].s[sp].c[c].re),
-                    im: std::array::from_fn(|l| ps[l].s[sp].c[c].im),
-                }),
-            }),
-        }
-    }
-
-    /// Extract lane `l` as a scalar spinor.
-    #[inline(always)]
-    pub fn lane(&self, l: usize) -> Spinor<R> {
-        Spinor {
-            s: std::array::from_fn(|sp| ColorVec {
-                c: std::array::from_fn(|c| self.s[sp].c[c].lane(l)),
-            }),
-        }
-    }
-}
-
-impl<R: LaneReal> Sub for CvSpinor<R> {
-    type Output = Self;
-    /// Mirrors `Spinor - Spinor`.
-    #[inline(always)]
-    fn sub(self, rhs: Self) -> Self {
-        Self {
-            s: [
-                self.s[0] - rhs.s[0],
-                self.s[1] - rhs.s[1],
-                self.s[2] - rhs.s[2],
-                self.s[3] - rhs.s[3],
-            ],
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::su3::{ColorVec, Su3};
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
-
-    fn rnd_c(rng: &mut SmallRng) -> Complex<f64> {
-        Complex::from_f64(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
-    }
-
-    fn rnd_cvec(rng: &mut SmallRng) -> (CVec<f64>, [Complex<f64>; LANES]) {
-        let scalars: [Complex<f64>; LANES] = std::array::from_fn(|_| rnd_c(rng));
-        (CVec::gather(|l| scalars[l]), scalars)
-    }
-
-    #[test]
-    fn lane_ops_are_bit_identical_to_scalar_complex() {
-        let mut rng = SmallRng::seed_from_u64(11);
-        for _ in 0..50 {
-            let (a, sa) = rnd_cvec(&mut rng);
-            let (b, sb) = rnd_cvec(&mut rng);
-            let (acc, sacc) = rnd_cvec(&mut rng);
-            let s = rng.gen::<f64>() - 0.5;
-            for l in 0..LANES {
-                assert_eq!((a + b).lane(l), sa[l] + sb[l]);
-                assert_eq!((a - b).lane(l), sa[l] - sb[l]);
-                assert_eq!((a * b).lane(l), sa[l] * sb[l]);
-                assert_eq!((-a).lane(l), -sa[l]);
-                assert_eq!(a.conj().lane(l), sa[l].conj());
-                assert_eq!(a.scale(s).lane(l), sa[l].scale(s));
-                assert_eq!(acc.add_mul(a, b).lane(l), sacc[l].add_mul(sa[l], sb[l]));
-            }
-        }
-    }
-
-    #[test]
-    fn lane_su3_products_are_bit_identical_to_scalar() {
-        let mut rng = SmallRng::seed_from_u64(13);
-        for _ in 0..20 {
-            let us: [Su3<f64>; LANES] = std::array::from_fn(|_| Su3::random(&mut rng));
-            let vs: [ColorVec<f64>; LANES] = std::array::from_fn(|_| ColorVec {
-                c: [rnd_c(&mut rng), rnd_c(&mut rng), rnd_c(&mut rng)],
-            });
-            let u = CvSu3 {
-                m: std::array::from_fn(|i| {
-                    std::array::from_fn(|j| CVec::gather(|l| us[l].m[i][j]))
-                }),
-            };
-            let v = CvColor {
-                c: std::array::from_fn(|i| CVec::gather(|l| vs[l].c[i])),
-            };
-            let fwd = u.mul_vec(&v);
-            let bwd = u.dagger_mul_vec(&v);
-            for l in 0..LANES {
-                let sf = us[l].mul_vec(&vs[l]);
-                let sb = us[l].dagger_mul_vec(&vs[l]);
-                for i in 0..3 {
-                    assert_eq!(fwd.c[i].lane(l), sf.c[i], "mul_vec lane {l} color {i}");
-                    assert_eq!(bwd.c[i].lane(l), sb.c[i], "dagger lane {l} color {i}");
-                }
-            }
-        }
     }
 }

@@ -1,5 +1,5 @@
-//! The su(3) exponential map and algebra projection — shared by stout
-//! smearing and the HMC gauge integrator.
+//! The su(3) exponential map and algebra projection used by stout
+//! smearing.
 
 use crate::complex::Complex;
 use crate::su3::{Su3, NC};
@@ -23,7 +23,7 @@ pub fn project_antihermitian_traceless(m: &Su3<f64>) -> Su3<f64> {
 }
 
 /// Matrix exponential `exp(M)` by scaling-and-squaring with a 12th-order
-/// Taylor core — plenty for the `‖M‖ ≲ 1` matrices of smearing and HMC.
+/// Taylor core — plenty for the `‖M‖ ≲ 1` matrices of smearing.
 pub fn exp_su3(m: &Su3<f64>) -> Su3<f64> {
     // Scale down until the norm is comfortably small.
     let norm: f64 = {
@@ -56,17 +56,6 @@ pub fn exp_su3(m: &Su3<f64>) -> Su3<f64> {
         result = result * result;
     }
     result
-}
-
-/// Anti-hermitian traceless basis norm (for tests): `‖M‖²_F`.
-pub fn algebra_norm_sqr(m: &Su3<f64>) -> f64 {
-    let mut acc = 0.0;
-    for i in 0..NC {
-        for j in 0..NC {
-            acc += m.m[i][j].norm_sqr();
-        }
-    }
-    acc
 }
 
 #[cfg(test)]

@@ -1,29 +1,25 @@
-//! Cross-cutting determinism suite for the dslash execution variants.
+//! Cross-cutting determinism suite for the Dirac operators' `apply`.
 //!
 //! Pins a committed golden digest for every (operator × precision ×
-//! reconstruction × variant) combination, and asserts the tentpole
-//! invariants end to end:
+//! reconstruction) combination, and asserts end to end that
 //!
-//! - every variant of one operator is **bit-identical** to its scalar AoS
-//!   reference,
+//! - the fused `apply` is **bit-identical** to its unfused oracle, the
+//!   separate hop + algebra passes of `apply_block(.., 1)`,
 //! - results are bit-identical at pool widths 1 and 4,
-//! - the sharded halo-exchange kernel reproduces the dense hop to the bit
-//!   under multiple comm policies, including when the field is packed from
-//!   and unpacked to the blocked-SoA layout,
 //! - the 12-real / 8-real reconstructed operators track full storage to
 //!   tight tolerance (they trade exactness for bandwidth, so they pin their
 //!   own goldens rather than sharing the full-storage one).
+//!
+//! (Sharded-equals-dense per grid × policy × width is pinned by
+//! `tests/comms_determinism.rs` at the workspace root.)
 //!
 //! Regenerate the goldens after an *intentional* numerical change with:
 //! `UPDATE_GOLDENS=1 cargo test -p lqcd-core --test dslash_variants`
 //! (the digests must not depend on cargo features: `arch-simd` only widens
 //! codegen, never changes results — CI runs this suite both ways).
 
-use lqcd_core::comms::{policy_from_index, ShardedField, ShardedHopping};
 use lqcd_core::prelude::*;
-use lqcd_core::{comms::DomainDecomposition, dirac::HoppingKernel};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 const GOLDEN_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
@@ -57,34 +53,37 @@ fn with_width<T: Send>(w: usize, f: impl FnOnce() -> T + Send) -> T {
         .install(f)
 }
 
-/// Apply `op` under every supported variant at pool widths 1 and 4; assert
-/// all (variant × width) results share one digest and record it under
-/// per-variant golden keys.
-fn digest_variants<R, Op>(case: &str, op: &mut Op, seed: u64, map: &mut BTreeMap<String, u64>)
+/// The fused `apply` at pool widths 1 and 4 and the unfused
+/// `apply_block(.., 1)` at width 1 must share one digest, recorded under the
+/// case's golden key.
+fn digest_case<R, Op>(case: &str, op: &Op, seed: u64, map: &mut BTreeMap<String, u64>)
 where
     R: Real,
-    Op: VariantTunable<R> + Send,
+    Op: DiracOp<R>,
 {
     let n = op.vec_len();
     let inp = FermionField::<R>::gaussian(n, seed).data;
-    let mut reference = None;
-    for v in op.supported_variants() {
-        op.set_variant(v);
-        for w in [1usize, 4] {
-            let mut out = vec![Spinor::zero(); n];
-            let (op_ref, out_ref, inp_ref) = (&*op, &mut out, &inp);
-            with_width(w, move || op_ref.apply(out_ref, inp_ref));
-            let d = digest(&out);
-            match reference {
-                None => reference = Some(d),
-                Some(r) => assert_eq!(
-                    d, r,
-                    "{case}: variant {v:?} at width {w} diverges from the scalar reference"
-                ),
+    let run = |w: usize, fused: bool| {
+        let mut out = vec![Spinor::zero(); n];
+        let (out_ref, inp_ref) = (&mut out, &inp);
+        with_width(w, move || {
+            if fused {
+                op.apply(out_ref, inp_ref)
+            } else {
+                op.apply_block(out_ref, inp_ref, 1)
             }
-        }
-        map.insert(format!("{case}_{}", v.name()), reference.unwrap());
+        });
+        digest(&out)
+    };
+    let reference = run(1, false);
+    for w in [1usize, 4] {
+        assert_eq!(
+            run(w, true),
+            reference,
+            "{case}: fused apply at width {w} diverges from the unfused oracle"
+        );
     }
+    map.insert(case.to_string(), reference);
 }
 
 /// Build the full digest map across operators, precisions, and gauge
@@ -97,39 +96,39 @@ fn golden_map() -> BTreeMap<String, u64> {
     let gauge32 = gauge64.cast::<f32>();
     let params = MobiusParams::standard(4, 0.08);
 
-    digest_variants(
+    digest_case(
         "wilson_f64_full",
-        &mut WilsonDirac::new(&lat, &gauge64, 0.1, true),
+        &WilsonDirac::new(&lat, &gauge64, 0.1, true),
         71,
         &mut map,
     );
-    digest_variants(
+    digest_case(
         "wilson_f32_full",
-        &mut WilsonDirac::new(&lat, &gauge32, 0.1, true),
+        &WilsonDirac::new(&lat, &gauge32, 0.1, true),
         72,
         &mut map,
     );
-    digest_variants(
+    digest_case(
         "prec_wilson_f64_full",
-        &mut PrecWilson::new(&lat, &gauge64, 0.1, true),
+        &PrecWilson::new(&lat, &gauge64, 0.1, true),
         73,
         &mut map,
     );
-    digest_variants(
+    digest_case(
         "mobius_f64_full",
-        &mut MobiusDirac::new(&lat, &gauge64, params),
+        &MobiusDirac::new(&lat, &gauge64, params),
         74,
         &mut map,
     );
-    digest_variants(
+    digest_case(
         "prec_mobius_f64_full",
-        &mut PrecMobius::new(&lat, &gauge64, params),
+        &PrecMobius::new(&lat, &gauge64, params),
         75,
         &mut map,
     );
-    digest_variants(
+    digest_case(
         "prec_mobius_f32_full",
-        &mut PrecMobius::new(&lat, &gauge32, params),
+        &PrecMobius::new(&lat, &gauge32, params),
         76,
         &mut map,
     );
@@ -137,16 +136,16 @@ fn golden_map() -> BTreeMap<String, u64> {
     // Compressed-link operators: not bit-equal to full storage (their
     // tolerance is asserted separately below), so they pin their own rows.
     let r12 = Recon12Gauge::from_gauge(&gauge64);
-    digest_variants(
+    digest_case(
         "wilson_f64_recon12",
-        &mut WilsonDirac::new(&lat, &r12, 0.1, true),
+        &WilsonDirac::new(&lat, &r12, 0.1, true),
         71,
         &mut map,
     );
     let r8 = Recon8Gauge::from_gauge(&gauge64);
-    digest_variants(
+    digest_case(
         "wilson_f64_recon8",
-        &mut WilsonDirac::new(&lat, &r8, 0.1, true),
+        &WilsonDirac::new(&lat, &r8, 0.1, true),
         71,
         &mut map,
     );
@@ -183,7 +182,7 @@ fn parse_goldens(text: &str) -> BTreeMap<String, u64> {
 }
 
 #[test]
-fn variant_goldens_are_pinned_and_width_invariant() {
+fn apply_goldens_are_pinned_and_width_invariant() {
     let map = golden_map();
     if std::env::var("UPDATE_GOLDENS").is_ok() {
         std::fs::write(GOLDEN_PATH, render(&map)).expect("write goldens");
@@ -195,54 +194,9 @@ fn variant_goldens_are_pinned_and_width_invariant() {
     ));
     assert_eq!(
         map, committed,
-        "variant digests drifted from the committed goldens; if the change \
+        "apply digests drifted from the committed goldens; if the change \
          is intentional, regenerate with UPDATE_GOLDENS=1"
     );
-}
-
-#[test]
-fn sharded_policies_match_dense_hop_through_soa_frames() {
-    let lat = Lattice::new([4, 4, 4, 8]);
-    let l5 = 4;
-    let gauge = GaugeField::<f64>::hot(&lat, 33);
-    let v = lat.volume();
-    let inp = FermionField::<f64>::gaussian(l5 * v, 81).data;
-
-    // Dense reference: the single-domain hop, slice by slice.
-    let hop = HoppingKernel::new(&lat, &gauge, true);
-    let mut expect = vec![Spinor::<f64>::zero(); l5 * v];
-    for s in 0..l5 {
-        hop.apply_full(
-            &mut expect[s * v..(s + 1) * v],
-            &inp[s * v..(s + 1) * v],
-            64,
-        );
-    }
-
-    let soa_in = SoaSpinorField::from_aos(&inp);
-    for (grid, pidx) in [([2, 1, 1, 1], 0usize), ([1, 1, 1, 2], 1)] {
-        let domain = Arc::new(
-            DomainDecomposition::new(&lat, grid, l5, 2).expect("grid decomposes the lattice"),
-        );
-        let mut sharded =
-            ShardedHopping::new(domain.clone(), &gauge, true, policy_from_index(pidx));
-        for w in [1usize, 4] {
-            // Pack from the blocked-SoA layout, exchange, unpack back.
-            let mut si = ShardedField::scatter_soa(&domain, &soa_in, l5);
-            let mut so = ShardedField::zeros(&domain, l5);
-            let (sh, si_ref, so_ref) = (&mut sharded, &mut si, &mut so);
-            with_width(w, move || {
-                sh.apply(so_ref, si_ref).expect("fault-free apply");
-            });
-            let mut soa_out = SoaSpinorField::zeros(l5 * v);
-            so.gather_into_soa(&domain, &mut soa_out);
-            assert_eq!(
-                soa_out.to_aos(),
-                expect,
-                "grid {grid:?} policy {pidx} width {w}"
-            );
-        }
-    }
 }
 
 #[test]

@@ -110,6 +110,12 @@ impl Backend {
                 "need at least one configuration".into(),
             ));
         }
+        if cfg.l5 < 2 {
+            return Err(ServiceError::Config(format!(
+                "fifth-dimension extent l5 = {} must be at least 2",
+                cfg.l5
+            )));
+        }
         let lat = Lattice::new(cfg.dims);
         let configs: Vec<GaugeField<f64>> = (0..cfg.n_configs)
             .map(|i| GaugeField::<f64>::hot(&lat, 1000 + i as u64))
@@ -145,10 +151,23 @@ impl Backend {
         FermionField::<f64>::gaussian(len, seed).data
     }
 
-    fn gauge(&self, config_id: u32) -> Result<&GaugeField<f64>, ServiceError> {
-        self.configs
+    /// Resolve a request's `(config, mass)` pair: an unknown configuration
+    /// id or a `mass_bits` that does not decode to a finite number is
+    /// rejected here, before any operator is built on it.
+    fn system(
+        &self,
+        config_id: u32,
+        mass_bits: u64,
+    ) -> Result<(&GaugeField<f64>, f64), ServiceError> {
+        let gauge = self
+            .configs
             .get(config_id as usize)
-            .ok_or_else(|| ServiceError::Config(format!("unknown configuration id {config_id}")))
+            .ok_or_else(|| ServiceError::Config(format!("unknown configuration id {config_id}")))?;
+        let mass = f64::from_bits(mass_bits);
+        if !mass.is_finite() {
+            return Err(ServiceError::Config(format!("mass {mass} is not finite")));
+        }
+        Ok((gauge, mass))
     }
 
     fn params(&self, precision: Precision) -> CgParams {
@@ -169,11 +188,10 @@ impl Backend {
         precision: Precision,
         seeds: &[u64],
     ) -> Result<Vec<SolveResult>, ServiceError> {
-        let gauge = self.gauge(config_id)?;
+        let (gauge, mass) = self.system(config_id, mass_bits)?;
         if seeds.is_empty() {
             return Ok(Vec::new());
         }
-        let mass = f64::from_bits(mass_bits);
         let d = WilsonDirac::new(&self.lat, gauge, mass, true);
         let a = NormalOp::new(&d);
         let cols: Vec<Vec<Spinor<f64>>> = seeds
@@ -205,8 +223,7 @@ impl Backend {
         precision: Precision,
         seed: u64,
     ) -> Result<SolveResult, ServiceError> {
-        let gauge = self.gauge(config_id)?;
-        let mass = f64::from_bits(mass_bits);
+        let (gauge, mass) = self.system(config_id, mass_bits)?;
         let d = WilsonDirac::new(&self.lat, gauge, mass, true);
         let a = NormalOp::new(&d);
         let b = self.source(seed, Policy::Dense);
@@ -231,8 +248,7 @@ impl Backend {
         precision: Precision,
         seed: u64,
     ) -> Result<SolveResult, ServiceError> {
-        let gauge = self.gauge(config_id)?;
-        let mass = f64::from_bits(mass_bits);
+        let (gauge, mass) = self.system(config_id, mass_bits)?;
         let params = MobiusParams::standard(self.cfg.l5, mass);
         let b = self.source(seed, Policy::Sharded);
         let mut x = vec![Spinor::zero(); b.len()];
@@ -326,7 +342,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_batch_is_an_empty_answer_not_a_panic() {
+    fn degenerate_requests_are_typed_answers_not_panics() {
         let be = backend();
         let mass_bits = 0.2f64.to_bits();
         let batch = be.solve_dense_batch(0, mass_bits, Precision::Sloppy, &[]);
@@ -335,6 +351,27 @@ mod tests {
         assert!(be
             .solve_dense_batch(99, mass_bits, Precision::Sloppy, &[])
             .is_err());
+        // A mass that decodes to NaN/±∞ is refused by every entry point
+        // instead of burning a full solve to a breakdown.
+        let is_config = |e: ServiceError| matches!(e, ServiceError::Config(_));
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let bits = bad.to_bits();
+            let p = Precision::Sloppy;
+            assert!(be
+                .solve_dense_batch(0, bits, p, &[501])
+                .is_err_and(is_config));
+            assert!(be.solve_dense_solo(0, bits, p, 501).is_err_and(is_config));
+            assert!(be.solve_sharded(0, bits, p, 501).is_err_and(is_config));
+        }
+        // A fifth dimension the Möbius operator cannot be built on is
+        // refused at construction, not by a panic in a worker.
+        for l5 in [0, 1] {
+            let cfg = BackendConfig {
+                l5,
+                ..BackendConfig::default()
+            };
+            assert!(Backend::new(cfg).is_err_and(is_config), "l5 = {l5}");
+        }
     }
 
     #[test]

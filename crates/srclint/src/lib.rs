@@ -140,7 +140,6 @@ impl Default for Config {
             sanctioned_nondet: vec![
                 "crates/obs/src/clock.rs".into(),
                 "vendor/rayon/src/pool.rs".into(),
-                "crates/bench/src/experiments/kernels.rs".into(),
             ],
             panic_scope: vec![
                 "crates/core/src/".into(),

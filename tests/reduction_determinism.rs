@@ -98,25 +98,3 @@ fn topological_charge_and_action_density_bits_stable_across_widths() {
         )
     });
 }
-
-#[test]
-fn hmc_trajectory_bits_stable_across_widths() {
-    // The kinetic-energy reduction feeds the Metropolis ΔH; a
-    // width-dependent sum would fork accept/reject decisions between
-    // machines. One full trajectory (two kinetic evaluations, one action
-    // difference) must produce the same bits at any width.
-    let lat = Lattice::new([4, 4, 4, 4]);
-    widths_agree("hmc trajectory ΔH", || {
-        let mut hmc = HmcSampler::cold_start(
-            &lat,
-            HmcParams {
-                beta: 5.7,
-                trajectory_length: 0.5,
-                n_steps: 5,
-            },
-            99,
-        );
-        let t = hmc.trajectory();
-        (t.delta_h.to_bits(), t.accepted, t.plaquette.to_bits())
-    });
-}
