@@ -610,18 +610,19 @@ mod tests {
         let (lat, gauge, _) = setup([4, 4, 4, 4], 23);
         let hv = lat.half_volume();
         let hop = HoppingKernel::new(&lat, &gauge, true);
-        let nrhs = 3usize;
-        let cols: Vec<Vec<Spinor<f64>>> = (0..nrhs)
-            .map(|j| FermionField::gaussian(hv, 200 + j as u64).data)
-            .collect();
-        let block = crate::block::BlockSpinor::from_columns(&cols);
-        for parity in [Parity::Even, Parity::Odd] {
-            let mut out = crate::block::BlockSpinor::zeros(hv, nrhs);
-            hop.apply_parity_block(out.data_mut(), block.data(), parity, nrhs, 64);
-            for (j, c) in cols.iter().enumerate() {
-                let mut single = vec![Spinor::zero(); hv];
-                hop.apply_parity(&mut single, c, parity, 64);
-                assert_eq!(out.col(j), single, "parity {parity:?} column {j}");
+        for nrhs in [1usize, 3] {
+            let cols: Vec<Vec<Spinor<f64>>> = (0..nrhs)
+                .map(|j| FermionField::gaussian(hv, 200 + j as u64).data)
+                .collect();
+            let block = crate::block::BlockSpinor::from_columns(&cols);
+            for parity in [Parity::Even, Parity::Odd] {
+                let mut out = crate::block::BlockSpinor::zeros(hv, nrhs);
+                hop.apply_parity_block(out.data_mut(), block.data(), parity, nrhs, 64);
+                for (j, c) in cols.iter().enumerate() {
+                    let mut single = vec![Spinor::zero(); hv];
+                    hop.apply_parity(&mut single, c, parity, 64);
+                    assert_eq!(out.col(j), single, "parity {parity:?} column {j} of {nrhs}");
+                }
             }
         }
     }

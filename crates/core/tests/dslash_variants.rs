@@ -1,10 +1,13 @@
-//! Cross-cutting determinism suite for the Dirac operators' `apply`.
+//! Cross-cutting determinism suite for the Dirac operators' `apply` and
+//! `apply_dagger`.
 //!
 //! Pins a committed golden digest for every (operator × precision ×
-//! reconstruction) combination, and asserts end to end that
+//! reconstruction) combination and its adjoint (`*_dagger` keys), and
+//! asserts end to end that
 //!
 //! - the fused `apply` is **bit-identical** to its unfused oracle, the
-//!   separate hop + algebra passes of `apply_block(.., 1)`,
+//!   separate hop + algebra passes of `apply_block(.., 1)`, and
+//!   `apply_dagger` to `apply_dagger_block(.., 1)`,
 //! - results are bit-identical at pool widths 1 and 4,
 //! - the 12-real / 8-real reconstructed operators track full storage to
 //!   tight tolerance (they trade exactness for bandwidth, so they pin their
@@ -53,37 +56,45 @@ fn with_width<T: Send>(w: usize, f: impl FnOnce() -> T + Send) -> T {
         .install(f)
 }
 
-/// The fused `apply` at pool widths 1 and 4 and the unfused
-/// `apply_block(.., 1)` at width 1 must share one digest, recorded under the
-/// case's golden key.
+/// `apply` at pool widths 1 and 4 and the unfused `apply_block(.., 1)` at
+/// width 1 must share one digest, recorded under the case's golden key; the
+/// adjoint (`apply_dagger` against `apply_dagger_block(.., 1)`) likewise,
+/// under `{case}_dagger`.
 fn digest_case<R, Op>(case: &str, op: &Op, seed: u64, map: &mut BTreeMap<String, u64>)
 where
     R: Real,
     Op: DiracOp<R>,
 {
+    type Kernel<'k, R> = &'k (dyn Fn(&mut [Spinor<R>], &[Spinor<R>]) + Sync);
     let n = op.vec_len();
     let inp = FermionField::<R>::gaussian(n, seed).data;
-    let run = |w: usize, fused: bool| {
+    let run = |w: usize, kernel: Kernel<'_, R>| {
         let mut out = vec![Spinor::zero(); n];
         let (out_ref, inp_ref) = (&mut out, &inp);
-        with_width(w, move || {
-            if fused {
-                op.apply(out_ref, inp_ref)
-            } else {
-                op.apply_block(out_ref, inp_ref, 1)
-            }
-        });
+        with_width(w, move || kernel(out_ref, inp_ref));
         digest(&out)
     };
-    let reference = run(1, false);
-    for w in [1usize, 4] {
-        assert_eq!(
-            run(w, true),
-            reference,
-            "{case}: fused apply at width {w} diverges from the unfused oracle"
-        );
+    let kernels: [(String, Kernel<'_, R>, Kernel<'_, R>); 2] = [
+        (case.to_string(), &|o, i| op.apply(o, i), &|o, i| {
+            op.apply_block(o, i, 1)
+        }),
+        (
+            format!("{case}_dagger"),
+            &|o, i| op.apply_dagger(o, i),
+            &|o, i| op.apply_dagger_block(o, i, 1),
+        ),
+    ];
+    for (key, scalar, oracle) in kernels {
+        let reference = run(1, oracle);
+        for w in [1usize, 4] {
+            assert_eq!(
+                run(w, scalar),
+                reference,
+                "{key}: scalar form at width {w} diverges from the one-column block oracle"
+            );
+        }
+        map.insert(key, reference);
     }
-    map.insert(case.to_string(), reference);
 }
 
 /// Build the full digest map across operators, precisions, and gauge
