@@ -35,6 +35,12 @@ struct Inner {
     stats: TunerStats,
 }
 
+/// `autotune.candidate_seconds` buckets: 1 µs .. ~68 s, ×4 per bucket.
+const CANDIDATE_SECONDS_BOUNDS: [f64; 13] = [
+    1e-6, 4e-6, 1.6e-5, 6.4e-5, 2.56e-4, 1.024e-3, 4.096e-3, 1.6384e-2, 6.5536e-2, 2.62144e-1,
+    1.048576, 4.194304, 16.777216,
+];
+
 /// Deterministic ordering over every key axis, shared by the JSON dump and
 /// the human-readable summary.
 fn sort_key(k: &TuneKey) -> (&String, &String, &String, usize) {
@@ -109,10 +115,8 @@ impl Tuner {
 
         let space = tunable.param_space();
         tunable.backup();
-        let candidate_seconds = reg.histogram(
-            "autotune.candidate_seconds",
-            &obs::span::DEFAULT_SECONDS_BOUNDS,
-        );
+        let candidate_seconds =
+            reg.histogram("autotune.candidate_seconds", &CANDIDATE_SECONDS_BOUNDS);
         let mut best_param = space.candidates()[0];
         let mut best_time = f64::INFINITY;
         for &candidate in space.candidates() {

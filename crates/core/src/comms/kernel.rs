@@ -851,30 +851,16 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         err.map_or(Ok(()), Err)
     }
 
-    /// `out = D inp` on global s-major 5D vectors, bit-identical to the
-    /// single-domain operator; fallible (see [`Self::with_sharded_hop`]).
-    pub fn apply(&mut self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) -> Result<(), CommError> {
-        self.with_sharded_hop(|m, hop| m.apply_with_hop(out, inp, &mut |o, i| hop(o, i, 1)))
-    }
-
     /// Fifth-dimension extent × volume geometry parameters.
     pub fn params(&self) -> &MobiusParams {
         self.mobius.params()
     }
 
-    /// `out = D† inp` with the sharded hopping term (`H† = γ5 H γ5`),
-    /// fallible like [`Self::apply`].
-    pub fn apply_dagger(
-        &mut self,
-        out: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
-    ) -> Result<(), CommError> {
-        self.with_sharded_hop(|m, hop| m.apply_dagger_with_hop(out, inp, &mut |o, i| hop(o, i, 1)))
-    }
-
-    /// Batched [`Self::apply`] on RHS-innermost interleaved vectors: one
-    /// halo exchange's worth of messages serves all `nrhs` columns, and
-    /// column `j` is bit-identical to `apply` on the packed column.
+    /// `out = D inp` on global s-major, RHS-innermost interleaved 5D
+    /// vectors: one halo exchange's worth of messages serves all `nrhs`
+    /// columns, and column `j` is bit-identical to the single-domain
+    /// operator on the packed column; fallible (see
+    /// [`Self::with_sharded_hop`]).
     pub fn apply_block(
         &mut self,
         out: &mut [Spinor<R>],
@@ -884,7 +870,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         self.with_sharded_hop(|m, hop| m.apply_block_with_hop(out, inp, nrhs, hop))
     }
 
-    /// Batched [`Self::apply_dagger`], fallible like [`Self::apply_block`].
+    /// `out = D† inp` with the sharded hopping term (`H† = γ5 H γ5`),
+    /// fallible like [`Self::apply_block`].
     pub fn apply_dagger_block(
         &mut self,
         out: &mut [Spinor<R>],
@@ -934,7 +921,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedNormal<'a, R, G> {
     ) -> Option<Self> {
         let domain = DomainDecomposition::new(lattice, grid, params.l5, gpus_per_node)?;
         let op = ShardedMobius::new(lattice, gauge, params, Arc::new(domain), policy);
-        let n = op.vec_len();
         Some(Self {
             lattice,
             gauge,
@@ -945,7 +931,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedNormal<'a, R, G> {
             grid,
             op,
             degradations: 0,
-            tmp: vec![Spinor::zero(); n],
+            tmp: Vec::new(),
         })
     }
 
@@ -983,21 +969,17 @@ impl<'a, R: Real, G: GaugeLinks<R>> FallibleOp<R> for ShardedNormal<'a, R, G> {
     }
 
     /// One halo exchange per hop serves the whole interleaved block, and
-    /// each column's result is bit-identical to the single-RHS operator —
-    /// which is what a one-column block runs.
+    /// each column's result is bit-identical to the single-domain operator
+    /// on that column.
     fn apply_block(
         &mut self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         nrhs: usize,
     ) -> Result<(), CommError> {
-        if nrhs == 1 {
-            self.op.apply(&mut self.tmp, inp)?;
-            return self.op.apply_dagger(out, &self.tmp);
-        }
-        let mut tmp = vec![Spinor::zero(); self.op.vec_len() * nrhs];
-        self.op.apply_block(&mut tmp, inp, nrhs)?;
-        self.op.apply_dagger_block(out, &tmp, nrhs)
+        self.tmp.resize(self.op.vec_len() * nrhs, Spinor::zero());
+        self.op.apply_block(&mut self.tmp, inp, nrhs)?;
+        self.op.apply_dagger_block(out, &self.tmp, nrhs)
     }
 
     fn flops_per_apply(&self) -> f64 {

@@ -101,6 +101,14 @@ pub fn hop_site<R: Real>(
 ///
 /// `fetch(site, j)` returns column `j` of the neighbor spinor; `out` is the
 /// `nrhs`-long interleaved row at site `x`.
+///
+/// A one-column row has no second column to reuse the links, so it calls
+/// [`hop_site`] with the caller's `link` directly instead of copying eight
+/// links into locals first: the scalar operator forms run as one-column
+/// blocks, and the copy alone was measured at 1–5 % of `fh_small`'s
+/// time-to-solution (DESIGN.md, "Data layout & vectorization"). This is
+/// the kernel-side twin of `block.rs`'s `nrhs == 1` BLAS dispatch, and the
+/// only place in the Dirac layer that knows a block may be one column wide.
 #[inline]
 pub fn hop_site_block<R: Real>(
     nb: &Neighbors,
@@ -110,6 +118,10 @@ pub fn hop_site_block<R: Real>(
     link: &impl Fn(usize, usize) -> Su3<R>,
     out: &mut [Spinor<R>],
 ) {
+    if let [o] = out {
+        *o = hop_site(nb, x, antiperiodic_t, &|e| fetch(e, 0), link);
+        return;
+    }
     let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| link(x, mu));
     let bwd: [Su3<R>; ND] = std::array::from_fn(|mu| link(nb.bwd[mu] as usize, mu));
     // `hop_site` asks for `link(x, mu)` on forward hops and

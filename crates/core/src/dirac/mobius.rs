@@ -479,6 +479,10 @@ pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     scratch: Scratch2<R>,
 }
 
+/// Caller-supplied *blocked* 4D hopping term on interleaved 5D blocks:
+/// `hop(out, inp, nrhs)` with `(s·V + x)·nrhs + j` layout.
+pub type Hop5dBlock<'h, R> = dyn FnMut(&mut [Spinor<R>], &[Spinor<R>], usize) + 'h;
+
 impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
     /// Bind the operator (antiperiodic temporal BCs are always used — the
     /// physical choice for the valence sector).
@@ -511,15 +515,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         self.fifth.params.l5
     }
 
-    /// Apply the 4D hopping slice-by-slice on full-volume 5D vectors.
-    fn hop_5d(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let v = self.lattice.volume();
-        for s in 0..self.l5() {
-            let (o, i) = (&mut out[s * v..(s + 1) * v], &inp[s * v..(s + 1) * v]);
-            self.hopping.apply_full(o, i, self.grain);
-        }
-    }
-
     /// Blocked slice-by-slice hopping on interleaved 5D blocks
     /// (`(s·V + x)·nrhs + j` layout — each s-slice is a contiguous 4D block).
     fn hop_5d_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
@@ -529,89 +524,15 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
             self.hopping.apply_full_block(o, i, nrhs, self.grain);
         }
     }
-}
 
-/// Caller-supplied 4D hopping term acting on full 5D (`L5 × V`, s-major)
-/// vectors: `hop(out, inp)`.
-pub type Hop5d<'h, R> = dyn FnMut(&mut [Spinor<R>], &[Spinor<R>]) + 'h;
-
-/// Caller-supplied *blocked* 4D hopping term on interleaved 5D blocks:
-/// `hop(out, inp, nrhs)` with `(s·V + x)·nrhs + j` layout.
-pub type Hop5dBlock<'h, R> = dyn FnMut(&mut [Spinor<R>], &[Spinor<R>], usize) + 'h;
-
-impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
-    /// `out = A(inp) − ½ hop(ρ(inp))` with the 4D hopping term supplied by
-    /// the caller: `hop(out, inp)` receives full 5D (`L5 × V`, s-major)
-    /// vectors. The fifth-dimension algebra (`ρ`, `A`, the halving) is
-    /// applied identically to [`LinearOp::apply`], so any `hop` that is
-    /// bit-identical to the bound single-domain kernel — e.g. the sharded
-    /// halo-exchange dslash in [`crate::comms`] — yields a bit-identical
-    /// Möbius application.
-    pub fn apply_with_hop(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], hop: &mut Hop5d<'_, R>) {
-        let v = self.lattice.volume();
-        let p = &self.fifth.params;
-        let n = self.vec_len();
-        assert_eq!(out.len(), n);
-        assert_eq!(inp.len(), n);
-
-        // ρ(ψ) then H ρ(ψ).
-        let mut rho = vec![Spinor::zero(); n];
-        self.fifth.affine_shift(&mut rho, inp, v, p.b5, p.c5, false);
-        let mut hrho = vec![Spinor::zero(); n];
-        hop(&mut hrho, &rho);
-
-        // A(ψ) − ½ H ρ(ψ).
-        self.fifth
-            .affine_shift(out, inp, v, p.alpha(), p.beta(), false);
-        let half = R::from_f64(0.5);
-        out.par_iter_mut().zip(hrho.par_iter()).for_each(|(o, h)| {
-            *o = *o - h.scale(half);
-        });
-    }
-
-    /// Adjoint application with a caller-supplied 4D hopping term:
-    /// `out = A†(inp) − ½ ρ†(γ5 hop(γ5 inp))`, using `H† = γ5 H γ5`. The
-    /// fifth-dimension algebra matches [`DiracOp::apply_dagger`] exactly, so
-    /// a `hop` bit-identical to the bound kernel yields a bit-identical
-    /// adjoint — the sharded normal operator [`crate::comms::ShardedNormal`]
-    /// relies on this for checkpoint-exact restarts.
-    pub fn apply_dagger_with_hop(
-        &self,
-        out: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
-        hop: &mut Hop5d<'_, R>,
-    ) {
-        let v = self.lattice.volume();
-        let p = &self.fifth.params;
-        let n = self.vec_len();
-        assert_eq!(out.len(), n);
-        assert_eq!(inp.len(), n);
-
-        // h = γ5 H γ5 ψ.
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        let mut h = vec![Spinor::zero(); n];
-        hop(&mut h, &g5in);
-        h.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
-
-        // ρ† h.
-        let mut rho_h = vec![Spinor::zero(); n];
-        self.fifth.affine_shift(&mut rho_h, &h, v, p.b5, p.c5, true);
-
-        // A† ψ − ½ ρ† h.
-        self.fifth
-            .affine_shift(out, inp, v, p.alpha(), p.beta(), true);
-        let half = R::from_f64(0.5);
-        out.par_iter_mut().zip(rho_h.par_iter()).for_each(|(o, r)| {
-            *o = *o - r.scale(half);
-        });
-    }
-
-    /// Blocked `out = A(inp) − ½ hop(ρ(inp))` on `nrhs` interleaved
-    /// right-hand-sides. The fifth-dimension ops act per `(s, 4D-site)`
-    /// element, so running them with slice length `V·nrhs` on the
-    /// interleaved block applies the identical scalar arithmetic to every
-    /// column — column `j` is bit-identical to [`Self::apply_with_hop`] on
-    /// that column alone (given a `hop` with the same property).
+    /// `out = A(inp) − ½ hop(ρ(inp))` on `nrhs` interleaved right-hand-sides
+    /// with the 4D hopping term supplied by the caller. The fifth-dimension
+    /// ops (`ρ`, `A`, the halving) act per `(s, 4D-site)` element, so running
+    /// them with slice length `V·nrhs` on the interleaved block applies the
+    /// identical scalar arithmetic to every column, and that arithmetic is
+    /// [`LinearOp::apply`]'s: any `hop` that is column-wise bit-identical to
+    /// the bound single-domain kernel — e.g. the sharded halo-exchange dslash
+    /// in [`crate::comms`] — yields a bit-identical Möbius application.
     pub fn apply_block_with_hop(
         &self,
         out: &mut [Spinor<R>],
@@ -639,8 +560,12 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         });
     }
 
-    /// Blocked adjoint with a caller-supplied blocked hopping term;
-    /// column-wise bit-identical to [`Self::apply_dagger_with_hop`].
+    /// Adjoint with a caller-supplied blocked hopping term:
+    /// `out = A†(inp) − ½ ρ†(γ5 hop(γ5 inp))`, using `H† = γ5 H γ5`. The
+    /// fifth-dimension algebra is [`DiracOp::apply_dagger_block`]'s own, so
+    /// a `hop` bit-identical to the bound kernel yields a bit-identical
+    /// adjoint — the sharded normal operator [`crate::comms::ShardedNormal`]
+    /// relies on this for checkpoint-exact restarts.
     pub fn apply_dagger_block_with_hop(
         &self,
         out: &mut [Spinor<R>],
@@ -715,15 +640,11 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for MobiusDirac<'a, R, G> {
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for MobiusDirac<'a, R, G> {
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         // The Möbius operator with c5 ≠ 0 is NOT Γ5R5-hermitian (the 4D
         // hopping does not commute with the chirality-projected s-shift), so
         // — like QUDA's Mdag — the adjoint is applied explicitly:
         // D† = A† − ½ ρ† H† with H† = γ5 H γ5.
-        self.apply_dagger_with_hop(out, inp, &mut |o, i| self.hop_5d(o, i));
-    }
-
-    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         self.apply_dagger_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n));
     }
 }
@@ -776,15 +697,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         self.lattice.half_volume()
     }
 
-    /// Slice-wise checkerboarded hopping on 5D half-volume vectors.
-    fn hop_5d_parity(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], out_parity: Parity) {
-        let hv = self.hv();
-        for s in 0..self.l5() {
-            let (o, i) = (&mut out[s * hv..(s + 1) * hv], &inp[s * hv..(s + 1) * hv]);
-            self.hopping.apply_parity(o, i, out_parity, self.grain);
-        }
-    }
-
     /// Split a full 5D vector into (even, odd) 5D checkerboard vectors.
     pub fn split(&self, full: &[Spinor<R>]) -> (Vec<Spinor<R>>, Vec<Spinor<R>>) {
         let v = self.lattice.volume();
@@ -823,44 +735,12 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         full
     }
 
-    /// `M_eo`-style off-diagonal application onto `out_parity`:
-    /// `out = −½ H ρ(in)`.
-    fn offdiag(&self, inp: &[Spinor<R>], out_parity: Parity) -> Vec<Spinor<R>> {
-        let hv = self.hv();
-        let p = &self.fifth.params;
-        let mut rho = vec![Spinor::zero(); inp.len()];
-        self.fifth
-            .affine_shift(&mut rho, inp, hv, p.b5, p.c5, false);
-        let mut hop = vec![Spinor::zero(); inp.len()];
-        self.hop_5d_parity(&mut hop, &rho, out_parity);
-        hop.par_iter_mut()
-            .for_each(|s| *s = s.scale(R::from_f64(-0.5)));
-        hop
-    }
-
-    /// Adjoint off-diagonal application onto `out_parity`:
-    /// `out = −½ ρ† γ5 H γ5 (in)`.
-    fn offdiag_dagger(&self, inp: &[Spinor<R>], out_parity: Parity) -> Vec<Spinor<R>> {
-        let hv = self.hv();
-        let p = &self.fifth.params;
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        let mut hop = vec![Spinor::zero(); inp.len()];
-        self.hop_5d_parity(&mut hop, &g5in, out_parity);
-        hop.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
-        let mut out = vec![Spinor::zero(); inp.len()];
-        self.fifth
-            .affine_shift(&mut out, &hop, hv, p.b5, p.c5, true);
-        out.par_iter_mut()
-            .for_each(|s| *s = s.scale(R::from_f64(-0.5)));
-        out
-    }
-
     /// Preconditioned source `b'_o = b_o − M_oe A⁻¹ b_e`.
     pub fn prepare_source(&self, b_even: &[Spinor<R>], b_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
         let hv = self.hv();
         let mut ainv_be = vec![Spinor::zero(); b_even.len()];
         self.fifth.apply_a_inverse(&mut ainv_be, b_even, hv, false);
-        let moe = self.offdiag(&ainv_be, Parity::Odd);
+        let moe = self.offdiag_block(&ainv_be, Parity::Odd, 1);
         let mut out = b_odd.to_vec();
         out.par_iter_mut().zip(moe.par_iter()).for_each(|(o, m)| {
             *o = *o - *m;
@@ -871,7 +751,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
     /// Even-site reconstruction `x_e = A⁻¹ (b_e − M_eo x_o)`.
     pub fn reconstruct_even(&self, b_even: &[Spinor<R>], x_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
         let hv = self.hv();
-        let meo = self.offdiag(x_odd, Parity::Even);
+        let meo = self.offdiag_block(x_odd, Parity::Even, 1);
         let mut rhs = b_even.to_vec();
         rhs.par_iter_mut().zip(meo.par_iter()).for_each(|(r, m)| {
             *r = *r - *m;
@@ -900,7 +780,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         }
     }
 
-    /// Blocked `out = −½ H ρ(in)` onto `out_parity`.
+    /// `M_eo`-style off-diagonal application onto `out_parity`, blocked:
+    /// `out = −½ H ρ(in)`.
     fn offdiag_block(&self, inp: &[Spinor<R>], out_parity: Parity, nrhs: usize) -> Vec<Spinor<R>> {
         let hvb = self.hv() * nrhs;
         let p = &self.fifth.params;
@@ -914,7 +795,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         hop
     }
 
-    /// Blocked `out = −½ ρ† γ5 H γ5 (in)` onto `out_parity`.
+    /// Adjoint off-diagonal application onto `out_parity`, blocked:
+    /// `out = −½ ρ† γ5 H γ5 (in)`.
     fn offdiag_dagger_block(
         &self,
         inp: &[Spinor<R>],
@@ -933,6 +815,34 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         out.par_iter_mut()
             .for_each(|s| *s = s.scale(R::from_f64(-0.5)));
         out
+    }
+
+    /// The unfused Schur complement on an interleaved block:
+    /// `M̂ = A − M_oe A⁻¹ M_eo`, or with `dagger`
+    /// `M̂† = A† − M_eo† (A†)⁻¹ M_oe†`, each adjoint applied explicitly.
+    fn schur_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize, dagger: bool) {
+        let hvb = self.hv() * nrhs;
+        let p = &self.fifth.params;
+        assert_eq!(out.len(), self.vec_len() * nrhs);
+        assert_eq!(inp.len(), self.vec_len() * nrhs);
+        let offdiag = if dagger {
+            Self::offdiag_dagger_block
+        } else {
+            Self::offdiag_block
+        };
+
+        let to_even = offdiag(self, inp, Parity::Even, nrhs);
+        let mut ainv = vec![Spinor::zero(); to_even.len()];
+        self.fifth.apply_a_inverse(&mut ainv, &to_even, hvb, dagger);
+        let to_odd = offdiag(self, &ainv, Parity::Odd, nrhs);
+
+        self.fifth
+            .affine_shift(out, inp, hvb, p.alpha(), p.beta(), dagger);
+        out.par_iter_mut()
+            .zip(to_odd.par_iter())
+            .for_each(|(o, m)| {
+                *o = *o - *m;
+            });
     }
 }
 
@@ -997,60 +907,13 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
     }
 
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let hvb = self.hv() * nrhs;
-        let p = &self.fifth.params;
-        assert_eq!(out.len(), self.vec_len() * nrhs);
-        assert_eq!(inp.len(), self.vec_len() * nrhs);
-
-        let meo = self.offdiag_block(inp, Parity::Even, nrhs);
-        let mut ainv = vec![Spinor::zero(); meo.len()];
-        self.fifth.apply_a_inverse(&mut ainv, &meo, hvb, false);
-        let moe = self.offdiag_block(&ainv, Parity::Odd, nrhs);
-
-        self.fifth
-            .affine_shift(out, inp, hvb, p.alpha(), p.beta(), false);
-        out.par_iter_mut().zip(moe.par_iter()).for_each(|(o, m)| {
-            *o = *o - *m;
-        });
+        self.schur_block(out, inp, nrhs, false);
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        // M̂† = A† − M_eo† (A†)⁻¹ M_oe†, each adjoint applied explicitly.
-        let hv = self.hv();
-        let p = &self.fifth.params;
-
-        let moe_dag = self.offdiag_dagger(inp, Parity::Even);
-        let mut ainv = vec![Spinor::zero(); moe_dag.len()];
-        self.fifth.apply_a_inverse(&mut ainv, &moe_dag, hv, true);
-        let meo_dag = self.offdiag_dagger(&ainv, Parity::Odd);
-
-        self.fifth
-            .affine_shift(out, inp, hv, p.alpha(), p.beta(), true);
-        out.par_iter_mut()
-            .zip(meo_dag.par_iter())
-            .for_each(|(o, m)| {
-                *o = *o - *m;
-            });
-    }
-
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let hvb = self.hv() * nrhs;
-        let p = &self.fifth.params;
-
-        let moe_dag = self.offdiag_dagger_block(inp, Parity::Even, nrhs);
-        let mut ainv = vec![Spinor::zero(); moe_dag.len()];
-        self.fifth.apply_a_inverse(&mut ainv, &moe_dag, hvb, true);
-        let meo_dag = self.offdiag_dagger_block(&ainv, Parity::Odd, nrhs);
-
-        self.fifth
-            .affine_shift(out, inp, hvb, p.alpha(), p.beta(), true);
-        out.par_iter_mut()
-            .zip(meo_dag.par_iter())
-            .for_each(|(o, m)| {
-                *o = *o - *m;
-            });
+        self.schur_block(out, inp, nrhs, true);
     }
 }
 
@@ -1330,7 +1193,7 @@ mod tests {
         op.fifth
             .affine_shift(&mut expect, &psi, v, params.alpha(), params.beta(), false);
         let mut hpsi = vec![Spinor::zero(); n];
-        op.hop_5d(&mut hpsi, &psi);
+        op.hop_5d_block(&mut hpsi, &psi, 1);
         for i in 0..n {
             expect[i] = expect[i] - hpsi[i].scale(0.5);
         }

@@ -31,37 +31,28 @@ pub trait LinearOp<R: Real>: Sync {
     /// operators override it with blocked kernels that reuse the single-RHS
     /// per-site arithmetic and amortize the gauge-link loads across columns.
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        by_column(out, inp, nrhs, |o, i| self.apply(o, i));
+        let n = inp.len() / nrhs;
+        let mut col_out = vec![Spinor::zero(); n];
+        for j in 0..nrhs {
+            let col_in: Vec<Spinor<R>> = (0..n).map(|i| inp[i * nrhs + j]).collect();
+            self.apply(&mut col_out, &col_in);
+            for (i, s) in col_out.iter().enumerate() {
+                out[i * nrhs + j] = *s;
+            }
+        }
     }
 }
 
 /// A Dirac-type operator: knows its adjoint (via γ5-hermiticity), so the
 /// normal equations `D†D x = D†b` can be formed.
 pub trait DiracOp<R: Real>: LinearOp<R> {
-    /// `out = D† · inp`.
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]);
     /// `out = D† · inp` on an interleaved block, under the same
-    /// bit-exactness contract as [`LinearOp::apply_block`].
-    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        by_column(out, inp, nrhs, |o, i| self.apply_dagger(o, i));
-    }
-}
-
-/// Run a single-RHS `apply` over each column of an interleaved block.
-fn by_column<R: Real>(
-    out: &mut [Spinor<R>],
-    inp: &[Spinor<R>],
-    nrhs: usize,
-    mut apply: impl FnMut(&mut [Spinor<R>], &[Spinor<R>]),
-) {
-    let n = inp.len() / nrhs;
-    let mut col_out = vec![Spinor::zero(); n];
-    for j in 0..nrhs {
-        let col_in: Vec<Spinor<R>> = (0..n).map(|i| inp[i * nrhs + j]).collect();
-        apply(&mut col_out, &col_in);
-        for (i, s) in col_out.iter().enumerate() {
-            out[i * nrhs + j] = *s;
-        }
+    /// bit-exactness contract as [`LinearOp::apply_block`]. Each operator
+    /// writes its adjoint once, here.
+    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize);
+    /// `out = D† · inp`: the one-column block.
+    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        self.apply_dagger_block(out, inp, 1);
     }
 }
 

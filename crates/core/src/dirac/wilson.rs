@@ -90,14 +90,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for WilsonDirac<'a, R, G> {
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for WilsonDirac<'a, R, G> {
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        // γ5-hermiticity: D† = γ5 D γ5.
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        self.apply(out, &g5in);
-        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
-    }
-
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        // γ5-hermiticity: D† = γ5 D γ5.
         let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
         self.apply_block(out, &g5in, nrhs);
         out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
@@ -243,12 +237,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecWilson<'a, R, G> {
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecWilson<'a, R, G> {
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        self.apply(out, &g5in);
-        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
-    }
-
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
         self.apply_block(out, &g5in, nrhs);

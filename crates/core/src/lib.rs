@@ -44,19 +44,15 @@ pub mod gamma;
 pub mod gauge;
 pub mod halfprec;
 pub mod lattice;
-pub mod observables;
 pub mod prop;
 pub mod real;
 pub mod recon;
 pub mod reduce;
 pub mod simd;
-pub mod smear;
 pub mod solver;
 pub mod spinor;
 pub mod su3;
-pub mod su3exp;
 pub mod threads;
-pub mod topology;
 pub mod tune;
 
 /// Convenient re-exports of the most used items.
@@ -82,20 +78,17 @@ pub mod prelude {
     pub use crate::gauge::{average_plaquette, HeatbathParams, QuenchedEnsemble};
     pub use crate::halfprec::{HalfFermionField, HalfGaugeField, HalfRecon12Gauge};
     pub use crate::lattice::{Lattice, Parity, ND};
-    pub use crate::observables::{polyakov_loop, static_potential, wilson_loop};
     pub use crate::prop::{
         point_source, wall_source, z2_noise_source, Propagator, PropagatorSolver, SolverKind,
     };
     pub use crate::real::Real;
     pub use crate::recon::{Recon12Gauge, Recon8Gauge};
-    pub use crate::smear::{ape_smear_spatial, gaussian_smear};
     pub use crate::solver::{
         bicgstab, cg, cg_block, cgne, deflated_cg_block, lanczos, lanczos_lowest, mixed_cg,
         CgParams, Deflation, EigenPair, LanczosParams, MixedParams, SolveStats,
     };
     pub use crate::spinor::Spinor;
     pub use crate::su3::{ColorVec, Su3, NC};
-    pub use crate::topology::{action_density, topological_charge};
     pub use crate::tune::{tune_block_operator, tune_operator, GrainTunable};
 }
 

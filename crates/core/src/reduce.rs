@@ -1,8 +1,9 @@
 //! Fixed-shape deterministic reductions over site/link indices.
 //!
-//! The observables and gauge-evolution code paths used to reduce per-site
-//! floats straight through `par_iter().sum()`, whose accumulation order —
-//! and therefore bits — depends on the pool width. With the solve-service
+//! The gauge monitors (plaquette, unitarity, 16-bit decode error) used to
+//! reduce per-site floats straight through `par_iter().sum()`, whose
+//! accumulation order — and therefore bits — depends on the pool width. With
+//! the solve-service
 //! result cache keyed on bit-exact outputs, that is a correctness bug, not
 //! a style nit: the same configuration measured at a different thread
 //! count would miss the cache (or worse, collide with a stale entry that
@@ -25,26 +26,6 @@ where
         || 0.0f64,
         |acc, r| r.fold(acc, |a, i| a + f(i)),
         |a, b| a + b,
-    )
-}
-
-/// `(Σ f(i).0, Σ f(i).1)` — a paired sum (e.g. complex re/im) with a
-/// width-invariant accumulation order.
-pub fn sum2_sites<F>(len: usize, f: F) -> (f64, f64)
-where
-    F: Fn(usize) -> (f64, f64) + Sync + Send,
-{
-    rayon::reduce_chunks(
-        len,
-        grain_for(len),
-        || (0.0f64, 0.0f64),
-        |acc, r| {
-            r.fold(acc, |(a0, a1), i| {
-                let (v0, v1) = f(i);
-                (a0 + v0, a1 + v1)
-            })
-        },
-        |a, b| (a.0 + b.0, a.1 + b.1),
     )
 }
 
@@ -75,14 +56,6 @@ mod tests {
         let vals: Vec<f64> = (0..100).map(|i| (i as f64).sin()).collect();
         let seq: f64 = vals.iter().fold(0.0, |a, v| a + v);
         assert_eq!(sum_sites(vals.len(), |i| vals[i]).to_bits(), seq.to_bits());
-    }
-
-    #[test]
-    fn paired_sum_components_are_independent() {
-        let n = 10_000;
-        let (a, b) = sum2_sites(n, |i| (i as f64, -(i as f64)));
-        assert_eq!(a, -b);
-        assert_eq!(a, (n * (n - 1) / 2) as f64);
     }
 
     #[test]

@@ -192,10 +192,10 @@ impl<'a, R: Real> Recurrence<'a, R> {
     }
 
     /// (Re)start every live column from the guess in `x`: `r = b − A x`,
-    /// `p = r`, `ρ = ‖r‖²`, `k = 0`. The apply is performed and charged even
-    /// for a zero guess — skipping it would flip zero signs in `r` and
-    /// change the flop ledger. It spans retired columns too; their outputs
-    /// are discarded.
+    /// `ρ = ‖r‖²`, `k = 0`; `p = r` is [`cg_core`]'s to set. The apply is
+    /// performed and charged even for a zero guess — skipping it would flip
+    /// zero signs in `r` and change the flop ledger. It spans retired
+    /// columns too; their outputs are discarded.
     pub(crate) fn start<A: FallibleOp<R> + ?Sized>(
         &mut self,
         op: &mut A,
@@ -218,7 +218,6 @@ impl<'a, R: Real> Recurrence<'a, R> {
             }
             col.rho = block::norm_sqr_col(&self.r, nrhs, j);
         }
-        self.p.clone_from(&self.r);
         Ok(())
     }
 }
@@ -226,7 +225,8 @@ impl<'a, R: Real> Recurrence<'a, R> {
 /// The CG recurrence. Continues every live column of `state` until its
 /// `ρ ≤ target`, its `k` reaches `max_k`, or it breaks down (`p·Ap ≤ 0`,
 /// non-finite `ρ`), in the operation order `dot → α → axpy x → axpy r →
-/// ‖r‖² → β → xpby p`. Two hooks let a driver observe it: `before_apply`
+/// ‖r‖² → β → xpby p`. A state whose live columns are all at `k = 0`
+/// enters with `p = r`. Two hooks let a driver observe it: `before_apply`
 /// sees the state a restore must reproduce to replay the coming apply;
 /// `retired` sees each column as it leaves with its verdict filled in. An
 /// `Err` is a failed apply: the state is as it was before that apply,
@@ -240,6 +240,9 @@ pub(crate) fn cg_core<R: Real, A: FallibleOp<R> + ?Sized>(
 ) -> Result<(), CommError> {
     let nrhs = state.cols.len();
     let blas_flops = 6.0 * 24.0 * op.vec_len() as f64; // three axpys + two reductions per iteration
+    if state.cols.iter().all(|c| !c.live || c.k == 0) {
+        state.p.clone_from(&state.r);
+    }
     let mut ap = vec![Spinor::zero(); state.p.len()];
     loop {
         // Retire every column whose own loop would exit here, before the

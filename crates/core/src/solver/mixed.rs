@@ -55,10 +55,10 @@ pub fn mixed_cg<L: Real, AH: LinearOp<f64> + ?Sized, AL: LinearOp<L> + ?Sized>(
     let n = op_hi.vec_len();
     assert_eq!(op_lo.vec_len(), n, "precision pair must share a geometry");
     assert_eq!(x.len(), n);
-    // The outer, double-precision recurrence never iterates: every reliable
-    // point is a (re)start from the current `x`, i.e. the true residual
-    // `r = b − A x` recomputed and charged. In-process `LinearOp` applies
-    // cannot fail, so the `Result`s below carry no information.
+    // The outer, double-precision recurrence never iterates, so never holds
+    // a `p`: every reliable point is a (re)start from the current `x`, i.e.
+    // the true residual `r = b − A x` recomputed and charged. In-process
+    // `LinearOp` applies cannot fail, so the `Result`s carry no information.
     let mut outer = Recurrence::open(x, b, 1, params.outer.tol);
     let _ = outer.start(&mut op_hi, b);
 
@@ -79,7 +79,7 @@ pub fn mixed_cg<L: Real, AH: LinearOp<f64> + ?Sized, AL: LinearOp<L> + ?Sized>(
             break;
         }
         // Inner CG in low precision on A e = r, e starting at zero: the
-        // core seeded with (0, e = 0, r, p = r, ‖r‖²) — no initial apply to
+        // core seeded with (0, e = 0, r, ‖r‖²) — no initial apply to
         // charge — until the residual has dropped by `delta` from this
         // reliable point, or the outer target or either budget is reached.
         let r_lo: Vec<Spinor<L>> = outer.r.iter().map(|s| s.cast()).collect();
@@ -88,8 +88,8 @@ pub fn mixed_cg<L: Real, AH: LinearOp<f64> + ?Sized, AL: LinearOp<L> + ?Sized>(
         let inner_target = (params.delta * params.delta) * reliable_point;
         let mut inner = Recurrence {
             x: &mut e_lo,
-            p: r_lo.clone(),
             r: r_lo,
+            p: Vec::new(),
             cols: vec![Column {
                 k: 0,
                 rho: reliable_point,

@@ -16,6 +16,7 @@
 #![allow(clippy::needless_range_loop)]
 
 pub mod cluster;
+mod des;
 pub mod fault;
 mod instrument;
 pub mod metaq;

@@ -16,6 +16,7 @@
 //! (block-isolated) in the `repro faults` sweep.
 
 use crate::cluster::Cluster;
+use crate::des::{cascade_fail, Event, Ord64};
 use crate::fault::{
     AttemptFate, FaultConfig, FaultInjector, FaultStats, RecoveryState, RetryPolicy,
 };
@@ -30,38 +31,6 @@ pub const FRAGMENTATION_PENALTY: f64 = 0.95;
 
 /// Serialized `mpirun` launch cost on the service node, seconds per task.
 pub const MPIRUN_LAUNCH_SECONDS: f64 = 1.0;
-
-/// Total-order wrapper for event times.
-#[derive(PartialEq)]
-struct Ord64(f64);
-impl Eq for Ord64 {}
-impl PartialOrd for Ord64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ord64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// A DES event. `TaskEnd` carries the task's launch epoch so ends belonging
-/// to an attempt that was already killed by a crash are tombstoned.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    TaskEnd {
-        id: usize,
-        epoch: u64,
-    },
-    NodeCrash {
-        node: usize,
-    },
-    /// Backoff gate expiry: the task may be queued again.
-    TaskReady {
-        id: usize,
-    },
-}
 
 /// An in-flight attempt.
 struct RunInfo {
@@ -138,30 +107,6 @@ impl MetaqScheduler {
         let mut settled = 0usize; // done + permanently failed
                                   // Service-node launcher is serialized: next mpirun may start then.
         let mut launcher_free_at = 0.0f64;
-
-        // Permanently fail `id` and abandon its transitive dependents.
-        fn cascade_fail(
-            id: usize,
-            time: f64,
-            sobs: &SchedObs,
-            recovery: &mut RecoveryState,
-            dependents: &[Vec<usize>],
-            stats: &mut FaultStats,
-            settled: &mut usize,
-        ) {
-            let mut stack = vec![id];
-            while let Some(i) = stack.pop() {
-                for &dep in &dependents[i] {
-                    if !recovery.failed[dep] {
-                        recovery.failed[dep] = true;
-                        stats.abandoned_tasks += 1;
-                        sobs.task_abandoned(time, dep);
-                        *settled += 1;
-                        stack.push(dep);
-                    }
-                }
-            }
-        }
 
         while settled < n {
             // Start everything that fits right now, FIFO over ready tasks.

@@ -25,6 +25,7 @@
 //! collapses.
 
 use crate::cluster::Cluster;
+use crate::des::{cascade_fail, Event, Ord64};
 use crate::fault::{
     AttemptFate, FaultConfig, FaultInjector, FaultStats, RecoveryState, RetryPolicy,
 };
@@ -33,29 +34,6 @@ use crate::report::{SimReport, TaskRecord};
 use crate::task::{TaskKind, Workload};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-
-/// Total-order wrapper for event times.
-#[derive(PartialEq)]
-struct Ord64(f64);
-impl Eq for Ord64 {}
-impl PartialOrd for Ord64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Ord64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// A DES event; `TaskEnd` carries the attempt epoch for tombstoning.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Event {
-    TaskEnd { id: usize, epoch: u64 },
-    NodeCrash { node: usize },
-    TaskReady { id: usize },
-}
 
 /// `mpi_jm` configuration.
 #[derive(Clone, Copy, Debug)]
@@ -235,29 +213,6 @@ impl MpiJmScheduler {
 
         // CPU availability per node (contractions pin one node's CPUs).
         let mut cpu_free: Vec<bool> = cluster.nodes.iter().map(|_| true).collect();
-
-        fn cascade_fail(
-            id: usize,
-            time: f64,
-            sobs: &SchedObs,
-            recovery: &mut RecoveryState,
-            dependents: &[Vec<usize>],
-            stats: &mut FaultStats,
-            settled: &mut usize,
-        ) {
-            let mut stack = vec![id];
-            while let Some(i) = stack.pop() {
-                for &dep in &dependents[i] {
-                    if !recovery.failed[dep] {
-                        recovery.failed[dep] = true;
-                        stats.abandoned_tasks += 1;
-                        sobs.task_abandoned(time, dep);
-                        *settled += 1;
-                        stack.push(dep);
-                    }
-                }
-            }
-        }
 
         // Return an allocation to its block, skipping retired nodes.
         let release_to_block = |blocks: &mut Vec<Block>, alloc: &[usize], node_dead: &[bool]| {

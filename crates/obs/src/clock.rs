@@ -1,6 +1,6 @@
 //! Injectable time sources.
 //!
-//! Everything in `obs` that timestamps (events, span timers) reads time
+//! Everything in `obs` that timestamps events reads time
 //! through a [`Clock`], so the discrete-event scheduler simulations can
 //! drive metric time with *simulated* seconds while production code uses
 //! the monotonic wall clock. Times are `f64` seconds from an arbitrary

@@ -1,8 +1,7 @@
 //! Observability for the lattice pipeline: a zero-dependency, thread-safe
-//! metrics registry (counters, gauges, fixed-bucket histograms, span
-//! timers on an injectable clock), a structured event log with text /
-//! JSON / CSV export, and assertion macros that turn metric values into
-//! regression tests.
+//! metrics registry (counters, gauges, fixed-bucket histograms) on an
+//! injectable clock, a structured event log with text / JSON / CSV export,
+//! and assertion macros that turn metric values into regression tests.
 //!
 //! Design notes live in DESIGN.md §Observability. The short version:
 //!
@@ -10,7 +9,7 @@
 //!   [`Registry::current()`]; tests and experiment drivers install a
 //!   fresh registry with [`Registry::install_scoped`] for isolation, or
 //!   [`Registry::install_global`] for a whole process.
-//! * **Injectable clock.** Events and spans are stamped by the
+//! * **Injectable clock.** Events are stamped by the
 //!   registry's [`Clock`]; the scheduler simulations install a
 //!   [`ManualClock`] (or pass explicit times to
 //!   [`Registry::event_at`]) so metric time is *simulated* time.
@@ -24,7 +23,6 @@ pub mod events;
 pub mod json;
 pub mod metrics;
 pub mod registry;
-pub mod span;
 pub mod testing;
 
 pub use clock::{Clock, ManualClock, WallClock};
@@ -32,4 +30,3 @@ pub use events::{Event, EventLog};
 pub use json::{Json, JsonError};
 pub use metrics::{Counter, FloatCounter, Gauge, Histogram, HistogramSnapshot};
 pub use registry::{Registry, ScopedInstall};
-pub use span::Span;

@@ -116,7 +116,7 @@ impl Registry {
         *write_on(global_slot()) = Some(self.clone());
     }
 
-    /// Replace the clock used to stamp events and spans.
+    /// Replace the clock used to stamp events.
     pub fn set_clock(&self, clock: Arc<dyn Clock>) {
         *write_on(&self.inner.clock) = clock;
     }

@@ -98,6 +98,7 @@ impl Finding {
 /// FNV-1a 64-bit hash, rendered as 16 hex digits. Deliberately simple: the
 /// baseline only needs collision resistance against accidental matches
 /// between source lines, not an adversary.
+// The linter sits below `lqcd-core`: it keeps its own FNV-1a rather than that crate's.
 pub fn fnv64_hex(s: &str) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in s.bytes() {

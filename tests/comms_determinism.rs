@@ -152,7 +152,8 @@ fn sharded_mobius_bit_identical_to_single_domain() {
                 let mut op = ShardedMobius::new(&lat, &gauge, params, domain, policy);
                 let mut got = vec![Spinor::zero(); op.vec_len()];
                 at_width(w, || {
-                    op.apply(&mut got, &inp).expect("fault-free transport")
+                    op.apply_block(&mut got, &inp, 1)
+                        .expect("fault-free transport")
                 });
                 assert_eq!(
                     got,

@@ -1,16 +1,15 @@
-//! Width-invariance regression suite for the observables and monitors
-//! that used to reduce floats through unordered `par_iter().sum()` /
-//! `.reduce()` chains (the eight `R5-unordered-float-reduce` baseline
-//! suppressions burned down alongside the solve service).
+//! Width-invariance regression suite for the gauge monitors that used to
+//! reduce floats through unordered `par_iter().sum()` / `.reduce()` chains
+//! (`R5-unordered-float-reduce` baseline suppressions burned down alongside
+//! the solve service).
 //!
 //! Every fixed site now routes through the fixed-shape
 //! `lqcd_core::reduce` helpers, so each value here must be bit-identical
 //! at pool widths 1 and 8. These are exactly the quantities a
 //! content-addressed result cache compares bit-for-bit: a width-dependent
-//! plaquette or charge would silently fork the cache key space.
+//! plaquette would silently fork the cache key space.
 
 use lqcd::core::prelude::*;
-use lqcd::core::topology;
 
 fn at_width<R: Send>(w: usize, op: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
@@ -69,32 +68,4 @@ fn halfprec_decode_error_bits_stable_across_widths() {
         half.max_abs_error(&gauge).to_bits()
     });
     assert!(f64::from_bits(e) > 0.0, "16-bit codes must lose something");
-}
-
-#[test]
-fn wilson_loop_bits_stable_across_widths() {
-    let (lat, gauge) = test_gauge();
-    widths_agree("wilson_loop(2,2)", || {
-        wilson_loop(&lat, &gauge, 2, 2).to_bits()
-    });
-}
-
-#[test]
-fn polyakov_loop_bits_stable_across_widths() {
-    let (lat, gauge) = test_gauge();
-    widths_agree("polyakov_loop", || {
-        let p = polyakov_loop(&lat, &gauge);
-        (p.re.to_bits(), p.im.to_bits())
-    });
-}
-
-#[test]
-fn topological_charge_and_action_density_bits_stable_across_widths() {
-    let (lat, gauge) = test_gauge();
-    widths_agree("topological_charge / action_density", || {
-        (
-            topological_charge(&lat, &gauge).to_bits(),
-            topology::action_density(&lat, &gauge).to_bits(),
-        )
-    });
 }
