@@ -190,29 +190,9 @@ impl FaultInjector {
         }
     }
 
-    /// An injector that never injects anything (pristine machine).
-    pub fn disabled(n_nodes: usize) -> Self {
-        Self::new(FaultConfig::default(), n_nodes)
-    }
-
-    /// The fault model this injector was built from.
-    pub fn config(&self) -> &FaultConfig {
-        &self.config
-    }
-
     /// When `node` crashes (`f64::INFINITY` if it never does).
     pub fn crash_time(&self, node: usize) -> f64 {
         self.crash_times[node]
-    }
-
-    /// Earliest crash strictly after `t`, as `(time, node)`.
-    pub fn next_crash_after(&self, t: f64) -> Option<(f64, usize)> {
-        self.crash_times
-            .iter()
-            .enumerate()
-            .filter(|(_, &ct)| ct.is_finite() && ct > t)
-            .map(|(i, &ct)| (ct, i))
-            .min_by(|a, b| a.0.total_cmp(&b.0))
     }
 
     /// Whether `node`'s NIC is degraded for the whole run.
@@ -362,8 +342,8 @@ mod tests {
 
     #[test]
     fn disabled_injector_injects_nothing() {
-        let inj = FaultInjector::disabled(64);
-        assert!(inj.next_crash_after(0.0).is_none());
+        let inj = FaultInjector::new(FaultConfig::default(), 64);
+        assert!((0..64).all(|node| inj.crash_time(node).is_infinite()));
         for t in 0..100 {
             assert_eq!(inj.attempt_fate(t, 1), AttemptFate::Success);
         }

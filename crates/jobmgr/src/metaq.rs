@@ -16,15 +16,10 @@
 //! (block-isolated) in the `repro faults` sweep.
 
 use crate::cluster::Cluster;
-use crate::des::{cascade_fail, Event, Ord64};
-use crate::fault::{
-    AttemptFate, FaultConfig, FaultInjector, FaultStats, RecoveryState, RetryPolicy,
-};
-use crate::instrument::SchedObs;
-use crate::report::{SimReport, TaskRecord};
-use crate::task::{TaskKind, Workload};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::des::{run_queue, Placed, Placement};
+use crate::fault::{FaultConfig, FaultInjector, RetryPolicy};
+use crate::report::SimReport;
+use crate::task::{TaskKind, TaskSpec, Workload};
 
 /// Multiplicative slowdown of a task whose allocation is not contiguous.
 pub const FRAGMENTATION_PENALTY: f64 = 0.95;
@@ -32,15 +27,73 @@ pub const FRAGMENTATION_PENALTY: f64 = 0.95;
 /// Serialized `mpirun` launch cost on the service node, seconds per task.
 pub const MPIRUN_LAUNCH_SECONDS: f64 = 1.0;
 
-/// An in-flight attempt.
-struct RunInfo {
-    alloc: Vec<usize>,
-    start: f64,
-    speed: f64,
-    attempt: usize,
-    epoch: u64,
-    /// The scheduled `TaskEnd` is a transient death, not a completion.
-    fails: bool,
+/// Whole-machine first fit, as METAQ and the naive bundler both allocate:
+/// any free nodes will do (a contraction takes a whole node, I/O runs on the
+/// service nodes and takes none). Occupies the nodes and returns them with
+/// the pace their slowest member and NIC set.
+pub(crate) fn first_fit(
+    cluster: &mut Cluster,
+    injector: &FaultInjector,
+    task: &TaskSpec,
+) -> Option<(Vec<usize>, f64)> {
+    let alloc = match task.kind {
+        TaskKind::PropagatorSolve { nodes } => cluster.find_free_nodes(nodes, true)?,
+        TaskKind::Contraction => cluster.find_free_nodes(1, true)?,
+        TaskKind::Io => return Some((Vec::new(), 1.0)),
+    };
+    cluster.occupy(&alloc);
+    let speed = cluster.group_speed(&alloc) * injector.nic_speed(&alloc);
+    Some((alloc, speed))
+}
+
+/// METAQ's placement policy: hardware-agnostic first fit over the whole
+/// machine, one serialized `mpirun` per task.
+pub(crate) struct FirstFit {
+    /// The service-node launcher is serialized: the next `mpirun` may start
+    /// then.
+    launcher_free_at: f64,
+}
+
+impl Placement for FirstFit {
+    const NAME: &'static str = "metaq";
+
+    fn place(
+        &mut self,
+        cluster: &mut Cluster,
+        injector: &FaultInjector,
+        task: &TaskSpec,
+        time: f64,
+    ) -> Option<Placed> {
+        let (alloc, mut speed) = first_fit(cluster, injector, task)?;
+        if !Cluster::is_contiguous(&alloc) {
+            speed *= FRAGMENTATION_PENALTY;
+        }
+        // Pay the serialized mpirun cost.
+        let launch_at = time.max(self.launcher_free_at);
+        self.launcher_free_at = launch_at + MPIRUN_LAUNCH_SECONDS;
+        Some(Placed {
+            alloc,
+            cpu_pin: None,
+            start: launch_at + MPIRUN_LAUNCH_SECONDS,
+            speed,
+        })
+    }
+
+    fn release(&mut self, cluster: &mut Cluster, alloc: &[usize], _cpu_pin: Option<usize>) {
+        cluster.release(alloc);
+    }
+
+    fn is_dead(&self, cluster: &Cluster, node: usize) -> bool {
+        cluster.nodes[node].failed
+    }
+
+    fn retire(&mut self, cluster: &mut Cluster, node: usize) {
+        cluster.mark_crashed(node);
+    }
+
+    fn capacity(&self, cluster: &Cluster) -> usize {
+        cluster.healthy_nodes()
+    }
 }
 
 /// The METAQ backfilling scheduler.
@@ -71,297 +124,10 @@ impl MetaqScheduler {
         faults: &FaultConfig,
         policy: &RetryPolicy,
     ) -> SimReport {
-        let n = workload.len();
-        let n_nodes = cluster.nodes.len();
-        let sobs = SchedObs::new("metaq");
-        let injector = FaultInjector::new(*faults, n_nodes);
-        let mut recovery = RecoveryState::new(n, n_nodes);
-        let mut stats = FaultStats {
-            nic_degraded_nodes: (0..n_nodes).filter(|&i| injector.nic_degraded(i)).count(),
-            ..FaultStats::default()
+        let first_fit = FirstFit {
+            launcher_free_at: 0.0,
         };
-
-        let mut dep_count: Vec<usize> = workload.tasks.iter().map(|t| t.deps.len()).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for t in &workload.tasks {
-            for &d in &t.deps {
-                dependents[d].push(t.id);
-            }
-        }
-        let mut ready: Vec<usize> = (0..n).filter(|&i| dep_count[i] == 0).collect();
-        let mut records: Vec<Option<TaskRecord>> = vec![None; n];
-        let mut wasted_records: Vec<TaskRecord> = Vec::new();
-        let mut running: Vec<Option<RunInfo>> = (0..n).map(|_| None).collect();
-        let mut epoch: Vec<u64> = vec![0; n];
-        let mut events: BinaryHeap<Reverse<(Ord64, Event)>> = BinaryHeap::new();
-        for node in 0..n_nodes {
-            let ct = injector.crash_time(node);
-            if ct.is_finite() {
-                events.push(Reverse((Ord64(ct), Event::NodeCrash { node })));
-            }
-        }
-        let mut time = 0.0f64;
-        let mut busy_node_seconds = 0.0;
-        let mut completed_flops = 0.0;
-        let mut done = vec![false; n];
-        let mut settled = 0usize; // done + permanently failed
-                                  // Service-node launcher is serialized: next mpirun may start then.
-        let mut launcher_free_at = 0.0f64;
-
-        while settled < n {
-            // Start everything that fits right now, FIFO over ready tasks.
-            let mut started_any = true;
-            while started_any {
-                started_any = false;
-                let mut next_ready = Vec::new();
-                for &id in &ready {
-                    if recovery.failed[id] {
-                        continue; // abandoned while queued
-                    }
-                    let t = &workload.tasks[id];
-                    let start_attempt = match t.kind {
-                        TaskKind::PropagatorSolve { nodes } => cluster.find_free_nodes(nodes, true),
-                        TaskKind::Contraction => cluster.find_free_nodes(1, true),
-                        TaskKind::Io => Some(Vec::new()),
-                    };
-                    match start_attempt {
-                        Some(alloc) => {
-                            // Pay the serialized mpirun cost.
-                            let launch_at = time.max(launcher_free_at);
-                            launcher_free_at = launch_at + MPIRUN_LAUNCH_SECONDS;
-                            let start = launch_at + MPIRUN_LAUNCH_SECONDS;
-                            cluster.occupy(&alloc);
-                            let attempt = recovery.start_attempt(id, &mut stats);
-                            let mut speed = if alloc.is_empty() {
-                                1.0
-                            } else {
-                                cluster.group_speed(&alloc) * injector.nic_speed(&alloc)
-                            };
-                            if !alloc.is_empty() && !Cluster::is_contiguous(&alloc) {
-                                speed *= FRAGMENTATION_PENALTY;
-                            }
-                            let fate = injector.attempt_fate(id, attempt);
-                            if let AttemptFate::Straggler { slowdown } = fate {
-                                speed *= slowdown;
-                                stats.stragglers += 1;
-                            }
-                            let dur = t.base_seconds / speed;
-                            let (end, fails) = match fate {
-                                AttemptFate::TransientFailure { at_fraction } => {
-                                    (start + dur * at_fraction, true)
-                                }
-                                _ => (start + dur, false),
-                            };
-                            epoch[id] += 1;
-                            sobs.task_start(start, id, attempt, alloc.len());
-                            running[id] = Some(RunInfo {
-                                alloc,
-                                start,
-                                speed,
-                                attempt,
-                                epoch: epoch[id],
-                                fails,
-                            });
-                            events.push(Reverse((
-                                Ord64(end),
-                                Event::TaskEnd {
-                                    id,
-                                    epoch: epoch[id],
-                                },
-                            )));
-                            started_any = true;
-                        }
-                        None => next_ready.push(id),
-                    }
-                }
-                ready = next_ready;
-            }
-            sobs.queue_depth(ready.len());
-            sobs.nodes_busy(running.iter().flatten().map(|ri| ri.alloc.len()).sum());
-
-            // Nothing running and no events left: the stranded ready tasks
-            // can never fit on what remains of the machine.
-            let any_running = running.iter().any(|r| r.is_some());
-            if !any_running && events.is_empty() {
-                if !ready.is_empty() && faults.enabled() {
-                    for id in ready.drain(..) {
-                        if !recovery.failed[id] {
-                            recovery.failed[id] = true;
-                            stats.abandoned_tasks += 1;
-                            sobs.task_abandoned(time, id);
-                            settled += 1;
-                            cascade_fail(
-                                id,
-                                time,
-                                &sobs,
-                                &mut recovery,
-                                &dependents,
-                                &mut stats,
-                                &mut settled,
-                            );
-                        }
-                    }
-                    continue;
-                }
-                assert!(
-                    ready.is_empty(),
-                    "tasks pending but nothing running: deadlock"
-                );
-                break; // only dep-waiting tasks remain; cascade settled them
-            }
-
-            // Advance to the next event.
-            let Some(Reverse((Ord64(t_ev), ev))) = events.pop() else {
-                break;
-            };
-            time = time.max(t_ev);
-            match ev {
-                Event::TaskEnd { id, epoch: ep } => {
-                    // Epoch mismatch (or an empty slot) marks the stale
-                    // tombstone of a killed attempt: leave it untouched.
-                    let Some(ri) = running[id].take_if(|ri| ri.epoch == ep) else {
-                        continue;
-                    };
-                    cluster.release(&ri.alloc);
-                    let t = &workload.tasks[id];
-                    if ri.fails {
-                        // Transient failure partway through the attempt.
-                        stats.transient_failures += 1;
-                        sobs.task_killed(time, id, ri.attempt, "transient");
-                        stats.wasted_node_seconds +=
-                            (time - ri.start).max(0.0) * ri.alloc.len() as f64;
-                        wasted_records.push(TaskRecord {
-                            id,
-                            start: ri.start,
-                            end: time,
-                            nodes: ri.alloc.clone(),
-                            speed: ri.speed,
-                            attempts: ri.attempt,
-                        });
-                        if let Some(&node) = ri.alloc.first() {
-                            if recovery.attribute_node_fault(node, policy)
-                                && !cluster.nodes[node].failed
-                            {
-                                cluster.mark_crashed(node);
-                                stats.blacklisted_nodes += 1;
-                                sobs.blacklist(time, node);
-                            }
-                        }
-                        if recovery.requeue_or_fail(id, time, policy, &mut stats) {
-                            sobs.requeue(time, id, recovery.ready_at[id]);
-                            events.push(Reverse((
-                                Ord64(recovery.ready_at[id]),
-                                Event::TaskReady { id },
-                            )));
-                        } else {
-                            settled += 1;
-                            sobs.task_failed(time, id);
-                            cascade_fail(
-                                id,
-                                time,
-                                &sobs,
-                                &mut recovery,
-                                &dependents,
-                                &mut stats,
-                                &mut settled,
-                            );
-                        }
-                    } else {
-                        if matches!(t.kind, TaskKind::PropagatorSolve { .. }) {
-                            busy_node_seconds += (time - ri.start) * ri.alloc.len() as f64;
-                        }
-                        completed_flops += t.flops;
-                        records[id] = Some(TaskRecord {
-                            id,
-                            start: ri.start,
-                            end: time,
-                            nodes: ri.alloc,
-                            speed: ri.speed,
-                            attempts: ri.attempt,
-                        });
-                        done[id] = true;
-                        settled += 1;
-                        sobs.task_end(time, id, ri.attempt);
-                        for &dep in &dependents[id] {
-                            dep_count[dep] -= 1;
-                            if dep_count[dep] == 0 && !recovery.failed[dep] {
-                                ready.push(dep);
-                            }
-                        }
-                    }
-                }
-                Event::NodeCrash { node } => {
-                    if cluster.nodes[node].failed {
-                        continue; // dead at startup or already blacklisted
-                    }
-                    stats.node_crashes += 1;
-                    sobs.node_crash(time, node);
-                    // Kill every attempt whose allocation touches the node.
-                    for id in 0..n {
-                        let Some(ri) = running[id].take_if(|ri| ri.alloc.contains(&node)) else {
-                            continue;
-                        };
-                        cluster.release(&ri.alloc);
-                        sobs.task_killed(time, id, ri.attempt, "node_crash");
-                        stats.wasted_node_seconds +=
-                            (time - ri.start).max(0.0) * ri.alloc.len() as f64;
-                        wasted_records.push(TaskRecord {
-                            id,
-                            start: ri.start,
-                            end: time,
-                            nodes: ri.alloc,
-                            speed: ri.speed,
-                            attempts: ri.attempt,
-                        });
-                        if recovery.requeue_or_fail(id, time, policy, &mut stats) {
-                            sobs.requeue(time, id, recovery.ready_at[id]);
-                            events.push(Reverse((
-                                Ord64(recovery.ready_at[id]),
-                                Event::TaskReady { id },
-                            )));
-                        } else {
-                            settled += 1;
-                            sobs.task_failed(time, id);
-                            cascade_fail(
-                                id,
-                                time,
-                                &sobs,
-                                &mut recovery,
-                                &dependents,
-                                &mut stats,
-                                &mut settled,
-                            );
-                        }
-                    }
-                    cluster.mark_crashed(node);
-                }
-                Event::TaskReady { id } => {
-                    if !done[id] && !recovery.failed[id] && running[id].is_none() {
-                        ready.push(id);
-                    }
-                }
-            }
-        }
-
-        let completed_tasks = done.iter().filter(|&&d| d).count();
-        let failed_tasks = recovery.failed.iter().filter(|&&f| f).count();
-        let healthy = cluster.healthy_nodes() as f64;
-        let report = SimReport {
-            makespan: time,
-            startup: 0.0,
-            busy_node_seconds,
-            total_node_seconds: healthy * time,
-            records: records.into_iter().flatten().collect(),
-            total_flops: workload.total_flops(),
-            completed_flops,
-            completed_tasks,
-            failed_tasks,
-            task_attempts: recovery.attempts,
-            wasted_records,
-            faults: stats,
-        };
-        sobs.finish(&report);
-        report
+        run_queue(first_fit, cluster, workload, faults, policy)
     }
 }
 

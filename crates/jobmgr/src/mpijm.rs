@@ -25,15 +25,10 @@
 //! collapses.
 
 use crate::cluster::Cluster;
-use crate::des::{cascade_fail, Event, Ord64};
-use crate::fault::{
-    AttemptFate, FaultConfig, FaultInjector, FaultStats, RecoveryState, RetryPolicy,
-};
-use crate::instrument::SchedObs;
-use crate::report::{SimReport, TaskRecord};
-use crate::task::{TaskKind, Workload};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use crate::des::{run_queue, Placed, Placement};
+use crate::fault::{FaultConfig, FaultInjector, RetryPolicy};
+use crate::report::SimReport;
+use crate::task::{TaskKind, TaskSpec, Workload};
 
 /// `mpi_jm` configuration.
 #[derive(Clone, Copy, Debug)]
@@ -71,16 +66,115 @@ struct Block {
     free: Vec<usize>,
 }
 
-/// An in-flight attempt.
-struct RunInfo {
-    alloc: Vec<usize>,
-    cpu_pin: Option<usize>,
-    start: f64,
-    speed: f64,
-    attempt: usize,
-    epoch: u64,
-    /// The scheduled `TaskEnd` is a transient death, not a completion.
-    fails: bool,
+/// `mpi_jm`'s placement policy: GPU jobs are bound to one block, CPU-only
+/// contractions are pinned to a node's CPUs (overlaying its GPU job) or,
+/// without co-scheduling, take a whole free node; starts cost one parallel
+/// `MPI_Comm_spawn`.
+pub(crate) struct Blocks {
+    config: MpiJmConfig,
+    blocks: Vec<Block>,
+    /// Nodes out of service: dead at startup, crashed or blacklisted.
+    node_dead: Vec<bool>,
+    /// CPU availability per node (contractions pin one node's CPUs).
+    cpu_free: Vec<bool>,
+}
+
+impl Placement for Blocks {
+    const NAME: &'static str = "mpi_jm";
+
+    fn place(
+        &mut self,
+        cluster: &mut Cluster,
+        injector: &FaultInjector,
+        task: &TaskSpec,
+        time: f64,
+    ) -> Option<Placed> {
+        let spawned = time + self.config.spawn_seconds;
+        match task.kind {
+            TaskKind::PropagatorSolve { nodes } => {
+                let block = self.blocks.iter_mut().find(|b| b.free.len() >= nodes)?;
+                let alloc: Vec<usize> = block.free.drain(..nodes).collect();
+                let speed = cluster.group_speed(&alloc)
+                    * self.config.mpi_efficiency
+                    * injector.nic_speed(&alloc);
+                Some(Placed {
+                    alloc,
+                    cpu_pin: None,
+                    start: spawned,
+                    speed,
+                })
+            }
+            TaskKind::Contraction => {
+                let host = if self.config.co_schedule {
+                    (0..self.cpu_free.len()).find(|&i| self.cpu_free[i] && !self.node_dead[i])?
+                } else {
+                    // Without co-scheduling a contraction needs a whole
+                    // free node inside some block, and occupies it
+                    // exclusively.
+                    let host = self
+                        .blocks
+                        .iter()
+                        .flat_map(|b| b.free.iter().copied())
+                        .find(|&i| self.cpu_free[i])?;
+                    for b in self.blocks.iter_mut() {
+                        b.free.retain(|&x| x != host);
+                    }
+                    host
+                };
+                self.cpu_free[host] = false;
+                Some(Placed {
+                    alloc: if self.config.co_schedule {
+                        Vec::new()
+                    } else {
+                        vec![host]
+                    },
+                    cpu_pin: Some(host),
+                    start: spawned,
+                    speed: cluster.nodes[host].speed,
+                })
+            }
+            TaskKind::Io => Some(Placed {
+                alloc: Vec::new(),
+                cpu_pin: None,
+                start: time,
+                speed: 1.0,
+            }),
+        }
+    }
+
+    fn release(&mut self, _cluster: &mut Cluster, alloc: &[usize], cpu_pin: Option<usize>) {
+        if let Some(host) = cpu_pin {
+            self.cpu_free[host] = true;
+        }
+        let block = self
+            .blocks
+            .iter_mut()
+            .find(|b| !alloc.is_empty() && alloc.iter().all(|i| b.nodes.contains(i)));
+        if let Some(b) = block {
+            b.free
+                .extend(alloc.iter().copied().filter(|&i| !self.node_dead[i]));
+            b.free.sort_unstable();
+        }
+    }
+
+    fn is_dead(&self, _cluster: &Cluster, node: usize) -> bool {
+        self.node_dead[node]
+    }
+
+    /// The node leaves its block, which re-spawns at the boundary with its
+    /// surviving nodes.
+    fn retire(&mut self, cluster: &mut Cluster, node: usize) {
+        self.node_dead[node] = true;
+        cluster.mark_crashed(node);
+        for b in self.blocks.iter_mut() {
+            b.free.retain(|&x| x != node);
+            b.nodes.retain(|&x| x != node);
+        }
+    }
+
+    fn capacity(&self, _cluster: &Cluster) -> usize {
+        self.blocks.iter().map(|b| b.nodes.len()).sum()
+    }
 }
 
 /// The `mpi_jm` scheduler.
@@ -160,9 +254,7 @@ impl MpiJmScheduler {
         faults: &FaultConfig,
         policy: &RetryPolicy,
     ) -> SimReport {
-        let n = workload.len();
-        let n_nodes = cluster.nodes.len();
-        let (_lumps, lumps_failed, mut blocks) = self.build_blocks(cluster);
+        let (_lumps, lumps_failed, blocks) = self.build_blocks(cluster);
         assert!(
             !blocks.is_empty(),
             "no healthy lumps: {lumps_failed} lumps failed"
@@ -176,387 +268,13 @@ impl MpiJmScheduler {
                 );
             }
         }
-
-        let sobs = SchedObs::new("mpi_jm");
-        let injector = FaultInjector::new(*faults, n_nodes);
-        let mut recovery = RecoveryState::new(n, n_nodes);
-        let mut stats = FaultStats {
-            nic_degraded_nodes: (0..n_nodes).filter(|&i| injector.nic_degraded(i)).count(),
-            ..FaultStats::default()
+        let blocks = Blocks {
+            config: self.config,
+            blocks,
+            node_dead: cluster.nodes.iter().map(|nd| nd.failed).collect(),
+            cpu_free: vec![true; cluster.nodes.len()],
         };
-        let mut node_dead: Vec<bool> = cluster.nodes.iter().map(|nd| nd.failed).collect();
-
-        let mut dep_count: Vec<usize> = workload.tasks.iter().map(|t| t.deps.len()).collect();
-        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for t in &workload.tasks {
-            for &d in &t.deps {
-                dependents[d].push(t.id);
-            }
-        }
-        let mut ready: Vec<usize> = (0..n).filter(|&i| dep_count[i] == 0).collect();
-        let mut records: Vec<Option<TaskRecord>> = vec![None; n];
-        let mut wasted_records: Vec<TaskRecord> = Vec::new();
-        let mut running: Vec<Option<RunInfo>> = (0..n).map(|_| None).collect();
-        let mut epoch: Vec<u64> = vec![0; n];
-        let mut events: BinaryHeap<Reverse<(Ord64, Event)>> = BinaryHeap::new();
-        for node in 0..n_nodes {
-            let ct = injector.crash_time(node);
-            if ct.is_finite() {
-                events.push(Reverse((Ord64(ct), Event::NodeCrash { node })));
-            }
-        }
-        let mut time = 0.0f64;
-        let mut busy_node_seconds = 0.0;
-        let mut completed_flops = 0.0;
-        let mut done = vec![false; n];
-        let mut settled = 0usize; // done + permanently failed
-
-        // CPU availability per node (contractions pin one node's CPUs).
-        let mut cpu_free: Vec<bool> = cluster.nodes.iter().map(|_| true).collect();
-
-        // Return an allocation to its block, skipping retired nodes.
-        let release_to_block = |blocks: &mut Vec<Block>, alloc: &[usize], node_dead: &[bool]| {
-            if alloc.is_empty() {
-                return;
-            }
-            for b in blocks.iter_mut() {
-                if alloc.iter().all(|i| b.nodes.contains(i)) {
-                    b.free
-                        .extend(alloc.iter().copied().filter(|&i| !node_dead[i]));
-                    b.free.sort_unstable();
-                    break;
-                }
-            }
-        };
-
-        // Retire a node from its block: the block re-spawns at the boundary
-        // with its surviving nodes.
-        let retire_node = |blocks: &mut Vec<Block>, node: usize| {
-            for b in blocks.iter_mut() {
-                b.free.retain(|&x| x != node);
-                b.nodes.retain(|&x| x != node);
-            }
-        };
-
-        while settled < n {
-            let mut started_any = true;
-            while started_any {
-                started_any = false;
-                let mut next_ready = Vec::new();
-                for &id in &ready {
-                    if recovery.failed[id] {
-                        continue; // abandoned while queued
-                    }
-                    let t = &workload.tasks[id];
-                    // (allocated GPU nodes, pinned CPU host) for this start.
-                    let placement: Option<(Vec<usize>, Option<usize>)> = match t.kind {
-                        TaskKind::PropagatorSolve { nodes } => blocks
-                            .iter_mut()
-                            .find(|b| b.free.len() >= nodes)
-                            .map(|block| (block.free.drain(..nodes).collect(), None)),
-                        TaskKind::Contraction => {
-                            let host = if self.config.co_schedule {
-                                cpu_free
-                                    .iter()
-                                    .enumerate()
-                                    .position(|(i, &f)| f && !node_dead[i])
-                            } else {
-                                // Without co-scheduling a contraction needs a
-                                // whole free node inside some block.
-                                blocks
-                                    .iter()
-                                    .flat_map(|b| b.free.iter())
-                                    .find(|&&i| cpu_free[i])
-                                    .copied()
-                            };
-                            host.map(|host| {
-                                cpu_free[host] = false;
-                                if !self.config.co_schedule {
-                                    // Occupies the node exclusively.
-                                    for b in blocks.iter_mut() {
-                                        b.free.retain(|&x| x != host);
-                                    }
-                                    (vec![host], Some(host))
-                                } else {
-                                    (Vec::new(), Some(host))
-                                }
-                            })
-                        }
-                        TaskKind::Io => Some((Vec::new(), None)),
-                    };
-                    let Some((alloc, cpu_pin)) = placement else {
-                        next_ready.push(id);
-                        continue;
-                    };
-                    let attempt = recovery.start_attempt(id, &mut stats);
-                    let fate = injector.attempt_fate(id, attempt);
-                    let mut speed = match t.kind {
-                        TaskKind::PropagatorSolve { .. } => {
-                            cluster.group_speed(&alloc)
-                                * self.config.mpi_efficiency
-                                * injector.nic_speed(&alloc)
-                        }
-                        TaskKind::Contraction => {
-                            // Launch sites pin every contraction to a CPU
-                            // host before queuing it.
-                            let Some(host) = cpu_pin else {
-                                unreachable!("contraction launched without a cpu pin")
-                            };
-                            cluster.nodes[host].speed
-                        }
-                        TaskKind::Io => 1.0,
-                    };
-                    if let AttemptFate::Straggler { slowdown } = fate {
-                        speed *= slowdown;
-                        stats.stragglers += 1;
-                    }
-                    let start = if matches!(t.kind, TaskKind::Io) {
-                        time
-                    } else {
-                        time + self.config.spawn_seconds
-                    };
-                    let dur = t.base_seconds / speed;
-                    let (end, fails) = match fate {
-                        AttemptFate::TransientFailure { at_fraction } => {
-                            (start + dur * at_fraction, true)
-                        }
-                        _ => (start + dur, false),
-                    };
-                    epoch[id] += 1;
-                    sobs.task_start(
-                        start,
-                        id,
-                        attempt,
-                        alloc.len().max(usize::from(cpu_pin.is_some())),
-                    );
-                    running[id] = Some(RunInfo {
-                        alloc,
-                        cpu_pin,
-                        start,
-                        speed,
-                        attempt,
-                        epoch: epoch[id],
-                        fails,
-                    });
-                    events.push(Reverse((
-                        Ord64(end),
-                        Event::TaskEnd {
-                            id,
-                            epoch: epoch[id],
-                        },
-                    )));
-                    started_any = true;
-                }
-                ready = next_ready;
-            }
-            sobs.queue_depth(ready.len());
-            sobs.nodes_busy(
-                running
-                    .iter()
-                    .flatten()
-                    .map(|ri| ri.alloc.len().max(usize::from(ri.cpu_pin.is_some())))
-                    .sum(),
-            );
-
-            let any_running = running.iter().any(|r| r.is_some());
-            if !any_running && events.is_empty() {
-                if !ready.is_empty() && faults.enabled() {
-                    // Capacity shrank below the stranded tasks' footprints:
-                    // abandon them gracefully instead of panicking.
-                    for id in ready.drain(..) {
-                        if !recovery.failed[id] {
-                            recovery.failed[id] = true;
-                            stats.abandoned_tasks += 1;
-                            sobs.task_abandoned(time, id);
-                            settled += 1;
-                            cascade_fail(
-                                id,
-                                time,
-                                &sobs,
-                                &mut recovery,
-                                &dependents,
-                                &mut stats,
-                                &mut settled,
-                            );
-                        }
-                    }
-                    continue;
-                }
-                assert!(
-                    ready.is_empty(),
-                    "tasks pending but nothing running: workload too big for blocks"
-                );
-                break;
-            }
-
-            let Some(Reverse((Ord64(t_ev), ev))) = events.pop() else {
-                break;
-            };
-            time = time.max(t_ev);
-            match ev {
-                Event::TaskEnd { id, epoch: ep } => {
-                    let Some(ri) = running[id].take_if(|ri| ri.epoch == ep) else {
-                        continue; // tombstone of a killed attempt
-                    };
-                    release_to_block(&mut blocks, &ri.alloc, &node_dead);
-                    if let Some(host) = ri.cpu_pin {
-                        cpu_free[host] = true;
-                    }
-                    let t = &workload.tasks[id];
-                    if ri.fails {
-                        stats.transient_failures += 1;
-                        sobs.task_killed(time, id, ri.attempt, "transient");
-                        stats.wasted_node_seconds +=
-                            (time - ri.start).max(0.0) * ri.alloc.len() as f64;
-                        wasted_records.push(TaskRecord {
-                            id,
-                            start: ri.start,
-                            end: time,
-                            nodes: ri.alloc.clone(),
-                            speed: ri.speed,
-                            attempts: ri.attempt,
-                        });
-                        let culprit = ri.alloc.first().copied().or(ri.cpu_pin);
-                        if let Some(node) = culprit {
-                            if recovery.attribute_node_fault(node, policy) && !node_dead[node] {
-                                node_dead[node] = true;
-                                cluster.mark_crashed(node);
-                                retire_node(&mut blocks, node);
-                                stats.blacklisted_nodes += 1;
-                                sobs.blacklist(time, node);
-                            }
-                        }
-                        if recovery.requeue_or_fail(id, time, policy, &mut stats) {
-                            sobs.requeue(time, id, recovery.ready_at[id]);
-                            events.push(Reverse((
-                                Ord64(recovery.ready_at[id]),
-                                Event::TaskReady { id },
-                            )));
-                        } else {
-                            settled += 1;
-                            sobs.task_failed(time, id);
-                            cascade_fail(
-                                id,
-                                time,
-                                &sobs,
-                                &mut recovery,
-                                &dependents,
-                                &mut stats,
-                                &mut settled,
-                            );
-                        }
-                    } else {
-                        if matches!(t.kind, TaskKind::PropagatorSolve { .. }) {
-                            busy_node_seconds += (time - ri.start) * ri.alloc.len() as f64;
-                        }
-                        completed_flops += t.flops;
-                        records[id] = Some(TaskRecord {
-                            id,
-                            start: ri.start,
-                            end: time,
-                            nodes: if ri.alloc.is_empty() {
-                                ri.cpu_pin.map(|h| vec![h]).unwrap_or_default()
-                            } else {
-                                ri.alloc
-                            },
-                            speed: ri.speed,
-                            attempts: ri.attempt,
-                        });
-                        done[id] = true;
-                        settled += 1;
-                        sobs.task_end(time, id, ri.attempt);
-                        for &dep in &dependents[id] {
-                            dep_count[dep] -= 1;
-                            if dep_count[dep] == 0 && !recovery.failed[dep] {
-                                ready.push(dep);
-                            }
-                        }
-                    }
-                }
-                Event::NodeCrash { node } => {
-                    if node_dead[node] {
-                        continue; // startup-failed or already blacklisted
-                    }
-                    node_dead[node] = true;
-                    stats.node_crashes += 1;
-                    sobs.node_crash(time, node);
-                    // Kill only the jobs bound to this node; the block
-                    // re-spawns at the boundary with its survivors.
-                    for id in 0..n {
-                        let Some(ri) = running[id]
-                            .take_if(|ri| ri.alloc.contains(&node) || ri.cpu_pin == Some(node))
-                        else {
-                            continue;
-                        };
-                        release_to_block(&mut blocks, &ri.alloc, &node_dead);
-                        if let Some(host) = ri.cpu_pin {
-                            cpu_free[host] = true;
-                        }
-                        sobs.task_killed(time, id, ri.attempt, "node_crash");
-                        stats.wasted_node_seconds +=
-                            (time - ri.start).max(0.0) * ri.alloc.len().max(1) as f64;
-                        wasted_records.push(TaskRecord {
-                            id,
-                            start: ri.start,
-                            end: time,
-                            nodes: if ri.alloc.is_empty() {
-                                vec![node]
-                            } else {
-                                ri.alloc
-                            },
-                            speed: ri.speed,
-                            attempts: ri.attempt,
-                        });
-                        if recovery.requeue_or_fail(id, time, policy, &mut stats) {
-                            sobs.requeue(time, id, recovery.ready_at[id]);
-                            events.push(Reverse((
-                                Ord64(recovery.ready_at[id]),
-                                Event::TaskReady { id },
-                            )));
-                        } else {
-                            settled += 1;
-                            sobs.task_failed(time, id);
-                            cascade_fail(
-                                id,
-                                time,
-                                &sobs,
-                                &mut recovery,
-                                &dependents,
-                                &mut stats,
-                                &mut settled,
-                            );
-                        }
-                    }
-                    retire_node(&mut blocks, node);
-                    cluster.mark_crashed(node);
-                }
-                Event::TaskReady { id } => {
-                    if !done[id] && !recovery.failed[id] && running[id].is_none() {
-                        ready.push(id);
-                    }
-                }
-            }
-        }
-
-        let completed_tasks = done.iter().filter(|&&d| d).count();
-        let failed_tasks = recovery.failed.iter().filter(|&&f| f).count();
-        let avail_nodes = blocks.iter().map(|b| b.nodes.len()).sum::<usize>() as f64;
-        let report = SimReport {
-            makespan: time,
-            startup: 0.0,
-            busy_node_seconds,
-            total_node_seconds: avail_nodes * time,
-            records: records.into_iter().flatten().collect(),
-            total_flops: workload.total_flops(),
-            completed_flops,
-            completed_tasks,
-            failed_tasks,
-            task_attempts: recovery.attempts,
-            wasted_records,
-            faults: stats,
-        };
-        sobs.finish(&report);
-        report
+        run_queue(blocks, cluster, workload, faults, policy)
     }
 }
 

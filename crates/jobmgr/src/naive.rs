@@ -15,28 +15,14 @@
 //! sweep while `mpi_jm` degrades gracefully.
 
 use crate::cluster::Cluster;
-use crate::fault::{
-    AttemptFate, FaultConfig, FaultInjector, FaultStats, RecoveryState, RetryPolicy,
-};
-use crate::instrument::SchedObs;
-use crate::report::{SimReport, TaskRecord};
-use crate::task::{TaskKind, Workload};
+use crate::des::{Attempt, Ledger, Placed};
+use crate::fault::{FaultConfig, RetryPolicy};
+use crate::metaq::first_fit;
+use crate::report::SimReport;
+use crate::task::Workload;
 
 /// The naive wave-at-a-time bundler.
 pub struct NaiveBundler;
-
-/// One wave member's launch plan.
-struct WaveTask {
-    id: usize,
-    alloc: Vec<usize>,
-    attempt: usize,
-    start: f64,
-    /// Completion time if nothing kills the wave first.
-    planned_end: f64,
-    /// Time the attempt dies of a transient failure, if fated to.
-    fail_at: Option<f64>,
-    speed: f64,
-}
 
 impl NaiveBundler {
     /// Run `workload` on `cluster` on a pristine machine (no mid-run
@@ -67,45 +53,26 @@ impl NaiveBundler {
     ) -> SimReport {
         let n = workload.len();
         let n_nodes = cluster.nodes.len();
-        let sobs = SchedObs::new("naive");
-        let injector = FaultInjector::new(*faults, n_nodes);
-        let mut recovery = RecoveryState::new(n, n_nodes);
-        let mut stats = FaultStats {
-            nic_degraded_nodes: (0..n_nodes).filter(|&i| injector.nic_degraded(i)).count(),
-            ..FaultStats::default()
-        };
-        let mut crash_applied = vec![false; n_nodes];
-
-        let mut done = vec![false; n];
-        let mut records: Vec<Option<TaskRecord>> = vec![None; n];
-        let mut wasted_records: Vec<TaskRecord> = Vec::new();
+        let mut ledger = Ledger::new("naive", n, n_nodes, faults);
         let mut time = 0.0f64;
-        let mut busy_node_seconds = 0.0;
-        let mut completed_flops = 0.0;
 
         loop {
             // Retire nodes whose crash time has passed while idle.
             for node in 0..n_nodes {
-                if !crash_applied[node] && injector.crash_time(node) <= time {
-                    crash_applied[node] = true;
-                    if !cluster.nodes[node].failed {
-                        cluster.mark_crashed(node);
-                        stats.node_crashes += 1;
-                        sobs.node_crash(time, node);
-                    }
+                if ledger.injector.crash_time(node) <= time && !cluster.nodes[node].failed {
+                    cluster.mark_crashed(node);
+                    ledger.node_crashed(time, node);
                 }
             }
             // Abandon tasks whose dependencies permanently failed.
             loop {
                 let mut cascaded = false;
                 for t in &workload.tasks {
-                    if !done[t.id]
-                        && !recovery.failed[t.id]
-                        && t.deps.iter().any(|&d| recovery.failed[d])
+                    if !ledger.done[t.id]
+                        && !ledger.recovery.failed[t.id]
+                        && t.deps.iter().any(|&d| ledger.recovery.failed[d])
                     {
-                        recovery.failed[t.id] = true;
-                        stats.abandoned_tasks += 1;
-                        sobs.task_abandoned(time, t.id);
+                        ledger.abandon(t.id, time);
                         cascaded = true;
                     }
                 }
@@ -114,27 +81,25 @@ impl NaiveBundler {
                 }
             }
             let pending: Vec<usize> = (0..n)
-                .filter(|&i| !done[i] && !recovery.failed[i])
+                .filter(|&i| !ledger.done[i] && !ledger.recovery.failed[i])
                 .collect();
-            sobs.queue_depth(pending.len());
+            ledger.sobs.queue_depth(pending.len());
             if pending.is_empty() {
                 break;
             }
             // Honor backoff gates: if every dep-ready task is still backing
             // off, idle forward to the earliest gate.
-            // Borrow `recovery` per call (not in a closure) so the wave loop
-            // below can still take it mutably.
-            let dep_ready = |i: usize| workload.tasks[i].deps.iter().all(|&d| done[d]);
-            let ready_now =
-                |i: usize, now: f64, ready_at: &[f64]| dep_ready(i) && ready_at[i] <= now;
-            if !pending
+            let dep_ready = |i: usize| workload.tasks[i].deps.iter().all(|&d| ledger.done[d]);
+            let ready: Vec<usize> = pending
                 .iter()
-                .any(|&i| ready_now(i, time, &recovery.ready_at))
-            {
+                .copied()
+                .filter(|&i| dep_ready(i) && ledger.recovery.ready_at[i] <= time)
+                .collect();
+            if ready.is_empty() {
                 let next_gate = pending
                     .iter()
                     .filter(|&&i| dep_ready(i))
-                    .map(|&i| recovery.ready_at[i])
+                    .map(|&i| ledger.recovery.ready_at[i])
                     .fold(f64::INFINITY, f64::min);
                 assert!(
                     next_gate.is_finite(),
@@ -145,60 +110,25 @@ impl NaiveBundler {
             }
 
             // Collect the wave: ready tasks that fit in the (fully free)
-            // machine simultaneously.
-            let mut wave: Vec<WaveTask> = Vec::new();
-            for t in &workload.tasks {
-                if done[t.id] || recovery.failed[t.id] || !ready_now(t.id, time, &recovery.ready_at)
-                {
+            // machine simultaneously. Naive bundling gives contractions
+            // their own whole node; GPUs on it idle.
+            let mut wave: Vec<Attempt> = Vec::new();
+            for &i in &ready {
+                let t = &workload.tasks[i];
+                let Some((alloc, speed)) = first_fit(cluster, &ledger.injector, t) else {
                     continue;
-                }
-                let alloc = match t.kind {
-                    TaskKind::PropagatorSolve { nodes } => {
-                        match cluster.find_free_nodes(nodes, true) {
-                            Some(a) => a,
-                            None => continue,
-                        }
-                    }
-                    TaskKind::Contraction => {
-                        // Naive bundling gives contractions their own whole
-                        // node; GPUs on it idle.
-                        match cluster.find_free_nodes(1, true) {
-                            Some(a) => a,
-                            None => continue,
-                        }
-                    }
-                    // I/O runs on service nodes, consuming only time.
-                    TaskKind::Io => Vec::new(),
                 };
-                cluster.occupy(&alloc);
-                let attempt = recovery.start_attempt(t.id, &mut stats);
-                let mut speed = if alloc.is_empty() {
-                    1.0
-                } else {
-                    cluster.group_speed(&alloc) * injector.nic_speed(&alloc)
-                };
-                let fate = injector.attempt_fate(t.id, attempt);
-                if let AttemptFate::Straggler { slowdown } = fate {
-                    speed *= slowdown;
-                    stats.stragglers += 1;
-                }
-                let dur = t.base_seconds / speed;
-                let fail_at = match fate {
-                    AttemptFate::TransientFailure { at_fraction } => Some(time + dur * at_fraction),
-                    _ => None,
-                };
-                sobs.task_start(time, t.id, attempt, alloc.len());
-                wave.push(WaveTask {
-                    id: t.id,
+                let placed = Placed {
                     alloc,
-                    attempt,
+                    cpu_pin: None,
                     start: time,
-                    planned_end: time + dur,
-                    fail_at,
                     speed,
-                });
+                };
+                wave.push(ledger.launch(t, placed));
             }
-            sobs.nodes_busy(wave.iter().map(|w| w.alloc.len()).sum());
+            ledger
+                .sobs
+                .nodes_busy(wave.iter().map(|w| w.alloc.len()).sum());
             if wave.is_empty() {
                 // The machine is fully free here, so a ready task that
                 // does not fit now never will: either capacity shrank
@@ -206,12 +136,8 @@ impl NaiveBundler {
                 // the start. Abandon those gracefully (tasks merely
                 // backing off get another chance) instead of panicking
                 // mid-campaign.
-                for &i in &pending {
-                    if ready_now(i, time, &recovery.ready_at) {
-                        recovery.failed[i] = true;
-                        stats.abandoned_tasks += 1;
-                        sobs.task_abandoned(time, i);
-                    }
+                for &i in &ready {
+                    ledger.abandon(i, time);
                 }
                 continue;
             }
@@ -228,7 +154,7 @@ impl NaiveBundler {
                     }
                 }
                 for &node in &w.alloc {
-                    let ct = injector.crash_time(node);
+                    let ct = ledger.injector.crash_time(node);
                     if ct > time && ct <= nominal_end && kill.is_none_or(|(k, _)| ct < k) {
                         kill = Some((ct, Some(node)));
                     }
@@ -237,93 +163,38 @@ impl NaiveBundler {
 
             let wave_end = kill.map_or(nominal_end, |(k, _)| k);
             for w in &wave {
-                let t = &workload.tasks[w.id];
+                cluster.release(&w.alloc);
                 if w.planned_end <= wave_end {
                     // Finished before the bundle died (output already on
                     // disk) — or the wave was never killed.
-                    if matches!(t.kind, TaskKind::PropagatorSolve { .. }) {
-                        busy_node_seconds += (w.planned_end - w.start) * w.alloc.len() as f64;
+                    ledger.complete(&workload.tasks[w.id], w);
+                } else if w.fail_at == Some(wave_end) {
+                    ledger.killed(w, wave_end, "transient");
+                    if let Some(&node) = w.alloc.first() {
+                        if ledger.blame(node, policy) && !cluster.nodes[node].failed {
+                            cluster.mark_crashed(node);
+                            ledger.blacklisted(wave_end, node);
+                        }
                     }
-                    completed_flops += t.flops;
-                    records[w.id] = Some(TaskRecord {
-                        id: w.id,
-                        start: w.start,
-                        end: w.planned_end,
-                        nodes: w.alloc.clone(),
-                        speed: w.speed,
-                        attempts: w.attempt,
-                    });
-                    done[w.id] = true;
-                    sobs.task_end(w.planned_end, w.id, w.attempt);
+                    ledger.requeue(w.id, wave_end, policy);
                 } else {
                     // Killed as part of the bundle.
-                    stats.wasted_node_seconds += (wave_end - w.start) * w.alloc.len() as f64;
-                    wasted_records.push(TaskRecord {
-                        id: w.id,
-                        start: w.start,
-                        end: wave_end,
-                        nodes: w.alloc.clone(),
-                        speed: w.speed,
-                        attempts: w.attempt,
-                    });
-                    if w.fail_at == Some(wave_end) {
-                        stats.transient_failures += 1;
-                        sobs.task_killed(wave_end, w.id, w.attempt, "transient");
-                        if let Some(&node) = w.alloc.first() {
-                            if recovery.attribute_node_fault(node, policy)
-                                && !cluster.nodes[node].failed
-                            {
-                                cluster.mark_crashed(node);
-                                stats.blacklisted_nodes += 1;
-                                sobs.blacklist(wave_end, node);
-                            }
-                        }
-                    } else {
-                        sobs.task_killed(wave_end, w.id, w.attempt, "wave_kill");
-                    }
-                    if recovery.requeue_or_fail(w.id, wave_end, policy, &mut stats) {
-                        sobs.requeue(wave_end, w.id, recovery.ready_at[w.id]);
-                    } else {
-                        sobs.task_failed(wave_end, w.id);
-                    }
+                    ledger.killed(w, wave_end, "wave_kill");
+                    ledger.requeue(w.id, wave_end, policy);
                 }
-            }
-            for w in &wave {
-                cluster.release(&w.alloc);
             }
             if let Some((k, Some(node))) = kill {
                 // The crash culprit is retired permanently.
-                if injector.crash_time(node) <= k && !crash_applied[node] {
-                    crash_applied[node] = true;
-                    if !cluster.nodes[node].failed {
-                        cluster.mark_crashed(node);
-                        stats.node_crashes += 1;
-                        sobs.node_crash(k, node);
-                    }
+                if !cluster.nodes[node].failed {
+                    cluster.mark_crashed(node);
+                    ledger.node_crashed(k, node);
                 }
             }
             time = wave_end;
         }
 
-        let completed_tasks = done.iter().filter(|&&d| d).count();
-        let failed_tasks = recovery.failed.iter().filter(|&&f| f).count();
-        let healthy = cluster.healthy_nodes() as f64;
-        let report = SimReport {
-            makespan: time,
-            startup: 0.0,
-            busy_node_seconds,
-            total_node_seconds: healthy * time,
-            records: records.into_iter().flatten().collect(),
-            total_flops: workload.total_flops(),
-            completed_flops,
-            completed_tasks,
-            failed_tasks,
-            task_attempts: recovery.attempts,
-            wasted_records,
-            faults: stats,
-        };
-        sobs.finish(&report);
-        report
+        let healthy = cluster.healthy_nodes();
+        ledger.finish(workload, time, healthy)
     }
 }
 
