@@ -85,7 +85,9 @@ pub(crate) struct Attempt {
 
 impl Attempt {
     /// The nodes the attempt occupies: its allocation, or the pinned host of
-    /// a co-scheduled contraction.
+    /// a co-scheduled contraction. The one footprint rule — `task_start`,
+    /// the busy gauge, the success record and every kill's waste charge and
+    /// wasted record count and name the same nodes.
     fn nodes(&self) -> Vec<usize> {
         if self.alloc.is_empty() {
             self.cpu_pin.into_iter().collect()
@@ -98,12 +100,13 @@ impl Attempt {
         self.alloc.len().max(usize::from(self.cpu_pin.is_some()))
     }
 
-    fn record(&self, nodes: Vec<usize>, end: f64) -> TaskRecord {
+    /// The attempt's record, ended (or killed) at `end`.
+    fn record(&self, end: f64) -> TaskRecord {
         TaskRecord {
             id: self.id,
             start: self.start,
             end,
-            nodes,
+            nodes: self.nodes(),
             speed: self.speed,
             attempts: self.attempt,
         }
@@ -190,7 +193,7 @@ impl Ledger {
             self.busy_node_seconds += (a.planned_end - a.start) * a.alloc.len() as f64;
         }
         self.completed_flops += task.flops;
-        self.records[a.id] = Some(a.record(a.nodes(), a.planned_end));
+        self.records[a.id] = Some(a.record(a.planned_end));
         self.done[a.id] = true;
         self.sobs.task_end(a.planned_end, a.id, a.attempt);
     }
@@ -198,19 +201,12 @@ impl Ledger {
     /// The attempt died at `at` of `cause` ("transient", "node_crash", or
     /// "wave_kill" for naive-bundling collateral); its work so far is wasted.
     pub(crate) fn killed(&mut self, a: &Attempt, at: f64, cause: &str) {
-        // A crash charges a co-scheduled contraction its pinned host; a
-        // transient failure charges it nothing.
-        let nodes = if cause == "node_crash" {
-            a.nodes()
-        } else {
-            a.alloc.clone()
-        };
         if cause == "transient" {
             self.stats.transient_failures += 1;
         }
         self.sobs.task_killed(at, a.id, a.attempt, cause);
-        self.stats.wasted_node_seconds += (at - a.start).max(0.0) * nodes.len() as f64;
-        self.wasted_records.push(a.record(nodes, at));
+        self.stats.wasted_node_seconds += (at - a.start).max(0.0) * a.footprint() as f64;
+        self.wasted_records.push(a.record(at));
     }
 
     /// Decide a killed task's future: requeue behind a backoff gate (`true`;
@@ -426,24 +422,21 @@ pub(crate) fn run_queue<P: Placement>(
             .nodes_busy(running.iter().flatten().map(Attempt::footprint).sum());
 
         // Advance to the next event. Every in-flight attempt has its end in
-        // the heap, so an empty heap means nothing is running either.
+        // the heap, so an empty heap means nothing is running either: a
+        // ready task that did not fit just now never will — capacity shrank
+        // below its footprint, or it was oversized from the start — and is
+        // abandoned rather than left to hang or panic the campaign.
         let Some(Reverse((Ord64(t_ev), ev))) = q.events.pop() else {
-            if !ready.is_empty() && faults.enabled() {
-                // The stranded ready tasks can never fit on what remains of
-                // the machine: abandon them instead of panicking.
-                for id in ready.drain(..) {
-                    if !q.ledger.recovery.failed[id] {
-                        q.ledger.abandon(id, time);
-                        q.settle_failed(id, time);
-                    }
-                }
-                continue;
+            if ready.is_empty() {
+                break; // only dep-waiting tasks remain; the cascade settled them
             }
-            assert!(
-                ready.is_empty(),
-                "tasks pending but nothing running: workload too big for the machine"
-            );
-            break; // only dep-waiting tasks remain; the cascade settled them
+            for id in ready.drain(..) {
+                if !q.ledger.recovery.failed[id] {
+                    q.ledger.abandon(id, time);
+                    q.settle_failed(id, time);
+                }
+            }
+            continue;
         };
         time = time.max(t_ev);
         match ev {
@@ -478,6 +471,10 @@ pub(crate) fn run_queue<P: Placement>(
                     continue; // dead at startup or already blacklisted
                 }
                 q.ledger.node_crashed(time, node);
+                // Retire before the kill loop: the victims' `release` then
+                // already skips the dead node, so no policy ever holds a
+                // dead node as free and one hook suffices.
+                placement.retire(cluster, node);
                 // Kill only the attempts bound to this node.
                 for id in 0..n {
                     let Some(a) =
@@ -489,9 +486,6 @@ pub(crate) fn run_queue<P: Placement>(
                     q.ledger.killed(&a, time, "node_crash");
                     q.recycle(id, time);
                 }
-                // Retiring after the kills also takes back the dead node the
-                // victims' `release` has just returned.
-                placement.retire(cluster, node);
             }
             Event::TaskReady { id } => {
                 if !q.ledger.done[id] && !q.ledger.recovery.failed[id] && running[id].is_none() {

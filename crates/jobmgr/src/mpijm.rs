@@ -142,6 +142,10 @@ impl Placement for Blocks {
         }
     }
 
+    /// Finds the block by *any* surviving member: a node of the allocation
+    /// may have been retired while the job ran (the crash that is killing
+    /// it, or a blacklisting charged to a contraction co-scheduled on it),
+    /// and the rest still go back to their block.
     fn release(&mut self, _cluster: &mut Cluster, alloc: &[usize], cpu_pin: Option<usize>) {
         if let Some(host) = cpu_pin {
             self.cpu_free[host] = true;
@@ -149,7 +153,7 @@ impl Placement for Blocks {
         let block = self
             .blocks
             .iter_mut()
-            .find(|b| !alloc.is_empty() && alloc.iter().all(|i| b.nodes.contains(i)));
+            .find(|b| alloc.iter().any(|i| b.nodes.contains(i)));
         if let Some(b) = block {
             b.free
                 .extend(alloc.iter().copied().filter(|&i| !self.node_dead[i]));
@@ -229,8 +233,8 @@ impl MpiJmScheduler {
     /// faults).
     ///
     /// # Panics
-    /// If any GPU task needs more nodes than a block holds (jobs must not
-    /// straddle blocks) or the workload cannot fit at all.
+    /// If no lump is healthy, or any GPU task needs more nodes than a block
+    /// holds (jobs must not straddle blocks).
     pub fn run(&self, cluster: &mut Cluster, workload: &Workload) -> SimReport {
         self.run_with_faults(
             cluster,
@@ -484,5 +488,152 @@ mod tests {
             "too little work finished: {}",
             r.completed_work_fraction()
         );
+    }
+
+    #[test]
+    fn a_task_that_can_never_fit_is_abandoned_by_every_scheduler() {
+        // Pristine fault model, but node 3 never came up: the 4-node solve
+        // (task 0) cannot fit on the 3 nodes left. It and its dependents
+        // (write 1, contraction 2) are abandoned; the two 1-node solves run.
+        use crate::metaq::MetaqScheduler;
+        use crate::naive::NaiveBundler;
+        use crate::task::TaskSpec;
+        let task = |id, kind, deps: &[usize]| TaskSpec {
+            id,
+            kind,
+            base_seconds: 10.0,
+            flops: 1e12,
+            deps: deps.to_vec(),
+        };
+        let w = Workload {
+            tasks: vec![
+                task(0, TaskKind::PropagatorSolve { nodes: 4 }, &[]),
+                task(1, TaskKind::Io, &[0]),
+                task(2, TaskKind::Contraction, &[1]),
+                task(3, TaskKind::PropagatorSolve { nodes: 1 }, &[]),
+                task(4, TaskKind::PropagatorSolve { nodes: 1 }, &[]),
+            ],
+        };
+        let degraded = || {
+            let mut c = cluster(4, 0.0, 0.0, 3);
+            c.nodes[3].failed = true;
+            c
+        };
+        let (faults, policy) = (FaultConfig::default(), RetryPolicy::default());
+        // mpi_jm's pre-flight drops a lump with a dead node, so its row runs
+        // the engine on what such a block looks like after losing the node.
+        let shrunken_block = |c: &Cluster| Blocks {
+            config: MpiJmConfig::default(),
+            blocks: vec![Block {
+                nodes: vec![0, 1, 2],
+                free: vec![0, 1, 2],
+            }],
+            node_dead: c.nodes.iter().map(|nd| nd.failed).collect(),
+            cpu_free: vec![true; 4],
+        };
+        type Run<'a> = &'a dyn Fn(&mut Cluster) -> SimReport;
+        let rows: [(&str, Run); 3] = [
+            ("naive", &|c| NaiveBundler::run(c, &w)),
+            ("metaq", &|c| MetaqScheduler::run(c, &w)),
+            ("mpi_jm", &|c| {
+                run_queue(shrunken_block(c), c, &w, &faults, &policy)
+            }),
+        ];
+        for (name, run) in rows {
+            let r = run(&mut degraded());
+            assert_eq!(r.completed_tasks, 2, "{name}");
+            assert_eq!(r.failed_tasks, 3, "{name}: oversized solve + 2 dependents");
+            assert_eq!(r.faults.abandoned_tasks, 3, "{name}");
+            assert_eq!(r.faults.permanent_failures, 0, "{name}");
+            assert_eq!(r.task_attempts[..3], [0, 0, 0], "{name}: never launched");
+        }
+    }
+
+    #[test]
+    fn release_returns_survivors_of_a_block_that_lost_a_node_mid_job() {
+        // A node can be retired under a running GPU job (blacklisted through
+        // a contraction co-scheduled on it): the job's other nodes must
+        // still go back to the block when it ends.
+        let mut c = cluster(4, 0.0, 0.0, 3);
+        let mut blocks = Blocks {
+            config: MpiJmConfig::default(),
+            blocks: vec![Block {
+                nodes: vec![0, 1, 2, 3],
+                free: vec![2, 3],
+            }],
+            node_dead: vec![false; 4],
+            cpu_free: vec![true; 4],
+        };
+        blocks.retire(&mut c, 0);
+        blocks.release(&mut c, &[0, 1], None);
+        assert_eq!(blocks.blocks[0].free, [1, 2, 3]);
+        assert_eq!(blocks.capacity(&c), 3);
+    }
+
+    #[test]
+    fn des_invariants_hold_under_faults() {
+        // The golden Fig. 2 scenario: deps, contractions and I/O with every
+        // fault channel on. Same-resource records (GPU allocations; CPU pins
+        // of co-scheduled contractions) never overlap on a node, and every
+        // contraction record — successful, crash-killed or transient-killed
+        // — names the one host it was pinned to.
+        let sched = MpiJmScheduler::new(MpiJmConfig {
+            lump_nodes: 4,
+            block_nodes: 4,
+            ..MpiJmConfig::default()
+        });
+        let w = Workload::figure2_workflow(2, 6, 4, 400.0, 1e14);
+        let faults = FaultConfig {
+            node_mtbf_seconds: 8_000.0,
+            transient_fail_prob: 0.15,
+            straggler_prob: 0.1,
+            nic_degrade_prob: 0.15,
+            seed: 59_320,
+            ..FaultConfig::default()
+        };
+        let r = sched.run_with_faults(
+            &mut cluster(16, 0.05, 0.05, 7),
+            &w,
+            &faults,
+            &RetryPolicy::default(),
+        );
+        assert_eq!(r.completed_tasks + r.failed_tasks, w.len());
+        let is_contraction = |id: usize| matches!(w.tasks[id].kind, TaskKind::Contraction);
+        let mut intervals: Vec<(bool, usize, f64, f64)> = Vec::new();
+        for rec in r.records.iter().chain(&r.wasted_records) {
+            if is_contraction(rec.id) {
+                assert_eq!(rec.nodes.len(), 1, "pinned host named: {rec:?}");
+            }
+            for &node in &rec.nodes {
+                intervals.push((is_contraction(rec.id), node, rec.start, rec.end));
+            }
+        }
+        let killed_contractions = r.wasted_records.iter().filter(|k| is_contraction(k.id));
+        assert!(killed_contractions.count() >= 2, "one crash, one transient");
+        let charged: f64 = r
+            .wasted_records
+            .iter()
+            .map(|k| (k.end - k.start) * k.nodes.len() as f64)
+            .sum();
+        assert!(
+            (r.faults.wasted_node_seconds - charged).abs() < 1e-6,
+            "every kill is charged the nodes its record names"
+        );
+        intervals.sort_by(|a, b| {
+            (a.0, a.1, a.2)
+                .partial_cmp(&(b.0, b.1, b.2))
+                .expect("finite")
+        });
+        for w2 in intervals.windows(2) {
+            if (w2[0].0, w2[0].1) == (w2[1].0, w2[1].1) {
+                assert!(
+                    w2[0].3 <= w2[1].2 + 1e-9,
+                    "node {} oversubscribed: {:?} overlaps {:?}",
+                    w2[0].1,
+                    w2[0],
+                    w2[1]
+                );
+            }
+        }
     }
 }
