@@ -88,16 +88,12 @@ impl Attempt {
     /// a co-scheduled contraction. The one footprint rule — `task_start`,
     /// the busy gauge, the success record and every kill's waste charge and
     /// wasted record count and name the same nodes.
-    fn nodes(&self) -> Vec<usize> {
+    fn nodes(&self) -> &[usize] {
         if self.alloc.is_empty() {
-            self.cpu_pin.into_iter().collect()
+            self.cpu_pin.as_slice()
         } else {
-            self.alloc.clone()
+            &self.alloc
         }
-    }
-
-    fn footprint(&self) -> usize {
-        self.alloc.len().max(usize::from(self.cpu_pin.is_some()))
     }
 
     /// The attempt's record, ended (or killed) at `end`.
@@ -106,7 +102,7 @@ impl Attempt {
             id: self.id,
             start: self.start,
             end,
-            nodes: self.nodes(),
+            nodes: self.nodes().to_vec(),
             speed: self.speed,
             attempts: self.attempt,
         }
@@ -183,7 +179,8 @@ impl Ledger {
             planned_end: start + dur,
             fail_at,
         };
-        self.sobs.task_start(start, task.id, attempt, a.footprint());
+        self.sobs
+            .task_start(start, task.id, attempt, a.nodes().len());
         a
     }
 
@@ -205,7 +202,7 @@ impl Ledger {
             self.stats.transient_failures += 1;
         }
         self.sobs.task_killed(at, a.id, a.attempt, cause);
-        self.stats.wasted_node_seconds += (at - a.start).max(0.0) * a.footprint() as f64;
+        self.stats.wasted_node_seconds += (at - a.start).max(0.0) * a.nodes().len() as f64;
         self.wasted_records.push(a.record(at));
     }
 
@@ -419,7 +416,7 @@ pub(crate) fn run_queue<P: Placement>(
         q.ledger.sobs.queue_depth(ready.len());
         q.ledger
             .sobs
-            .nodes_busy(running.iter().flatten().map(Attempt::footprint).sum());
+            .nodes_busy(running.iter().flatten().map(|a| a.nodes().len()).sum());
 
         // Advance to the next event. Every in-flight attempt has its end in
         // the heap, so an empty heap means nothing is running either: a
