@@ -22,7 +22,7 @@ const SITE_GRAIN: usize = 1024;
 /// Timeslice-binned volume sum `corr[(t(x) + nt - t0) % nt] += site(x)`:
 /// each fixed chunk of sites folds into its own `nt`-length partial
 /// correlator, and partials are added slice-wise in chunk-index order.
-fn timeslice_sum<T, F>(lattice: &Lattice, t0: usize, zero: T, site: F) -> Vec<T>
+pub(crate) fn timeslice_sum<T, F>(lattice: &Lattice, t0: usize, zero: T, site: F) -> Vec<T>
 where
     T: Copy + std::ops::AddAssign + Send + Sync,
     F: Fn(usize) -> (usize, T) + Sync + Send,
@@ -150,52 +150,191 @@ pub fn proton_correlator_general(
     d: &Propagator,
     projector: &SpinMatrix<f64>,
 ) -> Vec<C64> {
-    let t0 = d.source_time;
-    let cg5 = c_gamma5();
-
-    // Precompute the sparse entries of Cγ5 (4 non-zeros, all real).
-    let mut cg5_entries: Vec<(usize, usize, f64)> = Vec::new();
-    for a in 0..NS {
-        for b in 0..NS {
-            if cg5.m[a][b].norm_sqr() > 0.0 {
-                cg5_entries.push((a, b, cg5.m[a][b].re));
-            }
-        }
-    }
-
+    let t0 = common_source_time(&[u1, u2, d]);
+    let kernel = BaryonKernel::new(projector);
     timeslice_sum(lattice, t0, C64::zero(), |x| {
         let mu1 = u1.site_matrix(x);
         let mu2 = u2.site_matrix(x);
-        let md = d.site_matrix(x);
-        let mut acc = C64::zero();
-        for &(a, b, c, sgn) in &EPSILON {
-            for &(ap, bp, cp, sgnp) in &EPSILON {
-                let color_sign = sgn * sgnp;
-                for &(al, be, w1) in &cg5_entries {
-                    for &(alp, bep, w2) in &cg5_entries {
-                        let sd = md[be * 3 + b][bep * 3 + bp];
-                        let w = color_sign * w1 * w2;
-                        for ga in 0..NS {
-                            for gap in 0..NS {
-                                let p = projector.m[gap][ga];
-                                if p.norm_sqr() == 0.0 {
-                                    continue;
-                                }
-                                // Direct pairing.
-                                let direct =
-                                    mu1[al * 3 + a][alp * 3 + ap] * mu2[ga * 3 + c][gap * 3 + cp];
-                                // Exchange pairing.
-                                let exchange =
-                                    mu1[al * 3 + a][gap * 3 + cp] * mu2[ga * 3 + c][alp * 3 + ap];
-                                acc += p * sd * (direct - exchange) * C64::new(w, 0.0);
-                            }
-                        }
+        let site = kernel.site(
+            &mu1,
+            &kernel.sink_folded(&mu1),
+            &mu2,
+            &kernel.sink_traced(&mu2),
+            &kernel.diquark_sandwiched(&d.site_matrix(x)),
+        );
+        (lattice.time_of(x), site)
+    })
+}
+
+/// The source time shared by every propagator of one baryon contraction.
+/// Propagators from different sources would bin a correlator shifted by
+/// the wrong `t0` without any other symptom, so a mismatch is a panic.
+pub(crate) fn common_source_time(props: &[&Propagator]) -> usize {
+    for p in &props[1..] {
+        assert_eq!(
+            (p.source_site, p.source_time),
+            (props[0].source_site, props[0].source_time),
+            "same source needed"
+        );
+    }
+    props[0].source_time
+}
+
+/// A propagator at one site, indexed `[s_snk*3+c_snk][s_src*3+c_src]`.
+type SiteMatrix = [[C64; 12]; 12];
+
+/// `V[αa][c'][k] = Σ_γ' P[γ'][γ_k] U[αa][γ'c']`: an up-quark line with the
+/// sink projector folded onto its source index, one slot per distinct `γ_k`.
+type SinkFolded = [[[C64; NS]; 3]; 12];
+
+/// `T[c][c'] = Σ P[γ'][γ] U[γc][γ'c']`: an up-quark line traced against
+/// the sink projector, a 3×3 colour matrix.
+type SinkTraced = [[C64; 3]; 3];
+
+/// The per-call constants of the baryon contraction (see
+/// [`proton_correlator`]) and the per-site pieces it factors into. With the
+/// Cγ5-sandwiched down quark `S̃d[αb][α'b'] = w w' Sd[β(α)b][β'(α')b']`
+/// the site value is
+///
+/// `Σ ± Σ_α' ( T2[c][c'] Σ_α S̃d[αb][α'b'] U1[αa][α'a']
+///            − Σ_k U2[γ_k c][α'a'] Σ_α S̃d[αb][α'b'] V1[αa][c'][k] )`
+///
+/// over the 36 signed colour pairs: the projector sums are done once per
+/// quark line instead of once per colour pair, and neither the ε signs nor
+/// the projector's zeros cost a multiply or a branch inside.
+pub(crate) struct BaryonKernel {
+    /// `ε_abc ε_a'b'c'` as `([a, b, c], [a', b', c'], product is −1)`.
+    colour: [([usize; 3], [usize; 3], bool); 36],
+    /// Non-zeros `(α, β, w)` of `Cγ5`.
+    cg5: Vec<(usize, usize, f64)>,
+    /// Non-zeros of the projector as `(γ', k, P[γ'][γ_k])`.
+    projector: Vec<(usize, usize, C64)>,
+    /// The distinct `γ_k` with a non-zero projector column.
+    gammas: Vec<usize>,
+}
+
+impl BaryonKernel {
+    pub(crate) fn new(projector: &SpinMatrix<f64>) -> Self {
+        let mut colour = [([0; 3], [0; 3], false); 36];
+        for (i, &(a, b, c, sgn)) in EPSILON.iter().enumerate() {
+            for (j, &(ap, bp, cp, sgnp)) in EPSILON.iter().enumerate() {
+                colour[i * 6 + j] = ([a, b, c], [ap, bp, cp], sgn * sgnp < 0.0);
+            }
+        }
+        let cg5_dense = c_gamma5();
+        let mut cg5 = Vec::new();
+        for al in 0..NS {
+            for be in 0..NS {
+                let w = cg5_dense.m[al][be];
+                if w.norm_sqr() > 0.0 {
+                    assert_eq!(w.im, 0.0, "Cγ5 is real in this basis");
+                    cg5.push((al, be, w.re));
+                }
+            }
+        }
+        let mut entries = Vec::new();
+        let mut gammas = Vec::new();
+        for ga in 0..NS {
+            for gap in 0..NS {
+                let p = projector.m[gap][ga];
+                if p.norm_sqr() > 0.0 {
+                    if gammas.last() != Some(&ga) {
+                        gammas.push(ga);
+                    }
+                    entries.push((gap, gammas.len() - 1, p));
+                }
+            }
+        }
+        Self {
+            colour,
+            cg5,
+            projector: entries,
+            gammas,
+        }
+    }
+
+    /// The projector folded onto the source index of the `u_a` line.
+    pub(crate) fn sink_folded(&self, u: &SiteMatrix) -> SinkFolded {
+        let mut v = [[[C64::zero(); NS]; 3]; 12];
+        for &(gp, k, p) in &self.projector {
+            for (row, vr) in v.iter_mut().enumerate() {
+                for cp in 0..3 {
+                    vr[cp][k] += p * u[row][gp * 3 + cp];
+                }
+            }
+        }
+        v
+    }
+
+    /// The projector traced against the `u_c` line.
+    pub(crate) fn sink_traced(&self, u: &SiteMatrix) -> SinkTraced {
+        let mut t = [[C64::zero(); 3]; 3];
+        for &(gp, k, p) in &self.projector {
+            let g = self.gammas[k];
+            for c in 0..3 {
+                for cp in 0..3 {
+                    t[c][cp] += p * u[g * 3 + c][gp * 3 + cp];
+                }
+            }
+        }
+        t
+    }
+
+    /// The down quark between the two diquark `Cγ5`s.
+    pub(crate) fn diquark_sandwiched(&self, d: &SiteMatrix) -> SiteMatrix {
+        let mut s = [[C64::zero(); 12]; 12];
+        for &(al, be, w) in &self.cg5 {
+            for &(alp, bep, wp) in &self.cg5 {
+                for b in 0..3 {
+                    for bp in 0..3 {
+                        s[al * 3 + b][alp * 3 + bp] += d[be * 3 + b][bep * 3 + bp].scale(w * wp);
                     }
                 }
             }
         }
-        (lattice.time_of(x), acc)
-    })
+        s
+    }
+
+    /// The baryon contraction at one site: `u1`/`v1` are the `u_a` line
+    /// and its [`Self::sink_folded`], `u2`/`t2` the `u_c` line and its
+    /// [`Self::sink_traced`], `sd` the [`Self::diquark_sandwiched`] down
+    /// quark.
+    pub(crate) fn site(
+        &self,
+        u1: &SiteMatrix,
+        v1: &SinkFolded,
+        u2: &SiteMatrix,
+        t2: &SinkTraced,
+        sd: &SiteMatrix,
+    ) -> C64 {
+        let ng = self.gammas.len();
+        let mut acc = C64::zero();
+        for &([a, b, c], [ap, bp, cp], negative) in &self.colour {
+            let mut direct = C64::zero();
+            let mut exchange = C64::zero();
+            for alp in 0..NS {
+                // q[k] = Σ_α S̃d[αb][α'b'] V1[αa][c'][k]
+                let mut q = [C64::zero(); NS];
+                for al in 0..NS {
+                    let s = sd[al * 3 + b][alp * 3 + bp];
+                    direct += s * u1[al * 3 + a][alp * 3 + ap];
+                    for (qk, &vk) in q.iter_mut().zip(&v1[al * 3 + a][cp][..ng]) {
+                        *qk += s * vk;
+                    }
+                }
+                for (&qk, &g) in q.iter().zip(&self.gammas) {
+                    exchange += qk * u2[g * 3 + c][alp * 3 + ap];
+                }
+            }
+            let pair = t2[c][cp] * direct - exchange;
+            if negative {
+                acc -= pair;
+            } else {
+                acc += pair;
+            }
+        }
+        acc
+    }
 }
 
 /// Momentum-projected pion correlator:
@@ -232,7 +371,7 @@ pub fn effective_mass(corr: &[f64]) -> Vec<f64> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::field::GaugeField;
     use crate::gamma::parity_projector;
@@ -254,6 +393,124 @@ mod tests {
     fn make_prop(lat: &Lattice, gauge: &GaugeField<f64>, mass: f64) -> Propagator {
         let solver = PropagatorSolver::new(lat, gauge, SolverKind::WilsonBicgstab { mass });
         solver.point_propagator(0).0
+    }
+
+    /// The contraction as the plain index loop over ε ⊗ ε ⊗ Cγ5 ⊗ Cγ5 ⊗ P —
+    /// the form the formula in [`proton_correlator`]'s doc is read off from,
+    /// kept as the oracle for [`BaryonKernel`].
+    pub(crate) fn proton_reference(
+        lattice: &Lattice,
+        u1: &Propagator,
+        u2: &Propagator,
+        d: &Propagator,
+        projector: &SpinMatrix<f64>,
+    ) -> Vec<C64> {
+        let t0 = d.source_time;
+        let cg5 = c_gamma5();
+
+        // Precompute the sparse entries of Cγ5 (4 non-zeros, all real).
+        let mut cg5_entries: Vec<(usize, usize, f64)> = Vec::new();
+        for a in 0..NS {
+            for b in 0..NS {
+                if cg5.m[a][b].norm_sqr() > 0.0 {
+                    cg5_entries.push((a, b, cg5.m[a][b].re));
+                }
+            }
+        }
+
+        timeslice_sum(lattice, t0, C64::zero(), |x| {
+            let mu1 = u1.site_matrix(x);
+            let mu2 = u2.site_matrix(x);
+            let md = d.site_matrix(x);
+            let mut acc = C64::zero();
+            for &(a, b, c, sgn) in &EPSILON {
+                for &(ap, bp, cp, sgnp) in &EPSILON {
+                    let color_sign = sgn * sgnp;
+                    for &(al, be, w1) in &cg5_entries {
+                        for &(alp, bep, w2) in &cg5_entries {
+                            let sd = md[be * 3 + b][bep * 3 + bp];
+                            let w = color_sign * w1 * w2;
+                            for ga in 0..NS {
+                                for gap in 0..NS {
+                                    let p = projector.m[gap][ga];
+                                    if p.norm_sqr() == 0.0 {
+                                        continue;
+                                    }
+                                    // Direct pairing.
+                                    let direct = mu1[al * 3 + a][alp * 3 + ap]
+                                        * mu2[ga * 3 + c][gap * 3 + cp];
+                                    // Exchange pairing.
+                                    let exchange = mu1[al * 3 + a][gap * 3 + cp]
+                                        * mu2[ga * 3 + c][alp * 3 + ap];
+                                    acc += p * sd * (direct - exchange) * C64::new(w, 0.0);
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+            (lattice.time_of(x), acc)
+        })
+    }
+
+    /// A propagator of seeded gaussian columns from source `(0, 0)`.
+    pub(crate) fn gaussian_prop(lat: &Lattice, seed: u64) -> Propagator {
+        Propagator {
+            columns: (0..12)
+                .map(|i| crate::field::FermionField::gaussian(lat.volume(), seed + i))
+                .collect(),
+            source_site: 0,
+            source_time: 0,
+        }
+    }
+
+    /// Largest `|a − b| / max(|b|, 1e-9·max|b|)`, the rule of
+    /// `benchmark/src/check.rs::rel_err`.
+    pub(crate) fn rel_err(got: &[C64], want: &[C64]) -> f64 {
+        assert_eq!(got.len(), want.len());
+        let floor = 1e-9 * want.iter().map(|w| w.abs()).fold(0.0, f64::max);
+        got.iter()
+            .zip(want)
+            .map(|(&g, &w)| (g - w).abs() / w.abs().max(floor))
+            .fold(0.0, f64::max)
+    }
+
+    #[test]
+    fn factored_kernel_matches_index_loop_for_any_projector() {
+        let lat = Lattice::new([4, 4, 2, 4]);
+        let (u1, u2, d) = (
+            gaussian_prop(&lat, 100),
+            gaussian_prop(&lat, 200),
+            gaussian_prop(&lat, 300),
+        );
+        // A dense complex projector with no zero entry.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(7);
+        let mut dense = SpinMatrix::zero();
+        for e in dense.m.iter_mut().flatten() {
+            *e = C64::new(rng.gen::<f64>() - 1.5, rng.gen::<f64>() + 0.5);
+        }
+        for (name, proj) in [
+            ("parity", parity_projector()),
+            ("polarized", crate::gamma::polarized_projector()),
+            ("dense", dense),
+        ] {
+            let got = proton_correlator_general(&lat, &u1, &u2, &d, &proj);
+            let want = proton_reference(&lat, &u1, &u2, &d, &proj);
+            let err = rel_err(&got, &want);
+            assert!(err <= 1e-12, "{name} projector: relative error {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "same source needed")]
+    fn proton_rejects_propagators_from_different_sources() {
+        let lat = Lattice::new([2, 2, 2, 4]);
+        let d = gaussian_prop(&lat, 1);
+        let mut u = gaussian_prop(&lat, 2);
+        u.source_site = lat.volume() - 1;
+        u.source_time = 3;
+        proton_correlator(&lat, &u, &d, &parity_projector());
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! reaches a more precise answer with an order of magnitude fewer samples.
 
 use crate::complex::C64;
-use crate::contract::proton_correlator_general;
+use crate::contract::{common_source_time, timeslice_sum, BaryonKernel};
 use crate::field::FermionField;
 use crate::gamma::{gamma3_gamma5, SpinMatrix};
 use crate::lattice::Lattice;
@@ -104,12 +104,21 @@ pub fn fh_nucleon_correlator(
     fh_d: &Propagator,
     projector: &SpinMatrix<f64>,
 ) -> Vec<C64> {
-    let c_u1 = proton_correlator_general(lattice, fh_u, prop_u, prop_d, projector);
-    let c_u2 = proton_correlator_general(lattice, prop_u, fh_u, prop_d, projector);
-    let c_d = proton_correlator_general(lattice, prop_u, prop_u, fh_d, projector);
-    (0..lattice.nt())
-        .map(|t| c_u1[t] + c_u2[t] - c_d[t])
-        .collect()
+    let t0 = common_source_time(&[prop_u, prop_d, fh_u, fh_d]);
+    let kernel = BaryonKernel::new(projector);
+    // One pass: each of the four propagators is gathered, and each quark
+    // line prepared, once per site for all three substitutions.
+    timeslice_sum(lattice, t0, C64::zero(), |x| {
+        let (u, fu) = (prop_u.site_matrix(x), fh_u.site_matrix(x));
+        let (u_folded, fu_folded) = (kernel.sink_folded(&u), kernel.sink_folded(&fu));
+        let (u_traced, fu_traced) = (kernel.sink_traced(&u), kernel.sink_traced(&fu));
+        let d = kernel.diquark_sandwiched(&prop_d.site_matrix(x));
+        let fd = kernel.diquark_sandwiched(&fh_d.site_matrix(x));
+        let c_u1 = kernel.site(&fu, &fu_folded, &u, &u_traced, &d);
+        let c_u2 = kernel.site(&u, &u_folded, &fu, &fu_traced, &d);
+        let c_d = kernel.site(&u, &u_folded, &u, &u_traced, &fd);
+        (lattice.time_of(x), c_u1 + c_u2 - c_d)
+    })
 }
 
 /// The effective coupling `g_eff(t) = R(t+1) − R(t)` with
@@ -220,6 +229,34 @@ mod tests {
         for t in 0..4 {
             assert!(geff[t].is_finite(), "g_eff({t}) not finite");
         }
+    }
+
+    #[test]
+    fn fused_pass_equals_the_three_substitutions_of_the_index_loop() {
+        use crate::contract::tests::{gaussian_prop, proton_reference, rel_err};
+        let lat = Lattice::new([4, 4, 2, 4]);
+        let (u, d) = (gaussian_prop(&lat, 100), gaussian_prop(&lat, 200));
+        let (fh_u, fh_d) = (gaussian_prop(&lat, 300), gaussian_prop(&lat, 400));
+        for proj in [crate::gamma::parity_projector(), polarized_projector()] {
+            let c_u1 = proton_reference(&lat, &fh_u, &u, &d, &proj);
+            let c_u2 = proton_reference(&lat, &u, &fh_u, &d, &proj);
+            let c_d = proton_reference(&lat, &u, &u, &fh_d, &proj);
+            let want: Vec<C64> = (0..lat.nt()).map(|t| c_u1[t] + c_u2[t] - c_d[t]).collect();
+            let got = fh_nucleon_correlator(&lat, &u, &d, &fh_u, &fh_d, &proj);
+            let err = rel_err(&got, &want);
+            assert!(err <= 1e-12, "relative error {err}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "same source needed")]
+    fn fh_rejects_propagators_from_different_sources() {
+        use crate::contract::tests::gaussian_prop;
+        let lat = Lattice::new([2, 2, 2, 4]);
+        let u = gaussian_prop(&lat, 1);
+        let mut fh = gaussian_prop(&lat, 2);
+        fh.source_time = 1;
+        fh_nucleon_correlator(&lat, &u, &u, &fh, &fh, &polarized_projector());
     }
 
     #[test]

@@ -3,11 +3,13 @@
 //! tolerance is 1e-8, so f32 storage loses nothing physical and halves the
 //! I/O volume the workflow's 0.5% budget pays for).
 
-use crate::container::{read_container, salvage_container, write_container, Container};
+use crate::container::{le_array, read_container, salvage_container, write_container, Container};
 use crate::IoError;
 use lqcd_core::complex::Complex;
 use lqcd_core::field::FermionField;
 use lqcd_core::prop::Propagator;
+use lqcd_core::spinor::Spinor;
+use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -70,11 +72,13 @@ fn decode_propagator(c: &Container) -> Result<Propagator, IoError> {
         )));
     }
     let volume = c.header.shape[1];
-    let values: Vec<f64> = match c.header.dtype.as_str() {
-        "f64" => c.to_f64()?,
-        "f32" => c.to_f32()?.into_iter().map(|v| v as f64).collect(),
-        other => return Err(IoError::Format(format!("unknown dtype {other}"))),
-    };
+    let esize = c
+        .header
+        .element_size()
+        .ok_or_else(|| IoError::Format(format!("unknown dtype {}", c.header.dtype)))?;
+    if volume.checked_mul(12 * 24 * esize) != Some(c.payload.len()) {
+        return Err(IoError::Format("payload length != shape".into()));
+    }
     let source_site = c
         .header
         .metadata
@@ -87,26 +91,47 @@ fn decode_propagator(c: &Container) -> Result<Propagator, IoError> {
         .get("source_time")
         .and_then(|s| s.parse().ok())
         .ok_or_else(|| IoError::Format("missing source_time".into()))?;
-
-    let mut columns = Vec::with_capacity(12);
-    for col in 0..12 {
-        let mut field = FermionField::zeros(volume);
-        for (x, sp) in field.data.iter_mut().enumerate() {
-            let base = (col * volume + x) * 24;
-            for s in 0..4 {
-                for cc in 0..3 {
-                    let k = base + (s * 3 + cc) * 2;
-                    sp.s[s].c[cc] = Complex::new(values[k], values[k + 1]);
-                }
-            }
-        }
-        columns.push(field);
-    }
+    let columns = if esize == 4 {
+        decode_columns(&c.payload, volume, |b| f32::from_le_bytes(b) as f64)
+    } else {
+        decode_columns(&c.payload, volume, f64::from_le_bytes)
+    };
     Ok(Propagator {
         columns,
         source_site,
         source_time,
     })
+}
+
+/// The 12 columns of a `[12, volume, 4, 3, 2]` payload of `E`-byte
+/// little-endian reals, each filled straight from its byte range (no
+/// whole-payload intermediate), columns in parallel. The caller's thread
+/// reserves every column, so a worker's allocator arena never ends up
+/// holding a propagator.
+fn decode_columns<const E: usize>(
+    payload: &[u8],
+    volume: usize,
+    real: impl Fn([u8; E]) -> f64 + Sync + Send,
+) -> Vec<FermionField<f64>> {
+    let site_bytes = 24 * E;
+    let mut columns: Vec<FermionField<f64>> = (0..12)
+        .map(|_| FermionField {
+            data: Vec::with_capacity(volume),
+        })
+        .collect();
+    columns.par_iter_mut().enumerate().for_each(|(col, field)| {
+        let bytes = &payload[col * volume * site_bytes..][..volume * site_bytes];
+        field
+            .data
+            .extend(bytes.chunks_exact(site_bytes).map(|site| {
+                let mut sp = Spinor::zero();
+                for (k, z) in site.chunks_exact(2 * E).enumerate() {
+                    sp.s[k / 3].c[k % 3] = Complex::new(real(le_array(z)), real(le_array(&z[E..])));
+                }
+                sp
+            }));
+    });
+    columns
 }
 
 /// A propagator recovered from a damaged bundle: columns overlapping a lost
@@ -301,6 +326,148 @@ mod tests {
         assert!(s.is_complete());
         for (a, b) in prop.columns.iter().zip(&s.propagator.columns) {
             assert_eq!(a.data, b.data);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A three-chunk F32 bundle image with the byte offset of each chunk
+    /// record (`u64` length, payload, `u32` CRC) and the clean decode.
+    struct Image {
+        bytes: Vec<u8>,
+        /// `(record start, payload length)` per chunk.
+        chunks: Vec<(usize, usize)>,
+        clean: Propagator,
+    }
+
+    const IMAGE_VOLUME: usize = 2048;
+    const IMAGE_COL_BYTES: usize = IMAGE_VOLUME * 24 * 4;
+
+    fn f32_image(path: &Path) -> Image {
+        use crate::container::DEFAULT_CHUNK_BYTES;
+        let prop = Propagator {
+            columns: (0..12)
+                .map(|i| FermionField::<f64>::gaussian(IMAGE_VOLUME, 500 + i as u64))
+                .collect(),
+            source_site: 7,
+            source_time: 1,
+        };
+        write_propagator(path, &prop, BundlePrecision::F32, BTreeMap::new()).unwrap();
+        let bytes = std::fs::read(path).unwrap();
+        let clean = read_propagator(path).unwrap();
+        let hlen = u32::from_le_bytes(bytes[8..12].try_into().unwrap()) as usize;
+        let mut chunks = Vec::new();
+        let (mut at, mut left) = (12 + hlen, 12 * IMAGE_COL_BYTES);
+        while left > 0 {
+            let len = left.min(DEFAULT_CHUNK_BYTES);
+            chunks.push((at, len));
+            at += 8 + len + 4;
+            left -= len;
+        }
+        assert_eq!((at, chunks.len()), (bytes.len(), 3));
+        Image {
+            bytes,
+            chunks,
+            clean,
+        }
+    }
+
+    /// The columns holding any payload byte of the given chunks.
+    fn columns_of_chunks(chunks: std::ops::Range<usize>) -> Vec<usize> {
+        use crate::container::DEFAULT_CHUNK_BYTES;
+        let lo = chunks.start * DEFAULT_CHUNK_BYTES;
+        let hi = (chunks.end * DEFAULT_CHUNK_BYTES).min(12 * IMAGE_COL_BYTES);
+        (0..12)
+            .filter(|c| lo < (c + 1) * IMAGE_COL_BYTES && c * IMAGE_COL_BYTES < hi)
+            .collect()
+    }
+
+    /// Salvage must name exactly `lost` and return every other column
+    /// bit-identical to the clean decode.
+    fn assert_salvages(path: &Path, img: &Image, lost: &[usize], what: &str) {
+        let s = read_propagator_salvaged(path).unwrap();
+        assert_eq!(s.lost_columns, lost, "{what}");
+        for (col, (got, want)) in s
+            .propagator
+            .columns
+            .iter()
+            .zip(&img.clean.columns)
+            .enumerate()
+        {
+            if !lost.contains(&col) {
+                assert_eq!(got.data, want.data, "{what}: intact column {col}");
+            }
+        }
+    }
+
+    #[test]
+    fn truncation_at_every_chunk_boundary_is_an_error_and_salvages_the_rest() {
+        let path = tmp("bundle_truncated.lqio");
+        let img = f32_image(&path);
+        let mut boundaries: Vec<usize> = img.chunks.iter().map(|&(at, _)| at).collect();
+        boundaries.push(img.bytes.len());
+        for &edge in &boundaries {
+            for cut in [edge - 1, edge, edge + 1] {
+                if cut >= img.bytes.len() {
+                    continue;
+                }
+                std::fs::write(&path, &img.bytes[..cut]).unwrap();
+                assert!(read_propagator(&path).is_err(), "cut at {cut}");
+                if cut < img.chunks[0].0 {
+                    // The header itself is cut: nothing is interpretable.
+                    assert!(read_propagator_salvaged(&path).is_err(), "cut at {cut}");
+                    continue;
+                }
+                let whole = img
+                    .chunks
+                    .iter()
+                    .filter(|&&(at, len)| at + 8 + len + 4 <= cut)
+                    .count();
+                let lost = columns_of_chunks(whole..img.chunks.len());
+                assert_salvages(&path, &img, &lost, &format!("cut at {cut}"));
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn single_bit_flips_never_panic_and_never_pass_silently() {
+        use rand::{Rng, SeedableRng};
+        let path = tmp("bundle_bitflips.lqio");
+        let img = f32_image(&path);
+        let n = img.chunks.len();
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(20180806);
+        for flip in 0..200 {
+            // Cycle over the four kinds of bytes so each is hit 50 times.
+            // A bad payload or CRC costs its own chunk; a bad length loses
+            // the framing of everything after it as well.
+            let chunk = rng.gen_range(0..n);
+            let (at, len) = img.chunks[chunk];
+            let (byte, lost_chunks) = match flip % 4 {
+                0 => (rng.gen_range(0..img.chunks[0].0), None),
+                1 => (at + rng.gen_range(0..8), Some(chunk..n)),
+                2 => (at + 8 + rng.gen_range(0..len), Some(chunk..chunk + 1)),
+                _ => (at + 8 + len + rng.gen_range(0..4), Some(chunk..chunk + 1)),
+            };
+            let bit = rng.gen_range(0..8usize);
+            let what = format!("flip {flip}: byte {byte} bit {bit}");
+            let mut bytes = img.bytes.clone();
+            bytes[byte] ^= 1 << bit;
+            std::fs::write(&path, &bytes).unwrap();
+
+            let strict = read_propagator(&path);
+            let Some(lost_chunks) = lost_chunks else {
+                // Un-checksummed header: refused, or harmless to the data.
+                if let Ok(p) = strict {
+                    for (got, want) in p.columns.iter().zip(&img.clean.columns) {
+                        assert_eq!(got.data, want.data, "{what}");
+                    }
+                }
+                let _ = read_propagator_salvaged(&path);
+                continue;
+            };
+            assert!(strict.is_err(), "{what}");
+            let lost = columns_of_chunks(lost_chunks);
+            assert_salvages(&path, &img, &lost, &what);
         }
         std::fs::remove_file(&path).ok();
     }

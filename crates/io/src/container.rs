@@ -25,7 +25,7 @@ pub const MAGIC: [u8; 8] = *b"LQIO\x01\0\0\n";
 /// Copy the first `N` bytes of a slice into an array. Callers guarantee
 /// `b.len() >= N` (via `chunks_exact` or an explicit bounds check), which
 /// keeps the decode paths free of `unwrap`/`expect` panic sites.
-fn le_array<const N: usize>(b: &[u8]) -> [u8; N] {
+pub(crate) fn le_array<const N: usize>(b: &[u8]) -> [u8; N] {
     let mut a = [0u8; N];
     a.copy_from_slice(&b[..N]);
     a

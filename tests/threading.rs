@@ -129,13 +129,14 @@ fn timeslice_contractions_bits_stable_across_widths() {
     // Volume 8192 spans several contraction chunks; a synthetic propagator
     // (gaussian columns) is enough to exercise the binned reduction.
     let lat = Lattice::new([8, 8, 8, 16]);
-    let prop = Propagator {
+    let gaussian_prop = |seed: u64| Propagator {
         columns: (0..12)
-            .map(|i| FermionField::<f64>::gaussian(lat.volume(), 100 + i))
+            .map(|i| FermionField::<f64>::gaussian(lat.volume(), seed + i))
             .collect(),
         source_site: 0,
         source_time: 3,
     };
+    let prop = gaussian_prop(100);
     let pion = widths_agree(|| {
         lqcd::core::contract::pion_correlator(&lat, &prop)
             .iter()
@@ -143,6 +144,25 @@ fn timeslice_contractions_bits_stable_across_widths() {
             .collect::<Vec<_>>()
     });
     assert_eq!(pion.len(), lat.nt());
+
+    // The baryons run the same binned reduction over a much heavier site
+    // function; a second propagator stands in for the FH one.
+    let fh = gaussian_prop(200);
+    let proj = lqcd::core::gamma::polarized_projector();
+    let c_bits = |c: Vec<lqcd::core::complex::C64>| -> Vec<(u64, u64)> {
+        c.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    };
+    let baryons = widths_agree(|| {
+        (
+            c_bits(lqcd::core::contract::proton_correlator(
+                &lat, &prop, &prop, &proj,
+            )),
+            c_bits(lqcd::core::fh::fh_nucleon_correlator(
+                &lat, &prop, &prop, &fh, &fh, &proj,
+            )),
+        )
+    });
+    assert_eq!(baryons.0.len(), lat.nt());
 }
 
 #[test]
