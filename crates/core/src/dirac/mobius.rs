@@ -960,43 +960,97 @@ mod tests {
         assert!(blas::norm_sqr(&diff) / blas::norm_sqr(&x) < 1e-22);
     }
 
-    #[test]
-    fn dagger_is_true_adjoint_full() {
-        let lat = Lattice::new([4, 4, 2, 4]);
-        let gauge = GaugeField::<f64>::hot(&lat, 37);
-        let params = MobiusParams::standard(6, 0.08);
-        let op = MobiusDirac::new(&lat, &gauge, params);
+    /// `|⟨y, Dx⟩ − ⟨D†y, x⟩| / |⟨y, Dx⟩|` on gaussian `x`, `y`: the physics
+    /// check a bit-identical *wrong* adjoint would fail.
+    fn adjoint_defect<R: Real>(op: &impl DiracOp<R>, seed: u64) -> f64 {
         let n = op.vec_len();
-        let x = FermionField::<f64>::gaussian(n, 3).data;
-        let y = FermionField::<f64>::gaussian(n, 4).data;
-        let mut dy = vec![Spinor::zero(); n];
-        op.apply(&mut dy, &y);
-        let mut ddag_x = vec![Spinor::zero(); n];
-        op.apply_dagger(&mut ddag_x, &x);
-        let lhs = blas::dot(&x, &dy);
-        let rhs = blas::dot(&ddag_x, &y);
-        assert!(
-            (lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0),
-            "⟨x,Dy⟩ = ⟨D†x,y⟩: {lhs:?} vs {rhs:?}"
-        );
+        let x = FermionField::<R>::gaussian(n, seed).data;
+        let y = FermionField::<R>::gaussian(n, seed + 1).data;
+        let mut dx = vec![Spinor::zero(); n];
+        op.apply(&mut dx, &x);
+        let mut ddag_y = vec![Spinor::zero(); n];
+        op.apply_dagger(&mut ddag_y, &y);
+        let lhs = blas::dot(&y, &dx);
+        let rhs = blas::dot(&ddag_y, &x);
+        (lhs - rhs).abs() / lhs.abs()
     }
 
     #[test]
-    fn dagger_is_true_adjoint_prec() {
+    fn dagger_is_true_adjoint_in_both_precisions() {
         let lat = Lattice::new([4, 4, 2, 4]);
-        let gauge = GaugeField::<f64>::hot(&lat, 41);
-        let params = MobiusParams::standard(4, 0.1);
-        let op = PrecMobius::new(&lat, &gauge, params);
-        let n = op.vec_len();
-        let x = FermionField::<f64>::gaussian(n, 5).data;
-        let y = FermionField::<f64>::gaussian(n, 6).data;
-        let mut my = vec![Spinor::zero(); n];
-        op.apply(&mut my, &y);
-        let mut mdag_x = vec![Spinor::zero(); n];
-        op.apply_dagger(&mut mdag_x, &x);
-        let lhs = blas::dot(&x, &my);
-        let rhs = blas::dot(&mdag_x, &y);
-        assert!((lhs - rhs).abs() < 1e-9 * lhs.abs().max(1.0));
+        let gauge = GaugeField::<f64>::hot(&lat, 37);
+        let gauge32 = gauge.cast::<f32>();
+        for params in [
+            MobiusParams::standard(6, 0.08),
+            MobiusParams::shamir(4, 0.3),
+        ] {
+            let full = adjoint_defect(&MobiusDirac::new(&lat, &gauge, params), 3);
+            let prec = adjoint_defect(&PrecMobius::new(&lat, &gauge, params), 5);
+            assert!(
+                full <= 1e-12 && prec <= 1e-12,
+                "f64 {params:?}: {full} {prec}"
+            );
+            let full = adjoint_defect(&MobiusDirac::new(&lat, &gauge32, params), 3);
+            let prec = adjoint_defect(&PrecMobius::new(&lat, &gauge32, params), 5);
+            assert!(
+                full <= 1e-5 && prec <= 1e-5,
+                "f32 {params:?}: {full} {prec}"
+            );
+        }
+    }
+
+    fn real_bits<R: Real>(v: &[Spinor<R>]) -> Vec<u64> {
+        v.iter()
+            .flat_map(|sp| sp.s.iter().flat_map(|cv| cv.c.iter()))
+            .flat_map(|z| [z.re.to_f64().to_bits(), z.im.to_f64().to_bits()])
+            .collect()
+    }
+
+    /// `PrecMobius::apply_dagger` against its oracle, the unfused
+    /// `apply_dagger_block(.., 1)`, on every real's bit pattern — at every
+    /// stencil grain and pool width, since neither may reach the bits.
+    fn dagger_matches_block_oracle<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
+        for l5 in [2, 4, 8] {
+            for mass in [0.3, 0.05] {
+                for params in [
+                    MobiusParams::standard(l5, mass),
+                    MobiusParams::shamir(l5, mass),
+                ] {
+                    let mut op = PrecMobius::new(lat, gauge, params);
+                    let n = op.vec_len();
+                    let inp = FermionField::<R>::gaussian(n, 31 + l5 as u64).data;
+                    let mut oracle = vec![Spinor::zero(); n];
+                    op.apply_dagger_block(&mut oracle, &inp, 1);
+                    let oracle = real_bits(&oracle);
+                    for grain in [1, 7, 32, 1024] {
+                        op.grain = grain;
+                        for width in [1, 2, 4] {
+                            let mut out = vec![Spinor::zero(); n];
+                            rayon::ThreadPoolBuilder::new()
+                                .num_threads(width)
+                                .build()
+                                .expect("width handle")
+                                .install(|| op.apply_dagger(&mut out, &inp));
+                            assert!(
+                                real_bits(&out) == oracle,
+                                "{:?} {params:?} grain {grain} width {width}",
+                                lat.dims()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn prec_dagger_is_bit_identical_to_block_oracle() {
+        for dims in [[4, 4, 4, 8], [4, 4, 2, 6], [8, 4, 4, 4]] {
+            let lat = Lattice::new(dims);
+            let gauge = GaugeField::<f64>::hot(&lat, 59);
+            dagger_matches_block_oracle(&lat, &gauge);
+            dagger_matches_block_oracle(&lat, &gauge.cast::<f32>());
+        }
     }
 
     #[test]

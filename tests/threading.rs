@@ -20,21 +20,34 @@ fn at_width<R: Send>(w: usize, op: impl FnOnce() -> R + Send) -> R {
         .install(op)
 }
 
+/// Run `op` at each of `widths` and require bitwise-equal results.
+fn agree_at<R, F>(widths: &[usize], op: F) -> R
+where
+    R: PartialEq + std::fmt::Debug + Send,
+    F: Fn() -> R + Send + Sync,
+{
+    let first = at_width(widths[0], &op);
+    for &w in &widths[1..] {
+        assert_eq!(
+            first,
+            at_width(w, &op),
+            "width {} vs {w} disagree",
+            widths[0]
+        );
+    }
+    first
+}
+
 /// Run `op` at widths 1, 2, and 8 and require bitwise-equal results.
 fn widths_agree<R, F>(op: F) -> R
 where
     R: PartialEq + std::fmt::Debug + Send,
     F: Fn() -> R + Send + Sync,
 {
-    let r1 = at_width(1, &op);
-    let r2 = at_width(2, &op);
-    let r8 = at_width(8, &op);
-    assert_eq!(r1, r2, "width 1 vs 2 disagree");
-    assert_eq!(r1, r8, "width 1 vs 8 disagree");
-    r1
+    agree_at(&[1, 2, 8], op)
 }
 
-fn bits(v: &[Spinor<f64>]) -> Vec<u64> {
+fn bits<R: Real>(v: &[Spinor<R>]) -> Vec<u64> {
     // Spinor layout: 4 spin components x 3 colors x (re, im).
     v.iter()
         .flat_map(|s| {
@@ -122,6 +135,48 @@ fn mixed_cg_solve_bits_stable_across_widths() {
     });
     assert!(iters > 0);
     assert!(!xbits.is_empty());
+}
+
+#[test]
+fn mobius_production_shape_bits_stable_across_widths() {
+    // 4³×8, L5 = 4 is the `fh_small` shape: the half-volume (256 sites) is
+    // smaller than the Wilson operators' fixed grain, so this is the one
+    // place a *parallel* Möbius hop meets the production solve.
+    let lat = Lattice::new([4, 4, 4, 8]);
+    let mut ens = QuenchedEnsemble::cold_start(&lat, HeatbathParams { beta: 6.0, n_or: 2 }, 7);
+    let gauge = ens.generate(4, 1, 1).pop().expect("one configuration");
+    let gauge32 = gauge.cast::<f32>();
+    let params = MobiusParams::standard(4, 0.3);
+
+    fn operator_bits<R: Real>(op: &impl DiracOp<R>, seed: u64) -> Vec<u64> {
+        let inp = FermionField::<R>::gaussian(op.vec_len(), seed).data;
+        let mut out = vec![Spinor::zero(); inp.len()];
+        op.apply(&mut out, &inp);
+        let mut all = bits(&out);
+        op.apply_dagger(&mut out, &inp);
+        all.extend(bits(&out));
+        all
+    }
+    let prec64 = PrecMobius::new(&lat, &gauge, params);
+    let prec32 = PrecMobius::new(&lat, &gauge32, params);
+    agree_at(&[1, 2, 4], || {
+        (operator_bits(&prec64, 61), operator_bits(&prec32, 62))
+    });
+
+    let source = point_source(&lat, 0, 0, 0);
+    let (solution, iterations, _, _) = agree_at(&[1, 2, 4], || {
+        let solver = PropagatorSolver::new(&lat, &gauge, SolverKind::MobiusMixed { params });
+        let (q, stats) = solver.solve(&source);
+        assert!(stats.converged, "{stats:?}");
+        (
+            bits(&q.data),
+            stats.iterations,
+            stats.reliable_updates,
+            stats.flops.to_bits(),
+        )
+    });
+    assert!(iterations > 0);
+    assert!(!solution.is_empty());
 }
 
 #[test]
