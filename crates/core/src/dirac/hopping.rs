@@ -323,17 +323,23 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
 
     /// Checkerboarded counterpart of [`Self::apply_full_fused_5d`]: hops from
     /// parity `!out_parity` onto `out_parity`, slices are `half_volume` long,
-    /// and `finish(s, cb, h)` maps the slice-`s` hop at checkerboard site
-    /// `cb` to the value stored at `out[s·hv + cb]`.
-    pub fn apply_parity_fused_5d<F>(
+    /// `load` maps every neighbor spinor as it is fetched (the identity for
+    /// `H`; γ5 for the adjoint `H† = γ5 H γ5`, which then also applies γ5 in
+    /// `finish` — the same values a separate γ5 pass over `inp` would feed
+    /// the stencil), and `finish(s, cb, h)` maps the slice-`s` hop at
+    /// checkerboard site `cb` to the value stored at `out[s·hv + cb]`.
+    #[allow(clippy::too_many_arguments)]
+    pub fn apply_parity_fused_5d<L, F>(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         out_parity: Parity,
         l5: usize,
         grain: usize,
+        load: &L,
         finish: &F,
     ) where
+        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
         F: Fn(usize, usize, Spinor<R>) -> Spinor<R> + Sync,
     {
         let hv = self.lattice.half_volume();
@@ -349,10 +355,10 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
                 // twin is safe to call on this CPU.
                 #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
                 unsafe {
-                    self.parity_fused_range_avx2(&optr, inp, sites, range, l5, finish)
+                    self.parity_fused_range_avx2(&optr, inp, sites, range, l5, load, finish)
                 };
             } else {
-                self.parity_fused_range(&optr, inp, sites, range, l5, finish);
+                self.parity_fused_range(&optr, inp, sites, range, l5, load, finish);
             }
         });
     }
@@ -360,15 +366,18 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
     /// Chunk body of [`Self::apply_parity_fused_5d`]: checkerboard sites
     /// `range`, all `l5` slices, links cached across the s-extent.
     #[inline(always)]
-    fn parity_fused_range<F>(
+    #[allow(clippy::too_many_arguments)]
+    fn parity_fused_range<L, F>(
         &self,
         optr: &SendPtr<Spinor<R>>,
         inp: &[Spinor<R>],
         sites: &[u32],
         range: std::ops::Range<usize>,
         l5: usize,
+        load: &L,
         finish: &F,
     ) where
+        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
         F: Fn(usize, usize, Spinor<R>) -> Spinor<R> + Sync,
     {
         let hv = self.lattice.half_volume();
@@ -381,7 +390,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
             let cached = |site: usize, mu: usize| if site == lex { fwd[mu] } else { bwd[mu] };
             for s in 0..l5 {
                 let slice = &inp[s * hv..(s + 1) * hv];
-                let fetch = |e: usize| slice[self.lattice.cb_index(e)];
+                let fetch = |e: usize| load(slice[self.lattice.cb_index(e)]);
                 let h = hop_site(nb, lex, self.antiperiodic_t, &fetch, &cached);
                 // SAFETY: element `s·hv + cb` is written exactly once —
                 // `cb` ranges over disjoint chunks across tasks and `s`
@@ -396,18 +405,21 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
     /// [`Self::full_fused_range_avx2`] for the bit-identity argument.
     #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
     #[target_feature(enable = "avx2")]
-    fn parity_fused_range_avx2<F>(
+    #[allow(clippy::too_many_arguments)]
+    fn parity_fused_range_avx2<L, F>(
         &self,
         optr: &SendPtr<Spinor<R>>,
         inp: &[Spinor<R>],
         sites: &[u32],
         range: std::ops::Range<usize>,
         l5: usize,
+        load: &L,
         finish: &F,
     ) where
+        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
         F: Fn(usize, usize, Spinor<R>) -> Spinor<R> + Sync,
     {
-        self.parity_fused_range(optr, inp, sites, range, l5, finish);
+        self.parity_fused_range(optr, inp, sites, range, l5, load, finish);
     }
 
     /// `out = H inp` on the full lattice for an interleaved block of `nrhs`

@@ -324,36 +324,91 @@ impl<R: Real> FifthDim<R> {
         self.rho_and_diag_range(rptr, dptr, inp, slice_len, range);
     }
 
+    /// Row `s_out` of the closed-form inverse applied to one s-column:
+    /// `Σ_{s_in} inv[s_out][s_in]·col(s_in)`, chirality-plus spins (0, 1)
+    /// through `inv_up` and minus spins (2, 3) through `inv_dn`, accumulated
+    /// in ascending `s_in` — the chain of [`Self::apply_a_inverse`].
+    #[inline(always)]
+    fn ainv_row<'c>(
+        &self,
+        inv_up: &[R],
+        inv_dn: &[R],
+        s_out: usize,
+        col: impl Fn(usize) -> &'c Spinor<R>,
+    ) -> Spinor<R> {
+        let l5 = self.params.l5;
+        let mut acc = Spinor::zero();
+        for s_in in 0..l5 {
+            let wp = inv_up[s_out * l5 + s_in];
+            let wm = inv_dn[s_out * l5 + s_in];
+            let src = col(s_in);
+            acc.s[0] += src.s[0].scale(wp);
+            acc.s[1] += src.s[1].scale(wp);
+            acc.s[2] += src.s[2].scale(wm);
+            acc.s[3] += src.s[3].scale(wm);
+        }
+        acc
+    }
+
+    /// Run `body(range, col)` over the 4D sites in chunks, handing each
+    /// chunk its own `L5`-spinor column out of the reusable slab `cols` (one
+    /// row per chunk, so no chunk allocates and no `L5` is too long).
+    fn for_each_column_chunk(
+        &self,
+        slice_len: usize,
+        cols: &mut Vec<Spinor<R>>,
+        body: impl Fn(std::ops::Range<usize>, &mut [Spinor<R>]) + Sync + Send,
+    ) {
+        let l5 = self.params.l5;
+        let grain = crate::blas::grain_for(slice_len);
+        cols.resize(slice_len.div_ceil(grain) * l5, Spinor::zero());
+        let cptr = super::hopping::SendPtr(cols.as_mut_ptr());
+        rayon::for_each_chunk(slice_len, grain, |range| {
+            // SAFETY: chunk `range.start / grain` is run by exactly one task
+            // and owns slab row `[chunk·l5, (chunk+1)·l5)`, which lies inside
+            // the `⌈slice_len/grain⌉·l5` spinors `cols` was just resized to
+            // and is disjoint from every other chunk's row.
+            let col = unsafe {
+                std::slice::from_raw_parts_mut(cptr.get().add(range.start / grain * l5), l5)
+            };
+            body(range, col);
+        });
+    }
+
     /// Column-wise fused `out = ρ(A⁻¹ in)`: for each 4D site, apply the
     /// `L5×L5` inverse to the whole s-column (the exact accumulation chain
     /// of [`Self::apply_a_inverse`], so each input element is read from
     /// memory once instead of `L5` times), then form
     /// `b5·(A⁻¹in) + c5·shift(A⁻¹in)` from the still-local column — the
     /// shift chain is [`Self::shift_at`] on the column itself.
-    fn ainv_then_rho(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], slice_len: usize) {
-        let l5 = self.params.l5;
+    fn ainv_then_rho(
+        &self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        slice_len: usize,
+        cols: &mut Vec<Spinor<R>>,
+    ) {
         let n = inp.len();
         assert_eq!(out.len(), n);
-        assert_eq!(n, l5 * slice_len);
-        let grain = crate::blas::grain_for(slice_len);
+        assert_eq!(n, self.params.l5 * slice_len);
         let optr = super::hopping::SendPtr(out.as_mut_ptr());
         let avx2 = crate::simd::avx2_detected();
-        rayon::for_each_chunk(slice_len, grain, |range| {
+        self.for_each_column_chunk(slice_len, cols, |range, col| {
             if avx2 {
                 // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
                 // twin is safe to call on this CPU.
                 #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
                 unsafe {
-                    self.ainv_then_rho_range_avx2(&optr, inp, slice_len, range)
+                    self.ainv_then_rho_range_avx2(&optr, inp, slice_len, range, col)
                 };
             } else {
-                self.ainv_then_rho_range(&optr, inp, slice_len, range);
+                self.ainv_then_rho_range(&optr, inp, slice_len, range, col);
             }
         });
     }
 
     /// Chunk body of [`Self::ainv_then_rho`]: 4D sites `range`, whole
-    /// s-columns.
+    /// s-columns staged in `col`.
     #[inline(always)]
     fn ainv_then_rho_range(
         &self,
@@ -361,28 +416,19 @@ impl<R: Real> FifthDim<R> {
         inp: &[Spinor<R>],
         slice_len: usize,
         range: std::ops::Range<usize>,
+        col: &mut [Spinor<R>],
     ) {
         let l5 = self.params.l5;
         let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
-        let (inv_up, inv_dn) = (&self.ainv_plus, &self.ainv_minus);
-        let mut col = vec![Spinor::zero(); l5];
         for i in range {
             for (s_out, c) in col.iter_mut().enumerate() {
-                let mut acc = Spinor::zero();
-                for s_in in 0..l5 {
-                    let wp = inv_up[s_out * l5 + s_in];
-                    let wm = inv_dn[s_out * l5 + s_in];
-                    let src = &inp[s_in * slice_len + i];
-                    acc.s[0] += src.s[0].scale(wp);
-                    acc.s[1] += src.s[1].scale(wp);
-                    acc.s[2] += src.s[2].scale(wm);
-                    acc.s[3] += src.s[3].scale(wm);
-                }
-                *c = acc;
+                *c = self.ainv_row(&self.ainv_plus, &self.ainv_minus, s_out, |s_in| {
+                    &inp[s_in * slice_len + i]
+                });
             }
             for s in 0..l5 {
                 // `shift_at` on the local column: slice length 1, site 0.
-                let sh = self.shift_at(&col, 1, s, 0, false);
+                let sh = self.shift_at(col, 1, s, 0, false);
                 // SAFETY: each (s, i) is written by exactly one task and
                 // the index stays in bounds, as in `rho_and_diag`.
                 unsafe {
@@ -402,8 +448,168 @@ impl<R: Real> FifthDim<R> {
         inp: &[Spinor<R>],
         slice_len: usize,
         range: std::ops::Range<usize>,
+        col: &mut [Spinor<R>],
     ) {
-        self.ainv_then_rho_range(optr, inp, slice_len, range);
+        self.ainv_then_rho_range(optr, inp, slice_len, range, col);
+    }
+
+    /// One element of `−½ ρ†(t)`: `(b5·t + c5·shift†(t))·(−½)` at `(s, i)`,
+    /// the chain `offdiag_dagger_block` runs as an affine pass and a scale.
+    #[inline(always)]
+    fn half_rho_dagger_at(
+        &self,
+        t: &[Spinor<R>],
+        slice_len: usize,
+        s: usize,
+        i: usize,
+    ) -> Spinor<R> {
+        let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
+        let sh = self.shift_at(t, slice_len, s, i, true);
+        (t[s * slice_len + i].scale(b5) + sh.scale(c5)).scale(R::from_f64(-0.5))
+    }
+
+    /// Column-wise fused `out = (A†)⁻¹(−½ ρ†(t))`, the adjoint's mirror of
+    /// [`Self::ainv_then_rho`]: the s-column of `−½ ρ†(t)` is staged in the
+    /// chunk's slab row, then each output is one row of the
+    /// chirality-swapped inverse (`A±` are mutual transposes) on it.
+    fn rho_dagger_then_ainv(
+        &self,
+        out: &mut [Spinor<R>],
+        t: &[Spinor<R>],
+        slice_len: usize,
+        cols: &mut Vec<Spinor<R>>,
+    ) {
+        let n = t.len();
+        assert_eq!(out.len(), n);
+        assert_eq!(n, self.params.l5 * slice_len);
+        let optr = super::hopping::SendPtr(out.as_mut_ptr());
+        let avx2 = crate::simd::avx2_detected();
+        self.for_each_column_chunk(slice_len, cols, |range, col| {
+            if avx2 {
+                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
+                // twin is safe to call on this CPU.
+                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
+                unsafe {
+                    self.rho_dagger_then_ainv_range_avx2(&optr, t, slice_len, range, col)
+                };
+            } else {
+                self.rho_dagger_then_ainv_range(&optr, t, slice_len, range, col);
+            }
+        });
+    }
+
+    /// Chunk body of [`Self::rho_dagger_then_ainv`].
+    #[inline(always)]
+    fn rho_dagger_then_ainv_range(
+        &self,
+        optr: &super::hopping::SendPtr<Spinor<R>>,
+        t: &[Spinor<R>],
+        slice_len: usize,
+        range: std::ops::Range<usize>,
+        col: &mut [Spinor<R>],
+    ) {
+        for i in range {
+            for (s, c) in col.iter_mut().enumerate() {
+                *c = self.half_rho_dagger_at(t, slice_len, s, i);
+            }
+            for s_out in 0..self.params.l5 {
+                let v = self.ainv_row(&self.ainv_minus, &self.ainv_plus, s_out, |s_in| &col[s_in]);
+                // SAFETY: each (s_out, i) is written by exactly one task
+                // (`i` ranges over disjoint chunks, `s_out` is task-local)
+                // and `s_out·slice_len + i < l5·slice_len = out.len()`.
+                unsafe { *optr.get().add(s_out * slice_len + i) = v };
+            }
+        }
+    }
+
+    /// AVX2-compiled twin of [`Self::rho_dagger_then_ainv_range`]; same IEEE
+    /// ops, 256-bit codegen, bit-identical results (rustc emits no FMA).
+    #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    fn rho_dagger_then_ainv_range_avx2(
+        &self,
+        optr: &super::hopping::SendPtr<Spinor<R>>,
+        t: &[Spinor<R>],
+        slice_len: usize,
+        range: std::ops::Range<usize>,
+        col: &mut [Spinor<R>],
+    ) {
+        self.rho_dagger_then_ainv_range(optr, t, slice_len, range, col);
+    }
+
+    /// Column-wise fused `out = A†ψ − (−½ ρ†(t))`, the adjoint's closing
+    /// pass: `(α·ψ + β·shift†ψ) − (b5·t + c5·shift†(t))·(−½)` per element,
+    /// with each site's s-columns of `ψ` and `t` cache-resident across the
+    /// inner s-loop.
+    fn a_dagger_minus_half_rho_dagger(
+        &self,
+        out: &mut [Spinor<R>],
+        psi: &[Spinor<R>],
+        t: &[Spinor<R>],
+        slice_len: usize,
+    ) {
+        let n = psi.len();
+        assert_eq!(out.len(), n);
+        assert_eq!(t.len(), n);
+        assert_eq!(n, self.params.l5 * slice_len);
+        let grain = crate::blas::grain_for(slice_len);
+        let optr = super::hopping::SendPtr(out.as_mut_ptr());
+        let avx2 = crate::simd::avx2_detected();
+        rayon::for_each_chunk(slice_len, grain, |range| {
+            if avx2 {
+                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
+                // twin is safe to call on this CPU.
+                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
+                unsafe {
+                    self.a_dagger_minus_half_rho_dagger_range_avx2(&optr, psi, t, slice_len, range)
+                };
+            } else {
+                self.a_dagger_minus_half_rho_dagger_range(&optr, psi, t, slice_len, range);
+            }
+        });
+    }
+
+    /// Chunk body of [`Self::a_dagger_minus_half_rho_dagger`].
+    #[inline(always)]
+    fn a_dagger_minus_half_rho_dagger_range(
+        &self,
+        optr: &super::hopping::SendPtr<Spinor<R>>,
+        psi: &[Spinor<R>],
+        t: &[Spinor<R>],
+        slice_len: usize,
+        range: std::ops::Range<usize>,
+    ) {
+        let (al, be) = (
+            R::from_f64(self.params.alpha()),
+            R::from_f64(self.params.beta()),
+        );
+        for i in range {
+            for s in 0..self.params.l5 {
+                let idx = s * slice_len + i;
+                let diag = psi[idx].scale(al) + self.shift_at(psi, slice_len, s, i, true).scale(be);
+                // SAFETY: each (s, i) is written by exactly one task (`i`
+                // ranges over disjoint chunks, `s` is task-local) and
+                // `idx < l5·slice_len = out.len()`.
+                unsafe {
+                    *optr.get().add(idx) = diag - self.half_rho_dagger_at(t, slice_len, s, i)
+                };
+            }
+        }
+    }
+
+    /// AVX2-compiled twin of [`Self::a_dagger_minus_half_rho_dagger_range`];
+    /// same IEEE ops, 256-bit codegen, bit-identical results.
+    #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
+    #[target_feature(enable = "avx2")]
+    fn a_dagger_minus_half_rho_dagger_range_avx2(
+        &self,
+        optr: &super::hopping::SendPtr<Spinor<R>>,
+        psi: &[Spinor<R>],
+        t: &[Spinor<R>],
+        slice_len: usize,
+        range: std::ops::Range<usize>,
+    ) {
+        self.a_dagger_minus_half_rho_dagger_range(optr, psi, t, slice_len, range);
     }
 
     /// `out = a·in + b·shift^(†)(in)`, the shared form of `A` (`a=α, b=β`)
@@ -436,7 +642,6 @@ impl<R: Real> FifthDim<R> {
         slice_len: usize,
         dagger: bool,
     ) {
-        let l5 = self.params.l5;
         let (inv_up, inv_dn) = if dagger {
             (&self.ainv_minus, &self.ainv_plus)
         } else {
@@ -445,34 +650,46 @@ impl<R: Real> FifthDim<R> {
         // Parallelize over 5D sites; gather strided s-components.
         out.par_iter_mut().enumerate().for_each(|(idx, o)| {
             let site = idx % slice_len;
-            let s_out = idx / slice_len;
-            let mut acc = Spinor::zero();
-            for s_in in 0..l5 {
-                let wp = inv_up[s_out * l5 + s_in];
-                let wm = inv_dn[s_out * l5 + s_in];
-                let src = &inp[s_in * slice_len + site];
-                // Chirality-plus spins are 0,1; minus are 2,3 (γ5 diagonal).
-                acc.s[0] += src.s[0].scale(wp);
-                acc.s[1] += src.s[1].scale(wp);
-                acc.s[2] += src.s[2].scale(wm);
-                acc.s[3] += src.s[3].scale(wm);
-            }
-            *o = acc;
+            *o = self.ainv_row(inv_up, inv_dn, idx / slice_len, |s_in| {
+                &inp[s_in * slice_len + site]
+            });
         });
     }
 }
 
 /// Two reusable 5D staging buffers (fused-path scratch).
 type Scratch2<R> = Mutex<(Vec<Spinor<R>>, Vec<Spinor<R>>)>;
-/// Three reusable 5D staging buffers (preconditioned fused-path scratch).
-type Scratch3<R> = Mutex<(Vec<Spinor<R>>, Vec<Spinor<R>>, Vec<Spinor<R>>)>;
+
+/// Reusable staging of the preconditioned fused sweeps: three 5D
+/// half-volume vectors and the column slab of the `A⁻¹` passes.
+struct PrecScratch<R> {
+    /// `ρ`-stage (`apply`) / `(A†)⁻¹` stage (`apply_dagger`).
+    rho: Vec<Spinor<R>>,
+    /// Hop target.
+    tmp: Vec<Spinor<R>>,
+    /// Precomputed diagonal `A(ψ)` (`apply` only).
+    diag: Vec<Spinor<R>>,
+    /// One `L5`-spinor row per chunk of the column-wise passes.
+    cols: Vec<Spinor<R>>,
+}
+
+/// Default sites per stencil chunk for a 4D extent of `sites`: at least
+/// eight chunks, so the pool has something to share even at 4³×8, down to a
+/// 32-site floor and up to the 1024 the Wilson operators use.
+fn default_grain(sites: usize) -> usize {
+    (sites / 8).clamp(32, 1024)
+}
 
 /// The full-lattice Möbius domain-wall operator on `L5 × V` vectors.
 pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     fifth: FifthDim<R>,
-    /// Parallel chunk size for the 4D stencil, set by the autotuner.
+    /// Sites per parallel chunk of the 4D stencil: by default an eighth of
+    /// the stencil's 4D extent, clamped to 32..=1024, unless a caller
+    /// overrides it ([`crate::tune::tune_operator`] installs a measured
+    /// winner; no production path tunes). Chunks write disjoint elements, so
+    /// it never reaches the result's bits.
     pub grain: usize,
     /// Reusable 5D staging buffers for `apply` (`ρ(ψ)` and the precomputed
     /// diagonal `A(ψ)`).
@@ -491,7 +708,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
             hopping: HoppingKernel::new(lattice, gauge, true),
             lattice,
             fifth: FifthDim::new(params),
-            grain: 1024,
+            grain: default_grain(lattice.volume()),
             scratch: Mutex::new((Vec::new(), Vec::new())),
         }
     }
@@ -655,11 +872,15 @@ pub struct PrecMobius<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     fifth: FifthDim<R>,
-    /// Parallel chunk size for the 4D stencil, set by the autotuner.
+    /// Sites per parallel chunk of the 4D stencil: by default an eighth of
+    /// the stencil's 4D extent, clamped to 32..=1024, unless a caller
+    /// overrides it ([`crate::tune::tune_operator`] installs a measured
+    /// winner; no production path tunes). Chunks write disjoint elements, so
+    /// it never reaches the result's bits.
     pub grain: usize,
-    /// Reusable 5D half-volume staging buffers for `apply` (`ρ`-stage, hop
-    /// target, precomputed diagonal).
-    scratch: Scratch3<R>,
+    /// Reusable staging for `apply` and `apply_dagger` (behind a lock so
+    /// both keep their `&self` solver interface).
+    scratch: Mutex<PrecScratch<R>>,
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
@@ -669,8 +890,13 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             hopping: HoppingKernel::new(lattice, gauge, true),
             lattice,
             fifth: FifthDim::new(params),
-            grain: 1024,
-            scratch: Mutex::new((Vec::new(), Vec::new(), Vec::new())),
+            grain: default_grain(lattice.half_volume()),
+            scratch: Mutex::new(PrecScratch {
+                rho: Vec::new(),
+                tmp: Vec::new(),
+                diag: Vec::new(),
+                cols: Vec::new(),
+            }),
         }
     }
 
@@ -874,7 +1100,12 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
         let neg_half = R::from_f64(-0.5);
 
         let mut guard = self.scratch.lock();
-        let (rho, tmp, diag) = &mut *guard;
+        let PrecScratch {
+            rho,
+            tmp,
+            diag,
+            cols,
+        } = &mut *guard;
         rho.resize(n, Spinor::zero());
         tmp.resize(n, Spinor::zero());
         diag.resize(n, Spinor::zero());
@@ -886,9 +1117,10 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
             Parity::Even,
             self.l5(),
             self.grain,
+            &|psi| psi,
             &|_, _, h| h.scale(neg_half),
         );
-        self.fifth.ainv_then_rho(rho, tmp, hv);
+        self.fifth.ainv_then_rho(rho, tmp, hv, cols);
         let diag = &*diag;
         self.hopping.apply_parity_fused_5d(
             out,
@@ -896,6 +1128,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
             Parity::Odd,
             self.l5(),
             self.grain,
+            &|psi| psi,
             &|s, cb, h| diag[s * hv + cb] - h.scale(neg_half),
         );
     }
@@ -912,8 +1145,59 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
+    /// The unfused composition: the `nrhs > 1` form, and at `nrhs = 1` the
+    /// oracle [`Self::apply_dagger`] is held to bit for bit.
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         self.schur_block(out, inp, nrhs, true);
+    }
+
+    /// `M̂† = A† − M_eo† (A†)⁻¹ M_oe†` with `M† = −½ ρ† γ5 H γ5`, in the
+    /// four passes of [`LinearOp::apply`] mirrored (the unfused composition
+    /// makes eleven, allocating eight fresh vectors):
+    ///
+    /// 1. `t ← γ5 H_eo γ5 ψ` — the same fused stencil, γ5 riding on each
+    ///    neighbor fetch and on the output write instead of two extra passes,
+    /// 2. `ρ ← (A†)⁻¹[(b5·t + c5·shift†(t))·(−½)]` column-wise, with the
+    ///    chirality-swapped inverses,
+    /// 3. `t ← γ5 H_oe γ5 ρ`,
+    /// 4. `out ← (α·ψ + β·shift†ψ) − (b5·t + c5·shift†(t))·(−½)` column-wise.
+    ///
+    /// Each fused expression evaluates the identical per-element operation
+    /// chain as `apply_dagger_block(.., 1)`, so the result is bit-identical
+    /// to it.
+    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+        let hv = self.hv();
+        let n = self.vec_len();
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+        let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
+        let gamma5_hop = |_, _, h: Spinor<R>| h.apply_gamma5();
+
+        let mut guard = self.scratch.lock();
+        let PrecScratch { rho, tmp, cols, .. } = &mut *guard;
+        rho.resize(n, Spinor::zero());
+        tmp.resize(n, Spinor::zero());
+
+        self.hopping.apply_parity_fused_5d(
+            tmp,
+            inp,
+            Parity::Even,
+            self.l5(),
+            self.grain,
+            &gamma5,
+            &gamma5_hop,
+        );
+        self.fifth.rho_dagger_then_ainv(rho, tmp, hv, cols);
+        self.hopping.apply_parity_fused_5d(
+            tmp,
+            rho,
+            Parity::Odd,
+            self.l5(),
+            self.grain,
+            &gamma5,
+            &gamma5_hop,
+        );
+        self.fifth.a_dagger_minus_half_rho_dagger(out, inp, tmp, hv);
     }
 }
 
@@ -1209,7 +1493,7 @@ mod tests {
             false,
         );
         let mut fused = vec![Spinor::zero(); n];
-        fifth.ainv_then_rho(&mut fused, &x, slice_len);
+        fifth.ainv_then_rho(&mut fused, &x, slice_len, &mut Vec::new());
         assert_eq!(fused, reference);
     }
 

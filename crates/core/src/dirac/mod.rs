@@ -10,6 +10,7 @@ pub use wilson::{PrecWilson, WilsonDirac};
 
 use crate::real::Real;
 use crate::spinor::Spinor;
+use parking_lot::Mutex;
 
 /// A general linear operator on a fermion vector, as seen by Krylov solvers.
 pub trait LinearOp<R: Real>: Sync {
@@ -61,7 +62,9 @@ pub trait DiracOp<R: Real>: LinearOp<R> {
 /// Möbius domain-wall discretization.
 pub struct NormalOp<'a, R: Real, D: DiracOp<R>> {
     op: &'a D,
-    _marker: std::marker::PhantomData<R>,
+    /// The intermediate `D · inp`, reused across applies (behind a lock so
+    /// `apply` keeps its `&self` solver interface).
+    tmp: Mutex<Vec<Spinor<R>>>,
 }
 
 impl<'a, R: Real, D: DiracOp<R>> NormalOp<'a, R, D> {
@@ -69,7 +72,7 @@ impl<'a, R: Real, D: DiracOp<R>> NormalOp<'a, R, D> {
     pub fn new(op: &'a D) -> Self {
         Self {
             op,
-            _marker: std::marker::PhantomData,
+            tmp: Mutex::new(Vec::new()),
         }
     }
 
@@ -85,7 +88,8 @@ impl<'a, R: Real, D: DiracOp<R>> LinearOp<R> for NormalOp<'a, R, D> {
     }
 
     fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let mut tmp = vec![Spinor::zero(); self.op.vec_len()];
+        let mut tmp = self.tmp.lock();
+        tmp.resize(self.op.vec_len(), Spinor::zero());
         self.op.apply(&mut tmp, inp);
         self.op.apply_dagger(out, &tmp);
     }
@@ -95,7 +99,8 @@ impl<'a, R: Real, D: DiracOp<R>> LinearOp<R> for NormalOp<'a, R, D> {
     }
 
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let mut tmp = vec![Spinor::zero(); self.op.vec_len() * nrhs];
+        let mut tmp = self.tmp.lock();
+        tmp.resize(self.op.vec_len() * nrhs, Spinor::zero());
         self.op.apply_block(&mut tmp, inp, nrhs);
         self.op.apply_dagger_block(out, &tmp, nrhs);
     }

@@ -25,7 +25,10 @@ pub struct WilsonDirac<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     mass: f64,
-    /// Parallel chunk size for the stencil, set by the autotuner.
+    /// Sites per parallel chunk of the stencil: 1024 unless a caller
+    /// overrides it ([`crate::tune::tune_operator`] installs a measured
+    /// winner; no production path tunes). Chunks write disjoint elements, so
+    /// it never reaches the result's bits.
     pub grain: usize,
 }
 
@@ -103,7 +106,10 @@ pub struct PrecWilson<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     mass: f64,
-    /// Parallel chunk size for the stencil, set by the autotuner.
+    /// Sites per parallel chunk of the stencil: 1024 unless a caller
+    /// overrides it ([`crate::tune::tune_operator`] installs a measured
+    /// winner; no production path tunes). Chunks write disjoint elements, so
+    /// it never reaches the result's bits.
     pub grain: usize,
     /// Reused half-volume intermediate for `apply` (behind a lock so
     /// `apply` keeps its `&self` solver interface).
@@ -210,10 +216,15 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecWilson<'a, R, G> {
         }
         self.hopping
             .apply_parity(&mut even, inp, Parity::Even, self.grain);
-        self.hopping
-            .apply_parity_fused_5d(out, &even, Parity::Odd, 1, self.grain, &|_, cb, h| {
-                inp[cb].scale(a) - h.scale(c)
-            });
+        self.hopping.apply_parity_fused_5d(
+            out,
+            &even,
+            Parity::Odd,
+            1,
+            self.grain,
+            &|psi| psi,
+            &|_, cb, h| inp[cb].scale(a) - h.scale(c),
+        );
     }
 
     fn flops_per_apply(&self) -> f64 {

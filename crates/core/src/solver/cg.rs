@@ -146,6 +146,10 @@ pub(crate) struct Recurrence<'a, R: Real> {
     pub x: &'a mut [Spinor<R>],
     pub r: Vec<Spinor<R>>,
     pub p: Vec<Spinor<R>>,
+    /// `A p` of the iteration in flight. Scratch, not state: it is
+    /// overwritten before it is read, so a restore need not reproduce it —
+    /// it lives here only so a re-entered recurrence reuses its storage.
+    pub ap: Vec<Spinor<R>>,
     pub cols: Vec<Column>,
     /// Successful block applies so far, the initial residual included.
     pub applies: u64,
@@ -182,6 +186,7 @@ impl<'a, R: Real> Recurrence<'a, R> {
             x,
             r: Vec::new(),
             p: Vec::new(),
+            ap: Vec::new(),
             cols,
             applies: 0,
         }
@@ -243,7 +248,7 @@ pub(crate) fn cg_core<R: Real, A: FallibleOp<R> + ?Sized>(
     if state.cols.iter().all(|c| !c.live || c.k == 0) {
         state.p.clone_from(&state.r);
     }
-    let mut ap = vec![Spinor::zero(); state.p.len()];
+    state.ap.resize(state.p.len(), Spinor::zero());
     loop {
         // Retire every column whose own loop would exit here, before the
         // next shared apply. A non-finite ρ is a divergence: stop with an
@@ -258,7 +263,7 @@ pub(crate) fn cg_core<R: Real, A: FallibleOp<R> + ?Sized>(
             return Ok(());
         }
         before_apply(state);
-        op.apply_block(&mut ap, &state.p, nrhs)?;
+        op.apply_block(&mut state.ap, &state.p, nrhs)?;
         state.applies += 1;
 
         for (j, col) in state.cols.iter_mut().enumerate().filter(|(_, c)| c.live) {
@@ -266,7 +271,7 @@ pub(crate) fn cg_core<R: Real, A: FallibleOp<R> + ?Sized>(
             col.stats.iterations += 1;
             col.stats.flops += op.flops_per_apply() + blas_flops;
 
-            let pap = block::dot_cols(&state.p, &ap, nrhs, j).re;
+            let pap = block::dot_cols(&state.p, &state.ap, nrhs, j).re;
             if !pap.is_finite() || pap <= 0.0 {
                 // Not positive definite (or total loss of precision).
                 col.stats.breakdown = true;
@@ -276,7 +281,7 @@ pub(crate) fn cg_core<R: Real, A: FallibleOp<R> + ?Sized>(
             }
             let alpha = col.rho / pap;
             block::axpy_col(alpha, &state.p, state.x, nrhs, j);
-            block::axpy_col(-alpha, &ap, &mut state.r, nrhs, j);
+            block::axpy_col(-alpha, &state.ap, &mut state.r, nrhs, j);
             let rho_new = block::norm_sqr_col(&state.r, nrhs, j);
             let beta = rho_new / col.rho;
             block::xpby_col(&state.r, beta, &mut state.p, nrhs, j);

@@ -62,6 +62,19 @@ pub fn mixed_cg<L: Real, AH: LinearOp<f64> + ?Sized, AL: LinearOp<L> + ?Sized>(
     let mut outer = Recurrence::open(x, b, 1, params.outer.tol);
     let _ = outer.start(&mut op_hi, b);
 
+    // The inner, low-precision recurrence is built once and re-seeded at
+    // every reliable point, so a restart reuses the `e`, `r`, `p`, `A p`
+    // storage it already owns.
+    let mut e_lo = vec![Spinor::<L>::zero(); n];
+    let mut inner = Recurrence {
+        x: &mut e_lo,
+        r: Vec::new(),
+        p: Vec::new(),
+        ap: Vec::new(),
+        cols: vec![outer.cols[0]],
+        applies: 0,
+    };
+
     // A non-finite residual — from a poisoned initial guess, or from a
     // promoted correction that poisoned the iterate — ends the solve as a
     // breakdown.
@@ -82,21 +95,16 @@ pub fn mixed_cg<L: Real, AH: LinearOp<f64> + ?Sized, AL: LinearOp<L> + ?Sized>(
         // core seeded with (0, e = 0, r, ‖r‖²) — no initial apply to
         // charge — until the residual has dropped by `delta` from this
         // reliable point, or the outer target or either budget is reached.
-        let r_lo: Vec<Spinor<L>> = outer.r.iter().map(|s| s.cast()).collect();
-        let mut e_lo = vec![Spinor::<L>::zero(); n];
-        let reliable_point = blas::norm_sqr(&r_lo);
+        inner.r.clear();
+        inner.r.extend(outer.r.iter().map(|s| s.cast::<L>()));
+        blas::zero(inner.x);
+        let reliable_point = blas::norm_sqr(&inner.r);
         let inner_target = (params.delta * params.delta) * reliable_point;
-        let mut inner = Recurrence {
-            x: &mut e_lo,
-            r: r_lo,
-            p: Vec::new(),
-            cols: vec![Column {
-                k: 0,
-                rho: reliable_point,
-                target: inner_target.max(target),
-                ..outer.cols[0]
-            }],
-            applies: 0,
+        inner.cols[0] = Column {
+            k: 0,
+            rho: reliable_point,
+            target: inner_target.max(target),
+            ..outer.cols[0]
         };
         let budget = params
             .max_inner
@@ -110,12 +118,12 @@ pub fn mixed_cg<L: Real, AH: LinearOp<f64> + ?Sized, AL: LinearOp<L> + ?Sized>(
         if !col.rho.is_finite() {
             // Low-precision overflow/NaN: abandon this inner sequence; the
             // reliable update below re-anchors in double precision.
-            blas::zero(&mut e_lo);
+            blas::zero(inner.x);
         }
 
         // Reliable update: promote the correction and recompute the true
         // residual in double precision.
-        for (xi, ei) in outer.x.iter_mut().zip(e_lo.iter()) {
+        for (xi, ei) in outer.x.iter_mut().zip(inner.x.iter()) {
             *xi += ei.cast();
         }
         let _ = outer.start(&mut op_hi, b);

@@ -1,0 +1,125 @@
+//! The solver's steady state allocates nothing.
+//!
+//! An integration test is its own binary, so it can install a counting
+//! `#[global_allocator]` (the one `benchmark/src/alloc.rs` reports
+//! `solver.alloc_*_per_iteration` with) and hold the production operator —
+//! `NormalOp<f32, PrecMobius>` at the `fh_small` shape, 4³×8 with L5 = 4 —
+//! to it: after a warm-up call has sized every scratch buffer, further
+//! applies and further CG iterations request no memory at width 1, and only
+//! the pool's per-job handle once the stencil forks.
+//!
+//! One test only: the switch is process-wide and tests run in parallel.
+
+use lqcd::core::prelude::*;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+
+struct Counting;
+
+static ON: AtomicBool = AtomicBool::new(false);
+static BYTES: AtomicU64 = AtomicU64::new(0);
+
+fn record(size: usize) {
+    if ON.load(Ordering::SeqCst) {
+        BYTES.fetch_add(size as u64, Ordering::SeqCst);
+    }
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping touches only atomics
+// and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    // SAFETY: the caller upholds the contract of the `GlobalAlloc` method.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: the caller upholds the contract of the `GlobalAlloc` method.
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        record(layout.size());
+        // SAFETY: same layout the caller vouched for.
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    // SAFETY: the caller upholds the contract of the `GlobalAlloc` method.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        record(new_size);
+        // SAFETY: `ptr`/`layout` come from this allocator, i.e. from `System`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    // SAFETY: the caller upholds the contract of the `GlobalAlloc` method.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr`/`layout` come from this allocator, i.e. from `System`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static ALLOC: Counting = Counting;
+
+/// Bytes requested from the allocator, process-wide, while `op` ran.
+fn bytes_requested(op: impl FnOnce()) -> u64 {
+    let before = BYTES.load(Ordering::SeqCst);
+    ON.store(true, Ordering::SeqCst);
+    op();
+    ON.store(false, Ordering::SeqCst);
+    BYTES.load(Ordering::SeqCst) - before
+}
+
+fn at_width<R: Send>(w: usize, op: impl FnOnce() -> R + Send) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(w)
+        .build()
+        .expect("width handle")
+        .install(op)
+}
+
+#[test]
+fn steady_state_applies_and_iterations_request_no_memory() {
+    let lat = Lattice::new([4, 4, 4, 8]);
+    let gauge = GaugeField::<f64>::hot(&lat, 11).cast::<f32>();
+    let prec = PrecMobius::new(&lat, &gauge, MobiusParams::standard(4, 0.3));
+    let normal = NormalOp::new(&prec);
+    let n = normal.vec_len();
+    let b = FermionField::<f32>::gaussian(n, 12).data;
+    let mut out = vec![Spinor::zero(); n];
+    let twenty_applies = |out: &mut [Spinor<f32>]| {
+        for _ in 0..20 {
+            normal.apply(out, &b);
+        }
+    };
+
+    at_width(1, || {
+        normal.apply(&mut out, &b);
+        let bytes = bytes_requested(|| twenty_applies(&mut out));
+        assert_eq!(bytes, 0, "20 warm applies at width 1 requested {bytes} B");
+
+        // Twenty more iterations cost no more memory than ten: whatever a
+        // solve requests, it requests in its prologue.
+        let solve_bytes = |max_iter: usize| {
+            let mut x = vec![Spinor::zero(); n];
+            bytes_requested(|| {
+                let stats = cg(&normal, &mut x, &b, CgParams { tol: 0.0, max_iter });
+                assert_eq!(stats.iterations, max_iter);
+            })
+        };
+        solve_bytes(1); // registers the `solver.cg.*` metrics
+        assert_eq!(solve_bytes(30), solve_bytes(10));
+    });
+
+    // Wide enough for the stencil to fork: what is left is the pool's
+    // reference-counted job handle (80 B) for the two forked stencil passes
+    // of each of the 40 operator applies — nothing that scales with the
+    // vector.
+    at_width(4, || {
+        normal.apply(&mut out, &b);
+        let bytes = bytes_requested(|| twenty_applies(&mut out));
+        assert!(
+            bytes < 8 << 10,
+            "20 warm applies at width 4 requested {bytes} B"
+        );
+    });
+}
