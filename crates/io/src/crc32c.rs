@@ -1,5 +1,6 @@
-//! CRC-32C (Castagnoli), table-driven (slice-by-8), implemented from the
-//! polynomial — the per-chunk integrity check of the container format.
+//! CRC-32C (Castagnoli), the per-chunk integrity check of the container
+//! format: the SSE4.2 `crc32` instruction where the CPU has it, else (and as
+//! its test oracle) table-driven slice-by-8 implemented from the polynomial.
 
 /// Reflected Castagnoli polynomial.
 const POLY: u32 = 0x82F6_3B78;
@@ -38,8 +39,38 @@ fn step(t: &[u32; 256], crc: u32, b: u8) -> u32 {
     (crc >> 8) ^ t[((crc ^ b as u32) & 0xFF) as usize]
 }
 
-/// CRC-32C of a byte slice.
+/// CRC-32C of a byte slice: the SSE4.2 instruction when this CPU has it,
+/// slice-by-8 otherwise. Both produce the same value for every input.
 pub fn crc32c(data: &[u8]) -> u32 {
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `crc32c_sse42` needs only the `sse4.2` target feature,
+        // which `is_x86_feature_detected!` just confirmed on this CPU.
+        return unsafe { crc32c_sse42(data) };
+    }
+    crc32c_sliced(data)
+}
+
+/// CRC-32C on the SSE4.2 `crc32` instruction, eight bytes per step. Sound
+/// to call only once `sse4.2` is detected: the `unsafe` at each call site.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn crc32c_sse42(data: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let mut crc = u64::from(!0u32);
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        crc = _mm_crc32_u64(crc, u64::from_le_bytes(crate::container::le_array(w)));
+    }
+    let mut crc = crc as u32;
+    for &b in words.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    !crc
+}
+
+/// CRC-32C by slice-by-8 table look-ups.
+fn crc32c_sliced(data: &[u8]) -> u32 {
     let t = tables();
     let mut crc = !0u32;
     let mut words = data.chunks_exact(8);
@@ -64,7 +95,7 @@ pub fn crc32c(data: &[u8]) -> u32 {
 mod tests {
     use super::*;
 
-    /// One table look-up per byte: the definition the sliced loop must
+    /// One table look-up per byte: the definition both fast paths must
     /// reproduce, and what every file on disk was written with.
     fn crc32c_bytewise(data: &[u8]) -> u32 {
         !data
@@ -72,31 +103,68 @@ mod tests {
             .fold(!0u32, |crc, &b| step(&tables()[0], crc, b))
     }
 
-    #[test]
-    fn known_test_vectors() {
-        // RFC 3720 / common CRC-32C vectors.
-        assert_eq!(crc32c(b""), 0x0000_0000);
-        assert_eq!(crc32c(b"a"), 0xC1D0_4330);
-        assert_eq!(crc32c(b"123456789"), 0xE306_9283);
-        assert_eq!(crc32c(&[0u8; 32]), 0x8A91_36AA);
-        assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
+    type Crc = fn(&[u8]) -> u32;
+
+    /// Every implementation this CPU can run, by name: slice-by-8 always,
+    /// the SSE4.2 loop called directly when the feature is detected.
+    fn implementations() -> Vec<(&'static str, Crc)> {
+        #[allow(unused_mut)]
+        let mut v: Vec<(&'static str, Crc)> = vec![("sliced", crc32c_sliced)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            // SAFETY: only reached when `sse4.2` was detected on this CPU,
+            // the one target feature `crc32c_sse42` requires.
+            v.push(("sse42", |d| unsafe { crc32c_sse42(d) }));
+        }
+        v
+    }
+
+    /// Assert that the public entry point and every implementation agree
+    /// with the bytewise reference on `data`.
+    fn assert_all_equal_bytewise(data: &[u8], what: &str) {
+        let want = crc32c_bytewise(data);
+        assert_eq!(crc32c(data), want, "dispatched, {what}");
+        for (name, f) in implementations() {
+            assert_eq!(f(data), want, "{name}, {what}");
+        }
     }
 
     #[test]
-    fn sliced_loop_equals_bytewise_at_every_length_and_offset() {
+    fn known_test_vectors() {
+        // RFC 3720 / common CRC-32C vectors.
+        let vectors: [(&[u8], u32); 5] = [
+            (b"", 0x0000_0000),
+            (b"a", 0xC1D0_4330),
+            (b"123456789", 0xE306_9283),
+            (&[0u8; 32], 0x8A91_36AA),
+            (&[0xFFu8; 32], 0x62A8_AB43),
+        ];
+        for (data, want) in vectors {
+            assert_eq!(crc32c_bytewise(data), want, "bytewise, {data:?}");
+            assert_all_equal_bytewise(data, &format!("vector {data:?}"));
+        }
+    }
+
+    #[test]
+    fn every_implementation_equals_bytewise_at_every_length_and_offset() {
         use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5EED);
         let buf: Vec<u8> = (0..4099 + 8).map(|_| rng.gen::<u8>()).collect();
         for offset in 0..8 {
             for len in 0..=4099 {
                 let data = &buf[offset..offset + len];
-                assert_eq!(
-                    crc32c(data),
-                    crc32c_bytewise(data),
-                    "offset {offset}, length {len}"
-                );
+                assert_all_equal_bytewise(data, &format!("offset {offset}, length {len}"));
             }
         }
+    }
+
+    #[test]
+    fn every_implementation_equals_bytewise_on_a_bundle_sized_buffer() {
+        use rand::{Rng, SeedableRng};
+        // 9 MiB: the size of one of `contract_io`'s propagator bundles.
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x9_0000);
+        let buf: Vec<u8> = (0..9 << 20).map(|_| rng.gen::<u8>()).collect();
+        assert_all_equal_bytewise(&buf, "9 MiB");
     }
 
     #[test]

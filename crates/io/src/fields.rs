@@ -3,7 +3,7 @@
 use crate::container::{read_container, write_container, Container};
 use crate::IoError;
 use lqcd_core::complex::Complex;
-use lqcd_core::field::{FermionField, GaugeField};
+use lqcd_core::field::GaugeField;
 use lqcd_core::lattice::{Lattice, ND};
 use lqcd_core::su3::{Su3, NC};
 use std::collections::BTreeMap;
@@ -56,62 +56,6 @@ pub fn read_gauge(path: &Path, lattice: &Lattice) -> Result<GaugeField<f64>, IoE
         *link = u;
     }
     Ok(gauge)
-}
-
-/// Write a fermion field (propagator column).
-pub fn write_fermion(
-    path: &Path,
-    field: &FermionField<f64>,
-    metadata: BTreeMap<String, String>,
-) -> Result<(), IoError> {
-    let mut values = Vec::with_capacity(field.len() * 24);
-    for sp in &field.data {
-        for s in 0..4 {
-            for c in 0..NC {
-                values.push(sp.s[s].c[c].re);
-                values.push(sp.s[s].c[c].im);
-            }
-        }
-    }
-    let shape = vec![field.len(), 4, NC, 2];
-    let c = Container::from_f64("fermion", shape, &values, metadata);
-    write_container(path, &c)
-}
-
-/// Read a fermion field written by [`write_fermion`].
-pub fn read_fermion(path: &Path) -> Result<FermionField<f64>, IoError> {
-    read_fermion_with_meta(path).map(|(f, _)| f)
-}
-
-/// Read a fermion field together with the container's metadata map.
-///
-/// The solve service's spill cache stores the canonical cache key (and the
-/// solve provenance) in the metadata and verifies every field of it on
-/// load, so a spill file can never be served against the wrong request
-/// even if two keys were to share a file name.
-pub fn read_fermion_with_meta(
-    path: &Path,
-) -> Result<(FermionField<f64>, BTreeMap<String, String>), IoError> {
-    let c = read_container(path)?;
-    if c.header.shape.len() != 4 || c.header.shape[1..] != [4, NC, 2] {
-        return Err(IoError::ShapeMismatch(format!(
-            "not a fermion file: shape {:?}",
-            c.header.shape
-        )));
-    }
-    let n = c.header.shape[0];
-    let values = c.to_f64()?;
-    let mut field = FermionField::zeros(n);
-    for (i, sp) in field.data.iter_mut().enumerate() {
-        let base = i * 24;
-        for s in 0..4 {
-            for col in 0..NC {
-                let k = base + (s * NC + col) * 2;
-                sp.s[s].c[col] = Complex::new(values[k], values[k + 1]);
-            }
-        }
-    }
-    Ok((field, c.header.metadata))
 }
 
 /// Write a (complex) correlator as `[nt, 2]`.
@@ -180,16 +124,6 @@ mod tests {
             read_gauge(&path, &other),
             Err(IoError::ShapeMismatch(_))
         ));
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn fermion_round_trip_is_exact() {
-        let f = FermionField::<f64>::gaussian(128, 3);
-        let path = tmp("fermion.lqio");
-        write_fermion(&path, &f, BTreeMap::new()).unwrap();
-        let back = read_fermion(&path).unwrap();
-        assert_eq!(back.data, f.data);
         std::fs::remove_file(&path).ok();
     }
 

@@ -7,11 +7,12 @@
 //! container with the same role:
 //!
 //! - a JSON header (name, element type, shape, free-form metadata),
-//! - fixed-size chunks, each carrying a CRC-32C of its payload,
+//! - fixed-size chunks, each carrying a CRC-32C of its payload (the SSE4.2
+//!   `crc32` instruction where the CPU has it, slice-by-8 elsewhere),
 //! - parallel (rayon) encode/decode of the numeric payloads.
 //!
-//! Gauge fields, fermion fields (propagator columns), and correlators all
-//! serialize through the same container. Corruption of any byte is detected
+//! Gauge fields, propagator bundles, and correlators all serialize through
+//! the same container. Corruption of any byte is detected
 //! on read, and detection is recoverable rather than fatal: bounded re-read
 //! retries ([`read_container_with_retry`]) handle transient read-path
 //! faults, and partial salvage ([`salvage_container`],
@@ -37,10 +38,7 @@ pub use container::{
     read_header, salvage_container, salvage_container_bytes, write_container, Container, Header,
     SalvagedContainer,
 };
-pub use fields::{
-    read_correlator, read_fermion, read_fermion_with_meta, read_gauge, write_correlator,
-    write_fermion, write_gauge,
-};
+pub use fields::{read_correlator, read_gauge, write_correlator, write_gauge};
 
 /// Errors produced by this crate.
 #[derive(Debug)]

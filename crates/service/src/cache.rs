@@ -1,6 +1,6 @@
-//! Content-addressed result cache: LRU in memory, CRC-gated spill to the
-//! container format on disk, and in-flight deduplication so two requests
-//! racing the same cold key trigger exactly one solve.
+//! Content-addressed result cache: LRU in memory, CRC-gated spill to one
+//! slab file per cache, and in-flight deduplication so two requests racing
+//! the same cold key trigger exactly one solve.
 //!
 //! The concurrency protocol of [`ResultCache::get_or_compute`] (miss →
 //! claim in-flight → compute unlocked → publish → wake waiters; waiters
@@ -11,9 +11,14 @@
 use crate::backend::SolveResult;
 use crate::error::ServiceError;
 use crate::request::CacheKey;
-use lqcd_core::field::FermionField;
+use lattice_io::crc32c::crc32c;
+use lqcd_core::spinor::Spinor;
+use lqcd_core::su3::NC;
 use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// How a request was satisfied.
@@ -39,9 +44,10 @@ pub struct CacheStats {
     pub misses: u64,
     pub evictions: u64,
     pub spills: u64,
-    /// Spill files rejected on load (CRC failure, shape mismatch, or
-    /// metadata that does not match the requested key bit-for-bit). Each
-    /// rejection degrades to a recompute, never to wrong data.
+    /// Spilled records rejected on revive (unreadable, CRC failure, a
+    /// length that does not match the spinor count, or a key that does not
+    /// match the requested key bit for bit). Each rejection degrades to a
+    /// recompute, never to wrong data.
     pub spill_rejects: u64,
 }
 
@@ -59,6 +65,8 @@ struct Inner {
     next_stamp: u64,
     ready: usize,
     stats: CacheStats,
+    /// This cache's spill file, opened at the first spill.
+    slab: Option<Slab>,
 }
 
 /// The cache. Clone-free; share it by reference (or `Arc`) across the
@@ -78,7 +86,8 @@ fn relock<T>(r: Result<T, PoisonError<T>>) -> T {
 
 impl ResultCache {
     /// An empty cache holding at most `capacity` entries in memory.
-    /// Evicted entries spill to `spill_dir` when one is given.
+    /// Evicted entries spill to a slab file of this cache's own in
+    /// `spill_dir` when one is given; the file goes with the cache.
     pub fn new(capacity: usize, spill_dir: Option<PathBuf>) -> Self {
         ResultCache {
             inner: Mutex::new(Inner {
@@ -87,6 +96,7 @@ impl ResultCache {
                 next_stamp: 0,
                 ready: 0,
                 stats: CacheStats::default(),
+                slab: None,
             }),
             cv: Condvar::new(),
             capacity: capacity.max(1),
@@ -208,7 +218,7 @@ impl ResultCache {
             if let Some(Slot::Ready { value, .. }) = inner.map.remove(&victim) {
                 inner.ready -= 1;
                 inner.stats.evictions += 1;
-                if self.spill(&victim, &value).is_some() {
+                if self.spill(inner, &victim, &value).is_some() {
                     inner.stats.spills += 1;
                 }
             }
@@ -220,39 +230,32 @@ impl ResultCache {
         inner.ready += 1;
     }
 
-    fn spill_path(&self, key: &CacheKey) -> Option<PathBuf> {
-        self.spill_dir
-            .as_ref()
-            .map(|d| d.join(format!("{}.lqio", key.file_stem())))
-    }
-
-    /// Best-effort spill of an evicted entry. IO errors degrade the entry
-    /// to recompute-on-next-miss rather than failing the insert.
-    fn spill(&self, key: &CacheKey, value: &SolveResult) -> Option<()> {
-        let path = self.spill_path(key)?;
-        let field = FermionField {
-            data: value.solution.clone(),
-        };
-        let meta = spill_metadata(key, value);
-        lattice_io::write_fermion(&path, &field, meta).ok()
-    }
-
-    /// Try to revive `key` from its spill file. The container layer gates
-    /// the payload on CRC-32C; on top of that every key field recorded in
-    /// the metadata must match the requested key exactly, so a corrupted
-    /// or foreign file can only ever degrade to a miss.
-    fn try_revive(&self, inner: &mut Inner, key: &CacheKey) -> Option<Arc<SolveResult>> {
-        let path = self.spill_path(key)?;
-        if !path.exists() {
-            return None;
+    /// Best-effort spill of an evicted entry into the slab, opening it at
+    /// the first spill. IO errors degrade the entry to
+    /// recompute-on-next-miss rather than failing the insert.
+    fn spill(&self, inner: &mut Inner, key: &CacheKey, value: &SolveResult) -> Option<()> {
+        if inner.slab.is_none() {
+            inner.slab = Slab::create(self.spill_dir.as_ref()?);
         }
-        match load_spill(&path, key) {
+        inner.slab.as_mut()?.write(key, value)
+    }
+
+    /// Try to revive `key` from its extent in the slab. The record must
+    /// pass its CRC-32C, be exactly as long as its spinor count says, and
+    /// carry this very key, field for field; anything else drops the
+    /// extent and counts a reject, so a corrupt or foreign record can only
+    /// ever degrade to a miss.
+    fn try_revive(&self, inner: &mut Inner, key: &CacheKey) -> Option<Arc<SolveResult>> {
+        let slab = inner.slab.as_mut()?;
+        let extent = *slab.extents.get(key)?;
+        match slab.read(key, extent) {
             Some(v) => {
                 let v = Arc::new(v);
                 self.insert_ready(inner, *key, v.clone());
                 Some(v)
             }
             None => {
+                slab.extents.remove(key);
                 inner.stats.spill_rejects += 1;
                 None
             }
@@ -289,61 +292,145 @@ fn touch_ready(inner: &mut Inner, key: &CacheKey) -> Option<Arc<SolveResult>> {
     Some(value)
 }
 
-fn spill_metadata(key: &CacheKey, value: &SolveResult) -> BTreeMap<String, String> {
-    let mut m = BTreeMap::new();
-    m.insert(
-        "service.config_hash".into(),
-        format!("{:016x}", key.config_hash),
-    );
-    m.insert(
-        "service.source_seed".into(),
-        format!("{:016x}", key.source_seed),
-    );
-    m.insert(
-        "service.mass_bits".into(),
-        format!("{:016x}", key.mass_bits),
-    );
-    m.insert("service.precision".into(), key.precision.to_string());
-    m.insert("service.policy".into(), key.policy.to_string());
-    m.insert("service.iterations".into(), value.iterations.to_string());
-    m.insert(
-        "service.residual_bits".into(),
-        format!("{:016x}", value.final_rel_residual.to_bits()),
-    );
-    m.insert("service.converged".into(), value.converged.to_string());
-    m.insert("service.recovered".into(), value.recovered.to_string());
-    m
+/// Bytes of a record before its payload: the five key fields, `iterations`,
+/// the residual bits, `converged`, `recovered` and the spinor count.
+const HEADER: usize = 3 * 8 + 2 + 2 * 8 + 2 + 8;
+/// Bytes of one `Spinor<f64>`: 4 spins × 3 colours × (re, im).
+const SPINOR_BYTES: usize = 4 * NC * 2 * 8;
+/// The CRC-32C that closes every record.
+const CRC_BYTES: usize = 4;
+
+/// Slabs created by this process so far: with the process id, every
+/// cache's slab has a name of its own.
+static SLABS: AtomicU64 = AtomicU64::new(0);
+
+/// One cache's spill file. Each key owns one extent, appended at the end
+/// on the key's first spill and rewritten in place on every later one.
+struct Slab {
+    file: File,
+    path: PathBuf,
+    /// key → (offset, length) of its record.
+    extents: HashMap<CacheKey, (u64, usize)>,
+    end: u64,
+    /// The one buffer every spill encodes into and every revive reads into.
+    buf: Vec<u8>,
 }
 
-fn load_spill(path: &Path, key: &CacheKey) -> Option<SolveResult> {
-    let (field, meta) = lattice_io::read_fermion_with_meta(path).ok()?;
-    let get = |k: &str| meta.get(k).map(String::as_str);
-    if get("service.config_hash") != Some(format!("{:016x}", key.config_hash).as_str())
-        || get("service.source_seed") != Some(format!("{:016x}", key.source_seed).as_str())
-        || get("service.mass_bits") != Some(format!("{:016x}", key.mass_bits).as_str())
-        || get("service.precision") != Some(key.precision.to_string().as_str())
-        || get("service.policy") != Some(key.policy.to_string().as_str())
-    {
+impl Slab {
+    fn create(dir: &Path) -> Option<Slab> {
+        let n = SLABS.fetch_add(1, Ordering::SeqCst);
+        let path = dir.join(format!("spill-{}-{n}.slab", std::process::id()));
+        let file = File::create_new(&path).ok()?;
+        Some(Slab {
+            file,
+            path,
+            extents: HashMap::new(),
+            end: 0,
+            buf: Vec::new(),
+        })
+    }
+
+    fn write(&mut self, key: &CacheKey, value: &SolveResult) -> Option<()> {
+        encode(&mut self.buf, key, value);
+        let len = self.buf.len();
+        let grown = self.end + len as u64;
+        let offset = match self.extents.get(key) {
+            Some(&(offset, l)) if l == len => offset,
+            _ => std::mem::replace(&mut self.end, grown),
+        };
+        // A failed rewrite leaves at worst a torn record of this same key,
+        // which its CRC rejects on revive.
+        self.file.write_all_at(&self.buf, offset).ok()?;
+        self.extents.insert(*key, (offset, len));
+        Some(())
+    }
+
+    fn read(&mut self, key: &CacheKey, (offset, len): (u64, usize)) -> Option<SolveResult> {
+        self.buf.resize(len, 0);
+        self.file.read_exact_at(&mut self.buf, offset).ok()?;
+        decode(&self.buf, key)
+    }
+}
+
+impl Drop for Slab {
+    /// The slab is private to its cache and goes with it.
+    fn drop(&mut self) {
+        std::fs::remove_file(&self.path).ok();
+    }
+}
+
+/// Encode `key` and `value` as one record into `buf`: little-endian
+/// header, the spinors' reals, then a CRC-32C over all of it.
+fn encode(buf: &mut Vec<u8>, key: &CacheKey, value: &SolveResult) {
+    buf.clear();
+    for w in [key.config_hash, key.source_seed, key.mass_bits] {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
+    buf.extend_from_slice(&[key.precision, key.policy]);
+    for w in [value.iterations as u64, value.final_rel_residual.to_bits()] {
+        buf.extend_from_slice(&w.to_le_bytes());
+    }
+    buf.extend_from_slice(&[u8::from(value.converged), u8::from(value.recovered)]);
+    buf.extend_from_slice(&(value.solution.len() as u64).to_le_bytes());
+    buf.resize(HEADER + value.solution.len() * SPINOR_BYTES, 0);
+    let spinors = buf[HEADER..].chunks_exact_mut(SPINOR_BYTES);
+    for (out, sp) in spinors.zip(&value.solution) {
+        for (out, z) in out.chunks_exact_mut(16).zip(sp.s.iter().flat_map(|v| &v.c)) {
+            out[..8].copy_from_slice(&z.re.to_le_bytes());
+            out[8..].copy_from_slice(&z.im.to_le_bytes());
+        }
+    }
+    let crc = crc32c(buf);
+    buf.extend_from_slice(&crc.to_le_bytes());
+}
+
+/// Decode a record written by [`encode`], or `None` unless its CRC holds,
+/// its length is exactly what its spinor count implies, and it carries
+/// `key` in every field.
+fn decode(record: &[u8], key: &CacheKey) -> Option<SolveResult> {
+    let (body, crc) = record.split_at(record.len().checked_sub(CRC_BYTES)?);
+    if body.len() < HEADER || crc != crc32c(body).to_le_bytes() {
         return None;
     }
-    let iterations: usize = get("service.iterations")?.parse().ok()?;
-    let residual_bits = u64::from_str_radix(get("service.residual_bits")?, 16).ok()?;
-    let converged: bool = get("service.converged")?.parse().ok()?;
-    let recovered: bool = get("service.recovered")?.parse().ok()?;
+    let word = |at: usize| u64::from_le_bytes(std::array::from_fn(|i| body[at + i]));
+    let stored = CacheKey {
+        config_hash: word(0),
+        source_seed: word(8),
+        mass_bits: word(16),
+        precision: body[24],
+        policy: body[25],
+    };
+    let n = usize::try_from(word(44)).ok()?;
+    if stored != *key || n.checked_mul(SPINOR_BYTES)?.checked_add(HEADER)? != body.len() {
+        return None;
+    }
+    let flag = |b: u8| (b < 2).then_some(b == 1);
+    let solution = body[HEADER..]
+        .chunks_exact(SPINOR_BYTES)
+        .map(|b| {
+            let mut sp = Spinor::zero();
+            let reals = sp.s.iter_mut().flat_map(|v| &mut v.c);
+            for (z, w) in reals.zip(b.chunks_exact(16)) {
+                z.re = f64::from_le_bytes(std::array::from_fn(|i| w[i]));
+                z.im = f64::from_le_bytes(std::array::from_fn(|i| w[8 + i]));
+            }
+            sp
+        })
+        .collect();
     Some(SolveResult {
-        solution: field.data,
-        iterations,
-        final_rel_residual: f64::from_bits(residual_bits),
-        converged,
-        recovered,
+        solution,
+        iterations: usize::try_from(word(26)).ok()?,
+        final_rel_residual: f64::from_bits(word(34)),
+        converged: flag(body[42])?,
+        recovered: flag(body[43])?,
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lqcd_core::spinor::Spinor;
-    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::fs::OpenOptions;
+    use std::sync::atomic::AtomicUsize;
 
     fn key(seed: u64) -> CacheKey {
         CacheKey {
@@ -428,35 +515,205 @@ mod tests {
         assert_eq!(outcome, CacheOutcome::Computed);
     }
 
-    #[test]
-    fn spill_round_trips_and_rejects_foreign_metadata() {
-        let dir = std::env::temp_dir().join(format!("svc-spill-{}", std::process::id()));
+    /// A fresh spill directory of this test's own.
+    fn spill_dir(tag: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("svc-spill-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("spill dir");
-        let cache = ResultCache::new(1, Some(dir.clone()));
+        dir
+    }
+
+    /// A capacity-1 cache on `dir` that has just evicted and spilled
+    /// `key(1)`, with its slab's path and that key's extent.
+    fn spilled(dir: &Path) -> (ResultCache, PathBuf, (u64, usize)) {
+        let cache = ResultCache::new(1, Some(dir.to_path_buf()));
         cache.insert(key(1), Arc::new(result(1.0)));
-        cache.insert(key(2), Arc::new(result(2.0))); // evicts + spills key 1
+        cache.insert(key(2), Arc::new(result(2.0)));
+        let (path, extent) = {
+            let inner = cache.lock();
+            let slab = inner.slab.as_ref().expect("slab opened at the first spill");
+            (slab.path.clone(), slab.extents[&key(1)])
+        };
+        (cache, path, extent)
+    }
+
+    /// Overwrite key 1's record in the slab at `path` with `record`.
+    fn overwrite(path: &Path, offset: u64, record: &[u8]) {
+        let f = OpenOptions::new()
+            .write(true)
+            .open(path)
+            .expect("open slab");
+        f.write_all_at(record, offset).expect("overwrite record");
+    }
+
+    /// After key 1's record was damaged: the revive is an honest miss
+    /// that counts one reject, and the next `get_or_compute` solves again.
+    fn assert_rejected(cache: &ResultCache, what: &str) {
+        let rejects = cache.stats().spill_rejects;
+        assert!(cache.lookup(&key(1)).is_none(), "{what}: served");
+        assert_eq!(cache.stats().spill_rejects, rejects + 1, "{what}");
+        let computes = AtomicUsize::new(0);
+        let (v, outcome) = cache
+            .get_or_compute(key(1), || {
+                computes.fetch_add(1, Ordering::SeqCst);
+                Ok(result(1.0))
+            })
+            .expect("recompute");
+        assert_eq!(outcome, CacheOutcome::Computed, "{what}");
+        assert_eq!(computes.load(Ordering::SeqCst), 1, "{what}");
+        assert_eq!(v.solution, result(1.0).solution, "{what}");
+    }
+
+    #[test]
+    fn spill_round_trips_and_rejects_a_foreign_key() {
+        let dir = spill_dir("foreign");
+        let (cache, _, _) = spilled(&dir);
         assert_eq!(cache.stats().spills, 1);
         let (revived, from_disk) = cache.lookup(&key(1)).expect("revive from spill");
         assert!(from_disk);
-        assert_eq!(revived.solution, result(1.0).solution);
-        assert_eq!(revived.iterations, 7);
+        assert_eq!(*revived, result(1.0));
         assert_eq!(cache.stats().spill_hits, 1);
+        drop(cache);
 
-        // A file whose metadata names a different key must be rejected
-        // even when it sits at the probed path.
-        let k_a = key(100);
-        let k_b = key(101);
-        let pa = dir.join(format!("{}.lqio", k_a.file_stem()));
-        let field = FermionField {
-            data: result(7.0).solution,
+        // A record with a valid CRC, written by the same encoder for a key
+        // that differs from the probed one in any single field, must not
+        // serve it.
+        let mut foreign = [key(1); 5];
+        foreign[0].config_hash ^= 1;
+        foreign[1].source_seed ^= 1 << 63;
+        foreign[2].mass_bits += 1;
+        foreign[3].precision ^= 1;
+        foreign[4].policy ^= 1;
+        for (field, foreign) in foreign.iter().enumerate() {
+            let (cache, path, (offset, len)) = spilled(&dir);
+            let mut record = Vec::new();
+            encode(&mut record, foreign, &result(1.0));
+            assert_eq!(record.len(), len);
+            overwrite(&path, offset, &record);
+            assert_rejected(&cache, &format!("key field {field} changed"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn truncated_record_is_rejected_at_every_field_boundary() {
+        let dir = spill_dir("truncate");
+        let n = result(1.0).solution.len();
+        let mut boundaries = vec![0, 8, 16, 24, 25, 26, 34, 42, 43, 44];
+        boundaries.extend((0..=n).map(|i| HEADER + i * SPINOR_BYTES));
+        boundaries.push(HEADER + n * SPINOR_BYTES + CRC_BYTES);
+        let mut cuts: Vec<usize> = boundaries
+            .iter()
+            .flat_map(|&b| [b.saturating_sub(1), b, b + 1])
+            .collect();
+        cuts.sort_unstable();
+        cuts.dedup();
+        let mut cases = 0;
+        for cut in cuts {
+            let (cache, path, (offset, len)) = spilled(&dir);
+            if cut >= len {
+                continue;
+            }
+            let f = OpenOptions::new()
+                .write(true)
+                .open(&path)
+                .expect("open slab");
+            f.set_len(offset + cut as u64).expect("truncate slab");
+            assert_rejected(&cache, &format!("truncated to {cut} of {len} bytes"));
+            cases += 1;
+        }
+        assert!(cases > 30, "only {cases} truncations");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn single_bit_flips_are_rejected_in_header_payload_and_crc() {
+        let dir = spill_dir("bitflip");
+        let mut state = 0x5EED_u64;
+        let mut next = move || {
+            // splitmix64
+            state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) as usize
         };
-        lattice_io::write_fermion(&pa, &field, spill_metadata(&k_b, &result(7.0)))
-            .expect("write foreign spill");
-        assert!(
-            cache.lookup(&k_a).is_none(),
-            "foreign metadata must not serve"
-        );
-        assert_eq!(cache.stats().spill_rejects, 1);
+        for i in 0..200 {
+            let (cache, path, (offset, len)) = spilled(&dir);
+            // Cycle through the three regions so each sees its share.
+            let (lo, hi) = [
+                (0, HEADER),
+                (HEADER, len - CRC_BYTES),
+                (len - CRC_BYTES, len),
+            ][i % 3];
+            let bit = lo * 8 + next() % ((hi - lo) * 8);
+            let mut record = vec![0u8; len];
+            File::open(&path)
+                .expect("open slab")
+                .read_exact_at(&mut record, offset)
+                .expect("read record");
+            record[bit / 8] ^= 1 << (bit % 8);
+            overwrite(&path, offset, &record);
+            assert_rejected(&cache, &format!("flip {i}: bit {bit} of {len} bytes"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn spinor_count_that_overflows_is_rejected() {
+        let dir = spill_dir("overflow");
+        for count in [u64::MAX, u64::MAX / SPINOR_BYTES as u64 + 1, 5] {
+            let (cache, path, (offset, _)) = spilled(&dir);
+            let mut record = Vec::new();
+            encode(&mut record, &key(1), &result(1.0));
+            record[44..HEADER].copy_from_slice(&count.to_le_bytes());
+            let body = record.len() - CRC_BYTES;
+            let crc = crc32c(&record[..body]);
+            record[body..].copy_from_slice(&crc.to_le_bytes());
+            overwrite(&path, offset, &record);
+            assert_rejected(&cache, &format!("spinor count {count}"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn respill_rewrites_the_key_extent_in_place() {
+        let dir = spill_dir("inplace");
+        let (cache, path, (_, len)) = spilled(&dir);
+        // Capacity 1: each lookup revives one key and spills the other.
+        for i in 0..10 {
+            let k = key(1 + (i % 2));
+            assert!(cache.lookup(&k).expect("revive").1);
+        }
+        assert_eq!(cache.stats().spills, 11);
+        let files: Vec<_> = std::fs::read_dir(&dir).expect("list").collect();
+        assert_eq!(files.len(), 1, "one slab, no per-key files");
+        let size = std::fs::metadata(&path).expect("slab").len();
+        assert_eq!(size, 2 * len as u64, "two keys, two extents");
+        drop(cache);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn caches_sharing_a_directory_keep_private_slabs_and_leave_none() {
+        let dir = spill_dir("shared");
+        let caches = [
+            ResultCache::new(1, Some(dir.clone())),
+            ResultCache::new(1, Some(dir.clone())),
+        ];
+        // Both spill the same key with different values.
+        for (cache, tag) in caches.iter().zip([1.0, 2.0]) {
+            cache.insert(key(1), Arc::new(result(tag)));
+            cache.insert(key(2), Arc::new(result(tag + 10.0)));
+        }
+        for (cache, tag) in caches.iter().zip([1.0, 2.0]) {
+            let (v, from_disk) = cache.lookup(&key(1)).expect("revive own spill");
+            assert!(from_disk);
+            assert_eq!(v.solution, result(tag).solution);
+            assert_eq!(cache.stats().spill_rejects, 0);
+        }
+        drop(caches);
+        let left = std::fs::read_dir(&dir).expect("list").count();
+        assert_eq!(left, 0, "slabs left behind");
         std::fs::remove_dir_all(&dir).ok();
     }
 }

@@ -10,9 +10,9 @@ pub enum ServiceError {
     /// The request or service configuration is unusable (unknown
     /// configuration id, grid does not decompose the lattice, …).
     Config(String),
-    /// A spill read/write failed in a way that is not survivable (the
-    /// cache degrades gracefully on CRC failures; this is for e.g. an
-    /// unwritable spill directory discovered mid-run).
+    /// A filesystem operation of the caller failed (e.g. creating the
+    /// spill directory). No cache path constructs it: the cache degrades
+    /// every spill write or revive failure to a recompute.
     Io(String),
     /// An in-run bit-identity audit failed: a cached or batched response
     /// did not match a fresh solo solve bit-for-bit.

@@ -11,7 +11,7 @@
 //!   hash, mass as raw `f64` bits — never a formatted string);
 //! - [`cache`] — a sharded-safe content-addressed result cache with LRU
 //!   eviction, in-flight deduplication (two racing misses → one solve), and
-//!   CRC-gated spill to the `lattice-io` container format;
+//!   CRC-gated spill to one slab file per cache, one extent per key;
 //! - [`batch`] — grouping of compatible queued requests (same
 //!   configuration, mass, precision) into one multi-RHS [`cg_block`] solve;
 //! - [`gateway`] — admission control over a bounded queue, deficit

@@ -116,8 +116,8 @@ impl CacheKey {
         }
     }
 
-    /// Stable filename stem for spilled entries. Every key field appears
-    /// in full, so distinct keys can never collide on a spill path.
+    /// Stable text form of the key (audit messages name keys by it). Every
+    /// key field appears in full, so distinct keys never share a stem.
     pub fn file_stem(&self) -> String {
         format!(
             "c{:016x}-s{:016x}-m{:016x}-p{}{}",
