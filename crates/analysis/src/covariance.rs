@@ -10,6 +10,10 @@
 use crate::linalg;
 
 /// Sample covariance of `samples[config][component]`, normalized by `N−1`.
+///
+/// # Panics
+///
+/// If there are fewer than two samples, or the rows differ in length.
 pub fn sample_covariance(samples: &[Vec<f64>]) -> Vec<Vec<f64>> {
     let n = samples.len();
     assert!(n >= 2, "covariance needs at least 2 samples");
@@ -37,6 +41,10 @@ pub fn sample_covariance(samples: &[Vec<f64>]) -> Vec<Vec<f64>> {
 
 /// Shrink a covariance toward its diagonal:
 /// `C' = (1−λ) C + λ diag(C)`.
+///
+/// # Panics
+///
+/// If `lambda` is outside `[0, 1]` (NaN included).
 pub fn shrink(cov: &[Vec<f64>], lambda: f64) -> Vec<Vec<f64>> {
     assert!((0.0..=1.0).contains(&lambda));
     let m = cov.len();
@@ -55,14 +63,24 @@ pub fn shrink(cov: &[Vec<f64>], lambda: f64) -> Vec<Vec<f64>> {
 
 /// Covariance of the *mean* (sample covariance / N), shrunk and inverted —
 /// the matrix a correlated fit of ensemble-averaged data wants.
-/// Returns `None` if even the shrunk matrix is singular.
+/// Returns `None` when there is no such matrix: fewer than two samples,
+/// ragged rows, `lambda` outside `[0, 1]`, a covariance entry that is not
+/// finite (a NaN or infinite sample, or overflow), or a shrunk matrix that
+/// is still singular.
 pub fn inverse_mean_covariance(samples: &[Vec<f64>], lambda: f64) -> Option<Vec<Vec<f64>>> {
+    let m = samples.first()?.len();
+    if samples.len() < 2 || samples.iter().any(|s| s.len() != m) || !(0.0..=1.0).contains(&lambda) {
+        return None;
+    }
     let n = samples.len() as f64;
     let mut cov = shrink(&sample_covariance(samples), lambda);
     for row in cov.iter_mut() {
         for v in row.iter_mut() {
             *v /= n;
         }
+    }
+    if cov.iter().flatten().any(|v| !v.is_finite()) {
+        return None;
     }
     linalg::invert(&cov)
 }
@@ -138,6 +156,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fewer_than_two_samples_is_none() {
+        assert!(inverse_mean_covariance(&[], 0.1).is_none());
+        assert!(inverse_mean_covariance(&[vec![1.0, 2.0]], 0.1).is_none());
+    }
+
+    #[test]
+    fn ragged_rows_are_none() {
+        let mut samples = correlated_samples(20, 4, 0.5, 13);
+        samples[7].pop();
+        assert!(inverse_mean_covariance(&samples, 0.1).is_none());
+        samples[0].pop();
+        assert!(inverse_mean_covariance(&samples, 0.1).is_none());
+    }
+
+    #[test]
+    fn non_finite_entry_is_none() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+            let mut samples = correlated_samples(20, 4, 0.5, 17);
+            samples[3][2] = bad;
+            assert!(inverse_mean_covariance(&samples, 0.1).is_none(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn lambda_outside_unit_interval_is_none() {
+        let samples = correlated_samples(20, 4, 0.5, 19);
+        for lambda in [-0.1, 1.5, f64::NAN] {
+            assert!(
+                inverse_mean_covariance(&samples, lambda).is_none(),
+                "{lambda}"
+            );
+        }
+        assert!(inverse_mean_covariance(&samples, 0.0).is_some());
     }
 
     #[test]

@@ -30,48 +30,23 @@ pub(crate) fn grain_for(len: usize) -> usize {
 
 /// Chunked elementwise update `y[i] = f(y[i], x[i])`: the one code path
 /// behind the axpy family, sequential or parallel by `grain_for`. Like the
-/// dslash chunk bodies (see [`crate::simd`]), the inner loop has an
-/// AVX2-compiled twin selected at runtime; both twins perform the same
-/// elementwise IEEE operations, so results are bit-identical either way.
+/// dslash chunk bodies, each chunk runs through [`crate::simd::dispatch`].
 fn update2<R: Real, F>(x: &[Spinor<R>], y: &mut [Spinor<R>], f: F)
 where
     F: Fn(&mut Spinor<R>, &Spinor<R>) + Sync + Send,
 {
     assert_eq!(x.len(), y.len());
-    let avx2 = crate::simd::avx2_detected();
     rayon::for_each_chunk_mut(y, grain_for(x.len()), |base, chunk| {
-        if avx2 {
-            // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
-            // twin is safe to call on this CPU.
-            #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-            unsafe {
-                update2_chunk_avx2(x, base, chunk, &f)
-            };
-        } else {
-            update2_chunk(x, base, chunk, &f);
-        }
+        crate::simd::dispatch(
+            x,
+            #[inline(always)]
+            |x| {
+                for (k, yi) in chunk.iter_mut().enumerate() {
+                    f(yi, &x[base + k]);
+                }
+            },
+        )
     });
-}
-
-/// Chunk body of [`update2`].
-#[inline(always)]
-fn update2_chunk<R: Real, F>(x: &[Spinor<R>], base: usize, chunk: &mut [Spinor<R>], f: &F)
-where
-    F: Fn(&mut Spinor<R>, &Spinor<R>),
-{
-    for (k, yi) in chunk.iter_mut().enumerate() {
-        f(yi, &x[base + k]);
-    }
-}
-
-/// AVX2-recompiled twin of [`update2_chunk`] (same code, 256-bit codegen).
-#[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn update2_chunk_avx2<R: Real, F>(x: &[Spinor<R>], base: usize, chunk: &mut [Spinor<R>], f: &F)
-where
-    F: Fn(&mut Spinor<R>, &Spinor<R>),
-{
-    update2_chunk(x, base, chunk, f);
 }
 
 /// Chunked `f64` reduction over `0..len` with per-chunk sequential folds
@@ -114,34 +89,17 @@ pub fn copy<R: Real>(x: &[Spinor<R>], y: &mut [Spinor<R>]) {
 pub fn scal<R: Real>(a: f64, y: &mut [Spinor<R>]) {
     let a = R::from_f64(a);
     let grain = grain_for(y.len());
-    let avx2 = crate::simd::avx2_detected();
     rayon::for_each_chunk_mut(y, grain, |_, chunk| {
-        if avx2 {
-            // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
-            // twin is safe to call on this CPU.
-            #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-            unsafe {
-                scal_chunk_avx2(a, chunk)
-            };
-        } else {
-            scal_chunk(a, chunk);
-        }
+        crate::simd::dispatch(
+            &a,
+            #[inline(always)]
+            |&a| {
+                for yi in chunk.iter_mut() {
+                    *yi = yi.scale(a);
+                }
+            },
+        )
     });
-}
-
-/// Chunk body of [`scal`].
-#[inline(always)]
-fn scal_chunk<R: Real>(a: R, chunk: &mut [Spinor<R>]) {
-    for yi in chunk.iter_mut() {
-        *yi = yi.scale(a);
-    }
-}
-
-/// AVX2-recompiled twin of [`scal_chunk`] (same code, 256-bit codegen).
-#[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-#[target_feature(enable = "avx2")]
-fn scal_chunk_avx2<R: Real>(a: R, chunk: &mut [Spinor<R>]) {
-    scal_chunk(a, chunk);
 }
 
 /// Set every component to zero.
@@ -259,8 +217,8 @@ mod tests {
 
     #[test]
     fn update_kernels_are_bit_identical_to_plain_loops() {
-        // Above PAR_THRESHOLD so the chunked (and, under `arch-simd`, the
-        // AVX2-twin) path runs; must match a plain serial loop to the bit.
+        // Above PAR_THRESHOLD so the chunked path runs (through the AVX2
+        // wrapper on an AVX2 host); must match a plain serial loop to the bit.
         let n = PAR_THRESHOLD + 33;
         let x = v(12, n);
         let mut y = v(13, n);

@@ -16,7 +16,7 @@ use crate::field::GaugeLinks;
 use crate::gamma::GAMMAS;
 use crate::lattice::{Lattice, Neighbors, Parity, ND};
 use crate::real::Real;
-use crate::simd::avx2_detected;
+use crate::simd;
 use crate::spinor::Spinor;
 use crate::su3::Su3;
 
@@ -254,71 +254,32 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         // field capture would otherwise borrow the raw pointer, which is not
         // `Sync`).
         let optr = SendPtr(out.as_mut_ptr());
-        let avx2 = avx2_detected();
         rayon::for_each_chunk(v, grain, move |range| {
-            if avx2 {
-                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
-                // twin is safe to call on this CPU.
-                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-                unsafe {
-                    self.full_fused_range_avx2(&optr, inp, range, l5, finish)
-                };
-            } else {
-                self.full_fused_range(&optr, inp, range, l5, finish);
-            }
+            simd::dispatch(
+                self,
+                #[inline(always)]
+                |this| {
+                    for x in range {
+                        let nb = this.lattice.neighbors(x);
+                        let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| this.gauge.link(x, mu));
+                        let bwd: [Su3<R>; ND] =
+                            std::array::from_fn(|mu| this.gauge.link(nb.bwd[mu] as usize, mu));
+                        let cached =
+                            |site: usize, mu: usize| if site == x { fwd[mu] } else { bwd[mu] };
+                        for s in 0..l5 {
+                            let slice = &inp[s * v..(s + 1) * v];
+                            let h = hop_site(nb, x, this.antiperiodic_t, &|e| slice[e], &cached);
+                            // SAFETY: element `s·v + x` is written exactly
+                            // once — `x` ranges over disjoint chunks across
+                            // tasks and `s` is the task-local loop — so no
+                            // two tasks alias any element, and the index
+                            // stays in bounds (`x < v`, `s < l5`).
+                            unsafe { *optr.get().add(s * v + x) = finish(s, x, h) };
+                        }
+                    }
+                },
+            )
         });
-    }
-
-    /// Chunk body of [`Self::apply_full_fused_5d`]: sites `range`, all `l5`
-    /// slices, links cached across the s-extent.
-    #[inline(always)]
-    fn full_fused_range<F>(
-        &self,
-        optr: &SendPtr<Spinor<R>>,
-        inp: &[Spinor<R>],
-        range: std::ops::Range<usize>,
-        l5: usize,
-        finish: &F,
-    ) where
-        F: Fn(usize, usize, Spinor<R>) -> Spinor<R> + Sync,
-    {
-        let v = self.lattice.volume();
-        for x in range {
-            let nb = self.lattice.neighbors(x);
-            let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| self.gauge.link(x, mu));
-            let bwd: [Su3<R>; ND] =
-                std::array::from_fn(|mu| self.gauge.link(nb.bwd[mu] as usize, mu));
-            let cached = |site: usize, mu: usize| if site == x { fwd[mu] } else { bwd[mu] };
-            for s in 0..l5 {
-                let slice = &inp[s * v..(s + 1) * v];
-                let h = hop_site(nb, x, self.antiperiodic_t, &|e| slice[e], &cached);
-                // SAFETY: element `s·v + x` is written exactly once — `x`
-                // ranges over disjoint chunks across tasks and `s` is the
-                // task-local loop — so no two tasks alias any element,
-                // and the index stays in bounds (`x < v`, `s < l5`).
-                unsafe { *optr.get().add(s * v + x) = finish(s, x, h) };
-            }
-        }
-    }
-
-    /// AVX2-compiled twin of [`Self::full_fused_range`]. The body is the
-    /// same `#[inline(always)]` code, recompiled with 256-bit vectors
-    /// enabled; only plain IEEE add/sub/mul are emitted (rustc does not
-    /// contract to FMA), so the results are bit-identical to the portable
-    /// compilation.
-    #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    fn full_fused_range_avx2<F>(
-        &self,
-        optr: &SendPtr<Spinor<R>>,
-        inp: &[Spinor<R>],
-        range: std::ops::Range<usize>,
-        l5: usize,
-        finish: &F,
-    ) where
-        F: Fn(usize, usize, Spinor<R>) -> Spinor<R> + Sync,
-    {
-        self.full_fused_range(optr, inp, range, l5, finish);
     }
 
     /// Checkerboarded counterpart of [`Self::apply_full_fused_5d`]: hops from
@@ -348,78 +309,34 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         let sites = self.lattice.sites_with_parity(out_parity);
         // `move` captures the whole `SendPtr` wrapper, as above.
         let optr = SendPtr(out.as_mut_ptr());
-        let avx2 = avx2_detected();
         rayon::for_each_chunk(hv, grain, move |range| {
-            if avx2 {
-                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
-                // twin is safe to call on this CPU.
-                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-                unsafe {
-                    self.parity_fused_range_avx2(&optr, inp, sites, range, l5, load, finish)
-                };
-            } else {
-                self.parity_fused_range(&optr, inp, sites, range, l5, load, finish);
-            }
+            simd::dispatch(
+                self,
+                #[inline(always)]
+                |this| {
+                    for cb in range {
+                        let lex = sites[cb] as usize;
+                        let nb = this.lattice.neighbors(lex);
+                        let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| this.gauge.link(lex, mu));
+                        let bwd: [Su3<R>; ND] =
+                            std::array::from_fn(|mu| this.gauge.link(nb.bwd[mu] as usize, mu));
+                        let cached =
+                            |site: usize, mu: usize| if site == lex { fwd[mu] } else { bwd[mu] };
+                        for s in 0..l5 {
+                            let slice = &inp[s * hv..(s + 1) * hv];
+                            let fetch = |e: usize| load(slice[this.lattice.cb_index(e)]);
+                            let h = hop_site(nb, lex, this.antiperiodic_t, &fetch, &cached);
+                            // SAFETY: element `s·hv + cb` is written exactly
+                            // once — `cb` ranges over disjoint chunks across
+                            // tasks and `s` is the task-local loop — so no
+                            // two tasks alias any element, and the index
+                            // stays in bounds.
+                            unsafe { *optr.get().add(s * hv + cb) = finish(s, cb, h) };
+                        }
+                    }
+                },
+            )
         });
-    }
-
-    /// Chunk body of [`Self::apply_parity_fused_5d`]: checkerboard sites
-    /// `range`, all `l5` slices, links cached across the s-extent.
-    #[inline(always)]
-    #[allow(clippy::too_many_arguments)]
-    fn parity_fused_range<L, F>(
-        &self,
-        optr: &SendPtr<Spinor<R>>,
-        inp: &[Spinor<R>],
-        sites: &[u32],
-        range: std::ops::Range<usize>,
-        l5: usize,
-        load: &L,
-        finish: &F,
-    ) where
-        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
-        F: Fn(usize, usize, Spinor<R>) -> Spinor<R> + Sync,
-    {
-        let hv = self.lattice.half_volume();
-        for cb in range {
-            let lex = sites[cb] as usize;
-            let nb = self.lattice.neighbors(lex);
-            let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| self.gauge.link(lex, mu));
-            let bwd: [Su3<R>; ND] =
-                std::array::from_fn(|mu| self.gauge.link(nb.bwd[mu] as usize, mu));
-            let cached = |site: usize, mu: usize| if site == lex { fwd[mu] } else { bwd[mu] };
-            for s in 0..l5 {
-                let slice = &inp[s * hv..(s + 1) * hv];
-                let fetch = |e: usize| load(slice[self.lattice.cb_index(e)]);
-                let h = hop_site(nb, lex, self.antiperiodic_t, &fetch, &cached);
-                // SAFETY: element `s·hv + cb` is written exactly once —
-                // `cb` ranges over disjoint chunks across tasks and `s`
-                // is the task-local loop — so no two tasks alias any
-                // element, and the index stays in bounds.
-                unsafe { *optr.get().add(s * hv + cb) = finish(s, cb, h) };
-            }
-        }
-    }
-
-    /// AVX2-compiled twin of [`Self::parity_fused_range`]; see
-    /// [`Self::full_fused_range_avx2`] for the bit-identity argument.
-    #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    #[allow(clippy::too_many_arguments)]
-    fn parity_fused_range_avx2<L, F>(
-        &self,
-        optr: &SendPtr<Spinor<R>>,
-        inp: &[Spinor<R>],
-        sites: &[u32],
-        range: std::ops::Range<usize>,
-        l5: usize,
-        load: &L,
-        finish: &F,
-    ) where
-        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
-        F: Fn(usize, usize, Spinor<R>) -> Spinor<R> + Sync,
-    {
-        self.parity_fused_range(optr, inp, sites, range, l5, load, finish);
     }
 
     /// `out = H inp` on the full lattice for an interleaved block of `nrhs`

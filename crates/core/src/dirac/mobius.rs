@@ -262,66 +262,37 @@ impl<R: Real> FifthDim<R> {
         let grain = crate::blas::grain_for(slice_len);
         let rptr = super::hopping::SendPtr(rho.as_mut_ptr());
         let dptr = super::hopping::SendPtr(diag.as_mut_ptr());
-        let avx2 = crate::simd::avx2_detected();
         rayon::for_each_chunk(slice_len, grain, |range| {
-            if avx2 {
-                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
-                // twin is safe to call on this CPU.
-                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-                unsafe {
-                    self.rho_and_diag_range_avx2(&rptr, &dptr, inp, slice_len, range)
-                };
-            } else {
-                self.rho_and_diag_range(&rptr, &dptr, inp, slice_len, range);
-            }
+            crate::simd::dispatch(
+                self,
+                #[inline(always)]
+                |this| {
+                    let (b5, c5) = (R::from_f64(this.params.b5), R::from_f64(this.params.c5));
+                    let (al, be) = (
+                        R::from_f64(this.params.alpha()),
+                        R::from_f64(this.params.beta()),
+                    );
+                    for i in range {
+                        for s in 0..l5 {
+                            let idx = s * slice_len + i;
+                            let sh = this.shift_at(inp, slice_len, s, i, false);
+                            // Read once: `inp` is no argument of the AVX2
+                            // wrapper, so LLVM cannot tell that the `rho`
+                            // write leaves it unchanged.
+                            let x = inp[idx];
+                            // SAFETY: each (s, i) pair is written by exactly
+                            // one task (`i` ranges over disjoint chunks, `s`
+                            // is task-local), and `idx < l5·slice_len` keeps
+                            // both writes in bounds.
+                            unsafe {
+                                *rptr.get().add(idx) = x.scale(b5) + sh.scale(c5);
+                                *dptr.get().add(idx) = x.scale(al) + sh.scale(be);
+                            }
+                        }
+                    }
+                },
+            )
         });
-    }
-
-    /// Chunk body of [`Self::rho_and_diag`]: 4D sites `range`, whole
-    /// s-columns.
-    #[inline(always)]
-    fn rho_and_diag_range(
-        &self,
-        rptr: &super::hopping::SendPtr<Spinor<R>>,
-        dptr: &super::hopping::SendPtr<Spinor<R>>,
-        inp: &[Spinor<R>],
-        slice_len: usize,
-        range: std::ops::Range<usize>,
-    ) {
-        let l5 = self.params.l5;
-        let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
-        let (al, be) = (
-            R::from_f64(self.params.alpha()),
-            R::from_f64(self.params.beta()),
-        );
-        for i in range {
-            for s in 0..l5 {
-                let idx = s * slice_len + i;
-                let sh = self.shift_at(inp, slice_len, s, i, false);
-                // SAFETY: each (s, i) pair is written by exactly one task
-                // (`i` ranges over disjoint chunks, `s` is task-local),
-                // and `idx < l5·slice_len` keeps both writes in bounds.
-                unsafe {
-                    *rptr.get().add(idx) = inp[idx].scale(b5) + sh.scale(c5);
-                    *dptr.get().add(idx) = inp[idx].scale(al) + sh.scale(be);
-                }
-            }
-        }
-    }
-
-    /// AVX2-compiled twin of [`Self::rho_and_diag_range`]; same IEEE ops,
-    /// 256-bit codegen, bit-identical results (rustc emits no FMA).
-    #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    fn rho_and_diag_range_avx2(
-        &self,
-        rptr: &super::hopping::SendPtr<Spinor<R>>,
-        dptr: &super::hopping::SendPtr<Spinor<R>>,
-        inp: &[Spinor<R>],
-        slice_len: usize,
-        range: std::ops::Range<usize>,
-    ) {
-        self.rho_and_diag_range(rptr, dptr, inp, slice_len, range);
     }
 
     /// Row `s_out` of the closed-form inverse applied to one s-column:
@@ -392,23 +363,20 @@ impl<R: Real> FifthDim<R> {
         assert_eq!(out.len(), n);
         assert_eq!(n, self.params.l5 * slice_len);
         let optr = super::hopping::SendPtr(out.as_mut_ptr());
-        let avx2 = crate::simd::avx2_detected();
         self.for_each_column_chunk(slice_len, cols, |range, col| {
-            if avx2 {
-                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
-                // twin is safe to call on this CPU.
-                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-                unsafe {
-                    self.ainv_then_rho_range_avx2(&optr, inp, slice_len, range, col)
-                };
-            } else {
-                self.ainv_then_rho_range(&optr, inp, slice_len, range, col);
-            }
+            crate::simd::dispatch(
+                self,
+                #[inline(always)]
+                |this| this.ainv_then_rho_range(&optr, inp, slice_len, range, col),
+            )
         });
     }
 
     /// Chunk body of [`Self::ainv_then_rho`]: 4D sites `range`, whole
-    /// s-columns staged in `col`.
+    /// s-columns staged in `col`. Unlike the other column sweeps it stays a
+    /// method: as a `&mut` argument `col` is known not to alias the output
+    /// writes, and folded into its closure the sweep loses 12 % of its
+    /// 256-bit instructions.
     #[inline(always)]
     fn ainv_then_rho_range(
         &self,
@@ -436,21 +404,6 @@ impl<R: Real> FifthDim<R> {
                 }
             }
         }
-    }
-
-    /// AVX2-compiled twin of [`Self::ainv_then_rho_range`]; same IEEE ops,
-    /// 256-bit codegen, bit-identical results (rustc emits no FMA).
-    #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    fn ainv_then_rho_range_avx2(
-        &self,
-        optr: &super::hopping::SendPtr<Spinor<R>>,
-        inp: &[Spinor<R>],
-        slice_len: usize,
-        range: std::ops::Range<usize>,
-        col: &mut [Spinor<R>],
-    ) {
-        self.ainv_then_rho_range(optr, inp, slice_len, range, col);
     }
 
     /// One element of `−½ ρ†(t)`: `(b5·t + c5·shift†(t))·(−½)` at `(s, i)`,
@@ -483,58 +436,30 @@ impl<R: Real> FifthDim<R> {
         assert_eq!(out.len(), n);
         assert_eq!(n, self.params.l5 * slice_len);
         let optr = super::hopping::SendPtr(out.as_mut_ptr());
-        let avx2 = crate::simd::avx2_detected();
         self.for_each_column_chunk(slice_len, cols, |range, col| {
-            if avx2 {
-                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
-                // twin is safe to call on this CPU.
-                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-                unsafe {
-                    self.rho_dagger_then_ainv_range_avx2(&optr, t, slice_len, range, col)
-                };
-            } else {
-                self.rho_dagger_then_ainv_range(&optr, t, slice_len, range, col);
-            }
+            crate::simd::dispatch(
+                self,
+                #[inline(always)]
+                |this| {
+                    for i in range {
+                        for (s, c) in col.iter_mut().enumerate() {
+                            *c = this.half_rho_dagger_at(t, slice_len, s, i);
+                        }
+                        for s_out in 0..this.params.l5 {
+                            let v =
+                                this.ainv_row(&this.ainv_minus, &this.ainv_plus, s_out, |s_in| {
+                                    &col[s_in]
+                                });
+                            // SAFETY: each (s_out, i) is written by exactly
+                            // one task (`i` ranges over disjoint chunks,
+                            // `s_out` is task-local) and
+                            // `s_out·slice_len + i < l5·slice_len = out.len()`.
+                            unsafe { *optr.get().add(s_out * slice_len + i) = v };
+                        }
+                    }
+                },
+            )
         });
-    }
-
-    /// Chunk body of [`Self::rho_dagger_then_ainv`].
-    #[inline(always)]
-    fn rho_dagger_then_ainv_range(
-        &self,
-        optr: &super::hopping::SendPtr<Spinor<R>>,
-        t: &[Spinor<R>],
-        slice_len: usize,
-        range: std::ops::Range<usize>,
-        col: &mut [Spinor<R>],
-    ) {
-        for i in range {
-            for (s, c) in col.iter_mut().enumerate() {
-                *c = self.half_rho_dagger_at(t, slice_len, s, i);
-            }
-            for s_out in 0..self.params.l5 {
-                let v = self.ainv_row(&self.ainv_minus, &self.ainv_plus, s_out, |s_in| &col[s_in]);
-                // SAFETY: each (s_out, i) is written by exactly one task
-                // (`i` ranges over disjoint chunks, `s_out` is task-local)
-                // and `s_out·slice_len + i < l5·slice_len = out.len()`.
-                unsafe { *optr.get().add(s_out * slice_len + i) = v };
-            }
-        }
-    }
-
-    /// AVX2-compiled twin of [`Self::rho_dagger_then_ainv_range`]; same IEEE
-    /// ops, 256-bit codegen, bit-identical results (rustc emits no FMA).
-    #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    fn rho_dagger_then_ainv_range_avx2(
-        &self,
-        optr: &super::hopping::SendPtr<Spinor<R>>,
-        t: &[Spinor<R>],
-        slice_len: usize,
-        range: std::ops::Range<usize>,
-        col: &mut [Spinor<R>],
-    ) {
-        self.rho_dagger_then_ainv_range(optr, t, slice_len, range, col);
     }
 
     /// Column-wise fused `out = A†ψ − (−½ ρ†(t))`, the adjoint's closing
@@ -554,62 +479,32 @@ impl<R: Real> FifthDim<R> {
         assert_eq!(n, self.params.l5 * slice_len);
         let grain = crate::blas::grain_for(slice_len);
         let optr = super::hopping::SendPtr(out.as_mut_ptr());
-        let avx2 = crate::simd::avx2_detected();
         rayon::for_each_chunk(slice_len, grain, |range| {
-            if avx2 {
-                // SAFETY: `avx2_detected` returned true, so the AVX2-compiled
-                // twin is safe to call on this CPU.
-                #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-                unsafe {
-                    self.a_dagger_minus_half_rho_dagger_range_avx2(&optr, psi, t, slice_len, range)
-                };
-            } else {
-                self.a_dagger_minus_half_rho_dagger_range(&optr, psi, t, slice_len, range);
-            }
+            crate::simd::dispatch(
+                self,
+                #[inline(always)]
+                |this| {
+                    let (al, be) = (
+                        R::from_f64(this.params.alpha()),
+                        R::from_f64(this.params.beta()),
+                    );
+                    for i in range {
+                        for s in 0..this.params.l5 {
+                            let idx = s * slice_len + i;
+                            let diag = psi[idx].scale(al)
+                                + this.shift_at(psi, slice_len, s, i, true).scale(be);
+                            // SAFETY: each (s, i) is written by exactly one
+                            // task (`i` ranges over disjoint chunks, `s` is
+                            // task-local) and `idx < l5·slice_len = out.len()`.
+                            unsafe {
+                                *optr.get().add(idx) =
+                                    diag - this.half_rho_dagger_at(t, slice_len, s, i)
+                            };
+                        }
+                    }
+                },
+            )
         });
-    }
-
-    /// Chunk body of [`Self::a_dagger_minus_half_rho_dagger`].
-    #[inline(always)]
-    fn a_dagger_minus_half_rho_dagger_range(
-        &self,
-        optr: &super::hopping::SendPtr<Spinor<R>>,
-        psi: &[Spinor<R>],
-        t: &[Spinor<R>],
-        slice_len: usize,
-        range: std::ops::Range<usize>,
-    ) {
-        let (al, be) = (
-            R::from_f64(self.params.alpha()),
-            R::from_f64(self.params.beta()),
-        );
-        for i in range {
-            for s in 0..self.params.l5 {
-                let idx = s * slice_len + i;
-                let diag = psi[idx].scale(al) + self.shift_at(psi, slice_len, s, i, true).scale(be);
-                // SAFETY: each (s, i) is written by exactly one task (`i`
-                // ranges over disjoint chunks, `s` is task-local) and
-                // `idx < l5·slice_len = out.len()`.
-                unsafe {
-                    *optr.get().add(idx) = diag - self.half_rho_dagger_at(t, slice_len, s, i)
-                };
-            }
-        }
-    }
-
-    /// AVX2-compiled twin of [`Self::a_dagger_minus_half_rho_dagger_range`];
-    /// same IEEE ops, 256-bit codegen, bit-identical results.
-    #[cfg(all(feature = "arch-simd", target_arch = "x86_64"))]
-    #[target_feature(enable = "avx2")]
-    fn a_dagger_minus_half_rho_dagger_range_avx2(
-        &self,
-        optr: &super::hopping::SendPtr<Spinor<R>>,
-        psi: &[Spinor<R>],
-        t: &[Spinor<R>],
-        slice_len: usize,
-        range: std::ops::Range<usize>,
-    ) {
-        self.a_dagger_minus_half_rho_dagger_range(optr, psi, t, slice_len, range);
     }
 
     /// `out = a·in + b·shift^(†)(in)`, the shared form of `A` (`a=α, b=β`)

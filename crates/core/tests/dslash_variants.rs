@@ -18,8 +18,9 @@
 //!
 //! Regenerate the goldens after an *intentional* numerical change with:
 //! `UPDATE_GOLDENS=1 cargo test -p lqcd-core --test dslash_variants`
-//! (the digests must not depend on cargo features: `arch-simd` only widens
-//! codegen, never changes results — CI runs this suite both ways).
+//! (the digests must not depend on the CPU: on an AVX2 host the kernels run
+//! `simd::dispatch`'s AVX2 codegen, elsewhere the baseline one, and the
+//! two are bit-identical — `simd.rs` pins that in a unit test).
 
 use lqcd_core::prelude::*;
 use std::collections::BTreeMap;
