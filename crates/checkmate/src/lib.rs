@@ -32,9 +32,10 @@ pub use explore::{Exploration, Explorer, Footprint, System, Violation};
 pub use trace::{Trace, Verdict};
 
 /// FNV-1a 64-bit hash — the same keyed hashing used across the workspace
-/// (frame checksums, lint suppression hashes). Used here to derive stable
-/// object ids for modeled objects and race-detector sync keys.
-// Zero-dependency crate: keeps its own FNV-1a rather than `lqcd-core`'s.
+/// (the service's gauge content hash, lint suppression hashes). Used here
+/// to derive stable object ids for modeled objects and race-detector sync
+/// keys.
+// Zero-dependency crate: keeps its own FNV-1a rather than sharing one.
 pub fn fnv1a_64(bytes: &[u8]) -> u64 {
     const OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
     const PRIME: u64 = 0x0000_0100_0000_01B3;

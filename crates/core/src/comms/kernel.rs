@@ -110,12 +110,20 @@ impl<R: Real> ShardedField<R> {
         l5: usize,
         nrhs: usize,
     ) -> Self {
-        let v = domain.lattice().volume();
-        assert_eq!(global.len(), l5 * v * nrhs, "global vector length mismatch");
         let mut f = Self::zeros_block(domain, l5, nrhs);
-        let v_loc = f.v_loc;
+        f.scatter_from(domain, global);
+        f
+    }
+
+    /// Overwrite the rank locals, in place, with a global s-major,
+    /// RHS-innermost block of this field's shape. The ghosts keep whatever
+    /// they held until the next exchange refreshes them.
+    fn scatter_from(&mut self, domain: &DomainDecomposition, global: &[Spinor<R>]) {
+        let v = domain.lattice().volume();
+        let (l5, nrhs, v_loc) = (self.l5, self.nrhs, self.v_loc);
+        assert_eq!(global.len(), l5 * v * nrhs, "global vector length mismatch");
         for (r, rank) in domain.ranks().iter().enumerate() {
-            let local = &mut f.locals[r];
+            let local = &mut self.locals[r];
             for s in 0..l5 {
                 for lx in 0..v_loc {
                     let g = rank.local_to_global[lx] as usize;
@@ -124,7 +132,6 @@ impl<R: Real> ShardedField<R> {
                 }
             }
         }
-        f
     }
 
     /// Reassemble the global s-major (RHS-innermost) vector from the rank
@@ -783,9 +790,18 @@ pub fn tune_comm_policy<R: Real>(
 /// sharded halo-exchange kernel. The fifth-dimension algebra is
 /// [`MobiusDirac`]'s own, so the full apply is bit-identical to the
 /// single-domain operator.
+///
+/// The hop's operand and result shard fields are resident: sized at
+/// construction (and again whenever an apply brings a different `nrhs`),
+/// then scattered into and gathered from in place on every hop.
 pub struct ShardedMobius<'a, R: Real, G: GaugeLinks<R>> {
     mobius: MobiusDirac<'a, R, G>,
     hop: ShardedHopping<R>,
+    /// Hop operand: rank locals scattered from the global vector, ghosts
+    /// filled by the exchange.
+    operand: ShardedField<R>,
+    /// Hop result, gathered back into the global vector.
+    result: ShardedField<R>,
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
@@ -802,11 +818,15 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
             lattice.volume(),
             "domain/lattice mismatch"
         );
+        let operand = ShardedField::zeros(&domain, params.l5);
+        let result = ShardedField::zeros(&domain, params.l5);
         // Antiperiodic-t matches MobiusDirac::new (the physical choice).
         let hop = ShardedHopping::new(domain, gauge, true, policy);
         Self {
             mobius: MobiusDirac::new(lattice, gauge, params),
             hop,
+            operand,
+            result,
         }
     }
 
@@ -821,11 +841,11 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
     }
 
     /// Run one of [`MobiusDirac`]'s `*_with_hop` applies with the sharded
-    /// kernel as its (blocked) hopping term: scatter the hopping operand,
-    /// run the decomposed dslash, gather — fifth-dimension algebra
-    /// untouched. The first comm failure is kept for the solver's recovery
-    /// machinery (`out` is then unspecified) and the apply's remaining hops
-    /// are skipped.
+    /// kernel as its (blocked) hopping term: scatter the hopping operand
+    /// into the resident shard field, run the decomposed dslash, gather —
+    /// fifth-dimension algebra untouched. The first comm failure is kept for
+    /// the solver's recovery machinery (`out` is then unspecified) and the
+    /// apply's remaining hops are skipped.
     fn with_sharded_hop(
         &mut self,
         apply: impl FnOnce(
@@ -833,7 +853,12 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
             &mut dyn FnMut(&mut [Spinor<R>], &[Spinor<R>], usize),
         ),
     ) -> Result<(), CommError> {
-        let Self { mobius, hop } = self;
+        let Self {
+            mobius,
+            hop,
+            operand,
+            result,
+        } = self;
         let l5 = mobius.params().l5;
         let domain = hop.domain().clone();
         let mut err = None;
@@ -841,10 +866,13 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
             if err.is_some() {
                 return;
             }
-            let mut si = ShardedField::scatter_block(&domain, i, l5, n);
-            let mut so = ShardedField::zeros_block(&domain, l5, n);
-            match hop.apply(&mut so, &mut si) {
-                Ok(()) => so.gather_into(&domain, o),
+            if operand.nrhs != n {
+                *operand = ShardedField::zeros_block(&domain, l5, n);
+                *result = ShardedField::zeros_block(&domain, l5, n);
+            }
+            operand.scatter_from(&domain, i);
+            match hop.apply(result, operand) {
+                Ok(()) => result.gather_into(&domain, o),
                 Err(e) => err = Some(e),
             }
         });
@@ -1032,4 +1060,100 @@ impl<'a, R: Real, G: GaugeLinks<R>> FallibleOp<R> for ShardedNormal<'a, R, G> {
 /// [`DomainDecomposition::grid_string`] for grids not yet decomposed).
 pub fn grid_label(g: [usize; ND]) -> String {
     format!("{}x{}x{}x{}", g[0], g[1], g[2], g[3])
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::dirac::{DiracOp, LinearOp};
+    use crate::field::{FermionField, GaugeField};
+
+    fn real_bits<R: Real>(v: &[Spinor<R>]) -> Vec<u64> {
+        v.iter()
+            .flat_map(|sp| sp.s.iter().flat_map(|cv| cv.c.iter()))
+            .flat_map(|z| [z.re.to_f64().to_bits(), z.im.to_f64().to_bits()])
+            .collect()
+    }
+
+    /// The scratch-backed `*_with_hop` compositions against their allocating
+    /// oracles on every real's bit pattern, through the single-domain hop
+    /// and through the resident-buffer sharded hop on two rank grids. Each
+    /// sharded operator sees `nrhs` 1, 3, then 1 again, so its shard fields
+    /// are resized in both directions.
+    fn with_hop_matches_oracle<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
+        let hopping = crate::dirac::HoppingKernel::new(lat, gauge, true);
+        let mut oracle_hop = |o: &mut [Spinor<R>], i: &[Spinor<R>], nrhs: usize| {
+            let vb = lat.volume() * nrhs;
+            for (o, i) in o.chunks_mut(vb).zip(i.chunks(vb)) {
+                hopping.apply_full_block(o, i, nrhs, 64);
+            }
+        };
+        for l5 in [2, 4] {
+            for params in [
+                MobiusParams::standard(l5, 0.1),
+                MobiusParams::shamir(l5, 0.1),
+            ] {
+                let single = MobiusDirac::new(lat, gauge, params);
+                let mut sharded: Vec<ShardedMobius<R, GaugeField<R>>> =
+                    [[2, 1, 1, 1], [2, 2, 1, 1]]
+                        .into_iter()
+                        .map(|grid| {
+                            let domain = DomainDecomposition::new(lat, grid, l5, 4).expect("grid");
+                            let policy = policy_from_index(0);
+                            ShardedMobius::new(lat, gauge, params, Arc::new(domain), policy)
+                        })
+                        .collect();
+                for nrhs in [1, 3, 1] {
+                    let n = single.vec_len() * nrhs;
+                    let inp = FermionField::<R>::gaussian(n, 90 + (l5 * nrhs) as u64).data;
+                    for dagger in [false, true] {
+                        let what = format!("{params:?} nrhs {nrhs} dagger {dagger}");
+                        let mut want = vec![Spinor::zero(); n];
+                        if dagger {
+                            single.apply_dagger_block_with_hop_oracle(
+                                &mut want,
+                                &inp,
+                                nrhs,
+                                &mut oracle_hop,
+                            );
+                        } else {
+                            single.apply_block_with_hop_oracle(
+                                &mut want,
+                                &inp,
+                                nrhs,
+                                &mut oracle_hop,
+                            );
+                        }
+                        let want = real_bits(&want);
+                        let mut got = vec![Spinor::zero(); n];
+                        if dagger {
+                            single.apply_dagger_block(&mut got, &inp, nrhs);
+                        } else {
+                            single.apply_block(&mut got, &inp, nrhs);
+                        }
+                        assert!(real_bits(&got) == want, "single domain, {what}");
+                        for op in &mut sharded {
+                            let grid = op.hop.domain().grid_string();
+                            let mut got = vec![Spinor::zero(); n];
+                            let res = if dagger {
+                                op.apply_dagger_block(&mut got, &inp, nrhs)
+                            } else {
+                                op.apply_block(&mut got, &inp, nrhs)
+                            };
+                            res.expect("clean wire");
+                            assert!(real_bits(&got) == want, "grid {grid}, {what}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn hop_compositions_are_bit_identical_to_their_oracles() {
+        let lat = Lattice::new([4, 4, 2, 4]);
+        let gauge = GaugeField::<f64>::hot(&lat, 83);
+        with_hop_matches_oracle(&lat, &gauge);
+        with_hop_matches_oracle(&lat, &gauge.cast::<f32>());
+    }
 }

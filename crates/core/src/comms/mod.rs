@@ -14,7 +14,8 @@
 //! with measured timings and the `repro comms` experiment commits
 //! measured-vs-analytic columns side by side.
 
-//! Messages travel CRC-framed through [`FaultyTransport`], which can
+//! Messages travel CRC-32C-framed ([`crate::crc32c`], the checksum the
+//! `lattice-io` container uses too) through [`FaultyTransport`], which can
 //! deterministically inject corruption, drops, duplicates, reordering, and
 //! latency spikes ([`CommFaultProfile`]) and heals them with
 //! NACK/retransmit + capped backoff ([`CommRetryPolicy`]); unrecoverable
@@ -33,6 +34,5 @@ pub use kernel::{
     ShardedNormal,
 };
 pub use transport::{
-    fnv1a_u64, CommFaultStats, CommStats, FaultyTransport, Frame, Mailboxes, Payload, BOX_BWD,
-    BOX_FWD, FNV_OFFSET,
+    CommFaultStats, CommStats, FaultyTransport, Frame, Mailboxes, Payload, BOX_BWD, BOX_FWD,
 };

@@ -11,7 +11,8 @@
 //!   recoverable condition the caller decides about.
 //! - [`FaultyTransport`] — the framed protocol over the mailboxes. Every
 //!   payload travels inside a [`Frame`] envelope (sequence number, source
-//!   rank × dim × side, FNV-1a checksum over the payload bits). The send
+//!   rank × dim × side, and a CRC-32C from [`crate::crc32c`] over the
+//!   header and payload bits, which catches every single-bit flip). The send
 //!   path keeps the last clean frame per box in a retransmit buffer and
 //!   runs each transmission attempt through the seeded
 //!   [`CommFaultProfile`] injector; the receive path verifies the
@@ -137,25 +138,22 @@ pub struct Frame<R: Real> {
     pub mu: u8,
     /// Ghost-zone side the payload fills.
     pub side: u8,
-    /// FNV-1a-64 over (seq, src, mu, side) and every payload component's
-    /// bit pattern.
-    pub checksum: u64,
+    /// CRC-32C over (seq, src, mu, side) and every payload component's bit
+    /// pattern.
+    pub checksum: u32,
     /// The face buffer.
     pub payload: Payload<R>,
 }
 
-/// FNV-1a-64 offset basis: the hash state before any input.
-pub const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
-
-/// Fold the eight bytes of `word`, least significant first, into the
-/// FNV-1a-64 state `h`.
-pub fn fnv1a_u64(mut h: u64, word: u64) -> u64 {
-    for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
-        h ^= (word >> shift) & 0xFF;
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
+/// The checksummed words of one spinor: each component's real then
+/// imaginary part, spin-major then colour, as `to_f64().to_bits()`.
+#[inline(always)]
+fn spinor_words<R: Real>(sp: &Spinor<R>) -> [u64; 24] {
+    std::array::from_fn(|k| {
+        let z = sp.s[k / 6].c[k % 6 / 2];
+        let part = if k % 2 == 0 { z.re } else { z.im };
+        part.to_f64().to_bits()
+    })
 }
 
 impl<R: Real> Frame<R> {
@@ -173,23 +171,20 @@ impl<R: Real> Frame<R> {
         f
     }
 
-    /// FNV-1a-64 over the header fields and the payload component bits.
+    /// CRC-32C over the header words `seq`, `src`, `mu << 8 | side`, then
+    /// every payload component's bits, each word fed little-endian: equal to
+    /// [`crc32c`](crate::crc32c::crc32c) of that byte serialization.
     /// Component bits go through `to_f64` — exact for both supported
     /// precisions, so the checksum is stable under the precision the wire
     /// actually carries.
-    pub fn compute_checksum(&self) -> u64 {
-        let mut h = fnv1a_u64(FNV_OFFSET, self.seq);
-        h = fnv1a_u64(h, u64::from(self.src));
-        h = fnv1a_u64(h, (u64::from(self.mu) << 8) | u64::from(self.side));
-        for sp in &self.payload {
-            for cv in &sp.s {
-                for z in &cv.c {
-                    h = fnv1a_u64(h, z.re.to_f64().to_bits());
-                    h = fnv1a_u64(h, z.im.to_f64().to_bits());
-                }
-            }
-        }
-        h
+    pub fn compute_checksum(&self) -> u32 {
+        let header = [
+            self.seq,
+            u64::from(self.src),
+            (u64::from(self.mu) << 8) | u64::from(self.side),
+        ];
+        let payload = self.payload.iter().flat_map(spinor_words);
+        crate::crc32c::crc32c_words(header.into_iter().chain(payload))
     }
 
     /// Whether the payload still matches the checksum sealed at send time.
@@ -582,16 +577,70 @@ mod tests {
         );
     }
 
+    /// A 3-spinor frame with every component distinct and nonzero.
+    fn dense_frame() -> Frame<f64> {
+        let mut p = payload(&[0.0; 3]);
+        for (i, sp) in p.iter_mut().enumerate() {
+            for (j, z) in sp.s.iter_mut().flat_map(|cv| cv.c.iter_mut()).enumerate() {
+                z.re = (i * 12 + j) as f64 + 0.5;
+                z.im = -((i * 12 + j) as f64) * 1.25 - 1e-3;
+            }
+        }
+        Frame::new(0x0123_4567_89AB_CDEF, 5, 3, BOX_BWD, p)
+    }
+
+    #[test]
+    fn frame_checksum_is_crc32c_of_the_little_endian_words() {
+        let f = dense_frame();
+        let mut bytes = Vec::new();
+        for w in [f.seq, u64::from(f.src), (u64::from(f.mu) << 8) | 1] {
+            bytes.extend_from_slice(&w.to_le_bytes());
+        }
+        for sp in &f.payload {
+            for z in sp.s.iter().flat_map(|cv| cv.c.iter()) {
+                bytes.extend_from_slice(&z.re.to_bits().to_le_bytes());
+                bytes.extend_from_slice(&z.im.to_bits().to_le_bytes());
+            }
+        }
+        assert_eq!(bytes.len(), (3 + 3 * 24) * 8);
+        assert_eq!(f.checksum, crate::crc32c::crc32c(&bytes));
+        assert!(f.verify());
+        // f32 components are widened exactly, so the same values hash alike.
+        let narrow: Payload<f32> = f.payload.iter().map(|sp| sp.cast()).collect();
+        let g = Frame::new(f.seq, 5, 3, BOX_BWD, narrow);
+        let wide: Payload<f64> = g.payload.iter().map(|sp| sp.cast()).collect();
+        assert_eq!(g.checksum, Frame::new(f.seq, 5, 3, BOX_BWD, wide).checksum);
+    }
+
     #[test]
     fn frame_checksum_catches_any_component_flip() {
-        let f = Frame::new(3, 1, 2, BOX_BWD, payload(&[1.0, -2.5, 3.25]));
+        let f = dense_frame();
         assert!(f.verify());
-        let mut bad = f.clone();
-        bad.payload[1].s[2].c[1].im = 1e-300;
-        assert!(!bad.verify(), "payload tamper must fail verification");
-        let mut bad2 = f.clone();
-        bad2.seq += 1;
-        assert!(!bad2.verify(), "header tamper must fail verification");
+        let mut flips = 0;
+        for i in 0..f.payload.len() {
+            for k in 0..24 {
+                for bit in 0..64 {
+                    let mut bad = f.clone();
+                    let z = &mut bad.payload[i].s[k / 6].c[k % 6 / 2];
+                    let part = if k % 2 == 0 { &mut z.re } else { &mut z.im };
+                    *part = f64::from_bits(part.to_bits() ^ (1 << bit));
+                    assert!(!bad.verify(), "spinor {i} word {k} bit {bit} undetected");
+                    flips += 1;
+                }
+            }
+        }
+        assert_eq!(flips, 4608);
+        let tampered: [fn(&mut Frame<f64>); 4] = [
+            |g| g.seq += 1,
+            |g| g.src ^= 1,
+            |g| g.mu ^= 1,
+            |g| g.side ^= 1,
+        ];
+        for (field, tamper) in ["seq", "src", "mu", "side"].iter().zip(tampered) {
+            let mut bad = f.clone();
+            tamper(&mut bad);
+            assert!(!bad.verify(), "{field} tamper must fail verification");
+        }
     }
 
     #[test]

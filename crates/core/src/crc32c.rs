@@ -1,6 +1,8 @@
-//! CRC-32C (Castagnoli), the per-chunk integrity check of the container
-//! format: the SSE4.2 `crc32` instruction where the CPU has it, else (and as
-//! its test oracle) table-driven slice-by-8 implemented from the polynomial.
+//! CRC-32C (Castagnoli), the one integrity check of the workspace: the
+//! `lattice-io` container chunks, the solve-service spill records and the
+//! halo [`crate::comms::Frame`]s. The SSE4.2 `crc32` instruction where the
+//! CPU has it, else (and as its test oracle) table-driven slice-by-8
+//! implemented from the polynomial.
 
 /// Reflected Castagnoli polynomial.
 const POLY: u32 = 0x82F6_3B78;
@@ -42,58 +44,83 @@ fn step(t: &[u32; 256], crc: u32, b: u8) -> u32 {
 /// CRC-32C of a byte slice: the SSE4.2 instruction when this CPU has it,
 /// slice-by-8 otherwise. Both produce the same value for every input.
 pub fn crc32c(data: &[u8]) -> u32 {
+    let (words, tail) = le_words(data);
     #[cfg(target_arch = "x86_64")]
     if std::arch::is_x86_feature_detected!("sse4.2") {
         // SAFETY: `crc32c_sse42` needs only the `sse4.2` target feature,
         // which `is_x86_feature_detected!` just confirmed on this CPU.
-        return unsafe { crc32c_sse42(data) };
+        return unsafe { crc32c_sse42(words, tail) };
     }
-    crc32c_sliced(data)
+    crc32c_sliced(words, tail)
 }
 
-/// CRC-32C on the SSE4.2 `crc32` instruction, eight bytes per step. Sound
-/// to call only once `sse4.2` is detected: the `unsafe` at each call site.
+/// CRC-32C of `words` serialized little-endian, in order: equal to
+/// [`crc32c`] of their concatenated `to_le_bytes()`, without building that
+/// buffer. On SSE4.2 it is one `crc32` instruction per word.
+pub fn crc32c_words(words: impl IntoIterator<Item = u64>) -> u32 {
+    let words = words.into_iter();
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        // SAFETY: `crc32c_sse42` needs only the `sse4.2` target feature,
+        // which `is_x86_feature_detected!` just confirmed on this CPU.
+        return unsafe { crc32c_sse42(words, &[]) };
+    }
+    crc32c_sliced(words, &[])
+}
+
+/// `data` as little-endian 8-byte words plus the bytes left over.
+fn le_words(data: &[u8]) -> (impl Iterator<Item = u64> + '_, &[u8]) {
+    let words = data.chunks_exact(8);
+    let tail = words.remainder();
+    let words = words.map(|w| {
+        let mut a = [0u8; 8];
+        a.copy_from_slice(w);
+        u64::from_le_bytes(a)
+    });
+    (words, tail)
+}
+
+/// CRC-32C of `words` (little-endian) then `tail` on the SSE4.2 `crc32`
+/// instruction. Sound to call only once `sse4.2` is detected: the `unsafe`
+/// at each call site.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "sse4.2")]
-fn crc32c_sse42(data: &[u8]) -> u32 {
+fn crc32c_sse42(words: impl Iterator<Item = u64>, tail: &[u8]) -> u32 {
     use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
     let mut crc = u64::from(!0u32);
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        crc = _mm_crc32_u64(crc, u64::from_le_bytes(crate::container::le_array(w)));
+    for w in words {
+        crc = _mm_crc32_u64(crc, w);
     }
     let mut crc = crc as u32;
-    for &b in words.remainder() {
+    for &b in tail {
         crc = _mm_crc32_u8(crc, b);
     }
     !crc
 }
 
-/// CRC-32C by slice-by-8 table look-ups.
-fn crc32c_sliced(data: &[u8]) -> u32 {
+/// CRC-32C of `words` (little-endian) then `tail` by slice-by-8 table
+/// look-ups.
+fn crc32c_sliced(words: impl Iterator<Item = u64>, tail: &[u8]) -> u32 {
     let t = tables();
-    let mut crc = !0u32;
-    let mut words = data.chunks_exact(8);
-    for w in &mut words {
-        let lo = crc ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        crc = t[7][(lo & 0xFF) as usize]
-            ^ t[6][((lo >> 8) & 0xFF) as usize]
-            ^ t[5][((lo >> 16) & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][w[4] as usize]
-            ^ t[2][w[5] as usize]
-            ^ t[1][w[6] as usize]
-            ^ t[0][w[7] as usize];
-    }
-    for &b in words.remainder() {
-        crc = step(&t[0], crc, b);
-    }
-    !crc
+    let byte = |x: u32, k: u32| ((x >> (8 * k)) & 0xFF) as usize;
+    let crc = words.fold(!0u32, |crc, w| {
+        let (lo, hi) = (crc ^ w as u32, (w >> 32) as u32);
+        t[7][byte(lo, 0)]
+            ^ t[6][byte(lo, 1)]
+            ^ t[5][byte(lo, 2)]
+            ^ t[4][byte(lo, 3)]
+            ^ t[3][byte(hi, 0)]
+            ^ t[2][byte(hi, 1)]
+            ^ t[1][byte(hi, 2)]
+            ^ t[0][byte(hi, 3)]
+    });
+    !tail.iter().fold(crc, |crc, &b| step(&t[0], crc, b))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
 
     /// One table look-up per byte: the definition both fast paths must
     /// reproduce, and what every file on disk was written with.
@@ -109,12 +136,18 @@ mod tests {
     /// the SSE4.2 loop called directly when the feature is detected.
     fn implementations() -> Vec<(&'static str, Crc)> {
         #[allow(unused_mut)]
-        let mut v: Vec<(&'static str, Crc)> = vec![("sliced", crc32c_sliced)];
+        let mut v: Vec<(&'static str, Crc)> = vec![("sliced", |d| {
+            let (words, tail) = le_words(d);
+            crc32c_sliced(words, tail)
+        })];
         #[cfg(target_arch = "x86_64")]
         if std::arch::is_x86_feature_detected!("sse4.2") {
-            // SAFETY: only reached when `sse4.2` was detected on this CPU,
-            // the one target feature `crc32c_sse42` requires.
-            v.push(("sse42", |d| unsafe { crc32c_sse42(d) }));
+            v.push(("sse42", |d| {
+                let (words, tail) = le_words(d);
+                // SAFETY: only reached when `sse4.2` was detected on this
+                // CPU, the one target feature `crc32c_sse42` requires.
+                unsafe { crc32c_sse42(words, tail) }
+            }));
         }
         v
     }
@@ -147,7 +180,6 @@ mod tests {
 
     #[test]
     fn every_implementation_equals_bytewise_at_every_length_and_offset() {
-        use rand::{Rng, SeedableRng};
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0x5EED);
         let buf: Vec<u8> = (0..4099 + 8).map(|_| rng.gen::<u8>()).collect();
         for offset in 0..8 {
@@ -160,11 +192,22 @@ mod tests {
 
     #[test]
     fn every_implementation_equals_bytewise_on_a_bundle_sized_buffer() {
-        use rand::{Rng, SeedableRng};
         // 9 MiB: the size of one of `contract_io`'s propagator bundles.
         let mut rng = rand::rngs::SmallRng::seed_from_u64(0x9_0000);
         let buf: Vec<u8> = (0..9 << 20).map(|_| rng.gen::<u8>()).collect();
         assert_all_equal_bytewise(&buf, "9 MiB");
+    }
+
+    #[test]
+    fn words_hash_as_their_little_endian_bytes() {
+        let mut rng = rand::rngs::SmallRng::seed_from_u64(0x3_0005);
+        for n in 0..=64 {
+            let words: Vec<u64> = (0..n).map(|_| rng.gen::<u64>()).collect();
+            let bytes: Vec<u8> = words.iter().flat_map(|w| w.to_le_bytes()).collect();
+            let want = crc32c_bytewise(&bytes);
+            assert_eq!(crc32c_words(words.iter().copied()), want, "{n} words");
+            assert_all_equal_bytewise(&bytes, &format!("{n} words"));
+        }
     }
 
     #[test]

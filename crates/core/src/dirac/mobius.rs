@@ -224,14 +224,29 @@ impl<R: Real> FifthDim<R> {
         i: usize,
         dagger: bool,
     ) -> Spinor<R> {
+        self.shift_at_mapped(inp, slice_len, s, i, dagger, |x| x)
+    }
+
+    /// [`Self::shift_at`] on `map(inp)`: `map` runs on the two fetched
+    /// neighbours, so the chain is `shift_at`'s on a stored mapped vector.
+    #[inline(always)]
+    fn shift_at_mapped(
+        &self,
+        inp: &[Spinor<R>],
+        slice_len: usize,
+        s: usize,
+        i: usize,
+        dagger: bool,
+        map: impl Fn(Spinor<R>) -> Spinor<R>,
+    ) -> Spinor<R> {
         let l5 = self.params.l5;
         let mm = R::from_f64(-self.params.mass);
         let up = if s + 1 < l5 { s + 1 } else { 0 };
         let dn = if s > 0 { s - 1 } else { l5 - 1 };
         let up_scale = if s + 1 < l5 { R::ONE } else { mm };
         let dn_scale = if s > 0 { R::ONE } else { mm };
-        let u = &inp[up * slice_len + i];
-        let d = &inp[dn * slice_len + i];
+        let u = map(inp[up * slice_len + i]);
+        let d = map(inp[dn * slice_len + i]);
         if dagger {
             d.chiral_project(false).scale(dn_scale) + u.chiral_project(true).scale(up_scale)
         } else {
@@ -406,19 +421,22 @@ impl<R: Real> FifthDim<R> {
         }
     }
 
-    /// One element of `−½ ρ†(t)`: `(b5·t + c5·shift†(t))·(−½)` at `(s, i)`,
-    /// the chain `offdiag_dagger_block` runs as an affine pass and a scale.
+    /// One element of `f·ρ†(t′)` with `t′ = map(t)`:
+    /// `(b5·t′ + c5·shift†(t′))·f` at `(s, i)`, the chain
+    /// `offdiag_dagger_block` runs as an affine pass and a scale.
     #[inline(always)]
-    fn half_rho_dagger_at(
+    fn scaled_rho_dagger_at(
         &self,
         t: &[Spinor<R>],
         slice_len: usize,
         s: usize,
         i: usize,
+        map: impl Fn(Spinor<R>) -> Spinor<R> + Copy,
+        f: R,
     ) -> Spinor<R> {
         let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
-        let sh = self.shift_at(t, slice_len, s, i, true);
-        (t[s * slice_len + i].scale(b5) + sh.scale(c5)).scale(R::from_f64(-0.5))
+        let sh = self.shift_at_mapped(t, slice_len, s, i, true, map);
+        (map(t[s * slice_len + i]).scale(b5) + sh.scale(c5)).scale(f)
     }
 
     /// Column-wise fused `out = (A†)⁻¹(−½ ρ†(t))`, the adjoint's mirror of
@@ -441,9 +459,10 @@ impl<R: Real> FifthDim<R> {
                 self,
                 #[inline(always)]
                 |this| {
+                    let neg_half = R::from_f64(-0.5);
                     for i in range {
                         for (s, c) in col.iter_mut().enumerate() {
-                            *c = this.half_rho_dagger_at(t, slice_len, s, i);
+                            *c = this.scaled_rho_dagger_at(t, slice_len, s, i, |x| x, neg_half);
                         }
                         for s_out in 0..this.params.l5 {
                             let v =
@@ -462,16 +481,18 @@ impl<R: Real> FifthDim<R> {
         });
     }
 
-    /// Column-wise fused `out = A†ψ − (−½ ρ†(t))`, the adjoint's closing
-    /// pass: `(α·ψ + β·shift†ψ) − (b5·t + c5·shift†(t))·(−½)` per element,
-    /// with each site's s-columns of `ψ` and `t` cache-resident across the
-    /// inner s-loop.
-    fn a_dagger_minus_half_rho_dagger(
+    /// Column-wise fused `out = A†ψ − f·ρ†(t′)` with `t′ = map(t)`, the
+    /// adjoints' closing pass: `(α·ψ + β·shift†ψ) − (b5·t′ + c5·shift†(t′))·f`
+    /// per element, with each site's s-columns of `ψ` and `t` cache-resident
+    /// across the inner s-loop.
+    fn a_dagger_minus_scaled_rho_dagger(
         &self,
         out: &mut [Spinor<R>],
         psi: &[Spinor<R>],
         t: &[Spinor<R>],
         slice_len: usize,
+        map: impl Fn(Spinor<R>) -> Spinor<R> + Copy + Sync,
+        f: f64,
     ) {
         let n = psi.len();
         assert_eq!(out.len(), n);
@@ -488,18 +509,17 @@ impl<R: Real> FifthDim<R> {
                         R::from_f64(this.params.alpha()),
                         R::from_f64(this.params.beta()),
                     );
+                    let f = R::from_f64(f);
                     for i in range {
                         for s in 0..this.params.l5 {
                             let idx = s * slice_len + i;
                             let diag = psi[idx].scale(al)
                                 + this.shift_at(psi, slice_len, s, i, true).scale(be);
+                            let rho = this.scaled_rho_dagger_at(t, slice_len, s, i, map, f);
                             // SAFETY: each (s, i) is written by exactly one
                             // task (`i` ranges over disjoint chunks, `s` is
                             // task-local) and `idx < l5·slice_len = out.len()`.
-                            unsafe {
-                                *optr.get().add(idx) =
-                                    diag - this.half_rho_dagger_at(t, slice_len, s, i)
-                            };
+                            unsafe { *optr.get().add(idx) = diag - rho };
                         }
                     }
                 },
@@ -586,8 +606,9 @@ pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     /// winner; no production path tunes). Chunks write disjoint elements, so
     /// it never reaches the result's bits.
     pub grain: usize,
-    /// Reusable 5D staging buffers for `apply` (`ρ(ψ)` and the precomputed
-    /// diagonal `A(ψ)`).
+    /// Reusable 5D staging buffers: `ρ(ψ)` and the precomputed diagonal
+    /// `A(ψ)` for `apply` and `apply_block_with_hop`, `γ5ψ` and the hop
+    /// result for `apply_dagger_block_with_hop`.
     scratch: Scratch2<R>,
 }
 
@@ -645,7 +666,80 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
     /// [`LinearOp::apply`]'s: any `hop` that is column-wise bit-identical to
     /// the bound single-domain kernel — e.g. the sharded halo-exchange dslash
     /// in [`crate::comms`] — yields a bit-identical Möbius application.
+    ///
+    /// Three passes over the reused scratch: one column-wise sweep writing
+    /// `ρ(inp)` and `A(inp)`, the hop of `ρ` into `out`, then
+    /// `out ← A(inp) − out·½`. The scratch stays locked across `hop`, so
+    /// `hop` must not apply this operator.
     pub fn apply_block_with_hop(
+        &self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+        hop: &mut Hop5dBlock<'_, R>,
+    ) {
+        let vb = self.lattice.volume() * nrhs;
+        let n = self.vec_len() * nrhs;
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+        let half = R::from_f64(0.5);
+
+        let mut guard = self.scratch.lock();
+        let (rho, diag) = &mut *guard;
+        rho.resize(n, Spinor::zero());
+        diag.resize(n, Spinor::zero());
+        self.fifth.rho_and_diag(rho, diag, inp, vb);
+        hop(out, rho, nrhs);
+        let diag = &*diag;
+        rayon::for_each_chunk_mut(out, crate::blas::grain_for(n), |start, chunk| {
+            for (o, d) in chunk.iter_mut().zip(&diag[start..]) {
+                *o = *d - o.scale(half);
+            }
+        });
+    }
+
+    /// Adjoint with a caller-supplied blocked hopping term:
+    /// `out = A†(inp) − ½ ρ†(γ5 hop(γ5 inp))`, using `H† = γ5 H γ5`. The
+    /// fifth-dimension algebra is [`DiracOp::apply_dagger_block`]'s own, so
+    /// a `hop` bit-identical to the bound kernel yields a bit-identical
+    /// adjoint — the sharded normal operator [`crate::comms::ShardedNormal`]
+    /// relies on this for checkpoint-exact restarts.
+    ///
+    /// Three passes over the reused scratch: `γ5·inp`, the hop, then one
+    /// column-wise pass `(α·ψ + β·shift†ψ) − (b5·h′ + c5·shift†h′)·½` with
+    /// `h′ = γ5·h` applied as each element of `h` is read. As in
+    /// [`Self::apply_block_with_hop`], `hop` must not apply this operator.
+    pub fn apply_dagger_block_with_hop(
+        &self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+        hop: &mut Hop5dBlock<'_, R>,
+    ) {
+        let vb = self.lattice.volume() * nrhs;
+        let n = self.vec_len() * nrhs;
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+
+        let mut guard = self.scratch.lock();
+        let (g5in, h) = &mut *guard;
+        g5in.resize(n, Spinor::zero());
+        h.resize(n, Spinor::zero());
+        rayon::for_each_chunk_mut(g5in, crate::blas::grain_for(n), |start, chunk| {
+            for (g, x) in chunk.iter_mut().zip(&inp[start..]) {
+                *g = x.apply_gamma5();
+            }
+        });
+        hop(h, g5in, nrhs);
+        self.fifth
+            .a_dagger_minus_scaled_rho_dagger(out, inp, h, vb, |x| x.apply_gamma5(), 0.5);
+    }
+
+    /// The allocating composition [`Self::apply_block_with_hop`] is held to
+    /// bit for bit: two affine passes, the hop into a fresh vector, a
+    /// subtraction pass.
+    #[cfg(test)]
+    pub(crate) fn apply_block_with_hop_oracle(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
@@ -672,13 +766,11 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         });
     }
 
-    /// Adjoint with a caller-supplied blocked hopping term:
-    /// `out = A†(inp) − ½ ρ†(γ5 hop(γ5 inp))`, using `H† = γ5 H γ5`. The
-    /// fifth-dimension algebra is [`DiracOp::apply_dagger_block`]'s own, so
-    /// a `hop` bit-identical to the bound kernel yields a bit-identical
-    /// adjoint — the sharded normal operator [`crate::comms::ShardedNormal`]
-    /// relies on this for checkpoint-exact restarts.
-    pub fn apply_dagger_block_with_hop(
+    /// The allocating composition [`Self::apply_dagger_block_with_hop`] is
+    /// held to bit for bit: γ5 passes around the hop, then two affine
+    /// passes and a subtraction pass.
+    #[cfg(test)]
+    pub(crate) fn apply_dagger_block_with_hop_oracle(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
@@ -1092,7 +1184,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
             &gamma5,
             &gamma5_hop,
         );
-        self.fifth.a_dagger_minus_half_rho_dagger(out, inp, tmp, hv);
+        self.fifth
+            .a_dagger_minus_scaled_rho_dagger(out, inp, tmp, hv, |x| x, -0.5);
     }
 }
 

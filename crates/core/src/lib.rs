@@ -36,6 +36,7 @@ pub mod block;
 pub mod comms;
 pub mod complex;
 pub mod contract;
+pub mod crc32c;
 pub mod dirac;
 pub mod fh;
 pub mod field;

@@ -24,8 +24,10 @@
 pub mod bundle;
 pub mod checkpoint;
 pub mod container;
-pub mod crc32c;
 pub mod fields;
+
+/// The chunk checksum, shared with the halo frames of `lqcd_core::comms`.
+pub use lqcd_core::crc32c;
 
 pub use checkpoint::{read_checkpoint, write_checkpoint, CheckpointStore};
 

@@ -12,9 +12,7 @@
 use crate::error::ServiceError;
 use crate::request::{Policy, Precision};
 use lqcd_core::block::BlockSpinor;
-use lqcd_core::comms::{
-    fnv1a_u64, policy_from_index, CommFaultProfile, CommRetryPolicy, ShardedNormal, FNV_OFFSET,
-};
+use lqcd_core::comms::{policy_from_index, CommFaultProfile, CommRetryPolicy, ShardedNormal};
 use lqcd_core::dirac::{MobiusParams, NormalOp, WilsonDirac};
 use lqcd_core::field::{FermionField, GaugeField};
 use lqcd_core::lattice::Lattice;
@@ -77,6 +75,20 @@ pub struct Backend {
     configs: Vec<GaugeField<f64>>,
     hashes: Vec<u64>,
     cfg: BackendConfig,
+}
+
+/// FNV-1a-64 offset basis: the hash state before any input.
+const FNV_OFFSET: u64 = 0xCBF2_9CE4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01B3;
+
+/// Fold the eight bytes of `word`, least significant first, into the
+/// FNV-1a-64 state `h`.
+fn fnv1a_u64(mut h: u64, word: u64) -> u64 {
+    for shift in [0u32, 8, 16, 24, 32, 40, 48, 56] {
+        h ^= (word >> shift) & 0xFF;
+        h = h.wrapping_mul(FNV_PRIME);
+    }
+    h
 }
 
 /// FNV-1a over the raw bit pattern of every link matrix element, in site

@@ -6,11 +6,15 @@
 //! `NormalOp<f32, PrecMobius>` at the `fh_small` shape, 4³×8 with L5 = 4 —
 //! to it: after a warm-up call has sized every scratch buffer, further
 //! applies and further CG iterations request no memory at width 1, and only
-//! the pool's per-job handle once the stencil forks.
+//! the pool's per-job handle once the stencil forks. The sharded normal
+//! operator is held to its wire: a warm apply requests the halo frames'
+//! buffers and nothing that scales with the 5D vector.
 //!
 //! One test only: the switch is process-wide and tests run in parallel.
 
+use lqcd::core::comms::{policy_from_index, DomainDecomposition, ShardedNormal};
 use lqcd::core::prelude::*;
+use lqcd::core::solver::FallibleOp;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
@@ -120,6 +124,37 @@ fn steady_state_applies_and_iterations_request_no_memory() {
         assert!(
             bytes < 8 << 10,
             "20 warm applies at width 4 requested {bytes} B"
+        );
+    });
+
+    // `D` then `D†` over the 2×2×1×1 grid, staged-DMA policy, clean wire:
+    // each hop's messages allocate four payload-sized buffers (the pack
+    // buffer, the staging copy, the frame parked for retransmit and the
+    // frame posted), and the resident shard fields and fifth-dimension
+    // scratch were sized by the warm-up call.
+    at_width(1, || {
+        let gauge = GaugeField::<f64>::hot(&lat, 13);
+        let params = MobiusParams::standard(4, 0.5);
+        let (grid, gpus_per_node) = ([2, 2, 1, 1], 4);
+        let policy = policy_from_index(0);
+        let mut op = ShardedNormal::new(&lat, &gauge, params, grid, gpus_per_node, policy)
+            .expect("the grid decomposes 4³×8");
+        let domain = DomainDecomposition::new(&lat, grid, params.l5, gpus_per_node).expect("grid");
+        let halo_bytes: usize = domain
+            .ranks()
+            .iter()
+            .flat_map(|rank| rank.exchanges.iter())
+            .map(|ex| 2 * ex.face_len * params.l5 * std::mem::size_of::<Spinor<f64>>())
+            .sum();
+        let n = op.vec_len();
+        let b = FermionField::<f64>::gaussian(n, 14).data;
+        let mut out = vec![Spinor::zero(); n];
+        op.apply_block(&mut out, &b, 1).expect("clean wire");
+        let bytes = bytes_requested(|| op.apply_block(&mut out, &b, 1).expect("clean wire"));
+        let bound = 2 * 4 * halo_bytes as u64;
+        assert!(
+            bytes <= bound,
+            "a warm sharded apply requested {bytes} B, over the {bound} B of its wire buffers"
         );
     });
 }
