@@ -256,11 +256,6 @@ impl<R: Real> ShardedHopping<R> {
         self.stats
     }
 
-    /// Zero the statistics.
-    pub fn reset_stats(&mut self) {
-        self.stats = CommStats::default();
-    }
-
     /// Install a message-fault profile and retry policy on the transport.
     pub fn set_fault_profile(&mut self, profile: CommFaultProfile, retry: CommRetryPolicy) {
         self.transport.set_faults(profile, retry);
@@ -274,11 +269,6 @@ impl<R: Real> ShardedHopping<R> {
     /// Cumulative transport injection/recovery statistics.
     pub fn fault_stats(&self) -> CommFaultStats {
         self.transport.fault_stats()
-    }
-
-    /// The next exchange sequence number (== apply attempts so far).
-    pub fn seq(&self) -> u64 {
-        self.seq
     }
 
     /// Send-side copies into intermediate buffers per message (before the
@@ -830,8 +820,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
         }
     }
 
-    /// The sharded hopping kernel (policy knob, stats, clock injection).
-    pub fn hopping_mut(&mut self) -> &mut ShardedHopping<R> {
+    /// The sharded hopping kernel (policy knob, fault profile).
+    fn hopping_mut(&mut self) -> &mut ShardedHopping<R> {
         &mut self.hop
     }
 
@@ -887,8 +877,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
     /// `out = D inp` on global s-major, RHS-innermost interleaved 5D
     /// vectors: one halo exchange's worth of messages serves all `nrhs`
     /// columns, and column `j` is bit-identical to the single-domain
-    /// operator on the packed column; fallible (see
-    /// [`Self::with_sharded_hop`]).
+    /// operator on the packed column. Fallible: the first comm failure of a
+    /// hop is returned and `out` is then unspecified.
     pub fn apply_block(
         &mut self,
         out: &mut [Spinor<R>],
@@ -984,11 +974,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedNormal<'a, R, G> {
     pub fn fault_stats(&self) -> CommFaultStats {
         self.op.hop.fault_stats()
     }
-
-    /// The inner sharded operator (policy knob, clock injection).
-    pub fn mobius_mut(&mut self) -> &mut ShardedMobius<'a, R, G> {
-        &mut self.op
-    }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> FallibleOp<R> for ShardedNormal<'a, R, G> {
@@ -1058,22 +1043,16 @@ impl<'a, R: Real, G: GaugeLinks<R>> FallibleOp<R> for ShardedNormal<'a, R, G> {
 
 /// `[2,2,1,1]` → `"2x2x1x1"` (free-function twin of
 /// [`DomainDecomposition::grid_string`] for grids not yet decomposed).
-pub fn grid_label(g: [usize; ND]) -> String {
+fn grid_label(g: [usize; ND]) -> String {
     format!("{}x{}x{}x{}", g[0], g[1], g[2], g[3])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dirac::testing::real_bits;
     use crate::dirac::{DiracOp, LinearOp};
     use crate::field::{FermionField, GaugeField};
-
-    fn real_bits<R: Real>(v: &[Spinor<R>]) -> Vec<u64> {
-        v.iter()
-            .flat_map(|sp| sp.s.iter().flat_map(|cv| cv.c.iter()))
-            .flat_map(|z| [z.re.to_f64().to_bits(), z.im.to_f64().to_bits()])
-            .collect()
-    }
 
     /// The scratch-backed `*_with_hop` compositions against their allocating
     /// oracles on every real's bit pattern, through the single-domain hop
@@ -1083,10 +1062,7 @@ mod tests {
     fn with_hop_matches_oracle<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
         let hopping = crate::dirac::HoppingKernel::new(lat, gauge, true);
         let mut oracle_hop = |o: &mut [Spinor<R>], i: &[Spinor<R>], nrhs: usize| {
-            let vb = lat.volume() * nrhs;
-            for (o, i) in o.chunks_mut(vb).zip(i.chunks(vb)) {
-                hopping.apply_full_block(o, i, nrhs, 64);
-            }
+            hopping.apply_oracle(o, i, None, nrhs);
         };
         for l5 in [2, 4] {
             for params in [

@@ -4,7 +4,7 @@
 //! The module maps a `coral_machine::decomp` rank grid onto the real
 //! [`crate::lattice::Lattice`] ([`DomainDecomposition`]), exchanges halo
 //! faces between ranks through an in-memory channel transport
-//! ([`transport`]), and executes the hopping/Möbius stencils over the shards
+//! ([`Mailboxes`]), and executes the hopping/Möbius stencils over the shards
 //! ([`ShardedHopping`], [`ShardedMobius`]) with output bit-identical to the
 //! single-domain kernels at any rank grid, thread width, and precision.
 //!
@@ -30,8 +30,7 @@ mod transport;
 pub use domain::{surviving_grid, DimExchange, DomainDecomposition, RankDomain};
 pub use fault::{splitmix64, CommError, CommFaultProfile, CommRetryPolicy, WireFault};
 pub use kernel::{
-    grid_label, policy_from_index, tune_comm_policy, ShardedField, ShardedHopping, ShardedMobius,
-    ShardedNormal,
+    policy_from_index, tune_comm_policy, ShardedField, ShardedHopping, ShardedMobius, ShardedNormal,
 };
 pub use transport::{
     CommFaultStats, CommStats, FaultyTransport, Frame, Mailboxes, Payload, BOX_BWD, BOX_FWD,

@@ -5,8 +5,9 @@
 //! Each direction is applied with the half-spinor trick: `(1∓γμ)ψ` has rank
 //! two, so only two color-vectors are multiplied by the link and the other
 //! two spin components are reconstructed by a phase — exactly the matrix-free
-//! stencil structure QUDA uses. The same kernel serves the 4D Wilson operator
-//! and (slice-by-slice) the 5D Möbius domain-wall operator.
+//! stencil structure QUDA uses. One fused sweep per checkerboarding serves
+//! every Dirac operator: the 4D Wilson ones as a single slice, the 5D Möbius
+//! ones across all `L5` slices, each at any number of right-hand-side columns.
 //!
 //! Antiperiodic temporal boundary conditions for fermions are applied as a
 //! sign on hops whose neighbor lookup wrapped in `t`.
@@ -93,22 +94,16 @@ pub fn hop_site<R: Real>(
     r
 }
 
-/// One site-row of the blocked hop. The eight links of site `x` are
-/// fetched once into locals and every RHS column reuses them — that is the
-/// link-traffic amortization of the batched path. Each column is then
-/// evaluated by the very same [`hop_site`], so column `j` of the output is
-/// bit-identical to a single-RHS application of that column.
+/// One site-row of the sharded kernel's blocked hop. The eight links of
+/// site `x` are fetched once into locals and every RHS column reuses them.
+/// Each column is then evaluated by the very same [`hop_site`], so column
+/// `j` of the output is bit-identical to a single-RHS application of that
+/// column.
 ///
 /// `fetch(site, j)` returns column `j` of the neighbor spinor; `out` is the
-/// `nrhs`-long interleaved row at site `x`.
-///
-/// A one-column row has no second column to reuse the links, so it calls
-/// [`hop_site`] with the caller's `link` directly instead of copying eight
-/// links into locals first: the scalar operator forms run as one-column
-/// blocks, and the copy alone was measured at 1–5 % of `fh_small`'s
-/// time-to-solution (DESIGN.md, "Data layout & vectorization"). This is
-/// the kernel-side twin of `block.rs`'s `nrhs == 1` BLAS dispatch, and the
-/// only place in the Dirac layer that knows a block may be one column wide.
+/// `nrhs`-long interleaved row at site `x`. A one-column row has no second
+/// column to reuse the links, so it calls [`hop_site`] with the caller's
+/// `link` directly instead of copying eight links into locals first.
 #[inline]
 pub fn hop_site_block<R: Real>(
     nb: &Neighbors,
@@ -181,114 +176,50 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         self.lattice
     }
 
-    /// One site of `H ψ`. `fetch` maps a lexicographic neighbor index to the
-    /// neighbor's spinor (identity for full-volume vectors, checkerboard
-    /// lookup for parity-restricted ones).
-    #[inline]
-    fn site_hop(&self, x: usize, fetch: &impl Fn(usize) -> Spinor<R>) -> Spinor<R> {
-        let nb = self.lattice.neighbors(x);
-        hop_site(nb, x, self.antiperiodic_t, fetch, &|site, mu| {
-            self.gauge.link(site, mu)
-        })
-    }
-
-    /// `out = H inp` on the full lattice; vectors are lexicographic,
-    /// `volume` spinors long. `grain` is the autotuned parallel chunk size.
-    pub fn apply_full(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], grain: usize) {
-        let v = self.lattice.volume();
-        assert_eq!(out.len(), v);
-        assert_eq!(inp.len(), v);
-        let fetch = |i: usize| inp[i];
-        rayon::for_each_chunk_mut(out, grain, |base, chunk| {
-            for (k, o) in chunk.iter_mut().enumerate() {
-                *o = self.site_hop(base + k, &fetch);
-            }
-        });
-    }
-
-    /// `out = H_{po,pi} inp`: checkerboarded hop from parity `pi = !po` onto
-    /// parity `po`. Both vectors are half-volume, checkerboard-indexed.
-    pub fn apply_parity(
-        &self,
-        out: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
-        out_parity: Parity,
-        grain: usize,
-    ) {
-        let hv = self.lattice.half_volume();
-        assert_eq!(out.len(), hv);
-        assert_eq!(inp.len(), hv);
-        let sites = self.lattice.sites_with_parity(out_parity);
-        let fetch = |lex: usize| inp[self.lattice.cb_index(lex)];
-        rayon::for_each_chunk_mut(out, grain, |base, chunk| {
-            for (k, o) in chunk.iter_mut().enumerate() {
-                let lex = sites[base + k] as usize;
-                *o = self.site_hop(lex, &fetch);
-            }
-        });
-    }
-
-    /// Fused multi-slice hop on the full lattice: the sixteen stencil links
-    /// of every 4D site are fetched once and reused across all `l5` s-slices
-    /// — the 5th-dimension fusion that stops the Möbius operator from
-    /// re-streaming the gauge field per slice. Slice `s`'s hop value is
-    /// computed by the very same [`hop_site`] as [`Self::apply_full`] (the
-    /// cached-link closure reproduces the per-call link fetches bit for
-    /// bit), and `finish(s, x, h)` maps it to the value stored at
-    /// `out[s·V + x]`. With `l5 = 1` this doubles as a fused 4D hop whose
-    /// diagonal/algebra pass is folded into the single output write.
-    pub fn apply_full_fused_5d<F>(
+    /// Fused hop on the full lattice: `inp` and `out` are interleaved 5D
+    /// blocks of `l5` slices and `nrhs` columns, the spinor of slice `s`,
+    /// site `x`, column `j` at `(s·V + x)·nrhs + j`. The sixteen stencil
+    /// links of every 4D site are fetched once and feed all `L5 × nrhs`
+    /// spinors of its rows — the fifth-dimension (and right-hand-side)
+    /// fusion that stops the Möbius operator from re-streaming the gauge
+    /// field per slice. `load` maps every neighbor spinor as it is fetched
+    /// (the identity for `H`; γ5 for the adjoint `H† = γ5 H γ5`, the same
+    /// values a separate γ5 pass over `inp` would feed the stencil), each hop
+    /// is the very same [`hop_site`] value (the cached-link closure
+    /// reproduces the per-call link fetches bit for bit), and `finish(i, h)`
+    /// maps it to the value stored at `out[i]` — the diagonal or
+    /// fifth-dimension algebra folded into the single output write. `grain`
+    /// counts 4D sites per parallel chunk.
+    #[allow(clippy::too_many_arguments)]
+    pub fn apply_full_fused_5d<L, F>(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         l5: usize,
+        nrhs: usize,
         grain: usize,
+        load: &L,
         finish: &F,
     ) where
-        F: Fn(usize, usize, Spinor<R>) -> Spinor<R> + Sync,
+        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
+        F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
     {
         let v = self.lattice.volume();
-        assert_eq!(out.len(), v * l5);
-        assert_eq!(inp.len(), v * l5);
-        // `move` captures the whole `SendPtr` wrapper (edition-2021 disjoint
-        // field capture would otherwise borrow the raw pointer, which is not
-        // `Sync`).
-        let optr = SendPtr(out.as_mut_ptr());
-        rayon::for_each_chunk(v, grain, move |range| {
-            simd::dispatch(
-                self,
-                #[inline(always)]
-                |this| {
-                    for x in range {
-                        let nb = this.lattice.neighbors(x);
-                        let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| this.gauge.link(x, mu));
-                        let bwd: [Su3<R>; ND] =
-                            std::array::from_fn(|mu| this.gauge.link(nb.bwd[mu] as usize, mu));
-                        let cached =
-                            |site: usize, mu: usize| if site == x { fwd[mu] } else { bwd[mu] };
-                        for s in 0..l5 {
-                            let slice = &inp[s * v..(s + 1) * v];
-                            let h = hop_site(nb, x, this.antiperiodic_t, &|e| slice[e], &cached);
-                            // SAFETY: element `s·v + x` is written exactly
-                            // once — `x` ranges over disjoint chunks across
-                            // tasks and `s` is the task-local loop — so no
-                            // two tasks alias any element, and the index
-                            // stays in bounds (`x < v`, `s < l5`).
-                            unsafe { *optr.get().add(s * v + x) = finish(s, x, h) };
-                        }
-                    }
-                },
-            )
-        });
+        self.fused_sweep(
+            out,
+            inp,
+            v,
+            (l5, nrhs, grain),
+            |x| x,
+            |_, e| e,
+            load,
+            finish,
+        );
     }
 
     /// Checkerboarded counterpart of [`Self::apply_full_fused_5d`]: hops from
-    /// parity `!out_parity` onto `out_parity`, slices are `half_volume` long,
-    /// `load` maps every neighbor spinor as it is fetched (the identity for
-    /// `H`; γ5 for the adjoint `H† = γ5 H γ5`, which then also applies γ5 in
-    /// `finish` — the same values a separate γ5 pass over `inp` would feed
-    /// the stencil), and `finish(s, cb, h)` maps the slice-`s` hop at
-    /// checkerboard site `cb` to the value stored at `out[s·hv + cb]`.
+    /// parity `!out_parity` onto `out_parity`, so both blocks hold
+    /// `half_volume` sites per slice and column, checkerboard-indexed.
     #[allow(clippy::too_many_arguments)]
     pub fn apply_parity_fused_5d<L, F>(
         &self,
@@ -296,116 +227,133 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         inp: &[Spinor<R>],
         out_parity: Parity,
         l5: usize,
+        nrhs: usize,
         grain: usize,
         load: &L,
         finish: &F,
     ) where
         L: Fn(Spinor<R>) -> Spinor<R> + Sync,
-        F: Fn(usize, usize, Spinor<R>) -> Spinor<R> + Sync,
+        F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
     {
-        let hv = self.lattice.half_volume();
-        assert_eq!(out.len(), hv * l5);
-        assert_eq!(inp.len(), hv * l5);
         let sites = self.lattice.sites_with_parity(out_parity);
-        // `move` captures the whole `SendPtr` wrapper, as above.
+        let site = |cb: usize| sites[cb] as usize;
+        let slot = |lat: &Lattice, e: usize| lat.cb_index(e);
+        let rows = sites.len();
+        self.fused_sweep(out, inp, rows, (l5, nrhs, grain), site, slot, load, finish);
+    }
+
+    /// The one stencil body, `(l5, nrhs, grain)` as in the two sweeps above:
+    /// output row `row` (of `rows` per slice) is lexicographic site
+    /// `site(row)`, and a neighbor `e` is read from slot `slot(lattice, e)`
+    /// of the input slice.
+    #[allow(clippy::too_many_arguments)]
+    fn fused_sweep<S, I, L, F>(
+        &self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        rows: usize,
+        (l5, nrhs, grain): (usize, usize, usize),
+        site: S,
+        slot: I,
+        load: &L,
+        finish: &F,
+    ) where
+        S: Fn(usize) -> usize + Sync,
+        I: Fn(&Lattice, usize) -> usize + Sync,
+        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
+        F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
+    {
+        assert!(nrhs > 0, "a block needs at least one column");
+        let slice_len = rows * nrhs;
+        assert_eq!(out.len(), slice_len * l5);
+        assert_eq!(inp.len(), slice_len * l5);
+        // `move` captures the whole `SendPtr` wrapper (edition-2021 disjoint
+        // field capture would otherwise borrow the raw pointer, which is not
+        // `Sync`).
         let optr = SendPtr(out.as_mut_ptr());
-        rayon::for_each_chunk(hv, grain, move |range| {
+        let (site, slot) = (&site, &slot);
+        rayon::for_each_chunk(rows, grain, move |range| {
             simd::dispatch(
                 self,
                 #[inline(always)]
                 |this| {
-                    for cb in range {
-                        let lex = sites[cb] as usize;
-                        let nb = this.lattice.neighbors(lex);
-                        let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| this.gauge.link(lex, mu));
+                    for row in range {
+                        let x = site(row);
+                        let nb = this.lattice.neighbors(x);
+                        let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| this.gauge.link(x, mu));
                         let bwd: [Su3<R>; ND] =
                             std::array::from_fn(|mu| this.gauge.link(nb.bwd[mu] as usize, mu));
                         let cached =
-                            |site: usize, mu: usize| if site == lex { fwd[mu] } else { bwd[mu] };
+                            |site: usize, mu: usize| if site == x { fwd[mu] } else { bwd[mu] };
                         for s in 0..l5 {
-                            let slice = &inp[s * hv..(s + 1) * hv];
-                            let fetch = |e: usize| load(slice[this.lattice.cb_index(e)]);
-                            let h = hop_site(nb, lex, this.antiperiodic_t, &fetch, &cached);
-                            // SAFETY: element `s·hv + cb` is written exactly
-                            // once — `cb` ranges over disjoint chunks across
-                            // tasks and `s` is the task-local loop — so no
-                            // two tasks alias any element, and the index
-                            // stays in bounds.
-                            unsafe { *optr.get().add(s * hv + cb) = finish(s, cb, h) };
+                            let slice = &inp[s * slice_len..(s + 1) * slice_len];
+                            for j in 0..nrhs {
+                                let fetch =
+                                    |e: usize| load(slice[slot(this.lattice, e) * nrhs + j]);
+                                let h = hop_site(nb, x, this.antiperiodic_t, &fetch, &cached);
+                                let i = (s * rows + row) * nrhs + j;
+                                // SAFETY: element `i` is written exactly once
+                                // — `row` ranges over disjoint chunks across
+                                // tasks, `s` and `j` are task-local loops — so
+                                // no two tasks alias any element, and
+                                // `i < l5·rows·nrhs = out.len()`.
+                                unsafe { *optr.get().add(i) = finish(i, h) };
+                            }
                         }
                     }
                 },
             )
         });
     }
+}
 
-    /// `out = H inp` on the full lattice for an interleaved block of `nrhs`
-    /// right-hand-sides (slices are `volume * nrhs` spinors, RHS-innermost).
-    /// `grain` counts sites as in [`Self::apply_full`]; chunks are aligned
-    /// to whole site-rows so every column reproduces `apply_full` exactly.
-    pub fn apply_full_block(
+#[cfg(test)]
+impl<R: Real, G: GaugeLinks<R>> HoppingKernel<'_, R, G> {
+    /// The unfused oracle of both fused sweeps: every slice, site and column
+    /// of an interleaved block hopped one at a time through [`hop_site`]
+    /// with direct link fetches — no link cache, no chunking, no dispatch.
+    /// `out_parity: None` is the full-lattice hop.
+    pub(crate) fn apply_oracle(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
+        out_parity: Option<Parity>,
         nrhs: usize,
-        grain: usize,
     ) {
-        let v = self.lattice.volume();
-        assert!(nrhs > 0, "a block needs at least one column");
-        assert_eq!(out.len(), v * nrhs);
-        assert_eq!(inp.len(), v * nrhs);
-        let fetch = |i: usize, j: usize| inp[i * nrhs + j];
-        rayon::for_each_chunk_mut(out, grain.max(1) * nrhs, |base, chunk| {
-            for (k, row) in chunk.chunks_mut(nrhs).enumerate() {
-                let x = base / nrhs + k;
-                let nb = self.lattice.neighbors(x);
-                hop_site_block(
-                    nb,
-                    x,
-                    self.antiperiodic_t,
-                    &fetch,
-                    &|site, mu| self.gauge.link(site, mu),
-                    row,
-                );
+        let lat = self.lattice;
+        let sites: Vec<usize> = match out_parity {
+            None => (0..lat.volume()).collect(),
+            Some(p) => lat
+                .sites_with_parity(p)
+                .iter()
+                .map(|&x| x as usize)
+                .collect(),
+        };
+        let slot = |e: usize| {
+            if out_parity.is_some() {
+                lat.cb_index(e)
+            } else {
+                e
             }
-        });
-    }
-
-    /// Blocked checkerboarded hop onto parity `out_parity`; both slices are
-    /// `half_volume * nrhs`, RHS-innermost.
-    pub fn apply_parity_block(
-        &self,
-        out: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
-        out_parity: Parity,
-        nrhs: usize,
-        grain: usize,
-    ) {
-        let hv = self.lattice.half_volume();
-        assert!(nrhs > 0, "a block needs at least one column");
-        assert_eq!(out.len(), hv * nrhs);
-        assert_eq!(inp.len(), hv * nrhs);
-        let sites = self.lattice.sites_with_parity(out_parity);
-        let fetch = |lex: usize, j: usize| inp[self.lattice.cb_index(lex) * nrhs + j];
-        rayon::for_each_chunk_mut(out, grain.max(1) * nrhs, |base, chunk| {
-            for (k, row) in chunk.chunks_mut(nrhs).enumerate() {
-                let lex = sites[base / nrhs + k] as usize;
-                let nb = self.lattice.neighbors(lex);
-                hop_site_block(
-                    nb,
-                    lex,
-                    self.antiperiodic_t,
-                    &fetch,
-                    &|site, mu| self.gauge.link(site, mu),
-                    row,
-                );
+        };
+        let slice = sites.len() * nrhs;
+        assert_eq!(out.len(), inp.len());
+        assert_eq!(inp.len() % slice, 0);
+        for (o, i) in out.chunks_mut(slice).zip(inp.chunks(slice)) {
+            for (row, &x) in sites.iter().enumerate() {
+                for j in 0..nrhs {
+                    let fetch = |e: usize| i[slot(e) * nrhs + j];
+                    let link = |site: usize, mu: usize| self.gauge.link(site, mu);
+                    o[row * nrhs + j] =
+                        hop_site(lat.neighbors(x), x, self.antiperiodic_t, &fetch, &link);
+                }
             }
-        });
+        }
     }
 
     /// Reference implementation using dense γ-matrices and full 4-spin link
-    /// multiplication. Used only by tests to validate the half-spinor path.
-    pub fn apply_full_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
+    /// multiplication, to validate the half-spinor path.
+    pub(crate) fn apply_full_reference(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
         let v = self.lattice.volume();
         assert_eq!(out.len(), v);
         assert_eq!(inp.len(), v);
@@ -455,6 +403,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::block::BlockSpinor;
+    use crate::dirac::testing::real_bits;
     use crate::field::{FermionField, GaugeField};
 
     fn setup(dims: [usize; 4], seed: u64) -> (Lattice, GaugeField<f64>, FermionField<f64>) {
@@ -464,6 +414,22 @@ mod tests {
         (lat, gauge, psi)
     }
 
+    /// `out = H inp` through the fused sweep onto `parity` (`None`: the full
+    /// lattice), with identity `load` and `finish`.
+    fn fused<R: Real, G: GaugeLinks<R>>(
+        hop: &HoppingKernel<R, G>,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        parity: Option<Parity>,
+        (l5, nrhs, grain): (usize, usize, usize),
+    ) {
+        let (load, finish) = (|psi| psi, |_, h| h);
+        match parity {
+            None => hop.apply_full_fused_5d(out, inp, l5, nrhs, grain, &load, &finish),
+            Some(p) => hop.apply_parity_fused_5d(out, inp, p, l5, nrhs, grain, &load, &finish),
+        }
+    }
+
     #[test]
     fn half_spinor_path_matches_dense_reference() {
         let (lat, gauge, psi) = setup([4, 4, 4, 4], 9);
@@ -471,7 +437,7 @@ mod tests {
             let hop = HoppingKernel::new(&lat, &gauge, apbc);
             let mut fast = vec![Spinor::zero(); lat.volume()];
             let mut slow = vec![Spinor::zero(); lat.volume()];
-            hop.apply_full(&mut fast, &psi.data, 64);
+            fused(&hop, &mut fast, &psi.data, None, (1, 1, 64));
             hop.apply_full_reference(&mut slow, &psi.data);
             let diff = crate::blas::sub(&fast, &slow);
             let rel = crate::blas::norm_sqr(&diff) / crate::blas::norm_sqr(&slow);
@@ -481,13 +447,15 @@ mod tests {
 
     #[test]
     fn grain_size_does_not_change_result() {
-        let (lat, gauge, psi) = setup([4, 4, 2, 6], 11);
+        let (lat, gauge, _) = setup([4, 4, 2, 6], 11);
         let hop = HoppingKernel::new(&lat, &gauge, true);
-        let mut a = vec![Spinor::zero(); lat.volume()];
-        let mut b = vec![Spinor::zero(); lat.volume()];
-        hop.apply_full(&mut a, &psi.data, 1);
-        hop.apply_full(&mut b, &psi.data, 4096);
-        assert_eq!(a, b);
+        let n = 2 * lat.volume() * 3;
+        let psi = FermionField::<f64>::gaussian(n, 12).data;
+        let mut a = vec![Spinor::zero(); n];
+        let mut b = vec![Spinor::zero(); n];
+        fused(&hop, &mut a, &psi, None, (2, 3, 1));
+        fused(&hop, &mut b, &psi, None, (2, 3, 4096));
+        assert_eq!(real_bits(&a), real_bits(&b));
     }
 
     #[test]
@@ -496,7 +464,7 @@ mod tests {
         let hop = HoppingKernel::new(&lat, &gauge, true);
 
         let mut full = vec![Spinor::zero(); lat.volume()];
-        hop.apply_full(&mut full, &psi.data, 128);
+        fused(&hop, &mut full, &psi.data, None, (1, 1, 128));
 
         // Scatter input into checkerboards.
         let hv = lat.half_volume();
@@ -510,8 +478,8 @@ mod tests {
         }
         let mut even_out = vec![Spinor::zero(); hv];
         let mut odd_out = vec![Spinor::zero(); hv];
-        hop.apply_parity(&mut even_out, &odd_in, Parity::Even, 64);
-        hop.apply_parity(&mut odd_out, &even_in, Parity::Odd, 64);
+        fused(&hop, &mut even_out, &odd_in, Some(Parity::Even), (1, 1, 64));
+        fused(&hop, &mut odd_out, &even_in, Some(Parity::Odd), (1, 1, 64));
 
         for x in 0..lat.volume() {
             let cb = lat.cb_index(x);
@@ -526,46 +494,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn blocked_hop_is_bit_identical_per_column() {
-        let (lat, gauge, _) = setup([4, 4, 2, 6], 17);
-        let v = lat.volume();
-        let hop = HoppingKernel::new(&lat, &gauge, true);
-        for nrhs in [1usize, 3, 4] {
-            let cols: Vec<Vec<Spinor<f64>>> = (0..nrhs)
-                .map(|j| FermionField::gaussian(v, 100 + j as u64).data)
-                .collect();
-            let block = crate::block::BlockSpinor::from_columns(&cols);
-            let mut out = crate::block::BlockSpinor::zeros(v, nrhs);
-            hop.apply_full_block(out.data_mut(), block.data(), nrhs, 64);
-            for (j, c) in cols.iter().enumerate() {
-                let mut single = vec![Spinor::zero(); v];
-                hop.apply_full(&mut single, c, 64);
-                assert_eq!(out.col(j), single, "column {j} of {nrhs}");
+    /// Both sweeps against [`HoppingKernel::apply_oracle`] on every real's bit
+    /// pattern, and every column of a block against the sweep of that
+    /// column alone.
+    fn fused_matches_oracle<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
+        let hop = HoppingKernel::new(lat, gauge, true);
+        for parity in [None, Some(Parity::Even), Some(Parity::Odd)] {
+            let rows = parity.map_or(lat.volume(), |_| lat.half_volume());
+            for l5 in [1, 2] {
+                for nrhs in [1, 3, 4] {
+                    let cols: Vec<Vec<Spinor<R>>> = (0..nrhs)
+                        .map(|j| FermionField::gaussian(l5 * rows, 100 + j as u64).data)
+                        .collect();
+                    let block = BlockSpinor::from_columns(&cols);
+                    let mut out = BlockSpinor::zeros(l5 * rows, nrhs);
+                    fused(&hop, out.data_mut(), block.data(), parity, (l5, nrhs, 7));
+                    let mut oracle = vec![Spinor::zero(); out.data().len()];
+                    hop.apply_oracle(&mut oracle, block.data(), parity, nrhs);
+                    let what = format!("{parity:?} l5 {l5} nrhs {nrhs}");
+                    assert!(real_bits(out.data()) == real_bits(&oracle), "{what}");
+                    for (j, c) in cols.iter().enumerate() {
+                        let mut single = vec![Spinor::zero(); c.len()];
+                        fused(&hop, &mut single, c, parity, (l5, 1, 64));
+                        assert!(
+                            real_bits(&out.col(j)) == real_bits(&single),
+                            "{what} column {j}"
+                        );
+                    }
+                }
             }
         }
     }
 
     #[test]
-    fn blocked_parity_hop_is_bit_identical_per_column() {
-        let (lat, gauge, _) = setup([4, 4, 4, 4], 23);
-        let hv = lat.half_volume();
-        let hop = HoppingKernel::new(&lat, &gauge, true);
-        for nrhs in [1usize, 3] {
-            let cols: Vec<Vec<Spinor<f64>>> = (0..nrhs)
-                .map(|j| FermionField::gaussian(hv, 200 + j as u64).data)
-                .collect();
-            let block = crate::block::BlockSpinor::from_columns(&cols);
-            for parity in [Parity::Even, Parity::Odd] {
-                let mut out = crate::block::BlockSpinor::zeros(hv, nrhs);
-                hop.apply_parity_block(out.data_mut(), block.data(), parity, nrhs, 64);
-                for (j, c) in cols.iter().enumerate() {
-                    let mut single = vec![Spinor::zero(); hv];
-                    hop.apply_parity(&mut single, c, parity, 64);
-                    assert_eq!(out.col(j), single, "parity {parity:?} column {j} of {nrhs}");
-                }
-            }
-        }
+    fn fused_sweeps_are_bit_identical_to_the_oracle_per_column() {
+        let (lat, gauge, _) = setup([4, 4, 2, 6], 17);
+        fused_matches_oracle(&lat, &gauge);
+        fused_matches_oracle(&lat, &gauge.cast::<f32>());
     }
 
     #[test]
@@ -588,7 +553,7 @@ mod tests {
         };
         psi.data.iter_mut().for_each(|s| *s = constant);
         let mut out = vec![Spinor::zero(); lat.volume()];
-        hop.apply_full(&mut out, &psi.data, 64);
+        fused(&hop, &mut out, &psi.data, None, (1, 1, 64));
         for x in 0..lat.volume() {
             let expect = constant.scale(8.0);
             assert!((out[x] - expect).norm_sqr() < 1e-20);

@@ -23,8 +23,11 @@
 //! explicitly (`D† = A† − ½ ρ† γ5 H γ5`), exactly as QUDA's `Mdag` does.
 //!
 //! Vectors are `s`-major: the spinor at `(s, x)` lives at `s·V + x`, so each
-//! `s`-slice is a contiguous 4D field and the 4D hopping kernel runs on it
-//! unchanged.
+//! `s`-slice is a contiguous 4D field; a block of `nrhs` columns interleaves
+//! them innermost, `(s·V + x)·nrhs + j`. The fifth-dimension algebra acts
+//! per `(s, 4D-site)` element, so it runs on a block unchanged with slice
+//! length `V·nrhs`, and the one fused hopping sweep covers every slice and
+//! column.
 
 use super::hopping::{HoppingKernel, HOPPING_FLOPS_PER_SITE};
 use super::{DiracOp, LinearOp};
@@ -184,7 +187,8 @@ impl<R: Real> FifthDim<R> {
     /// `out_s = P₋ in_{s+1} + P₊ in_{s−1}` with `−m` wraps (`dagger = false`),
     /// or its adjoint `out_s = P₋ in_{s−1} + P₊ in_{s+1}` with the wraps
     /// mirrored (`dagger = true`). `slice_len` is the 4D vector length
-    /// (volume or half-volume).
+    /// (volume or half-volume). The per-element oracle of [`Self::shift_at`].
+    #[cfg(test)]
     fn shift(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], slice_len: usize, dagger: bool) {
         let l5 = self.params.l5;
         let mm = R::from_f64(-self.params.mass);
@@ -261,7 +265,7 @@ impl<R: Real> FifthDim<R> {
     /// is streamed from memory once instead of three times per output (and
     /// the shifted spinor is computed once and shared by both outputs —
     /// value-reuse, not reassociation, so both vectors carry the identical
-    /// per-element chains as [`Self::affine_shift`]).
+    /// per-element chains as the unfused `affine_shift` oracle).
     fn rho_and_diag(
         &self,
         rho: &mut [Spinor<R>],
@@ -528,7 +532,9 @@ impl<R: Real> FifthDim<R> {
     }
 
     /// `out = a·in + b·shift^(†)(in)`, the shared form of `A` (`a=α, b=β`)
-    /// and `ρ` (`a=b5, b=c5`) and their adjoints.
+    /// and `ρ` (`a=b5, b=c5`) and their adjoints: the unfused pass the
+    /// column sweeps are held to.
+    #[cfg(test)]
     fn affine_shift(
         &self,
         out: &mut [Spinor<R>],
@@ -578,11 +584,11 @@ type Scratch2<R> = Mutex<(Vec<Spinor<R>>, Vec<Spinor<R>>)>;
 /// Reusable staging of the preconditioned fused sweeps: three 5D
 /// half-volume vectors and the column slab of the `A⁻¹` passes.
 struct PrecScratch<R> {
-    /// `ρ`-stage (`apply`) / `(A†)⁻¹` stage (`apply_dagger`).
+    /// `ρ`-stage (`apply_block`) / `(A†)⁻¹` stage (`apply_dagger_block`).
     rho: Vec<Spinor<R>>,
     /// Hop target.
     tmp: Vec<Spinor<R>>,
-    /// Precomputed diagonal `A(ψ)` (`apply` only).
+    /// Precomputed diagonal `A(ψ)` (`apply_block` only).
     diag: Vec<Spinor<R>>,
     /// One `L5`-spinor row per chunk of the column-wise passes.
     cols: Vec<Spinor<R>>,
@@ -607,8 +613,8 @@ pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     /// it never reaches the result's bits.
     pub grain: usize,
     /// Reusable 5D staging buffers: `ρ(ψ)` and the precomputed diagonal
-    /// `A(ψ)` for `apply` and `apply_block_with_hop`, `γ5ψ` and the hop
-    /// result for `apply_dagger_block_with_hop`.
+    /// `A(ψ)` for `apply_block` and `apply_block_with_hop`, the hop result
+    /// (and `γ5ψ`) for the adjoints.
     scratch: Scratch2<R>,
 }
 
@@ -648,24 +654,15 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         self.fifth.params.l5
     }
 
-    /// Blocked slice-by-slice hopping on interleaved 5D blocks
-    /// (`(s·V + x)·nrhs + j` layout — each s-slice is a contiguous 4D block).
-    fn hop_5d_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let vb = self.lattice.volume() * nrhs;
-        for s in 0..self.l5() {
-            let (o, i) = (&mut out[s * vb..(s + 1) * vb], &inp[s * vb..(s + 1) * vb]);
-            self.hopping.apply_full_block(o, i, nrhs, self.grain);
-        }
-    }
-
     /// `out = A(inp) − ½ hop(ρ(inp))` on `nrhs` interleaved right-hand-sides
     /// with the 4D hopping term supplied by the caller. The fifth-dimension
     /// ops (`ρ`, `A`, the halving) act per `(s, 4D-site)` element, so running
     /// them with slice length `V·nrhs` on the interleaved block applies the
     /// identical scalar arithmetic to every column, and that arithmetic is
-    /// [`LinearOp::apply`]'s: any `hop` that is column-wise bit-identical to
-    /// the bound single-domain kernel — e.g. the sharded halo-exchange dslash
-    /// in [`crate::comms`] — yields a bit-identical Möbius application.
+    /// [`LinearOp::apply_block`]'s: any `hop` that is column-wise
+    /// bit-identical to the bound single-domain kernel — e.g. the sharded
+    /// halo-exchange dslash in [`crate::comms`] — yields a bit-identical
+    /// Möbius application.
     ///
     /// Three passes over the reused scratch: one column-wise sweep writing
     /// `ρ(inp)` and `A(inp)`, the hop of `ρ` into `out`, then
@@ -806,16 +803,20 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for MobiusDirac<'a, R, G> {
         self.l5() * self.lattice.volume()
     }
 
+    fn flops_per_apply(&self) -> f64 {
+        let sites = self.vec_len() as f64;
+        // Hopping dominates; shift/affine contribute ~250 flops per 5D site.
+        sites * (HOPPING_FLOPS_PER_SITE + 250.0)
+    }
+
     /// Two passes: one column-wise sweep producing both
     /// `ρ = b5·ψ + c5·shift(ψ)` and the diagonal `A(ψ) = α·ψ + β·shift(ψ)`,
     /// then a single 5D stencil pass that reuses each site's eight gauge
-    /// links across the whole s-extent and folds `A(ψ) − ½ H ρ(ψ)` into the
-    /// output write. Every per-element operation chain matches the
-    /// slice-by-slice composition of [`Self::apply_block`], so the result is
-    /// bit-identical to it.
-    fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let v = self.lattice.volume();
-        let n = self.vec_len();
+    /// links across the whole s-extent and every column and folds
+    /// `A(ψ) − ½ H ρ(ψ)` into the output write — every per-element chain
+    /// that of [`Self::apply_block_with_hop`].
+    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        let n = self.vec_len() * nrhs;
         assert_eq!(out.len(), n);
         assert_eq!(inp.len(), n);
         let half = R::from_f64(0.5);
@@ -824,32 +825,43 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for MobiusDirac<'a, R, G> {
         let (rho, diag) = &mut *guard;
         rho.resize(n, Spinor::zero());
         diag.resize(n, Spinor::zero());
-        self.fifth.rho_and_diag(rho, diag, inp, v);
+        let vb = self.lattice.volume() * nrhs;
+        self.fifth.rho_and_diag(rho, diag, inp, vb);
         let diag = &*diag;
-        self.hopping
-            .apply_full_fused_5d(out, rho, self.l5(), self.grain, &|s, x, h| {
-                diag[s * v + x] - h.scale(half)
-            });
-    }
-
-    fn flops_per_apply(&self) -> f64 {
-        let sites = self.vec_len() as f64;
-        // Hopping dominates; shift/affine contribute ~250 flops per 5D site.
-        sites * (HOPPING_FLOPS_PER_SITE + 250.0)
-    }
-
-    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.apply_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n));
+        self.hopping.apply_full_fused_5d(
+            out,
+            rho,
+            self.l5(),
+            nrhs,
+            self.grain,
+            &|psi| psi,
+            &|i, h| diag[i] - h.scale(half),
+        );
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for MobiusDirac<'a, R, G> {
+    /// The Möbius operator with c5 ≠ 0 is NOT Γ5R5-hermitian (the 4D
+    /// hopping does not commute with the chirality-projected s-shift), so —
+    /// like QUDA's Mdag — the adjoint is applied explicitly:
+    /// `D† = A† − ½ ρ† H†` with `H† = γ5 H γ5`. Two passes: the fused
+    /// stencil with γ5 on each neighbor fetch, then the column-wise
+    /// `A†ψ − ½ ρ†(γ5 h)` — the chains of
+    /// [`Self::apply_dagger_block_with_hop`].
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        // The Möbius operator with c5 ≠ 0 is NOT Γ5R5-hermitian (the 4D
-        // hopping does not commute with the chirality-projected s-shift), so
-        // — like QUDA's Mdag — the adjoint is applied explicitly:
-        // D† = A† − ½ ρ† H† with H† = γ5 H γ5.
-        self.apply_dagger_block_with_hop(out, inp, nrhs, &mut |o, i, n| self.hop_5d_block(o, i, n));
+        let n = self.vec_len() * nrhs;
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+        let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
+
+        let mut guard = self.scratch.lock();
+        let h = &mut guard.0;
+        h.resize(n, Spinor::zero());
+        self.hopping
+            .apply_full_fused_5d(h, inp, self.l5(), nrhs, self.grain, &gamma5, &|_, h| h);
+        let vb = self.lattice.volume() * nrhs;
+        self.fifth
+            .a_dagger_minus_scaled_rho_dagger(out, inp, h, vb, gamma5, 0.5);
     }
 }
 
@@ -865,8 +877,8 @@ pub struct PrecMobius<'a, R: Real, G: GaugeLinks<R>> {
     /// winner; no production path tunes). Chunks write disjoint elements, so
     /// it never reaches the result's bits.
     pub grain: usize,
-    /// Reusable staging for `apply` and `apply_dagger` (behind a lock so
-    /// both keep their `&self` solver interface).
+    /// Reusable staging for the block forms, source preparation and
+    /// reconstruction (behind a lock so all keep their `&self` interface).
     scratch: Mutex<PrecScratch<R>>,
 }
 
@@ -912,87 +924,164 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
 
     /// Split a full 5D vector into (even, odd) 5D checkerboard vectors.
     pub fn split(&self, full: &[Spinor<R>]) -> (Vec<Spinor<R>>, Vec<Spinor<R>>) {
-        let v = self.lattice.volume();
-        let hv = self.hv();
-        let l5 = self.l5();
-        assert_eq!(full.len(), l5 * v);
-        let mut even = vec![Spinor::zero(); l5 * hv];
-        let mut odd = vec![Spinor::zero(); l5 * hv];
-        for s in 0..l5 {
-            for x in 0..v {
-                let cb = self.lattice.cb_index(x);
-                match self.lattice.parity(x) {
-                    Parity::Even => even[s * hv + cb] = full[s * v + x],
-                    Parity::Odd => odd[s * hv + cb] = full[s * v + x],
-                }
-            }
-        }
-        (even, odd)
+        super::split_parity(self.lattice, full)
     }
 
     /// Merge checkerboards back into a full 5D vector.
     pub fn merge(&self, even: &[Spinor<R>], odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
-        let v = self.lattice.volume();
-        let hv = self.hv();
-        let l5 = self.l5();
-        let mut full = vec![Spinor::zero(); l5 * v];
-        for s in 0..l5 {
-            for x in 0..v {
-                let cb = self.lattice.cb_index(x);
-                full[s * v + x] = match self.lattice.parity(x) {
-                    Parity::Even => even[s * hv + cb],
-                    Parity::Odd => odd[s * hv + cb],
-                };
-            }
-        }
-        full
+        super::merge_parity(self.lattice, even, odd)
     }
 
-    /// Preconditioned source `b'_o = b_o − M_oe A⁻¹ b_e`.
-    pub fn prepare_source(&self, b_even: &[Spinor<R>], b_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
-        let hv = self.hv();
-        let mut ainv_be = vec![Spinor::zero(); b_even.len()];
-        self.fifth.apply_a_inverse(&mut ainv_be, b_even, hv, false);
-        let moe = self.offdiag_block(&ainv_be, Parity::Odd, 1);
-        let mut out = b_odd.to_vec();
-        out.par_iter_mut().zip(moe.par_iter()).for_each(|(o, m)| {
-            *o = *o - *m;
-        });
-        out
-    }
-
-    /// Even-site reconstruction `x_e = A⁻¹ (b_e − M_eo x_o)`.
-    pub fn reconstruct_even(&self, b_even: &[Spinor<R>], x_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
-        let hv = self.hv();
-        let meo = self.offdiag_block(x_odd, Parity::Even, 1);
-        let mut rhs = b_even.to_vec();
-        rhs.par_iter_mut().zip(meo.par_iter()).for_each(|(r, m)| {
-            *r = *r - *m;
-        });
-        let mut out = vec![Spinor::zero(); rhs.len()];
-        self.fifth.apply_a_inverse(&mut out, &rhs, hv, false);
-        out
-    }
-
-    /// Blocked slice-wise checkerboarded hopping on interleaved 5D blocks.
-    fn hop_5d_parity_block(
+    /// The fused checkerboard hop onto `parity` across all `L5` slices and
+    /// `nrhs` columns.
+    fn hop(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
-        out_parity: Parity,
+        parity: Parity,
         nrhs: usize,
+        load: &(impl Fn(Spinor<R>) -> Spinor<R> + Sync),
+        finish: &(impl Fn(usize, Spinor<R>) -> Spinor<R> + Sync),
     ) {
-        let hvb = self.hv() * nrhs;
-        for s in 0..self.l5() {
-            let (o, i) = (
-                &mut out[s * hvb..(s + 1) * hvb],
-                &inp[s * hvb..(s + 1) * hvb],
-            );
-            self.hopping
-                .apply_parity_block(o, i, out_parity, nrhs, self.grain);
-        }
+        let (l5, grain) = (self.l5(), self.grain);
+        self.hopping
+            .apply_parity_fused_5d(out, inp, parity, l5, nrhs, grain, load, finish);
     }
 
+    /// Preconditioned source `b'_o = b_o − M_oe A⁻¹ b_e` with
+    /// `M_oe = −½ H_oe ρ`: one column-wise `ρ(A⁻¹ b_e)` sweep, then the fused
+    /// hop with the subtraction folded into its output write.
+    pub fn prepare_source(&self, b_even: &[Spinor<R>], b_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
+        let n = self.vec_len();
+        assert_eq!(b_even.len(), n);
+        assert_eq!(b_odd.len(), n);
+        let neg_half = R::from_f64(-0.5);
+        let mut guard = self.scratch.lock();
+        let PrecScratch { rho, cols, .. } = &mut *guard;
+        rho.resize(n, Spinor::zero());
+        self.fifth.ainv_then_rho(rho, b_even, self.hv(), cols);
+        let mut out = vec![Spinor::zero(); n];
+        self.hop(&mut out, rho, Parity::Odd, 1, &|psi| psi, &|i, h| {
+            b_odd[i] - h.scale(neg_half)
+        });
+        out
+    }
+
+    /// Even-site reconstruction `x_e = A⁻¹ (b_e − M_eo x_o)`: the `ρ(x_o)`
+    /// sweep, the fused hop with the subtraction folded into its write, then
+    /// `A⁻¹`.
+    pub fn reconstruct_even(&self, b_even: &[Spinor<R>], x_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
+        let n = self.vec_len();
+        assert_eq!(b_even.len(), n);
+        assert_eq!(x_odd.len(), n);
+        let neg_half = R::from_f64(-0.5);
+        let mut guard = self.scratch.lock();
+        let PrecScratch { rho, tmp, diag, .. } = &mut *guard;
+        for v in [&mut *rho, &mut *tmp, &mut *diag] {
+            v.resize(n, Spinor::zero());
+        }
+        self.fifth.rho_and_diag(rho, diag, x_odd, self.hv());
+        self.hop(tmp, rho, Parity::Even, 1, &|psi| psi, &|i, h| {
+            b_even[i] - h.scale(neg_half)
+        });
+        let mut out = vec![Spinor::zero(); n];
+        self.fifth.apply_a_inverse(&mut out, tmp, self.hv(), false);
+        out
+    }
+}
+
+impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
+    fn vec_len(&self) -> usize {
+        self.l5() * self.hv()
+    }
+
+    fn flops_per_apply(&self) -> f64 {
+        let sites = self.vec_len() as f64;
+        // Two half-volume hops per 5D site pair + fifth-dimension algebra.
+        sites * (HOPPING_FLOPS_PER_SITE + 250.0 + 48.0 * self.l5() as f64)
+    }
+
+    /// The Schur complement in four passes over reused scratch buffers, the
+    /// column sweeps running with slice length `hv·nrhs`:
+    ///
+    /// 1. `ρ ← b5·ψ + c5·shift(ψ)` and `diag ← α·ψ + β·shift(ψ)` in a single
+    ///    column-wise sweep (the s-shift of `ψ` is read once, feeding both),
+    /// 2. `t ← −½ H_eo ρ` (5D-fused stencil, `−½` folded into the write),
+    /// 3. `ρ ← b5·(A⁻¹t) + c5·shift(A⁻¹t)` column-wise: each s-column of
+    ///    `A⁻¹t` stays register/cache resident through the following affine,
+    /// 4. `out ← diag − (−½ H_oe ρ)` (stencil pass with the precomputed
+    ///    diagonal folded into the output write).
+    ///
+    /// Each fused expression evaluates the identical per-element operation
+    /// chain as the unfused eleven-pass composition, so the result is
+    /// bit-identical to it.
+    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        let hvb = self.hv() * nrhs;
+        let n = self.vec_len() * nrhs;
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+        let neg_half = R::from_f64(-0.5);
+
+        let mut guard = self.scratch.lock();
+        let PrecScratch {
+            rho,
+            tmp,
+            diag,
+            cols,
+        } = &mut *guard;
+        rho.resize(n, Spinor::zero());
+        tmp.resize(n, Spinor::zero());
+        diag.resize(n, Spinor::zero());
+
+        self.fifth.rho_and_diag(rho, diag, inp, hvb);
+        self.hop(tmp, rho, Parity::Even, nrhs, &|psi| psi, &|_, h| {
+            h.scale(neg_half)
+        });
+        self.fifth.ainv_then_rho(rho, tmp, hvb, cols);
+        let diag = &*diag;
+        self.hop(out, rho, Parity::Odd, nrhs, &|psi| psi, &|i, h| {
+            diag[i] - h.scale(neg_half)
+        });
+    }
+}
+
+impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
+    /// `M̂† = A† − M_eo† (A†)⁻¹ M_oe†` with `M† = −½ ρ† γ5 H γ5`, in the
+    /// four passes of [`LinearOp::apply_block`] mirrored:
+    ///
+    /// 1. `t ← γ5 H_eo γ5 ψ` — the same fused stencil, γ5 riding on each
+    ///    neighbor fetch and on the output write instead of two extra passes,
+    /// 2. `ρ ← (A†)⁻¹[(b5·t + c5·shift†(t))·(−½)]` column-wise, with the
+    ///    chirality-swapped inverses,
+    /// 3. `t ← γ5 H_oe γ5 ρ`,
+    /// 4. `out ← (α·ψ + β·shift†ψ) − (b5·t + c5·shift†(t))·(−½)` column-wise.
+    ///
+    /// Each fused expression evaluates the identical per-element operation
+    /// chain as the unfused composition, so the result is bit-identical to
+    /// it.
+    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        let hvb = self.hv() * nrhs;
+        let n = self.vec_len() * nrhs;
+        assert_eq!(out.len(), n);
+        assert_eq!(inp.len(), n);
+        let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
+        let gamma5_hop = |_, h: Spinor<R>| h.apply_gamma5();
+
+        let mut guard = self.scratch.lock();
+        let PrecScratch { rho, tmp, cols, .. } = &mut *guard;
+        rho.resize(n, Spinor::zero());
+        tmp.resize(n, Spinor::zero());
+
+        self.hop(tmp, inp, Parity::Even, nrhs, &gamma5, &gamma5_hop);
+        self.fifth.rho_dagger_then_ainv(rho, tmp, hvb, cols);
+        self.hop(tmp, rho, Parity::Odd, nrhs, &gamma5, &gamma5_hop);
+        self.fifth
+            .a_dagger_minus_scaled_rho_dagger(out, inp, tmp, hvb, |x| x, -0.5);
+    }
+}
+
+#[cfg(test)]
+impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
     /// `M_eo`-style off-diagonal application onto `out_parity`, blocked:
     /// `out = −½ H ρ(in)`.
     fn offdiag_block(&self, inp: &[Spinor<R>], out_parity: Parity, nrhs: usize) -> Vec<Spinor<R>> {
@@ -1002,7 +1091,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         self.fifth
             .affine_shift(&mut rho, inp, hvb, p.b5, p.c5, false);
         let mut hop = vec![Spinor::zero(); inp.len()];
-        self.hop_5d_parity_block(&mut hop, &rho, out_parity, nrhs);
+        self.hopping
+            .apply_oracle(&mut hop, &rho, Some(out_parity), nrhs);
         hop.par_iter_mut()
             .for_each(|s| *s = s.scale(R::from_f64(-0.5)));
         hop
@@ -1020,7 +1110,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         let p = &self.fifth.params;
         let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
         let mut hop = vec![Spinor::zero(); inp.len()];
-        self.hop_5d_parity_block(&mut hop, &g5in, out_parity, nrhs);
+        self.hopping
+            .apply_oracle(&mut hop, &g5in, Some(out_parity), nrhs);
         hop.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
         let mut out = vec![Spinor::zero(); inp.len()];
         self.fifth
@@ -1030,8 +1121,9 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         out
     }
 
-    /// The unfused Schur complement on an interleaved block:
-    /// `M̂ = A − M_oe A⁻¹ M_eo`, or with `dagger`
+    /// The unfused Schur complement on an interleaved block — eleven passes
+    /// and six or eight fresh vectors, the oracle the fused sweeps are held
+    /// to: `M̂ = A − M_oe A⁻¹ M_eo`, or with `dagger`
     /// `M̂† = A† − M_eo† (A†)⁻¹ M_oe†`, each adjoint applied explicitly.
     fn schur_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize, dagger: bool) {
         let hvb = self.hv() * nrhs;
@@ -1057,135 +1149,23 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
                 *o = *o - *m;
             });
     }
-}
 
-impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
-    fn vec_len(&self) -> usize {
-        self.l5() * self.hv()
-    }
-
-    /// The Schur complement in four passes over reused scratch buffers (the
-    /// unfused composition of [`Self::apply_block`] makes eleven, allocating
-    /// six fresh vectors):
-    ///
-    /// 1. `ρ ← b5·ψ + c5·shift(ψ)` and `diag ← α·ψ + β·shift(ψ)` in a single
-    ///    column-wise sweep (the s-shift of `ψ` is read once, feeding both),
-    /// 2. `t ← −½ H_eo ρ` (5D-fused stencil, `−½` folded into the write),
-    /// 3. `ρ ← b5·(A⁻¹t) + c5·shift(A⁻¹t)` column-wise: each s-column of
-    ///    `A⁻¹t` stays register/cache resident through the following affine,
-    /// 4. `out ← diag − (−½ H_oe ρ)` (stencil pass with the precomputed
-    ///    diagonal folded into the output write).
-    ///
-    /// Each fused expression evaluates the identical per-element operation
-    /// chain as the unfused composition, so the result is bit-identical to
-    /// `apply_block(.., 1)`.
-    fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let hv = self.hv();
-        let n = self.vec_len();
-        assert_eq!(out.len(), n);
-        assert_eq!(inp.len(), n);
-        let neg_half = R::from_f64(-0.5);
-
-        let mut guard = self.scratch.lock();
-        let PrecScratch {
-            rho,
-            tmp,
-            diag,
-            cols,
-        } = &mut *guard;
-        rho.resize(n, Spinor::zero());
-        tmp.resize(n, Spinor::zero());
-        diag.resize(n, Spinor::zero());
-
-        self.fifth.rho_and_diag(rho, diag, inp, hv);
-        self.hopping.apply_parity_fused_5d(
-            tmp,
-            rho,
-            Parity::Even,
-            self.l5(),
-            self.grain,
-            &|psi| psi,
-            &|_, _, h| h.scale(neg_half),
-        );
-        self.fifth.ainv_then_rho(rho, tmp, hv, cols);
-        let diag = &*diag;
-        self.hopping.apply_parity_fused_5d(
-            out,
-            rho,
-            Parity::Odd,
-            self.l5(),
-            self.grain,
-            &|psi| psi,
-            &|s, cb, h| diag[s * hv + cb] - h.scale(neg_half),
-        );
-    }
-
-    fn flops_per_apply(&self) -> f64 {
-        let sites = self.vec_len() as f64;
-        // Two half-volume hops per 5D site pair + fifth-dimension algebra.
-        sites * (HOPPING_FLOPS_PER_SITE + 250.0 + 48.0 * self.l5() as f64)
-    }
-
-    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.schur_block(out, inp, nrhs, false);
-    }
-}
-
-impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
-    /// The unfused composition: the `nrhs > 1` form, and at `nrhs = 1` the
-    /// oracle [`Self::apply_dagger`] is held to bit for bit.
-    fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.schur_block(out, inp, nrhs, true);
-    }
-
-    /// `M̂† = A† − M_eo† (A†)⁻¹ M_oe†` with `M† = −½ ρ† γ5 H γ5`, in the
-    /// four passes of [`LinearOp::apply`] mirrored (the unfused composition
-    /// makes eleven, allocating eight fresh vectors):
-    ///
-    /// 1. `t ← γ5 H_eo γ5 ψ` — the same fused stencil, γ5 riding on each
-    ///    neighbor fetch and on the output write instead of two extra passes,
-    /// 2. `ρ ← (A†)⁻¹[(b5·t + c5·shift†(t))·(−½)]` column-wise, with the
-    ///    chirality-swapped inverses,
-    /// 3. `t ← γ5 H_oe γ5 ρ`,
-    /// 4. `out ← (α·ψ + β·shift†ψ) − (b5·t + c5·shift†(t))·(−½)` column-wise.
-    ///
-    /// Each fused expression evaluates the identical per-element operation
-    /// chain as `apply_dagger_block(.., 1)`, so the result is bit-identical
-    /// to it.
-    fn apply_dagger(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let hv = self.hv();
-        let n = self.vec_len();
-        assert_eq!(out.len(), n);
-        assert_eq!(inp.len(), n);
-        let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
-        let gamma5_hop = |_, _, h: Spinor<R>| h.apply_gamma5();
-
-        let mut guard = self.scratch.lock();
-        let PrecScratch { rho, tmp, cols, .. } = &mut *guard;
-        rho.resize(n, Spinor::zero());
-        tmp.resize(n, Spinor::zero());
-
-        self.hopping.apply_parity_fused_5d(
-            tmp,
-            inp,
-            Parity::Even,
-            self.l5(),
-            self.grain,
-            &gamma5,
-            &gamma5_hop,
-        );
-        self.fifth.rho_dagger_then_ainv(rho, tmp, hv, cols);
-        self.hopping.apply_parity_fused_5d(
-            tmp,
-            rho,
-            Parity::Odd,
-            self.l5(),
-            self.grain,
-            &gamma5,
-            &gamma5_hop,
-        );
+    /// The unfused [`Self::prepare_source`]: `A⁻¹`, `M_oe`, subtraction.
+    fn prepare_source_oracle(&self, b_even: &[Spinor<R>], b_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
+        let mut ainv_be = vec![Spinor::zero(); b_even.len()];
         self.fifth
-            .a_dagger_minus_scaled_rho_dagger(out, inp, tmp, hv, |x| x, -0.5);
+            .apply_a_inverse(&mut ainv_be, b_even, self.hv(), false);
+        let moe = self.offdiag_block(&ainv_be, Parity::Odd, 1);
+        b_odd.iter().zip(&moe).map(|(b, m)| *b - *m).collect()
+    }
+
+    /// The unfused [`Self::reconstruct_even`]: `M_eo`, subtraction, `A⁻¹`.
+    fn reconstruct_even_oracle(&self, b_even: &[Spinor<R>], x_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
+        let meo = self.offdiag_block(x_odd, Parity::Even, 1);
+        let rhs: Vec<Spinor<R>> = b_even.iter().zip(&meo).map(|(b, m)| *b - *m).collect();
+        let mut out = vec![Spinor::zero(); rhs.len()];
+        self.fifth.apply_a_inverse(&mut out, &rhs, self.hv(), false);
+        out
     }
 }
 
@@ -1193,6 +1173,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
 mod tests {
     use super::*;
     use crate::blas;
+    use crate::dirac::testing::{assert_block_matches_oracle, real_bits};
     use crate::field::{FermionField, GaugeField};
 
     #[test]
@@ -1271,44 +1252,57 @@ mod tests {
         }
     }
 
-    fn real_bits<R: Real>(v: &[Spinor<R>]) -> Vec<u64> {
-        v.iter()
-            .flat_map(|sp| sp.s.iter().flat_map(|cv| cv.c.iter()))
-            .flat_map(|z| [z.re.to_f64().to_bits(), z.im.to_f64().to_bits()])
-            .collect()
-    }
-
-    /// `PrecMobius::apply_dagger` against its oracle, the unfused
-    /// `apply_dagger_block(.., 1)`, on every real's bit pattern — at every
-    /// stencil grain and pool width, since neither may reach the bits.
-    fn dagger_matches_block_oracle<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
-        for l5 in [2, 4, 8] {
+    /// Both Möbius operators' fused forms (through
+    /// `assert_block_matches_oracle`: both directions, `nrhs` 1 and 3, pool
+    /// widths 1 and 4) and `PrecMobius`'s source preparation and
+    /// reconstruction against their unfused oracles, on every real's bit
+    /// pattern — at every stencil grain, since the grain may not reach the
+    /// bits.
+    fn fused_forms_match_oracles<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
+        for l5 in [2, 4] {
             for mass in [0.3, 0.05] {
                 for params in [
                     MobiusParams::standard(l5, mass),
                     MobiusParams::shamir(l5, mass),
                 ] {
-                    let mut op = PrecMobius::new(lat, gauge, params);
-                    let n = op.vec_len();
-                    let inp = FermionField::<R>::gaussian(n, 31 + l5 as u64).data;
-                    let mut oracle = vec![Spinor::zero(); n];
-                    op.apply_dagger_block(&mut oracle, &inp, 1);
-                    let oracle = real_bits(&oracle);
-                    for grain in [1, 7, 32, 1024] {
-                        op.grain = grain;
-                        for width in [1, 2, 4] {
-                            let mut out = vec![Spinor::zero(); n];
-                            rayon::ThreadPoolBuilder::new()
-                                .num_threads(width)
-                                .build()
-                                .expect("width handle")
-                                .install(|| op.apply_dagger(&mut out, &inp));
-                            assert!(
-                                real_bits(&out) == oracle,
-                                "{:?} {params:?} grain {grain} width {width}",
-                                lat.dims()
-                            );
+                    let what = format!("{:?} {params:?}", lat.dims());
+                    let grains = [1, 7, 32, 1024];
+                    let full = grains.map(|grain| MobiusDirac {
+                        grain,
+                        ..MobiusDirac::new(lat, gauge, params)
+                    });
+                    assert_block_matches_oracle(&full, &what, |o, i, nrhs, dagger| {
+                        let m = &full[0];
+                        let hop = &mut |o: &mut [Spinor<R>], i: &[Spinor<R>], n| {
+                            m.hopping.apply_oracle(o, i, None, n)
+                        };
+                        match dagger {
+                            false => m.apply_block_with_hop_oracle(o, i, nrhs, hop),
+                            true => m.apply_dagger_block_with_hop_oracle(o, i, nrhs, hop),
                         }
+                    });
+                    let prec = grains.map(|grain| PrecMobius {
+                        grain,
+                        ..PrecMobius::new(lat, gauge, params)
+                    });
+                    assert_block_matches_oracle(&prec, &what, |o, i, nrhs, dagger| {
+                        prec[0].schur_block(o, i, nrhs, dagger)
+                    });
+
+                    let n = prec[0].vec_len();
+                    let b_e = FermionField::<R>::gaussian(n, 61).data;
+                    let b_o = FermionField::<R>::gaussian(n, 62).data;
+                    for op in &prec {
+                        let (got, want) = (
+                            op.prepare_source(&b_e, &b_o),
+                            op.prepare_source_oracle(&b_e, &b_o),
+                        );
+                        assert!(real_bits(&got) == real_bits(&want), "{what}");
+                        let (got, want) = (
+                            op.reconstruct_even(&b_e, &b_o),
+                            op.reconstruct_even_oracle(&b_e, &b_o),
+                        );
+                        assert!(real_bits(&got) == real_bits(&want), "{what}");
                     }
                 }
             }
@@ -1316,12 +1310,12 @@ mod tests {
     }
 
     #[test]
-    fn prec_dagger_is_bit_identical_to_block_oracle() {
+    fn fused_sweeps_are_bit_identical_to_unfused_oracles() {
         for dims in [[4, 4, 4, 8], [4, 4, 2, 6], [8, 4, 4, 4]] {
             let lat = Lattice::new(dims);
             let gauge = GaugeField::<f64>::hot(&lat, 59);
-            dagger_matches_block_oracle(&lat, &gauge);
-            dagger_matches_block_oracle(&lat, &gauge.cast::<f32>());
+            fused_forms_match_oracles(&lat, &gauge);
+            fused_forms_match_oracles(&lat, &gauge.cast::<f32>());
         }
     }
 
@@ -1519,7 +1513,7 @@ mod tests {
         op.fifth
             .affine_shift(&mut expect, &psi, v, params.alpha(), params.beta(), false);
         let mut hpsi = vec![Spinor::zero(); n];
-        op.hop_5d_block(&mut hpsi, &psi, 1);
+        op.hopping.apply_oracle(&mut hpsi, &psi, None, 1);
         for i in 0..n {
             expect[i] = expect[i] - hpsi[i].scale(0.5);
         }

@@ -18,7 +18,6 @@ use crate::lattice::{Lattice, Parity};
 use crate::real::Real;
 use crate::spinor::Spinor;
 use parking_lot::Mutex;
-use rayon::prelude::*;
 
 /// The full-lattice Wilson operator.
 pub struct WilsonDirac<'a, R: Real, G: GaugeLinks<R>> {
@@ -65,39 +64,40 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for WilsonDirac<'a, R, G> {
         self.lattice.volume()
     }
 
-    fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let diag = R::from_f64(4.0 + self.mass);
-        let half = R::from_f64(0.5);
-        // The diagonal combination (`i·a − h·b` with `h` the hop) is fused
-        // into the stencil's single output write: the same per-site value
-        // chain as the separate passes of `apply_block`, so bit-identical.
-        self.hopping
-            .apply_full_fused_5d(out, inp, 1, self.grain, &|_, x, h| {
-                inp[x].scale(diag) - h.scale(half)
-            });
-    }
-
     fn flops_per_apply(&self) -> f64 {
         // Hopping + diagonal axpy-like update (4 real ops per component).
         self.lattice.volume() as f64 * (HOPPING_FLOPS_PER_SITE + 96.0)
     }
 
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.hopping.apply_full_block(out, inp, nrhs, self.grain);
-        let diag = R::from_f64(4.0 + self.mass);
-        let half = R::from_f64(0.5);
-        out.par_iter_mut().zip(inp.par_iter()).for_each(|(o, i)| {
-            *o = i.scale(diag) - o.scale(half);
-        });
+        self.sweep(out, inp, nrhs, |psi| psi);
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for WilsonDirac<'a, R, G> {
+    /// γ5-hermiticity: `D† = γ5 D γ5`.
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        // γ5-hermiticity: D† = γ5 D γ5.
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        self.apply_block(out, &g5in, nrhs);
-        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
+        self.sweep(out, inp, nrhs, |psi| psi.apply_gamma5());
+    }
+}
+
+impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
+    /// `g D g` for `g` the identity or γ5, in one fused stencil pass: `g`
+    /// rides on every neighbor fetch, and the diagonal combination
+    /// `g(g(i)·a − h·b)` (`h` the hop) is folded into the output write.
+    fn sweep(
+        &self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+        g: impl Fn(Spinor<R>) -> Spinor<R> + Sync,
+    ) {
+        let diag = R::from_f64(4.0 + self.mass);
+        let half = R::from_f64(0.5);
+        self.hopping
+            .apply_full_fused_5d(out, inp, 1, nrhs, self.grain, &g, &|i, h| {
+                g(g(inp[i]).scale(diag) - h.scale(half))
+            });
     }
 }
 
@@ -111,8 +111,8 @@ pub struct PrecWilson<'a, R: Real, G: GaugeLinks<R>> {
     /// winner; no production path tunes). Chunks write disjoint elements, so
     /// it never reaches the result's bits.
     pub grain: usize,
-    /// Reused half-volume intermediate for `apply` (behind a lock so
-    /// `apply` keeps its `&self` solver interface).
+    /// Reused half-volume intermediate of the two hops (behind a lock so
+    /// `apply_block` keeps its `&self` solver interface).
     scratch: Mutex<Vec<Spinor<R>>>,
 }
 
@@ -144,56 +144,78 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
 
     /// Split a full-volume vector into (even, odd) checkerboards.
     pub fn split(&self, full: &[Spinor<R>]) -> (Vec<Spinor<R>>, Vec<Spinor<R>>) {
-        let hv = self.lattice.half_volume();
-        let mut even = vec![Spinor::zero(); hv];
-        let mut odd = vec![Spinor::zero(); hv];
-        for x in 0..self.lattice.volume() {
-            match self.lattice.parity(x) {
-                Parity::Even => even[self.lattice.cb_index(x)] = full[x],
-                Parity::Odd => odd[self.lattice.cb_index(x)] = full[x],
-            }
-        }
-        (even, odd)
+        super::split_parity(self.lattice, full)
     }
 
     /// Merge (even, odd) checkerboards back into a full-volume vector.
     pub fn merge(&self, even: &[Spinor<R>], odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
-        let mut full = vec![Spinor::zero(); self.lattice.volume()];
-        for x in 0..self.lattice.volume() {
-            let cb = self.lattice.cb_index(x);
-            full[x] = match self.lattice.parity(x) {
-                Parity::Even => even[cb],
-                Parity::Odd => odd[cb],
-            };
-        }
-        full
+        super::merge_parity(self.lattice, even, odd)
     }
 
     /// Preconditioned source: `b'_o = b_o + ½/(4+m) · H_oe b_e`.
     pub fn prepare_source(&self, b_even: &[Spinor<R>], b_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
-        let hv = self.lattice.half_volume();
-        let mut tmp = vec![Spinor::zero(); hv];
-        self.hopping
-            .apply_parity(&mut tmp, b_even, Parity::Odd, self.grain);
         let c = R::from_f64(0.5 / self.diag());
-        tmp.par_iter_mut()
-            .zip(b_odd.par_iter())
-            .for_each(|(t, b)| *t = *b + t.scale(c));
-        tmp
+        self.hop_into_new(b_even, Parity::Odd, |i, h| b_odd[i] + h.scale(c))
     }
 
     /// Reconstruct the even solution: `x_e = (b_e + ½ H_eo x_o)/(4+m)`.
     pub fn reconstruct_even(&self, b_even: &[Spinor<R>], x_odd: &[Spinor<R>]) -> Vec<Spinor<R>> {
-        let hv = self.lattice.half_volume();
-        let mut tmp = vec![Spinor::zero(); hv];
-        self.hopping
-            .apply_parity(&mut tmp, x_odd, Parity::Even, self.grain);
         let inv = R::from_f64(1.0 / self.diag());
         let half = R::from_f64(0.5);
-        tmp.par_iter_mut()
-            .zip(b_even.par_iter())
-            .for_each(|(t, b)| *t = (*b + t.scale(half)).scale(inv));
-        tmp
+        self.hop_into_new(x_odd, Parity::Even, |i, h| {
+            (b_even[i] + h.scale(half)).scale(inv)
+        })
+    }
+
+    /// One fused hop of a single vector onto `parity`, `finish` folded into
+    /// the write of a fresh output vector.
+    fn hop_into_new(
+        &self,
+        inp: &[Spinor<R>],
+        parity: Parity,
+        finish: impl Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
+    ) -> Vec<Spinor<R>> {
+        let mut out = vec![Spinor::zero(); self.lattice.half_volume()];
+        self.hopping.apply_parity_fused_5d(
+            &mut out,
+            inp,
+            parity,
+            1,
+            1,
+            self.grain,
+            &|psi| psi,
+            &finish,
+        );
+        out
+    }
+
+    /// `g M̂ g` for `g` the identity or γ5, in two fused hops over the reused
+    /// half-volume intermediate: `g` rides on the first hop's fetches, and
+    /// the diagonal combination `g(g(i)·a − h·c)` is folded into the second
+    /// hop's output write.
+    fn schur(
+        &self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+        g: impl Fn(Spinor<R>) -> Spinor<R> + Sync,
+    ) {
+        let a = R::from_f64(self.diag());
+        let c = R::from_f64(0.25 / self.diag());
+        let mut even = self.scratch.lock();
+        even.resize(self.lattice.half_volume() * nrhs, Spinor::zero());
+        let (hop, grain) = (&self.hopping, self.grain);
+        hop.apply_parity_fused_5d(&mut even, inp, Parity::Even, 1, nrhs, grain, &g, &|_, h| h);
+        hop.apply_parity_fused_5d(
+            out,
+            &even,
+            Parity::Odd,
+            1,
+            nrhs,
+            grain,
+            &|psi| psi,
+            &|i, h| g(g(inp[i]).scale(a) - h.scale(c)),
+        );
     }
 }
 
@@ -202,56 +224,19 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecWilson<'a, R, G> {
         self.lattice.half_volume()
     }
 
-    fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        let hv = self.lattice.half_volume();
-        let a = R::from_f64(self.diag());
-        let c = R::from_f64(0.25 / self.diag());
-        // The second hop's diagonal combination (`i·a − h·c`) is folded
-        // into its output write — the identical value chain as the separate
-        // passes of `apply_block`, one fewer full pass, and a reused
-        // intermediate buffer.
-        let mut even = self.scratch.lock();
-        if even.len() != hv {
-            even.resize(hv, Spinor::zero());
-        }
-        self.hopping
-            .apply_parity(&mut even, inp, Parity::Even, self.grain);
-        self.hopping.apply_parity_fused_5d(
-            out,
-            &even,
-            Parity::Odd,
-            1,
-            self.grain,
-            &|psi| psi,
-            &|_, cb, h| inp[cb].scale(a) - h.scale(c),
-        );
-    }
-
     fn flops_per_apply(&self) -> f64 {
         // Two half-volume hopping applications + the diagonal combination.
         self.lattice.volume() as f64 * (HOPPING_FLOPS_PER_SITE + 48.0)
     }
 
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let hv = self.lattice.half_volume();
-        let mut even = vec![Spinor::zero(); hv * nrhs];
-        self.hopping
-            .apply_parity_block(&mut even, inp, Parity::Even, nrhs, self.grain);
-        self.hopping
-            .apply_parity_block(out, &even, Parity::Odd, nrhs, self.grain);
-        let a = R::from_f64(self.diag());
-        let c = R::from_f64(0.25 / self.diag());
-        out.par_iter_mut().zip(inp.par_iter()).for_each(|(o, i)| {
-            *o = i.scale(a) - o.scale(c);
-        });
+        self.schur(out, inp, nrhs, |psi| psi);
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecWilson<'a, R, G> {
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
-        self.apply_block(out, &g5in, nrhs);
-        out.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
+        self.schur(out, inp, nrhs, |psi| psi.apply_gamma5());
     }
 }
 
@@ -259,7 +244,102 @@ impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecWilson<'a, R, G> {
 mod tests {
     use super::*;
     use crate::blas;
+    use crate::dirac::testing::{assert_block_matches_oracle, real_bits};
     use crate::field::{FermionField, GaugeField};
+
+    /// `v`, or `γ5 v` for the adjoint, as a fresh vector.
+    fn gamma5_if<R: Real>(dagger: bool, v: &[Spinor<R>]) -> Vec<Spinor<R>> {
+        v.iter()
+            .map(|s| if dagger { s.apply_gamma5() } else { *s })
+            .collect()
+    }
+
+    /// The unfused compositions the fused sweeps are held to: γ5 copies
+    /// around the kernel's oracle hops and a separate diagonal pass.
+    fn oracle_wilson<R: Real>(
+        d: &WilsonDirac<R, GaugeField<R>>,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+        dagger: bool,
+    ) {
+        let gin = gamma5_if(dagger, inp);
+        d.hopping.apply_oracle(out, &gin, None, nrhs);
+        let (diag, half) = (R::from_f64(4.0 + d.mass), R::from_f64(0.5));
+        for (o, i) in out.iter_mut().zip(&gin) {
+            *o = i.scale(diag) - o.scale(half);
+        }
+        out.copy_from_slice(&gamma5_if(dagger, out));
+    }
+
+    fn oracle_prec_wilson<R: Real>(
+        p: &PrecWilson<R, GaugeField<R>>,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+        dagger: bool,
+    ) {
+        let gin = gamma5_if(dagger, inp);
+        let mut even = vec![Spinor::zero(); inp.len()];
+        p.hopping
+            .apply_oracle(&mut even, &gin, Some(Parity::Even), nrhs);
+        p.hopping.apply_oracle(out, &even, Some(Parity::Odd), nrhs);
+        let (a, c) = (R::from_f64(p.diag()), R::from_f64(0.25 / p.diag()));
+        for (o, i) in out.iter_mut().zip(&gin) {
+            *o = i.scale(a) - o.scale(c);
+        }
+        out.copy_from_slice(&gamma5_if(dagger, out));
+    }
+
+    fn fused_forms_match_oracles<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
+        let ds = [1, 7, 1024].map(|grain| WilsonDirac {
+            grain,
+            ..WilsonDirac::new(lat, gauge, 0.1, true)
+        });
+        assert_block_matches_oracle(&ds, "WilsonDirac", |o, i, n, dag| {
+            oracle_wilson(&ds[0], o, i, n, dag)
+        });
+        let ops = [1, 7, 1024].map(|grain| PrecWilson {
+            grain,
+            ..PrecWilson::new(lat, gauge, 0.1, true)
+        });
+        assert_block_matches_oracle(&ops, "PrecWilson", |o, i, n, dag| {
+            oracle_prec_wilson(&ops[0], o, i, n, dag)
+        });
+        let p = &ops[0];
+
+        // Source preparation and reconstruction: the oracle hop, then the
+        // combination pass.
+        let hv = lat.half_volume();
+        let b_e = FermionField::<R>::gaussian(hv, 51).data;
+        let b_o = FermionField::<R>::gaussian(hv, 52).data;
+        let (c, inv, half) = (
+            R::from_f64(0.5 / p.diag()),
+            R::from_f64(1.0 / p.diag()),
+            R::from_f64(0.5),
+        );
+        let mut want = vec![Spinor::zero(); hv];
+        p.hopping
+            .apply_oracle(&mut want, &b_e, Some(Parity::Odd), 1);
+        for (w, b) in want.iter_mut().zip(&b_o) {
+            *w = *b + w.scale(c);
+        }
+        assert!(real_bits(&p.prepare_source(&b_e, &b_o)) == real_bits(&want));
+        p.hopping
+            .apply_oracle(&mut want, &b_o, Some(Parity::Even), 1);
+        for (w, b) in want.iter_mut().zip(&b_e) {
+            *w = (*b + w.scale(half)).scale(inv);
+        }
+        assert!(real_bits(&p.reconstruct_even(&b_e, &b_o)) == real_bits(&want));
+    }
+
+    #[test]
+    fn fused_sweeps_are_bit_identical_to_unfused_oracles() {
+        let lat = Lattice::new([4, 4, 2, 6]);
+        let gauge = GaugeField::<f64>::hot(&lat, 19);
+        fused_forms_match_oracles(&lat, &gauge);
+        fused_forms_match_oracles(&lat, &gauge.cast::<f32>());
+    }
 
     #[test]
     fn constant_mode_on_periodic_cold_gauge_has_eigenvalue_m() {

@@ -2,7 +2,7 @@
 //!
 //! The hot kernel bodies are plain scalar loops, written so rustc's
 //! autovectorizer handles them; the baseline `x86_64` ISA caps that at
-//! 128-bit vectors. Each kernel runs its chunk body through [`dispatch`],
+//! 128-bit vectors. Each kernel runs its chunk body through `dispatch`,
 //! which on a CPU with AVX2 calls it inside one
 //! `#[target_feature(enable = "avx2")]` wrapper, so the same source is
 //! compiled a second time with 256-bit vectors. There is no feature switch:

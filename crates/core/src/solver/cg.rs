@@ -89,12 +89,7 @@ impl<R: Real, A: LinearOp<R> + ?Sized> FallibleOp<R> for &A {
         inp: &[Spinor<R>],
         nrhs: usize,
     ) -> Result<(), CommError> {
-        // A one-column block is a plain vector: run the single-RHS kernel.
-        if nrhs == 1 {
-            (**self).apply(out, inp);
-        } else {
-            (**self).apply_block(out, inp, nrhs);
-        }
+        (**self).apply_block(out, inp, nrhs);
         Ok(())
     }
 

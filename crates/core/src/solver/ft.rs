@@ -78,14 +78,24 @@ impl<R: Real> CgCheckpoint<R> {
         out
     }
 
-    /// Rebuild from the flat layout; `None` on any shape violation.
+    /// Rebuild from the flat layout; `None` on any shape violation: a
+    /// header count (`iteration`, `n`) that is not a finite non-negative
+    /// integer, or a length other than the one `n` implies. Every check
+    /// runs before anything is allocated.
     pub fn from_f64_vec(data: &[f64]) -> Option<Self> {
-        let n = *data.get(2)? as usize;
-        if data.len() != 3 + 3 * n * CKPT_SPINOR_F64 {
+        let count = |x: f64| {
+            let exact = x >= 0.0 && x.fract() == 0.0 && x < usize::MAX as f64;
+            exact.then_some(x as usize)
+        };
+        let iteration = count(*data.first()?)?;
+        let rho = *data.get(1)?;
+        let n = count(*data.get(2)?)?;
+        let expected = n
+            .checked_mul(3 * CKPT_SPINOR_F64)
+            .and_then(|reals| reals.checked_add(3))?;
+        if data.len() != expected {
             return None;
         }
-        let iteration = data[0] as usize;
-        let rho = data[1];
         let mut fields: [Vec<Spinor<R>>; 3] = [Vec::new(), Vec::new(), Vec::new()];
         let mut at = 3;
         for field in fields.iter_mut() {
@@ -309,7 +319,7 @@ mod tests {
             &mut self,
             out: &mut [Spinor<f64>],
             inp: &[Spinor<f64>],
-            _nrhs: usize,
+            nrhs: usize,
         ) -> Result<(), CommError> {
             let idx = self.calls;
             self.calls += 1;
@@ -321,7 +331,7 @@ mod tests {
                     attempts: 4,
                 });
             }
-            self.op.apply(out, inp);
+            self.op.apply_block(out, inp, nrhs);
             Ok(())
         }
 
@@ -495,5 +505,49 @@ mod tests {
         let back = CgCheckpoint::<f64>::from_f64_vec(&flat).unwrap();
         assert_eq!(back, ckpt);
         assert!(CgCheckpoint::<f64>::from_f64_vec(&flat[..flat.len() - 1]).is_none());
+    }
+
+    /// A hostile payload decodes to `None` or to a well-formed checkpoint,
+    /// never a panic: header counts that overflow the length arithmetic or
+    /// do not fit a `usize`, every truncation, every single-bit flip of a
+    /// header word.
+    #[test]
+    fn hostile_checkpoint_payloads_never_panic() {
+        for header in [
+            [0.0, 0.0, (1u64 << 61) as f64],
+            [0.0, 0.0, 1e30],
+            [0.0, 0.0, f64::NAN],
+            [0.0, 0.0, -1.0],
+            [0.0, 0.0, 0.5],
+            [f64::INFINITY, 0.0, 0.0],
+        ] {
+            assert!(
+                CgCheckpoint::<f64>::from_f64_vec(&header).is_none(),
+                "{header:?}"
+            );
+        }
+        let flat = CgCheckpoint::<f64> {
+            iteration: 9,
+            rho: 0.5,
+            x: FermionField::<f64>::gaussian(2, 4).data,
+            r: FermionField::<f64>::gaussian(2, 5).data,
+            p: FermionField::<f64>::gaussian(2, 6).data,
+        }
+        .to_f64_vec();
+        for len in 0..flat.len() {
+            assert!(
+                CgCheckpoint::<f64>::from_f64_vec(&flat[..len]).is_none(),
+                "{len}"
+            );
+        }
+        for word in 0..3 {
+            for bit in 0..64 {
+                let mut data = flat.clone();
+                data[word] = f64::from_bits(data[word].to_bits() ^ (1 << bit));
+                if let Some(c) = CgCheckpoint::<f64>::from_f64_vec(&data) {
+                    assert!(c.x.len() == 2 && c.r.len() == 2 && c.p.len() == 2);
+                }
+            }
+        }
     }
 }

@@ -418,12 +418,13 @@ mod tests {
         fn vec_len(&self) -> usize {
             self.0.vec_len()
         }
-        fn apply(
+        fn apply_block(
             &self,
             out: &mut [crate::spinor::Spinor<f32>],
             inp: &[crate::spinor::Spinor<f32>],
+            nrhs: usize,
         ) {
-            self.0.apply(out, inp);
+            self.0.apply_block(out, inp, nrhs);
             for sp in out.iter_mut() {
                 for cv in sp.s.iter_mut() {
                     for z in cv.c.iter_mut() {

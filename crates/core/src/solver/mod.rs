@@ -2,7 +2,7 @@
 //!
 //! The paper's production solver is conjugate gradient on the normal
 //! equations ([`cgne`]) over the red–black preconditioned Möbius operator,
-//! run double/half mixed-precision with reliable updates ([`mixed`]). The
+//! run double/half mixed-precision with reliable updates ([`mixed_cg`]). The
 //! CG recurrence is written once (see [`cg`]'s module); [`cg`],
 //! [`cg_block`], [`cg_ft`] and [`mixed_cg`] are drivers over it. A BiCGStab
 //! variant covers non-Hermitian 4D Wilson solves; shift-invert Lanczos plus

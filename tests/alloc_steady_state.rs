@@ -6,7 +6,9 @@
 //! `NormalOp<f32, PrecMobius>` at the `fh_small` shape, 4³×8 with L5 = 4 —
 //! to it: after a warm-up call has sized every scratch buffer, further
 //! applies and further CG iterations request no memory at width 1, and only
-//! the pool's per-job handle once the stencil forks. The sharded normal
+//! the pool's per-job handle once the stencil forks. So do warm block
+//! applies of that operator and of the solve service's
+//! `NormalOp<f64, WilsonDirac>`. The sharded normal
 //! operator is held to its wire: a warm apply requests the halo frames'
 //! buffers and nothing that scales with the 5D vector.
 //!
@@ -112,6 +114,32 @@ fn steady_state_applies_and_iterations_request_no_memory() {
         };
         solve_bytes(1); // registers the `solver.cg.*` metrics
         assert_eq!(solve_bytes(30), solve_bytes(10));
+
+        // The block forms run the same fused sweeps over the same scratch:
+        // a warm block apply requests nothing either.
+        let nrhs = 3;
+        let b3 = FermionField::<f32>::gaussian(n * nrhs, 15).data;
+        let mut out3 = vec![Spinor::zero(); n * nrhs];
+        normal.apply_block(&mut out3, &b3, nrhs);
+        let bytes = bytes_requested(|| normal.apply_block(&mut out3, &b3, nrhs));
+        assert_eq!(
+            bytes, 0,
+            "a warm {nrhs}-column PrecMobius block apply requested {bytes} B"
+        );
+
+        // The solve service's operator, at a `serve_zipf` batch width.
+        let gauge = GaugeField::<f64>::hot(&lat, 16);
+        let wilson = WilsonDirac::new(&lat, &gauge, 0.2, true);
+        let normal = NormalOp::new(&wilson);
+        let (n, nrhs) = (normal.vec_len(), 4);
+        let b4 = FermionField::<f64>::gaussian(n * nrhs, 17).data;
+        let mut out4 = vec![Spinor::zero(); n * nrhs];
+        normal.apply_block(&mut out4, &b4, nrhs);
+        let bytes = bytes_requested(|| normal.apply_block(&mut out4, &b4, nrhs));
+        assert_eq!(
+            bytes, 0,
+            "a warm {nrhs}-column Wilson block apply requested {bytes} B"
+        );
     });
 
     // Wide enough for the stencil to fork: what is left is the pool's

@@ -244,8 +244,8 @@ impl<R: Real, A: LinearOp<R>> LinearOp<R> for Negated<'_, A> {
     fn vec_len(&self) -> usize {
         self.0.vec_len()
     }
-    fn apply(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>]) {
-        self.0.apply(out, inp);
+    fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
+        self.0.apply_block(out, inp, nrhs);
         blas::scal(-1.0, out);
     }
 }

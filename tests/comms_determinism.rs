@@ -27,8 +27,8 @@ fn at_width<R: Send>(w: usize, op: impl FnOnce() -> R + Send) -> R {
         .install(op)
 }
 
-/// Reference: the single-domain hopping kernel applied slice-by-slice to an
-/// s-major 5D vector.
+/// Reference: the single-domain kernel's fused sweep over an s-major 5D
+/// vector.
 fn single_domain_hop<R: Real, G: GaugeLinks<R>>(
     lat: &Lattice,
     gauge: &G,
@@ -36,11 +36,8 @@ fn single_domain_hop<R: Real, G: GaugeLinks<R>>(
     l5: usize,
 ) -> Vec<Spinor<R>> {
     let hopping = HoppingKernel::new(lat, gauge, true);
-    let v = lat.volume();
-    let mut out = vec![Spinor::zero(); l5 * v];
-    for s in 0..l5 {
-        hopping.apply_full(&mut out[s * v..(s + 1) * v], &inp[s * v..(s + 1) * v], 1024);
-    }
+    let mut out = vec![Spinor::zero(); inp.len()];
+    hopping.apply_full_fused_5d(&mut out, inp, l5, 1, 1024, &|psi| psi, &|_, h| h);
     out
 }
 

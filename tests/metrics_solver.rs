@@ -105,8 +105,8 @@ impl<D: DiracOp<f32>> LinearOp<f32> for MisscaledOp<'_, D> {
     fn vec_len(&self) -> usize {
         self.0.vec_len()
     }
-    fn apply(&self, out: &mut [Spinor<f32>], inp: &[Spinor<f32>]) {
-        self.0.apply(out, inp);
+    fn apply_block(&self, out: &mut [Spinor<f32>], inp: &[Spinor<f32>], nrhs: usize) {
+        self.0.apply_block(out, inp, nrhs);
         blas::scal(self.1, out);
     }
 }
