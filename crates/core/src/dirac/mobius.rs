@@ -1254,12 +1254,12 @@ mod tests {
 
     /// Both Möbius operators' fused forms (through
     /// `assert_block_matches_oracle`: both directions, `nrhs` 1 and 3, pool
-    /// widths 1 and 4) and `PrecMobius`'s source preparation and
+    /// widths 1, 2 and 4; L5 2, 4 and 8) and `PrecMobius`'s source preparation and
     /// reconstruction against their unfused oracles, on every real's bit
     /// pattern — at every stencil grain, since the grain may not reach the
     /// bits.
     fn fused_forms_match_oracles<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
-        for l5 in [2, 4] {
+        for l5 in [2, 4, 8] {
             for mass in [0.3, 0.05] {
                 for params in [
                     MobiusParams::standard(l5, mass),

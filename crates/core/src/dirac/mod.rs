@@ -149,7 +149,7 @@ pub(crate) mod testing {
     /// Hold every operator of `ops` — one operator at several stencil grains,
     /// say — to `oracle(out, inp, nrhs, dagger)` in both directions
     /// (`apply_block`, `apply_dagger_block`) on every real's bit pattern, at
-    /// `nrhs` 1 and 3 and pool widths 1 and 4.
+    /// `nrhs` 1 and 3 and pool widths 1, 2 and 4.
     pub(crate) fn assert_block_matches_oracle<R: Real, D: DiracOp<R>>(
         ops: &[D],
         what: &str,
@@ -163,7 +163,7 @@ pub(crate) mod testing {
                 oracle(&mut want, &inp, nrhs, dagger);
                 let want = real_bits(&want);
                 for (k, op) in ops.iter().enumerate() {
-                    for width in [1, 4] {
+                    for width in [1, 2, 4] {
                         let mut got = vec![Spinor::zero(); n];
                         let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
                         pool.expect("width handle").install(|| match dagger {

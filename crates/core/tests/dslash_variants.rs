@@ -9,6 +9,8 @@
 //!   block, comes out of the block forms with the committed digest — so a
 //!   column of a block is bit-identical to the single-vector form the
 //!   goldens were first recorded from,
+//! - the same vector run alone, as the one-column block `apply` is, comes
+//!   out with that digest too,
 //! - results are bit-identical at pool widths 1 and 4,
 //! - the 12-real / 8-real reconstructed operators track full storage to
 //!   tight tolerance (they trade exactness for bandwidth, so they pin their
@@ -58,14 +60,12 @@ fn with_width<T: Send>(w: usize, f: impl FnOnce() -> T + Send) -> T {
         .install(f)
 }
 
-/// Columns of the block each case runs; the pinned vector is the middle one.
-const NRHS: usize = 3;
-
 /// The pinned seed's vector rides as the middle column of a block whose
 /// other columns come from other seeds. That column of `apply_block` must
 /// hash to one digest at pool widths 1 and 4, recorded under the case's
 /// golden key; that of `apply_dagger_block` likewise, under
-/// `{case}_dagger`.
+/// `{case}_dagger`. The same vector run alone, as the one-column block
+/// that `apply`/`apply_dagger` are, must hash to that digest too.
 fn digest_case<R, Op>(case: &str, op: &Op, seed: u64, map: &mut BTreeMap<String, u64>)
 where
     R: Real,
@@ -74,22 +74,31 @@ where
     let n = op.vec_len();
     let cols = [seed + 1000, seed, seed + 2000].map(|s| FermionField::<R>::gaussian(n, s).data);
     let block = BlockSpinor::from_columns(&cols);
-    let run = |w: usize, dagger: bool| {
-        let mut out = BlockSpinor::zeros(n, NRHS);
-        let (out_ref, inp) = (out.data_mut(), block.data());
+    let run = |w: usize, dagger: bool, inp: &BlockSpinor<R>, col: usize| {
+        let nrhs = inp.nrhs();
+        let mut out = BlockSpinor::zeros(n, nrhs);
+        let (out_ref, inp) = (out.data_mut(), inp.data());
         with_width(w, move || match dagger {
-            false => op.apply_block(out_ref, inp, NRHS),
-            true => op.apply_dagger_block(out_ref, inp, NRHS),
+            false => op.apply_block(out_ref, inp, nrhs),
+            true => op.apply_dagger_block(out_ref, inp, nrhs),
         });
-        digest(&out.col(1))
+        digest(&out.col(col))
     };
+    let single = BlockSpinor::from_columns(&cols[1..2]);
     for (key, dagger) in [(case.to_string(), false), (format!("{case}_dagger"), true)] {
-        let reference = run(1, dagger);
+        let reference = run(1, dagger, &block, 1);
         assert_eq!(
-            run(4, dagger),
+            run(4, dagger, &block, 1),
             reference,
             "{key}: the block form at width 4 diverges from width 1"
         );
+        for w in [1, 4] {
+            assert_eq!(
+                run(w, dagger, &single, 0),
+                reference,
+                "{key}: the one-column form at width {w} diverges from the block column"
+            );
+        }
         map.insert(key, reference);
     }
 }
