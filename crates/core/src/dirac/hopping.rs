@@ -8,10 +8,13 @@
 //! stencil structure QUDA uses. One fused sweep per checkerboarding serves
 //! every Dirac operator: the 4D Wilson ones as a single slice, the 5D Möbius
 //! ones across all `L5` slices, each at any number of right-hand-side columns.
+//! The sweep hops a site's `L5 × nrhs` spinors together, as vector lanes
+//! that share its links (`lanes`), each lane bit-identical to [`hop_site`].
 //!
 //! Antiperiodic temporal boundary conditions for fermions are applied as a
 //! sign on hops whose neighbor lookup wrapped in `t`.
 
+use super::lanes;
 use crate::complex::Complex;
 use crate::field::GaugeLinks;
 use crate::gamma::GAMMAS;
@@ -185,8 +188,10 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
     /// field per slice. `load` maps every neighbor spinor as it is fetched
     /// (the identity for `H`; γ5 for the adjoint `H† = γ5 H γ5`, the same
     /// values a separate γ5 pass over `inp` would feed the stencil), each hop
-    /// is the very same [`hop_site`] value (the cached-link closure
-    /// reproduces the per-call link fetches bit for bit), and `finish(i, h)`
+    /// is the very same [`hop_site`] value — a site's spinors are hopped as
+    /// vector lanes, each lane performing `hop_site`'s exact operation
+    /// chain, and the few a lane group cannot fill go through `hop_site`
+    /// itself with the cached links — and `finish(i, h)`
     /// maps it to the value stored at `out[i]` — the diagonal or
     /// fifth-dimension algebra folded into the single output write. `grain`
     /// counts 4D sites per parallel chunk.
@@ -245,7 +250,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
     /// The one stencil body, `(l5, nrhs, grain)` as in the two sweeps above:
     /// output row `row` (of `rows` per slice) is lexicographic site
     /// `site(row)`, and a neighbor `e` is read from slot `slot(lattice, e)`
-    /// of the input slice.
+    /// of the input slice. Each row's `L5 × nrhs` spinors go through
+    /// [`lanes::hop_row`], which hops them as vector lanes.
     #[allow(clippy::too_many_arguments)]
     fn fused_sweep<S, I, L, F>(
         &self,
@@ -280,26 +286,36 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
                     for row in range {
                         let x = site(row);
                         let nb = this.lattice.neighbors(x);
-                        let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| this.gauge.link(x, mu));
-                        let bwd: [Su3<R>; ND] =
-                            std::array::from_fn(|mu| this.gauge.link(nb.bwd[mu] as usize, mu));
-                        let cached =
-                            |site: usize, mu: usize| if site == x { fwd[mu] } else { bwd[mu] };
-                        for s in 0..l5 {
-                            let slice = &inp[s * slice_len..(s + 1) * slice_len];
-                            for j in 0..nrhs {
-                                let fetch =
-                                    |e: usize| load(slice[slot(this.lattice, e) * nrhs + j]);
-                                let h = hop_site(nb, x, this.antiperiodic_t, &fetch, &cached);
-                                let i = (s * rows + row) * nrhs + j;
-                                // SAFETY: element `i` is written exactly once
-                                // — `row` ranges over disjoint chunks across
-                                // tasks, `s` and `j` are task-local loops — so
-                                // no two tasks alias any element, and
+                        let (g, b) = (this.gauge, nb.bwd.map(|e| e as usize));
+                        let fwd = [g.link(x, 0), g.link(x, 1), g.link(x, 2), g.link(x, 3)];
+                        let bwd = [
+                            g.link(b[0], 0),
+                            g.link(b[1], 1),
+                            g.link(b[2], 2),
+                            g.link(b[3], 3),
+                        ];
+                        lanes::hop_row(
+                            nb,
+                            x,
+                            this.antiperiodic_t,
+                            (&fwd, &bwd),
+                            (l5, nrhs, slice_len),
+                            #[inline(always)]
+                            |e| slot(this.lattice, e) * nrhs,
+                            #[inline(always)]
+                            |i| load(inp[i]),
+                            #[inline(always)]
+                            |b, h| {
+                                let i = b + row * nrhs;
+                                // SAFETY: `b = s·slice_len + j` for the row's
+                                // spinor (s, j), so `i = (s·rows + row)·nrhs
+                                // + j` is written exactly once — `row` ranges
+                                // over disjoint chunks across tasks and
+                                // `hop_row` stores each (s, j) once — and
                                 // `i < l5·rows·nrhs = out.len()`.
                                 unsafe { *optr.get().add(i) = finish(i, h) };
-                            }
-                        }
+                            },
+                        );
                     }
                 },
             )
@@ -494,33 +510,51 @@ mod tests {
         }
     }
 
+    /// `(l5, nrhs)` shapes covering every lane-group mix of both widths. In
+    /// `f32` (8 lanes, half group 4): full groups only (8, 16), full then
+    /// half group then `hop_site` (2 × 7 = 14), half group only (4), half
+    /// group then `hop_site` (6) and `hop_site` only (1, 2, 3). In `f64` (4
+    /// lanes, half group 2) the same shapes give full groups only (4, 8, 16),
+    /// full then half (6, 14), half then `hop_site` (3) and `hop_site` only
+    /// (1).
+    const LANE_SHAPES: [(usize, usize); 10] = [
+        (1, 1),
+        (2, 1),
+        (1, 3),
+        (1, 4),
+        (4, 1),
+        (2, 3),
+        (8, 1),
+        (2, 4),
+        (2, 7),
+        (4, 4),
+    ];
+
     /// Both sweeps against [`HoppingKernel::apply_oracle`] on every real's bit
-    /// pattern, and every column of a block against the sweep of that
-    /// column alone.
-    fn fused_matches_oracle<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
+    /// pattern at every shape of [`LANE_SHAPES`], and every column of a block
+    /// against the sweep of that column alone.
+    fn fused_matches_oracle<R: Real, G: GaugeLinks<R>>(lat: &Lattice, gauge: &G) {
         let hop = HoppingKernel::new(lat, gauge, true);
         for parity in [None, Some(Parity::Even), Some(Parity::Odd)] {
             let rows = parity.map_or(lat.volume(), |_| lat.half_volume());
-            for l5 in [1, 2] {
-                for nrhs in [1, 3, 4] {
-                    let cols: Vec<Vec<Spinor<R>>> = (0..nrhs)
-                        .map(|j| FermionField::gaussian(l5 * rows, 100 + j as u64).data)
-                        .collect();
-                    let block = BlockSpinor::from_columns(&cols);
-                    let mut out = BlockSpinor::zeros(l5 * rows, nrhs);
-                    fused(&hop, out.data_mut(), block.data(), parity, (l5, nrhs, 7));
-                    let mut oracle = vec![Spinor::zero(); out.data().len()];
-                    hop.apply_oracle(&mut oracle, block.data(), parity, nrhs);
-                    let what = format!("{parity:?} l5 {l5} nrhs {nrhs}");
-                    assert!(real_bits(out.data()) == real_bits(&oracle), "{what}");
-                    for (j, c) in cols.iter().enumerate() {
-                        let mut single = vec![Spinor::zero(); c.len()];
-                        fused(&hop, &mut single, c, parity, (l5, 1, 64));
-                        assert!(
-                            real_bits(&out.col(j)) == real_bits(&single),
-                            "{what} column {j}"
-                        );
-                    }
+            for (l5, nrhs) in LANE_SHAPES {
+                let cols: Vec<Vec<Spinor<R>>> = (0..nrhs)
+                    .map(|j| FermionField::gaussian(l5 * rows, 100 + j as u64).data)
+                    .collect();
+                let block = BlockSpinor::from_columns(&cols);
+                let mut out = BlockSpinor::zeros(l5 * rows, nrhs);
+                fused(&hop, out.data_mut(), block.data(), parity, (l5, nrhs, 7));
+                let mut oracle = vec![Spinor::zero(); out.data().len()];
+                hop.apply_oracle(&mut oracle, block.data(), parity, nrhs);
+                let what = format!("{} {parity:?} l5 {l5} nrhs {nrhs}", R::NAME);
+                assert!(real_bits(out.data()) == real_bits(&oracle), "{what}");
+                for (j, c) in cols.iter().enumerate() {
+                    let mut single = vec![Spinor::zero(); c.len()];
+                    fused(&hop, &mut single, c, parity, (l5, 1, 64));
+                    assert!(
+                        real_bits(&out.col(j)) == real_bits(&single),
+                        "{what} column {j}"
+                    );
                 }
             }
         }
@@ -531,6 +565,52 @@ mod tests {
         let (lat, gauge, _) = setup([4, 4, 2, 6], 17);
         fused_matches_oracle(&lat, &gauge);
         fused_matches_oracle(&lat, &gauge.cast::<f32>());
+    }
+
+    /// Compressed links reach the lanes through [`GaugeLinks`] exactly as
+    /// they reach [`hop_site`].
+    #[test]
+    fn fused_sweeps_on_compressed_links_match_the_oracle() {
+        let (lat, gauge, _) = setup([4, 4, 2, 6], 19);
+        let gauge = gauge.cast::<f32>();
+        fused_matches_oracle(&lat, &crate::recon::Recon12Gauge::from_gauge(&gauge));
+        fused_matches_oracle(&lat, &crate::recon::Recon8Gauge::from_gauge(&gauge));
+    }
+
+    /// A γ5 `load` feeds the lanes the values a separate γ5 pass over the
+    /// input feeds the oracle, at a shape with full, half and `hop_site`
+    /// spinors in both precisions.
+    fn gamma5_load_matches_oracle<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
+        let hop = HoppingKernel::new(lat, gauge, true);
+        let (l5, nrhs) = (2, 7);
+        let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
+        for parity in [None, Some(Parity::Even), Some(Parity::Odd)] {
+            let rows = parity.map_or(lat.volume(), |_| lat.half_volume());
+            let inp = FermionField::<R>::gaussian(l5 * rows * nrhs, 23).data;
+            let mut out = vec![Spinor::zero(); inp.len()];
+            let finish = |_, h| h;
+            match parity {
+                None => hop.apply_full_fused_5d(&mut out, &inp, l5, nrhs, 5, &gamma5, &finish),
+                Some(p) => {
+                    hop.apply_parity_fused_5d(&mut out, &inp, p, l5, nrhs, 5, &gamma5, &finish)
+                }
+            }
+            let flipped: Vec<Spinor<R>> = inp.iter().map(|&psi| gamma5(psi)).collect();
+            let mut oracle = vec![Spinor::zero(); inp.len()];
+            hop.apply_oracle(&mut oracle, &flipped, parity, nrhs);
+            assert!(
+                real_bits(&out) == real_bits(&oracle),
+                "{} {parity:?}",
+                R::NAME
+            );
+        }
+    }
+
+    #[test]
+    fn gamma5_load_is_bit_identical_to_a_gamma5_pass() {
+        let (lat, gauge, _) = setup([4, 4, 2, 6], 29);
+        gamma5_load_matches_oracle(&lat, &gauge);
+        gamma5_load_matches_oracle(&lat, &gauge.cast::<f32>());
     }
 
     #[test]

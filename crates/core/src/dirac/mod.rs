@@ -1,6 +1,7 @@
 //! Dirac operators and the linear-operator interface used by the solvers.
 
 mod hopping;
+pub(crate) mod lanes;
 mod mobius;
 mod wilson;
 

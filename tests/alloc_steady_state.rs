@@ -8,7 +8,8 @@
 //! applies and further CG iterations request no memory at width 1, and only
 //! the pool's per-job handle once the stencil forks. So do warm block
 //! applies of that operator and of the solve service's
-//! `NormalOp<f64, WilsonDirac>`. The sharded normal
+//! `NormalOp<f64, WilsonDirac>`, and warm applies at `mobius_large`'s
+//! L5 = 8, whose f32 stencil runs full-width lane groups. The sharded normal
 //! operator is held to its wire: a warm apply requests the halo frames'
 //! buffers and nothing that scales with the 5D vector.
 //!
@@ -125,6 +126,20 @@ fn steady_state_applies_and_iterations_request_no_memory() {
         assert_eq!(
             bytes, 0,
             "a warm {nrhs}-column PrecMobius block apply requested {bytes} B"
+        );
+
+        // L5 = 4 hops each site's four f32 spinors as one half-width lane
+        // group; `mobius_large`'s L5 = 8 fills a full-width group. The lane
+        // tiles live on the stack: a warm apply requests nothing here either.
+        let wide = PrecMobius::new(&lat, &gauge, MobiusParams::standard(8, 0.3));
+        let wide = NormalOp::new(&wide);
+        let b8 = FermionField::<f32>::gaussian(wide.vec_len(), 18).data;
+        let mut out8 = vec![Spinor::zero(); wide.vec_len()];
+        wide.apply(&mut out8, &b8);
+        let bytes = bytes_requested(|| wide.apply(&mut out8, &b8));
+        assert_eq!(
+            bytes, 0,
+            "a warm L5 = 8 apply at width 1 requested {bytes} B"
         );
 
         // The solve service's operator, at a `serve_zipf` batch width.
