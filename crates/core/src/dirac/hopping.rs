@@ -30,11 +30,13 @@ pub const HOPPING_FLOPS_PER_SITE: f64 = 1320.0;
 
 /// One site of `H ψ` in half-spinor form, with all geometry abstracted out:
 /// neighbor indices come from `nb`, spinors from `fetch`, links from
-/// `link(site, mu)`. The single-domain kernel resolves these against the
-/// full lattice; the sharded halo-exchange kernel resolves them against
-/// extended local tables whose wrap flags were computed from *global*
-/// coordinates. Both paths share this one function, so their outputs are
-/// bit-identical by construction.
+/// `link(site, mu)`. It is the scalar form of the one stencil body,
+/// `lanes::hop_row`: every lane of a row performs this exact operation
+/// chain, and the spinors a lane group cannot fill go through this function
+/// itself. The single-domain sweeps resolve the geometry against the full
+/// lattice; the sharded halo-exchange kernel runs the same row against a
+/// rank's extended index space, whose wrap flags were computed from
+/// *global* coordinates, so the two are bit-identical by construction.
 #[inline]
 pub fn hop_site<R: Real>(
     nb: &Neighbors,
@@ -95,41 +97,6 @@ pub fn hop_site<R: Real>(
         }
     }
     r
-}
-
-/// One site-row of the sharded kernel's blocked hop. The eight links of
-/// site `x` are fetched once into locals and every RHS column reuses them.
-/// Each column is then evaluated by the very same [`hop_site`], so column
-/// `j` of the output is bit-identical to a single-RHS application of that
-/// column.
-///
-/// `fetch(site, j)` returns column `j` of the neighbor spinor; `out` is the
-/// `nrhs`-long interleaved row at site `x`. A one-column row has no second
-/// column to reuse the links, so it calls [`hop_site`] with the caller's
-/// `link` directly instead of copying eight links into locals first.
-#[inline]
-pub fn hop_site_block<R: Real>(
-    nb: &Neighbors,
-    x: usize,
-    antiperiodic_t: bool,
-    fetch: &impl Fn(usize, usize) -> Spinor<R>,
-    link: &impl Fn(usize, usize) -> Su3<R>,
-    out: &mut [Spinor<R>],
-) {
-    if let [o] = out {
-        *o = hop_site(nb, x, antiperiodic_t, &|e| fetch(e, 0), link);
-        return;
-    }
-    let fwd: [Su3<R>; ND] = std::array::from_fn(|mu| link(x, mu));
-    let bwd: [Su3<R>; ND] = std::array::from_fn(|mu| link(nb.bwd[mu] as usize, mu));
-    // `hop_site` asks for `link(x, mu)` on forward hops and
-    // `link(nb.bwd[mu], mu)` on backward ones; when a backward neighbor
-    // coincides with `x` (extent-1 direction) the forward cache is the same
-    // link, so the site test is exact.
-    let cached = |site: usize, mu: usize| if site == x { fwd[mu] } else { bwd[mu] };
-    for (j, o) in out.iter_mut().enumerate() {
-        *o = hop_site(nb, x, antiperiodic_t, &|e| fetch(e, j), &cached);
-    }
 }
 
 /// Pointer wrapper that lets disjoint parallel tasks write through a shared

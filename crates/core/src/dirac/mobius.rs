@@ -613,14 +613,55 @@ pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     /// it never reaches the result's bits.
     pub grain: usize,
     /// Reusable 5D staging buffers: `ρ(ψ)` and the precomputed diagonal
-    /// `A(ψ)` for `apply_block` and `apply_block_with_hop`, the hop result
-    /// (and `γ5ψ`) for the adjoints.
+    /// `A(ψ)` for [`LinearOp::apply_block`], the hop result for
+    /// [`DiracOp::apply_dagger_block`] — whichever hop the composition runs.
     scratch: Scratch2<R>,
 }
 
-/// Caller-supplied *blocked* 4D hopping term on interleaved 5D blocks:
-/// `hop(out, inp, nrhs)` with `(s·V + x)·nrhs + j` layout.
-pub type Hop5dBlock<'h, R> = dyn FnMut(&mut [Spinor<R>], &[Spinor<R>], usize) + 'h;
+/// The 4D hop of a Möbius composition with the per-element maps around it
+/// fused in: `out[i] = finish(i, (H·load(inp))[i])` on an interleaved
+/// `nrhs`-column 5D block, `(s·V + x)·nrhs + j`, where `load` maps every
+/// operand spinor before it is hopped. [`MobiusDirac`]'s own instance is
+/// the single-domain sweep [`HoppingKernel::apply_full_fused_5d`]; the
+/// sharded operator in [`crate::comms`] runs its halo-exchange dslash, with
+/// `load` riding the scatter into the rank fields and `finish` the gather
+/// out of them. Because `load` and `finish` are pure per-element maps, an
+/// instance column-wise bit-identical to the single-domain stencil makes a
+/// bit-identical Möbius operator.
+pub(crate) trait FusedHop<R: Real> {
+    /// `out[i] = finish(i, (H·load(inp))[i])`.
+    fn hop<L, F>(
+        &mut self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+        load: &L,
+        finish: &F,
+    ) where
+        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
+        F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync;
+}
+
+/// [`MobiusDirac`]'s own hop: the fused single-domain sweep at its grain.
+struct SingleDomain<'m, 'a, R: Real, G: GaugeLinks<R>>(&'m MobiusDirac<'a, R, G>);
+
+impl<R: Real, G: GaugeLinks<R>> FusedHop<R> for SingleDomain<'_, '_, R, G> {
+    fn hop<L, F>(
+        &mut self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        nrhs: usize,
+        load: &L,
+        finish: &F,
+    ) where
+        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
+        F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
+    {
+        let m = self.0;
+        m.hopping
+            .apply_full_fused_5d(out, inp, m.l5(), nrhs, m.grain, load, finish);
+    }
+}
 
 impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
     /// Bind the operator (antiperiodic temporal BCs are always used — the
@@ -654,28 +695,23 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         self.fifth.params.l5
     }
 
-    /// `out = A(inp) − ½ hop(ρ(inp))` on `nrhs` interleaved right-hand-sides
-    /// with the 4D hopping term supplied by the caller. The fifth-dimension
-    /// ops (`ρ`, `A`, the halving) act per `(s, 4D-site)` element, so running
-    /// them with slice length `V·nrhs` on the interleaved block applies the
-    /// identical scalar arithmetic to every column, and that arithmetic is
-    /// [`LinearOp::apply_block`]'s: any `hop` that is column-wise
-    /// bit-identical to the bound single-domain kernel — e.g. the sharded
-    /// halo-exchange dslash in [`crate::comms`] — yields a bit-identical
-    /// Möbius application.
+    /// `out = A(inp) − ½ H ρ(inp)` on `nrhs` interleaved right-hand-sides,
+    /// the hop run by `hop`. The fifth-dimension ops (`ρ`, `A`, the
+    /// halving) act per `(s, 4D-site)` element, so running them with slice
+    /// length `V·nrhs` on the interleaved block applies the identical scalar
+    /// arithmetic to every column.
     ///
-    /// Three passes over the reused scratch: one column-wise sweep writing
-    /// `ρ(inp)` and `A(inp)`, the hop of `ρ` into `out`, then
-    /// `out ← A(inp) − out·½`. The scratch stays locked across `hop`, so
-    /// `hop` must not apply this operator.
-    pub fn apply_block_with_hop(
+    /// Two passes over the reused scratch: one column-wise sweep writing
+    /// both `ρ(inp)` and the diagonal `A(inp)`, then the hop of `ρ` with
+    /// `A(inp) − ½ h` folded into its output write. The scratch stays locked
+    /// across the hop, so `hop` must not apply this operator.
+    pub(crate) fn apply_block_via(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         nrhs: usize,
-        hop: &mut Hop5dBlock<'_, R>,
+        hop: &mut impl FusedHop<R>,
     ) {
-        let vb = self.lattice.volume() * nrhs;
         let n = self.vec_len() * nrhs;
         assert_eq!(out.len(), n);
         assert_eq!(inp.len(), n);
@@ -685,64 +721,49 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         let (rho, diag) = &mut *guard;
         rho.resize(n, Spinor::zero());
         diag.resize(n, Spinor::zero());
+        let vb = self.lattice.volume() * nrhs;
         self.fifth.rho_and_diag(rho, diag, inp, vb);
-        hop(out, rho, nrhs);
         let diag = &*diag;
-        rayon::for_each_chunk_mut(out, crate::blas::grain_for(n), |start, chunk| {
-            for (o, d) in chunk.iter_mut().zip(&diag[start..]) {
-                *o = *d - o.scale(half);
-            }
-        });
+        hop.hop(out, rho, nrhs, &|psi| psi, &|i, h| diag[i] - h.scale(half));
     }
 
-    /// Adjoint with a caller-supplied blocked hopping term:
-    /// `out = A†(inp) − ½ ρ†(γ5 hop(γ5 inp))`, using `H† = γ5 H γ5`. The
-    /// fifth-dimension algebra is [`DiracOp::apply_dagger_block`]'s own, so
-    /// a `hop` bit-identical to the bound kernel yields a bit-identical
-    /// adjoint — the sharded normal operator [`crate::comms::ShardedNormal`]
-    /// relies on this for checkpoint-exact restarts.
+    /// `out = A†(inp) − ½ ρ†(γ5 H γ5 inp)` with the hop run by `hop`: the
+    /// explicit adjoint of [`Self::apply_block_via`]. The Möbius operator
+    /// with `c5 ≠ 0` is NOT Γ5R5-hermitian (the 4D hopping does not commute
+    /// with the chirality-projected s-shift), so — like QUDA's Mdag — it is
+    /// `D† = A† − ½ ρ† H†` with `H† = γ5 H γ5`.
     ///
-    /// Three passes over the reused scratch: `γ5·inp`, the hop, then one
-    /// column-wise pass `(α·ψ + β·shift†ψ) − (b5·h′ + c5·shift†h′)·½` with
-    /// `h′ = γ5·h` applied as each element of `h` is read. As in
-    /// [`Self::apply_block_with_hop`], `hop` must not apply this operator.
-    pub fn apply_dagger_block_with_hop(
+    /// Two passes: the hop with γ5 on each operand spinor as it is loaded,
+    /// then the column-wise `A†ψ − ½ ρ†(γ5 h)`. As in
+    /// [`Self::apply_block_via`], `hop` must not apply this operator.
+    pub(crate) fn apply_dagger_block_via(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         nrhs: usize,
-        hop: &mut Hop5dBlock<'_, R>,
+        hop: &mut impl FusedHop<R>,
     ) {
-        let vb = self.lattice.volume() * nrhs;
         let n = self.vec_len() * nrhs;
         assert_eq!(out.len(), n);
         assert_eq!(inp.len(), n);
+        let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
 
         let mut guard = self.scratch.lock();
-        let (g5in, h) = &mut *guard;
-        g5in.resize(n, Spinor::zero());
+        let h = &mut guard.0;
         h.resize(n, Spinor::zero());
-        rayon::for_each_chunk_mut(g5in, crate::blas::grain_for(n), |start, chunk| {
-            for (g, x) in chunk.iter_mut().zip(&inp[start..]) {
-                *g = x.apply_gamma5();
-            }
-        });
-        hop(h, g5in, nrhs);
+        hop.hop(h, inp, nrhs, &gamma5, &|_, h| h);
+        let vb = self.lattice.volume() * nrhs;
         self.fifth
-            .a_dagger_minus_scaled_rho_dagger(out, inp, h, vb, |x| x.apply_gamma5(), 0.5);
+            .a_dagger_minus_scaled_rho_dagger(out, inp, h, vb, gamma5, 0.5);
     }
+}
 
-    /// The allocating composition [`Self::apply_block_with_hop`] is held to
-    /// bit for bit: two affine passes, the hop into a fresh vector, a
+#[cfg(test)]
+impl<R: Real, G: GaugeLinks<R>> MobiusDirac<'_, R, G> {
+    /// The allocating composition [`LinearOp::apply_block`] is held to bit
+    /// for bit: two affine passes, the oracle hop into a fresh vector, a
     /// subtraction pass.
-    #[cfg(test)]
-    pub(crate) fn apply_block_with_hop_oracle(
-        &self,
-        out: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
-        nrhs: usize,
-        hop: &mut Hop5dBlock<'_, R>,
-    ) {
+    pub(crate) fn apply_block_oracle(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let vb = self.lattice.volume() * nrhs;
         let p = &self.fifth.params;
         let n = self.vec_len() * nrhs;
@@ -753,7 +774,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         self.fifth
             .affine_shift(&mut rho, inp, vb, p.b5, p.c5, false);
         let mut hrho = vec![Spinor::zero(); n];
-        hop(&mut hrho, &rho, nrhs);
+        self.hopping.apply_oracle(&mut hrho, &rho, None, nrhs);
 
         self.fifth
             .affine_shift(out, inp, vb, p.alpha(), p.beta(), false);
@@ -763,16 +784,14 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         });
     }
 
-    /// The allocating composition [`Self::apply_dagger_block_with_hop`] is
-    /// held to bit for bit: γ5 passes around the hop, then two affine
+    /// The allocating composition [`DiracOp::apply_dagger_block`] is held
+    /// to bit for bit: γ5 passes around the oracle hop, then two affine
     /// passes and a subtraction pass.
-    #[cfg(test)]
-    pub(crate) fn apply_dagger_block_with_hop_oracle(
+    pub(crate) fn apply_dagger_block_oracle(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         nrhs: usize,
-        hop: &mut Hop5dBlock<'_, R>,
     ) {
         let vb = self.lattice.volume() * nrhs;
         let p = &self.fifth.params;
@@ -782,7 +801,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
 
         let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
         let mut h = vec![Spinor::zero(); n];
-        hop(&mut h, &g5in, nrhs);
+        self.hopping.apply_oracle(&mut h, &g5in, None, nrhs);
         h.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
 
         let mut rho_h = vec![Spinor::zero(); n];
@@ -809,59 +828,19 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for MobiusDirac<'a, R, G> {
         sites * (HOPPING_FLOPS_PER_SITE + 250.0)
     }
 
-    /// Two passes: one column-wise sweep producing both
-    /// `ρ = b5·ψ + c5·shift(ψ)` and the diagonal `A(ψ) = α·ψ + β·shift(ψ)`,
-    /// then a single 5D stencil pass that reuses each site's eight gauge
-    /// links across the whole s-extent and every column and folds
-    /// `A(ψ) − ½ H ρ(ψ)` into the output write — every per-element chain
-    /// that of [`Self::apply_block_with_hop`].
+    /// `apply_block_via` on the single-domain fused sweep, which reuses
+    /// each site's eight gauge links across the whole s-extent and every
+    /// column.
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let n = self.vec_len() * nrhs;
-        assert_eq!(out.len(), n);
-        assert_eq!(inp.len(), n);
-        let half = R::from_f64(0.5);
-
-        let mut guard = self.scratch.lock();
-        let (rho, diag) = &mut *guard;
-        rho.resize(n, Spinor::zero());
-        diag.resize(n, Spinor::zero());
-        let vb = self.lattice.volume() * nrhs;
-        self.fifth.rho_and_diag(rho, diag, inp, vb);
-        let diag = &*diag;
-        self.hopping.apply_full_fused_5d(
-            out,
-            rho,
-            self.l5(),
-            nrhs,
-            self.grain,
-            &|psi| psi,
-            &|i, h| diag[i] - h.scale(half),
-        );
+        self.apply_block_via(out, inp, nrhs, &mut SingleDomain(self));
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for MobiusDirac<'a, R, G> {
-    /// The Möbius operator with c5 ≠ 0 is NOT Γ5R5-hermitian (the 4D
-    /// hopping does not commute with the chirality-projected s-shift), so —
-    /// like QUDA's Mdag — the adjoint is applied explicitly:
-    /// `D† = A† − ½ ρ† H†` with `H† = γ5 H γ5`. Two passes: the fused
-    /// stencil with γ5 on each neighbor fetch, then the column-wise
-    /// `A†ψ − ½ ρ†(γ5 h)` — the chains of
-    /// [`Self::apply_dagger_block_with_hop`].
+    /// `apply_dagger_block_via` on the single-domain fused sweep, γ5
+    /// riding on each neighbor fetch.
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        let n = self.vec_len() * nrhs;
-        assert_eq!(out.len(), n);
-        assert_eq!(inp.len(), n);
-        let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
-
-        let mut guard = self.scratch.lock();
-        let h = &mut guard.0;
-        h.resize(n, Spinor::zero());
-        self.hopping
-            .apply_full_fused_5d(h, inp, self.l5(), nrhs, self.grain, &gamma5, &|_, h| h);
-        let vb = self.lattice.volume() * nrhs;
-        self.fifth
-            .a_dagger_minus_scaled_rho_dagger(out, inp, h, vb, gamma5, 0.5);
+        self.apply_dagger_block_via(out, inp, nrhs, &mut SingleDomain(self));
     }
 }
 
@@ -1271,15 +1250,9 @@ mod tests {
                         grain,
                         ..MobiusDirac::new(lat, gauge, params)
                     });
-                    assert_block_matches_oracle(&full, &what, |o, i, nrhs, dagger| {
-                        let m = &full[0];
-                        let hop = &mut |o: &mut [Spinor<R>], i: &[Spinor<R>], n| {
-                            m.hopping.apply_oracle(o, i, None, n)
-                        };
-                        match dagger {
-                            false => m.apply_block_with_hop_oracle(o, i, nrhs, hop),
-                            true => m.apply_dagger_block_with_hop_oracle(o, i, nrhs, hop),
-                        }
+                    assert_block_matches_oracle(&full, &what, |o, i, nrhs, dagger| match dagger {
+                        false => full[0].apply_block_oracle(o, i, nrhs),
+                        true => full[0].apply_dagger_block_oracle(o, i, nrhs),
                     });
                     let prec = grains.map(|grain| PrecMobius {
                         grain,

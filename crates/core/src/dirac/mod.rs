@@ -5,7 +5,9 @@ pub(crate) mod lanes;
 mod mobius;
 mod wilson;
 
-pub use hopping::{hop_site, hop_site_block, HoppingKernel, HOPPING_FLOPS_PER_SITE};
+pub(crate) use hopping::SendPtr;
+pub use hopping::{hop_site, HoppingKernel, HOPPING_FLOPS_PER_SITE};
+pub(crate) use mobius::FusedHop;
 pub use mobius::{MobiusDirac, MobiusParams, PrecMobius};
 pub use wilson::{PrecWilson, WilsonDirac};
 

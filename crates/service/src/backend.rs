@@ -388,16 +388,18 @@ mod tests {
 
     #[test]
     fn sharded_solve_recovers_under_faults() {
-        let mut cfg = BackendConfig::default();
-        cfg.fault_profile = Some(CommFaultProfile {
-            corrupt_prob: 0.03,
-            drop_prob: 0.03,
-            duplicate_prob: 0.02,
-            reorder_prob: 0.02,
-            delay_prob: 0.02,
-            seed: 99,
-            ..CommFaultProfile::default()
-        });
+        let cfg = BackendConfig {
+            fault_profile: Some(CommFaultProfile {
+                corrupt_prob: 0.03,
+                drop_prob: 0.03,
+                duplicate_prob: 0.02,
+                reorder_prob: 0.02,
+                delay_prob: 0.02,
+                seed: 99,
+                ..CommFaultProfile::default()
+            }),
+            ..BackendConfig::default()
+        };
         let be = Backend::new(cfg).expect("faulty backend");
         let r = be
             .solve_sharded(1, 0.2f64.to_bits(), Precision::Sloppy, 501)

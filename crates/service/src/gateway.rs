@@ -261,7 +261,7 @@ impl<'a> Gateway<'a> {
 
                     if let Some((cached, from_disk)) = self.cache.lookup(&key) {
                         hit_seq += 1;
-                        if cfg.audit_every > 0 && hit_seq % cfg.audit_every == 0 {
+                        if cfg.audit_every > 0 && hit_seq.is_multiple_of(cfg.audit_every) {
                             self.audit_hit(&req, &key, &cached)?;
                             report.audits_passed += 1;
                         }
@@ -325,7 +325,7 @@ impl<'a> Gateway<'a> {
                         report.batched_columns += results.len() as u64;
                         c_batches.add(1);
                         occupancy.record(results.len() as f64);
-                        if cfg.audit_every > 0 && report.batches % cfg.audit_every == 0 {
+                        if cfg.audit_every > 0 && report.batches.is_multiple_of(cfg.audit_every) {
                             self.audit_batch(&members[0], &results[0].1)?;
                             report.audits_passed += 1;
                         }

@@ -106,7 +106,7 @@ pub fn generate(cfg: &TrafficConfig) -> Vec<SolveRequest> {
         let mass = cfg.masses[mass_idx.min(cfg.masses.len() - 1)];
 
         // Tenant: 0 gets ~half of everything, the rest split the remainder.
-        let tenant = if cfg.n_tenants <= 1 || chain.next_u64() % 2 == 0 {
+        let tenant = if cfg.n_tenants <= 1 || chain.next_u64().is_multiple_of(2) {
             0
         } else {
             1 + (chain.next_u64() % (cfg.n_tenants as u64 - 1)) as u32

@@ -10,8 +10,9 @@
 //! applies of that operator and of the solve service's
 //! `NormalOp<f64, WilsonDirac>`, and warm applies at `mobius_large`'s
 //! L5 = 8, whose f32 stencil runs full-width lane groups. The sharded normal
-//! operator is held to its wire: a warm apply requests the halo frames'
-//! buffers and nothing that scales with the 5D vector.
+//! operator is held to its wire: a warm apply, one- or three-column,
+//! requests the halo frames' buffers and nothing that scales with the 5D
+//! vector.
 //!
 //! One test only: the switch is process-wide and tests run in parallel.
 
@@ -174,7 +175,9 @@ fn steady_state_applies_and_iterations_request_no_memory() {
     // each hop's messages allocate four payload-sized buffers (the pack
     // buffer, the staging copy, the frame parked for retransmit and the
     // frame posted), and the resident shard fields and fifth-dimension
-    // scratch were sized by the warm-up call.
+    // scratch were sized by the warm-up call. A three-column warm-up resizes
+    // them, after which a warm three-column apply is held to its own,
+    // three times fatter, frames.
     at_width(1, || {
         let gauge = GaugeField::<f64>::hot(&lat, 13);
         let params = MobiusParams::standard(4, 0.5);
@@ -189,15 +192,17 @@ fn steady_state_applies_and_iterations_request_no_memory() {
             .flat_map(|rank| rank.exchanges.iter())
             .map(|ex| 2 * ex.face_len * params.l5 * std::mem::size_of::<Spinor<f64>>())
             .sum();
-        let n = op.vec_len();
-        let b = FermionField::<f64>::gaussian(n, 14).data;
-        let mut out = vec![Spinor::zero(); n];
-        op.apply_block(&mut out, &b, 1).expect("clean wire");
-        let bytes = bytes_requested(|| op.apply_block(&mut out, &b, 1).expect("clean wire"));
-        let bound = 2 * 4 * halo_bytes as u64;
-        assert!(
-            bytes <= bound,
-            "a warm sharded apply requested {bytes} B, over the {bound} B of its wire buffers"
-        );
+        for nrhs in [1, 3] {
+            let n = op.vec_len() * nrhs;
+            let b = FermionField::<f64>::gaussian(n, 14).data;
+            let mut out = vec![Spinor::zero(); n];
+            op.apply_block(&mut out, &b, nrhs).expect("clean wire");
+            let bytes = bytes_requested(|| op.apply_block(&mut out, &b, nrhs).expect("clean wire"));
+            let bound = 2 * 4 * (halo_bytes * nrhs) as u64;
+            assert!(
+                bytes <= bound,
+                "a warm {nrhs}-column sharded apply requested {bytes} B, over the {bound} B of its wire buffers"
+            );
+        }
     });
 }

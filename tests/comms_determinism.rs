@@ -2,12 +2,13 @@
 //!
 //! The decomposed kernel promises output bit-identical to the single-domain
 //! kernel for every (rank grid, thread width, precision, communication
-//! policy) combination: the per-site arithmetic is literally the same
-//! `hop_site` function, fed ghost spinors and gauge links gathered from the
-//! same global field. These tests pin that contract — including the
-//! antiperiodic-t boundary signs, which cross *rank* boundaries when the t
-//! direction is partitioned — and stress the exactly-once pack/unpack
-//! discipline under repeated threaded applies.
+//! policy, lane shape) combination: each local site's `L5 × nrhs` spinors go
+//! through the very lane row the single-domain sweep runs, fed ghost
+//! spinors and gauge links gathered from the same global field. These tests
+//! pin that contract — including the antiperiodic-t boundary signs, which
+//! cross *rank* boundaries when the t direction is partitioned, and every
+//! mix of full lane groups, half groups and scalar remainders — and stress
+//! the exactly-once pack/unpack discipline under repeated threaded applies.
 
 use lqcd::core::dirac::LinearOp;
 use lqcd::core::prelude::*;
@@ -27,17 +28,17 @@ fn at_width<R: Send>(w: usize, op: impl FnOnce() -> R + Send) -> R {
         .install(op)
 }
 
-/// Reference: the single-domain kernel's fused sweep over an s-major 5D
-/// vector.
+/// Reference: the single-domain kernel's fused sweep over an s-major,
+/// RHS-innermost 5D block of `nrhs` columns.
 fn single_domain_hop<R: Real, G: GaugeLinks<R>>(
     lat: &Lattice,
     gauge: &G,
     inp: &[Spinor<R>],
-    l5: usize,
+    (l5, nrhs): (usize, usize),
 ) -> Vec<Spinor<R>> {
     let hopping = HoppingKernel::new(lat, gauge, true);
     let mut out = vec![Spinor::zero(); inp.len()];
-    hopping.apply_full_fused_5d(&mut out, inp, l5, 1, 1024, &|psi| psi, &|_, h| h);
+    hopping.apply_full_fused_5d(&mut out, inp, l5, nrhs, 1024, &|psi| psi, &|_, h| h);
     out
 }
 
@@ -46,19 +47,19 @@ fn sharded_hop<R: Real, G: GaugeLinks<R>>(
     lat: &Lattice,
     gauge: &G,
     inp: &[Spinor<R>],
-    l5: usize,
+    (l5, nrhs): (usize, usize),
     grid: [usize; 4],
     policy: CommPolicy,
 ) -> (Vec<Spinor<R>>, lqcd::core::comms::CommStats) {
     let domain =
         Arc::new(DomainDecomposition::new(lat, grid, l5, GPUS_PER_NODE).expect("divisible grid"));
     let mut kernel = ShardedHopping::new(domain.clone(), gauge, true, policy);
-    let mut si = ShardedField::scatter(&domain, inp, l5);
-    let mut so = ShardedField::zeros(&domain, l5);
+    let mut si = ShardedField::scatter_block(&domain, inp, l5, nrhs);
+    let mut so = ShardedField::zeros_block(&domain, l5, nrhs);
     kernel
         .apply(&mut so, &mut si)
         .expect("fault-free transport");
-    let mut out = vec![Spinor::zero(); l5 * lat.volume()];
+    let mut out = vec![Spinor::zero(); inp.len()];
     so.gather_into(&domain, &mut out);
     (out, kernel.stats())
 }
@@ -68,12 +69,13 @@ fn sharded_dslash_bit_identical_f64_all_grids_widths_policies() {
     let lat = Lattice::new([4, 4, 4, 8]);
     let gauge = GaugeField::<f64>::hot(&lat, 61);
     let inp = FermionField::<f64>::gaussian(L5 * lat.volume(), 62).data;
-    let reference = at_width(1, || single_domain_hop(&lat, &gauge, &inp, L5));
+    let reference = at_width(1, || single_domain_hop(&lat, &gauge, &inp, (L5, 1)));
 
     for grid in GRIDS {
         for &w in &WIDTHS {
             for policy in CommPolicy::all() {
-                let (got, _) = at_width(w, || sharded_hop(&lat, &gauge, &inp, L5, grid, policy));
+                let (got, _) =
+                    at_width(w, || sharded_hop(&lat, &gauge, &inp, (L5, 1), grid, policy));
                 assert_eq!(
                     got,
                     reference,
@@ -94,12 +96,13 @@ fn sharded_dslash_bit_identical_half_precision_gauge() {
     let gauge32 = GaugeField::<f32>::hot(&lat, 63);
     let half = HalfGaugeField::from_gauge(&gauge32);
     let inp = FermionField::<f32>::gaussian(L5 * lat.volume(), 64).data;
-    let reference = at_width(1, || single_domain_hop(&lat, &half, &inp, L5));
+    let reference = at_width(1, || single_domain_hop(&lat, &half, &inp, (L5, 1)));
 
     for grid in GRIDS {
         for &w in &WIDTHS {
             for policy in CommPolicy::all() {
-                let (got, _) = at_width(w, || sharded_hop(&lat, &half, &inp, L5, grid, policy));
+                let (got, _) =
+                    at_width(w, || sharded_hop(&lat, &half, &inp, (L5, 1), grid, policy));
                 assert_eq!(
                     got,
                     reference,
@@ -120,14 +123,75 @@ fn antiperiodic_t_sign_lands_on_rank_boundary_hops() {
     let lat = Lattice::new([4, 4, 2, 8]);
     let gauge = GaugeField::<f64>::hot(&lat, 65);
     let inp = FermionField::<f64>::gaussian(L5 * lat.volume(), 66).data;
-    let reference = single_domain_hop(&lat, &gauge, &inp, L5);
+    let reference = single_domain_hop(&lat, &gauge, &inp, (L5, 1));
 
     for grid in [[1, 1, 1, 2], [1, 1, 1, 4], [2, 1, 1, 2]] {
         for policy in CommPolicy::all() {
-            let (got, _) = sharded_hop(&lat, &gauge, &inp, L5, grid, policy);
+            let (got, _) = sharded_hop(&lat, &gauge, &inp, (L5, 1), grid, policy);
             assert_eq!(got, reference, "grid {grid:?}, policy {}", policy.label());
         }
     }
+}
+
+/// The `(l5, nrhs)` shapes of the single-domain lane tests
+/// (`dirac::hopping`'s `LANE_SHAPES`): in `f32` (8 lanes, half group 4)
+/// full groups only, full then half group then scalar remainder (2 × 7),
+/// half group only, half group then remainder and remainder only; in `f64`
+/// (4 lanes, half group 2) full groups only, full then half, half then
+/// remainder and remainder only.
+const LANE_SHAPES: [(usize, usize); 10] = [
+    (1, 1),
+    (2, 1),
+    (1, 3),
+    (1, 4),
+    (4, 1),
+    (2, 3),
+    (8, 1),
+    (2, 4),
+    (2, 7),
+    (4, 4),
+];
+
+/// Every real of `v` as its (exactly widened) `f64` bit pattern.
+fn real_bits<R: Real>(v: &[Spinor<R>]) -> Vec<u64> {
+    v.iter()
+        .flat_map(|psi| psi.s.iter().flat_map(|cv| cv.c.iter()))
+        .flat_map(|z| [z.re.to_f64().to_bits(), z.im.to_f64().to_bits()])
+        .collect()
+}
+
+/// The sharded hop against the single-domain sweep at every lane shape, on
+/// two x/y-partitioned grids and the t-partitioned one (so antiperiodic
+/// ghost hops go through the lanes), under the production coarse policy
+/// and the GPU-Direct fine one.
+fn sharded_lane_shapes_match<R: Real, G: GaugeLinks<R>>(lat: &Lattice, gauge: &G) {
+    let all = CommPolicy::all();
+    let policies = [all[0], all[all.len() - 1]];
+    assert_ne!(policies[0].granularity, policies[1].granularity);
+    for (l5, nrhs) in LANE_SHAPES {
+        let inp = FermionField::<R>::gaussian(l5 * lat.volume() * nrhs, 69).data;
+        let reference = real_bits(&single_domain_hop(lat, gauge, &inp, (l5, nrhs)));
+        for grid in [[2, 1, 1, 1], [2, 2, 1, 1], [1, 1, 1, 2]] {
+            for policy in policies {
+                let (got, _) = sharded_hop(lat, gauge, &inp, (l5, nrhs), grid, policy);
+                assert!(
+                    real_bits(&got) == reference,
+                    "{} l5 {l5} nrhs {nrhs}, grid {grid:?}, policy {}",
+                    R::NAME,
+                    policy.label()
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn sharded_dslash_bit_identical_at_every_lane_shape() {
+    let lat = Lattice::new([4, 4, 2, 4]);
+    let gauge = GaugeField::<f64>::hot(&lat, 75);
+    sharded_lane_shapes_match(&lat, &gauge);
+    let half = HalfGaugeField::from_gauge(&gauge.cast::<f32>());
+    sharded_lane_shapes_match(&lat, &half);
 }
 
 #[test]
