@@ -11,19 +11,19 @@ use crate::linalg;
 
 /// Sample covariance of `samples[config][component]`, normalized by `N−1`.
 ///
-/// # Panics
-///
-/// If there are fewer than two samples, or the rows differ in length.
-pub fn sample_covariance(samples: &[Vec<f64>]) -> Vec<Vec<f64>> {
+/// Returns `None` if there are fewer than two samples or the rows differ in
+/// length.
+pub fn sample_covariance(samples: &[Vec<f64>]) -> Option<Vec<Vec<f64>>> {
     let n = samples.len();
-    assert!(n >= 2, "covariance needs at least 2 samples");
-    let m = samples[0].len();
+    let m = samples.first()?.len();
+    if n < 2 || samples.iter().any(|s| s.len() != m) {
+        return None;
+    }
     let mean: Vec<f64> = (0..m)
         .map(|k| samples.iter().map(|s| s[k]).sum::<f64>() / n as f64)
         .collect();
     let mut cov = vec![vec![0.0; m]; m];
     for s in samples {
-        assert_eq!(s.len(), m);
         for i in 0..m {
             let di = s[i] - mean[i];
             for j in 0..m {
@@ -36,18 +36,19 @@ pub fn sample_covariance(samples: &[Vec<f64>]) -> Vec<Vec<f64>> {
             *v /= (n - 1) as f64;
         }
     }
-    cov
+    Some(cov)
 }
 
 /// Shrink a covariance toward its diagonal:
 /// `C' = (1−λ) C + λ diag(C)`.
 ///
-/// # Panics
-///
-/// If `lambda` is outside `[0, 1]` (NaN included).
-pub fn shrink(cov: &[Vec<f64>], lambda: f64) -> Vec<Vec<f64>> {
-    assert!((0.0..=1.0).contains(&lambda));
+/// Returns `None` if `cov` is not square or `lambda` is outside `[0, 1]`
+/// (NaN included).
+pub fn shrink(cov: &[Vec<f64>], lambda: f64) -> Option<Vec<Vec<f64>>> {
     let m = cov.len();
+    if cov.iter().any(|row| row.len() != m) || !(0.0..=1.0).contains(&lambda) {
+        return None;
+    }
     let mut out = vec![vec![0.0; m]; m];
     for i in 0..m {
         for j in 0..m {
@@ -58,7 +59,7 @@ pub fn shrink(cov: &[Vec<f64>], lambda: f64) -> Vec<Vec<f64>> {
             };
         }
     }
-    out
+    Some(out)
 }
 
 /// Covariance of the *mean* (sample covariance / N), shrunk and inverted —
@@ -68,12 +69,8 @@ pub fn shrink(cov: &[Vec<f64>], lambda: f64) -> Vec<Vec<f64>> {
 /// finite (a NaN or infinite sample, or overflow), or a shrunk matrix that
 /// is still singular.
 pub fn inverse_mean_covariance(samples: &[Vec<f64>], lambda: f64) -> Option<Vec<Vec<f64>>> {
-    let m = samples.first()?.len();
-    if samples.len() < 2 || samples.iter().any(|s| s.len() != m) || !(0.0..=1.0).contains(&lambda) {
-        return None;
-    }
     let n = samples.len() as f64;
-    let mut cov = shrink(&sample_covariance(samples), lambda);
+    let mut cov = shrink(&sample_covariance(samples)?, lambda)?;
     for row in cov.iter_mut() {
         for v in row.iter_mut() {
             *v /= n;
@@ -115,7 +112,7 @@ mod tests {
     #[test]
     fn diagonal_matches_componentwise_variance() {
         let samples = correlated_samples(2000, 4, 0.6, 3);
-        let cov = sample_covariance(&samples);
+        let cov = sample_covariance(&samples).expect("two or more even rows");
         for k in 0..4 {
             assert!((cov[k][k] - 1.0).abs() < 0.15, "var[{k}] = {}", cov[k][k]);
         }
@@ -126,7 +123,7 @@ mod tests {
     #[test]
     fn covariance_is_symmetric_positive_diagonal() {
         let samples = correlated_samples(100, 6, 0.5, 5);
-        let cov = sample_covariance(&samples);
+        let cov = sample_covariance(&samples).expect("two or more even rows");
         for i in 0..6 {
             assert!(cov[i][i] > 0.0);
             for j in 0..6 {
@@ -139,7 +136,7 @@ mod tests {
     fn shrinkage_rescues_singular_covariance() {
         // Fewer samples than components: raw covariance is singular.
         let samples = correlated_samples(5, 10, 0.7, 7);
-        let raw = sample_covariance(&samples);
+        let raw = sample_covariance(&samples).expect("two or more even rows");
         assert!(linalg::invert(&raw).is_none(), "rank-deficient");
         let inv = inverse_mean_covariance(&samples, 0.5).expect("shrunk is invertible");
         assert_eq!(inv.len(), 10);
@@ -156,6 +153,38 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn sample_covariance_of_fewer_than_two_samples_is_none() {
+        assert!(sample_covariance(&[]).is_none());
+        assert!(sample_covariance(&[vec![1.0, 2.0]]).is_none());
+    }
+
+    #[test]
+    fn sample_covariance_of_ragged_rows_is_none() {
+        let mut samples = correlated_samples(20, 4, 0.5, 13);
+        samples[7].pop();
+        assert!(sample_covariance(&samples).is_none());
+        samples[0].pop();
+        assert!(sample_covariance(&samples).is_none());
+    }
+
+    #[test]
+    fn shrinking_a_non_square_matrix_is_none() {
+        assert!(shrink(&[vec![1.0, 0.5]], 0.1).is_none());
+        assert!(shrink(&[vec![1.0, 0.5], vec![0.5]], 0.1).is_none());
+        assert!(shrink(&[vec![1.0], vec![0.5]], 0.1).is_none());
+    }
+
+    #[test]
+    fn shrinking_by_lambda_outside_unit_interval_is_none() {
+        let cov = [vec![1.0, 0.5], vec![0.5, 2.0]];
+        for lambda in [-0.1, 1.5, f64::NAN] {
+            assert!(shrink(&cov, lambda).is_none(), "{lambda}");
+        }
+        let half = shrink(&cov, 0.5).expect("λ in [0, 1]");
+        assert_eq!(half, [vec![1.0, 0.25], vec![0.25, 2.0]]);
     }
 
     #[test]

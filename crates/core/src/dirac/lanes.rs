@@ -13,7 +13,12 @@
 //! epilogue.
 //!
 //! Storage stays array-of-structs: the eight gathered tiles are a
-//! transpose on the stack, made per group and never stored.
+//! transpose on the stack, made per group and never stored. On a CPU with
+//! AVX2 the transpose runs in registers: each neighbor's `N` spinors,
+//! fetched through `load`, are loaded as whole vectors and shuffled into
+//! lanes (`24 / N` blocks of `N × N` reals), and the result tile goes back
+//! out the same way before each lane is stored. Elsewhere [`put`] and [`get`]
+//! move one real at a time; both paths move the same bits.
 //!
 //! **Bit-identity.** Every lane performs [`hop_site`]'s exact operation
 //! chain: the same IEEE adds, subtracts and multiplies in the same order
@@ -23,7 +28,9 @@
 //! for that spinor.
 //!
 //! **Codegen.** The gather and the scatter inline into the sweep's
-//! [`crate::simd::dispatch`] body. The arithmetic is [`hop_tiles`], whose
+//! [`crate::simd::dispatch`] body; [`hop_row`] asks
+//! [`crate::simd::has_avx2`] once and every group takes the transposes or
+//! the scalar moves from the answer. The arithmetic is [`hop_tiles`], whose
 //! only type parameters are the real and the width: it runs its own
 //! dispatch, so each of the four group shapes is compiled once per ISA
 //! rather than once per operator, gauge storage and closure. Every helper
@@ -41,6 +48,7 @@ use crate::su3::{Su3, NC};
 
 /// One complex number per lane: the real parts, then the imaginary parts.
 #[derive(Clone, Copy)]
+#[repr(C)]
 pub(crate) struct Lanes<R, const N: usize> {
     pub(crate) re: [R; N],
     pub(crate) im: [R; N],
@@ -52,6 +60,26 @@ pub(crate) type ColorLanes<R, const N: usize> = [Lanes<R, N>; NC];
 /// One spinor per lane, lane-major: 24 × `[R; N]` in a spinor's own order
 /// of reals.
 pub(crate) type Tile<R, const N: usize> = [ColorLanes<R, N>; NS];
+
+/// The layouts the transposes move reals between, checked for every group
+/// shape: a [`Spinor`] is 24 contiguous reals, real `2·(3s + c) + re/im`,
+/// and a [`Tile`] is exactly 24 × `N` reals, lane `l` of that real at
+/// `(2·(3s + c) + re/im)·N + l` (arrays are contiguous, so the sizes and
+/// the `im` offsets leave no other placement).
+const _: () = {
+    use std::mem::{offset_of, size_of};
+    const fn spinor_is_contiguous<R>() -> bool {
+        size_of::<Spinor<R>>() == 24 * size_of::<R>()
+            && offset_of!(Complex<R>, im) == size_of::<R>()
+    }
+    const fn tile_is_lane_major<R, const N: usize>() -> bool {
+        size_of::<Tile<R, N>>() == 24 * N * size_of::<R>()
+            && offset_of!(Lanes<R, N>, im) == N * size_of::<R>()
+    }
+    assert!(spinor_is_contiguous::<f32>() && spinor_is_contiguous::<f64>());
+    assert!(tile_is_lane_major::<f32, 8>() && tile_is_lane_major::<f32, 4>());
+    assert!(tile_is_lane_major::<f64, 4>() && tile_is_lane_major::<f64, 2>());
+};
 
 impl<R: Real, const N: usize> Lanes<R, N> {
     /// Zero in every lane.
@@ -223,6 +251,38 @@ fn get<R: Real, const N: usize>(tile: &Tile<R, N>, l: usize) -> Spinor<R> {
     psi
 }
 
+/// `s[l]` into lane `l` of `tile` for every `l`: in-register transposes
+/// when `avx2` (the running CPU has AVX2), else [`put`] per lane.
+#[inline(always)]
+fn gather<R: Real, const N: usize>(tile: &mut Tile<R, N>, s: &[Spinor<R>; N], avx2: bool) {
+    if avx2 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `avx2` is `simd::has_avx2()`, so the CPU supports AVX2.
+        if unsafe { x86::gather(tile, s) } {
+            return;
+        }
+    }
+    for (l, psi) in s.iter().enumerate() {
+        put(tile, l, psi);
+    }
+}
+
+/// Lane `l` of `tile` into `s[l]` for every `l`: in-register transposes
+/// when `avx2` (the running CPU has AVX2), else [`get`] per lane.
+#[inline(always)]
+fn scatter<R: Real, const N: usize>(s: &mut [Spinor<R>; N], tile: &Tile<R, N>, avx2: bool) {
+    if avx2 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `avx2` is `simd::has_avx2()`, so the CPU supports AVX2.
+        if unsafe { x86::scatter(s, tile) } {
+            return;
+        }
+    }
+    for (l, psi) in s.iter_mut().enumerate() {
+        *psi = get(tile, l);
+    }
+}
+
 /// The lanes' spinors at a site's eight neighbors, in [`hop_site`]'s hop
 /// order: `2·mu` forward, `2·mu + 1` backward.
 type Gathered<R, const N: usize> = [Tile<R, N>; 2 * ND];
@@ -268,6 +328,7 @@ pub(crate) fn hop_row<R: Real>(
         },
         fetch: &fetch,
         store: &store,
+        avx2: simd::has_avx2(),
     };
     let mut at = Cursor {
         s: 0,
@@ -320,12 +381,14 @@ impl Cursor {
 }
 
 /// What [`hop_row`]'s lane groups share: the input index where each hop's
-/// neighbor spinors start, in [`Gathered`] order, and the site.
+/// neighbor spinors start, in [`Gathered`] order, the site, and whether the
+/// CPU has AVX2 (checked once a row).
 struct Row<'r, R, Fe, St> {
     hops: [usize; 2 * ND],
     site: Site<'r, R>,
     fetch: &'r Fe,
     store: &'r St,
+    avx2: bool,
 }
 
 impl<R: Real, Fe, St> Row<'_, R, Fe, St>
@@ -352,15 +415,20 @@ where
     /// scatter.
     #[inline(always)]
     fn group<const N: usize>(&self, b: [usize; N]) {
+        // Loops, not `array::map`: a closure LLVM kept out of line would
+        // run at the baseline ISA (see `simd::dispatch`).
         let mut psi: Gathered<R, N> = [[[Lanes::zero(); NC]; NS]; 2 * ND];
+        let mut s = [Spinor::zero(); N];
         for (tile, &at) in psi.iter_mut().zip(&self.hops) {
-            for (l, &b) in b.iter().enumerate() {
-                put(tile, l, &(self.fetch)(b + at));
+            for (s, &b) in s.iter_mut().zip(&b) {
+                *s = (self.fetch)(b + at);
             }
+            gather(tile, &s, self.avx2);
         }
         let r = hop_tiles(&psi, &self.site);
-        for (l, &b) in b.iter().enumerate() {
-            (self.store)(b, get(&r, l));
+        scatter(&mut s, &r, self.avx2);
+        for (s, &b) in s.iter().zip(&b) {
+            (self.store)(b, *s);
         }
     }
 }
@@ -434,5 +502,359 @@ fn hop_dir<R: Real, const N: usize>(
             accumulate(&mut r[2], &t2);
             accumulate(&mut r[3], &t3);
         }
+    }
+}
+
+/// The lane gather and scatter as in-register transposes, the kernels'
+/// one use of vector intrinsics. A group's reals are `24 / N` blocks of
+/// `N × N`: on the [`Spinor`] side a block row is `N` reals of one spinor,
+/// on the [`Tile`] side `N` lanes of one real. Each block is loaded as `N`
+/// vectors (whole rows, or two half rows where that spares a lane-crossing
+/// permute), transposed with shuffles and stored as `N` vectors. Shuffles
+/// move bits and never compute, so every real, signed zero, subnormal,
+/// infinity and NaN payload arrives as [`put`] or [`get`] would write it.
+///
+/// Nothing here may run unless `simd::has_avx2()` holds. The functions are
+/// `#[inline(always)]` without a `target_feature` of their own: inlined
+/// into a [`simd::dispatch`] body's AVX2 codegen, the intrinsics inline
+/// with them (an out-of-line call per neighbor tile costs the gain).
+#[cfg(target_arch = "x86_64")]
+mod x86 {
+    use super::Tile;
+    use crate::spinor::Spinor;
+    use std::any::TypeId;
+    use std::arch::x86_64::*;
+
+    /// [`super::put`] of `s[l]` into lane `l` of `tile` for every `l`.
+    /// Returns `false`, moving nothing, unless the group is one of the four
+    /// shapes: `f32` × 8 or 4, `f64` × 4 or 2.
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2.
+    #[inline(always)]
+    pub(super) unsafe fn gather<R: 'static, const N: usize>(
+        tile: &mut Tile<R, N>,
+        s: &[Spinor<R>; N],
+    ) -> bool {
+        let (src, dst) = (
+            s.as_ptr().cast::<R>(),
+            (tile as *mut Tile<R, N>).cast::<R>(),
+        );
+        // SAFETY: by the layout asserts, `s` is `N` rows of 24 reals and
+        // `tile` 24 rows of `N`; block `k` reads rows `24·l` from `N·k` and
+        // writes rows `N·i` from `N²·k`, `l, i < N`, `k < 24 / N`, all in
+        // bounds of two distinct borrows. The caller vouches for AVX2.
+        unsafe { blocks::<R, N>(src, (24, N), dst, (N, N * N)) }
+    }
+
+    /// [`super::get`] of lane `l` of `tile` into `s[l]` for every `l`.
+    /// Returns `false`, moving nothing, for the same shapes as [`gather`].
+    ///
+    /// # Safety
+    ///
+    /// The CPU supports AVX2.
+    #[inline(always)]
+    pub(super) unsafe fn scatter<R: 'static, const N: usize>(
+        s: &mut [Spinor<R>; N],
+        tile: &Tile<R, N>,
+    ) -> bool {
+        let (src, dst) = (
+            (tile as *const Tile<R, N>).cast::<R>(),
+            s.as_mut_ptr().cast::<R>(),
+        );
+        // SAFETY: as in `gather`, source and destination swapped.
+        unsafe { blocks::<R, N>(src, (N, N * N), dst, (24, N)) }
+    }
+
+    /// Transpose the `24 / N` blocks of `N × N` reals: row `r` of block `k`
+    /// is read at `src + k·src_k + r·src_r` and written as column `r` of the
+    /// block at `dst + k·dst_k`, whose rows are `dst_r` apart.
+    ///
+    /// # Safety
+    ///
+    /// Every position named is in bounds of its allocation, the two ranges
+    /// do not overlap, and the CPU supports AVX2.
+    #[inline(always)]
+    unsafe fn blocks<R: 'static, const N: usize>(
+        src: *const R,
+        (src_r, src_k): (usize, usize),
+        dst: *mut R,
+        (dst_r, dst_k): (usize, usize),
+    ) -> bool {
+        let real = TypeId::of::<R>();
+        let (f32s, f64s) = (real == TypeId::of::<f32>(), real == TypeId::of::<f64>());
+        for k in 0..24 / N {
+            let (src, dst) = (src.wrapping_add(k * src_k), dst.wrapping_add(k * dst_k));
+            // SAFETY: `R` is the real each arm casts to; the caller vouches
+            // for the positions and the ISA.
+            unsafe {
+                match N {
+                    8 if f32s => t8_ps(src.cast(), src_r, dst.cast(), dst_r),
+                    4 if f32s => t4_ps(src.cast(), src_r, dst.cast(), dst_r),
+                    4 if f64s => t4_pd(src.cast(), src_r, dst.cast(), dst_r),
+                    2 if f64s => t2_pd(src.cast(), src_r, dst.cast(), dst_r),
+                    _ => return false,
+                }
+            }
+        }
+        true
+    }
+
+    /// One 8 × 8 `f32` block. Each vector pairs the same four columns of
+    /// row `i` (low half) and row `i + 4` (high half), loaded as two 128-bit
+    /// halves, so the two in-lane shuffle stages of [`t4_ps`] finish the
+    /// transpose without a lane-crossing permute.
+    ///
+    /// # Safety
+    ///
+    /// As for [`blocks`], at `N = 8`.
+    #[inline(always)]
+    unsafe fn t8_ps(src: *const f32, src_r: usize, dst: *mut f32, dst_r: usize) {
+        // SAFETY: the caller vouches for AVX2 and for rows `< 8` of 8 reals
+        // at both ends.
+        unsafe {
+            let mut r = [_mm256_setzero_ps(); 8];
+            for (i, r) in r.iter_mut().enumerate() {
+                // Rows `i % 4` and `i % 4 + 4`, columns `4·(i / 4)` on.
+                let lo = src.add((i % 4) * src_r + 4 * (i / 4));
+                *r = _mm256_loadu2_m128(lo.add(4 * src_r), lo);
+            }
+            for (h, r) in r.chunks_exact(4).enumerate() {
+                // Per 128-bit half, rows a..d (e..h): a0 b0 a1 b1,
+                // a2 b2 a3 b3, c0 d0 c1 d1, c2 d2 c3 d3, then columns
+                // `4h..4h + 4`.
+                let (ab01, ab23) = (
+                    _mm256_unpacklo_ps(r[0], r[1]),
+                    _mm256_unpackhi_ps(r[0], r[1]),
+                );
+                let (cd01, cd23) = (
+                    _mm256_unpacklo_ps(r[2], r[3]),
+                    _mm256_unpackhi_ps(r[2], r[3]),
+                );
+                let o = [
+                    _mm256_shuffle_ps::<0x44>(ab01, cd01),
+                    _mm256_shuffle_ps::<0xEE>(ab01, cd01),
+                    _mm256_shuffle_ps::<0x44>(ab23, cd23),
+                    _mm256_shuffle_ps::<0xEE>(ab23, cd23),
+                ];
+                for (i, o) in o.into_iter().enumerate() {
+                    _mm256_storeu_ps(dst.add((4 * h + i) * dst_r), o);
+                }
+            }
+        }
+    }
+
+    /// One 4 × 4 `f32` block: two SSE shuffle stages.
+    ///
+    /// # Safety
+    ///
+    /// As for [`blocks`], at `N = 4`.
+    #[inline(always)]
+    unsafe fn t4_ps(src: *const f32, src_r: usize, dst: *mut f32, dst_r: usize) {
+        // SAFETY: the caller vouches for AVX2 and for rows `< 4` of 4 reals
+        // at both ends.
+        unsafe {
+            let mut r = [_mm_setzero_ps(); 4];
+            for (i, r) in r.iter_mut().enumerate() {
+                *r = _mm_loadu_ps(src.add(i * src_r));
+            }
+            let (ab01, cd01) = (_mm_unpacklo_ps(r[0], r[1]), _mm_unpacklo_ps(r[2], r[3]));
+            let (ab23, cd23) = (_mm_unpackhi_ps(r[0], r[1]), _mm_unpackhi_ps(r[2], r[3]));
+            let o = [
+                _mm_movelh_ps(ab01, cd01),
+                _mm_movehl_ps(cd01, ab01),
+                _mm_movelh_ps(ab23, cd23),
+                _mm_movehl_ps(cd23, ab23),
+            ];
+            for (i, o) in o.into_iter().enumerate() {
+                _mm_storeu_ps(dst.add(i * dst_r), o);
+            }
+        }
+    }
+
+    /// One 4 × 4 `f64` block. Each vector pairs two columns of row `i`
+    /// (low half) and row `i + 2` (high half), loaded as two 128-bit
+    /// halves, so one in-lane shuffle stage finishes the transpose.
+    ///
+    /// # Safety
+    ///
+    /// As for [`blocks`], at `N = 4`.
+    #[inline(always)]
+    unsafe fn t4_pd(src: *const f64, src_r: usize, dst: *mut f64, dst_r: usize) {
+        // SAFETY: the caller vouches for AVX2 and for rows `< 4` of 4 reals
+        // at both ends.
+        unsafe {
+            let mut r = [_mm256_setzero_pd(); 4];
+            for (i, r) in r.iter_mut().enumerate() {
+                // Rows `i % 2` and `i % 2 + 2`, columns `2·(i / 2)` on.
+                let lo = src.add((i % 2) * src_r + 2 * (i / 2));
+                *r = _mm256_loadu2_m128d(lo.add(2 * src_r), lo);
+            }
+            // a0 b0 | c0 d0, a1 b1 | c1 d1, a2 b2 | c2 d2, a3 b3 | c3 d3.
+            let o = [
+                _mm256_unpacklo_pd(r[0], r[1]),
+                _mm256_unpackhi_pd(r[0], r[1]),
+                _mm256_unpacklo_pd(r[2], r[3]),
+                _mm256_unpackhi_pd(r[2], r[3]),
+            ];
+            for (i, o) in o.into_iter().enumerate() {
+                _mm256_storeu_pd(dst.add(i * dst_r), o);
+            }
+        }
+    }
+
+    /// One 2 × 2 `f64` block: one SSE2 shuffle stage.
+    ///
+    /// # Safety
+    ///
+    /// As for [`blocks`], at `N = 2`.
+    #[inline(always)]
+    unsafe fn t2_pd(src: *const f64, src_r: usize, dst: *mut f64, dst_r: usize) {
+        // SAFETY: the caller vouches for AVX2 and for rows `< 2` of 2 reals
+        // at both ends.
+        unsafe {
+            let (a, b) = (_mm_loadu_pd(src), _mm_loadu_pd(src.add(src_r)));
+            _mm_storeu_pd(dst, _mm_unpacklo_pd(a, b));
+            _mm_storeu_pd(dst.add(dst_r), _mm_unpackhi_pd(a, b));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A real as its bit pattern and back, with the masks that build the
+    /// awkward values.
+    trait Bits: Real {
+        const SIGN: u64;
+        const EXP: u64;
+        const QUIET: u64;
+        fn bits(self) -> u64;
+        fn from_bits(b: u64) -> Self;
+    }
+
+    impl Bits for f32 {
+        const SIGN: u64 = 1 << 31;
+        const EXP: u64 = 0xff << 23;
+        const QUIET: u64 = 1 << 22;
+        fn bits(self) -> u64 {
+            self.to_bits().into()
+        }
+        fn from_bits(b: u64) -> Self {
+            f32::from_bits(u32::try_from(b).expect("an f32 pattern"))
+        }
+    }
+
+    impl Bits for f64 {
+        const SIGN: u64 = 1 << 63;
+        const EXP: u64 = 0x7ff << 52;
+        const QUIET: u64 = 1 << 51;
+        fn bits(self) -> u64 {
+            self.to_bits()
+        }
+        fn from_bits(b: u64) -> Self {
+            f64::from_bits(b)
+        }
+    }
+
+    /// The `i`-th of a run of reals no arithmetic would leave alone: ±0,
+    /// small and large subnormals, ±∞, quiet and signaling NaNs of both
+    /// signs whose payload is `i + 1` (so no two NaNs are alike), and
+    /// ordinary values.
+    fn awkward<R: Bits>(i: usize) -> R {
+        let p = i as u64 + 1;
+        assert!(p < R::QUIET, "payload below the quiet bit");
+        let sign = R::SIGN * (i / 8 % 2) as u64;
+        R::from_bits(match i % 8 {
+            0 => sign,
+            1 => p,
+            2 => R::SIGN | R::QUIET | p,
+            3 => sign | R::EXP,
+            4 => R::EXP | R::QUIET | p,
+            5 => R::EXP | p,
+            6 => R::SIGN | R::EXP | R::QUIET | p,
+            _ => return R::from_f64(i as f64 * 0.5 - 3.0),
+        })
+    }
+
+    /// The spinor whose real `k` (`2·(3s + c) + re/im`) is `f(k)`.
+    fn spinor<R: Real>(f: impl Fn(usize) -> R) -> Spinor<R> {
+        let mut psi = Spinor::zero();
+        for (s, v) in psi.s.iter_mut().enumerate() {
+            for (c, z) in v.c.iter_mut().enumerate() {
+                let k = 2 * (3 * s + c);
+                *z = Complex::new(f(k), f(k + 1));
+            }
+        }
+        psi
+    }
+
+    fn spinor_bits<R: Bits>(psi: &Spinor<R>) -> Vec<u64> {
+        let z = psi.s.iter().flat_map(|v| &v.c);
+        z.flat_map(|z| [z.re.bits(), z.im.bits()]).collect()
+    }
+
+    /// Every real of `tile` in memory order.
+    fn tile_bits<R: Bits, const N: usize>(tile: &Tile<R, N>) -> Vec<u64> {
+        let z = tile.iter().flatten();
+        z.flat_map(|z| z.re.iter().chain(&z.im))
+            .map(|&x| x.bits())
+            .collect()
+    }
+
+    /// The gather and the scatter at one group shape against [`put`] and
+    /// [`get`], real by real, and a gather then a scatter against the
+    /// input. On an AVX2 host this holds the transposes to the scalar path
+    /// (and checks they take the shape); elsewhere both sides are scalar.
+    fn transposes_match_put_and_get<R: Bits, const N: usize>() {
+        let avx2 = simd::has_avx2();
+        let s: [Spinor<R>; N] = std::array::from_fn(|l| spinor(|k| awkward(24 * l + k)));
+        let mut want: Tile<R, N> = [[Lanes::zero(); NC]; NS];
+        for (l, psi) in s.iter().enumerate() {
+            put(&mut want, l, psi);
+        }
+        // Prefilled with other values, so a real the gather skips shows.
+        let mut got: Tile<R, N> = [[Lanes::zero(); NC]; NS];
+        for l in 0..N {
+            put(&mut got, l, &spinor(|k| awkward(500 + 24 * l + k)));
+        }
+        gather(&mut got, &s, avx2);
+        let what = format!("{} × {N}, avx2 {avx2}", R::NAME);
+        assert_eq!(tile_bits(&got), tile_bits(&want), "gather {what}");
+
+        let mut tile: Tile<R, N> = [[Lanes::zero(); NC]; NS];
+        for l in 0..N {
+            put(&mut tile, l, &spinor(|k| awkward(1000 + 24 * l + k)));
+        }
+        let mut out = [Spinor::zero(); N];
+        scatter(&mut out, &tile, avx2);
+        for (l, psi) in out.iter().enumerate() {
+            let want = spinor_bits(&get(&tile, l));
+            assert_eq!(spinor_bits(psi), want, "scatter {what}, lane {l}");
+        }
+
+        scatter(&mut out, &got, avx2);
+        for (l, (psi, orig)) in out.iter().zip(&s).enumerate() {
+            let want = spinor_bits(orig);
+            assert_eq!(spinor_bits(psi), want, "round trip {what}, lane {l}");
+        }
+
+        #[cfg(target_arch = "x86_64")]
+        if avx2 {
+            let mut t: Tile<R, N> = [[Lanes::zero(); NC]; NS];
+            // SAFETY: the CPU was just detected to support AVX2.
+            let took = unsafe { x86::gather(&mut t, &s) && x86::scatter(&mut out, &t) };
+            assert!(took, "{what} has a transpose");
+        }
+    }
+
+    #[test]
+    fn transposes_are_bit_identical_to_put_and_get() {
+        transposes_match_put_and_get::<f32, 8>();
+        transposes_match_put_and_get::<f32, 4>();
+        transposes_match_put_and_get::<f64, 4>();
+        transposes_match_put_and_get::<f64, 2>();
     }
 }

@@ -7,8 +7,18 @@
 //! `#[target_feature(enable = "avx2")]` wrapper, so the same source is
 //! compiled a second time with 256-bit vectors. There is no feature switch:
 //! every build, the test suite included, carries both codegens and picks
-//! one per call from `std::arch::is_x86_feature_detected!`. The baseline
-//! codegen runs only on CPUs without AVX2 (and on other architectures).
+//! one per call from `has_avx2`. The baseline codegen runs only on CPUs
+//! without AVX2 (and on other architectures).
+//!
+//! The one exception to plain loops is the fused stencil's lane gather and
+//! scatter (`dirac::lanes`), written as in-register transposes with
+//! `std::arch` intrinsics. Their contract: every intrinsic sits in one
+//! `#[cfg(target_arch = "x86_64")]` module, is reached only behind a
+//! `has_avx2` answer of `true` (asked once per stencil row), and inlines
+//! into a `dispatch` body, whose AVX2 codegen is where it runs. The
+//! intrinsics only move bits (loads, stores, shuffles), so the transposes
+//! write exactly what the scalar per-lane moves they replace would, and
+//! those moves remain the path on every other CPU.
 
 /// Run `f(ctx)`, compiled for AVX2 when the running CPU supports it.
 ///
@@ -31,12 +41,23 @@
 #[inline(always)]
 pub(crate) fn dispatch<C: ?Sized, T>(ctx: &C, f: impl FnOnce(&C) -> T) -> T {
     #[cfg(target_arch = "x86_64")]
-    if std::arch::is_x86_feature_detected!("avx2") {
+    if has_avx2() {
         // SAFETY: `avx2` enables only AVX2, which the running CPU was just
         // detected to support.
         return unsafe { avx2(ctx, f) };
     }
     f(ctx)
+}
+
+/// Whether the running CPU supports AVX2: the one test in front of every
+/// AVX2 path, [`dispatch`]'s and the lane transposes'. `std` caches the
+/// detection, so a call is a load and a bit test.
+#[inline(always)]
+pub(crate) fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    return std::arch::is_x86_feature_detected!("avx2");
+    #[cfg(not(target_arch = "x86_64"))]
+    false
 }
 
 /// `f(ctx)` with AVX2 enabled: the inlined body of `f` gets 256-bit codegen.
