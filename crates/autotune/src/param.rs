@@ -38,40 +38,13 @@ impl Default for TuneParam {
     }
 }
 
-/// A finite candidate set to sweep.
-///
-/// The default space crosses a geometric ladder of grain sizes with a few
-/// block sizes, which is what our stencil kernels enumerate. Policy-style
-/// tunables instead enumerate one candidate per policy.
+/// A finite candidate set to sweep: one candidate per policy index.
 #[derive(Clone, Debug)]
 pub struct ParamSpace {
     candidates: Vec<TuneParam>,
 }
 
 impl ParamSpace {
-    /// Geometric ladder of grain sizes crossed with block sizes, clamped so
-    /// no candidate exceeds `max_sites`.
-    pub fn grain_ladder(max_sites: usize) -> Self {
-        let mut candidates = Vec::new();
-        let mut grain = 64usize;
-        while grain <= max_sites.max(64) {
-            for &block in &[16usize, 64, 256] {
-                if block <= grain {
-                    candidates.push(TuneParam {
-                        grain,
-                        block,
-                        policy: 0,
-                    });
-                }
-            }
-            grain *= 4;
-        }
-        if candidates.is_empty() {
-            candidates.push(TuneParam::default());
-        }
-        Self { candidates }
-    }
-
     /// One candidate per policy index in `0..n_policies`.
     pub fn policies(n_policies: usize) -> Self {
         let candidates = (0..n_policies.max(1)).map(TuneParam::policy_only).collect();

@@ -245,18 +245,6 @@ fn manual_clock_makes_wall_clock_sweeps_deterministic() {
 }
 
 #[test]
-fn grain_ladder_space_is_bounded_and_nonempty() {
-    let space = ParamSpace::grain_ladder(100_000);
-    assert!(!space.is_empty());
-    for c in space.candidates() {
-        assert!(c.block <= c.grain);
-    }
-    // Tiny problems still get at least one candidate.
-    let tiny = ParamSpace::grain_ladder(8);
-    assert!(!tiny.is_empty());
-}
-
-#[test]
 fn summary_lists_every_entry_sorted() {
     let tuner = Tuner::new();
     let mut b = QuadraticCost::new("zeta", 1, 3);

@@ -391,7 +391,7 @@ pub(crate) mod tests {
     }
 
     fn make_prop(lat: &Lattice, gauge: &GaugeField<f64>, mass: f64) -> Propagator {
-        let solver = PropagatorSolver::new(lat, gauge, SolverKind::WilsonBicgstab { mass });
+        let solver = PropagatorSolver::new(lat, gauge, SolverKind::WilsonPrecCgne { mass });
         solver.point_propagator(0).0
     }
 

@@ -99,6 +99,13 @@ pub fn hop_site<R: Real>(
     r
 }
 
+/// Rows per parallel chunk of a stencil sweep over `rows` sites: an eighth
+/// of them, so the pool has something to share even at 4³×8, down to a
+/// 32-row floor and up to a 1024-row ceiling.
+fn stencil_grain(rows: usize) -> usize {
+    (rows / 8).clamp(32, 1024)
+}
+
 /// Pointer wrapper that lets disjoint parallel tasks write through a shared
 /// raw pointer. Soundness rests on the call sites writing non-overlapping
 /// element sets; see the `SAFETY` comments there.
@@ -160,33 +167,24 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
     /// chain, and the few a lane group cannot fill go through `hop_site`
     /// itself with the cached links — and `finish(i, h)`
     /// maps it to the value stored at `out[i]` — the diagonal or
-    /// fifth-dimension algebra folded into the single output write. `grain`
-    /// counts 4D sites per parallel chunk.
-    #[allow(clippy::too_many_arguments)]
+    /// fifth-dimension algebra folded into the single output write. The
+    /// sites are split into parallel chunks of `stencil_grain(V)` rows: an
+    /// eighth of them, clamped to 32..=1024.
     pub fn apply_full_fused_5d<L, F>(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         l5: usize,
         nrhs: usize,
-        grain: usize,
         load: &L,
         finish: &F,
     ) where
         L: Fn(Spinor<R>) -> Spinor<R> + Sync,
         F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
     {
-        let v = self.lattice.volume();
-        self.fused_sweep(
-            out,
-            inp,
-            v,
-            (l5, nrhs, grain),
-            |x| x,
-            |_, e| e,
-            load,
-            finish,
-        );
+        let rows = self.lattice.volume();
+        let shape = (l5, nrhs, stencil_grain(rows));
+        self.fused_sweep(out, inp, rows, shape, |x| x, |_, e| e, load, finish);
     }
 
     /// Checkerboarded counterpart of [`Self::apply_full_fused_5d`]: hops from
@@ -200,7 +198,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         out_parity: Parity,
         l5: usize,
         nrhs: usize,
-        grain: usize,
         load: &L,
         finish: &F,
     ) where
@@ -211,14 +208,17 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         let site = |cb: usize| sites[cb] as usize;
         let slot = |lat: &Lattice, e: usize| lat.cb_index(e);
         let rows = sites.len();
-        self.fused_sweep(out, inp, rows, (l5, nrhs, grain), site, slot, load, finish);
+        let shape = (l5, nrhs, stencil_grain(rows));
+        self.fused_sweep(out, inp, rows, shape, site, slot, load, finish);
     }
 
-    /// The one stencil body, `(l5, nrhs, grain)` as in the two sweeps above:
-    /// output row `row` (of `rows` per slice) is lexicographic site
-    /// `site(row)`, and a neighbor `e` is read from slot `slot(lattice, e)`
-    /// of the input slice. Each row's `L5 × nrhs` spinors go through
-    /// [`lanes::hop_row`], which hops them as vector lanes.
+    /// The one stencil body, `(l5, nrhs)` as in the two sweeps above and
+    /// `grain` rows per parallel chunk: output row `row` (of `rows` per
+    /// slice) is lexicographic site `site(row)`, and a neighbor `e` is read
+    /// from slot `slot(lattice, e)` of the input slice. Each row's
+    /// `L5 × nrhs` spinors go through [`lanes::hop_row`], which hops them as
+    /// vector lanes. Chunks write disjoint rows, so `grain` never reaches
+    /// the result's bits.
     #[allow(clippy::too_many_arguments)]
     fn fused_sweep<S, I, L, F>(
         &self,
@@ -397,19 +397,42 @@ mod tests {
         (lat, gauge, psi)
     }
 
-    /// `out = H inp` through the fused sweep onto `parity` (`None`: the full
-    /// lattice), with identity `load` and `finish`.
+    /// `out = H inp` through the public sweep onto `parity` (`None`: the
+    /// full lattice), with identity `load` and `finish`.
     fn fused<R: Real, G: GaugeLinks<R>>(
         hop: &HoppingKernel<R, G>,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         parity: Option<Parity>,
-        (l5, nrhs, grain): (usize, usize, usize),
+        (l5, nrhs): (usize, usize),
     ) {
         let (load, finish) = (|psi| psi, |_, h| h);
         match parity {
-            None => hop.apply_full_fused_5d(out, inp, l5, nrhs, grain, &load, &finish),
-            Some(p) => hop.apply_parity_fused_5d(out, inp, p, l5, nrhs, grain, &load, &finish),
+            None => hop.apply_full_fused_5d(out, inp, l5, nrhs, &load, &finish),
+            Some(p) => hop.apply_parity_fused_5d(out, inp, p, l5, nrhs, &load, &finish),
+        }
+    }
+
+    /// The public sweep onto `parity` run through the one stencil body at an
+    /// explicit `grain` instead of [`stencil_grain`].
+    fn fused_at<R: Real, G: GaugeLinks<R>>(
+        hop: &HoppingKernel<R, G>,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        parity: Option<Parity>,
+        shape: (usize, usize, usize),
+        load: &(impl Fn(Spinor<R>) -> Spinor<R> + Sync),
+        finish: &(impl Fn(usize, Spinor<R>) -> Spinor<R> + Sync),
+    ) {
+        let lat = hop.lattice;
+        match parity {
+            None => hop.fused_sweep(out, inp, lat.volume(), shape, |x| x, |_, e| e, load, finish),
+            Some(p) => {
+                let sites = lat.sites_with_parity(p);
+                let site = |cb: usize| sites[cb] as usize;
+                let slot = |lat: &Lattice, e: usize| lat.cb_index(e);
+                hop.fused_sweep(out, inp, sites.len(), shape, site, slot, load, finish);
+            }
         }
     }
 
@@ -420,7 +443,7 @@ mod tests {
             let hop = HoppingKernel::new(&lat, &gauge, apbc);
             let mut fast = vec![Spinor::zero(); lat.volume()];
             let mut slow = vec![Spinor::zero(); lat.volume()];
-            fused(&hop, &mut fast, &psi.data, None, (1, 1, 64));
+            fused(&hop, &mut fast, &psi.data, None, (1, 1));
             hop.apply_full_reference(&mut slow, &psi.data);
             let diff = crate::blas::sub(&fast, &slow);
             let rel = crate::blas::norm_sqr(&diff) / crate::blas::norm_sqr(&slow);
@@ -428,17 +451,34 @@ mod tests {
         }
     }
 
+    /// Every grain the stencil body may be split at — one row per chunk, a
+    /// ragged last chunk, the rule's floor and its ceiling (one chunk) —
+    /// gives the public sweeps' bits, full and parity, with a γ5 `load` and
+    /// an index-dependent `finish`.
     #[test]
     fn grain_size_does_not_change_result() {
         let (lat, gauge, _) = setup([4, 4, 2, 6], 11);
         let hop = HoppingKernel::new(&lat, &gauge, true);
-        let n = 2 * lat.volume() * 3;
-        let psi = FermionField::<f64>::gaussian(n, 12).data;
-        let mut a = vec![Spinor::zero(); n];
-        let mut b = vec![Spinor::zero(); n];
-        fused(&hop, &mut a, &psi, None, (2, 3, 1));
-        fused(&hop, &mut b, &psi, None, (2, 3, 4096));
-        assert_eq!(real_bits(&a), real_bits(&b));
+        let (l5, nrhs) = (2, 3);
+        let load = |psi: Spinor<f64>| psi.apply_gamma5();
+        for parity in [None, Some(Parity::Even), Some(Parity::Odd)] {
+            let rows = parity.map_or(lat.volume(), |_| lat.half_volume());
+            let psi = FermionField::<f64>::gaussian(l5 * rows * nrhs, 12).data;
+            let finish = |i: usize, h: Spinor<f64>| h.scale(0.5 + (i % 7) as f64) - psi[i];
+            let mut want = vec![Spinor::zero(); psi.len()];
+            match parity {
+                None => hop.apply_full_fused_5d(&mut want, &psi, l5, nrhs, &load, &finish),
+                Some(p) => hop.apply_parity_fused_5d(&mut want, &psi, p, l5, nrhs, &load, &finish),
+            }
+            for grain in [1, 7, 32, 1024] {
+                let (mut got, shape) = (vec![Spinor::zero(); psi.len()], (l5, nrhs, grain));
+                fused_at(&hop, &mut got, &psi, parity, shape, &load, &finish);
+                assert!(
+                    real_bits(&got) == real_bits(&want),
+                    "{parity:?} grain {grain}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -447,7 +487,7 @@ mod tests {
         let hop = HoppingKernel::new(&lat, &gauge, true);
 
         let mut full = vec![Spinor::zero(); lat.volume()];
-        fused(&hop, &mut full, &psi.data, None, (1, 1, 128));
+        fused(&hop, &mut full, &psi.data, None, (1, 1));
 
         // Scatter input into checkerboards.
         let hv = lat.half_volume();
@@ -461,8 +501,8 @@ mod tests {
         }
         let mut even_out = vec![Spinor::zero(); hv];
         let mut odd_out = vec![Spinor::zero(); hv];
-        fused(&hop, &mut even_out, &odd_in, Some(Parity::Even), (1, 1, 64));
-        fused(&hop, &mut odd_out, &even_in, Some(Parity::Odd), (1, 1, 64));
+        fused(&hop, &mut even_out, &odd_in, Some(Parity::Even), (1, 1));
+        fused(&hop, &mut odd_out, &even_in, Some(Parity::Odd), (1, 1));
 
         for x in 0..lat.volume() {
             let cb = lat.cb_index(x);
@@ -510,14 +550,14 @@ mod tests {
                     .collect();
                 let block = BlockSpinor::from_columns(&cols);
                 let mut out = BlockSpinor::zeros(l5 * rows, nrhs);
-                fused(&hop, out.data_mut(), block.data(), parity, (l5, nrhs, 7));
+                fused(&hop, out.data_mut(), block.data(), parity, (l5, nrhs));
                 let mut oracle = vec![Spinor::zero(); out.data().len()];
                 hop.apply_oracle(&mut oracle, block.data(), parity, nrhs);
                 let what = format!("{} {parity:?} l5 {l5} nrhs {nrhs}", R::NAME);
                 assert!(real_bits(out.data()) == real_bits(&oracle), "{what}");
                 for (j, c) in cols.iter().enumerate() {
                     let mut single = vec![Spinor::zero(); c.len()];
-                    fused(&hop, &mut single, c, parity, (l5, 1, 64));
+                    fused(&hop, &mut single, c, parity, (l5, 1));
                     assert!(
                         real_bits(&out.col(j)) == real_bits(&single),
                         "{what} column {j}"
@@ -557,10 +597,8 @@ mod tests {
             let mut out = vec![Spinor::zero(); inp.len()];
             let finish = |_, h| h;
             match parity {
-                None => hop.apply_full_fused_5d(&mut out, &inp, l5, nrhs, 5, &gamma5, &finish),
-                Some(p) => {
-                    hop.apply_parity_fused_5d(&mut out, &inp, p, l5, nrhs, 5, &gamma5, &finish)
-                }
+                None => hop.apply_full_fused_5d(&mut out, &inp, l5, nrhs, &gamma5, &finish),
+                Some(p) => hop.apply_parity_fused_5d(&mut out, &inp, p, l5, nrhs, &gamma5, &finish),
             }
             let flipped: Vec<Spinor<R>> = inp.iter().map(|&psi| gamma5(psi)).collect();
             let mut oracle = vec![Spinor::zero(); inp.len()];
@@ -600,7 +638,7 @@ mod tests {
         };
         psi.data.iter_mut().for_each(|s| *s = constant);
         let mut out = vec![Spinor::zero(); lat.volume()];
-        fused(&hop, &mut out, &psi.data, None, (1, 1, 64));
+        fused(&hop, &mut out, &psi.data, None, (1, 1));
         for x in 0..lat.volume() {
             let expect = constant.scale(8.0);
             assert!((out[x] - expect).norm_sqr() < 1e-20);

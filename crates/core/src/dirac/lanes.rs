@@ -533,6 +533,7 @@ mod x86 {
     ///
     /// The CPU supports AVX2.
     #[inline(always)]
+    // SAFETY: a contract, not a use: callers uphold `# Safety` above.
     pub(super) unsafe fn gather<R: 'static, const N: usize>(
         tile: &mut Tile<R, N>,
         s: &[Spinor<R>; N],
@@ -555,6 +556,7 @@ mod x86 {
     ///
     /// The CPU supports AVX2.
     #[inline(always)]
+    // SAFETY: a contract, not a use: callers uphold `# Safety` above.
     pub(super) unsafe fn scatter<R: 'static, const N: usize>(
         s: &mut [Spinor<R>; N],
         tile: &Tile<R, N>,
@@ -576,6 +578,7 @@ mod x86 {
     /// Every position named is in bounds of its allocation, the two ranges
     /// do not overlap, and the CPU supports AVX2.
     #[inline(always)]
+    // SAFETY: a contract, not a use: callers uphold `# Safety` above.
     unsafe fn blocks<R: 'static, const N: usize>(
         src: *const R,
         (src_r, src_k): (usize, usize),
@@ -610,6 +613,7 @@ mod x86 {
     ///
     /// As for [`blocks`], at `N = 8`.
     #[inline(always)]
+    // SAFETY: a contract, not a use: callers uphold `# Safety` above.
     unsafe fn t8_ps(src: *const f32, src_r: usize, dst: *mut f32, dst_r: usize) {
         // SAFETY: the caller vouches for AVX2 and for rows `< 8` of 8 reals
         // at both ends.
@@ -651,6 +655,7 @@ mod x86 {
     ///
     /// As for [`blocks`], at `N = 4`.
     #[inline(always)]
+    // SAFETY: a contract, not a use: callers uphold `# Safety` above.
     unsafe fn t4_ps(src: *const f32, src_r: usize, dst: *mut f32, dst_r: usize) {
         // SAFETY: the caller vouches for AVX2 and for rows `< 4` of 4 reals
         // at both ends.
@@ -681,6 +686,7 @@ mod x86 {
     ///
     /// As for [`blocks`], at `N = 4`.
     #[inline(always)]
+    // SAFETY: a contract, not a use: callers uphold `# Safety` above.
     unsafe fn t4_pd(src: *const f64, src_r: usize, dst: *mut f64, dst_r: usize) {
         // SAFETY: the caller vouches for AVX2 and for rows `< 4` of 4 reals
         // at both ends.
@@ -710,6 +716,7 @@ mod x86 {
     ///
     /// As for [`blocks`], at `N = 2`.
     #[inline(always)]
+    // SAFETY: a contract, not a use: callers uphold `# Safety` above.
     unsafe fn t2_pd(src: *const f64, src_r: usize, dst: *mut f64, dst_r: usize) {
         // SAFETY: the caller vouches for AVX2 and for rows `< 2` of 2 reals
         // at both ends.

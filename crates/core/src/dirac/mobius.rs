@@ -594,24 +594,11 @@ struct PrecScratch<R> {
     cols: Vec<Spinor<R>>,
 }
 
-/// Default sites per stencil chunk for a 4D extent of `sites`: at least
-/// eight chunks, so the pool has something to share even at 4³×8, down to a
-/// 32-site floor and up to the 1024 the Wilson operators use.
-fn default_grain(sites: usize) -> usize {
-    (sites / 8).clamp(32, 1024)
-}
-
 /// The full-lattice Möbius domain-wall operator on `L5 × V` vectors.
 pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     fifth: FifthDim<R>,
-    /// Sites per parallel chunk of the 4D stencil: by default an eighth of
-    /// the stencil's 4D extent, clamped to 32..=1024, unless a caller
-    /// overrides it ([`crate::tune::tune_operator`] installs a measured
-    /// winner; no production path tunes). Chunks write disjoint elements, so
-    /// it never reaches the result's bits.
-    pub grain: usize,
     /// Reusable 5D staging buffers: `ρ(ψ)` and the precomputed diagonal
     /// `A(ψ)` for [`LinearOp::apply_block`], the hop result for
     /// [`DiracOp::apply_dagger_block`] — whichever hop the composition runs.
@@ -642,7 +629,7 @@ pub(crate) trait FusedHop<R: Real> {
         F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync;
 }
 
-/// [`MobiusDirac`]'s own hop: the fused single-domain sweep at its grain.
+/// [`MobiusDirac`]'s own hop: the fused single-domain sweep.
 struct SingleDomain<'m, 'a, R: Real, G: GaugeLinks<R>>(&'m MobiusDirac<'a, R, G>);
 
 impl<R: Real, G: GaugeLinks<R>> FusedHop<R> for SingleDomain<'_, '_, R, G> {
@@ -659,7 +646,7 @@ impl<R: Real, G: GaugeLinks<R>> FusedHop<R> for SingleDomain<'_, '_, R, G> {
     {
         let m = self.0;
         m.hopping
-            .apply_full_fused_5d(out, inp, m.l5(), nrhs, m.grain, load, finish);
+            .apply_full_fused_5d(out, inp, m.l5(), nrhs, load, finish);
     }
 }
 
@@ -671,7 +658,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
             hopping: HoppingKernel::new(lattice, gauge, true),
             lattice,
             fifth: FifthDim::new(params),
-            grain: default_grain(lattice.volume()),
             scratch: Mutex::new((Vec::new(), Vec::new())),
         }
     }
@@ -850,12 +836,6 @@ pub struct PrecMobius<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     fifth: FifthDim<R>,
-    /// Sites per parallel chunk of the 4D stencil: by default an eighth of
-    /// the stencil's 4D extent, clamped to 32..=1024, unless a caller
-    /// overrides it ([`crate::tune::tune_operator`] installs a measured
-    /// winner; no production path tunes). Chunks write disjoint elements, so
-    /// it never reaches the result's bits.
-    pub grain: usize,
     /// Reusable staging for the block forms, source preparation and
     /// reconstruction (behind a lock so all keep their `&self` interface).
     scratch: Mutex<PrecScratch<R>>,
@@ -868,7 +848,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             hopping: HoppingKernel::new(lattice, gauge, true),
             lattice,
             fifth: FifthDim::new(params),
-            grain: default_grain(lattice.half_volume()),
             scratch: Mutex::new(PrecScratch {
                 rho: Vec::new(),
                 tmp: Vec::new(),
@@ -922,9 +901,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         load: &(impl Fn(Spinor<R>) -> Spinor<R> + Sync),
         finish: &(impl Fn(usize, Spinor<R>) -> Spinor<R> + Sync),
     ) {
-        let (l5, grain) = (self.l5(), self.grain);
         self.hopping
-            .apply_parity_fused_5d(out, inp, parity, l5, nrhs, grain, load, finish);
+            .apply_parity_fused_5d(out, inp, parity, self.l5(), nrhs, load, finish);
     }
 
     /// Preconditioned source `b'_o = b_o − M_oe A⁻¹ b_e` with
@@ -1235,8 +1213,8 @@ mod tests {
     /// `assert_block_matches_oracle`: both directions, `nrhs` 1 and 3, pool
     /// widths 1, 2 and 4; L5 2, 4 and 8) and `PrecMobius`'s source preparation and
     /// reconstruction against their unfused oracles, on every real's bit
-    /// pattern — at every stencil grain, since the grain may not reach the
-    /// bits.
+    /// pattern. The stencil grain is pinned once, at the kernel
+    /// (`hopping`'s `grain_size_does_not_change_result`).
     fn fused_forms_match_oracles<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
         for l5 in [2, 4, 8] {
             for mass in [0.3, 0.05] {
@@ -1245,38 +1223,29 @@ mod tests {
                     MobiusParams::shamir(l5, mass),
                 ] {
                     let what = format!("{:?} {params:?}", lat.dims());
-                    let grains = [1, 7, 32, 1024];
-                    let full = grains.map(|grain| MobiusDirac {
-                        grain,
-                        ..MobiusDirac::new(lat, gauge, params)
-                    });
+                    let full = MobiusDirac::new(lat, gauge, params);
                     assert_block_matches_oracle(&full, &what, |o, i, nrhs, dagger| match dagger {
-                        false => full[0].apply_block_oracle(o, i, nrhs),
-                        true => full[0].apply_dagger_block_oracle(o, i, nrhs),
+                        false => full.apply_block_oracle(o, i, nrhs),
+                        true => full.apply_dagger_block_oracle(o, i, nrhs),
                     });
-                    let prec = grains.map(|grain| PrecMobius {
-                        grain,
-                        ..PrecMobius::new(lat, gauge, params)
-                    });
+                    let prec = PrecMobius::new(lat, gauge, params);
                     assert_block_matches_oracle(&prec, &what, |o, i, nrhs, dagger| {
-                        prec[0].schur_block(o, i, nrhs, dagger)
+                        prec.schur_block(o, i, nrhs, dagger)
                     });
 
-                    let n = prec[0].vec_len();
+                    let n = prec.vec_len();
                     let b_e = FermionField::<R>::gaussian(n, 61).data;
                     let b_o = FermionField::<R>::gaussian(n, 62).data;
-                    for op in &prec {
-                        let (got, want) = (
-                            op.prepare_source(&b_e, &b_o),
-                            op.prepare_source_oracle(&b_e, &b_o),
-                        );
-                        assert!(real_bits(&got) == real_bits(&want), "{what}");
-                        let (got, want) = (
-                            op.reconstruct_even(&b_e, &b_o),
-                            op.reconstruct_even_oracle(&b_e, &b_o),
-                        );
-                        assert!(real_bits(&got) == real_bits(&want), "{what}");
-                    }
+                    let (got, want) = (
+                        prec.prepare_source(&b_e, &b_o),
+                        prec.prepare_source_oracle(&b_e, &b_o),
+                    );
+                    assert!(real_bits(&got) == real_bits(&want), "{what}");
+                    let (got, want) = (
+                        prec.reconstruct_even(&b_e, &b_o),
+                        prec.reconstruct_even_oracle(&b_e, &b_o),
+                    );
+                    assert!(real_bits(&got) == real_bits(&want), "{what}");
                 }
             }
         }

@@ -149,35 +149,32 @@ pub(crate) mod testing {
             .collect()
     }
 
-    /// Hold every operator of `ops` — one operator at several stencil grains,
-    /// say — to `oracle(out, inp, nrhs, dagger)` in both directions
+    /// Hold `op` to `oracle(out, inp, nrhs, dagger)` in both directions
     /// (`apply_block`, `apply_dagger_block`) on every real's bit pattern, at
     /// `nrhs` 1 and 3 and pool widths 1, 2 and 4.
     pub(crate) fn assert_block_matches_oracle<R: Real, D: DiracOp<R>>(
-        ops: &[D],
+        op: &D,
         what: &str,
         oracle: impl Fn(&mut [Spinor<R>], &[Spinor<R>], usize, bool),
     ) {
         for nrhs in [1, 3] {
-            let n = ops[0].vec_len() * nrhs;
+            let n = op.vec_len() * nrhs;
             let inp = crate::field::FermionField::<R>::gaussian(n, 40 + nrhs as u64).data;
             for dagger in [false, true] {
                 let mut want = vec![Spinor::zero(); n];
                 oracle(&mut want, &inp, nrhs, dagger);
                 let want = real_bits(&want);
-                for (k, op) in ops.iter().enumerate() {
-                    for width in [1, 2, 4] {
-                        let mut got = vec![Spinor::zero(); n];
-                        let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
-                        pool.expect("width handle").install(|| match dagger {
-                            false => op.apply_block(&mut got, &inp, nrhs),
-                            true => op.apply_dagger_block(&mut got, &inp, nrhs),
-                        });
-                        assert!(
-                            real_bits(&got) == want,
-                            "{what}: operator {k}, nrhs {nrhs}, dagger {dagger}, width {width}"
-                        );
-                    }
+                for width in [1, 2, 4] {
+                    let mut got = vec![Spinor::zero(); n];
+                    let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
+                    pool.expect("width handle").install(|| match dagger {
+                        false => op.apply_block(&mut got, &inp, nrhs),
+                        true => op.apply_dagger_block(&mut got, &inp, nrhs),
+                    });
+                    assert!(
+                        real_bits(&got) == want,
+                        "{what}: nrhs {nrhs}, dagger {dagger}, width {width}"
+                    );
                 }
             }
         }

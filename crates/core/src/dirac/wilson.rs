@@ -24,11 +24,6 @@ pub struct WilsonDirac<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     mass: f64,
-    /// Sites per parallel chunk of the stencil: 1024 unless a caller
-    /// overrides it ([`crate::tune::tune_operator`] installs a measured
-    /// winner; no production path tunes). Chunks write disjoint elements, so
-    /// it never reaches the result's bits.
-    pub grain: usize,
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
@@ -39,7 +34,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
             hopping: HoppingKernel::new(lattice, gauge, antiperiodic_t),
             lattice,
             mass,
-            grain: 1024,
         }
     }
 
@@ -95,7 +89,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
         let diag = R::from_f64(4.0 + self.mass);
         let half = R::from_f64(0.5);
         self.hopping
-            .apply_full_fused_5d(out, inp, 1, nrhs, self.grain, &g, &|i, h| {
+            .apply_full_fused_5d(out, inp, 1, nrhs, &g, &|i, h| {
                 g(g(inp[i]).scale(diag) - h.scale(half))
             });
     }
@@ -106,11 +100,6 @@ pub struct PrecWilson<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     mass: f64,
-    /// Sites per parallel chunk of the stencil: 1024 unless a caller
-    /// overrides it ([`crate::tune::tune_operator`] installs a measured
-    /// winner; no production path tunes). Chunks write disjoint elements, so
-    /// it never reaches the result's bits.
-    pub grain: usize,
     /// Reused half-volume intermediate of the two hops (behind a lock so
     /// `apply_block` keeps its `&self` solver interface).
     scratch: Mutex<Vec<Spinor<R>>>,
@@ -123,7 +112,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
             hopping: HoppingKernel::new(lattice, gauge, antiperiodic_t),
             lattice,
             mass,
-            grain: 1024,
             scratch: Mutex::new(Vec::new()),
         }
     }
@@ -176,16 +164,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
         finish: impl Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
     ) -> Vec<Spinor<R>> {
         let mut out = vec![Spinor::zero(); self.lattice.half_volume()];
-        self.hopping.apply_parity_fused_5d(
-            &mut out,
-            inp,
-            parity,
-            1,
-            1,
-            self.grain,
-            &|psi| psi,
-            &finish,
-        );
+        self.hopping
+            .apply_parity_fused_5d(&mut out, inp, parity, 1, 1, &|psi| psi, &finish);
         out
     }
 
@@ -204,18 +184,11 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
         let c = R::from_f64(0.25 / self.diag());
         let mut even = self.scratch.lock();
         even.resize(self.lattice.half_volume() * nrhs, Spinor::zero());
-        let (hop, grain) = (&self.hopping, self.grain);
-        hop.apply_parity_fused_5d(&mut even, inp, Parity::Even, 1, nrhs, grain, &g, &|_, h| h);
-        hop.apply_parity_fused_5d(
-            out,
-            &even,
-            Parity::Odd,
-            1,
-            nrhs,
-            grain,
-            &|psi| psi,
-            &|i, h| g(g(inp[i]).scale(a) - h.scale(c)),
-        );
+        let hop = &self.hopping;
+        hop.apply_parity_fused_5d(&mut even, inp, Parity::Even, 1, nrhs, &g, &|_, h| h);
+        hop.apply_parity_fused_5d(out, &even, Parity::Odd, 1, nrhs, &|psi| psi, &|i, h| {
+            g(g(inp[i]).scale(a) - h.scale(c))
+        });
     }
 }
 
@@ -292,21 +265,14 @@ mod tests {
     }
 
     fn fused_forms_match_oracles<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
-        let ds = [1, 7, 1024].map(|grain| WilsonDirac {
-            grain,
-            ..WilsonDirac::new(lat, gauge, 0.1, true)
+        let d = WilsonDirac::new(lat, gauge, 0.1, true);
+        assert_block_matches_oracle(&d, "WilsonDirac", |o, i, n, dag| {
+            oracle_wilson(&d, o, i, n, dag)
         });
-        assert_block_matches_oracle(&ds, "WilsonDirac", |o, i, n, dag| {
-            oracle_wilson(&ds[0], o, i, n, dag)
+        let p = &PrecWilson::new(lat, gauge, 0.1, true);
+        assert_block_matches_oracle(p, "PrecWilson", |o, i, n, dag| {
+            oracle_prec_wilson(p, o, i, n, dag)
         });
-        let ops = [1, 7, 1024].map(|grain| PrecWilson {
-            grain,
-            ..PrecWilson::new(lat, gauge, 0.1, true)
-        });
-        assert_block_matches_oracle(&ops, "PrecWilson", |o, i, n, dag| {
-            oracle_prec_wilson(&ops[0], o, i, n, dag)
-        });
-        let p = &ops[0];
 
         // Source preparation and reconstruction: the oracle hop, then the
         // combination pass.

@@ -177,7 +177,7 @@ mod tests {
     fn fixed_time_insertions_sum_to_full_fh_propagator() {
         // Linearity of the Dirac inverse: Σ_τ D⁻¹(Γ S δ_{t,τ}) = D⁻¹(Γ S).
         let (lat, gauge) = quenched_setup();
-        let solver = PropagatorSolver::new(&lat, &gauge, SolverKind::WilsonBicgstab { mass: 0.5 });
+        let solver = PropagatorSolver::new(&lat, &gauge, SolverKind::WilsonPrecCgne { mass: 0.5 });
         let (base, _) = solver.point_propagator(0);
         let fh = FeynmanHellmann::axial(&solver);
 
@@ -211,7 +211,7 @@ mod tests {
     #[test]
     fn fh_nucleon_correlator_runs_on_real_pipeline() {
         let (lat, gauge) = quenched_setup();
-        let solver = PropagatorSolver::new(&lat, &gauge, SolverKind::WilsonBicgstab { mass: 0.5 });
+        let solver = PropagatorSolver::new(&lat, &gauge, SolverKind::WilsonPrecCgne { mass: 0.5 });
         let (prop, _) = solver.point_propagator(0);
         let fh = FeynmanHellmann::axial(&solver);
         let (fh_prop, _) = fh.fh_propagator(&prop);

@@ -54,7 +54,6 @@ pub mod solver;
 pub mod spinor;
 pub mod su3;
 pub mod threads;
-pub mod tune;
 
 /// Convenient re-exports of the most used items.
 pub mod prelude {
@@ -85,12 +84,11 @@ pub mod prelude {
     pub use crate::real::Real;
     pub use crate::recon::{Recon12Gauge, Recon8Gauge};
     pub use crate::solver::{
-        bicgstab, cg, cg_block, cgne, deflated_cg_block, lanczos, lanczos_lowest, mixed_cg,
-        CgParams, Deflation, EigenPair, LanczosParams, MixedParams, SolveStats,
+        cg, cg_block, cgne, deflated_cg_block, lanczos, lanczos_lowest, mixed_cg, CgParams,
+        Deflation, EigenPair, LanczosParams, MixedParams, SolveStats,
     };
     pub use crate::spinor::Spinor;
     pub use crate::su3::{ColorVec, Su3, NC};
-    pub use crate::tune::{tune_block_operator, tune_operator, GrainTunable};
 }
 
 pub use prelude::*;

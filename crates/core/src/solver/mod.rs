@@ -4,18 +4,17 @@
 //! equations ([`cgne`]) over the red–black preconditioned Möbius operator,
 //! run double/half mixed-precision with reliable updates ([`mixed_cg`]). The
 //! CG recurrence is written once (see [`cg`]'s module); [`cg`],
-//! [`cg_block`], [`cg_ft`] and [`mixed_cg`] are drivers over it. A BiCGStab
-//! variant covers non-Hermitian 4D Wilson solves; shift-invert Lanczos plus
-//! deflated block CG accelerate ill-conditioned light-quark systems.
+//! [`cg_block`], [`cg_ft`] and [`mixed_cg`] are drivers over it; the
+//! non-Hermitian 4D Wilson system goes through [`cgne`] too, over its
+//! red–black Schur complement. Shift-invert Lanczos plus deflated block CG
+//! accelerate ill-conditioned light-quark systems.
 
-mod bicgstab;
 mod cg;
 mod deflate;
 mod eig;
 mod ft;
 mod mixed;
 
-pub use bicgstab::bicgstab;
 pub(crate) use cg::solve_normal;
 pub use cg::{cg, cg_block, cgne, CgParams, FallibleOp};
 pub use deflate::{deflated_cg_block, Deflation};

@@ -210,7 +210,7 @@ mod tests {
     fn make_prop() -> (Lattice, Propagator) {
         let lat = Lattice::new([4, 4, 2, 4]);
         let gauge = GaugeField::<f64>::hot(&lat, 3);
-        let solver = PropagatorSolver::new(&lat, &gauge, SolverKind::WilsonBicgstab { mass: 0.5 });
+        let solver = PropagatorSolver::new(&lat, &gauge, SolverKind::WilsonPrecCgne { mass: 0.5 });
         let (prop, _) = solver.point_propagator(5);
         (lat, prop)
     }

@@ -590,6 +590,19 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_header_is_a_format_error() {
+        let header = "[".repeat(100_000);
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(header.as_bytes());
+        assert!(matches!(parse_container(&bytes), Err(IoError::Format(_))));
+        let path = tmp("nested_header.lqio");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(read_header(&path), Err(IoError::Format(_))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
     fn dtype_mismatch_is_rejected() {
         let vals: Vec<f64> = vec![1.0, 2.0];
         let c = Container::from_f64("x", vec![2], &vals, BTreeMap::new());

@@ -150,8 +150,8 @@ mod tests {
         let reread = read_gauge(&path, &lat).unwrap();
 
         let b = point_source(&lat, 0, 0, 0);
-        let s1 = PropagatorSolver::new(&lat, &gauge, SolverKind::WilsonBicgstab { mass: 0.4 });
-        let s2 = PropagatorSolver::new(&lat, &reread, SolverKind::WilsonBicgstab { mass: 0.4 });
+        let s1 = PropagatorSolver::new(&lat, &gauge, SolverKind::WilsonPrecCgne { mass: 0.4 });
+        let s2 = PropagatorSolver::new(&lat, &reread, SolverKind::WilsonPrecCgne { mass: 0.4 });
         let (q1, _) = s1.solve(&b);
         let (q2, _) = s2.solve(&b);
         assert_eq!(q1.data, q2.data);

@@ -178,7 +178,7 @@ impl Json {
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let bytes = input.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(err(pos, "trailing characters after value"));
@@ -312,8 +312,18 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), JsonError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser recurses
+/// once per level, so without a cap a few hundred thousand `[` in an
+/// untrusted document would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value at nesting `depth` (the number of enclosing arrays and
+/// objects).
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(err(*pos, "arrays and objects nested too deeply"));
+    }
     match b.get(*pos) {
         None => Err(err(*pos, "unexpected end of input")),
         Some(b'n') => expect(b, pos, "null").map(|_| Json::Null),
@@ -329,7 +339,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                 return Ok(Json::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -360,7 +370,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
                     return Err(err(*pos, "expected `:` after object key"));
                 }
                 *pos += 1;
-                let value = parse_value(b, pos)?;
+                let value = parse_value(b, pos, depth + 1)?;
                 pairs.push((key, value));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -407,6 +417,7 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
                             // Surrogate pair: require a following \uXXXX low half.
                             if b.get(*pos + 1) == Some(&b'\\') && b.get(*pos + 2) == Some(&b'u') {
                                 let lo = parse_hex4(b, *pos + 3)
+                                    .filter(|lo| (0xDC00..0xE000).contains(lo))
                                     .ok_or_else(|| err(*pos, "bad low surrogate"))?;
                                 *pos += 6;
                                 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
@@ -442,11 +453,9 @@ fn parse_string(b: &[u8], pos: &mut usize) -> Result<String, JsonError> {
 }
 
 fn parse_hex4(b: &[u8], at: usize) -> Option<u32> {
-    if at + 4 > b.len() {
-        return None;
-    }
-    let s = std::str::from_utf8(&b[at..at + 4]).ok()?;
-    u32::from_str_radix(s, 16).ok()
+    b.get(at..at + 4)?
+        .iter()
+        .try_fold(0, |code, &c| Some(code * 16 + char::from(c).to_digit(16)?))
 }
 
 fn parse_number(b: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
@@ -535,6 +544,80 @@ mod tests {
             "\"\\u12\"",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn a_high_surrogate_needs_a_low_half() {
+        for bad in [
+            "\"\\ud800\\u0041\"",
+            "\"\\ud800\\ud800\"",
+            "\"\\udbff\\ue000\"",
+            "\"\\ud800\\u+c00\"",
+        ] {
+            assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+        assert!(
+            Json::parse("\"\\u+041\"").is_err(),
+            "a sign is not a hex digit"
+        );
+    }
+
+    #[test]
+    fn nesting_is_capped_instead_of_overflowing_the_stack() {
+        let deep = "[".repeat(200_000);
+        assert!(Json::parse(&deep).is_err());
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(Json::parse(&objects).is_err());
+        // The cap itself: `MAX_DEPTH` levels parse, one more does not.
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+        assert!(Json::parse(&nest(MAX_DEPTH + 1)).is_err());
+    }
+
+    /// A document with every kind of value, escapes, multi-byte scalars and
+    /// a surrogate pair.
+    fn representative() -> String {
+        let doc = Json::obj(vec![
+            ("name", Json::from("tune \"cache\" £ 𝒜\n")),
+            ("grain", Json::from(1024u64)),
+            ("seconds", Json::from(-3.25e-7)),
+            ("ok", Json::from(true)),
+            ("none", Json::Null),
+            (
+                "entries",
+                Json::Arr(vec![
+                    Json::obj(vec![("k", Json::from("dslash")), ("v", Json::from(1.5))]),
+                    Json::Arr(vec![Json::from(false), Json::Arr(vec![])]),
+                ]),
+            ),
+        ]);
+        doc.to_string().replace("𝒜", "\\ud835\\udc9c")
+    }
+
+    #[test]
+    fn every_truncation_is_an_error() {
+        let text = representative();
+        assert!(Json::parse(&text).is_ok());
+        for cut in 0..text.len() {
+            if let Some(prefix) = text.get(..cut) {
+                assert!(Json::parse(prefix).is_err(), "cut at {cut}: {prefix:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn no_single_bit_flip_panics() {
+        let bytes = representative().into_bytes();
+        for i in 0..bytes.len() {
+            for bit in 0..8 {
+                let mut flipped = bytes.clone();
+                flipped[i] ^= 1 << bit;
+                if let Ok(text) = std::str::from_utf8(&flipped) {
+                    // `Ok` or `Err` are both fine; a panic fails the test.
+                    let _ = Json::parse(text);
+                }
+            }
         }
     }
 

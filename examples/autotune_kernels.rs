@@ -1,51 +1,21 @@
-//! The run-time autotuner at work, on both of its paper roles:
-//! kernel launch parameters (here: the stencil's parallel grain) and the
-//! communication policy for halo exchanges.
+//! The run-time autotuner at work on the paper's extension of the QUDA
+//! autotuner: it picks the halo-exchange communication policy per GPU count
+//! against the Sierra model, caches each choice, and persists the cache the
+//! way QUDA persists its tunecache.
 //!
 //! ```sh
 //! cargo run --release --example autotune_kernels
 //! ```
 
 use lqcd::autotune::Tuner;
-use lqcd::core::prelude::*;
-use lqcd::core::tune::tune_operator;
 use lqcd::machine::{sierra, CommPolicy, SolverPerfModel};
 
 fn main() {
     let tuner = Tuner::new();
 
-    // Kernel tuning: sweep the parallel grain of the Wilson and Möbius
-    // stencils on first encounter, then reuse the cache.
-    let lat = Lattice::new([8, 8, 8, 16]);
-    let gauge = GaugeField::<f64>::hot(&lat, 5);
-    let gauge32 = gauge.cast::<f32>();
-
-    let mut wilson = WilsonDirac::new(&lat, &gauge, 0.1, true);
-    let grain = tune_operator(&tuner, &mut wilson);
-    println!("dslash_wilson/f64: tuned grain = {grain}");
-
-    let mut wilson32 = WilsonDirac::new(&lat, &gauge32, 0.1, true);
-    let grain32 = tune_operator(&tuner, &mut wilson32);
-    println!("dslash_wilson/f32: tuned grain = {grain32}");
-
-    let mut mobius = MobiusDirac::new(&lat, &gauge, MobiusParams::standard(8, 0.1));
-    let grain_m = tune_operator(&tuner, &mut mobius);
-    println!("dslash_mobius/f64: tuned grain = {grain_m}");
-
-    // Second encounter: pure cache hit, no sweep.
-    let mut wilson_again = WilsonDirac::new(&lat, &gauge, 0.1, true);
-    tune_operator(&tuner, &mut wilson_again);
-    let stats = tuner.stats();
-    println!(
-        "tuner cache: {} entries, {} misses (swept), {} hits (looked up)",
-        tuner.len(),
-        stats.misses,
-        stats.hits
-    );
-
     // Communication-policy tuning against the Sierra model at several GPU
     // counts — the paper's extension of the QUDA autotuner.
-    println!("\ncommunication-policy tuning, 48^3x64 on Sierra:");
+    println!("communication-policy tuning, 48^3x64 on Sierra:");
     let model = SolverPerfModel::new(sierra(), [48, 48, 48, 64], 12);
     for gpus in [4usize, 16, 64, 256] {
         if let Some(policy) = model.tuned_policy(&tuner, gpus) {

@@ -38,7 +38,7 @@ fn single_domain_hop<R: Real, G: GaugeLinks<R>>(
 ) -> Vec<Spinor<R>> {
     let hopping = HoppingKernel::new(lat, gauge, true);
     let mut out = vec![Spinor::zero(); inp.len()];
-    hopping.apply_full_fused_5d(&mut out, inp, l5, nrhs, 1024, &|psi| psi, &|_, h| h);
+    hopping.apply_full_fused_5d(&mut out, inp, l5, nrhs, &|psi| psi, &|_, h| h);
     out
 }
 

@@ -4,14 +4,13 @@
 use lqcd::analysis::jackknife::jackknife;
 use lqcd::autotune::Tuner;
 use lqcd::core::prelude::*;
-use lqcd::core::tune::tune_operator;
 use lqcd::jobmgr::{
     weak_scaling_point, Cluster, ClusterConfig, MetaqScheduler, MpiFlavor, NaiveBundler, Workload,
 };
 use lqcd::machine::{sierra, SolverPerfModel};
 use std::collections::BTreeMap;
 
-/// Gauge generation → I/O → tuned solver → contraction → statistics, with
+/// Gauge generation → I/O → solver → contraction → statistics, with
 /// each stage from a different crate.
 #[test]
 fn gauge_to_correlator_through_every_crate() {
@@ -29,12 +28,8 @@ fn gauge_to_correlator_through_every_crate() {
         lqcd::io::write_gauge(&path, &lat, gauge, BTreeMap::new()).unwrap();
         let gauge = lqcd::io::read_gauge(&path, &lat).unwrap();
 
-        // Autotuned Wilson solver (fast path), then the propagator.
-        let tuner = Tuner::new();
-        let mut d = WilsonDirac::new(&lat, &gauge, 0.4, true);
-        tune_operator(&tuner, &mut d);
-
-        let solver = PropagatorSolver::new(&lat, &gauge, SolverKind::WilsonBicgstab { mass: 0.4 });
+        // Red–black preconditioned Wilson solve of the propagator.
+        let solver = PropagatorSolver::new(&lat, &gauge, SolverKind::WilsonPrecCgne { mass: 0.4 });
         let (prop, stats) = solver.point_propagator(0);
         assert!(stats.iter().all(|s| s.converged));
 

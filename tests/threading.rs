@@ -138,10 +138,31 @@ fn mixed_cg_solve_bits_stable_across_widths() {
 }
 
 #[test]
+fn service_wilson_block_bits_stable_across_widths() {
+    // The solve service's dense batch: `D†D` on the Wilson operator at
+    // 4³×8 with 8 columns. The stencil splits the 512 sites into eight
+    // chunks of 64, so the block apply forks at every width above 1.
+    let lat = Lattice::new([4, 4, 4, 8]);
+    let gauge = GaugeField::<f64>::hot(&lat, 71);
+    let d = WilsonDirac::new(&lat, &gauge, 0.2, true);
+    let a = NormalOp::new(&d);
+    let nrhs = 8;
+    let inp = FermionField::<f64>::gaussian(lat.volume() * nrhs, 72).data;
+    let mut out = vec![Spinor::zero(); inp.len()];
+    // Warm: the first apply sizes the reused `D · inp` intermediate.
+    a.apply_block(&mut out, &inp, nrhs);
+    agree_at(&[1, 2, 4], || {
+        let mut out = vec![Spinor::zero(); inp.len()];
+        a.apply_block(&mut out, &inp, nrhs);
+        bits(&out)
+    });
+}
+
+#[test]
 fn mobius_production_shape_bits_stable_across_widths() {
-    // 4³×8, L5 = 4 is the `fh_small` shape: the half-volume (256 sites) is
-    // smaller than the Wilson operators' fixed grain, so this is the one
-    // place a *parallel* Möbius hop meets the production solve.
+    // 4³×8, L5 = 4 is the `fh_small` shape: the stencil splits the
+    // half-volume's 256 sites into eight chunks of 32, so the production
+    // solve's Möbius hops fork at every width above 1.
     let lat = Lattice::new([4, 4, 4, 8]);
     let mut ens = QuenchedEnsemble::cold_start(&lat, HeatbathParams { beta: 6.0, n_or: 2 }, 7);
     let gauge = ens.generate(4, 1, 1).pop().expect("one configuration");
