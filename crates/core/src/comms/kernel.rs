@@ -500,8 +500,9 @@ impl<R: Real> ShardedHopping<R> {
                     let mut n = 0;
                     for lx in sites {
                         let nb = &rank.neighbors[lx];
-                        let fwd = [0, 1, 2, 3].map(|mu| lk[lx * ND + mu]);
-                        let bwd = [0, 1, 2, 3].map(|mu| lk[nb.bwd[mu] as usize * ND + mu]);
+                        let (f, b) = (lx * ND, nb.bwd.map(|e| e as usize * ND));
+                        let fwd = [lk[f], lk[f + 1], lk[f + 2], lk[f + 3]];
+                        let bwd = [lk[b[0]], lk[b[1] + 1], lk[b[2] + 2], lk[b[3] + 3]];
                         lanes::hop_row(
                             nb,
                             lx,

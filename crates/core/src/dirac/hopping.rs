@@ -99,10 +99,11 @@ pub fn hop_site<R: Real>(
     r
 }
 
-/// Rows per parallel chunk of a stencil sweep over `rows` sites: an eighth
-/// of them, so the pool has something to share even at 4³×8, down to a
-/// 32-row floor and up to a 1024-row ceiling.
-fn stencil_grain(rows: usize) -> usize {
+/// Rows per parallel chunk of a Dirac sweep over `rows` sites — the stencil
+/// and the Möbius column sweeps alike: an eighth of them, so the pool has
+/// something to share even at 4³×8, down to a 32-row floor and up to a
+/// 1024-row ceiling.
+pub(super) fn stencil_grain(rows: usize) -> usize {
     (rows / 8).clamp(32, 1024)
 }
 

@@ -36,6 +36,7 @@ use crate::lattice::{Lattice, Parity};
 use crate::real::Real;
 use crate::spinor::Spinor;
 use parking_lot::Mutex;
+#[cfg(test)]
 use rayon::prelude::*;
 
 /// Physical and algorithmic parameters of the Möbius operator.
@@ -187,7 +188,8 @@ impl<R: Real> FifthDim<R> {
     /// `out_s = P₋ in_{s+1} + P₊ in_{s−1}` with `−m` wraps (`dagger = false`),
     /// or its adjoint `out_s = P₋ in_{s−1} + P₊ in_{s+1}` with the wraps
     /// mirrored (`dagger = true`). `slice_len` is the 4D vector length
-    /// (volume or half-volume). The per-element oracle of [`Self::shift_at`].
+    /// (volume or half-volume). The per-element oracle of
+    /// [`Self::shift_at_mapped`].
     #[cfg(test)]
     fn shift(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], slice_len: usize, dagger: bool) {
         let l5 = self.params.l5;
@@ -215,24 +217,11 @@ impl<R: Real> FifthDim<R> {
             });
     }
 
-    /// One element of [`Self::shift`]: the shifted spinor at 5D index
-    /// `(s, i)`. The per-element operation chain is identical to the slice
-    /// loop in `shift`, so fused callers stay bit-identical to the two-pass
-    /// path.
-    #[inline(always)]
-    fn shift_at(
-        &self,
-        inp: &[Spinor<R>],
-        slice_len: usize,
-        s: usize,
-        i: usize,
-        dagger: bool,
-    ) -> Spinor<R> {
-        self.shift_at_mapped(inp, slice_len, s, i, dagger, |x| x)
-    }
-
-    /// [`Self::shift_at`] on `map(inp)`: `map` runs on the two fetched
-    /// neighbours, so the chain is `shift_at`'s on a stored mapped vector.
+    /// One element of [`Self::shift`] on `map(inp)`: the shifted spinor at
+    /// 5D index `(s, i)`, `map` run on the two fetched neighbours. The
+    /// per-element operation chain is the slice loop's in `shift` on a
+    /// stored mapped vector, so fused callers stay bit-identical to the
+    /// two-pass path.
     #[inline(always)]
     fn shift_at_mapped(
         &self,
@@ -258,54 +247,64 @@ impl<R: Real> FifthDim<R> {
         }
     }
 
-    /// Column-wise fused precompute of *both* diagonal-sector vectors:
-    /// `rho = b5·ψ + c5·shift(ψ)` and `diag = α·ψ + β·shift(ψ)` in a single
-    /// sweep parallelized over 4D sites. For a fixed site the whole s-column
-    /// of `ψ` stays cache-resident across the inner s-loop, so each element
-    /// is streamed from memory once instead of three times per output (and
-    /// the shifted spinor is computed once and shared by both outputs —
-    /// value-reuse, not reassociation, so both vectors carry the identical
-    /// per-element chains as the unfused `affine_shift` oracle).
-    fn rho_and_diag(
+    /// The one parallel loop of the fifth-dimension algebra. The 4D sites
+    /// `0..slice_len` are split by the stencil's rule,
+    /// [`super::hopping::stencil_grain`], and each chunk runs through one
+    /// [`crate::simd::dispatch`]. Per site `i`, `stage(this, i, col)` may
+    /// fill the chunk's `L5`-spinor column (its own row of the reusable slab
+    /// `cols`, so no chunk allocates and no `L5` is too long), then for
+    /// every slice `s`, `emit(this, s, i, col)` gives the `K` values stored
+    /// at `(s, i)` of `outs`. Chunks write disjoint elements, so the
+    /// chunking never reaches the bits.
+    ///
+    /// Codegen: the bodies are `#[inline(always)]` `move` closures, copied
+    /// into the AVX2 wrapper's own argument, so LLVM knows their captures
+    /// cannot change under the output writes; the column reaches them as an
+    /// argument, so it is known not to alias those writes either. With the
+    /// bodies held by reference, `a_dagger_minus_scaled_rho_dagger` lost
+    /// 23 % of its 256-bit instructions; with the column captured,
+    /// `ainv_then_rho` lost 12 %.
+    fn column_sweep<const K: usize>(
         &self,
-        rho: &mut [Spinor<R>],
-        diag: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
+        outs: [&mut [Spinor<R>]; K],
         slice_len: usize,
+        cols: &mut Vec<Spinor<R>>,
+        stage: impl Fn(&Self, usize, &mut [Spinor<R>]) + Copy + Sync,
+        emit: impl Fn(&Self, usize, usize, &[Spinor<R>]) -> [Spinor<R>; K] + Copy + Sync,
     ) {
         let l5 = self.params.l5;
-        let n = inp.len();
-        assert_eq!(rho.len(), n);
-        assert_eq!(diag.len(), n);
-        assert_eq!(n, l5 * slice_len);
-        let grain = crate::blas::grain_for(slice_len);
-        let rptr = super::hopping::SendPtr(rho.as_mut_ptr());
-        let dptr = super::hopping::SendPtr(diag.as_mut_ptr());
+        let grain = super::hopping::stencil_grain(slice_len);
+        cols.resize(slice_len.div_ceil(grain) * l5, Spinor::zero());
+        let cptr = super::SendPtr(cols.as_mut_ptr());
+        let optrs = outs.map(|o| {
+            assert_eq!(o.len(), l5 * slice_len);
+            super::SendPtr(o.as_mut_ptr())
+        });
         rayon::for_each_chunk(slice_len, grain, |range| {
+            // SAFETY: chunk `range.start / grain` is run by exactly one task
+            // and owns slab row `[chunk·l5, (chunk+1)·l5)`, which lies inside
+            // the `⌈slice_len/grain⌉·l5` spinors `cols` was just resized to
+            // and is disjoint from every other chunk's row.
+            let col = unsafe {
+                std::slice::from_raw_parts_mut(cptr.get().add(range.start / grain * l5), l5)
+            };
+            // The `move` below takes the bodies and the column; the output
+            // pointers stay borrowed.
+            let optrs = &optrs;
             crate::simd::dispatch(
                 self,
                 #[inline(always)]
-                |this| {
-                    let (b5, c5) = (R::from_f64(this.params.b5), R::from_f64(this.params.c5));
-                    let (al, be) = (
-                        R::from_f64(this.params.alpha()),
-                        R::from_f64(this.params.beta()),
-                    );
+                move |this| {
                     for i in range {
+                        stage(this, i, col);
                         for s in 0..l5 {
-                            let idx = s * slice_len + i;
-                            let sh = this.shift_at(inp, slice_len, s, i, false);
-                            // Read once: `inp` is no argument of the AVX2
-                            // wrapper, so LLVM cannot tell that the `rho`
-                            // write leaves it unchanged.
-                            let x = inp[idx];
-                            // SAFETY: each (s, i) pair is written by exactly
-                            // one task (`i` ranges over disjoint chunks, `s`
-                            // is task-local), and `idx < l5·slice_len` keeps
-                            // both writes in bounds.
-                            unsafe {
-                                *rptr.get().add(idx) = x.scale(b5) + sh.scale(c5);
-                                *dptr.get().add(idx) = x.scale(al) + sh.scale(be);
+                            let values = emit(this, s, i, col);
+                            for (p, &v) in optrs.iter().zip(&values) {
+                                // SAFETY: only this task writes (s, i), as
+                                // chunks are disjoint; `s < l5` and
+                                // `i < slice_len` keep it below every
+                                // output's asserted `l5·slice_len`.
+                                unsafe { *p.get().add(s * slice_len + i) = v };
                             }
                         }
                     }
@@ -314,10 +313,40 @@ impl<R: Real> FifthDim<R> {
         });
     }
 
+    /// `rho = b5·ψ + c5·shift(ψ)` and `diag = α·ψ + β·shift(ψ)` in one
+    /// column sweep: the shifted spinor is computed once and shared by both
+    /// outputs — value-reuse, not reassociation, so both vectors carry the
+    /// identical per-element chains as the unfused `affine_shift` oracle.
+    fn rho_and_diag(
+        &self,
+        rho: &mut [Spinor<R>],
+        diag: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
+        slice_len: usize,
+        cols: &mut Vec<Spinor<R>>,
+    ) {
+        assert_eq!(inp.len(), self.params.l5 * slice_len);
+        self.column_sweep(
+            [rho, diag],
+            slice_len,
+            cols,
+            |_, _, _| {},
+            #[inline(always)]
+            move |this, s, i, _| {
+                let p = &this.params;
+                let sh = this.shift_at_mapped(inp, slice_len, s, i, false, |x| x);
+                let x = inp[s * slice_len + i];
+                let (b5, c5) = (R::from_f64(p.b5), R::from_f64(p.c5));
+                let (al, be) = (R::from_f64(p.alpha()), R::from_f64(p.beta()));
+                [x.scale(b5) + sh.scale(c5), x.scale(al) + sh.scale(be)]
+            },
+        );
+    }
+
     /// Row `s_out` of the closed-form inverse applied to one s-column:
     /// `Σ_{s_in} inv[s_out][s_in]·col(s_in)`, chirality-plus spins (0, 1)
     /// through `inv_up` and minus spins (2, 3) through `inv_dn`, accumulated
-    /// in ascending `s_in` — the chain of [`Self::apply_a_inverse`].
+    /// in ascending `s_in` — the chain of the `apply_a_inverse` oracle.
     #[inline(always)]
     fn ainv_row<'c>(
         &self,
@@ -340,37 +369,35 @@ impl<R: Real> FifthDim<R> {
         acc
     }
 
-    /// Run `body(range, col)` over the 4D sites in chunks, handing each
-    /// chunk its own `L5`-spinor column out of the reusable slab `cols` (one
-    /// row per chunk, so no chunk allocates and no `L5` is too long).
-    fn for_each_column_chunk(
+    /// `out = A⁻¹ in` as a column sweep: each output is one row of the
+    /// closed-form inverse on the site's s-column of `in`.
+    fn ainv(
         &self,
+        out: &mut [Spinor<R>],
+        inp: &[Spinor<R>],
         slice_len: usize,
         cols: &mut Vec<Spinor<R>>,
-        body: impl Fn(std::ops::Range<usize>, &mut [Spinor<R>]) + Sync + Send,
     ) {
-        let l5 = self.params.l5;
-        let grain = crate::blas::grain_for(slice_len);
-        cols.resize(slice_len.div_ceil(grain) * l5, Spinor::zero());
-        let cptr = super::hopping::SendPtr(cols.as_mut_ptr());
-        rayon::for_each_chunk(slice_len, grain, |range| {
-            // SAFETY: chunk `range.start / grain` is run by exactly one task
-            // and owns slab row `[chunk·l5, (chunk+1)·l5)`, which lies inside
-            // the `⌈slice_len/grain⌉·l5` spinors `cols` was just resized to
-            // and is disjoint from every other chunk's row.
-            let col = unsafe {
-                std::slice::from_raw_parts_mut(cptr.get().add(range.start / grain * l5), l5)
-            };
-            body(range, col);
-        });
+        assert_eq!(inp.len(), self.params.l5 * slice_len);
+        self.column_sweep(
+            [out],
+            slice_len,
+            cols,
+            |_, _, _| {},
+            #[inline(always)]
+            move |this, s, i, _| {
+                [this.ainv_row(&this.ainv_plus, &this.ainv_minus, s, |s_in| {
+                    &inp[s_in * slice_len + i]
+                })]
+            },
+        );
     }
 
-    /// Column-wise fused `out = ρ(A⁻¹ in)`: for each 4D site, apply the
-    /// `L5×L5` inverse to the whole s-column (the exact accumulation chain
-    /// of [`Self::apply_a_inverse`], so each input element is read from
-    /// memory once instead of `L5` times), then form
-    /// `b5·(A⁻¹in) + c5·shift(A⁻¹in)` from the still-local column — the
-    /// shift chain is [`Self::shift_at`] on the column itself.
+    /// `out = ρ(A⁻¹ in)`: each site's s-column of `A⁻¹ in` is staged in the
+    /// chunk's column (so each input element is read from memory once
+    /// instead of `L5` times), then `b5·(A⁻¹in) + c5·shift(A⁻¹in)` is formed
+    /// from the still-local column — the shift chain is
+    /// [`Self::shift_at_mapped`] on the column itself.
     fn ainv_then_rho(
         &self,
         out: &mut [Spinor<R>],
@@ -378,51 +405,27 @@ impl<R: Real> FifthDim<R> {
         slice_len: usize,
         cols: &mut Vec<Spinor<R>>,
     ) {
-        let n = inp.len();
-        assert_eq!(out.len(), n);
-        assert_eq!(n, self.params.l5 * slice_len);
-        let optr = super::hopping::SendPtr(out.as_mut_ptr());
-        self.for_each_column_chunk(slice_len, cols, |range, col| {
-            crate::simd::dispatch(
-                self,
-                #[inline(always)]
-                |this| this.ainv_then_rho_range(&optr, inp, slice_len, range, col),
-            )
-        });
-    }
-
-    /// Chunk body of [`Self::ainv_then_rho`]: 4D sites `range`, whole
-    /// s-columns staged in `col`. Unlike the other column sweeps it stays a
-    /// method: as a `&mut` argument `col` is known not to alias the output
-    /// writes, and folded into its closure the sweep loses 12 % of its
-    /// 256-bit instructions.
-    #[inline(always)]
-    fn ainv_then_rho_range(
-        &self,
-        optr: &super::hopping::SendPtr<Spinor<R>>,
-        inp: &[Spinor<R>],
-        slice_len: usize,
-        range: std::ops::Range<usize>,
-        col: &mut [Spinor<R>],
-    ) {
-        let l5 = self.params.l5;
-        let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
-        for i in range {
-            for (s_out, c) in col.iter_mut().enumerate() {
-                *c = self.ainv_row(&self.ainv_plus, &self.ainv_minus, s_out, |s_in| {
-                    &inp[s_in * slice_len + i]
-                });
-            }
-            for s in 0..l5 {
-                // `shift_at` on the local column: slice length 1, site 0.
-                let sh = self.shift_at(col, 1, s, 0, false);
-                // SAFETY: each (s, i) is written by exactly one task and
-                // the index stays in bounds, as in `rho_and_diag`.
-                unsafe {
-                    *optr.get().add(s * slice_len + i) = col[s].scale(b5) + sh.scale(c5);
+        assert_eq!(inp.len(), self.params.l5 * slice_len);
+        self.column_sweep(
+            [out],
+            slice_len,
+            cols,
+            #[inline(always)]
+            move |this, i, col| {
+                for (s_out, c) in col.iter_mut().enumerate() {
+                    *c = this.ainv_row(&this.ainv_plus, &this.ainv_minus, s_out, |s_in| {
+                        &inp[s_in * slice_len + i]
+                    });
                 }
-            }
-        }
+            },
+            #[inline(always)]
+            move |this, s, _, col| {
+                let (b5, c5) = (R::from_f64(this.params.b5), R::from_f64(this.params.c5));
+                // `shift_at_mapped` on the local column: slice length 1, site 0.
+                let sh = this.shift_at_mapped(col, 1, s, 0, false, |x| x);
+                [col[s].scale(b5) + sh.scale(c5)]
+            },
+        );
     }
 
     /// One element of `f·ρ†(t′)` with `t′ = map(t)`:
@@ -443,10 +446,10 @@ impl<R: Real> FifthDim<R> {
         (map(t[s * slice_len + i]).scale(b5) + sh.scale(c5)).scale(f)
     }
 
-    /// Column-wise fused `out = (A†)⁻¹(−½ ρ†(t))`, the adjoint's mirror of
+    /// `out = (A†)⁻¹(−½ ρ†(t))`, the adjoint's mirror of
     /// [`Self::ainv_then_rho`]: the s-column of `−½ ρ†(t)` is staged in the
-    /// chunk's slab row, then each output is one row of the
-    /// chirality-swapped inverse (`A±` are mutual transposes) on it.
+    /// chunk's column, then each output is one row of the chirality-swapped
+    /// inverse (`A±` are mutual transposes) on it.
     fn rho_dagger_then_ainv(
         &self,
         out: &mut [Spinor<R>],
@@ -454,81 +457,55 @@ impl<R: Real> FifthDim<R> {
         slice_len: usize,
         cols: &mut Vec<Spinor<R>>,
     ) {
-        let n = t.len();
-        assert_eq!(out.len(), n);
-        assert_eq!(n, self.params.l5 * slice_len);
-        let optr = super::hopping::SendPtr(out.as_mut_ptr());
-        self.for_each_column_chunk(slice_len, cols, |range, col| {
-            crate::simd::dispatch(
-                self,
-                #[inline(always)]
-                |this| {
-                    let neg_half = R::from_f64(-0.5);
-                    for i in range {
-                        for (s, c) in col.iter_mut().enumerate() {
-                            *c = this.scaled_rho_dagger_at(t, slice_len, s, i, |x| x, neg_half);
-                        }
-                        for s_out in 0..this.params.l5 {
-                            let v =
-                                this.ainv_row(&this.ainv_minus, &this.ainv_plus, s_out, |s_in| {
-                                    &col[s_in]
-                                });
-                            // SAFETY: each (s_out, i) is written by exactly
-                            // one task (`i` ranges over disjoint chunks,
-                            // `s_out` is task-local) and
-                            // `s_out·slice_len + i < l5·slice_len = out.len()`.
-                            unsafe { *optr.get().add(s_out * slice_len + i) = v };
-                        }
-                    }
-                },
-            )
-        });
+        assert_eq!(t.len(), self.params.l5 * slice_len);
+        self.column_sweep(
+            [out],
+            slice_len,
+            cols,
+            #[inline(always)]
+            move |this, i, col| {
+                let neg_half = R::from_f64(-0.5);
+                for (s, c) in col.iter_mut().enumerate() {
+                    *c = this.scaled_rho_dagger_at(t, slice_len, s, i, |x| x, neg_half);
+                }
+            },
+            #[inline(always)]
+            move |this, s_out, _, col| {
+                [this.ainv_row(&this.ainv_minus, &this.ainv_plus, s_out, |s_in| &col[s_in])]
+            },
+        );
     }
 
-    /// Column-wise fused `out = A†ψ − f·ρ†(t′)` with `t′ = map(t)`, the
-    /// adjoints' closing pass: `(α·ψ + β·shift†ψ) − (b5·t′ + c5·shift†(t′))·f`
-    /// per element, with each site's s-columns of `ψ` and `t` cache-resident
-    /// across the inner s-loop.
+    /// `out = A†ψ − f·ρ†(t′)` with `t′ = map(t)`, the adjoints' closing
+    /// sweep: `(α·ψ + β·shift†ψ) − (b5·t′ + c5·shift†(t′))·f` per element,
+    /// with each site's s-columns of `ψ` and `t` cache-resident across the
+    /// inner s-loop.
     fn a_dagger_minus_scaled_rho_dagger(
         &self,
         out: &mut [Spinor<R>],
-        psi: &[Spinor<R>],
-        t: &[Spinor<R>],
+        (psi, t): (&[Spinor<R>], &[Spinor<R>]),
         slice_len: usize,
+        cols: &mut Vec<Spinor<R>>,
         map: impl Fn(Spinor<R>) -> Spinor<R> + Copy + Sync,
         f: f64,
     ) {
-        let n = psi.len();
-        assert_eq!(out.len(), n);
-        assert_eq!(t.len(), n);
-        assert_eq!(n, self.params.l5 * slice_len);
-        let grain = crate::blas::grain_for(slice_len);
-        let optr = super::hopping::SendPtr(out.as_mut_ptr());
-        rayon::for_each_chunk(slice_len, grain, |range| {
-            crate::simd::dispatch(
-                self,
-                #[inline(always)]
-                |this| {
-                    let (al, be) = (
-                        R::from_f64(this.params.alpha()),
-                        R::from_f64(this.params.beta()),
-                    );
-                    let f = R::from_f64(f);
-                    for i in range {
-                        for s in 0..this.params.l5 {
-                            let idx = s * slice_len + i;
-                            let diag = psi[idx].scale(al)
-                                + this.shift_at(psi, slice_len, s, i, true).scale(be);
-                            let rho = this.scaled_rho_dagger_at(t, slice_len, s, i, map, f);
-                            // SAFETY: each (s, i) is written by exactly one
-                            // task (`i` ranges over disjoint chunks, `s` is
-                            // task-local) and `idx < l5·slice_len = out.len()`.
-                            unsafe { *optr.get().add(idx) = diag - rho };
-                        }
-                    }
-                },
-            )
-        });
+        assert_eq!(psi.len(), self.params.l5 * slice_len);
+        assert_eq!(t.len(), psi.len());
+        let f = R::from_f64(f);
+        self.column_sweep(
+            [out],
+            slice_len,
+            cols,
+            |_, _, _| {},
+            #[inline(always)]
+            move |this, s, i, _| {
+                let p = &this.params;
+                let (al, be) = (R::from_f64(p.alpha()), R::from_f64(p.beta()));
+                let sh = this.shift_at_mapped(psi, slice_len, s, i, true, |x| x);
+                let diag = psi[s * slice_len + i].scale(al) + sh.scale(be);
+                [diag - this.scaled_rho_dagger_at(t, slice_len, s, i, map, f)]
+            },
+        );
     }
 
     /// `out = a·in + b·shift^(†)(in)`, the shared form of `A` (`a=α, b=β`)
@@ -552,10 +529,12 @@ impl<R: Real> FifthDim<R> {
         });
     }
 
-    /// `out = A⁻¹ in` (or `(A†)⁻¹ in`), applied per 4D site as two real
-    /// `L5×L5` mat-vecs, one per chirality sector. Because the `A±` blocks
-    /// are mutual transposes, the adjoint just swaps which inverse serves
-    /// which chirality.
+    /// `out = A⁻¹ in` (or `(A†)⁻¹ in`), applied per 5D element as two real
+    /// `L5×L5` mat-vec rows, one per chirality sector: the per-element
+    /// oracle of the `A⁻¹` sweeps. Because the `A±` blocks are mutual
+    /// transposes, the adjoint just swaps which inverse serves which
+    /// chirality.
+    #[cfg(test)]
     fn apply_a_inverse(
         &self,
         out: &mut [Spinor<R>],
@@ -568,7 +547,6 @@ impl<R: Real> FifthDim<R> {
         } else {
             (&self.ainv_plus, &self.ainv_minus)
         };
-        // Parallelize over 5D sites; gather strided s-components.
         out.par_iter_mut().enumerate().for_each(|(idx, o)| {
             let site = idx % slice_len;
             *o = self.ainv_row(inv_up, inv_dn, idx / slice_len, |s_in| {
@@ -578,19 +556,17 @@ impl<R: Real> FifthDim<R> {
     }
 }
 
-/// Two reusable 5D staging buffers (fused-path scratch).
-type Scratch2<R> = Mutex<(Vec<Spinor<R>>, Vec<Spinor<R>>)>;
-
-/// Reusable staging of the preconditioned fused sweeps: three 5D
-/// half-volume vectors and the column slab of the `A⁻¹` passes.
-struct PrecScratch<R> {
-    /// `ρ`-stage (`apply_block`) / `(A†)⁻¹` stage (`apply_dagger_block`).
+/// Reusable staging of the fused sweeps, shared by both operators: three 5D
+/// vectors and the column slab of [`FifthDim`]'s sweeps.
+#[derive(Default)]
+struct Scratch<R> {
+    /// `ρ` stage (`apply_block`, `PrecMobius`'s `apply_dagger_block`).
     rho: Vec<Spinor<R>>,
     /// Hop target.
     tmp: Vec<Spinor<R>>,
-    /// Precomputed diagonal `A(ψ)` (`apply_block` only).
+    /// Precomputed diagonal `A(ψ)` (`apply_block`).
     diag: Vec<Spinor<R>>,
-    /// One `L5`-spinor row per chunk of the column-wise passes.
+    /// One `L5`-spinor row per chunk of the column sweeps.
     cols: Vec<Spinor<R>>,
 }
 
@@ -599,10 +575,10 @@ pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     hopping: HoppingKernel<'a, R, G>,
     lattice: &'a Lattice,
     fifth: FifthDim<R>,
-    /// Reusable 5D staging buffers: `ρ(ψ)` and the precomputed diagonal
-    /// `A(ψ)` for [`LinearOp::apply_block`], the hop result for
+    /// Reusable staging: `ρ(ψ)` and the precomputed diagonal `A(ψ)` for
+    /// [`LinearOp::apply_block`], the hop result for
     /// [`DiracOp::apply_dagger_block`] — whichever hop the composition runs.
-    scratch: Scratch2<R>,
+    scratch: Mutex<Scratch<R>>,
 }
 
 /// The 4D hop of a Möbius composition with the per-element maps around it
@@ -658,7 +634,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
             hopping: HoppingKernel::new(lattice, gauge, true),
             lattice,
             fifth: FifthDim::new(params),
-            scratch: Mutex::new((Vec::new(), Vec::new())),
+            scratch: Mutex::new(Scratch::default()),
         }
     }
 
@@ -704,11 +680,13 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         let half = R::from_f64(0.5);
 
         let mut guard = self.scratch.lock();
-        let (rho, diag) = &mut *guard;
+        let Scratch {
+            rho, diag, cols, ..
+        } = &mut *guard;
         rho.resize(n, Spinor::zero());
         diag.resize(n, Spinor::zero());
         let vb = self.lattice.volume() * nrhs;
-        self.fifth.rho_and_diag(rho, diag, inp, vb);
+        self.fifth.rho_and_diag(rho, diag, inp, vb, cols);
         let diag = &*diag;
         hop.hop(out, rho, nrhs, &|psi| psi, &|i, h| diag[i] - h.scale(half));
     }
@@ -735,12 +713,12 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
 
         let mut guard = self.scratch.lock();
-        let h = &mut guard.0;
+        let Scratch { tmp: h, cols, .. } = &mut *guard;
         h.resize(n, Spinor::zero());
         hop.hop(h, inp, nrhs, &gamma5, &|_, h| h);
         let vb = self.lattice.volume() * nrhs;
         self.fifth
-            .a_dagger_minus_scaled_rho_dagger(out, inp, h, vb, gamma5, 0.5);
+            .a_dagger_minus_scaled_rho_dagger(out, (inp, h), vb, cols, gamma5, 0.5);
     }
 }
 
@@ -838,7 +816,7 @@ pub struct PrecMobius<'a, R: Real, G: GaugeLinks<R>> {
     fifth: FifthDim<R>,
     /// Reusable staging for the block forms, source preparation and
     /// reconstruction (behind a lock so all keep their `&self` interface).
-    scratch: Mutex<PrecScratch<R>>,
+    scratch: Mutex<Scratch<R>>,
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
@@ -848,12 +826,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             hopping: HoppingKernel::new(lattice, gauge, true),
             lattice,
             fifth: FifthDim::new(params),
-            scratch: Mutex::new(PrecScratch {
-                rho: Vec::new(),
-                tmp: Vec::new(),
-                diag: Vec::new(),
-                cols: Vec::new(),
-            }),
+            scratch: Mutex::new(Scratch::default()),
         }
     }
 
@@ -914,7 +887,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         assert_eq!(b_odd.len(), n);
         let neg_half = R::from_f64(-0.5);
         let mut guard = self.scratch.lock();
-        let PrecScratch { rho, cols, .. } = &mut *guard;
+        let Scratch { rho, cols, .. } = &mut *guard;
         rho.resize(n, Spinor::zero());
         self.fifth.ainv_then_rho(rho, b_even, self.hv(), cols);
         let mut out = vec![Spinor::zero(); n];
@@ -933,16 +906,21 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         assert_eq!(x_odd.len(), n);
         let neg_half = R::from_f64(-0.5);
         let mut guard = self.scratch.lock();
-        let PrecScratch { rho, tmp, diag, .. } = &mut *guard;
+        let Scratch {
+            rho,
+            tmp,
+            diag,
+            cols,
+        } = &mut *guard;
         for v in [&mut *rho, &mut *tmp, &mut *diag] {
             v.resize(n, Spinor::zero());
         }
-        self.fifth.rho_and_diag(rho, diag, x_odd, self.hv());
+        self.fifth.rho_and_diag(rho, diag, x_odd, self.hv(), cols);
         self.hop(tmp, rho, Parity::Even, 1, &|psi| psi, &|i, h| {
             b_even[i] - h.scale(neg_half)
         });
         let mut out = vec![Spinor::zero(); n];
-        self.fifth.apply_a_inverse(&mut out, tmp, self.hv(), false);
+        self.fifth.ainv(&mut out, tmp, self.hv(), cols);
         out
     }
 }
@@ -980,7 +958,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
         let neg_half = R::from_f64(-0.5);
 
         let mut guard = self.scratch.lock();
-        let PrecScratch {
+        let Scratch {
             rho,
             tmp,
             diag,
@@ -990,7 +968,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
         tmp.resize(n, Spinor::zero());
         diag.resize(n, Spinor::zero());
 
-        self.fifth.rho_and_diag(rho, diag, inp, hvb);
+        self.fifth.rho_and_diag(rho, diag, inp, hvb, cols);
         self.hop(tmp, rho, Parity::Even, nrhs, &|psi| psi, &|_, h| {
             h.scale(neg_half)
         });
@@ -1025,7 +1003,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
         let gamma5_hop = |_, h: Spinor<R>| h.apply_gamma5();
 
         let mut guard = self.scratch.lock();
-        let PrecScratch { rho, tmp, cols, .. } = &mut *guard;
+        let Scratch { rho, tmp, cols, .. } = &mut *guard;
         rho.resize(n, Spinor::zero());
         tmp.resize(n, Spinor::zero());
 
@@ -1033,7 +1011,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
         self.fifth.rho_dagger_then_ainv(rho, tmp, hvb, cols);
         self.hop(tmp, rho, Parity::Odd, nrhs, &gamma5, &gamma5_hop);
         self.fifth
-            .a_dagger_minus_scaled_rho_dagger(out, inp, tmp, hvb, |x| x, -0.5);
+            .a_dagger_minus_scaled_rho_dagger(out, (inp, tmp), hvb, cols, |x| x, -0.5);
     }
 }
 
@@ -1364,7 +1342,7 @@ mod tests {
             for s in 0..params.l5 {
                 for i in 0..slice_len {
                     assert_eq!(
-                        fifth.shift_at(&x, slice_len, s, i, dagger),
+                        fifth.shift_at_mapped(&x, slice_len, s, i, dagger, |x| x),
                         shifted[s * slice_len + i],
                         "(s={s}, i={i}, dagger={dagger})"
                     );
@@ -1373,52 +1351,183 @@ mod tests {
         }
     }
 
-    #[test]
-    fn rho_and_diag_is_bit_identical_to_two_affines() {
+    /// A column sweep's `(fifth, x, y, slice_len) → out` on two gaussian
+    /// inputs `x`, `y` of `L5 × slice_len` spinors.
+    type SweepFn<'a, R> =
+        &'a (dyn Fn(&FifthDim<R>, &[Spinor<R>], &[Spinor<R>], usize) -> Vec<Spinor<R>> + Sync);
+
+    /// Hold `sweep` to its per-element `oracle` on every real's bit
+    /// pattern at slice lengths 17, 64 and 2048, which the stencil rule
+    /// splits into 1, 2 and 8 chunks, with `sweep` run at pool widths 1, 2
+    /// and 4.
+    fn assert_sweep_matches_oracle<R: Real>(what: &str, oracle: SweepFn<R>, sweep: SweepFn<R>) {
         let params = MobiusParams::standard(4, 0.08);
-        let fifth = FifthDim::<f64>::new(params);
-        let slice_len = 64;
-        let n = params.l5 * slice_len;
-        let x = FermionField::<f64>::gaussian(n, 22).data;
-        let mut rho_ref = vec![Spinor::zero(); n];
-        fifth.affine_shift(&mut rho_ref, &x, slice_len, params.b5, params.c5, false);
-        let mut diag_ref = vec![Spinor::zero(); n];
-        fifth.affine_shift(
-            &mut diag_ref,
-            &x,
-            slice_len,
-            params.alpha(),
-            params.beta(),
-            false,
+        let fifth = FifthDim::<R>::new(params);
+        for slice_len in [17, 64, 2048] {
+            let n = params.l5 * slice_len;
+            let x = FermionField::<R>::gaussian(n, 22).data;
+            let y = FermionField::<R>::gaussian(n, 23).data;
+            let want = real_bits(&oracle(&fifth, &x, &y, slice_len));
+            for width in [1, 2, 4] {
+                let pool = rayon::ThreadPoolBuilder::new().num_threads(width).build();
+                let got = pool
+                    .expect("width handle")
+                    .install(|| sweep(&fifth, &x, &y, slice_len));
+                assert!(
+                    real_bits(&got) == want,
+                    "{what}: slice length {slice_len}, width {width}"
+                );
+            }
+        }
+    }
+
+    /// The unfused passes the sweeps are held to, each into a fresh vector:
+    /// `affine_shift` with coefficients `ab`, then a scale by `f`.
+    fn affine<R: Real>(
+        fifth: &FifthDim<R>,
+        x: &[Spinor<R>],
+        len: usize,
+        (ab, f): ((f64, f64), f64),
+        dagger: bool,
+    ) -> Vec<Spinor<R>> {
+        let mut out = vec![Spinor::zero(); x.len()];
+        fifth.affine_shift(&mut out, x, len, ab.0, ab.1, dagger);
+        out.iter().map(|s| s.scale(R::from_f64(f))).collect()
+    }
+
+    /// `apply_a_inverse` into a fresh vector.
+    fn a_inverse<R: Real>(
+        fifth: &FifthDim<R>,
+        x: &[Spinor<R>],
+        len: usize,
+        dagger: bool,
+    ) -> Vec<Spinor<R>> {
+        let mut out = vec![Spinor::zero(); x.len()];
+        fifth.apply_a_inverse(&mut out, x, len, dagger);
+        out
+    }
+
+    /// `K` fresh vectors of `x`'s length, concatenated, filled by `sweep`.
+    fn swept<R: Real, const K: usize>(
+        x: &[Spinor<R>],
+        sweep: impl FnOnce([&mut [Spinor<R>]; K], &mut Vec<Spinor<R>>),
+    ) -> Vec<Spinor<R>> {
+        let mut out = vec![Spinor::zero(); K * x.len()];
+        let mut parts = out.chunks_mut(x.len());
+        sweep(
+            std::array::from_fn(|_| parts.next().unwrap()),
+            &mut Vec::new(),
         );
-        let mut rho = vec![Spinor::zero(); n];
-        let mut diag = vec![Spinor::zero(); n];
-        fifth.rho_and_diag(&mut rho, &mut diag, &x, slice_len);
-        assert_eq!(rho, rho_ref);
-        assert_eq!(diag, diag_ref);
+        out
     }
 
     #[test]
+    fn rho_and_diag_is_bit_identical_to_two_affines() {
+        fn case<R: Real>() {
+            assert_sweep_matches_oracle::<R>(
+                "rho_and_diag",
+                &|fifth, x, _, len| {
+                    let p = fifth.params;
+                    let mut out = affine(fifth, x, len, ((p.b5, p.c5), 1.0), false);
+                    out.extend(affine(fifth, x, len, ((p.alpha(), p.beta()), 1.0), false));
+                    out
+                },
+                &|fifth, x, _, len| {
+                    swept(x, |[rho, diag], cols| {
+                        fifth.rho_and_diag(rho, diag, x, len, cols)
+                    })
+                },
+            );
+        }
+        case::<f64>();
+        case::<f32>();
+    }
+
+    /// `ainv_then_rho` against `A⁻¹` then `ρ`, and the `A⁻¹` sweep of
+    /// `reconstruct_even` against `A⁻¹` alone.
+    #[test]
     fn ainv_then_rho_is_bit_identical_to_two_passes() {
-        let params = MobiusParams::standard(4, 0.08);
-        let fifth = FifthDim::<f64>::new(params);
-        let slice_len = 64;
-        let n = params.l5 * slice_len;
-        let x = FermionField::<f64>::gaussian(n, 25).data;
-        let mut ainv = vec![Spinor::zero(); n];
-        fifth.apply_a_inverse(&mut ainv, &x, slice_len, false);
-        let mut reference = vec![Spinor::zero(); n];
-        fifth.affine_shift(
-            &mut reference,
-            &ainv,
-            slice_len,
-            params.b5,
-            params.c5,
-            false,
-        );
-        let mut fused = vec![Spinor::zero(); n];
-        fifth.ainv_then_rho(&mut fused, &x, slice_len, &mut Vec::new());
-        assert_eq!(fused, reference);
+        fn case<R: Real>() {
+            assert_sweep_matches_oracle::<R>(
+                "ainv_then_rho",
+                &|fifth, x, _, len| {
+                    let p = fifth.params;
+                    affine(
+                        fifth,
+                        &a_inverse(fifth, x, len, false),
+                        len,
+                        ((p.b5, p.c5), 1.0),
+                        false,
+                    )
+                },
+                &|fifth, x, _, len| swept(x, |[out], cols| fifth.ainv_then_rho(out, x, len, cols)),
+            );
+            assert_sweep_matches_oracle::<R>(
+                "ainv",
+                &|fifth, x, _, len| a_inverse(fifth, x, len, false),
+                &|fifth, x, _, len| swept(x, |[out], cols| fifth.ainv(out, x, len, cols)),
+            );
+        }
+        case::<f64>();
+        case::<f32>();
+    }
+
+    /// The adjoint's two sweeps against their unfused passes, the closing
+    /// one as both operators run it: `MobiusDirac`'s γ5 map with f = ½ and
+    /// `PrecMobius`'s identity with f = −½.
+    #[test]
+    fn adjoint_sweeps_are_bit_identical_to_their_passes() {
+        fn case<R: Real>() {
+            assert_sweep_matches_oracle::<R>(
+                "rho_dagger_then_ainv",
+                &|fifth, t, _, len| {
+                    let p = fifth.params;
+                    let rho = affine(fifth, t, len, ((p.b5, p.c5), -0.5), true);
+                    a_inverse(fifth, &rho, len, true)
+                },
+                &|fifth, t, _, len| {
+                    swept(t, |[out], cols| {
+                        fifth.rho_dagger_then_ainv(out, t, len, cols)
+                    })
+                },
+            );
+            let gamma5 = |x: Spinor<R>| x.apply_gamma5();
+            assert_sweep_matches_oracle::<R>(
+                "a_dagger_minus_scaled_rho_dagger",
+                &|fifth, psi, t, len| {
+                    let p = fifth.params;
+                    let a = affine(fifth, psi, len, ((p.alpha(), p.beta()), 1.0), true);
+                    let g5t: Vec<Spinor<R>> = t.iter().map(|&x| gamma5(x)).collect();
+                    let r5 = affine(fifth, &g5t, len, ((p.b5, p.c5), 0.5), true);
+                    let r1 = affine(fifth, t, len, ((p.b5, p.c5), -0.5), true);
+                    let sub =
+                        |r: &[Spinor<R>]| a.iter().zip(r).map(|(a, r)| *a - *r).collect::<Vec<_>>();
+                    [sub(&r5), sub(&r1)].concat()
+                },
+                &|fifth, psi, t, len| {
+                    swept(psi, |[g5, id], cols| {
+                        fifth.a_dagger_minus_scaled_rho_dagger(
+                            g5,
+                            (psi, t),
+                            len,
+                            cols,
+                            gamma5,
+                            0.5,
+                        );
+                        fifth.a_dagger_minus_scaled_rho_dagger(
+                            id,
+                            (psi, t),
+                            len,
+                            cols,
+                            |x| x,
+                            -0.5,
+                        );
+                    })
+                },
+            );
+        }
+        case::<f64>();
+        case::<f32>();
     }
 
     #[test]

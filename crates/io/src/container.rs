@@ -100,6 +100,15 @@ impl Header {
             .iter()
             .map(|v| usize_field(v, "bad shape entry"))
             .collect::<Result<Vec<usize>, IoError>>()?;
+        // Eight bytes is the widest dtype: every byte count the shape
+        // implies fits in `usize`, so no later product can overflow.
+        if shape
+            .iter()
+            .try_fold(8usize, |n, &d| n.checked_mul(d))
+            .is_none()
+        {
+            return Err(bad("shape overflows"));
+        }
         let n_chunks = usize_field(
             j.get("n_chunks").ok_or_else(|| bad("missing n_chunks"))?,
             "bad n_chunks",
@@ -265,9 +274,14 @@ pub fn read_header(path: &Path) -> Result<Header, IoError> {
     }
     let mut len4 = [0u8; 4];
     file.read_exact(&mut len4)?;
+    // Grown as bytes arrive, not sized from the length field, so a corrupt
+    // length costs no more memory than the file holds.
     let hlen = u32::from_le_bytes(len4) as usize;
-    let mut hbytes = vec![0u8; hlen];
-    file.read_exact(&mut hbytes)?;
+    let mut hbytes = Vec::new();
+    file.take(hlen as u64).read_to_end(&mut hbytes)?;
+    if hbytes.len() != hlen {
+        return Err(IoError::Format("truncated header".into()));
+    }
     let text =
         std::str::from_utf8(&hbytes).map_err(|_| IoError::Format("header: not utf-8".into()))?;
     let json = Json::parse(text).map_err(|e| IoError::Format(format!("header: {e}")))?;
@@ -294,11 +308,18 @@ fn parse_header_bytes(bytes: &[u8]) -> Result<(Header, usize), IoError> {
     Ok((Header::from_json(&json)?, hend))
 }
 
-/// Per-chunk record slices carved out of a raw container image. For a chunk
-/// whose length field runs past the end of the buffer (truncation, or a
-/// corrupted length), carving stops and the remaining chunks are absent.
-fn carve_chunks<'a>(bytes: &'a [u8], header: &Header, start: usize) -> Vec<(&'a [u8], u32)> {
-    let mut out = Vec::with_capacity(header.n_chunks);
+/// Per-chunk record slices carved out of a raw container image, and the
+/// offset where the last one ends. For a chunk whose length field runs past
+/// the end of the buffer (truncation, or a corrupted length), carving stops
+/// and the remaining chunks are absent.
+fn carve_chunks<'a>(
+    bytes: &'a [u8],
+    header: &Header,
+    start: usize,
+) -> (Vec<(&'a [u8], u32)>, usize) {
+    // A record is at least 12 bytes, which bounds the count the header may
+    // claim by what the buffer can hold.
+    let mut out = Vec::with_capacity(header.n_chunks.min((bytes.len() - start) / 12));
     let mut off = start;
     for _ in 0..header.n_chunks {
         let Some(len_end) = off.checked_add(8).filter(|&e| e <= bytes.len()) else {
@@ -317,19 +338,25 @@ fn carve_chunks<'a>(bytes: &'a [u8], header: &Header, start: usize) -> Vec<(&'a 
         out.push((payload, crc));
         off = crc_end;
     }
-    out
+    (out, off)
 }
 
 /// Parse and verify a container from an in-memory image (the strict path:
 /// any missing or corrupt chunk is an error).
 pub fn parse_container(bytes: &[u8]) -> Result<Container, IoError> {
     let (header, start) = parse_header_bytes(bytes)?;
-    let chunks = carve_chunks(bytes, &header, start);
+    let (chunks, end) = carve_chunks(bytes, &header, start);
     if chunks.len() != header.n_chunks {
         return Err(IoError::Format(format!(
             "truncated: {} of {} chunks present",
             chunks.len(),
             header.n_chunks
+        )));
+    }
+    if end != bytes.len() {
+        return Err(IoError::Format(format!(
+            "{} bytes after the last chunk",
+            bytes.len() - end
         )));
     }
 
@@ -452,7 +479,7 @@ impl SalvagedContainer {
 /// header's shape and dtype so downstream decoding still works.
 pub fn salvage_container_bytes(bytes: &[u8]) -> Result<SalvagedContainer, IoError> {
     let (header, start) = parse_header_bytes(bytes)?;
-    let chunks = carve_chunks(bytes, &header, start);
+    let (chunks, _) = carve_chunks(bytes, &header, start);
 
     let crc_ok: Vec<bool> = chunks
         .par_iter()
@@ -600,6 +627,69 @@ mod tests {
         std::fs::write(&path, &bytes).unwrap();
         assert!(matches!(read_header(&path), Err(IoError::Format(_))));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A container image with a hand-written header and chunk payloads,
+    /// each record framed and checksummed as `write_container` frames it.
+    fn image(header: &str, chunks: &[&[u8]]) -> Vec<u8> {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&(header.len() as u32).to_le_bytes());
+        bytes.extend_from_slice(header.as_bytes());
+        for c in chunks {
+            bytes.extend_from_slice(&(c.len() as u64).to_le_bytes());
+            bytes.extend_from_slice(c);
+            bytes.extend_from_slice(&crc32c(c).to_le_bytes());
+        }
+        bytes
+    }
+
+    fn header(shape: &str, n_chunks: &str) -> String {
+        format!(
+            r#"{{"name":"x","dtype":"f64","shape":{shape},"n_chunks":{n_chunks},"metadata":{{}}}}"#
+        )
+    }
+
+    #[test]
+    fn oversized_chunk_count_is_a_format_error() {
+        let bytes = image(&header("[4]", "100000000000"), &[]);
+        assert!(matches!(parse_container(&bytes), Err(IoError::Format(_))));
+    }
+
+    #[test]
+    fn overflowing_shape_is_a_format_error() {
+        let bytes = image(&header("[4294967296, 4294967296, 16]", "0"), &[]);
+        assert!(matches!(parse_container(&bytes), Err(IoError::Format(_))));
+    }
+
+    #[test]
+    fn oversized_header_length_is_a_format_error() {
+        let mut bytes = MAGIC.to_vec();
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.extend_from_slice(header("[1]", "0").as_bytes());
+        assert!(matches!(parse_container(&bytes), Err(IoError::Format(_))));
+        let path = tmp("oversized_header.lqio");
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(read_header(&path), Err(IoError::Format(_))));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn no_single_bit_flip_panics_or_changes_the_data() {
+        let vals: Vec<f64> = (0..6).map(|i| i as f64 * 1.5).collect();
+        let payload: Vec<u8> = vals.iter().flat_map(|v| v.to_le_bytes()).collect();
+        let (a, b) = payload.split_at(24);
+        let bytes = image(&header("[6]", "2"), &[a, b]);
+        assert_eq!(parse_container(&bytes).unwrap().to_f64().unwrap(), vals);
+        for bit in 0..bytes.len() * 8 {
+            let mut flipped = bytes.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            // A flip in the name or metadata may still parse; the data may not
+            // change.
+            if let Ok(c) = parse_container(&flipped) {
+                assert_eq!(c.payload, payload, "bit {bit}");
+                assert!(c.to_f64().map_or(true, |v| v == vals), "bit {bit}");
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! `solver.alloc_*_per_iteration` with) and hold the production operator —
 //! `NormalOp<f32, PrecMobius>` at the `fh_small` shape, 4³×8 with L5 = 4 —
 //! to it: after a warm-up call has sized every scratch buffer, further
-//! applies and further CG iterations request no memory at width 1, and only
-//! the pool's per-job handle once the stencil forks. So do warm block
+//! applies and further CG iterations request no memory at width 1, and at
+//! most a stray pool job handle once the sweeps fork. So do warm block
 //! applies of that operator and of the solve service's
 //! `NormalOp<f64, WilsonDirac>`, and warm applies at `mobius_large`'s
 //! L5 = 8, whose f32 stencil runs full-width lane groups. The sharded normal
@@ -158,10 +158,10 @@ fn steady_state_applies_and_iterations_request_no_memory() {
         );
     });
 
-    // Wide enough for the stencil to fork: what is left is the pool's
-    // reference-counted job handle (80 B) for the two forked stencil passes
-    // of each of the 40 operator applies — nothing that scales with the
-    // vector.
+    // Wide enough for the sweeps to fork (two stencil passes and two column
+    // sweeps per operator apply). The pool reuses finished job handles, so
+    // what is left is an occasional fresh 80 B handle when a worker still
+    // holds the previous one — nothing that scales with the vector.
     at_width(4, || {
         normal.apply(&mut out, &b);
         let bytes = bytes_requested(|| twenty_applies(&mut out));
