@@ -1,11 +1,11 @@
-//! Model of `Mailboxes` send/recv with dedup-by-seq.
+//! Model of `FaultyTransport`'s mailbox send/recv with dedup-by-seq.
 //!
-//! Mirrors `crates/core/src/comms/transport.rs`: each rank owns one mailbox
-//! per (neighbor direction) side, frames carry a monotone per-box sequence
-//! number, and the receiver accepts a frame only when its seq matches the
-//! next expected value, dropping stale (duplicate) seqs on the floor. A
-//! duplicating-wire adversary re-delivers a parked frame, standing in for
-//! the duplicate-delivery fault the `FaultyTransport` wire injector
+//! Mirrors `crates/core/src/comms/transport.rs`: each rank owns one FIFO
+//! mailbox per (neighbor direction) side, frames carry a monotone per-box
+//! sequence number, and the receiver accepts a frame only when its seq
+//! matches the next expected value, dropping stale (duplicate) seqs on the
+//! floor. A duplicating-wire adversary re-delivers a parked frame, standing
+//! in for the duplicate-delivery fault the `FaultyTransport` wire injector
 //! produces.
 //!
 //! The modeled configuration is the issue's bounded one — 2 ranks × 1 dim —

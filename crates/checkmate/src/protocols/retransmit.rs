@@ -1,8 +1,8 @@
 //! Model of the NACK/retransmit recv loop under wire faults.
 //!
 //! Mirrors `FaultyTransport` in `crates/core/src/comms/transport.rs` for a
-//! single exchange: the sender parks a copy of the frame in its resend
-//! slot before transmitting; the receiver drains the wire, dedup-dropping
+//! single exchange: the sender parks the frame in its mailbox before
+//! transmitting; the receiver drains the wire, dedup-dropping
 //! stale seqs, NACKing checksum failures, timing out on a lost frame, and
 //! failing the exchange once the retry budget (`CommRetryPolicy`-default
 //! 4 attempts) is spent. Wire faults are adversary tasks with unit
@@ -13,7 +13,7 @@
 //!
 //! - the checksum is an `intact` bit (CRC collisions out of scope);
 //! - the NACK is a modeled channel the sender serves, standing in for the
-//!   synchronous `nack()` call;
+//!   receive loop's synchronous retransmit of the parked frame;
 //! - a timeout fires only when the frame is truly lost (wire and NACK
 //!   queue empty), modeling a deadline much longer than retransmit
 //!   latency — the real backoff schedule guarantees exactly this.

@@ -15,7 +15,7 @@
 //! Fault taxonomy (per message-transmission attempt, redrawn on every
 //! retransmission so retries can succeed):
 //!
-//! - **Corruption** — a payload bit flips in flight; the receiver's FNV-1a
+//! - **Corruption** — a payload bit flips in flight; the receiver's CRC-32C
 //!   frame checksum catches it and triggers a NACK/re-request.
 //! - **Drop** — the frame never arrives; the receiver times out and
 //!   re-requests from the sender's retransmit buffer.
@@ -38,17 +38,6 @@ use std::fmt;
 /// replacement for the transport's original `unreachable!`/`assert!` exits.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CommError {
-    /// The mailbox channel for `(rank, mu, side)` is closed (receiver
-    /// dropped) — the in-memory analogue of a peer that went away without a
-    /// crash notification.
-    ChannelClosed {
-        /// Destination rank of the failed send.
-        rank: usize,
-        /// Partitioned direction.
-        mu: usize,
-        /// Ghost-zone side ([`super::BOX_FWD`]/[`super::BOX_BWD`]).
-        side: usize,
-    },
     /// No frame for the current exchange arrived within the retry budget
     /// and the sender had nothing to retransmit.
     Missing {
@@ -94,9 +83,6 @@ pub enum CommError {
 impl fmt::Display for CommError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            CommError::ChannelClosed { rank, mu, side } => {
-                write!(f, "halo mailbox (rank {rank}, dim {mu}, side {side}) closed")
-            }
             CommError::Missing {
                 rank,
                 mu,

@@ -3,7 +3,7 @@
 //!
 //! [`ShardedHopping`] runs the Wilson hopping stencil over a
 //! [`DomainDecomposition`], exchanging face buffers between ranks through
-//! the in-memory [`Mailboxes`] transport. Each rank's field lives in the
+//! the in-memory [`FaultyTransport`]. Each rank's field lives in the
 //! domain's extended index space, ghosts after locals, and every local
 //! site's `L5 × nrhs` spinors go through the single-domain sweep's own lane
 //! row, with ghost spinors and gauge links gathered bit-exactly from the
@@ -11,7 +11,7 @@
 //! at any rank grid, thread width, precision, and RHS block size. Batched
 //! ([`ShardedField::zeros_block`]) fields carry all N right-hand-sides in
 //! each halo frame: the message *count* is that of a single solve, frames
-//! just grow N× fatter. [`ShardedMobius`] runs [`MobiusDirac`]'s one
+//! just grow N× fatter. [`ShardedNormal`] runs [`MobiusDirac`]'s one
 //! composition around this hop.
 //!
 //! The [`CommPolicy`] knobs change execution, not just a cost formula:
@@ -21,19 +21,20 @@
 //! - `Fine` posts all sends, computes the interior while messages are "in
 //!   flight" (the measured overlap window), then pipelines per direction:
 //!   unpack `mu`, compute the sites whose last missing ghosts were `mu`'s.
-//! - `StagedDma` copies pack → staging → wire → ghost (3 copies/message),
-//!   `ZeroCopy` packs straight into the wire buffer (2), and `GdrDirect`
-//!   skips the channel: the receiver gathers the remote face in place (1).
+//! - `StagedDma` copies pack → staging → ghost (3 copies/message, the
+//!   staging buffer becoming the frame's payload), `ZeroCopy` packs
+//!   straight into the frame's payload (2), and `GdrDirect` skips the
+//!   mailboxes: the receiver gathers the remote face in place (1).
 //!
 //! Every apply cross-checks its actual pack/unpack event counts against the
 //! analytic expectation (exactly-once delivery) and accumulates
 //! [`CommStats`], published to the `obs` registry as `comms.*` metrics.
 //!
-//! Halo messages travel through the CRC-framed [`FaultyTransport`], so
-//! `apply` is fallible: with the (default) disabled fault profile every
-//! exchange succeeds on the first attempt and results are bit-identical to
-//! the fault-free kernel; with faults injected, recovered exchanges are
-//! still bit-exact (the retransmit path redelivers the clean frame) and
+//! Halo messages travel through the CRC-framed transport, so `apply` is
+//! fallible: with the (default) disabled fault profile every exchange
+//! succeeds on the first attempt and results are bit-identical to the
+//! fault-free kernel; with faults injected, recovered exchanges are still
+//! bit-exact (the retransmit path redelivers the clean frame) and
 //! unrecoverable ones surface as typed [`CommError`]s for the solver's
 //! checkpoint-restart machinery ([`crate::solver::cg_ft`]). Injection and
 //! recovery tallies are published post-parallel in a fixed order
@@ -305,11 +306,6 @@ impl<R: Real> ShardedHopping<R> {
         self.transport.profile()
     }
 
-    /// Cumulative transport injection/recovery statistics.
-    pub fn fault_stats(&self) -> CommFaultStats {
-        self.transport.fault_stats()
-    }
-
     /// Send-side copies into intermediate buffers per message (before the
     /// wire) and total copies per message including the ghost unpack.
     fn copy_profile(&self) -> (u64, u64) {
@@ -323,10 +319,9 @@ impl<R: Real> ShardedHopping<R> {
     /// Pack and post both faces of partitioned direction `k` for every rank.
     /// No-op for GPU-Direct (the receiver gathers in [`Self::deliver_dim`]).
     ///
-    /// Every rank attempts both its posts regardless of other ranks'
-    /// failures, so the set of transmissions — and hence the deterministic
-    /// injection draws — is independent of thread schedule; the surfaced
-    /// error is the canonical minimum over all failures ([`merge_err`]).
+    /// Every face is posted whatever the other posts do, so the set of
+    /// transmissions — and hence the deterministic injection draws — is
+    /// independent of thread schedule.
     fn send_dim(
         &self,
         inp: &ShardedField<R>,
@@ -338,58 +333,46 @@ impl<R: Real> ShardedHopping<R> {
             return Ok(());
         }
         let staged = self.policy.transport == CommTransport::StagedDma;
-        let domain = &self.domain;
-        let transport = &self.transport;
         let (l5, nrhs, v_ext) = (inp.l5, inp.nrhs, inp.v_ext);
         let rank_len = inp.rank_len();
-        let first_err: Mutex<Option<CommError>> = Mutex::new(None);
-        rayon::for_each_chunk(domain.n_ranks(), 1, |ranks| {
-            for r in ranks {
-                let ex = &domain.ranks()[r].exchanges[k];
-                let field = &inp.data[r * rank_len..(r + 1) * rank_len];
-                let post = |face: &[u32], dest: usize, side: usize| -> Result<(), CommError> {
-                    // Batched faces: one frame carries every RHS column of
-                    // each face site (columns innermost, like the storage).
-                    let mut buf = Vec::with_capacity(l5 * ex.face_len * nrhs);
-                    for s in 0..l5 {
-                        for &lx in face {
-                            let base = (s * v_ext + lx as usize) * nrhs;
-                            buf.extend_from_slice(&field[base..base + nrhs]);
-                        }
-                    }
-                    let wire = if staged {
-                        // Stage through a second buffer: the DMA-to-CPU copy
-                        // the staged transport pays before MPI sees the data.
-                        buf.clone()
-                    } else {
-                        buf
-                    };
-                    transport.send(r, dest, ex.mu, side, wire, seq)?;
-                    packs.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                };
-                // Low face backward: fills the backward neighbor's forward
-                // ghost zone. High face forward: the converse.
-                if let Err(e) = post(&ex.low_face, ex.bwd_rank, BOX_FWD) {
-                    merge_err(&first_err, e);
-                }
-                if let Err(e) = post(&ex.high_face, ex.fwd_rank, BOX_BWD) {
-                    merge_err(&first_err, e);
+        for_each_task(2 * self.domain.n_ranks(), |task| {
+            let (r, side) = (task / 2, task % 2);
+            let ex = &self.domain.ranks()[r].exchanges[k];
+            // Low face backward: fills the backward neighbor's forward
+            // ghost zone. High face forward: the converse.
+            let (face, dest) = match side {
+                BOX_FWD => (&ex.low_face, ex.bwd_rank),
+                _ => (&ex.high_face, ex.fwd_rank),
+            };
+            let field = &inp.data[r * rank_len..(r + 1) * rank_len];
+            // Batched faces: one frame carries every RHS column of each
+            // face site (columns innermost, like the storage).
+            let mut buf = Vec::with_capacity(l5 * face.len() * nrhs);
+            for s in 0..l5 {
+                for &lx in face {
+                    let base = (s * v_ext + lx as usize) * nrhs;
+                    buf.extend_from_slice(&field[base..base + nrhs]);
                 }
             }
-        });
-        let taken = first_err.lock().take();
-        match taken {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            let wire = if staged {
+                // Stage through a second buffer: the DMA-to-CPU copy the
+                // staged transport pays before MPI sees the data.
+                buf.clone()
+            } else {
+                buf
+            };
+            self.transport.send(r, dest, ex.mu, side, wire, seq)?;
+            packs.fetch_add(1, Ordering::Relaxed);
+            Ok(())
+        })
     }
 
     /// Fill every rank's ghost zones for partitioned direction `k`: receive
-    /// and unpack the two expected frames (CRC-verified, retried, deduped by
-    /// the transport), or (GPU-Direct) gather the neighbor faces straight
-    /// out of their local storage — no wire, so immune to message faults,
-    /// but a dead peer still surfaces as [`CommError::RankLost`].
+    /// the two expected frames (CRC-verified, retried, deduped by the
+    /// transport) and unpack their payloads in place, or (GPU-Direct)
+    /// gather the neighbor faces straight out of their local storage — no
+    /// wire, so immune to message faults, but a dead peer still surfaces as
+    /// [`CommError::RankLost`].
     fn deliver_dim(
         &self,
         inp: &mut ShardedField<R>,
@@ -402,74 +385,59 @@ impl<R: Real> ShardedHopping<R> {
         let transport = &self.transport;
         let (l5, nrhs, v_loc, v_ext) = (inp.l5, inp.nrhs, inp.v_loc, inp.v_ext);
         let rank_len = inp.rank_len();
-        let first_err: Mutex<Option<CommError>> = Mutex::new(None);
         let data = SendPtr(inp.data.as_mut_ptr());
-        rayon::for_each_chunk(domain.n_ranks(), 1, |ranks| {
-            for r in ranks {
-                let ex = &domain.ranks()[r].exchanges[k];
-                // The `nrhs` spinors at ghost slot `base + i` of slice `s`.
-                let ghost_row = |s: usize, base: usize, i: usize| {
-                    let at = r * rank_len + (s * v_ext + v_loc + base + i) * nrhs;
-                    // SAFETY: ghost slot `base + i < ghost_len` lies in rank
-                    // `r`'s block, which only this task writes; the other
-                    // reads this pass makes are of local rows, disjoint
-                    // from every ghost row.
-                    unsafe { std::slice::from_raw_parts_mut(data.get().add(at), nrhs) }
-                };
-                let deliver = || -> Result<(), CommError> {
-                    if gdr {
-                        for rank in [r, ex.fwd_rank, ex.bwd_rank] {
-                            if !transport.rank_alive(rank, seq) {
-                                return Err(CommError::RankLost { rank });
-                            }
-                        }
-                        let gather = |src: usize, face: &[u32], base: usize| {
-                            for s in 0..l5 {
-                                for (i, &lx) in face.iter().enumerate() {
-                                    let at = src * rank_len + (s * v_ext + lx as usize) * nrhs;
-                                    // SAFETY: a local row of rank `src`; the
-                                    // tasks of this pass write ghost rows only.
-                                    let row = unsafe {
-                                        std::slice::from_raw_parts(data.get().add(at), nrhs)
-                                    };
-                                    ghost_row(s, base, i).copy_from_slice(row);
-                                }
-                            }
-                            unpacks.fetch_add(1, Ordering::Relaxed);
-                        };
-                        // Forward ghosts are the forward neighbor's low face.
-                        let fwd = &domain.ranks()[ex.fwd_rank].exchanges[k];
-                        gather(ex.fwd_rank, &fwd.low_face, ex.fwd_ghost_base);
-                        let bwd = &domain.ranks()[ex.bwd_rank].exchanges[k];
-                        gather(ex.bwd_rank, &bwd.high_face, ex.bwd_ghost_base);
-                        return Ok(());
+        for_each_task(domain.n_ranks(), |r| {
+            let ex = &domain.ranks()[r].exchanges[k];
+            // The `nrhs` spinors at ghost slot `base + i` of slice `s`.
+            let ghost_row = |s: usize, base: usize, i: usize| {
+                let at = r * rank_len + (s * v_ext + v_loc + base + i) * nrhs;
+                // SAFETY: ghost slot `base + i < ghost_len` lies in rank
+                // `r`'s block, which only this task writes; the other reads
+                // this pass makes are of local rows, disjoint from every
+                // ghost row.
+                unsafe { std::slice::from_raw_parts_mut(data.get().add(at), nrhs) }
+            };
+            if gdr {
+                for rank in [r, ex.fwd_rank, ex.bwd_rank] {
+                    if !transport.rank_alive(rank, seq) {
+                        return Err(CommError::RankLost { rank });
                     }
-                    let unpack = |side: usize, src: usize, base: usize| -> Result<(), CommError> {
-                        let buf =
-                            transport.recv(r, ex.mu, side, src, seq, l5 * ex.face_len * nrhs)?;
-                        for s in 0..l5 {
-                            for i in 0..ex.face_len {
-                                let from = (s * ex.face_len + i) * nrhs;
-                                ghost_row(s, base, i).copy_from_slice(&buf[from..from + nrhs]);
-                            }
-                        }
-                        unpacks.fetch_add(1, Ordering::Relaxed);
-                        Ok(())
-                    };
-                    // Forward ghost zone holds the forward neighbor's low face.
-                    unpack(BOX_FWD, ex.fwd_rank, ex.fwd_ghost_base)?;
-                    unpack(BOX_BWD, ex.bwd_rank, ex.bwd_ghost_base)
-                };
-                if let Err(e) = deliver() {
-                    merge_err(&first_err, e);
                 }
+                let gather = |src: usize, face: &[u32], base: usize| {
+                    for s in 0..l5 {
+                        for (i, &lx) in face.iter().enumerate() {
+                            let at = src * rank_len + (s * v_ext + lx as usize) * nrhs;
+                            // SAFETY: a local row of rank `src`; the tasks of
+                            // this pass write ghost rows only.
+                            let row =
+                                unsafe { std::slice::from_raw_parts(data.get().add(at), nrhs) };
+                            ghost_row(s, base, i).copy_from_slice(row);
+                        }
+                    }
+                    unpacks.fetch_add(1, Ordering::Relaxed);
+                };
+                // Forward ghosts are the forward neighbor's low face.
+                let fwd = &domain.ranks()[ex.fwd_rank].exchanges[k];
+                gather(ex.fwd_rank, &fwd.low_face, ex.fwd_ghost_base);
+                let bwd = &domain.ranks()[ex.bwd_rank].exchanges[k];
+                gather(ex.bwd_rank, &bwd.high_face, ex.bwd_ghost_base);
+                return Ok(());
             }
-        });
-        let taken = first_err.lock().take();
-        match taken {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+            let unpack = |side: usize, src: usize, base: usize| -> Result<(), CommError> {
+                let frame = transport.recv(r, ex.mu, side, src, seq, l5 * ex.face_len * nrhs)?;
+                for s in 0..l5 {
+                    for i in 0..ex.face_len {
+                        let from = (s * ex.face_len + i) * nrhs;
+                        ghost_row(s, base, i).copy_from_slice(&frame.payload[from..from + nrhs]);
+                    }
+                }
+                unpacks.fetch_add(1, Ordering::Relaxed);
+                Ok(())
+            };
+            // Forward ghost zone holds the forward neighbor's low face.
+            unpack(BOX_FWD, ex.fwd_rank, ex.fwd_ghost_base)?;
+            unpack(BOX_BWD, ex.bwd_rank, ex.bwd_ghost_base)
+        })
     }
 
     /// Compute `out = H inp` on a per-rank set of local sites. Each site's
@@ -684,24 +652,37 @@ enum SiteSet {
     Boundary(usize),
 }
 
-/// Keep the canonical error of a parallel exchange pass: [`CommError::RankLost`]
-/// beats wire faults, then lowest (rank, mu, side) wins — so the surfaced
-/// error is independent of thread schedule.
-fn merge_err(slot: &Mutex<Option<CommError>>, e: CommError) {
+/// Run `task` for every index below `n` on the pool, each to completion
+/// whatever the others return, and fail with the pass's canonical error:
+/// [`CommError::RankLost`] beats wire faults, then the lowest
+/// (rank, mu, side) wins — so the surfaced error is independent of thread
+/// schedule.
+fn for_each_task(
+    n: usize,
+    task: impl Fn(usize) -> Result<(), CommError> + Sync,
+) -> Result<(), CommError> {
     fn key(e: &CommError) -> (u8, usize, usize, usize) {
         match *e {
             CommError::RankLost { rank } => (0, rank, 0, 0),
-            CommError::ChannelClosed { rank, mu, side } => (1, rank, mu, side),
             CommError::Corrupt { rank, mu, side, .. } => (1, rank, mu, side),
             CommError::Missing { rank, mu, side, .. } => (1, rank, mu, side),
             CommError::SizeMismatch { rank, mu, side } => (1, rank, mu, side),
         }
     }
-    let mut g = slot.lock();
-    match &*g {
-        Some(cur) if key(cur) <= key(&e) => {}
-        _ => *g = Some(e),
-    }
+    let first: Mutex<Option<CommError>> = Mutex::new(None);
+    rayon::for_each_chunk(n, 1, |tasks| {
+        for i in tasks {
+            if let Err(e) = task(i) {
+                let mut g = first.lock();
+                match &*g {
+                    Some(cur) if key(cur) <= key(&e) => {}
+                    _ => *g = Some(e),
+                }
+            }
+        }
+    });
+    let taken = first.lock().take();
+    taken.map_or(Ok(()), Err)
 }
 
 /// Publish one apply's injection/recovery deltas: the `comms.retries` /
@@ -836,14 +817,6 @@ pub fn tune_comm_policy<R: Real>(
     best
 }
 
-/// The Möbius domain-wall operator with its 4D hopping term executed by the
-/// sharded halo-exchange kernel. The composition is [`MobiusDirac`]'s own,
-/// so the full apply is bit-identical to the single-domain operator.
-pub struct ShardedMobius<'a, R: Real, G: GaugeLinks<R>> {
-    mobius: MobiusDirac<'a, R, G>,
-    hop: ShardedHop<R>,
-}
-
 /// [`ShardedHopping`] as the fused hop of a Möbius composition. Its operand
 /// and result fields are resident: sized at construction (and again
 /// whenever a hop brings a different `nrhs`), then scattered into and
@@ -859,6 +832,29 @@ struct ShardedHop<R: Real> {
     /// The current apply's first comm failure: its remaining hops are
     /// skipped and its output is unspecified.
     failed: Option<CommError>,
+}
+
+impl<R: Real> ShardedHop<R> {
+    /// The hop of an `l5`-slice operator over `domain`, under `policy`.
+    fn new(
+        domain: Arc<DomainDecomposition>,
+        gauge: &impl GaugeLinks<R>,
+        l5: usize,
+        policy: CommPolicy,
+    ) -> Self {
+        Self {
+            operand: ShardedField::zeros(&domain, l5),
+            result: ShardedField::zeros(&domain, l5),
+            // Antiperiodic-t matches MobiusDirac::new (the physical choice).
+            kernel: ShardedHopping::new(domain, gauge, true, policy),
+            failed: None,
+        }
+    }
+
+    /// The first comm failure since the last call, if any.
+    fn take_failure(&mut self) -> Result<(), CommError> {
+        self.failed.take().map_or(Ok(()), Err)
+    }
 }
 
 impl<R: Real> FusedHop<R> for ShardedHop<R> {
@@ -889,93 +885,28 @@ impl<R: Real> FusedHop<R> for ShardedHop<R> {
     }
 }
 
-impl<'a, R: Real, G: GaugeLinks<R>> ShardedMobius<'a, R, G> {
-    /// Bind the operator. `domain` must decompose `lattice`.
-    pub fn new(
-        lattice: &'a Lattice,
-        gauge: &'a G,
-        params: MobiusParams,
-        domain: Arc<DomainDecomposition>,
-        policy: CommPolicy,
-    ) -> Self {
-        assert_eq!(
-            domain.lattice().volume(),
-            lattice.volume(),
-            "domain/lattice mismatch"
-        );
-        Self {
-            mobius: MobiusDirac::new(lattice, gauge, params),
-            hop: ShardedHop {
-                operand: ShardedField::zeros(&domain, params.l5),
-                result: ShardedField::zeros(&domain, params.l5),
-                // Antiperiodic-t matches MobiusDirac::new (the physical choice).
-                kernel: ShardedHopping::new(domain, gauge, true, policy),
-                failed: None,
-            },
-        }
-    }
-
-    /// Vector length of the operator (`L5 × volume`).
-    pub fn vec_len(&self) -> usize {
-        self.mobius.params().l5 * self.mobius.lattice().volume()
-    }
-
-    /// Fifth-dimension extent × volume geometry parameters.
-    pub fn params(&self) -> &MobiusParams {
-        self.mobius.params()
-    }
-
-    /// `out = D inp` on global s-major, RHS-innermost interleaved 5D
-    /// vectors: one halo exchange's worth of messages serves all `nrhs`
-    /// columns, and column `j` is bit-identical to the single-domain
-    /// operator on the packed column. Fallible: the first comm failure of a
-    /// hop is returned and `out` is then unspecified.
-    pub fn apply_block(
-        &mut self,
-        out: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
-        nrhs: usize,
-    ) -> Result<(), CommError> {
-        self.mobius.apply_block_via(out, inp, nrhs, &mut self.hop);
-        self.hop.failed.take().map_or(Ok(()), Err)
-    }
-
-    /// `out = D† inp` with the sharded hopping term (`H† = γ5 H γ5`),
-    /// fallible like [`Self::apply_block`].
-    pub fn apply_dagger_block(
-        &mut self,
-        out: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
-        nrhs: usize,
-    ) -> Result<(), CommError> {
-        self.mobius
-            .apply_dagger_block_via(out, inp, nrhs, &mut self.hop);
-        self.hop.failed.take().map_or(Ok(()), Err)
-    }
-}
-
 /// The fallible Möbius normal operator `D†D` over a sharded halo exchange,
 /// with graceful rank-loss degradation: the operator [`crate::solver::cg_ft`]
-/// drives through checkpoint-restart.
+/// drives through checkpoint-restart. `D` and `D†` are [`MobiusDirac`]'s
+/// own compositions with the 4D hop run by [`ShardedHopping`], so each
+/// column of an apply is bit-identical to the single-domain
+/// `NormalOp<MobiusDirac>`.
 ///
 /// On a transient [`CommError`] (corruption/drop retries exhausted),
 /// [`FallibleOp::recover`] is a no-op — the transport is still usable and
 /// the solver simply restores its last checkpoint. On
 /// [`CommError::RankLost`], recovery re-runs [`DomainDecomposition`] on the
-/// surviving rank grid ([`surviving_grid`]), regathers the extended link
-/// tables from the global gauge field, and clears the dead rank from the
-/// fault profile; because the sharded apply is bit-identical at *any* rank
-/// grid, the restored CG recurrence continues the exact bit sequence of the
-/// no-fault run.
+/// surviving rank grid ([`surviving_grid`]), rebuilds the hop there (link
+/// tables regathered from the global gauge field), and clears the dead rank
+/// from the fault profile; because the sharded apply is bit-identical at
+/// *any* rank grid, the restored CG recurrence continues the exact bit
+/// sequence of the no-fault run.
 pub struct ShardedNormal<'a, R: Real, G: GaugeLinks<R>> {
-    lattice: &'a Lattice,
     gauge: &'a G,
-    params: MobiusParams,
     gpus_per_node: usize,
-    policy: CommPolicy,
     retry: CommRetryPolicy,
-    grid: [usize; ND],
-    op: ShardedMobius<'a, R, G>,
+    mobius: MobiusDirac<'a, R, G>,
+    hop: ShardedHop<R>,
     degradations: usize,
     tmp: Vec<Spinor<R>>,
 }
@@ -992,16 +923,12 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedNormal<'a, R, G> {
         policy: CommPolicy,
     ) -> Option<Self> {
         let domain = DomainDecomposition::new(lattice, grid, params.l5, gpus_per_node)?;
-        let op = ShardedMobius::new(lattice, gauge, params, Arc::new(domain), policy);
         Some(Self {
-            lattice,
             gauge,
-            params,
             gpus_per_node,
-            policy,
             retry: CommRetryPolicy::default(),
-            grid,
-            op,
+            mobius: MobiusDirac::new(lattice, gauge, params),
+            hop: ShardedHop::new(Arc::new(domain), gauge, params.l5, policy),
             degradations: 0,
             tmp: Vec::new(),
         })
@@ -1010,48 +937,48 @@ impl<'a, R: Real, G: GaugeLinks<R>> ShardedNormal<'a, R, G> {
     /// Install a message-fault profile and retry policy.
     pub fn set_fault_profile(&mut self, profile: CommFaultProfile, retry: CommRetryPolicy) {
         self.retry = retry;
-        self.op.hop.kernel.set_fault_profile(profile, retry);
+        self.hop.kernel.set_fault_profile(profile, retry);
     }
 
     /// The rank grid currently executing (shrinks on degradation).
     pub fn grid(&self) -> [usize; ND] {
-        self.grid
+        self.hop.kernel.domain().grid()
     }
 
     /// How many times the operator has degraded to a smaller grid.
     pub fn degradations(&self) -> usize {
         self.degradations
     }
-
-    /// Cumulative transport injection/recovery statistics (reset on
-    /// degradation — the transport is rebuilt).
-    pub fn fault_stats(&self) -> CommFaultStats {
-        self.op.hop.kernel.fault_stats()
-    }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> FallibleOp<R> for ShardedNormal<'a, R, G> {
     fn vec_len(&self) -> usize {
-        self.op.vec_len()
+        self.mobius.vec_len()
     }
 
     /// One halo exchange per hop serves the whole interleaved block, and
     /// each column's result is bit-identical to the single-domain operator
-    /// on that column.
+    /// on that column. The first comm failure of a hop is returned and
+    /// `out` is then unspecified.
     fn apply_block(
         &mut self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         nrhs: usize,
     ) -> Result<(), CommError> {
-        self.tmp.resize(self.op.vec_len() * nrhs, Spinor::zero());
-        self.op.apply_block(&mut self.tmp, inp, nrhs)?;
-        self.op.apply_dagger_block(out, &self.tmp, nrhs)
+        self.tmp
+            .resize(self.mobius.vec_len() * nrhs, Spinor::zero());
+        self.mobius
+            .apply_block_via(&mut self.tmp, inp, nrhs, &mut self.hop);
+        self.hop.take_failure()?;
+        self.mobius
+            .apply_dagger_block_via(out, &self.tmp, nrhs, &mut self.hop);
+        self.hop.take_failure()
     }
 
     fn flops_per_apply(&self) -> f64 {
         // D then D†: twice the Möbius figure.
-        2.0 * self.op.mobius.flops_per_apply()
+        2.0 * self.mobius.flops_per_apply()
     }
 
     fn recover(&mut self, err: &CommError) -> Result<(), CommError> {
@@ -1060,25 +987,21 @@ impl<'a, R: Real, G: GaugeLinks<R>> FallibleOp<R> for ShardedNormal<'a, R, G> {
             // restores from checkpoint and the next apply redraws its fates.
             return Ok(());
         };
-        let to = surviving_grid(self.grid).ok_or(*err)?;
-        let domain = DomainDecomposition::new(self.lattice, to, self.params.l5, self.gpus_per_node)
-            .ok_or(*err)?;
-        // Rebuild the operator on the shrunken grid: fresh transport, link
-        // tables regathered from the global gauge field. The dead rank no
-        // longer exists, so it leaves the fault profile; wire-fault rates
-        // stay active.
-        let mut profile = *self.op.hop.kernel.fault_profile();
+        let from = self.hop.kernel.domain();
+        let to = surviving_grid(from.grid()).ok_or(*err)?;
+        let l5 = self.mobius.params().l5;
+        let domain =
+            DomainDecomposition::new(from.lattice(), to, l5, self.gpus_per_node).ok_or(*err)?;
+        // Rebuild the hop on the shrunken grid: fresh transport, link tables
+        // regathered from the global gauge field. The dead rank no longer
+        // exists, so it leaves the fault profile; wire-fault rates stay
+        // active.
+        let mut profile = *self.hop.kernel.fault_profile();
         profile.lost_rank = None;
-        let from = self.op.hop.kernel.domain().grid_string();
-        self.op = ShardedMobius::new(
-            self.lattice,
-            self.gauge,
-            self.params,
-            Arc::new(domain),
-            self.policy,
-        );
-        self.op.hop.kernel.set_fault_profile(profile, self.retry);
-        self.grid = to;
+        let from = from.grid_string();
+        let policy = self.hop.kernel.policy();
+        self.hop = ShardedHop::new(Arc::new(domain), self.gauge, l5, policy);
+        self.hop.kernel.set_fault_profile(profile, self.retry);
         self.degradations += 1;
         let reg = Registry::current();
         reg.counter("comms.rank_losses").add(1);
@@ -1087,7 +1010,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> FallibleOp<R> for ShardedNormal<'a, R, G> {
             vec![
                 ("rank", Json::from(rank)),
                 ("from", Json::from(from)),
-                ("to", Json::from(self.op.hop.kernel.domain().grid_string())),
+                ("to", Json::from(self.hop.kernel.domain().grid_string())),
             ],
         );
         Ok(())
@@ -1100,44 +1023,42 @@ mod tests {
     use crate::dirac::testing::real_bits;
     use crate::field::{FermionField, GaugeField};
 
-    /// The sharded operator against [`MobiusDirac`]'s allocating oracle
-    /// compositions on every real's bit pattern, on two rank grids. Each
-    /// operator sees `nrhs` 1, 3, then 1 again, so its resident shard fields
-    /// are resized in both directions.
+    /// [`MobiusDirac`]'s compositions over the sharded hop against its
+    /// allocating oracle compositions on every real's bit pattern, on two
+    /// rank grids. Each hop sees `nrhs` 1, 3, then 1 again, so its resident
+    /// shard fields are resized in both directions.
     fn sharded_matches_oracle<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
         for l5 in [2, 4] {
             for params in [
                 MobiusParams::standard(l5, 0.1),
                 MobiusParams::shamir(l5, 0.1),
             ] {
-                let oracle = MobiusDirac::new(lat, gauge, params);
-                let mut sharded: Vec<ShardedMobius<R, GaugeField<R>>> =
-                    [[2, 1, 1, 1], [2, 2, 1, 1]]
-                        .into_iter()
-                        .map(|grid| {
-                            let domain = DomainDecomposition::new(lat, grid, l5, 4).expect("grid");
-                            let policy = policy_from_index(0);
-                            ShardedMobius::new(lat, gauge, params, Arc::new(domain), policy)
-                        })
-                        .collect();
+                let mobius = MobiusDirac::new(lat, gauge, params);
+                let mut hops: Vec<ShardedHop<R>> = [[2, 1, 1, 1], [2, 2, 1, 1]]
+                    .into_iter()
+                    .map(|grid| {
+                        let domain = DomainDecomposition::new(lat, grid, l5, 4).expect("grid");
+                        ShardedHop::new(Arc::new(domain), gauge, l5, policy_from_index(0))
+                    })
+                    .collect();
                 for nrhs in [1, 3, 1] {
-                    let n = sharded[0].vec_len() * nrhs;
+                    let n = mobius.vec_len() * nrhs;
                     let inp = FermionField::<R>::gaussian(n, 90 + (l5 * nrhs) as u64).data;
                     for dagger in [false, true] {
                         let what = format!("{params:?} nrhs {nrhs} dagger {dagger}");
                         let mut want = vec![Spinor::zero(); n];
                         match dagger {
-                            false => oracle.apply_block_oracle(&mut want, &inp, nrhs),
-                            true => oracle.apply_dagger_block_oracle(&mut want, &inp, nrhs),
+                            false => mobius.apply_block_oracle(&mut want, &inp, nrhs),
+                            true => mobius.apply_dagger_block_oracle(&mut want, &inp, nrhs),
                         }
-                        for op in &mut sharded {
-                            let grid = op.hop.kernel.domain().grid_string();
+                        for hop in &mut hops {
+                            let grid = hop.kernel.domain().grid_string();
                             let mut got = vec![Spinor::zero(); n];
-                            let res = match dagger {
-                                false => op.apply_block(&mut got, &inp, nrhs),
-                                true => op.apply_dagger_block(&mut got, &inp, nrhs),
-                            };
-                            res.expect("clean wire");
+                            match dagger {
+                                false => mobius.apply_block_via(&mut got, &inp, nrhs, hop),
+                                true => mobius.apply_dagger_block_via(&mut got, &inp, nrhs, hop),
+                            }
+                            hop.take_failure().expect("clean wire");
                             assert!(real_bits(&got) == real_bits(&want), "grid {grid}, {what}");
                         }
                     }

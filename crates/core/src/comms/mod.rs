@@ -3,9 +3,10 @@
 //!
 //! The module maps a `coral_machine::decomp` rank grid onto the real
 //! [`crate::lattice::Lattice`] ([`DomainDecomposition`]), exchanges halo
-//! faces between ranks through an in-memory channel transport
-//! ([`Mailboxes`]), and executes the hopping/Möbius stencils over the shards
-//! ([`ShardedHopping`], [`ShardedMobius`]) with output bit-identical to the
+//! faces between ranks through in-memory mailboxes, one per rank ×
+//! direction × side ([`FaultyTransport`]), and executes the hopping
+//! stencil over the shards ([`ShardedHopping`]) — and the Möbius normal
+//! operator around it ([`ShardedNormal`]) — with output bit-identical to the
 //! single-domain kernels at any rank grid, thread width, and precision.
 //!
 //! Both layers speak the same `CommPolicy` type: `perfmodel`/`commpolicy`
@@ -30,8 +31,6 @@ mod transport;
 pub use domain::{surviving_grid, DimExchange, DomainDecomposition, RankDomain};
 pub use fault::{splitmix64, CommError, CommFaultProfile, CommRetryPolicy, WireFault};
 pub use kernel::{
-    policy_from_index, tune_comm_policy, ShardedField, ShardedHopping, ShardedMobius, ShardedNormal,
+    policy_from_index, tune_comm_policy, ShardedField, ShardedHopping, ShardedNormal,
 };
-pub use transport::{
-    CommFaultStats, CommStats, FaultyTransport, Frame, Mailboxes, Payload, BOX_BWD, BOX_FWD,
-};
+pub use transport::{CommFaultStats, CommStats, FaultyTransport, Frame, Payload, BOX_BWD, BOX_FWD};

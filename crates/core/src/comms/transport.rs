@@ -1,26 +1,24 @@
 //! In-memory multi-rank transport: CRC-framed mailboxes with deterministic
 //! fault injection, NACK/re-request retries, and dedup-by-sequence.
 //!
-//! Ranks exchange face buffers through `crossbeam` channels, mirroring the
+//! Ranks exchange face buffers through mailboxes, mirroring the
 //! point-to-point structure of the MPI halo exchange: a message is addressed
-//! by (destination rank, direction `mu`, which ghost zone it fills). Two
-//! layers live here:
+//! by (destination rank, direction `mu`, which ghost zone it fills), and
+//! each such box is one lock around its FIFO of frames and the last clean
+//! frame sent to it.
 //!
-//! - [`Mailboxes`] — the raw channels. `send`/`recv` return typed
-//!   [`CommError`]s instead of panicking, so a closed or empty box is a
-//!   recoverable condition the caller decides about.
-//! - [`FaultyTransport`] — the framed protocol over the mailboxes. Every
-//!   payload travels inside a [`Frame`] envelope (sequence number, source
-//!   rank × dim × side, and a CRC-32C from [`crate::crc32c`] over the
-//!   header and payload bits, which catches every single-bit flip). The send
-//!   path keeps the last clean frame per box in a retransmit buffer and
-//!   runs each transmission attempt through the seeded
-//!   [`CommFaultProfile`] injector; the receive path verifies the
-//!   checksum, discards stale sequence numbers (dedup), and on a missing
-//!   or corrupt frame NACKs — re-requests from the retransmit buffer with
-//!   capped exponential backoff — until the [`CommRetryPolicy`] budget is
-//!   exhausted. Rank loss short-circuits every exchange touching the dead
-//!   rank into [`CommError::RankLost`].
+//! [`FaultyTransport`] runs the framed protocol over those boxes. Every
+//! payload travels inside a [`Frame`] envelope (sequence number, source
+//! rank × dim × side, and a CRC-32C from [`crate::crc32c`] over the header
+//! and payload bits, which catches every single-bit flip). The send path
+//! seals the frame once, parks it in its box for retransmission and queues
+//! the same shared frame through the seeded [`CommFaultProfile`] injector;
+//! only a corrupted or a stale copy is a new frame. The receive path
+//! verifies the checksum, discards stale sequence numbers (dedup), and on a
+//! missing or corrupt frame NACKs — re-requests the parked frame with
+//! capped exponential backoff — until the [`CommRetryPolicy`] budget is
+//! exhausted. Rank loss short-circuits every exchange touching the dead
+//! rank into [`CommError::RankLost`].
 //!
 //! With the default (disabled) fault profile the framed path degenerates to
 //! exactly-once delivery on first attempt, so the sharded kernels remain
@@ -29,20 +27,18 @@
 //! The transport policies differ in how many buffer copies a payload makes
 //! on its way into the ghost zone (the "real copy counts" the analytic
 //! [`coral_machine::commpolicy::CommPolicy`] model charges for):
-//! staged-DMA packs, stages, sends, and unpacks; zero-copy packs straight
-//! into the wire buffer; GPU-Direct skips the channel entirely and the
-//! receiver gathers the remote face in place.
+//! staged-DMA packs, stages, and unpacks from the frame; zero-copy packs
+//! straight into the frame's payload; GPU-Direct skips the mailboxes
+//! entirely and the receiver gathers the remote face in place.
 
 use super::fault::{CommError, CommFaultProfile, CommRetryPolicy, WireFault};
 use crate::lattice::ND;
 use crate::real::Real;
 use crate::spinor::Spinor;
-// The channel shim records send/recv happens-before edges for the race
-// detector when built with `race-detect`; otherwise it is a zero-cost
-// wrapper over `std::sync::mpsc`.
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 /// Side index of a mailbox: which ghost zone of the destination the message
 /// fills.
@@ -52,79 +48,6 @@ pub const BOX_BWD: usize = 1;
 
 /// A face buffer: `l5 × face_len` spinors in canonical reduced-lex order.
 pub type Payload<R> = Vec<Spinor<R>>;
-
-/// Both mailboxes of one (rank, direction): `[BOX_FWD, BOX_BWD]`.
-type TxBoxes<T> = [Sender<T>; 2];
-type RxBoxes<T> = [Mutex<Receiver<T>>; 2];
-
-/// Per-rank, per-direction, per-side channels carrying messages of type
-/// `T`. Senders are shared (`Sync` since any rank may post to any neighbor
-/// concurrently); each receiver is only ever drained by its owning rank,
-/// behind an uncontended mutex.
-pub struct Mailboxes<T> {
-    tx: Vec<[TxBoxes<T>; ND]>,
-    rx: Vec<[RxBoxes<T>; ND]>,
-}
-
-impl<T> Mailboxes<T> {
-    /// Wire up `n_ranks × ND × 2` channels.
-    pub fn new(n_ranks: usize) -> Self {
-        let mut tx = Vec::with_capacity(n_ranks);
-        let mut rx = Vec::with_capacity(n_ranks);
-        for _ in 0..n_ranks {
-            let mut pair: (Vec<TxBoxes<T>>, Vec<RxBoxes<T>>) =
-                (Vec::with_capacity(ND), Vec::with_capacity(ND));
-            for _ in 0..ND {
-                let (t0, r0) = unbounded();
-                let (t1, r1) = unbounded();
-                pair.0.push([t0, t1]);
-                pair.1.push([Mutex::new(r0), Mutex::new(r1)]);
-            }
-            let Ok(t) = <[_; ND]>::try_from(pair.0) else {
-                unreachable!("built exactly ND sender pairs");
-            };
-            let Ok(r) = <[_; ND]>::try_from(pair.1) else {
-                unreachable!("built exactly ND receiver pairs");
-            };
-            tx.push(t);
-            rx.push(r);
-        }
-        Self { tx, rx }
-    }
-
-    /// Post a message to `(dest, mu, side)`. A closed box is a typed error,
-    /// not a panic: the caller owns the decision to retry, degrade, or die.
-    pub fn send(&self, dest: usize, mu: usize, side: usize, msg: T) -> Result<(), CommError> {
-        self.tx[dest][mu][side]
-            .send(msg)
-            .map_err(|_| CommError::ChannelClosed {
-                rank: dest,
-                mu,
-                side,
-            })
-    }
-
-    /// Drain one waiting message at `(rank, mu, side)`, if any.
-    pub fn try_recv(&self, rank: usize, mu: usize, side: usize) -> Option<T> {
-        self.rx[rank][mu][side].lock().try_recv().ok()
-    }
-
-    /// Drain the single message waiting at `(rank, mu, side)`.
-    ///
-    /// The fault-free exchange discipline posts exactly one message per box
-    /// per operator application before any unpack runs; an empty box is
-    /// reported as [`CommError::Missing`] after zero retries (the raw
-    /// mailbox layer has no retransmit machinery — that lives in
-    /// [`FaultyTransport`]).
-    pub fn recv(&self, rank: usize, mu: usize, side: usize) -> Result<T, CommError> {
-        self.try_recv(rank, mu, side).ok_or(CommError::Missing {
-            rank,
-            mu,
-            side,
-            attempts: 1,
-        })
-    }
-}
 
 /// The framed envelope one halo payload travels in.
 #[derive(Clone, Debug)]
@@ -283,16 +206,20 @@ impl FaultCounters {
     }
 }
 
-/// One retransmit slot: the last clean frame posted to a box, so a NACK can
-/// be served without the sender re-packing.
-type ResendSlot<R> = Mutex<Option<Frame<R>>>;
+/// One `(rank, mu, side)` box: the frames waiting in arrival order, and the
+/// last clean frame sent to it, which a NACK retransmits without the sender
+/// re-packing.
+struct Mailbox<R: Real> {
+    queue: VecDeque<Arc<Frame<R>>>,
+    parked: Option<Arc<Frame<R>>>,
+}
 
-/// The framed, fault-injecting, self-healing transport decorating
-/// [`Mailboxes`]. See the module docs for the protocol.
+/// The framed, fault-injecting, self-healing transport. See the module docs
+/// for the protocol.
 pub struct FaultyTransport<R: Real> {
-    mail: Mailboxes<Frame<R>>,
-    /// `resend[dest][mu][side]`: last clean frame addressed to that box.
-    resend: Vec<[[ResendSlot<R>; 2]; ND]>,
+    /// `boxes[dest][mu][side]`, each behind its own lock: a send, a receive
+    /// or a NACK holds the lock of its one box only.
+    boxes: Vec<[[Mutex<Mailbox<R>>; 2]; ND]>,
     profile: CommFaultProfile,
     retry: CommRetryPolicy,
     counters: FaultCounters,
@@ -301,10 +228,15 @@ pub struct FaultyTransport<R: Real> {
 impl<R: Real> FaultyTransport<R> {
     /// A transport for `n_ranks` with fault injection disabled.
     pub fn new(n_ranks: usize) -> Self {
+        let mailbox = || {
+            Mutex::new(Mailbox {
+                queue: VecDeque::new(),
+                parked: None,
+            })
+        };
         Self {
-            mail: Mailboxes::new(n_ranks),
-            resend: (0..n_ranks)
-                .map(|_| std::array::from_fn(|_| std::array::from_fn(|_| Mutex::new(None))))
+            boxes: (0..n_ranks)
+                .map(|_| std::array::from_fn(|_| std::array::from_fn(|_| mailbox())))
                 .collect(),
             profile: CommFaultProfile::default(),
             retry: CommRetryPolicy::default(),
@@ -323,11 +255,6 @@ impl<R: Real> FaultyTransport<R> {
         &self.profile
     }
 
-    /// The active retry policy.
-    pub fn retry_policy(&self) -> &CommRetryPolicy {
-        &self.retry
-    }
-
     /// Cumulative injection/recovery statistics.
     pub fn fault_stats(&self) -> CommFaultStats {
         self.counters.snapshot()
@@ -338,9 +265,9 @@ impl<R: Real> FaultyTransport<R> {
         !self.profile.rank_dead(rank, seq)
     }
 
-    /// Frame and post one face buffer from `src` to `(dest, mu, side)` under
-    /// sequence number `seq`, park a clean copy in the retransmit buffer,
-    /// and run the first transmission attempt through the injector.
+    /// Frame one face buffer from `src` to `(dest, mu, side)` under sequence
+    /// number `seq`, park it in the box for retransmission, and run the
+    /// first transmission attempt through the injector.
     pub fn send(
         &self,
         src: usize,
@@ -356,27 +283,25 @@ impl<R: Real> FaultyTransport<R> {
         if self.profile.rank_dead(dest, seq) {
             return Err(CommError::RankLost { rank: dest });
         }
-        let frame = Frame::new(seq, src, mu, side, payload);
-        *self.resend[dest][mu][side].lock() = Some(frame.clone());
-        self.transmit(dest, mu, side, &frame, 0)
+        let frame = Arc::new(Frame::new(seq, src, mu, side, payload));
+        let mut mailbox = self.boxes[dest][mu][side].lock();
+        mailbox.parked = Some(Arc::clone(&frame));
+        self.transmit(&mut mailbox, dest, &frame, 0);
+        Ok(())
     }
 
-    /// One transmission attempt: consult the injector, then deliver (or
-    /// not) accordingly. Retransmissions redraw with their attempt index.
-    fn transmit(
-        &self,
-        dest: usize,
-        mu: usize,
-        side: usize,
-        frame: &Frame<R>,
-        attempt: u64,
-    ) -> Result<(), CommError> {
+    /// One transmission attempt of `frame` into its box at `dest`: consult
+    /// the injector, then queue the frame (or not) accordingly.
+    /// Retransmissions redraw with their attempt index.
+    fn transmit(&self, mailbox: &mut Mailbox<R>, dest: usize, frame: &Arc<Frame<R>>, attempt: u64) {
+        let (mu, side) = (usize::from(frame.mu), usize::from(frame.side));
         let c = &self.counters;
+        let queue = &mut mailbox.queue;
         match self.profile.draw(dest, mu, side, frame.seq, attempt) {
-            WireFault::Clean => self.mail.send(dest, mu, side, frame.clone()),
+            WireFault::Clean => queue.push_back(Arc::clone(frame)),
             WireFault::Corrupt => {
                 c.injected_corruptions.fetch_add(1, Ordering::Relaxed);
-                let mut bad = frame.clone();
+                let mut bad = Frame::clone(frame);
                 if !bad.payload.is_empty() {
                     // Flip one mantissa bit of a deterministically chosen
                     // component; the sealed checksum no longer matches.
@@ -387,42 +312,41 @@ impl<R: Real> FaultyTransport<R> {
                     let z = &mut bad.payload[k].s[0].c[0];
                     z.re = R::from_f64(f64::from_bits(z.re.to_f64().to_bits() ^ (1 << 17)));
                 }
-                self.mail.send(dest, mu, side, bad)
+                queue.push_back(Arc::new(bad));
             }
             WireFault::Drop => {
                 c.injected_drops.fetch_add(1, Ordering::Relaxed);
-                Ok(())
             }
             WireFault::Duplicate => {
                 c.injected_duplicates.fetch_add(1, Ordering::Relaxed);
-                self.mail.send(dest, mu, side, frame.clone())?;
-                self.mail.send(dest, mu, side, frame.clone())
+                queue.push_back(Arc::clone(frame));
+                queue.push_back(Arc::clone(frame));
             }
             WireFault::Reorder => {
                 c.injected_reorders.fetch_add(1, Ordering::Relaxed);
                 // An old packet finally arrives just ahead of the real one:
                 // a stale-sequence frame with a valid checksum, which the
                 // receiver must discard by seq alone.
-                let mut stale = frame.clone();
+                let mut stale = Frame::clone(frame);
                 stale.seq = frame.seq.wrapping_sub(1);
                 stale.checksum = stale.compute_checksum();
-                self.mail.send(dest, mu, side, stale)?;
-                self.mail.send(dest, mu, side, frame.clone())
+                queue.push_back(Arc::new(stale));
+                queue.push_back(Arc::clone(frame));
             }
             WireFault::Delay => {
                 c.injected_delays.fetch_add(1, Ordering::Relaxed);
-                // Held back past one receiver timeout: not posted now; the
-                // re-request serves it from the retransmit buffer.
-                Ok(())
+                // Held back past one receiver timeout: not queued now; the
+                // re-request serves it from the parked frame.
             }
         }
     }
 
-    /// Receive the payload for `(rank, mu, side)` at sequence number `seq`,
+    /// Receive the frame for `(rank, mu, side)` at sequence number `seq`,
     /// sent by `src`: verify the checksum, dedup stale frames, and on a
-    /// missing or corrupt frame re-request from the sender's retransmit
-    /// buffer with capped exponential backoff, until the retry budget is
-    /// spent.
+    /// missing or corrupt frame NACK — charge the backoff and retransmit
+    /// the box's parked frame, redrawing its fate with the new attempt
+    /// index — until the retry budget is spent. The frame is handed back
+    /// shared, so the caller unpacks its payload in place.
     pub fn recv(
         &self,
         rank: usize,
@@ -431,7 +355,7 @@ impl<R: Real> FaultyTransport<R> {
         src: usize,
         seq: u64,
         expected_len: usize,
-    ) -> Result<Payload<R>, CommError> {
+    ) -> Result<Arc<Frame<R>>, CommError> {
         if self.profile.rank_dead(rank, seq) {
             return Err(CommError::RankLost { rank });
         }
@@ -439,76 +363,55 @@ impl<R: Real> FaultyTransport<R> {
             return Err(CommError::RankLost { rank: src });
         }
         let c = &self.counters;
+        let mut mailbox = self.boxes[rank][mu][side].lock();
         let mut attempts = 1usize; // the original transmission
         let mut saw_corrupt = false;
         loop {
-            match self.mail.try_recv(rank, mu, side) {
-                Some(frame) => {
-                    if frame.seq != seq {
-                        // Stale duplicate or reordered leftover — discard by
-                        // sequence number without burning a retry.
-                        c.duplicates_dropped.fetch_add(1, Ordering::Relaxed);
-                        continue;
-                    }
-                    if !frame.verify() {
-                        saw_corrupt = true;
-                        c.crc_failures.fetch_add(1, Ordering::Relaxed);
-                        self.nack(rank, mu, side, seq, &mut attempts, saw_corrupt)?;
-                        continue;
-                    }
-                    if frame.payload.len() != expected_len {
-                        return Err(CommError::SizeMismatch { rank, mu, side });
-                    }
-                    return Ok(frame.payload);
+            match mailbox.queue.pop_front() {
+                // Stale duplicate or reordered leftover — discard by
+                // sequence number without burning a retry.
+                Some(frame) if frame.seq != seq => {
+                    c.duplicates_dropped.fetch_add(1, Ordering::Relaxed);
+                    continue;
                 }
+                Some(frame) if !frame.verify() => {
+                    saw_corrupt = true;
+                    c.crc_failures.fetch_add(1, Ordering::Relaxed);
+                }
+                Some(frame) if frame.payload.len() != expected_len => {
+                    return Err(CommError::SizeMismatch { rank, mu, side });
+                }
+                Some(frame) => return Ok(frame),
                 None => {
                     c.timeouts.fetch_add(1, Ordering::Relaxed);
-                    self.nack(rank, mu, side, seq, &mut attempts, saw_corrupt)?;
                 }
             }
-        }
-    }
-
-    /// One NACK/re-request round: charge the backoff, then have the sender
-    /// retransmit the parked frame (running the injector again with the new
-    /// attempt index). Fails typed once the attempt budget is gone.
-    fn nack(
-        &self,
-        rank: usize,
-        mu: usize,
-        side: usize,
-        seq: u64,
-        attempts: &mut usize,
-        saw_corrupt: bool,
-    ) -> Result<(), CommError> {
-        if *attempts >= self.retry.max_attempts {
-            return Err(if saw_corrupt {
-                CommError::Corrupt {
-                    rank,
-                    mu,
-                    side,
-                    attempts: *attempts,
-                }
-            } else {
-                CommError::Missing {
-                    rank,
-                    mu,
-                    side,
-                    attempts: *attempts,
-                }
-            });
-        }
-        let c = &self.counters;
-        c.retries.fetch_add(1, Ordering::Relaxed);
-        c.add_backoff(self.retry.backoff_seconds(*attempts) + self.profile.delay_seconds);
-        let parked = self.resend[rank][mu][side].lock().clone();
-        let attempt = *attempts as u64;
-        *attempts += 1;
-        match parked {
-            Some(f) if f.seq == seq => self.transmit(rank, mu, side, &f, attempt),
-            // Nothing (current) to retransmit: the next try_recv finds the
-            // box empty again and the budget runs down to a typed Missing.
-            _ => Ok(()),
+            if attempts >= self.retry.max_attempts {
+                return Err(if saw_corrupt {
+                    CommError::Corrupt {
+                        rank,
+                        mu,
+                        side,
+                        attempts,
+                    }
+                } else {
+                    CommError::Missing {
+                        rank,
+                        mu,
+                        side,
+                        attempts,
+                    }
+                });
+            }
+            c.retries.fetch_add(1, Ordering::Relaxed);
+            c.add_backoff(self.retry.backoff_seconds(attempts) + self.profile.delay_seconds);
+            let attempt = attempts as u64;
+            attempts += 1;
+            // Nothing current parked: the next look finds the box empty
+            // again and the budget runs down to a typed Missing.
+            if let Some(parked) = mailbox.parked.clone().filter(|f| f.seq == seq) {
+                self.transmit(&mut mailbox, rank, &parked, attempt);
+            }
         }
     }
 }
@@ -558,23 +461,6 @@ mod tests {
                 s
             })
             .collect()
-    }
-
-    #[test]
-    fn mailbox_send_recv_round_trips_typed() {
-        let mail: Mailboxes<u32> = Mailboxes::new(2);
-        mail.send(1, 0, BOX_FWD, 7).unwrap();
-        assert_eq!(mail.recv(1, 0, BOX_FWD).unwrap(), 7);
-        // Empty box is a typed Missing, not a panic.
-        assert_eq!(
-            mail.recv(1, 0, BOX_FWD),
-            Err(CommError::Missing {
-                rank: 1,
-                mu: 0,
-                side: BOX_FWD,
-                attempts: 1
-            })
-        );
     }
 
     /// A 3-spinor frame with every component distinct and nonzero.
@@ -648,7 +534,7 @@ mod tests {
         let t: FaultyTransport<f64> = FaultyTransport::new(2);
         t.send(0, 1, 2, BOX_FWD, payload(&[4.0, 5.0]), 0).unwrap();
         let got = t.recv(1, 2, BOX_FWD, 0, 0, 2).unwrap();
-        assert_eq!(got, payload(&[4.0, 5.0]));
+        assert_eq!(got.payload, payload(&[4.0, 5.0]));
         assert_eq!(t.fault_stats(), CommFaultStats::default());
     }
 
@@ -678,7 +564,7 @@ mod tests {
         let want = payload(&[1.0, 2.0, 3.0]);
         t.send(0, 1, 0, BOX_FWD, want.clone(), 0).unwrap();
         let got = t.recv(1, 0, BOX_FWD, 0, 0, 3).unwrap();
-        assert_eq!(got, want, "recovered payload must be the clean one");
+        assert_eq!(got.payload, want, "recovered payload must be the clean one");
         let s = t.fault_stats();
         assert_eq!(s.injected_corruptions, 1);
         assert_eq!(s.crc_failures, 1);
@@ -745,12 +631,12 @@ mod tests {
         );
         let want = payload(&[6.0, 7.0]);
         t.send(0, 1, 0, BOX_FWD, want.clone(), 0).unwrap();
-        assert_eq!(t.recv(1, 0, BOX_FWD, 0, 0, 2).unwrap(), want);
+        assert_eq!(t.recv(1, 0, BOX_FWD, 0, 0, 2).unwrap().payload, want);
         // The duplicate is still in the box; the next exchange discards it
         // by stale seq and receives its own frame.
         let want2 = payload(&[8.0]);
         t.send(0, 1, 0, BOX_FWD, want2.clone(), 1).unwrap();
-        assert_eq!(t.recv(1, 0, BOX_FWD, 0, 1, 1).unwrap(), want2);
+        assert_eq!(t.recv(1, 0, BOX_FWD, 0, 1, 1).unwrap().payload, want2);
         assert!(t.fault_stats().duplicates_dropped >= 1);
 
         let mut t2: FaultyTransport<f64> = FaultyTransport::new(2);
@@ -764,7 +650,7 @@ mod tests {
         );
         let want3 = payload(&[1.5]);
         t2.send(0, 1, 0, BOX_FWD, want3.clone(), 4).unwrap();
-        assert_eq!(t2.recv(1, 0, BOX_FWD, 0, 4, 1).unwrap(), want3);
+        assert_eq!(t2.recv(1, 0, BOX_FWD, 0, 4, 1).unwrap().payload, want3);
         let s2 = t2.fault_stats();
         assert_eq!(s2.injected_reorders, 1);
         assert_eq!(s2.duplicates_dropped, 1, "the stale frame was discarded");
@@ -796,7 +682,7 @@ mod tests {
         );
         let want = payload(&[2.0]);
         t.send(0, 1, 0, BOX_FWD, want.clone(), 0).unwrap();
-        assert_eq!(t.recv(1, 0, BOX_FWD, 0, 0, 1).unwrap(), want);
+        assert_eq!(t.recv(1, 0, BOX_FWD, 0, 0, 1).unwrap().payload, want);
         let s = t.fault_stats();
         assert_eq!(s.injected_delays, 1);
         assert_eq!(s.timeouts, 1);
@@ -827,12 +713,12 @@ mod tests {
             Err(CommError::RankLost { rank: 2 })
         );
         assert_eq!(
-            t.recv(1, 0, BOX_FWD, 2, 3, 1),
-            Err(CommError::RankLost { rank: 2 })
+            t.recv(1, 0, BOX_FWD, 2, 3, 1).err(),
+            Some(CommError::RankLost { rank: 2 })
         );
         assert_eq!(
-            t.recv(2, 0, BOX_FWD, 1, 3, 1),
-            Err(CommError::RankLost { rank: 2 })
+            t.recv(2, 0, BOX_FWD, 1, 3, 1).err(),
+            Some(CommError::RankLost { rank: 2 })
         );
     }
 }

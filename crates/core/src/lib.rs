@@ -61,7 +61,6 @@ pub mod prelude {
     pub use crate::block::BlockSpinor;
     pub use crate::comms::{
         tune_comm_policy, CommStats, DomainDecomposition, ShardedField, ShardedHopping,
-        ShardedMobius,
     };
     pub use crate::complex::{Complex, C32, C64};
     pub use crate::contract::{

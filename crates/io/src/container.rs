@@ -476,9 +476,19 @@ impl SalvagedContainer {
 /// bad CRC are zero-filled, and a truncated tail (or a corrupted chunk
 /// length that runs past the end of the file) loses everything from that
 /// point on. The payload is padded with zeros to the size implied by the
-/// header's shape and dtype so downstream decoding still works.
+/// header's shape and dtype so downstream decoding still works; a shape
+/// promising more bytes than the header's `n_chunks` can carry at
+/// [`DEFAULT_CHUNK_BYTES`] (all [`write_container`] writes) is
+/// [`IoError::Format`], so a hostile shape cannot size the padding.
 pub fn salvage_container_bytes(bytes: &[u8]) -> Result<SalvagedContainer, IoError> {
     let (header, start) = parse_header_bytes(bytes)?;
+    let carried = header.n_chunks.saturating_mul(DEFAULT_CHUNK_BYTES);
+    if let Some(expected) = header.expected_payload_bytes().filter(|&e| e > carried) {
+        return Err(IoError::Format(format!(
+            "header: shape promises {expected} B, more than its {} chunks carry",
+            header.n_chunks
+        )));
+    }
     let (chunks, _) = carve_chunks(bytes, &header, start);
 
     let crc_ok: Vec<bool> = chunks
@@ -659,6 +669,15 @@ mod tests {
     fn overflowing_shape_is_a_format_error() {
         let bytes = image(&header("[4294967296, 4294967296, 16]", "0"), &[]);
         assert!(matches!(parse_container(&bytes), Err(IoError::Format(_))));
+    }
+
+    #[test]
+    fn salvage_of_a_shape_its_chunks_cannot_carry_is_a_format_error() {
+        let bytes = image(&header("[1048576, 1048576, 16]", "0"), &[]);
+        assert!(matches!(
+            salvage_container_bytes(&bytes),
+            Err(IoError::Format(_))
+        ));
     }
 
     #[test]

@@ -172,12 +172,13 @@ fn steady_state_applies_and_iterations_request_no_memory() {
     });
 
     // `D` then `D†` over the 2×2×1×1 grid, staged-DMA policy, clean wire:
-    // each hop's messages allocate four payload-sized buffers (the pack
-    // buffer, the staging copy, the frame parked for retransmit and the
-    // frame posted), and the resident shard fields and fifth-dimension
-    // scratch were sized by the warm-up call. A three-column warm-up resizes
-    // them, after which a warm three-column apply is held to its own,
-    // three times fatter, frames.
+    // each hop's messages allocate two payload-sized buffers (the pack
+    // buffer and the staging copy, which the frame carries: parked for
+    // retransmit and queued as one shared frame) plus the frame's envelope,
+    // and the resident shard fields and fifth-dimension scratch were sized
+    // by the warm-up call. A three-column warm-up resizes them, after which
+    // a warm three-column apply is held to its own, three times fatter,
+    // frames.
     at_width(1, || {
         let gauge = GaugeField::<f64>::hot(&lat, 13);
         let params = MobiusParams::standard(4, 0.5);
@@ -198,7 +199,8 @@ fn steady_state_applies_and_iterations_request_no_memory() {
             let mut out = vec![Spinor::zero(); n];
             op.apply_block(&mut out, &b, nrhs).expect("clean wire");
             let bytes = bytes_requested(|| op.apply_block(&mut out, &b, nrhs).expect("clean wire"));
-            let bound = 2 * 4 * (halo_bytes * nrhs) as u64;
+            let messages = domain.total_messages_per_apply();
+            let bound = 2 * (2 * halo_bytes * nrhs + messages * 128) as u64;
             assert!(
                 bytes <= bound,
                 "a warm {nrhs}-column sharded apply requested {bytes} B, over the {bound} B of its wire buffers"

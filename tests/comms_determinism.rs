@@ -10,8 +10,10 @@
 //! mix of full lane groups, half groups and scalar remainders — and stress
 //! the exactly-once pack/unpack discipline under repeated threaded applies.
 
+use lqcd::core::comms::ShardedNormal;
 use lqcd::core::dirac::LinearOp;
 use lqcd::core::prelude::*;
+use lqcd::core::solver::FallibleOp;
 use lqcd::machine::commpolicy::{CommPolicy, CommTransport};
 use std::sync::Arc;
 
@@ -202,15 +204,13 @@ fn sharded_mobius_bit_identical_to_single_domain() {
     let single = MobiusDirac::new(&lat, &gauge, params);
     let inp = FermionField::<f64>::gaussian(single.vec_len(), 68).data;
     let mut reference = vec![Spinor::zero(); single.vec_len()];
-    at_width(1, || single.apply(&mut reference, &inp));
+    at_width(1, || NormalOp::new(&single).apply(&mut reference, &inp));
 
     for grid in GRIDS {
         for &w in &WIDTHS {
             for policy in CommPolicy::all() {
-                let domain = Arc::new(
-                    DomainDecomposition::new(&lat, grid, L5, GPUS_PER_NODE).expect("grid"),
-                );
-                let mut op = ShardedMobius::new(&lat, &gauge, params, domain, policy);
+                let mut op = ShardedNormal::new(&lat, &gauge, params, grid, GPUS_PER_NODE, policy)
+                    .expect("grid");
                 let mut got = vec![Spinor::zero(); op.vec_len()];
                 at_width(w, || {
                     op.apply_block(&mut got, &inp, 1)

@@ -9,8 +9,9 @@
 //!   must produce a race report;
 //! - **fidelity**: the same access pattern ordered by each real sync
 //!   mechanism (a `parking_lot` lock, a pool job's publish/join handoff, a
-//!   transport mailbox send/recv) must stay report-free, so the blocking
-//!   CI race step cannot cry wolf on the determinism suites.
+//!   halo transport's send/recv through its mailbox lock) must stay
+//!   report-free, so the blocking CI race step cannot cry wolf on the
+//!   determinism suites.
 //!
 //! The detector's state is process-global, so all phases share one `#[test]`
 //! with explicit resets; this file is its own test binary, keeping other
@@ -18,7 +19,8 @@
 #![cfg(feature = "race-detect")]
 
 use checkmate::race;
-use lqcd::core::comms::{Mailboxes, BOX_FWD};
+use lqcd::core::comms::{FaultyTransport, BOX_FWD};
+use lqcd::core::spinor::Spinor;
 use parking_lot::Mutex;
 
 #[test]
@@ -91,21 +93,24 @@ fn seeded_unsync_counter_is_caught_and_synced_patterns_are_clean() {
         "pool publish/join edges must order chunk writes before caller reads"
     );
 
-    // Phase 4 (fidelity, channels): a mailbox handoff. The sender marks a
-    // location before send; the receiver reads it after recv. The channel
-    // shim's release/acquire edges must order the pair.
+    // Phase 4 (fidelity, transport): a halo handoff. The sender marks a
+    // location before `send`; the receiver retries `recv` until the frame
+    // arrives and reads it after. The box lock's release/acquire edges must
+    // order the pair.
     race::reset();
-    let mail: Mailboxes<u64> = Mailboxes::new(2);
+    let transport = FaultyTransport::<f64>::new(2);
     let key = race::key("sync.mailbox_payload");
+    let mut payload = vec![Spinor::zero()];
+    payload[0].s[0].c[0].re = 42.0;
     std::thread::scope(|scope| {
         scope.spawn(|| {
             race::on_write(key);
-            mail.send(1, 0, BOX_FWD, 42).unwrap();
+            transport.send(0, 1, 0, BOX_FWD, payload, 0).unwrap();
         });
         scope.spawn(|| loop {
-            if let Some(v) = mail.try_recv(1, 0, BOX_FWD) {
+            if let Ok(frame) = transport.recv(1, 0, BOX_FWD, 0, 0, 1) {
                 race::on_read(key);
-                assert_eq!(v, 42);
+                assert_eq!(frame.payload[0].s[0].c[0].re, 42.0);
                 break;
             }
             std::thread::yield_now();
@@ -113,7 +118,7 @@ fn seeded_unsync_counter_is_caught_and_synced_patterns_are_clean() {
     });
     assert!(
         race::take_reports().is_empty(),
-        "channel send/recv edges must order producer writes before consumer reads"
+        "transport send/recv edges must order producer writes before consumer reads"
     );
 
     race::set_panic_on_race(prev);

@@ -52,7 +52,7 @@ proptest! {
             p[0].s[0].c[0] = lqcd::core::complex::Complex::new(seq as f64, 0.0);
             tr.send(0, 1, 2, 1, p.clone(), seq).unwrap();
             let got = tr.recv(1, 2, 1, 0, seq, p.len()).unwrap();
-            prop_assert_eq!(got, p, "seq {} must arrive exactly once, intact", seq);
+            prop_assert_eq!(got.payload, p, "seq {} must arrive exactly once, intact", seq);
         }
         // A duplicate of the final seq is still parked in the mailbox; a
         // drain recv (which must come up empty-handed) flushes it through
@@ -84,7 +84,7 @@ proptest! {
         // Deliver seq 0 cleanly.
         tr.send(0, 1, 0, 0, payload.clone(), 0).unwrap();
         let got = tr.recv(1, 0, 0, 0, 0, payload.len()).unwrap();
-        prop_assert_eq!(&got, &payload);
+        prop_assert_eq!(&got.payload, &payload);
         // A confused sender re-sends seq 0 several times, then seq 1.
         for _ in 0..stale_repeats {
             tr.send(0, 1, 0, 0, payload.clone(), 0).unwrap();
@@ -93,7 +93,7 @@ proptest! {
         next[0].s[0].c[0] = lqcd::core::complex::Complex::new(-7.0, 7.0);
         tr.send(0, 1, 0, 0, next.clone(), 1).unwrap();
         let got = tr.recv(1, 0, 0, 0, 1, next.len()).unwrap();
-        prop_assert_eq!(got, next, "stale seq-0 frames must not shadow seq 1");
+        prop_assert_eq!(got.payload, next, "stale seq-0 frames must not shadow seq 1");
         prop_assert_eq!(tr.fault_stats().duplicates_dropped, stale_repeats as u64);
     }
 
