@@ -151,23 +151,26 @@ fn merge_json_rejects_garbage() {
     assert!(tuner.merge_json("not json at all").is_err());
 }
 
+/// One cache entry for `dslash_wilson` at 4⁴, as an older build wrote it:
+/// `extra` fields first, and the `grain` and `block` it still persisted.
+fn old_entry(extra: &str, policy: usize, seconds: f64) -> String {
+    format!(
+        r#"{{"name": "dslash_wilson", "volume": "4x4x4x4", "aux": "prec=f64", "nrhs": 1,{extra}
+            "grain": 256, "block": 64, "policy": {policy},
+            "seconds": {seconds:e}, "gflops": 1.0, "candidates_swept": 5}}"#
+    )
+}
+
 #[test]
 fn merge_json_skips_entries_on_retired_key_axes() {
     // A cache persisted by a build whose key still had layout/recon axes:
     // all three entries share (name, volume, aux, nrhs), so without the skip
-    // the later two would overwrite the plain grain entry.
-    let entry = |extra: &str, grain: usize, policy: usize| {
-        format!(
-            r#"{{"name": "dslash_wilson", "volume": "4x4x4x4", "aux": "prec=f64", "nrhs": 1,{extra}
-                "grain": {grain}, "block": 64, "policy": {policy},
-                "seconds": 1.0e-3, "gflops": 1.0, "candidates_swept": 5}}"#
-        )
-    };
+    // the later two would overwrite the plain entry.
     let json = format!(
         "[{},{},{}]",
-        entry("", 256, 0),
-        entry(r#" "layout": "variant", "recon": "full","#, 64, 2),
-        entry(r#" "layout": "aos", "recon": "r12","#, 128, 1),
+        old_entry("", 0, 1.0e-3),
+        old_entry(r#" "layout": "variant", "recon": "full","#, 2, 2.0e-3),
+        old_entry(r#" "layout": "aos", "recon": "r12","#, 1, 3.0e-3),
     );
     let tuner = Tuner::new();
     assert_eq!(tuner.merge_json(&json).expect("cache parses"), 1);
@@ -175,7 +178,21 @@ fn merge_json_skips_entries_on_retired_key_axes() {
     let kept = tuner
         .lookup(&TuneKey::new("dslash_wilson", "4x4x4x4", "prec=f64"))
         .expect("plain entry kept");
-    assert_eq!((kept.param.grain, kept.param.policy), (256, 0));
+    assert_eq!((kept.param.policy, kept.seconds), (0, 1.0e-3));
+}
+
+#[test]
+fn merge_json_ignores_retired_grain_and_block() {
+    // `grain` and `block` are read by nothing: an old file's entry loads as
+    // its policy, and the cache writes it back without them.
+    let tuner = Tuner::new();
+    let json = format!("[{}]", old_entry("", 3, 1.0e-3));
+    assert_eq!(tuner.merge_json(&json).expect("cache parses"), 1);
+    let key = TuneKey::new("dslash_wilson", "4x4x4x4", "prec=f64");
+    let kept = tuner.lookup(&key).expect("entry loaded");
+    assert_eq!(kept.param, TuneParam { policy: 3 });
+    let out = tuner.to_json();
+    assert!(!out.contains("grain") && !out.contains("block"), "{out}");
 }
 
 #[test]

@@ -144,8 +144,6 @@ impl Tuner {
             "autotune.tuned",
             vec![
                 ("key", Json::from(key.to_string())),
-                ("grain", Json::from(best_param.grain)),
-                ("block", Json::from(best_param.block)),
                 ("policy", Json::from(best_param.policy)),
                 ("seconds", Json::from(best_time)),
                 ("gflops", Json::from(gflops)),
@@ -204,8 +202,6 @@ impl Tuner {
                         ("volume", Json::from(k.volume.as_str())),
                         ("aux", Json::from(k.aux.as_str())),
                         ("nrhs", Json::from(k.nrhs)),
-                        ("grain", Json::from(e.param.grain)),
-                        ("block", Json::from(e.param.block)),
                         ("policy", Json::from(e.param.policy)),
                         ("seconds", Json::from(e.seconds)),
                         ("gflops", Json::from(e.gflops)),
@@ -219,7 +215,8 @@ impl Tuner {
 
     /// Restore a cache previously produced by `to_json`, merging into the
     /// current cache (disk entries win on key collision). Returns the number
-    /// of entries merged; entries on a retired key axis are skipped.
+    /// of entries merged; entries on a retired key axis are skipped, and the
+    /// `grain` and `block` fields older files carry are ignored.
     pub fn merge_json(&self, json: &str) -> Result<usize, JsonError> {
         let bad = |msg: &str| JsonError {
             offset: 0,
@@ -250,8 +247,8 @@ impl Tuner {
             };
             // Caches written while the key still had layout/reconstruction
             // axes may hold variant sweeps (`policy` = variant index) that
-            // would now alias the plain grain key and, since disk entries
-            // win, overwrite it: skip anything off the default axes.
+            // would now alias the plain key and, since disk entries win,
+            // overwrite it: skip anything off the default axes.
             let off_axis =
                 |f: &str, default: &str| item.get(f).is_some_and(|v| v.as_str() != Some(default));
             if off_axis("layout", "aos") || off_axis("recon", "full") {
@@ -263,8 +260,6 @@ impl Tuner {
                 TuneKey::new(s("name")?, s("volume")?, s("aux")?).with_nrhs(nrhs),
                 TuneEntry {
                     param: TuneParam {
-                        grain: u("grain")?,
-                        block: u("block")?,
                         policy: u("policy")?,
                     },
                     seconds: f("seconds")?,
@@ -290,13 +285,8 @@ impl Tuner {
         let mut out = String::new();
         for (k, e) in entries {
             out.push_str(&format!(
-                "{k}  grain={} block={} policy={}  {:.3e}s  {:.1} GFLOP/s  ({} swept)\n",
-                e.param.grain,
-                e.param.block,
-                e.param.policy,
-                e.seconds,
-                e.gflops,
-                e.candidates_swept
+                "{k}  policy={}  {:.3e}s  {:.1} GFLOP/s  ({} swept)\n",
+                e.param.policy, e.seconds, e.gflops, e.candidates_swept
             ));
         }
         out

@@ -120,7 +120,7 @@ impl<R: Real> ShardedField<R> {
         nrhs: usize,
     ) -> Self {
         let mut f = Self::zeros_block(domain, l5, nrhs);
-        f.scatter_mapped(domain, global, &|psi| psi);
+        f.scatter_from(domain, global);
         f
     }
 
@@ -156,21 +156,13 @@ impl<R: Real> ShardedField<R> {
             })
     }
 
-    /// Overwrite the rank locals, in place, with `load` of each spinor of a
-    /// global s-major, RHS-innermost block of this field's shape. The ghosts
-    /// keep whatever they held until the next exchange refreshes them.
-    fn scatter_mapped(
-        &mut self,
-        domain: &DomainDecomposition,
-        global: &[Spinor<R>],
-        load: &impl Fn(Spinor<R>) -> Spinor<R>,
-    ) {
+    /// Overwrite the rank locals, in place, with a global s-major,
+    /// RHS-innermost block of this field's shape. The ghosts keep whatever
+    /// they held until the next exchange refreshes them.
+    fn scatter_from(&mut self, domain: &DomainDecomposition, global: &[Spinor<R>]) {
         let nrhs = self.nrhs;
         for (g, l) in self.rows(domain, global.len()) {
-            let row = &mut self.data[l..l + nrhs];
-            for (o, &psi) in row.iter_mut().zip(&global[g..g + nrhs]) {
-                *o = load(psi);
-            }
+            self.data[l..l + nrhs].copy_from_slice(&global[g..g + nrhs]);
         }
     }
 
@@ -440,13 +432,19 @@ impl<R: Real> ShardedHopping<R> {
         })
     }
 
-    /// Compute `out = H inp` on a per-rank set of local sites. Each site's
-    /// `L5 × nrhs` spinors go through the single-domain sweep's lane row
-    /// (`lanes::hop_row`) with its eight links from the rank's table, each
-    /// written exactly once, so results are bit-identical to the
-    /// single-domain kernel at any thread width and for any site-list
-    /// schedule.
-    fn compute(&self, out: &mut ShardedField<R>, inp: &ShardedField<R>, which: SiteSet) -> u64 {
+    /// Compute `out = H inp` (`H† inp` when `dagger`) on a per-rank set of
+    /// local sites. Each site's `L5 × nrhs` spinors go through the
+    /// single-domain sweep's lane row (`lanes::hop_row`) with its eight
+    /// links from the rank's table, each written exactly once, so results
+    /// are bit-identical to the single-domain kernel at any thread width and
+    /// for any site-list schedule.
+    fn compute(
+        &self,
+        out: &mut ShardedField<R>,
+        inp: &ShardedField<R>,
+        which: SiteSet,
+        dagger: bool,
+    ) -> u64 {
         let (l5, nrhs, v_loc) = (inp.l5, inp.nrhs, inp.v_loc);
         let rank_len = inp.rank_len();
         let slice_len = inp.v_ext * nrhs;
@@ -474,13 +472,12 @@ impl<R: Real> ShardedHopping<R> {
                         lanes::hop_row(
                             nb,
                             lx,
-                            this.antiperiodic_t,
+                            (this.antiperiodic_t, dagger),
                             (&fwd, &bwd),
                             (l5, nrhs, slice_len),
+                            field,
                             #[inline(always)]
                             |e| e * nrhs,
-                            #[inline(always)]
-                            |i| field[i],
                             #[inline(always)]
                             |b, h| {
                                 // SAFETY: `b = s·slice_len + j` for the site's
@@ -501,12 +498,13 @@ impl<R: Real> ShardedHopping<R> {
     }
 
     /// The exchange + compute phases of one apply attempt under sequence
-    /// number `seq`. Stops at the first failing direction.
+    /// number `seq`, the hop `H` or, when `dagger`, `H†`. Stops at the
+    /// first failing direction.
     fn exchange(
         &self,
         out: &mut ShardedField<R>,
         inp: &mut ShardedField<R>,
-        seq: u64,
+        (seq, dagger): (u64, bool),
         packs: &AtomicU64,
         unpacks: &AtomicU64,
         overlap: &mut f64,
@@ -521,7 +519,7 @@ impl<R: Real> ShardedHopping<R> {
                 for k in 0..n_dims {
                     self.deliver_dim(inp, k, seq, unpacks)?;
                 }
-                Ok((0, self.compute(out, inp, SiteSet::All)))
+                Ok((0, self.compute(out, inp, SiteSet::All, dagger)))
             }
             CommGranularity::Fine => {
                 // Post all sends, overlap interior compute with the
@@ -530,12 +528,12 @@ impl<R: Real> ShardedHopping<R> {
                     self.send_dim(inp, k, seq, packs)?;
                 }
                 let t0 = self.clock.now();
-                let interior = self.compute(out, inp, SiteSet::Interior);
+                let interior = self.compute(out, inp, SiteSet::Interior, dagger);
                 *overlap = self.clock.now() - t0;
                 let mut boundary = 0;
                 for k in 0..n_dims {
                     self.deliver_dim(inp, k, seq, unpacks)?;
-                    boundary += self.compute(out, inp, SiteSet::Boundary(k));
+                    boundary += self.compute(out, inp, SiteSet::Boundary(k), dagger);
                 }
                 Ok((interior, boundary))
             }
@@ -556,6 +554,16 @@ impl<R: Real> ShardedHopping<R> {
         out: &mut ShardedField<R>,
         inp: &mut ShardedField<R>,
     ) -> Result<(), CommError> {
+        self.hop(out, inp, false)
+    }
+
+    /// [`Self::apply`] as `H`, or as `H†` when `dagger`.
+    fn hop(
+        &mut self,
+        out: &mut ShardedField<R>,
+        inp: &mut ShardedField<R>,
+        dagger: bool,
+    ) -> Result<(), CommError> {
         let l5 = inp.l5;
         assert_eq!(out.l5, l5, "l5 mismatch");
         assert_eq!(out.nrhs, inp.nrhs, "nrhs mismatch");
@@ -570,7 +578,7 @@ impl<R: Real> ShardedHopping<R> {
         let packs = AtomicU64::new(0);
         let unpacks = AtomicU64::new(0);
         let mut overlap = 0.0;
-        let outcome = self.exchange(out, inp, seq, &packs, &unpacks, &mut overlap);
+        let outcome = self.exchange(out, inp, (seq, dagger), &packs, &unpacks, &mut overlap);
 
         // Injection/recovery deltas go out before any error does, in fixed
         // post-parallel order — deterministic timelines at any thread width.
@@ -820,8 +828,7 @@ pub fn tune_comm_policy<R: Real>(
 /// [`ShardedHopping`] as the fused hop of a Möbius composition. Its operand
 /// and result fields are resident: sized at construction (and again
 /// whenever a hop brings a different `nrhs`), then scattered into and
-/// gathered from in place, `load` applied on the scatter and `finish` on
-/// the gather.
+/// gathered from in place, `finish` applied on the gather.
 struct ShardedHop<R: Real> {
     kernel: ShardedHopping<R>,
     /// Hop operand: rank locals scattered from the global vector, ghosts
@@ -858,15 +865,14 @@ impl<R: Real> ShardedHop<R> {
 }
 
 impl<R: Real> FusedHop<R> for ShardedHop<R> {
-    fn hop<L, F>(
+    fn hop<F>(
         &mut self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         nrhs: usize,
-        load: &L,
+        dagger: bool,
         finish: &F,
     ) where
-        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
         F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
     {
         if self.failed.is_some() {
@@ -877,8 +883,8 @@ impl<R: Real> FusedHop<R> for ShardedHop<R> {
             self.operand = ShardedField::zeros_block(&domain, self.operand.l5, nrhs);
             self.result = ShardedField::zeros_block(&domain, self.result.l5, nrhs);
         }
-        self.operand.scatter_mapped(&domain, inp, load);
-        match self.kernel.apply(&mut self.result, &mut self.operand) {
+        self.operand.scatter_from(&domain, inp);
+        match self.kernel.hop(&mut self.result, &mut self.operand, dagger) {
             Ok(()) => self.result.gather_mapped(&domain, out, finish),
             Err(e) => self.failed = Some(e),
         }

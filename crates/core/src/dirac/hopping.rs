@@ -9,7 +9,10 @@
 //! every Dirac operator: the 4D Wilson ones as a single slice, the 5D Möbius
 //! ones across all `L5` slices, each at any number of right-hand-side columns.
 //! The sweep hops a site's `L5 × nrhs` spinors together, as vector lanes
-//! that share its links (`lanes`), each lane bit-identical to [`hop_site`].
+//! that share its links (`lanes`), gathered straight from the operand, each
+//! lane bit-identical to [`hop_site`]. The adjoint `H† = γ5 H γ5` is the
+//! same sweep with the projector signs swapped, `γ5 (1∓γμ) γ5 = 1±γμ`, as
+//! QUDA writes its dagger dslash: no γ5 is applied to any spinor.
 //!
 //! Antiperiodic temporal boundary conditions for fermions are applied as a
 //! sign on hops whose neighbor lookup wrapped in `t`.
@@ -28,8 +31,9 @@ use crate::su3::Su3;
 /// form): the standard Wilson-dslash figure.
 pub const HOPPING_FLOPS_PER_SITE: f64 = 1320.0;
 
-/// One site of `H ψ` in half-spinor form, with all geometry abstracted out:
-/// neighbor indices come from `nb`, spinors from `fetch`, links from
+/// One site of `H ψ` in half-spinor form, or of `H† ψ` when `DAGGER` (the
+/// projector signs swapped), with all geometry abstracted out: neighbor
+/// indices come from `nb`, spinors from `fetch`, links from
 /// `link(site, mu)`. It is the scalar form of the one stencil body,
 /// `lanes::hop_row`: every lane of a row performs this exact operation
 /// chain, and the spinors a lane group cannot fill go through this function
@@ -38,7 +42,7 @@ pub const HOPPING_FLOPS_PER_SITE: f64 = 1320.0;
 /// rank's extended index space, whose wrap flags were computed from
 /// *global* coordinates, so the two are bit-identical by construction.
 #[inline]
-pub fn hop_site<R: Real>(
+pub fn hop_site<R: Real, const DAGGER: bool>(
     nb: &Neighbors,
     x: usize,
     antiperiodic_t: bool,
@@ -58,42 +62,50 @@ pub fn hop_site<R: Real>(
         let p2 = g.perm[2];
         let p3 = g.perm[3];
 
-        // Forward hop: (1 − γμ) Uμ(x) ψ(x+μ̂).
+        // Forward hop: (1 − γμ) Uμ(x) ψ(x+μ̂), (1 + γμ) for the adjoint.
         {
             let nbr = nb.fwd[mu] as usize;
             let flip = antiperiodic_t && mu == 3 && (nb.fwd_wrap >> mu) & 1 == 1;
             let psi = fetch(nbr);
             let u = link(x, mu);
-            let h0 = psi.s[0] - psi.s[p0].scale_c(phi0);
-            let h1 = psi.s[1] - psi.s[p1].scale_c(phi1);
-            let mut t = [u.mul_vec(&h0), u.mul_vec(&h1)];
+            let (a0, a1) = (psi.s[p0].scale_c(phi0), psi.s[p1].scale_c(phi1));
+            let h = match DAGGER {
+                false => [psi.s[0] - a0, psi.s[1] - a1],
+                true => [psi.s[0] + a0, psi.s[1] + a1],
+            };
+            let mut t = [u.mul_vec(&h[0]), u.mul_vec(&h[1])];
             if flip {
-                t[0] = -t[0];
-                t[1] = -t[1];
+                t = [-t[0], -t[1]];
             }
             r.s[0] += t[0];
             r.s[1] += t[1];
-            r.s[2] += -(t[p2].scale_c(phi2));
-            r.s[3] += -(t[p3].scale_c(phi3));
+            let (t2, t3) = (t[p2].scale_c(phi2), t[p3].scale_c(phi3));
+            let (t2, t3) = if DAGGER { (t2, t3) } else { (-t2, -t3) };
+            r.s[2] += t2;
+            r.s[3] += t3;
         }
 
-        // Backward hop: (1 + γμ) U†μ(x−μ̂) ψ(x−μ̂).
+        // Backward hop: (1 + γμ) U†μ(x−μ̂) ψ(x−μ̂), (1 − γμ) for the adjoint.
         {
             let nbr = nb.bwd[mu] as usize;
             let flip = antiperiodic_t && mu == 3 && (nb.bwd_wrap >> mu) & 1 == 1;
             let psi = fetch(nbr);
             let u = link(nbr, mu);
-            let h0 = psi.s[0] + psi.s[p0].scale_c(phi0);
-            let h1 = psi.s[1] + psi.s[p1].scale_c(phi1);
-            let mut t = [u.dagger_mul_vec(&h0), u.dagger_mul_vec(&h1)];
+            let (a0, a1) = (psi.s[p0].scale_c(phi0), psi.s[p1].scale_c(phi1));
+            let h = match DAGGER {
+                false => [psi.s[0] + a0, psi.s[1] + a1],
+                true => [psi.s[0] - a0, psi.s[1] - a1],
+            };
+            let mut t = [u.dagger_mul_vec(&h[0]), u.dagger_mul_vec(&h[1])];
             if flip {
-                t[0] = -t[0];
-                t[1] = -t[1];
+                t = [-t[0], -t[1]];
             }
             r.s[0] += t[0];
             r.s[1] += t[1];
-            r.s[2] += t[p2].scale_c(phi2);
-            r.s[3] += t[p3].scale_c(phi3);
+            let (t2, t3) = (t[p2].scale_c(phi2), t[p3].scale_c(phi3));
+            let (t2, t3) = if DAGGER { (-t2, -t3) } else { (t2, t3) };
+            r.s[2] += t2;
+            r.s[3] += t3;
         }
     }
     r
@@ -149,60 +161,49 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         }
     }
 
-    /// The lattice this kernel runs on.
-    pub fn lattice(&self) -> &Lattice {
-        self.lattice
-    }
-
     /// Fused hop on the full lattice: `inp` and `out` are interleaved 5D
     /// blocks of `l5` slices and `nrhs` columns, the spinor of slice `s`,
     /// site `x`, column `j` at `(s·V + x)·nrhs + j`. The sixteen stencil
     /// links of every 4D site are fetched once and feed all `L5 × nrhs`
     /// spinors of its rows — the fifth-dimension (and right-hand-side)
     /// fusion that stops the Möbius operator from re-streaming the gauge
-    /// field per slice. `load` maps every neighbor spinor as it is fetched
-    /// (the identity for `H`; γ5 for the adjoint `H† = γ5 H γ5`, the same
-    /// values a separate γ5 pass over `inp` would feed the stencil), each hop
-    /// is the very same [`hop_site`] value — a site's spinors are hopped as
-    /// vector lanes, each lane performing `hop_site`'s exact operation
-    /// chain, and the few a lane group cannot fill go through `hop_site`
-    /// itself with the cached links — and `finish(i, h)`
-    /// maps it to the value stored at `out[i]` — the diagonal or
-    /// fifth-dimension algebra folded into the single output write. The
-    /// sites are split into parallel chunks of `stencil_grain(V)` rows: an
-    /// eighth of them, clamped to 32..=1024.
-    pub fn apply_full_fused_5d<L, F>(
+    /// field per slice. The hop is `H`, or with `dagger` its adjoint
+    /// `H† = γ5 H γ5`, run as the same stencil with the projector signs
+    /// swapped (see [`hop_site`]). Each hop is the very same [`hop_site`]
+    /// value — a site's spinors are hopped as vector lanes, each lane
+    /// performing `hop_site`'s exact operation chain, and the few a lane
+    /// group cannot fill go through `hop_site` itself with the cached links
+    /// — and `finish(i, h)` maps it to the value stored at `out[i]` — the
+    /// diagonal or fifth-dimension algebra folded into the single output
+    /// write. The sites are split into parallel chunks of
+    /// `stencil_grain(V)` rows: an eighth of them, clamped to 32..=1024.
+    pub fn apply_full_fused_5d<F>(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
-        l5: usize,
-        nrhs: usize,
-        load: &L,
+        (l5, nrhs): (usize, usize),
+        dagger: bool,
         finish: &F,
     ) where
-        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
         F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
     {
         let rows = self.lattice.volume();
         let shape = (l5, nrhs, stencil_grain(rows));
-        self.fused_sweep(out, inp, rows, shape, |x| x, |_, e| e, load, finish);
+        self.fused_sweep(out, inp, rows, shape, |x| x, |_, e| e, dagger, finish);
     }
 
     /// Checkerboarded counterpart of [`Self::apply_full_fused_5d`]: hops from
     /// parity `!out_parity` onto `out_parity`, so both blocks hold
     /// `half_volume` sites per slice and column, checkerboard-indexed.
-    #[allow(clippy::too_many_arguments)]
-    pub fn apply_parity_fused_5d<L, F>(
+    pub fn apply_parity_fused_5d<F>(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         out_parity: Parity,
-        l5: usize,
-        nrhs: usize,
-        load: &L,
+        (l5, nrhs): (usize, usize),
+        dagger: bool,
         finish: &F,
     ) where
-        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
         F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
     {
         let sites = self.lattice.sites_with_parity(out_parity);
@@ -210,7 +211,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         let slot = |lat: &Lattice, e: usize| lat.cb_index(e);
         let rows = sites.len();
         let shape = (l5, nrhs, stencil_grain(rows));
-        self.fused_sweep(out, inp, rows, shape, site, slot, load, finish);
+        self.fused_sweep(out, inp, rows, shape, site, slot, dagger, finish);
     }
 
     /// The one stencil body, `(l5, nrhs)` as in the two sweeps above and
@@ -218,10 +219,10 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
     /// slice) is lexicographic site `site(row)`, and a neighbor `e` is read
     /// from slot `slot(lattice, e)` of the input slice. Each row's
     /// `L5 × nrhs` spinors go through [`lanes::hop_row`], which hops them as
-    /// vector lanes. Chunks write disjoint rows, so `grain` never reaches
-    /// the result's bits.
+    /// vector lanes, gathered straight from `inp`. Chunks write disjoint
+    /// rows, so `grain` never reaches the result's bits.
     #[allow(clippy::too_many_arguments)]
-    fn fused_sweep<S, I, L, F>(
+    fn fused_sweep<S, I, F>(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
@@ -229,12 +230,11 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
         (l5, nrhs, grain): (usize, usize, usize),
         site: S,
         slot: I,
-        load: &L,
+        dagger: bool,
         finish: &F,
     ) where
         S: Fn(usize) -> usize + Sync,
         I: Fn(&Lattice, usize) -> usize + Sync,
-        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
         F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
     {
         assert!(nrhs > 0, "a block needs at least one column");
@@ -265,13 +265,12 @@ impl<'a, R: Real, G: GaugeLinks<R>> HoppingKernel<'a, R, G> {
                         lanes::hop_row(
                             nb,
                             x,
-                            this.antiperiodic_t,
+                            (this.antiperiodic_t, dagger),
                             (&fwd, &bwd),
                             (l5, nrhs, slice_len),
+                            inp,
                             #[inline(always)]
                             |e| slot(this.lattice, e) * nrhs,
-                            #[inline(always)]
-                            |i| load(inp[i]),
                             #[inline(always)]
                             |b, h| {
                                 let i = b + row * nrhs;
@@ -328,8 +327,13 @@ impl<R: Real, G: GaugeLinks<R>> HoppingKernel<'_, R, G> {
                 for j in 0..nrhs {
                     let fetch = |e: usize| i[slot(e) * nrhs + j];
                     let link = |site: usize, mu: usize| self.gauge.link(site, mu);
-                    o[row * nrhs + j] =
-                        hop_site(lat.neighbors(x), x, self.antiperiodic_t, &fetch, &link);
+                    o[row * nrhs + j] = hop_site::<R, false>(
+                        lat.neighbors(x),
+                        x,
+                        self.antiperiodic_t,
+                        &fetch,
+                        &link,
+                    );
                 }
             }
         }
@@ -398,19 +402,20 @@ mod tests {
         (lat, gauge, psi)
     }
 
-    /// `out = H inp` through the public sweep onto `parity` (`None`: the
-    /// full lattice), with identity `load` and `finish`.
+    /// `out = H inp` (`H† inp` when `dagger`) through the public sweep onto
+    /// `parity` (`None`: the full lattice), with the identity `finish`.
     fn fused<R: Real, G: GaugeLinks<R>>(
         hop: &HoppingKernel<R, G>,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         parity: Option<Parity>,
-        (l5, nrhs): (usize, usize),
+        shape: (usize, usize),
+        dagger: bool,
     ) {
-        let (load, finish) = (|psi| psi, |_, h| h);
+        let finish = |_, h| h;
         match parity {
-            None => hop.apply_full_fused_5d(out, inp, l5, nrhs, &load, &finish),
-            Some(p) => hop.apply_parity_fused_5d(out, inp, p, l5, nrhs, &load, &finish),
+            None => hop.apply_full_fused_5d(out, inp, shape, dagger, &finish),
+            Some(p) => hop.apply_parity_fused_5d(out, inp, p, shape, dagger, &finish),
         }
     }
 
@@ -422,17 +427,20 @@ mod tests {
         inp: &[Spinor<R>],
         parity: Option<Parity>,
         shape: (usize, usize, usize),
-        load: &(impl Fn(Spinor<R>) -> Spinor<R> + Sync),
+        dagger: bool,
         finish: &(impl Fn(usize, Spinor<R>) -> Spinor<R> + Sync),
     ) {
         let lat = hop.lattice;
         match parity {
-            None => hop.fused_sweep(out, inp, lat.volume(), shape, |x| x, |_, e| e, load, finish),
+            None => {
+                let rows = lat.volume();
+                hop.fused_sweep(out, inp, rows, shape, |x| x, |_, e| e, dagger, finish)
+            }
             Some(p) => {
                 let sites = lat.sites_with_parity(p);
                 let site = |cb: usize| sites[cb] as usize;
                 let slot = |lat: &Lattice, e: usize| lat.cb_index(e);
-                hop.fused_sweep(out, inp, sites.len(), shape, site, slot, load, finish);
+                hop.fused_sweep(out, inp, sites.len(), shape, site, slot, dagger, finish);
             }
         }
     }
@@ -444,7 +452,7 @@ mod tests {
             let hop = HoppingKernel::new(&lat, &gauge, apbc);
             let mut fast = vec![Spinor::zero(); lat.volume()];
             let mut slow = vec![Spinor::zero(); lat.volume()];
-            fused(&hop, &mut fast, &psi.data, None, (1, 1));
+            fused(&hop, &mut fast, &psi.data, None, (1, 1), false);
             hop.apply_full_reference(&mut slow, &psi.data);
             let diff = crate::blas::sub(&fast, &slow);
             let rel = crate::blas::norm_sqr(&diff) / crate::blas::norm_sqr(&slow);
@@ -454,29 +462,33 @@ mod tests {
 
     /// Every grain the stencil body may be split at — one row per chunk, a
     /// ragged last chunk, the rule's floor and its ceiling (one chunk) —
-    /// gives the public sweeps' bits, full and parity, with a γ5 `load` and
-    /// an index-dependent `finish`.
+    /// gives the public sweeps' bits, full and parity, in both directions
+    /// and with an index-dependent `finish`.
     #[test]
     fn grain_size_does_not_change_result() {
         let (lat, gauge, _) = setup([4, 4, 2, 6], 11);
         let hop = HoppingKernel::new(&lat, &gauge, true);
         let (l5, nrhs) = (2, 3);
-        let load = |psi: Spinor<f64>| psi.apply_gamma5();
-        for parity in [None, Some(Parity::Even), Some(Parity::Odd)] {
+        for (parity, dagger) in [None, Some(Parity::Even), Some(Parity::Odd)]
+            .into_iter()
+            .flat_map(|p| [(p, false), (p, true)])
+        {
             let rows = parity.map_or(lat.volume(), |_| lat.half_volume());
             let psi = FermionField::<f64>::gaussian(l5 * rows * nrhs, 12).data;
             let finish = |i: usize, h: Spinor<f64>| h.scale(0.5 + (i % 7) as f64) - psi[i];
             let mut want = vec![Spinor::zero(); psi.len()];
             match parity {
-                None => hop.apply_full_fused_5d(&mut want, &psi, l5, nrhs, &load, &finish),
-                Some(p) => hop.apply_parity_fused_5d(&mut want, &psi, p, l5, nrhs, &load, &finish),
+                None => hop.apply_full_fused_5d(&mut want, &psi, (l5, nrhs), dagger, &finish),
+                Some(p) => {
+                    hop.apply_parity_fused_5d(&mut want, &psi, p, (l5, nrhs), dagger, &finish)
+                }
             }
             for grain in [1, 7, 32, 1024] {
                 let (mut got, shape) = (vec![Spinor::zero(); psi.len()], (l5, nrhs, grain));
-                fused_at(&hop, &mut got, &psi, parity, shape, &load, &finish);
+                fused_at(&hop, &mut got, &psi, parity, shape, dagger, &finish);
                 assert!(
                     real_bits(&got) == real_bits(&want),
-                    "{parity:?} grain {grain}"
+                    "{parity:?} dagger {dagger} grain {grain}"
                 );
             }
         }
@@ -488,7 +500,7 @@ mod tests {
         let hop = HoppingKernel::new(&lat, &gauge, true);
 
         let mut full = vec![Spinor::zero(); lat.volume()];
-        fused(&hop, &mut full, &psi.data, None, (1, 1));
+        fused(&hop, &mut full, &psi.data, None, (1, 1), false);
 
         // Scatter input into checkerboards.
         let hv = lat.half_volume();
@@ -502,8 +514,22 @@ mod tests {
         }
         let mut even_out = vec![Spinor::zero(); hv];
         let mut odd_out = vec![Spinor::zero(); hv];
-        fused(&hop, &mut even_out, &odd_in, Some(Parity::Even), (1, 1));
-        fused(&hop, &mut odd_out, &even_in, Some(Parity::Odd), (1, 1));
+        fused(
+            &hop,
+            &mut even_out,
+            &odd_in,
+            Some(Parity::Even),
+            (1, 1),
+            false,
+        );
+        fused(
+            &hop,
+            &mut odd_out,
+            &even_in,
+            Some(Parity::Odd),
+            (1, 1),
+            false,
+        );
 
         for x in 0..lat.volume() {
             let cb = lat.cb_index(x);
@@ -551,14 +577,21 @@ mod tests {
                     .collect();
                 let block = BlockSpinor::from_columns(&cols);
                 let mut out = BlockSpinor::zeros(l5 * rows, nrhs);
-                fused(&hop, out.data_mut(), block.data(), parity, (l5, nrhs));
+                fused(
+                    &hop,
+                    out.data_mut(),
+                    block.data(),
+                    parity,
+                    (l5, nrhs),
+                    false,
+                );
                 let mut oracle = vec![Spinor::zero(); out.data().len()];
                 hop.apply_oracle(&mut oracle, block.data(), parity, nrhs);
                 let what = format!("{} {parity:?} l5 {l5} nrhs {nrhs}", R::NAME);
                 assert!(real_bits(out.data()) == real_bits(&oracle), "{what}");
                 for (j, c) in cols.iter().enumerate() {
                     let mut single = vec![Spinor::zero(); c.len()];
-                    fused(&hop, &mut single, c, parity, (l5, 1));
+                    fused(&hop, &mut single, c, parity, (l5, 1), false);
                     assert!(
                         real_bits(&out.col(j)) == real_bits(&single),
                         "{what} column {j}"
@@ -585,38 +618,109 @@ mod tests {
         fused_matches_oracle(&lat, &crate::recon::Recon8Gauge::from_gauge(&gauge));
     }
 
-    /// A γ5 `load` feeds the lanes the values a separate γ5 pass over the
-    /// input feeds the oracle, at a shape with full, half and `hop_site`
-    /// spinors in both precisions.
-    fn gamma5_load_matches_oracle<R: Real>(lat: &Lattice, gauge: &GaugeField<R>) {
+    /// `γ5 H γ5 inp` as the γ5 sandwich around [`HoppingKernel::apply_oracle`].
+    fn gamma5_sandwich<R: Real, G: GaugeLinks<R>>(
+        hop: &HoppingKernel<R, G>,
+        inp: &[Spinor<R>],
+        parity: Option<Parity>,
+        nrhs: usize,
+    ) -> Vec<Spinor<R>> {
+        let g5in: Vec<Spinor<R>> = inp.iter().map(|psi| psi.apply_gamma5()).collect();
+        let mut out = vec![Spinor::zero(); inp.len()];
+        hop.apply_oracle(&mut out, &g5in, parity, nrhs);
+        out.iter().map(|psi| psi.apply_gamma5()).collect()
+    }
+
+    /// The adjoint sweep against the γ5 sandwich at every shape of
+    /// [`LANE_SHAPES`], full and both parities, on `gauge`. Gaussian inputs
+    /// match by bit pattern. A point source (a unit spin–color component at
+    /// one site, per slice and column) leaves most of the result exactly
+    /// zero, and there the two may disagree in the zero's sign alone:
+    /// `−(a + b)` and `(−a) + (−b)` are the same value, but the sandwich
+    /// negates a `+0` sum to `−0`. Each real is held to "bits equal, or
+    /// both ±0"; returns how many reals were zeros of opposite sign.
+    fn adjoint_matches_sandwich<R: Real, G: GaugeLinks<R>>(lat: &Lattice, gauge: &G) -> usize {
         let hop = HoppingKernel::new(lat, gauge, true);
-        let (l5, nrhs) = (2, 7);
-        let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
+        let mut zero_signs = 0;
         for parity in [None, Some(Parity::Even), Some(Parity::Odd)] {
             let rows = parity.map_or(lat.volume(), |_| lat.half_volume());
-            let inp = FermionField::<R>::gaussian(l5 * rows * nrhs, 23).data;
-            let mut out = vec![Spinor::zero(); inp.len()];
-            let finish = |_, h| h;
-            match parity {
-                None => hop.apply_full_fused_5d(&mut out, &inp, l5, nrhs, &gamma5, &finish),
-                Some(p) => hop.apply_parity_fused_5d(&mut out, &inp, p, l5, nrhs, &gamma5, &finish),
+            for (l5, nrhs) in LANE_SHAPES {
+                let n = l5 * rows * nrhs;
+                let what = format!("{} {parity:?} l5 {l5} nrhs {nrhs}", R::NAME);
+                let gaussian = FermionField::<R>::gaussian(n, 23).data;
+                let mut out = vec![Spinor::zero(); n];
+                fused(&hop, &mut out, &gaussian, parity, (l5, nrhs), true);
+                let want = gamma5_sandwich(&hop, &gaussian, parity, nrhs);
+                assert!(real_bits(&out) == real_bits(&want), "gaussian {what}");
+
+                let mut point = vec![Spinor::zero(); n];
+                for (s, j) in (0..l5).flat_map(|s| (0..nrhs).map(move |j| (s, j))) {
+                    point[(s * rows + 5) * nrhs + j] = Spinor::unit((s + j) % 4, (s + 2 * j) % 3);
+                }
+                fused(&hop, &mut out, &point, parity, (l5, nrhs), true);
+                let want = gamma5_sandwich(&hop, &point, parity, nrhs);
+                for (i, (&got, &want)) in real_bits(&out).iter().zip(&real_bits(&want)).enumerate()
+                {
+                    let both_zero = f64::from_bits(got) == 0.0 && f64::from_bits(want) == 0.0;
+                    assert!(got == want || both_zero, "point source {what}, real {i}");
+                    zero_signs += usize::from(got != want);
+                }
             }
-            let flipped: Vec<Spinor<R>> = inp.iter().map(|&psi| gamma5(psi)).collect();
-            let mut oracle = vec![Spinor::zero(); inp.len()];
-            hop.apply_oracle(&mut oracle, &flipped, parity, nrhs);
-            assert!(
-                real_bits(&out) == real_bits(&oracle),
-                "{} {parity:?}",
-                R::NAME
-            );
+        }
+        zero_signs
+    }
+
+    /// `H†` runs as the stencil with the projector signs swapped, held to
+    /// the γ5 sandwich it replaces, in both precisions on a hot and a cold
+    /// gauge. The point sources must show at least one zero of the other
+    /// sign, or the relaxed comparison would be checking nothing.
+    #[test]
+    fn adjoint_sweep_is_the_gamma5_sandwich() {
+        let lat = Lattice::new([4, 4, 2, 6]);
+        let hot = GaugeField::<f64>::hot(&lat, 29);
+        let cold = GaugeField::<f64>::cold(&lat);
+        for gauge in [&hot, &cold] {
+            let flipped = adjoint_matches_sandwich(&lat, gauge)
+                + adjoint_matches_sandwich(&lat, &gauge.cast::<f32>());
+            assert!(flipped > 0, "a point source shows a zero of the other sign");
         }
     }
 
+    /// `H[U′] Ωψ = Ω H[U] ψ` under a random gauge transform `Ω`, for both
+    /// directions, full and both parities, at a lane shape with full, half
+    /// and `hop_site` spinors.
     #[test]
-    fn gamma5_load_is_bit_identical_to_a_gamma5_pass() {
-        let (lat, gauge, _) = setup([4, 4, 2, 6], 29);
-        gamma5_load_matches_oracle(&lat, &gauge);
-        gamma5_load_matches_oracle(&lat, &gauge.cast::<f32>());
+    fn hop_is_gauge_covariant() {
+        use crate::dirac::testing::{gauge_transform, rel_err, rotate};
+        let (lat, gauge, _) = setup([4, 4, 2, 6], 31);
+        let (omega, transformed) = gauge_transform(&gauge, 37);
+        let (hop, hop_t) = (
+            HoppingKernel::new(&lat, &gauge, true),
+            HoppingKernel::new(&lat, &transformed, true),
+        );
+        let all: Vec<u32> = (0..lat.volume() as u32).collect();
+        for parity in [None, Some(Parity::Even), Some(Parity::Odd)] {
+            let (from, to) = match parity {
+                None => (&all[..], &all[..]),
+                Some(p) => (lat.sites_with_parity(p.other()), lat.sites_with_parity(p)),
+            };
+            let psi = FermionField::<f64>::gaussian(3 * from.len(), 41).data;
+            for dagger in [false, true] {
+                let mut h = vec![Spinor::zero(); psi.len()];
+                fused(&hop, &mut h, &psi, parity, (3, 1), dagger);
+                let mut h_t = vec![Spinor::zero(); psi.len()];
+                fused(
+                    &hop_t,
+                    &mut h_t,
+                    &rotate(&omega, from, &psi),
+                    parity,
+                    (3, 1),
+                    dagger,
+                );
+                let err = rel_err(&h_t, &rotate(&omega, to, &h));
+                assert!(err <= 1e-13, "{parity:?} dagger {dagger}: {err}");
+            }
+        }
     }
 
     #[test]
@@ -639,7 +743,7 @@ mod tests {
         };
         psi.data.iter_mut().for_each(|s| *s = constant);
         let mut out = vec![Spinor::zero(); lat.volume()];
-        fused(&hop, &mut out, &psi.data, None, (1, 1));
+        fused(&hop, &mut out, &psi.data, None, (1, 1), false);
         for x in 0..lat.volume() {
             let expect = constant.scale(8.0);
             assert!((out[x] - expect).norm_sqr() < 1e-20);

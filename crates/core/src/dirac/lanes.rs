@@ -10,15 +10,18 @@
 //! every lane, so a group is 8 lanes wide in `f32` and 4 in `f64`; a
 //! remainder of at least half that takes one half-width group, and what is
 //! still left goes through [`hop_site`] itself, a vector loop's scalar
-//! epilogue.
+//! epilogue. The adjoint `H† = γ5 H γ5` is the same hop with the projector
+//! signs swapped, `γ5 (1∓γμ) γ5 = 1±γμ`: [`hop_tiles`] takes it as a const
+//! flag, so no γ5 is ever applied to a spinor.
 //!
 //! Storage stays array-of-structs: the eight gathered tiles are a
 //! transpose on the stack, made per group and never stored. On a CPU with
-//! AVX2 the transpose runs in registers: each neighbor's `N` spinors,
-//! fetched through `load`, are loaded as whole vectors and shuffled into
-//! lanes (`24 / N` blocks of `N × N` reals), and the result tile goes back
-//! out the same way before each lane is stored. Elsewhere [`put`] and [`get`]
-//! move one real at a time; both paths move the same bits.
+//! AVX2 the transpose runs in registers: each neighbor's `N` spinors are
+//! loaded as whole vectors straight from the operand, one row pointer per
+//! lane, and shuffled into lanes (`24 / N` blocks of `N × N` reals), and
+//! the result tile goes back out the same way before each lane is stored.
+//! Elsewhere [`put`] and [`get`] move one real at a time; both paths move
+//! the same bits.
 //!
 //! **Bit-identity.** Every lane performs [`hop_site`]'s exact operation
 //! chain: the same IEEE adds, subtracts and multiplies in the same order
@@ -31,11 +34,11 @@
 //! [`crate::simd::dispatch`] body; [`hop_row`] asks
 //! [`crate::simd::has_avx2`] once and every group takes the transposes or
 //! the scalar moves from the answer. The arithmetic is [`hop_tiles`], whose
-//! only type parameters are the real and the width: it runs its own
-//! dispatch, so each of the four group shapes is compiled once per ISA
-//! rather than once per operator, gauge storage and closure. Every helper
-//! under it is `#[inline(always)]`, as the dispatch requires: a helper LLVM
-//! kept out of line would run at the baseline 128-bit width.
+//! only parameters are the real, the width and the adjoint flag: it runs
+//! its own dispatch, so each of the eight group shapes is compiled once per
+//! ISA rather than once per operator, gauge storage and closure. Every
+//! helper under it is `#[inline(always)]`, as the dispatch requires: a
+//! helper LLVM kept out of line would run at the baseline 128-bit width.
 
 use super::hop_site;
 use crate::complex::Complex;
@@ -251,19 +254,32 @@ fn get<R: Real, const N: usize>(tile: &Tile<R, N>, l: usize) -> Spinor<R> {
     psi
 }
 
-/// `s[l]` into lane `l` of `tile` for every `l`: in-register transposes
-/// when `avx2` (the running CPU has AVX2), else [`put`] per lane.
+/// `inp[b[l] + hop]` into lane `l` of `tile` for every `l`: in-register
+/// transposes straight from the operand when `avx2` (the running CPU has
+/// AVX2), else [`put`] per lane.
 #[inline(always)]
-fn gather<R: Real, const N: usize>(tile: &mut Tile<R, N>, s: &[Spinor<R>; N], avx2: bool) {
+fn gather<R: Real, const N: usize>(
+    tile: &mut Tile<R, N>,
+    inp: &[Spinor<R>],
+    (b, hop): (&[usize; N], usize),
+    avx2: bool,
+) {
     if avx2 {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: `avx2` is `simd::has_avx2()`, so the CPU supports AVX2.
-        if unsafe { x86::gather(tile, s) } {
-            return;
+        {
+            let mut rows = [std::ptr::null(); N];
+            for (r, &b) in rows.iter_mut().zip(b) {
+                *r = std::ptr::from_ref(&inp[b + hop]).cast::<R>();
+            }
+            // SAFETY: `avx2` is `simd::has_avx2()`, so the CPU supports
+            // AVX2, and each row points at a whole spinor of `inp`.
+            if unsafe { x86::gather(tile, &rows) } {
+                return;
+            }
         }
     }
-    for (l, psi) in s.iter().enumerate() {
-        put(tile, l, psi);
+    for (l, &b) in b.iter().enumerate() {
+        put(tile, l, &inp[b + hop]);
     }
 }
 
@@ -297,10 +313,10 @@ struct Site<'r, R> {
 }
 
 /// Hop one 4D site's row: its `l5 × nrhs` spinors, spinor `k = s·nrhs + j`
-/// (slice `s`, column `j`) at offset `s·slice_len + j`. Neighbor `e`'s
-/// spinors start at input index `slot(e)`, `fetch(i)` is the spinor at
-/// input index `i`, and `store(b, h)` takes the hop of the spinor at offset
-/// `b`. Full-width lane groups, then at most one half-width group,
+/// (slice `s`, column `j`) at offset `s·slice_len + j`, as `H` or, when
+/// `dagger`, as `H† = γ5 H γ5`. Neighbor `e`'s spinors start at index
+/// `slot(e)` of `inp`, and `store(b, h)` takes the hop of the spinor at
+/// offset `b`. Full-width lane groups, then at most one half-width group,
 /// then [`hop_site`] on what is left; every hop is [`hop_site`]'s value to
 /// the bit.
 #[allow(clippy::too_many_arguments)]
@@ -308,11 +324,11 @@ struct Site<'r, R> {
 pub(crate) fn hop_row<R: Real>(
     nb: &Neighbors,
     x: usize,
-    antiperiodic_t: bool,
+    (antiperiodic_t, dagger): (bool, bool),
     (fwd, bwd): (&[Su3<R>; ND], &[Su3<R>; ND]),
     (l5, nrhs, slice_len): (usize, usize, usize),
+    inp: &[Spinor<R>],
     slot: impl Fn(usize) -> usize,
-    fetch: impl Fn(usize) -> Spinor<R>,
     store: impl Fn(usize, Spinor<R>),
 ) {
     let flip = |wrap: u8| antiperiodic_t && (wrap >> 3) & 1 == 1;
@@ -326,8 +342,9 @@ pub(crate) fn hop_row<R: Real>(
             bwd,
             flip: [flip(nb.fwd_wrap), flip(nb.bwd_wrap)],
         },
-        fetch: &fetch,
+        inp,
         store: &store,
+        dagger,
         avx2: simd::has_avx2(),
     };
     let mut at = Cursor {
@@ -348,10 +365,12 @@ pub(crate) fn hop_row<R: Real>(
         // coincides with `x` (extent-1 direction) the forward cache is the
         // same link, so the site test is exact.
         let link = |site: usize, mu: usize| if site == x { fwd[mu] } else { bwd[mu] };
-        store(
-            b,
-            hop_site(nb, x, antiperiodic_t, &|e| fetch(b + slot(e)), &link),
-        );
+        let fetch = |e: usize| inp[b + slot(e)];
+        let h = match dagger {
+            false => hop_site::<R, false>(nb, x, antiperiodic_t, &fetch, &link),
+            true => hop_site::<R, true>(nb, x, antiperiodic_t, &fetch, &link),
+        };
+        store(b, h);
     }
 }
 
@@ -380,20 +399,21 @@ impl Cursor {
     }
 }
 
-/// What [`hop_row`]'s lane groups share: the input index where each hop's
-/// neighbor spinors start, in [`Gathered`] order, the site, and whether the
-/// CPU has AVX2 (checked once a row).
-struct Row<'r, R, Fe, St> {
+/// What [`hop_row`]'s lane groups share: the index of `inp` where each
+/// hop's neighbor spinors start, in [`Gathered`] order, the site, whether
+/// the hop is the adjoint, and whether the CPU has AVX2 (checked once a
+/// row).
+struct Row<'r, R, St> {
     hops: [usize; 2 * ND],
     site: Site<'r, R>,
-    fetch: &'r Fe,
+    inp: &'r [Spinor<R>],
     store: &'r St,
+    dagger: bool,
     avx2: bool,
 }
 
-impl<R: Real, Fe, St> Row<'_, R, Fe, St>
+impl<R: Real, St> Row<'_, R, St>
 where
-    Fe: Fn(usize) -> Spinor<R>,
     St: Fn(usize, Spinor<R>),
 {
     /// Groups of `W` lanes while `left` allows, then one of `H` if it still
@@ -418,14 +438,14 @@ where
         // Loops, not `array::map`: a closure LLVM kept out of line would
         // run at the baseline ISA (see `simd::dispatch`).
         let mut psi: Gathered<R, N> = [[[Lanes::zero(); NC]; NS]; 2 * ND];
-        let mut s = [Spinor::zero(); N];
-        for (tile, &at) in psi.iter_mut().zip(&self.hops) {
-            for (s, &b) in s.iter_mut().zip(&b) {
-                *s = (self.fetch)(b + at);
-            }
-            gather(tile, &s, self.avx2);
+        for (tile, &hop) in psi.iter_mut().zip(&self.hops) {
+            gather(tile, self.inp, (&b, hop), self.avx2);
         }
-        let r = hop_tiles(&psi, &self.site);
+        let r = match self.dagger {
+            false => hop_tiles::<R, N, false>(&psi, &self.site),
+            true => hop_tiles::<R, N, true>(&psi, &self.site),
+        };
+        let mut s = [Spinor::zero(); N];
         scatter(&mut s, &r, self.avx2);
         for (s, &b) in s.iter().zip(&b) {
             (self.store)(b, *s);
@@ -433,27 +453,31 @@ where
     }
 }
 
-/// [`hop_site`] on `N` lanes at once. Its only type parameters are
-/// the real and the width, so it is compiled once per group shape (and by
-/// its own [`simd::dispatch`], once per ISA) whatever operator, gauge
-/// storage or closures the sweep around it was built for. The eight hops
-/// are spelled out in [`hop_site`]'s order, so each one's γ permutation
-/// and phases are constants.
+/// [`hop_site`] on `N` lanes at once, as `H` or, when `DAGGER`, as `H†`.
+/// Its only parameters are the real, the width and the flag, so it is
+/// compiled once per group shape and direction (and by its own
+/// [`simd::dispatch`], once per ISA) whatever operator, gauge storage or
+/// closures the sweep around it was built for. The eight hops are spelled
+/// out in [`hop_site`]'s order, so each one's γ permutation, phases and
+/// projector sign are constants.
 #[inline(never)]
-fn hop_tiles<R: Real, const N: usize>(psi: &Gathered<R, N>, site: &Site<'_, R>) -> Tile<R, N> {
+fn hop_tiles<R: Real, const N: usize, const DAGGER: bool>(
+    psi: &Gathered<R, N>,
+    site: &Site<'_, R>,
+) -> Tile<R, N> {
     simd::dispatch(
         psi,
         #[inline(always)]
         |psi| {
             let mut r = [[Lanes::zero(); NC]; NS];
-            hop_dir(&mut r, &psi[0], site, 0, false);
-            hop_dir(&mut r, &psi[1], site, 0, true);
-            hop_dir(&mut r, &psi[2], site, 1, false);
-            hop_dir(&mut r, &psi[3], site, 1, true);
-            hop_dir(&mut r, &psi[4], site, 2, false);
-            hop_dir(&mut r, &psi[5], site, 2, true);
-            hop_dir(&mut r, &psi[6], site, 3, false);
-            hop_dir(&mut r, &psi[7], site, 3, true);
+            hop_dir::<R, N, DAGGER>(&mut r, &psi[0], site, 0, false);
+            hop_dir::<R, N, DAGGER>(&mut r, &psi[1], site, 0, true);
+            hop_dir::<R, N, DAGGER>(&mut r, &psi[2], site, 1, false);
+            hop_dir::<R, N, DAGGER>(&mut r, &psi[3], site, 1, true);
+            hop_dir::<R, N, DAGGER>(&mut r, &psi[4], site, 2, false);
+            hop_dir::<R, N, DAGGER>(&mut r, &psi[5], site, 2, true);
+            hop_dir::<R, N, DAGGER>(&mut r, &psi[6], site, 3, false);
+            hop_dir::<R, N, DAGGER>(&mut r, &psi[7], site, 3, true);
             r
         },
     )
@@ -461,9 +485,9 @@ fn hop_tiles<R: Real, const N: usize>(psi: &Gathered<R, N>, site: &Site<'_, R>) 
 
 /// One of [`hop_tiles`]' eight hops on the gathered `psi`, accumulated into
 /// `r`: `(1 − γμ) Uμ(x) ψ(x+μ̂)`, or `(1 + γμ) U†μ(x−μ̂) ψ(x−μ̂)` when
-/// `backward`.
+/// `backward`; the adjoint swaps the two projector signs.
 #[inline(always)]
-fn hop_dir<R: Real, const N: usize>(
+fn hop_dir<R: Real, const N: usize, const DAGGER: bool>(
     r: &mut Tile<R, N>,
     psi: &Tile<R, N>,
     site: &Site<'_, R>,
@@ -478,8 +502,9 @@ fn hop_dir<R: Real, const N: usize>(
         g.phase[2].cast(),
         g.phase[3].cast(),
     ];
-    let h0 = add_or_sub(&psi[0], &scale_c(&psi[p0], phi[0]), !backward);
-    let h1 = add_or_sub(&psi[1], &scale_c(&psi[p1], phi[1]), !backward);
+    let minus = backward == DAGGER;
+    let h0 = add_or_sub(&psi[0], &scale_c(&psi[p0], phi[0]), minus);
+    let h1 = add_or_sub(&psi[1], &scale_c(&psi[p1], phi[1]), minus);
     let mut t = match backward {
         false => [mul_vec(&site.fwd[mu], &h0), mul_vec(&site.fwd[mu], &h1)],
         true => [
@@ -493,12 +518,12 @@ fn hop_dir<R: Real, const N: usize>(
     accumulate(&mut r[0], &t[0]);
     accumulate(&mut r[1], &t[1]);
     let (t2, t3) = (scale_c(&t[p2], phi[2]), scale_c(&t[p3], phi[3]));
-    match backward {
-        false => {
+    match minus {
+        true => {
             accumulate(&mut r[2], &neg(&t2));
             accumulate(&mut r[3], &neg(&t3));
         }
-        true => {
+        false => {
             accumulate(&mut r[2], &t2);
             accumulate(&mut r[3], &t3);
         }
@@ -510,9 +535,10 @@ fn hop_dir<R: Real, const N: usize>(
 /// `N × N`: on the [`Spinor`] side a block row is `N` reals of one spinor,
 /// on the [`Tile`] side `N` lanes of one real. Each block is loaded as `N`
 /// vectors (whole rows, or two half rows where that spares a lane-crossing
-/// permute), transposed with shuffles and stored as `N` vectors. Shuffles
-/// move bits and never compute, so every real, signed zero, subnormal,
-/// infinity and NaN payload arrives as [`put`] or [`get`] would write it.
+/// permute), each row through its own pointer, transposed with shuffles
+/// and stored as `N` vectors. Shuffles move bits and never compute, so
+/// every real, signed zero, subnormal, infinity and NaN payload arrives as
+/// [`put`] or [`get`] would write it.
 ///
 /// Nothing here may run unless `simd::has_avx2()` holds. The functions are
 /// `#[inline(always)]` without a `target_feature` of their own: inlined
@@ -525,28 +551,26 @@ mod x86 {
     use std::any::TypeId;
     use std::arch::x86_64::*;
 
-    /// [`super::put`] of `s[l]` into lane `l` of `tile` for every `l`.
-    /// Returns `false`, moving nothing, unless the group is one of the four
-    /// shapes: `f32` × 8 or 4, `f64` × 4 or 2.
+    /// [`super::put`] of the spinor at `rows[l]` into lane `l` of `tile`
+    /// for every `l`. Returns `false`, moving nothing, unless the group is
+    /// one of the four shapes: `f32` × 8 or 4, `f64` × 4 or 2.
     ///
     /// # Safety
     ///
-    /// The CPU supports AVX2.
+    /// Each row points at 24 readable reals (a whole [`Spinor`]), none of
+    /// them inside `tile`, and the CPU supports AVX2.
     #[inline(always)]
     // SAFETY: a contract, not a use: callers uphold `# Safety` above.
     pub(super) unsafe fn gather<R: 'static, const N: usize>(
         tile: &mut Tile<R, N>,
-        s: &[Spinor<R>; N],
+        rows: &[*const R; N],
     ) -> bool {
-        let (src, dst) = (
-            s.as_ptr().cast::<R>(),
-            (tile as *mut Tile<R, N>).cast::<R>(),
-        );
-        // SAFETY: by the layout asserts, `s` is `N` rows of 24 reals and
-        // `tile` 24 rows of `N`; block `k` reads rows `24·l` from `N·k` and
-        // writes rows `N·i` from `N²·k`, `l, i < N`, `k < 24 / N`, all in
-        // bounds of two distinct borrows. The caller vouches for AVX2.
-        unsafe { blocks::<R, N>(src, (24, N), dst, (N, N * N)) }
+        let dst = (tile as *mut Tile<R, N>).cast::<R>();
+        // SAFETY: by the layout asserts `tile` is 24 rows of `N`; block `k`
+        // reads reals `N·k..N·k + N` of each spinor row, which the caller
+        // vouches for, and writes rows `N·i` from `N²·k`, `i < N`,
+        // `k < 24 / N`, in bounds of the distinct borrow `tile`.
+        unsafe { blocks::<R, N>(rows, N, dst, (N, N * N)) }
     }
 
     /// [`super::get`] of lane `l` of `tile` into `s[l]` for every `l`.
@@ -561,47 +585,57 @@ mod x86 {
         s: &mut [Spinor<R>; N],
         tile: &Tile<R, N>,
     ) -> bool {
-        let (src, dst) = (
-            (tile as *const Tile<R, N>).cast::<R>(),
-            s.as_mut_ptr().cast::<R>(),
-        );
-        // SAFETY: as in `gather`, source and destination swapped.
-        unsafe { blocks::<R, N>(src, (N, N * N), dst, (24, N)) }
+        let src = (tile as *const Tile<R, N>).cast::<R>();
+        let mut rows = [src; N];
+        for (i, r) in rows.iter_mut().enumerate() {
+            *r = src.wrapping_add(i * N);
+        }
+        // SAFETY: as in `gather`, the tile's rows `N` apart (blocks `N²`
+        // apart) as the source and `s`, `N` rows of 24 reals, as the
+        // destination.
+        unsafe { blocks::<R, N>(&rows, N * N, s.as_mut_ptr().cast::<R>(), (24, N)) }
     }
 
     /// Transpose the `24 / N` blocks of `N × N` reals: row `r` of block `k`
-    /// is read at `src + k·src_k + r·src_r` and written as column `r` of the
-    /// block at `dst + k·dst_k`, whose rows are `dst_r` apart.
+    /// is read at `src[r] + k·src_k` and written as column `r` of the block
+    /// at `dst + k·dst_k`, whose rows are `dst_r` apart.
     ///
     /// # Safety
     ///
-    /// Every position named is in bounds of its allocation, the two ranges
-    /// do not overlap, and the CPU supports AVX2.
+    /// Every position named is in bounds of its allocation, the source and
+    /// destination ranges do not overlap, and the CPU supports AVX2.
     #[inline(always)]
     // SAFETY: a contract, not a use: callers uphold `# Safety` above.
     unsafe fn blocks<R: 'static, const N: usize>(
-        src: *const R,
-        (src_r, src_k): (usize, usize),
+        src: &[*const R; N],
+        src_k: usize,
         dst: *mut R,
         (dst_r, dst_k): (usize, usize),
     ) -> bool {
         let real = TypeId::of::<R>();
         let (f32s, f64s) = (real == TypeId::of::<f32>(), real == TypeId::of::<f64>());
         for k in 0..24 / N {
-            let (src, dst) = (src.wrapping_add(k * src_k), dst.wrapping_add(k * dst_k));
+            let (off, dst) = (k * src_k, dst.wrapping_add(k * dst_k));
             // SAFETY: `R` is the real each arm casts to; the caller vouches
             // for the positions and the ISA.
             unsafe {
                 match N {
-                    8 if f32s => t8_ps(src.cast(), src_r, dst.cast(), dst_r),
-                    4 if f32s => t4_ps(src.cast(), src_r, dst.cast(), dst_r),
-                    4 if f64s => t4_pd(src.cast(), src_r, dst.cast(), dst_r),
-                    2 if f64s => t2_pd(src.cast(), src_r, dst.cast(), dst_r),
+                    8 if f32s => t8_ps(src, off, dst.cast(), dst_r),
+                    4 if f32s => t4_ps(src, off, dst.cast(), dst_r),
+                    4 if f64s => t4_pd(src, off, dst.cast(), dst_r),
+                    2 if f64s => t2_pd(src, off, dst.cast(), dst_r),
                     _ => return false,
                 }
             }
         }
         true
+    }
+
+    /// Real `c` of block row `r`, at `src[r] + off + c`, as a `T` pointer
+    /// (`T` is the real behind `R`, checked by [`blocks`]).
+    #[inline(always)]
+    fn at<R, T>(src: &[*const R], off: usize, r: usize, c: usize) -> *const T {
+        src[r].wrapping_add(off).cast::<T>().wrapping_add(c)
     }
 
     /// One 8 × 8 `f32` block. Each vector pairs the same four columns of
@@ -614,15 +648,15 @@ mod x86 {
     /// As for [`blocks`], at `N = 8`.
     #[inline(always)]
     // SAFETY: a contract, not a use: callers uphold `# Safety` above.
-    unsafe fn t8_ps(src: *const f32, src_r: usize, dst: *mut f32, dst_r: usize) {
+    unsafe fn t8_ps<R>(src: &[*const R], off: usize, dst: *mut f32, dst_r: usize) {
         // SAFETY: the caller vouches for AVX2 and for rows `< 8` of 8 reals
         // at both ends.
         unsafe {
             let mut r = [_mm256_setzero_ps(); 8];
             for (i, r) in r.iter_mut().enumerate() {
                 // Rows `i % 4` and `i % 4 + 4`, columns `4·(i / 4)` on.
-                let lo = src.add((i % 4) * src_r + 4 * (i / 4));
-                *r = _mm256_loadu2_m128(lo.add(4 * src_r), lo);
+                let c = 4 * (i / 4);
+                *r = _mm256_loadu2_m128(at(src, off, i % 4 + 4, c), at(src, off, i % 4, c));
             }
             for (h, r) in r.chunks_exact(4).enumerate() {
                 // Per 128-bit half, rows a..d (e..h): a0 b0 a1 b1,
@@ -656,13 +690,13 @@ mod x86 {
     /// As for [`blocks`], at `N = 4`.
     #[inline(always)]
     // SAFETY: a contract, not a use: callers uphold `# Safety` above.
-    unsafe fn t4_ps(src: *const f32, src_r: usize, dst: *mut f32, dst_r: usize) {
+    unsafe fn t4_ps<R>(src: &[*const R], off: usize, dst: *mut f32, dst_r: usize) {
         // SAFETY: the caller vouches for AVX2 and for rows `< 4` of 4 reals
         // at both ends.
         unsafe {
             let mut r = [_mm_setzero_ps(); 4];
             for (i, r) in r.iter_mut().enumerate() {
-                *r = _mm_loadu_ps(src.add(i * src_r));
+                *r = _mm_loadu_ps(at(src, off, i, 0));
             }
             let (ab01, cd01) = (_mm_unpacklo_ps(r[0], r[1]), _mm_unpacklo_ps(r[2], r[3]));
             let (ab23, cd23) = (_mm_unpackhi_ps(r[0], r[1]), _mm_unpackhi_ps(r[2], r[3]));
@@ -687,15 +721,15 @@ mod x86 {
     /// As for [`blocks`], at `N = 4`.
     #[inline(always)]
     // SAFETY: a contract, not a use: callers uphold `# Safety` above.
-    unsafe fn t4_pd(src: *const f64, src_r: usize, dst: *mut f64, dst_r: usize) {
+    unsafe fn t4_pd<R>(src: &[*const R], off: usize, dst: *mut f64, dst_r: usize) {
         // SAFETY: the caller vouches for AVX2 and for rows `< 4` of 4 reals
         // at both ends.
         unsafe {
             let mut r = [_mm256_setzero_pd(); 4];
             for (i, r) in r.iter_mut().enumerate() {
                 // Rows `i % 2` and `i % 2 + 2`, columns `2·(i / 2)` on.
-                let lo = src.add((i % 2) * src_r + 2 * (i / 2));
-                *r = _mm256_loadu2_m128d(lo.add(2 * src_r), lo);
+                let c = 2 * (i / 2);
+                *r = _mm256_loadu2_m128d(at(src, off, i % 2 + 2, c), at(src, off, i % 2, c));
             }
             // a0 b0 | c0 d0, a1 b1 | c1 d1, a2 b2 | c2 d2, a3 b3 | c3 d3.
             let o = [
@@ -717,11 +751,14 @@ mod x86 {
     /// As for [`blocks`], at `N = 2`.
     #[inline(always)]
     // SAFETY: a contract, not a use: callers uphold `# Safety` above.
-    unsafe fn t2_pd(src: *const f64, src_r: usize, dst: *mut f64, dst_r: usize) {
+    unsafe fn t2_pd<R>(src: &[*const R], off: usize, dst: *mut f64, dst_r: usize) {
         // SAFETY: the caller vouches for AVX2 and for rows `< 2` of 2 reals
         // at both ends.
         unsafe {
-            let (a, b) = (_mm_loadu_pd(src), _mm_loadu_pd(src.add(src_r)));
+            let (a, b) = (
+                _mm_loadu_pd(at(src, off, 0, 0)),
+                _mm_loadu_pd(at(src, off, 1, 0)),
+            );
             _mm_storeu_pd(dst, _mm_unpacklo_pd(a, b));
             _mm_storeu_pd(dst.add(dst_r), _mm_unpackhi_pd(a, b));
         }
@@ -813,27 +850,42 @@ mod tests {
 
     /// The gather and the scatter at one group shape against [`put`] and
     /// [`get`], real by real, and a gather then a scatter against the
-    /// input. On an AVX2 host this holds the transposes to the scalar path
-    /// (and checks they take the shape); elsewhere both sides are scalar.
+    /// gathered spinors. The gather reads a row's lanes the way
+    /// [`hop_row`] does, from an operand at non-uniform offsets: `nrhs` 3
+    /// from column 2 on, so every group crosses a slice boundary, shifted
+    /// by a neighbor's slot. On an AVX2 host this holds the transposes to
+    /// the scalar path (and checks they take the shape); elsewhere both
+    /// sides are scalar.
     fn transposes_match_put_and_get<R: Bits, const N: usize>() {
         let avx2 = simd::has_avx2();
-        let s: [Spinor<R>; N] = std::array::from_fn(|l| spinor(|k| awkward(24 * l + k)));
+        let (nrhs, slice_len, slot) = (3, 15, 3);
+        let mut cursor = Cursor {
+            s: 0,
+            j: 2,
+            nrhs,
+            slice_len,
+        };
+        let b: [usize; N] = cursor.take();
+        let at = b.map(|b| b + slot);
+        let inp: Vec<Spinor<R>> = (0..slice_len * (N + 1))
+            .map(|i| spinor(|k| awkward(24 * i + k)))
+            .collect();
         let mut want: Tile<R, N> = [[Lanes::zero(); NC]; NS];
-        for (l, psi) in s.iter().enumerate() {
-            put(&mut want, l, psi);
+        for (l, &i) in at.iter().enumerate() {
+            put(&mut want, l, &inp[i]);
         }
         // Prefilled with other values, so a real the gather skips shows.
         let mut got: Tile<R, N> = [[Lanes::zero(); NC]; NS];
         for l in 0..N {
-            put(&mut got, l, &spinor(|k| awkward(500 + 24 * l + k)));
+            put(&mut got, l, &spinor(|k| awkward(500_000 + 24 * l + k)));
         }
-        gather(&mut got, &s, avx2);
+        gather(&mut got, &inp, (&b, slot), avx2);
         let what = format!("{} × {N}, avx2 {avx2}", R::NAME);
         assert_eq!(tile_bits(&got), tile_bits(&want), "gather {what}");
 
         let mut tile: Tile<R, N> = [[Lanes::zero(); NC]; NS];
         for l in 0..N {
-            put(&mut tile, l, &spinor(|k| awkward(1000 + 24 * l + k)));
+            put(&mut tile, l, &spinor(|k| awkward(1_000_000 + 24 * l + k)));
         }
         let mut out = [Spinor::zero(); N];
         scatter(&mut out, &tile, avx2);
@@ -843,16 +895,18 @@ mod tests {
         }
 
         scatter(&mut out, &got, avx2);
-        for (l, (psi, orig)) in out.iter().zip(&s).enumerate() {
-            let want = spinor_bits(orig);
+        for (l, (psi, &i)) in out.iter().zip(&at).enumerate() {
+            let want = spinor_bits(&inp[i]);
             assert_eq!(spinor_bits(psi), want, "round trip {what}, lane {l}");
         }
 
         #[cfg(target_arch = "x86_64")]
         if avx2 {
             let mut t: Tile<R, N> = [[Lanes::zero(); NC]; NS];
-            // SAFETY: the CPU was just detected to support AVX2.
-            let took = unsafe { x86::gather(&mut t, &s) && x86::scatter(&mut out, &t) };
+            let rows: [*const R; N] = at.map(|i| std::ptr::from_ref(&inp[i]).cast());
+            // SAFETY: the CPU was just detected to support AVX2, and each
+            // row is a whole spinor of `inp`.
+            let took = unsafe { x86::gather(&mut t, &rows) && x86::scatter(&mut out, &t) };
             assert!(took, "{what} has a transpose");
         }
     }

@@ -20,7 +20,9 @@
 //! Note that for `c5 ≠ 0` the operator is *not* Γ5R5-hermitian: the hopping
 //! `H` carries `(1∓γμ)` factors that anticommute with the γ5 inside the
 //! `P±` of `shift`, so `H∘ρ ≠ ρ∘H`. The adjoint is therefore implemented
-//! explicitly (`D† = A† − ½ ρ† γ5 H γ5`), exactly as QUDA's `Mdag` does.
+//! explicitly (`D† = A† − ½ ρ† H†`), exactly as QUDA's `Mdag` does, with
+//! `H† = γ5 H γ5` run as the same stencil with the projector signs swapped
+//! (`γ5 (1∓γμ) γ5 = 1±γμ`), so no γ5 is ever applied to a spinor.
 //!
 //! Vectors are `s`-major: the spinor at `(s, x)` lives at `s·V + x`, so each
 //! `s`-slice is a contiguous 4D field; a block of `nrhs` columns interleaves
@@ -189,7 +191,7 @@ impl<R: Real> FifthDim<R> {
     /// or its adjoint `out_s = P₋ in_{s−1} + P₊ in_{s+1}` with the wraps
     /// mirrored (`dagger = true`). `slice_len` is the 4D vector length
     /// (volume or half-volume). The per-element oracle of
-    /// [`Self::shift_at_mapped`].
+    /// [`Self::shift_at`].
     #[cfg(test)]
     fn shift(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], slice_len: usize, dagger: bool) {
         let l5 = self.params.l5;
@@ -217,20 +219,17 @@ impl<R: Real> FifthDim<R> {
             });
     }
 
-    /// One element of [`Self::shift`] on `map(inp)`: the shifted spinor at
-    /// 5D index `(s, i)`, `map` run on the two fetched neighbours. The
-    /// per-element operation chain is the slice loop's in `shift` on a
-    /// stored mapped vector, so fused callers stay bit-identical to the
-    /// two-pass path.
+    /// One element of [`Self::shift`]: the shifted spinor at 5D index
+    /// `(s, i)`. The per-element operation chain is the slice loop's in
+    /// `shift`, so fused callers stay bit-identical to the two-pass path.
     #[inline(always)]
-    fn shift_at_mapped(
+    fn shift_at(
         &self,
         inp: &[Spinor<R>],
         slice_len: usize,
         s: usize,
         i: usize,
         dagger: bool,
-        map: impl Fn(Spinor<R>) -> Spinor<R>,
     ) -> Spinor<R> {
         let l5 = self.params.l5;
         let mm = R::from_f64(-self.params.mass);
@@ -238,8 +237,8 @@ impl<R: Real> FifthDim<R> {
         let dn = if s > 0 { s - 1 } else { l5 - 1 };
         let up_scale = if s + 1 < l5 { R::ONE } else { mm };
         let dn_scale = if s > 0 { R::ONE } else { mm };
-        let u = map(inp[up * slice_len + i]);
-        let d = map(inp[dn * slice_len + i]);
+        let u = inp[up * slice_len + i];
+        let d = inp[dn * slice_len + i];
         if dagger {
             d.chiral_project(false).scale(dn_scale) + u.chiral_project(true).scale(up_scale)
         } else {
@@ -334,7 +333,7 @@ impl<R: Real> FifthDim<R> {
             #[inline(always)]
             move |this, s, i, _| {
                 let p = &this.params;
-                let sh = this.shift_at_mapped(inp, slice_len, s, i, false, |x| x);
+                let sh = this.shift_at(inp, slice_len, s, i, false);
                 let x = inp[s * slice_len + i];
                 let (b5, c5) = (R::from_f64(p.b5), R::from_f64(p.c5));
                 let (al, be) = (R::from_f64(p.alpha()), R::from_f64(p.beta()));
@@ -396,8 +395,8 @@ impl<R: Real> FifthDim<R> {
     /// `out = ρ(A⁻¹ in)`: each site's s-column of `A⁻¹ in` is staged in the
     /// chunk's column (so each input element is read from memory once
     /// instead of `L5` times), then `b5·(A⁻¹in) + c5·shift(A⁻¹in)` is formed
-    /// from the still-local column — the shift chain is
-    /// [`Self::shift_at_mapped`] on the column itself.
+    /// from the still-local column — the shift chain is [`Self::shift_at`]
+    /// on the column itself.
     fn ainv_then_rho(
         &self,
         out: &mut [Spinor<R>],
@@ -421,16 +420,15 @@ impl<R: Real> FifthDim<R> {
             #[inline(always)]
             move |this, s, _, col| {
                 let (b5, c5) = (R::from_f64(this.params.b5), R::from_f64(this.params.c5));
-                // `shift_at_mapped` on the local column: slice length 1, site 0.
-                let sh = this.shift_at_mapped(col, 1, s, 0, false, |x| x);
+                // `shift_at` on the local column: slice length 1, site 0.
+                let sh = this.shift_at(col, 1, s, 0, false);
                 [col[s].scale(b5) + sh.scale(c5)]
             },
         );
     }
 
-    /// One element of `f·ρ†(t′)` with `t′ = map(t)`:
-    /// `(b5·t′ + c5·shift†(t′))·f` at `(s, i)`, the chain
-    /// `offdiag_dagger_block` runs as an affine pass and a scale.
+    /// One element of `f·ρ†(t)`: `(b5·t + c5·shift†(t))·f` at `(s, i)`, the
+    /// chain `offdiag_dagger_block` runs as an affine pass and a scale.
     #[inline(always)]
     fn scaled_rho_dagger_at(
         &self,
@@ -438,12 +436,11 @@ impl<R: Real> FifthDim<R> {
         slice_len: usize,
         s: usize,
         i: usize,
-        map: impl Fn(Spinor<R>) -> Spinor<R> + Copy,
         f: R,
     ) -> Spinor<R> {
         let (b5, c5) = (R::from_f64(self.params.b5), R::from_f64(self.params.c5));
-        let sh = self.shift_at_mapped(t, slice_len, s, i, true, map);
-        (map(t[s * slice_len + i]).scale(b5) + sh.scale(c5)).scale(f)
+        let sh = self.shift_at(t, slice_len, s, i, true);
+        (t[s * slice_len + i].scale(b5) + sh.scale(c5)).scale(f)
     }
 
     /// `out = (A†)⁻¹(−½ ρ†(t))`, the adjoint's mirror of
@@ -466,7 +463,7 @@ impl<R: Real> FifthDim<R> {
             move |this, i, col| {
                 let neg_half = R::from_f64(-0.5);
                 for (s, c) in col.iter_mut().enumerate() {
-                    *c = this.scaled_rho_dagger_at(t, slice_len, s, i, |x| x, neg_half);
+                    *c = this.scaled_rho_dagger_at(t, slice_len, s, i, neg_half);
                 }
             },
             #[inline(always)]
@@ -476,17 +473,16 @@ impl<R: Real> FifthDim<R> {
         );
     }
 
-    /// `out = A†ψ − f·ρ†(t′)` with `t′ = map(t)`, the adjoints' closing
-    /// sweep: `(α·ψ + β·shift†ψ) − (b5·t′ + c5·shift†(t′))·f` per element,
-    /// with each site's s-columns of `ψ` and `t` cache-resident across the
-    /// inner s-loop.
+    /// `out = A†ψ − f·ρ†(t)`, the adjoints' closing sweep:
+    /// `(α·ψ + β·shift†ψ) − (b5·t + c5·shift†(t))·f` per element, with each
+    /// site's s-columns of `ψ` and `t` cache-resident across the inner
+    /// s-loop.
     fn a_dagger_minus_scaled_rho_dagger(
         &self,
         out: &mut [Spinor<R>],
         (psi, t): (&[Spinor<R>], &[Spinor<R>]),
         slice_len: usize,
         cols: &mut Vec<Spinor<R>>,
-        map: impl Fn(Spinor<R>) -> Spinor<R> + Copy + Sync,
         f: f64,
     ) {
         assert_eq!(psi.len(), self.params.l5 * slice_len);
@@ -501,9 +497,9 @@ impl<R: Real> FifthDim<R> {
             move |this, s, i, _| {
                 let p = &this.params;
                 let (al, be) = (R::from_f64(p.alpha()), R::from_f64(p.beta()));
-                let sh = this.shift_at_mapped(psi, slice_len, s, i, true, |x| x);
+                let sh = this.shift_at(psi, slice_len, s, i, true);
                 let diag = psi[s * slice_len + i].scale(al) + sh.scale(be);
-                [diag - this.scaled_rho_dagger_at(t, slice_len, s, i, map, f)]
+                [diag - this.scaled_rho_dagger_at(t, slice_len, s, i, f)]
             },
         );
     }
@@ -581,27 +577,25 @@ pub struct MobiusDirac<'a, R: Real, G: GaugeLinks<R>> {
     scratch: Mutex<Scratch<R>>,
 }
 
-/// The 4D hop of a Möbius composition with the per-element maps around it
-/// fused in: `out[i] = finish(i, (H·load(inp))[i])` on an interleaved
-/// `nrhs`-column 5D block, `(s·V + x)·nrhs + j`, where `load` maps every
-/// operand spinor before it is hopped. [`MobiusDirac`]'s own instance is
-/// the single-domain sweep [`HoppingKernel::apply_full_fused_5d`]; the
-/// sharded operator in [`crate::comms`] runs its halo-exchange dslash, with
-/// `load` riding the scatter into the rank fields and `finish` the gather
-/// out of them. Because `load` and `finish` are pure per-element maps, an
-/// instance column-wise bit-identical to the single-domain stencil makes a
-/// bit-identical Möbius operator.
+/// The 4D hop of a Möbius composition with the per-element map after it
+/// fused in: `out[i] = finish(i, (H·inp)[i])` on an interleaved
+/// `nrhs`-column 5D block, `(s·V + x)·nrhs + j`, with `H†` in place of `H`
+/// when `dagger`. [`MobiusDirac`]'s own instance is the single-domain sweep
+/// [`HoppingKernel::apply_full_fused_5d`]; the sharded operator in
+/// [`crate::comms`] runs its halo-exchange dslash, with `finish` riding the
+/// gather out of the rank fields. Because `finish` is a pure per-element
+/// map, an instance column-wise bit-identical to the single-domain stencil
+/// makes a bit-identical Möbius operator.
 pub(crate) trait FusedHop<R: Real> {
-    /// `out[i] = finish(i, (H·load(inp))[i])`.
-    fn hop<L, F>(
+    /// `out[i] = finish(i, (H·inp)[i])`, or `(H†·inp)[i]` when `dagger`.
+    fn hop<F>(
         &mut self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         nrhs: usize,
-        load: &L,
+        dagger: bool,
         finish: &F,
     ) where
-        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
         F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync;
 }
 
@@ -609,20 +603,19 @@ pub(crate) trait FusedHop<R: Real> {
 struct SingleDomain<'m, 'a, R: Real, G: GaugeLinks<R>>(&'m MobiusDirac<'a, R, G>);
 
 impl<R: Real, G: GaugeLinks<R>> FusedHop<R> for SingleDomain<'_, '_, R, G> {
-    fn hop<L, F>(
+    fn hop<F>(
         &mut self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         nrhs: usize,
-        load: &L,
+        dagger: bool,
         finish: &F,
     ) where
-        L: Fn(Spinor<R>) -> Spinor<R> + Sync,
         F: Fn(usize, Spinor<R>) -> Spinor<R> + Sync,
     {
         let m = self.0;
         m.hopping
-            .apply_full_fused_5d(out, inp, m.l5(), nrhs, load, finish);
+            .apply_full_fused_5d(out, inp, (m.l5(), nrhs), dagger, finish);
     }
 }
 
@@ -646,11 +639,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
     /// The lattice.
     pub fn lattice(&self) -> &Lattice {
         self.lattice
-    }
-
-    /// The bound 4D hopping kernel.
-    pub fn hopping(&self) -> &HoppingKernel<'a, R, G> {
-        &self.hopping
     }
 
     fn l5(&self) -> usize {
@@ -688,17 +676,17 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         let vb = self.lattice.volume() * nrhs;
         self.fifth.rho_and_diag(rho, diag, inp, vb, cols);
         let diag = &*diag;
-        hop.hop(out, rho, nrhs, &|psi| psi, &|i, h| diag[i] - h.scale(half));
+        hop.hop(out, rho, nrhs, false, &|i, h| diag[i] - h.scale(half));
     }
 
-    /// `out = A†(inp) − ½ ρ†(γ5 H γ5 inp)` with the hop run by `hop`: the
+    /// `out = A†(inp) − ½ ρ†(H† inp)` with the hop run by `hop`: the
     /// explicit adjoint of [`Self::apply_block_via`]. The Möbius operator
     /// with `c5 ≠ 0` is NOT Γ5R5-hermitian (the 4D hopping does not commute
     /// with the chirality-projected s-shift), so — like QUDA's Mdag — it is
     /// `D† = A† − ½ ρ† H†` with `H† = γ5 H γ5`.
     ///
-    /// Two passes: the hop with γ5 on each operand spinor as it is loaded,
-    /// then the column-wise `A†ψ − ½ ρ†(γ5 h)`. As in
+    /// Two passes: the adjoint hop `h = H† inp` (the stencil with its
+    /// projector signs swapped), then the column-wise `A†ψ − ½ ρ†(h)`. As in
     /// [`Self::apply_block_via`], `hop` must not apply this operator.
     pub(crate) fn apply_dagger_block_via(
         &self,
@@ -710,15 +698,14 @@ impl<'a, R: Real, G: GaugeLinks<R>> MobiusDirac<'a, R, G> {
         let n = self.vec_len() * nrhs;
         assert_eq!(out.len(), n);
         assert_eq!(inp.len(), n);
-        let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
 
         let mut guard = self.scratch.lock();
         let Scratch { tmp: h, cols, .. } = &mut *guard;
         h.resize(n, Spinor::zero());
-        hop.hop(h, inp, nrhs, &gamma5, &|_, h| h);
+        hop.hop(h, inp, nrhs, true, &|_, h| h);
         let vb = self.lattice.volume() * nrhs;
         self.fifth
-            .a_dagger_minus_scaled_rho_dagger(out, (inp, h), vb, cols, gamma5, 0.5);
+            .a_dagger_minus_scaled_rho_dagger(out, (inp, h), vb, cols, 0.5);
     }
 }
 
@@ -801,8 +788,8 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for MobiusDirac<'a, R, G> {
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for MobiusDirac<'a, R, G> {
-    /// `apply_dagger_block_via` on the single-domain fused sweep, γ5
-    /// riding on each neighbor fetch.
+    /// `apply_dagger_block_via` on the single-domain fused sweep, run as
+    /// the adjoint stencil.
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         self.apply_dagger_block_via(out, inp, nrhs, &mut SingleDomain(self));
     }
@@ -840,11 +827,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         self.lattice
     }
 
-    /// The bound 4D hopping kernel.
-    pub fn hopping(&self) -> &HoppingKernel<'a, R, G> {
-        &self.hopping
-    }
-
     fn l5(&self) -> usize {
         self.fifth.params.l5
     }
@@ -863,19 +845,19 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         super::merge_parity(self.lattice, even, odd)
     }
 
-    /// The fused checkerboard hop onto `parity` across all `L5` slices and
-    /// `nrhs` columns.
+    /// The fused checkerboard hop (`H`, or `H†` when `dagger`) onto
+    /// `parity` across all `L5` slices and `nrhs` columns.
     fn hop(
         &self,
         out: &mut [Spinor<R>],
         inp: &[Spinor<R>],
         parity: Parity,
         nrhs: usize,
-        load: &(impl Fn(Spinor<R>) -> Spinor<R> + Sync),
+        dagger: bool,
         finish: &(impl Fn(usize, Spinor<R>) -> Spinor<R> + Sync),
     ) {
         self.hopping
-            .apply_parity_fused_5d(out, inp, parity, self.l5(), nrhs, load, finish);
+            .apply_parity_fused_5d(out, inp, parity, (self.l5(), nrhs), dagger, finish);
     }
 
     /// Preconditioned source `b'_o = b_o − M_oe A⁻¹ b_e` with
@@ -891,7 +873,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         rho.resize(n, Spinor::zero());
         self.fifth.ainv_then_rho(rho, b_even, self.hv(), cols);
         let mut out = vec![Spinor::zero(); n];
-        self.hop(&mut out, rho, Parity::Odd, 1, &|psi| psi, &|i, h| {
+        self.hop(&mut out, rho, Parity::Odd, 1, false, &|i, h| {
             b_odd[i] - h.scale(neg_half)
         });
         out
@@ -916,7 +898,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
             v.resize(n, Spinor::zero());
         }
         self.fifth.rho_and_diag(rho, diag, x_odd, self.hv(), cols);
-        self.hop(tmp, rho, Parity::Even, 1, &|psi| psi, &|i, h| {
+        self.hop(tmp, rho, Parity::Even, 1, false, &|i, h| {
             b_even[i] - h.scale(neg_half)
         });
         let mut out = vec![Spinor::zero(); n];
@@ -969,49 +951,47 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecMobius<'a, R, G> {
         diag.resize(n, Spinor::zero());
 
         self.fifth.rho_and_diag(rho, diag, inp, hvb, cols);
-        self.hop(tmp, rho, Parity::Even, nrhs, &|psi| psi, &|_, h| {
+        self.hop(tmp, rho, Parity::Even, nrhs, false, &|_, h| {
             h.scale(neg_half)
         });
         self.fifth.ainv_then_rho(rho, tmp, hvb, cols);
         let diag = &*diag;
-        self.hop(out, rho, Parity::Odd, nrhs, &|psi| psi, &|i, h| {
+        self.hop(out, rho, Parity::Odd, nrhs, false, &|i, h| {
             diag[i] - h.scale(neg_half)
         });
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecMobius<'a, R, G> {
-    /// `M̂† = A† − M_eo† (A†)⁻¹ M_oe†` with `M† = −½ ρ† γ5 H γ5`, in the
+    /// `M̂† = A† − M_eo† (A†)⁻¹ M_oe†` with `M† = −½ ρ† H†`, in the
     /// four passes of [`LinearOp::apply_block`] mirrored:
     ///
-    /// 1. `t ← γ5 H_eo γ5 ψ` — the same fused stencil, γ5 riding on each
-    ///    neighbor fetch and on the output write instead of two extra passes,
+    /// 1. `t ← H†_eo ψ` — the same fused stencil with the projector signs
+    ///    swapped, `H† = γ5 H γ5` without a γ5 on any spinor,
     /// 2. `ρ ← (A†)⁻¹[(b5·t + c5·shift†(t))·(−½)]` column-wise, with the
     ///    chirality-swapped inverses,
-    /// 3. `t ← γ5 H_oe γ5 ρ`,
+    /// 3. `t ← H†_oe ρ`,
     /// 4. `out ← (α·ψ + β·shift†ψ) − (b5·t + c5·shift†(t))·(−½)` column-wise.
     ///
     /// Each fused expression evaluates the identical per-element operation
     /// chain as the unfused composition, so the result is bit-identical to
-    /// it.
+    /// it up to the sign of an exact zero (the γ5 sandwich negates `+0`).
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
         let hvb = self.hv() * nrhs;
         let n = self.vec_len() * nrhs;
         assert_eq!(out.len(), n);
         assert_eq!(inp.len(), n);
-        let gamma5 = |psi: Spinor<R>| psi.apply_gamma5();
-        let gamma5_hop = |_, h: Spinor<R>| h.apply_gamma5();
 
         let mut guard = self.scratch.lock();
         let Scratch { rho, tmp, cols, .. } = &mut *guard;
         rho.resize(n, Spinor::zero());
         tmp.resize(n, Spinor::zero());
 
-        self.hop(tmp, inp, Parity::Even, nrhs, &gamma5, &gamma5_hop);
+        self.hop(tmp, inp, Parity::Even, nrhs, true, &|_, h| h);
         self.fifth.rho_dagger_then_ainv(rho, tmp, hvb, cols);
-        self.hop(tmp, rho, Parity::Odd, nrhs, &gamma5, &gamma5_hop);
+        self.hop(tmp, rho, Parity::Odd, nrhs, true, &|_, h| h);
         self.fifth
-            .a_dagger_minus_scaled_rho_dagger(out, (inp, tmp), hvb, cols, |x| x, -0.5);
+            .a_dagger_minus_scaled_rho_dagger(out, (inp, tmp), hvb, cols, -0.5);
     }
 }
 
@@ -1239,6 +1219,55 @@ mod tests {
         }
     }
 
+    /// `D[U′] Ωψ = Ω D[U] ψ` under a random gauge transform `Ω`, for `D`
+    /// and `D†` of `MobiusDirac` on the full lattice and `M̂` and `M̂†` of
+    /// `PrecMobius` on the odd checkerboard: the fifth-dimension algebra
+    /// acts on spin and `s` only, so it commutes with `Ω`.
+    #[test]
+    fn operators_are_gauge_covariant() {
+        use crate::dirac::testing::{gauge_transform, rel_err, rotate};
+        let lat = Lattice::new([4, 4, 2, 6]);
+        let gauge = GaugeField::<f64>::hot(&lat, 67);
+        let (omega, transformed) = gauge_transform(&gauge, 71);
+        let all: Vec<u32> = (0..lat.volume() as u32).collect();
+        let odd = lat.sites_with_parity(Parity::Odd);
+        let check = |what: &str, op: &dyn DiracOp<f64>, op_t: &dyn DiracOp<f64>, sites: &[u32]| {
+            let psi = FermionField::<f64>::gaussian(op.vec_len(), 73).data;
+            let psi_t = rotate(&omega, sites, &psi);
+            for dagger in [false, true] {
+                let (mut d, mut d_t) = (
+                    vec![Spinor::zero(); psi.len()],
+                    vec![Spinor::zero(); psi.len()],
+                );
+                match dagger {
+                    false => (op.apply(&mut d, &psi), op_t.apply(&mut d_t, &psi_t)),
+                    true => (
+                        op.apply_dagger(&mut d, &psi),
+                        op_t.apply_dagger(&mut d_t, &psi_t),
+                    ),
+                };
+                let err = rel_err(&d_t, &rotate(&omega, sites, &d));
+                assert!(err <= 1e-13, "{what} dagger {dagger}: {err}");
+            }
+        };
+        for params in [
+            MobiusParams::standard(4, 0.05),
+            MobiusParams::shamir(3, 0.2),
+        ] {
+            let what = format!("{params:?}");
+            let (full, full_t) = (
+                MobiusDirac::new(&lat, &gauge, params),
+                MobiusDirac::new(&lat, &transformed, params),
+            );
+            check(&format!("MobiusDirac {what}"), &full, &full_t, &all);
+            let (prec, prec_t) = (
+                PrecMobius::new(&lat, &gauge, params),
+                PrecMobius::new(&lat, &transformed, params),
+            );
+            check(&format!("PrecMobius {what}"), &prec, &prec_t, odd);
+        }
+    }
+
     #[test]
     fn schur_identity_for_mobius() {
         // If D ψ = b then M̂ ψ_o = b_o − M_oe A⁻¹ b_e.
@@ -1342,7 +1371,7 @@ mod tests {
             for s in 0..params.l5 {
                 for i in 0..slice_len {
                     assert_eq!(
-                        fifth.shift_at_mapped(&x, slice_len, s, i, dagger, |x| x),
+                        fifth.shift_at(&x, slice_len, s, i, dagger),
                         shifted[s * slice_len + i],
                         "(s={s}, i={i}, dagger={dagger})"
                     );
@@ -1473,8 +1502,8 @@ mod tests {
     }
 
     /// The adjoint's two sweeps against their unfused passes, the closing
-    /// one as both operators run it: `MobiusDirac`'s γ5 map with f = ½ and
-    /// `PrecMobius`'s identity with f = −½.
+    /// one as both operators run it: `MobiusDirac`'s f = ½ and
+    /// `PrecMobius`'s f = −½.
     #[test]
     fn adjoint_sweeps_are_bit_identical_to_their_passes() {
         fn case<R: Real>() {
@@ -1491,37 +1520,21 @@ mod tests {
                     })
                 },
             );
-            let gamma5 = |x: Spinor<R>| x.apply_gamma5();
             assert_sweep_matches_oracle::<R>(
                 "a_dagger_minus_scaled_rho_dagger",
                 &|fifth, psi, t, len| {
                     let p = fifth.params;
                     let a = affine(fifth, psi, len, ((p.alpha(), p.beta()), 1.0), true);
-                    let g5t: Vec<Spinor<R>> = t.iter().map(|&x| gamma5(x)).collect();
-                    let r5 = affine(fifth, &g5t, len, ((p.b5, p.c5), 0.5), true);
-                    let r1 = affine(fifth, t, len, ((p.b5, p.c5), -0.5), true);
-                    let sub =
-                        |r: &[Spinor<R>]| a.iter().zip(r).map(|(a, r)| *a - *r).collect::<Vec<_>>();
-                    [sub(&r5), sub(&r1)].concat()
+                    let sub = |f: f64| {
+                        let r = affine(fifth, t, len, ((p.b5, p.c5), f), true);
+                        a.iter().zip(r).map(|(a, r)| *a - r).collect::<Vec<_>>()
+                    };
+                    [sub(0.5), sub(-0.5)].concat()
                 },
                 &|fifth, psi, t, len| {
-                    swept(psi, |[g5, id], cols| {
-                        fifth.a_dagger_minus_scaled_rho_dagger(
-                            g5,
-                            (psi, t),
-                            len,
-                            cols,
-                            gamma5,
-                            0.5,
-                        );
-                        fifth.a_dagger_minus_scaled_rho_dagger(
-                            id,
-                            (psi, t),
-                            len,
-                            cols,
-                            |x| x,
-                            -0.5,
-                        );
+                    swept(psi, |[half, neg_half], cols| {
+                        fifth.a_dagger_minus_scaled_rho_dagger(half, (psi, t), len, cols, 0.5);
+                        fifth.a_dagger_minus_scaled_rho_dagger(neg_half, (psi, t), len, cols, -0.5);
                     })
                 },
             );

@@ -139,6 +139,8 @@ fn merge_parity<R: Real>(
 #[cfg(test)]
 pub(crate) mod testing {
     use super::*;
+    use crate::field::{GaugeField, GaugeLinks};
+    use crate::su3::Su3;
 
     /// Every real of `v` as its bit pattern (f32 widened losslessly), so a
     /// comparison also sees what `==` hides: the sign of a zero, a NaN.
@@ -147,6 +149,45 @@ pub(crate) mod testing {
             .flat_map(|sp| sp.s.iter().flat_map(|cv| cv.c.iter()))
             .flat_map(|z| [z.re.to_f64().to_bits(), z.im.to_f64().to_bits()])
             .collect()
+    }
+
+    /// A random gauge transform of `gauge`: `Ω(x)`, one SU(3) matrix per
+    /// site (the `U0(x)` links of a hot field drawn from `seed`), and the
+    /// transformed field `U′μ(x) = Ω(x) Uμ(x) Ω(x+μ̂)†`. Every Dirac
+    /// operator `D` is covariant under it: `D[U′] Ωψ = Ω D[U] ψ`.
+    pub(crate) fn gauge_transform(
+        gauge: &GaugeField<f64>,
+        seed: u64,
+    ) -> (Vec<Su3<f64>>, GaugeField<f64>) {
+        let lat = gauge.lattice();
+        let draw = GaugeField::<f64>::hot(lat, seed);
+        let omega: Vec<Su3<f64>> = (0..lat.volume()).map(|x| draw.link(x, 0)).collect();
+        let mut transformed = gauge.clone();
+        for (x, omega_x) in omega.iter().enumerate() {
+            for mu in 0..crate::lattice::ND {
+                let y = lat.neighbors(x).fwd[mu] as usize;
+                *transformed.link_mut(x, mu) = *omega_x * gauge.link(x, mu) * omega[y].dagger();
+            }
+        }
+        (omega, transformed)
+    }
+
+    /// `Ω ψ` on every spinor of `v`, one column of any number of s-slices
+    /// whose spinor `i` sits at lattice site `sites[i % sites.len()]`.
+    pub(crate) fn rotate(omega: &[Su3<f64>], sites: &[u32], v: &[Spinor<f64>]) -> Vec<Spinor<f64>> {
+        let at = |i: usize| &omega[sites[i % sites.len()] as usize];
+        let rot = |u: &Su3<f64>, psi: &Spinor<f64>| Spinor {
+            s: psi.s.map(|c| u.mul_vec(&c)),
+        };
+        v.iter()
+            .enumerate()
+            .map(|(i, psi)| rot(at(i), psi))
+            .collect()
+    }
+
+    /// `‖a − b‖ / ‖b‖`.
+    pub(crate) fn rel_err(a: &[Spinor<f64>], b: &[Spinor<f64>]) -> f64 {
+        (crate::blas::norm_sqr(&crate::blas::sub(a, b)) / crate::blas::norm_sqr(b)).sqrt()
     }
 
     /// Hold `op` to `oracle(out, inp, nrhs, dagger)` in both directions

@@ -46,11 +46,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
     pub fn lattice(&self) -> &Lattice {
         self.lattice
     }
-
-    /// Access to the underlying hopping kernel.
-    pub fn hopping(&self) -> &HoppingKernel<'a, R, G> {
-        &self.hopping
-    }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for WilsonDirac<'a, R, G> {
@@ -64,33 +59,27 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for WilsonDirac<'a, R, G> {
     }
 
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.sweep(out, inp, nrhs, |psi| psi);
+        self.sweep(out, inp, nrhs, false);
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for WilsonDirac<'a, R, G> {
-    /// γ5-hermiticity: `D† = γ5 D γ5`.
+    /// γ5-hermiticity: `D† = γ5 D γ5 = (4 + m) − ½ H†`.
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.sweep(out, inp, nrhs, |psi| psi.apply_gamma5());
+        self.sweep(out, inp, nrhs, true);
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> WilsonDirac<'a, R, G> {
-    /// `g D g` for `g` the identity or γ5, in one fused stencil pass: `g`
-    /// rides on every neighbor fetch, and the diagonal combination
-    /// `g(g(i)·a − h·b)` (`h` the hop) is folded into the output write.
-    fn sweep(
-        &self,
-        out: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
-        nrhs: usize,
-        g: impl Fn(Spinor<R>) -> Spinor<R> + Sync,
-    ) {
+    /// `D`, or `D†` when `dagger`, in one fused stencil pass: the hop `h`
+    /// (`H` or `H†`) with the diagonal combination `i·a − h·b` folded into
+    /// the output write.
+    fn sweep(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize, dagger: bool) {
         let diag = R::from_f64(4.0 + self.mass);
         let half = R::from_f64(0.5);
         self.hopping
-            .apply_full_fused_5d(out, inp, 1, nrhs, &g, &|i, h| {
-                g(g(inp[i]).scale(diag) - h.scale(half))
+            .apply_full_fused_5d(out, inp, (1, nrhs), dagger, &|i, h| {
+                inp[i].scale(diag) - h.scale(half)
             });
     }
 }
@@ -118,11 +107,6 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
 
     fn diag(&self) -> f64 {
         4.0 + self.mass
-    }
-
-    /// The bound 4D hopping kernel.
-    pub fn hopping(&self) -> &HoppingKernel<'a, R, G> {
-        &self.hopping
     }
 
     /// The lattice.
@@ -165,29 +149,22 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecWilson<'a, R, G> {
     ) -> Vec<Spinor<R>> {
         let mut out = vec![Spinor::zero(); self.lattice.half_volume()];
         self.hopping
-            .apply_parity_fused_5d(&mut out, inp, parity, 1, 1, &|psi| psi, &finish);
+            .apply_parity_fused_5d(&mut out, inp, parity, (1, 1), false, &finish);
         out
     }
 
-    /// `g M̂ g` for `g` the identity or γ5, in two fused hops over the reused
-    /// half-volume intermediate: `g` rides on the first hop's fetches, and
-    /// the diagonal combination `g(g(i)·a − h·c)` is folded into the second
-    /// hop's output write.
-    fn schur(
-        &self,
-        out: &mut [Spinor<R>],
-        inp: &[Spinor<R>],
-        nrhs: usize,
-        g: impl Fn(Spinor<R>) -> Spinor<R> + Sync,
-    ) {
+    /// `M̂`, or `M̂† = γ5 M̂ γ5` when `dagger`, in two fused hops (`H` or
+    /// `H†`) over the reused half-volume intermediate, the diagonal
+    /// combination `i·a − h·c` folded into the second hop's output write.
+    fn schur(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize, dagger: bool) {
         let a = R::from_f64(self.diag());
         let c = R::from_f64(0.25 / self.diag());
         let mut even = self.scratch.lock();
         even.resize(self.lattice.half_volume() * nrhs, Spinor::zero());
         let hop = &self.hopping;
-        hop.apply_parity_fused_5d(&mut even, inp, Parity::Even, 1, nrhs, &g, &|_, h| h);
-        hop.apply_parity_fused_5d(out, &even, Parity::Odd, 1, nrhs, &|psi| psi, &|i, h| {
-            g(g(inp[i]).scale(a) - h.scale(c))
+        hop.apply_parity_fused_5d(&mut even, inp, Parity::Even, (1, nrhs), dagger, &|_, h| h);
+        hop.apply_parity_fused_5d(out, &even, Parity::Odd, (1, nrhs), dagger, &|i, h| {
+            inp[i].scale(a) - h.scale(c)
         });
     }
 }
@@ -203,13 +180,13 @@ impl<'a, R: Real, G: GaugeLinks<R>> LinearOp<R> for PrecWilson<'a, R, G> {
     }
 
     fn apply_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.schur(out, inp, nrhs, |psi| psi);
+        self.schur(out, inp, nrhs, false);
     }
 }
 
 impl<'a, R: Real, G: GaugeLinks<R>> DiracOp<R> for PrecWilson<'a, R, G> {
     fn apply_dagger_block(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], nrhs: usize) {
-        self.schur(out, inp, nrhs, |psi| psi.apply_gamma5());
+        self.schur(out, inp, nrhs, true);
     }
 }
 

@@ -40,7 +40,7 @@ fn single_domain_hop<R: Real, G: GaugeLinks<R>>(
 ) -> Vec<Spinor<R>> {
     let hopping = HoppingKernel::new(lat, gauge, true);
     let mut out = vec![Spinor::zero(); inp.len()];
-    hopping.apply_full_fused_5d(&mut out, inp, l5, nrhs, &|psi| psi, &|_, h| h);
+    hopping.apply_full_fused_5d(&mut out, inp, (l5, nrhs), false, &|_, h| h);
     out
 }
 
