@@ -29,11 +29,6 @@
 //!             x {checkpointing on, off} through the fault-tolerant CG
 //!             (--quick for CI smoke, --check-schema FILE to verify a
 //!             committed chaos.csv still has this build's columns)
-//!   deflation batched multi-RHS solves vs the 1-RHS baseline, with and
-//!             without the Lanczos low-mode deflation guess; asserts the
-//!             block path bit-identical to sequential CG
-//!             (--quick for CI smoke, --check-schema FILE to verify a
-//!             committed deflation.csv still has this build's columns)
 //!   serve     solve-service gateway under deterministic Zipf load:
 //!             batching, content-addressed cache with LRU spill, admission
 //!             control, fault injection under the service; writes
@@ -48,13 +43,13 @@
 //!             plus seeded-defect twins;
 //!             --check gates on results/verify.{json,md} and the
 //!             committed traces, --trace FILE replays one schedule
-//!   all       everything above except comms, chaos, and deflation
+//!   all       everything above except comms and chaos
 //!             (timings are machine-specific)
 //! ```
 
 use bench::experiments::{
-    ablation, chaos, comms, deflation, faults, fig1, fig3, fig5, jobs, lint, metrics, pipeline,
-    serve, tables, verify,
+    ablation, chaos, comms, faults, fig1, fig3, fig5, jobs, lint, metrics, pipeline, serve, tables,
+    verify,
 };
 use bench::output::{check_csv_header, check_json_shape, ExperimentOutput};
 
@@ -101,7 +96,7 @@ fn main() {
     }
     let Some(experiment) = experiment else {
         eprintln!(
-            "usage: repro <table1|table2|fig1|fig3|fig4|fig5|fig6|fig7|backfill|faults|startup|budget|speedup|memory|ablation|pipeline|metrics|comms|chaos|deflation|serve|all> [--results DIR] [--quick] [--check-schema FILE]"
+            "usage: repro <table1|table2|fig1|fig3|fig4|fig5|fig6|fig7|backfill|faults|startup|budget|speedup|memory|ablation|pipeline|metrics|comms|chaos|serve|all> [--results DIR] [--quick] [--check-schema FILE]"
         );
         std::process::exit(2);
     };
@@ -187,11 +182,6 @@ fn main() {
             name,
             chaos::run_chaos(out, &chaos::ChaosOpts { quick }),
             &|file| check_csv_header(file, chaos::CSV_HEADER),
-        ),
-        "deflation" => finish(
-            name,
-            deflation::run_deflation(out, &deflation::DeflationOpts { quick }),
-            &|file| check_csv_header(file, deflation::CSV_HEADER),
         ),
         "serve" => finish(
             name,

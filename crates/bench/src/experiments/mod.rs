@@ -3,7 +3,6 @@
 pub mod ablation;
 pub mod chaos;
 pub mod comms;
-pub mod deflation;
 pub mod faults;
 pub mod fig1;
 pub mod fig3;

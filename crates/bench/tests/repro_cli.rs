@@ -58,24 +58,20 @@ fn missing_experiment_prints_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage: repro"), "stderr: {stderr}");
     assert!(stderr.contains("chaos"), "usage must list chaos: {stderr}");
-    assert!(
-        stderr.contains("deflation"),
-        "usage must list deflation: {stderr}"
-    );
     assert!(stderr.contains("serve"), "usage must list serve: {stderr}");
 }
 
-/// `repro deflation --check-schema` against a stale header must run the
+/// `repro comms --check-schema` against a stale header must run the
 /// experiment, then fail the schema diff with exit code 1 — the branch CI
-/// takes when a committed `deflation.csv` no longer matches this build.
+/// takes when a committed `comms.csv` no longer matches this build.
 #[test]
-fn deflation_schema_mismatch_is_a_clean_error() {
-    let results = std::env::temp_dir().join(format!("repro-cli-deflation-{}", std::process::id()));
+fn comms_schema_mismatch_is_a_clean_error() {
+    let results = std::env::temp_dir().join(format!("repro-cli-comms-{}", std::process::id()));
     std::fs::create_dir_all(&results).unwrap();
     let stale = results.join("stale.csv");
-    std::fs::write(&stale, "mass_id,not_the_real_columns\n").unwrap();
+    std::fs::write(&stale, "grid_id,not_the_real_columns\n").unwrap();
     let out = repro()
-        .args(["deflation", "--quick", "--results"])
+        .args(["comms", "--quick", "--results"])
         .arg(&results)
         .arg("--check-schema")
         .arg(&stale)

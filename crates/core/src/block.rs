@@ -34,7 +34,7 @@
 //! at any block size is bit-identical to N sequential `cg` solves.
 
 use crate::blas;
-use crate::complex::{Complex, C64};
+use crate::complex::C64;
 use crate::real::Real;
 use crate::spinor::Spinor;
 
@@ -105,15 +105,6 @@ impl<R: Real> BlockSpinor<R> {
             .map(|i| self.data[i * self.nrhs + j])
             .collect()
     }
-
-    /// Overwrite column `j` from a contiguous vector.
-    pub fn set_col(&mut self, j: usize, v: &[Spinor<R>]) {
-        assert!(j < self.nrhs);
-        assert_eq!(v.len(), self.len);
-        for (i, s) in v.iter().enumerate() {
-            self.data[i * self.nrhs + j] = *s;
-        }
-    }
 }
 
 /// Chunked elementwise update of one column, `y[:,j] = f(y[:,j], x[:,j])`.
@@ -155,24 +146,6 @@ pub fn xpby_col<R: Real>(x: &[Spinor<R>], b: f64, y: &mut [Spinor<R>], nrhs: usi
     }
     let b = R::from_f64(b);
     update_col2(x, y, nrhs, j, |yi, xi| *yi = *xi + yi.scale(b));
-}
-
-/// `y[:,j] += a * v` with complex `a` and a contiguous `v` (deflation's
-/// `x0 += (c/λ) vₖ` update).
-pub fn caxpy_vec_col<R: Real>(a: C64, v: &[Spinor<R>], y: &mut BlockSpinor<R>, j: usize) {
-    assert_eq!(v.len(), y.len);
-    assert!(j < y.nrhs);
-    let a: Complex<R> = a.cast();
-    let nrhs = y.nrhs;
-    let grain = blas::grain_for(v.len()) * nrhs;
-    rayon::for_each_chunk_mut(&mut y.data, grain, |base, chunk| {
-        let mut i = base + j;
-        let end = base + chunk.len();
-        while i < end {
-            chunk[i - base] += v[i / nrhs].scale_c(a);
-            i += nrhs;
-        }
-    });
 }
 
 /// Zero column `j`.
@@ -226,28 +199,6 @@ pub fn dot_cols<R: Real>(x: &[Spinor<R>], y: &[Spinor<R>], nrhs: usize, j: usize
     C64::new(re, im)
 }
 
-/// `⟨v, x[:,j]⟩` with a contiguous `v` (deflation's `V† b` inner product)
-/// — same chunk shape and fold order as `blas::dot(v, col_j)`.
-pub fn dot_vec_col<R: Real>(v: &[Spinor<R>], x: &BlockSpinor<R>, j: usize) -> C64 {
-    assert_eq!(v.len(), x.len);
-    assert!(j < x.nrhs);
-    let nrhs = x.nrhs;
-    let xd = &x.data;
-    let (re, im) = rayon::reduce_chunks(
-        v.len(),
-        blas::grain_for(v.len()),
-        || (0.0f64, 0.0f64),
-        |acc, r| {
-            r.fold(acc, |(re, im), i| {
-                let d = v[i].dot(&xd[i * nrhs + j]).to_c64();
-                (re + d.re, im + d.im)
-            })
-        },
-        |a, b| (a.0 + b.0, a.1 + b.1),
-    );
-    C64::new(re, im)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -279,7 +230,6 @@ mod tests {
         for (j, c) in cs.iter().enumerate() {
             assert_eq!(norm_sqr_col(b.data(), 4, j), blas::norm_sqr(c));
             assert_eq!(dot_cols(b.data(), b.data(), 4, j), blas::dot(c, c));
-            assert_eq!(dot_vec_col(&cs[0], &b, j), blas::dot(&cs[0], c));
         }
     }
 
@@ -306,16 +256,9 @@ mod tests {
     }
 
     #[test]
-    fn caxpy_and_zero_col_match() {
-        let n = 301;
-        let v = FermionField::<f64>::gaussian(n, 9).data;
-        let ys = cols(5, n, 2);
+    fn zero_col_clears_only_its_column() {
+        let ys = cols(5, 301, 2);
         let mut yb = BlockSpinor::from_columns(&ys);
-        let a = C64::new(0.3, -1.1);
-        let mut yref = ys[1].clone();
-        blas::caxpy(a, &v, &mut yref);
-        caxpy_vec_col(a, &v, &mut yb, 1);
-        assert_eq!(yb.col(1), yref);
         zero_col(yb.data_mut(), 2, 1);
         assert_eq!(norm_sqr_col(yb.data(), 2, 1), 0.0);
         assert_eq!(yb.col(0), ys[0]);

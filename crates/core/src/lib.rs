@@ -82,10 +82,7 @@ pub mod prelude {
     };
     pub use crate::real::Real;
     pub use crate::recon::{Recon12Gauge, Recon8Gauge};
-    pub use crate::solver::{
-        cg, cg_block, cgne, deflated_cg_block, lanczos, lanczos_lowest, mixed_cg, CgParams,
-        Deflation, EigenPair, LanczosParams, MixedParams, SolveStats,
-    };
+    pub use crate::solver::{cg, cg_block, cgne, mixed_cg, CgParams, MixedParams, SolveStats};
     pub use crate::spinor::Spinor;
     pub use crate::su3::{ColorVec, Su3, NC};
 }

@@ -6,19 +6,14 @@
 //! CG recurrence is written once (see [`cg`]'s module); [`cg`],
 //! [`cg_block`], [`cg_ft`] and [`mixed_cg`] are drivers over it; the
 //! non-Hermitian 4D Wilson system goes through [`cgne`] too, over its
-//! red–black Schur complement. Shift-invert Lanczos plus deflated block CG
-//! accelerate ill-conditioned light-quark systems.
+//! red–black Schur complement.
 
 mod cg;
-mod deflate;
-mod eig;
 mod ft;
 mod mixed;
 
 pub(crate) use cg::solve_normal;
 pub use cg::{cg, cg_block, cgne, CgParams, FallibleOp};
-pub use deflate::{deflated_cg_block, Deflation};
-pub use eig::{lanczos, lanczos_lowest, EigenPair, LanczosParams};
 pub use ft::{cg_ft, CgCheckpoint, CheckpointSink, FtParams, CKPT_SPINOR_F64};
 pub use mixed::{mixed_cg, mixed_cg_robust, MixedParams, RobustParams};
 
@@ -94,8 +89,8 @@ pub(crate) fn record_solve(kind: &str, stats: &SolveStats) {
     }
 }
 
-/// Typed outcome of a fault-tolerant solve ([`mixed_cg_robust`]): callers
-/// can distinguish clean convergence from a budget exhaustion or an
+/// Typed outcome of a fault-tolerant solve ([`cg_ft`], [`mixed_cg_robust`]):
+/// callers can distinguish clean convergence from a budget exhaustion or an
 /// irrecoverable divergence instead of inspecting silent garbage.
 #[derive(Clone, Copy, Debug)]
 pub enum SolverOutcome {

@@ -112,8 +112,8 @@ impl CheckpointStore {
     /// Load the newest snapshot that passes its CRC.
     ///
     /// Returns `(seq, data)` of the winning slot. If both slots are
-    /// unreadable, returns the error from the *newer* candidate (the one a
-    /// caller most wants diagnosed).
+    /// unreadable, returns slot A's (`<stem>.a.lqio`) error, whichever
+    /// slot was written last; slot B's error is dropped.
     pub fn load_latest(&self) -> Result<(u64, Vec<f64>), IoError> {
         let mut best: Option<(u64, Vec<f64>)> = None;
         let mut first_err: Option<IoError> = None;

@@ -4,9 +4,10 @@
 //! final residual, per-RHS iteration count, flop ledger — is *identical* to
 //! running [`cg`] on that column alone, at every block size, in both
 //! precisions, at any thread-pool width, and over the sharded halo-exchange
-//! operator under any communication policy. These tests pin that contract;
-//! a single flipped bit anywhere in the blocked dslash, the column BLAS, or
-//! the batched halo frames fails them.
+//! operator under any communication policy; a column that retires early
+//! keeps its bits while the rest of the block iterates on. These tests pin
+//! that contract; a single flipped bit anywhere in the blocked dslash, the
+//! column BLAS, or the batched halo frames fails them.
 //!
 //! All four CG drivers ([`cg`], [`cg_block`], [`cg_ft`], [`mixed_cg`]) run
 //! one recurrence core, so the same matrix also pins `cg_ft` on a fault-free
@@ -16,6 +17,7 @@
 use lqcd::core::comms::{policy_from_index, CommError, ShardedNormal};
 use lqcd::core::prelude::*;
 use lqcd::core::solver::{cg_ft, FallibleOp, FtParams, SolverOutcome};
+use obs::{assert_event_count, Registry};
 
 fn at_width<R: Send>(w: usize, op: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new()
@@ -171,6 +173,66 @@ fn thread_width_does_not_change_block_bits() {
         "block solutions must not depend on pool width"
     );
     assert!(stats1.iter().all(|s| s.converged));
+}
+
+/// A column started from a good guess (a looser solve of its own source)
+/// converges after a few iterations; the other column, started from zero,
+/// keeps the block iterating long after. The early column's retired bits
+/// must match a solo solve from the same guess exactly — proof it was never
+/// written again after retirement.
+#[test]
+fn retired_column_is_bit_stable_under_continued_iteration() {
+    let lat = Lattice::new([4, 4, 2, 4]);
+    let gauge = GaugeField::<f64>::hot(&lat, 51);
+    let d = WilsonDirac::new(&lat, &gauge, 0.1, true);
+    let a = NormalOp::new(&d);
+    let v = lat.volume();
+    let params = CgParams::default();
+
+    let easy = FermionField::<f64>::gaussian(v, 429).data;
+    let hard = FermionField::<f64>::gaussian(v, 430).data;
+    let mut guess = vec![Spinor::zero(); v];
+    let loose = CgParams {
+        tol: 1e-6,
+        ..params
+    };
+    assert!(cg(&a, &mut guess, &easy, loose).converged);
+
+    let bb = BlockSpinor::from_columns(&[easy.clone(), hard.clone()]);
+    let reg = Registry::new();
+    let (stats, xb) = {
+        let _guard = reg.install_scoped();
+        let mut xb = BlockSpinor::from_columns(&[guess.clone(), vec![Spinor::zero(); v]]);
+        let stats = cg_block(&mut &a, &mut xb, &bb, params);
+        (stats, xb)
+    };
+    assert!(stats[0].converged && stats[1].converged);
+    assert!(
+        stats[0].iterations + 5 < stats[1].iterations,
+        "the warm-started column must retire far earlier ({} vs {})",
+        stats[0].iterations,
+        stats[1].iterations
+    );
+    // One retirement event per column, each carrying its own iteration
+    // count.
+    assert_event_count!(reg, "solver.cg_block.retire", 2);
+
+    // The retired column's bits equal the solo solve that stopped at the
+    // same iteration — continued block iteration never touched it.
+    let mut solo = guess;
+    let solo_stats = cg(&a, &mut solo, &easy, params);
+    assert_eq!(stats[0], solo_stats);
+    assert_eq!(
+        xb.col(0),
+        solo,
+        "retired column was modified after retirement"
+    );
+
+    // And the late column still matches its own solo solve.
+    let mut solo_hard = vec![Spinor::zero(); v];
+    let hard_stats = cg(&a, &mut solo_hard, &hard, params);
+    assert_eq!(stats[1], hard_stats);
+    assert_eq!(xb.col(1), solo_hard);
 }
 
 /// The batched halo exchange carries all columns in one frame per face; the

@@ -214,41 +214,6 @@ fn salvage_counters_report_the_hole() {
 }
 
 #[test]
-fn lanczos_metrics_count_passes_and_restarts() {
-    let sys = system();
-    let d = WilsonDirac::new(&sys.lat, &sys.gauge64, 0.3, true);
-    let a = NormalOp::new(&d);
-
-    // Single pass: one run, no restarts, one done event, and the step
-    // counter equals the Krylov dimension (no breakdown on this system).
-    let reg = Registry::new();
-    let pairs = {
-        let _guard = reg.install_scoped();
-        lanczos_lowest(&a, 2, 12, 3)
-    };
-    assert_eq!(pairs.len(), 2);
-    assert_counter!(reg, "solver.eig.runs", 1);
-    assert_counter!(reg, "solver.eig.restarts", 0);
-    assert_event_count!(reg, "solver.eig.done", 1);
-    assert_event_count!(reg, "solver.eig.restart", 0);
-    let single_pass = reg.counter("solver.eig.lanczos_iters").get();
-    assert_eq!(single_pass, 12);
-
-    // An unmeetable residual bound forces every budgeted restart; each
-    // restart is counted, emitted, and runs one more full pass.
-    let reg = Registry::new();
-    {
-        let _guard = reg.install_scoped();
-        lanczos(&a, &LanczosParams::new(2, 12, 3).with_restarts(2, 0.0));
-    }
-    assert_counter!(reg, "solver.eig.runs", 1);
-    assert_counter!(reg, "solver.eig.restarts", 2);
-    assert_event_count!(reg, "solver.eig.restart", 2);
-    assert_event_count!(reg, "solver.eig.done", 1);
-    assert_counter!(reg, "solver.eig.lanczos_iters", 3 * single_pass);
-}
-
-#[test]
 fn scoped_registries_isolate_metrics() {
     let sys = system();
     let outer = Registry::new();
