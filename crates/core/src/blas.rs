@@ -4,12 +4,13 @@
 //! lattice site in the paper's accounting — "extremely bandwidth bound").
 //! All reductions accumulate in `f64` regardless of storage precision,
 //! matching the paper's reporting convention that "all reductions are done in
-//! double precision"; rayon provides the parallel tree reduction.
+//! double precision"; `rayon::reduce_chunks` provides the parallel
+//! reduction.
 
 use crate::complex::{Complex, C64};
 use crate::real::Real;
 use crate::spinor::Spinor;
-use rayon::prelude::*;
+use std::mem::{ManuallyDrop, MaybeUninit};
 
 /// Minimum vector length before a BLAS-1 loop is split across threads; tiny
 /// vectors stay a single sequential chunk to avoid fork-join overhead.
@@ -26,6 +27,35 @@ pub(crate) fn grain_for(len: usize) -> usize {
     } else {
         PAR_THRESHOLD / 4
     }
+}
+
+/// Chunk length of the set-up and conversion loops (random starts,
+/// precision casts, half-precision packing, heat-bath passes, `sub`): 64
+/// chunks at any length, so even a 256-site pass forks. Like `grain_for`,
+/// derived from `len` only.
+pub(crate) fn fixed_grain(len: usize) -> usize {
+    len.div_ceil(64).max(1)
+}
+
+/// `[f(0), f(1), …, f(len − 1)]`, computed in `fixed_grain` chunks on the
+/// pool. Each element is written once, into uninitialised storage: a
+/// default-filled vector would double the writes of a light map such as a
+/// precision cast.
+pub(crate) fn collect_chunked<B: Send>(len: usize, f: impl Fn(usize) -> B + Sync + Send) -> Vec<B> {
+    let mut out: Vec<MaybeUninit<B>> = Vec::with_capacity(len);
+    out.resize_with(len, MaybeUninit::uninit);
+    rayon::for_each_chunk_mut(&mut out, fixed_grain(len), |base, chunk| {
+        for (k, o) in chunk.iter_mut().enumerate() {
+            o.write(f(base + k));
+        }
+    });
+    let mut out = ManuallyDrop::new(out);
+    // SAFETY: `for_each_chunk_mut` hands every index of `0..len` to exactly
+    // one chunk and returns only once all have run (a panicking chunk
+    // unwinds out of it before this line), so all `len` elements were
+    // written above; `MaybeUninit<B>` has `B`'s layout, and `ManuallyDrop`
+    // hands the allocation over without freeing it.
+    unsafe { Vec::from_raw_parts(out.as_mut_ptr().cast::<B>(), len, out.capacity()) }
 }
 
 /// Chunked elementwise update `y[i] = f(y[i], x[i])`: the one code path
@@ -137,10 +167,7 @@ pub fn dot<R: Real>(x: &[Spinor<R>], y: &[Spinor<R>]) -> C64 {
 /// `z = x − y` into a fresh vector.
 pub fn sub<R: Real>(x: &[Spinor<R>], y: &[Spinor<R>]) -> Vec<Spinor<R>> {
     assert_eq!(x.len(), y.len());
-    x.par_iter()
-        .zip(y.par_iter())
-        .map(|(a, b)| *a - *b)
-        .collect()
+    collect_chunked(x.len(), |i| x[i] - y[i])
 }
 
 #[cfg(test)]

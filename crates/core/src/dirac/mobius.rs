@@ -38,8 +38,6 @@ use crate::lattice::{Lattice, Parity};
 use crate::real::Real;
 use crate::spinor::Spinor;
 use parking_lot::Mutex;
-#[cfg(test)]
-use rayon::prelude::*;
 
 /// Physical and algorithmic parameters of the Möbius operator.
 #[derive(Clone, Copy, Debug)]
@@ -196,7 +194,7 @@ impl<R: Real> FifthDim<R> {
     fn shift(&self, out: &mut [Spinor<R>], inp: &[Spinor<R>], slice_len: usize, dagger: bool) {
         let l5 = self.params.l5;
         let mm = R::from_f64(-self.params.mass);
-        out.par_chunks_mut(slice_len)
+        out.chunks_mut(slice_len)
             .enumerate()
             .for_each(|(s, out_slice)| {
                 let up = if s + 1 < l5 { s + 1 } else { 0 };
@@ -520,9 +518,9 @@ impl<R: Real> FifthDim<R> {
         self.shift(out, inp, slice_len, dagger);
         let a = R::from_f64(a);
         let b = R::from_f64(b);
-        out.par_iter_mut().zip(inp.par_iter()).for_each(|(o, i)| {
+        for (o, i) in out.iter_mut().zip(inp) {
             *o = i.scale(a) + o.scale(b);
-        });
+        }
     }
 
     /// `out = A⁻¹ in` (or `(A†)⁻¹ in`), applied per 5D element as two real
@@ -543,12 +541,12 @@ impl<R: Real> FifthDim<R> {
         } else {
             (&self.ainv_plus, &self.ainv_minus)
         };
-        out.par_iter_mut().enumerate().for_each(|(idx, o)| {
+        for (idx, o) in out.iter_mut().enumerate() {
             let site = idx % slice_len;
             *o = self.ainv_row(inv_up, inv_dn, idx / slice_len, |s_in| {
                 &inp[s_in * slice_len + site]
             });
-        });
+        }
     }
 }
 
@@ -730,9 +728,9 @@ impl<R: Real, G: GaugeLinks<R>> MobiusDirac<'_, R, G> {
         self.fifth
             .affine_shift(out, inp, vb, p.alpha(), p.beta(), false);
         let half = R::from_f64(0.5);
-        out.par_iter_mut().zip(hrho.par_iter()).for_each(|(o, h)| {
+        for (o, h) in out.iter_mut().zip(&hrho) {
             *o = *o - h.scale(half);
-        });
+        }
     }
 
     /// The allocating composition [`DiracOp::apply_dagger_block`] is held
@@ -750,10 +748,10 @@ impl<R: Real, G: GaugeLinks<R>> MobiusDirac<'_, R, G> {
         assert_eq!(out.len(), n);
         assert_eq!(inp.len(), n);
 
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
+        let g5in: Vec<Spinor<R>> = inp.iter().map(|s| s.apply_gamma5()).collect();
         let mut h = vec![Spinor::zero(); n];
         self.hopping.apply_oracle(&mut h, &g5in, None, nrhs);
-        h.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
+        h.iter_mut().for_each(|s| *s = s.apply_gamma5());
 
         let mut rho_h = vec![Spinor::zero(); n];
         self.fifth
@@ -762,9 +760,9 @@ impl<R: Real, G: GaugeLinks<R>> MobiusDirac<'_, R, G> {
         self.fifth
             .affine_shift(out, inp, vb, p.alpha(), p.beta(), true);
         let half = R::from_f64(0.5);
-        out.par_iter_mut().zip(rho_h.par_iter()).for_each(|(o, r)| {
+        for (o, r) in out.iter_mut().zip(&rho_h) {
             *o = *o - r.scale(half);
-        });
+        }
     }
 }
 
@@ -1008,8 +1006,7 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
         let mut hop = vec![Spinor::zero(); inp.len()];
         self.hopping
             .apply_oracle(&mut hop, &rho, Some(out_parity), nrhs);
-        hop.par_iter_mut()
-            .for_each(|s| *s = s.scale(R::from_f64(-0.5)));
+        hop.iter_mut().for_each(|s| *s = s.scale(R::from_f64(-0.5)));
         hop
     }
 
@@ -1023,16 +1020,15 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
     ) -> Vec<Spinor<R>> {
         let hvb = self.hv() * nrhs;
         let p = &self.fifth.params;
-        let g5in: Vec<Spinor<R>> = inp.par_iter().map(|s| s.apply_gamma5()).collect();
+        let g5in: Vec<Spinor<R>> = inp.iter().map(|s| s.apply_gamma5()).collect();
         let mut hop = vec![Spinor::zero(); inp.len()];
         self.hopping
             .apply_oracle(&mut hop, &g5in, Some(out_parity), nrhs);
-        hop.par_iter_mut().for_each(|s| *s = s.apply_gamma5());
+        hop.iter_mut().for_each(|s| *s = s.apply_gamma5());
         let mut out = vec![Spinor::zero(); inp.len()];
         self.fifth
             .affine_shift(&mut out, &hop, hvb, p.b5, p.c5, true);
-        out.par_iter_mut()
-            .for_each(|s| *s = s.scale(R::from_f64(-0.5)));
+        out.iter_mut().for_each(|s| *s = s.scale(R::from_f64(-0.5)));
         out
     }
 
@@ -1058,11 +1054,9 @@ impl<'a, R: Real, G: GaugeLinks<R>> PrecMobius<'a, R, G> {
 
         self.fifth
             .affine_shift(out, inp, hvb, p.alpha(), p.beta(), dagger);
-        out.par_iter_mut()
-            .zip(to_odd.par_iter())
-            .for_each(|(o, m)| {
-                *o = *o - *m;
-            });
+        for (o, m) in out.iter_mut().zip(&to_odd) {
+            *o = *o - *m;
+        }
     }
 
     /// The unfused [`Self::prepare_source`]: `A⁻¹`, `M_oe`, subtraction.

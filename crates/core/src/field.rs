@@ -5,6 +5,7 @@
 //! domain-wall field stacks `L5` four-dimensional slices (`s` outermost) so
 //! the 4D hopping kernel can run unchanged on each slice.
 
+use crate::blas::{collect_chunked, fixed_grain};
 use crate::lattice::{Lattice, ND};
 use crate::real::Real;
 use crate::spinor::Spinor;
@@ -12,7 +13,6 @@ use crate::su3::Su3;
 use rand::distributions::Distribution;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Read access to gauge links, abstracting over storage precision.
 ///
@@ -46,16 +46,16 @@ impl<R: Real> GaugeField<R> {
     pub fn hot(lattice: &Lattice, seed: u64) -> Self {
         let volume = lattice.volume();
         let mut links = vec![Su3::identity(); volume * ND];
-        links
-            .par_chunks_mut(ND)
-            .enumerate()
-            .for_each(|(site, chunk)| {
+        rayon::for_each_chunk_mut(&mut links, ND * fixed_grain(volume), |base, chunk| {
+            for (k, site_links) in chunk.chunks_mut(ND).enumerate() {
+                let site = base / ND + k;
                 let mut rng =
                     SmallRng::seed_from_u64(seed ^ (site as u64).wrapping_mul(0x9E3779B97F4A7C15));
-                for link in chunk.iter_mut() {
+                for link in site_links.iter_mut() {
                     *link = Su3::random(&mut rng);
                 }
-            });
+            }
+        });
         Self {
             lattice: lattice.clone(),
             links,
@@ -87,7 +87,7 @@ impl<R: Real> GaugeField<R> {
     pub fn cast<S: Real>(&self) -> GaugeField<S> {
         GaugeField {
             lattice: self.lattice.clone(),
-            links: self.links.par_iter().map(|u| u.cast()).collect(),
+            links: collect_chunked(self.links.len(), |l| self.links[l].cast()),
         }
     }
 
@@ -98,7 +98,12 @@ impl<R: Real> GaugeField<R> {
 
     /// Project every link back onto SU(3).
     pub fn reunitarize(&mut self) {
-        self.links.par_iter_mut().for_each(|u| *u = u.reunitarize());
+        let grain = fixed_grain(self.links.len());
+        rayon::for_each_chunk_mut(&mut self.links, grain, |_, chunk| {
+            for u in chunk {
+                *u = u.reunitarize();
+            }
+        });
     }
 }
 
@@ -131,17 +136,18 @@ impl<R: Real> FermionField<R> {
     /// Gaussian random vector (unit variance per real component),
     /// reproducible from a seed. Used for stochastic sources and tests.
     pub fn gaussian(len: usize, seed: u64) -> Self {
-        let mut data = vec![Spinor::zero(); len];
-        data.par_iter_mut().enumerate().for_each(|(i, sp)| {
+        let data = collect_chunked(len, |i| {
             let mut rng =
                 SmallRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0xD1B54A32D192ED03));
             let normal = GaussPair;
+            let mut sp = Spinor::zero();
             for s in 0..4 {
                 for c in 0..3 {
                     let (re, im) = normal.sample(&mut rng);
                     sp.s[s].c[c] = crate::complex::Complex::from_f64(re, im);
                 }
             }
+            sp
         });
         Self { data }
     }
@@ -159,7 +165,7 @@ impl<R: Real> FermionField<R> {
     /// Convert precision.
     pub fn cast<S: Real>(&self) -> FermionField<S> {
         FermionField {
-            data: self.data.par_iter().map(|s| s.cast()).collect(),
+            data: collect_chunked(self.len(), |i| self.data[i].cast()),
         }
     }
 }

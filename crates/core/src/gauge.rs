@@ -9,13 +9,13 @@
 //! structure as the solver: all sites of one parity and one direction update
 //! in parallel.
 
+use crate::blas::collect_chunked;
 use crate::complex::Complex;
 use crate::field::GaugeField;
 use crate::lattice::{Lattice, Parity, ND};
 use crate::su3::{Su3, NC};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 /// The three SU(2) subgroups of SU(3) used by Cabibbo–Marinari.
 const SUBGROUPS: [(usize, usize); 3] = [(0, 1), (0, 2), (1, 2)];
@@ -222,22 +222,20 @@ fn sweep(
             // Compute the updated links for this (parity, mu) in parallel
             // against the frozen field — staples of same-parity links never
             // reference same-parity `mu`-links — then write them back.
-            let sites = lat.sites_with_parity(parity).to_vec();
-            let updated: Vec<Su3<f64>> = sites
-                .par_iter()
-                .map(|&x| {
-                    let x = x as usize;
-                    let st = staple_sum(lat, gauge, x, mu);
-                    let mut rng = SmallRng::seed_from_u64(
-                        seed ^ sweep_idx.wrapping_mul(0x9E3779B97F4A7C15)
-                            ^ ((x as u64 * ND as u64 + mu as u64).wrapping_mul(0xBF58476D1CE4E5B9))
-                            ^ if overrelax { 0x5555_5555 } else { 0 },
-                    );
-                    let mut link = gauge.link(x, mu);
-                    update_link(&mut link, &st, beta, &mut rng, overrelax);
-                    link
-                })
-                .collect();
+            let sites = lat.sites_with_parity(parity);
+            let frozen = &*gauge;
+            let updated = collect_chunked(sites.len(), |k| {
+                let x = sites[k] as usize;
+                let st = staple_sum(lat, frozen, x, mu);
+                let mut rng = SmallRng::seed_from_u64(
+                    seed ^ sweep_idx.wrapping_mul(0x9E3779B97F4A7C15)
+                        ^ ((x as u64 * ND as u64 + mu as u64).wrapping_mul(0xBF58476D1CE4E5B9))
+                        ^ if overrelax { 0x5555_5555 } else { 0 },
+                );
+                let mut link = frozen.link(x, mu);
+                update_link(&mut link, &st, beta, &mut rng, overrelax);
+                link
+            });
             for (&x, link) in sites.iter().zip(updated) {
                 *gauge.link_mut(x as usize, mu) = link;
             }

@@ -16,13 +16,13 @@
 //!   site, used to truncate vectors between solver restarts and to measure
 //!   the encode error the reliable updates must absorb.
 
+use crate::blas::{collect_chunked, fixed_grain};
 use crate::complex::Complex;
 use crate::field::{GaugeField, GaugeLinks};
 use crate::lattice::ND;
 use crate::real::Real;
 use crate::spinor::Spinor;
 use crate::su3::{Su3, NC};
-use rayon::prelude::*;
 
 /// Maximum magnitude representable by the mantissa.
 const QMAX: f32 = 32767.0;
@@ -41,6 +41,30 @@ fn encode_block(values: &[f32], out: &mut [i16]) -> f32 {
         *o = (v * inv).round().clamp(-QMAX, QMAX) as i16;
     }
     max
+}
+
+/// Encode `n` blocks of `W` reals into `n * W` codes and `n` scales, in
+/// `fixed_grain(n)` chunks on the pool; `values(i)` yields block `i`.
+fn encode_blocks<const W: usize>(
+    n: usize,
+    values: impl Fn(usize) -> [f32; W] + Sync + Send,
+) -> (Vec<i16>, Vec<f32>) {
+    let mut codes = vec![0i16; n * W];
+    let mut scales = vec![0f32; n];
+    let grain = fixed_grain(n);
+    // Pair each chunk of scales with its chunk of codes up front, so one
+    // pool task owns both.
+    let mut parts: Vec<(&mut [i16], &mut [f32])> = codes
+        .chunks_mut(grain * W)
+        .zip(scales.chunks_mut(grain))
+        .collect();
+    rayon::for_each_chunk_mut(&mut parts, 1, |ci, part| {
+        let (codes, scales) = &mut part[0];
+        for (k, (block, scale)) in codes.chunks_mut(W).zip(scales.iter_mut()).enumerate() {
+            *scale = encode_block(&values(ci * grain + k), block);
+        }
+    });
+    (codes, scales)
 }
 
 /// Decode a block of `i16` against its scale.
@@ -68,24 +92,17 @@ impl HalfGaugeField {
     /// Compress a full-precision gauge field.
     pub fn from_gauge<R: Real>(gauge: &GaugeField<R>) -> Self {
         let volume = gauge.lattice().volume();
-        let n_links = volume * ND;
-        let mut codes = vec![0i16; n_links * 18];
-        let mut scales = vec![0f32; n_links];
-        codes
-            .par_chunks_mut(18)
-            .zip(scales.par_iter_mut())
-            .enumerate()
-            .for_each(|(l, (chunk, scale))| {
-                let u = gauge.links()[l];
-                let mut vals = [0f32; 18];
-                for i in 0..NC {
-                    for j in 0..NC {
-                        vals[(i * NC + j) * 2] = u.m[i][j].re.to_f64() as f32;
-                        vals[(i * NC + j) * 2 + 1] = u.m[i][j].im.to_f64() as f32;
-                    }
+        let (codes, scales) = encode_blocks(volume * ND, |l| {
+            let u = gauge.links()[l];
+            let mut vals = [0f32; 18];
+            for i in 0..NC {
+                for j in 0..NC {
+                    vals[(i * NC + j) * 2] = u.m[i][j].re.to_f64() as f32;
+                    vals[(i * NC + j) * 2 + 1] = u.m[i][j].im.to_f64() as f32;
                 }
-                *scale = encode_block(&vals, chunk);
-            });
+            }
+            vals
+        });
         Self {
             volume,
             codes,
@@ -159,24 +176,17 @@ impl HalfRecon12Gauge {
     /// Compress a full-precision gauge field to two half-stored rows.
     pub fn from_gauge<R: Real>(gauge: &GaugeField<R>) -> Self {
         let volume = gauge.lattice().volume();
-        let n_links = volume * ND;
-        let mut codes = vec![0i16; n_links * 12];
-        let mut scales = vec![0f32; n_links];
-        codes
-            .par_chunks_mut(12)
-            .zip(scales.par_iter_mut())
-            .enumerate()
-            .for_each(|(l, (chunk, scale))| {
-                let u = gauge.links()[l];
-                let mut vals = [0f32; 12];
-                for i in 0..2 {
-                    for j in 0..NC {
-                        vals[(i * NC + j) * 2] = u.m[i][j].re.to_f64() as f32;
-                        vals[(i * NC + j) * 2 + 1] = u.m[i][j].im.to_f64() as f32;
-                    }
+        let (codes, scales) = encode_blocks(volume * ND, |l| {
+            let u = gauge.links()[l];
+            let mut vals = [0f32; 12];
+            for i in 0..2 {
+                for j in 0..NC {
+                    vals[(i * NC + j) * 2] = u.m[i][j].re.to_f64() as f32;
+                    vals[(i * NC + j) * 2 + 1] = u.m[i][j].im.to_f64() as f32;
                 }
-                *scale = encode_block(&vals, chunk);
-            });
+            }
+            vals
+        });
         Self {
             volume,
             codes,
@@ -229,22 +239,17 @@ pub struct HalfFermionField {
 impl HalfFermionField {
     /// Compress a spinor vector.
     pub fn encode(v: &[Spinor<f32>]) -> Self {
-        let mut codes = vec![0i16; v.len() * 24];
-        let mut scales = vec![0f32; v.len()];
-        codes
-            .par_chunks_mut(24)
-            .zip(scales.par_iter_mut())
-            .zip(v.par_iter())
-            .for_each(|((chunk, scale), sp)| {
-                let mut vals = [0f32; 24];
-                for s in 0..4 {
-                    for c in 0..3 {
-                        vals[(s * 3 + c) * 2] = sp.s[s].c[c].re;
-                        vals[(s * 3 + c) * 2 + 1] = sp.s[s].c[c].im;
-                    }
+        let (codes, scales) = encode_blocks(v.len(), |i| {
+            let sp = &v[i];
+            let mut vals = [0f32; 24];
+            for s in 0..4 {
+                for c in 0..3 {
+                    vals[(s * 3 + c) * 2] = sp.s[s].c[c].re;
+                    vals[(s * 3 + c) * 2 + 1] = sp.s[s].c[c].im;
                 }
-                *scale = encode_block(&vals, chunk);
-            });
+            }
+            vals
+        });
         Self { codes, scales }
     }
 
@@ -260,21 +265,17 @@ impl HalfFermionField {
 
     /// Decompress to `f32` spinors.
     pub fn decode(&self) -> Vec<Spinor<f32>> {
-        (0..self.len())
-            .into_par_iter()
-            .map(|i| {
-                let mut vals = [0f32; 24];
-                decode_block(&self.codes[i * 24..(i + 1) * 24], self.scales[i], &mut vals);
-                let mut sp = Spinor::zero();
-                for s in 0..4 {
-                    for c in 0..3 {
-                        sp.s[s].c[c] =
-                            Complex::new(vals[(s * 3 + c) * 2], vals[(s * 3 + c) * 2 + 1]);
-                    }
+        collect_chunked(self.len(), |i| {
+            let mut vals = [0f32; 24];
+            decode_block(&self.codes[i * 24..(i + 1) * 24], self.scales[i], &mut vals);
+            let mut sp = Spinor::zero();
+            for s in 0..4 {
+                for c in 0..3 {
+                    sp.s[s].c[c] = Complex::new(vals[(s * 3 + c) * 2], vals[(s * 3 + c) * 2 + 1]);
                 }
-                sp
-            })
-            .collect()
+            }
+            sp
+        })
     }
 
     /// Bytes of storage used.

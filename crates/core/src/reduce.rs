@@ -1,8 +1,8 @@
 //! Fixed-shape deterministic reductions over site/link indices.
 //!
 //! The gauge monitors (plaquette, unitarity, 16-bit decode error) used to
-//! reduce per-site floats straight through `par_iter().sum()`, whose
-//! accumulation order — and therefore bits — depends on the pool width. With
+//! reduce per-site floats straight through a parallel iterator's `sum()`,
+//! whose accumulation order — and therefore bits — depends on the pool width. With
 //! the solve-service
 //! result cache keyed on bit-exact outputs, that is a correctness bug, not
 //! a style nit: the same configuration measured at a different thread

@@ -9,7 +9,6 @@ use lqcd_core::complex::Complex;
 use lqcd_core::field::FermionField;
 use lqcd_core::prop::Propagator;
 use lqcd_core::spinor::Spinor;
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -119,9 +118,10 @@ fn decode_columns<const E: usize>(
             data: Vec::with_capacity(volume),
         })
         .collect();
-    columns.par_iter_mut().enumerate().for_each(|(col, field)| {
+    // One pool task per column.
+    rayon::for_each_chunk_mut(&mut columns, 1, |col, field| {
         let bytes = &payload[col * volume * site_bytes..][..volume * site_bytes];
-        field
+        field[0]
             .data
             .extend(bytes.chunks_exact(site_bytes).map(|site| {
                 let mut sp = Spinor::zero();

@@ -14,7 +14,6 @@
 use crate::crc32c::crc32c;
 use crate::IoError;
 use obs::{Json, Registry};
-use rayon::prelude::*;
 use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::path::Path;
@@ -29,6 +28,59 @@ pub(crate) fn le_array<const N: usize>(b: &[u8]) -> [u8; N] {
     let mut a = [0u8; N];
     a.copy_from_slice(&b[..N]);
     a
+}
+
+/// Pool chunk length for a parallel loop over `len` items (payload
+/// elements, checksummed chunks): 64 pool tasks at any length, derived from
+/// `len` only.
+fn fixed_grain(len: usize) -> usize {
+    len.div_ceil(64).max(1)
+}
+
+/// Little-endian `N`-byte values of `payload` decoded by `from_le`, on the
+/// pool. `payload.len()` is a multiple of `N`.
+fn decode_le<T, const N: usize>(
+    payload: &[u8],
+    from_le: impl Fn([u8; N]) -> T + Sync + Send,
+) -> Vec<T>
+where
+    T: Copy + Default + Send,
+{
+    let n = payload.len() / N;
+    let mut out = vec![T::default(); n];
+    rayon::for_each_chunk_mut(&mut out, fixed_grain(n), |base, chunk| {
+        for (o, b) in chunk.iter_mut().zip(payload[base * N..].chunks_exact(N)) {
+            *o = from_le(le_array(b));
+        }
+    });
+    out
+}
+
+/// `values` encoded as little-endian bytes by `to_le`, on the pool.
+fn encode_le<T, const N: usize>(values: &[T], to_le: impl Fn(T) -> [u8; N] + Sync + Send) -> Vec<u8>
+where
+    T: Copy + Sync,
+{
+    let mut payload = vec![0u8; values.len() * N];
+    let grain = fixed_grain(values.len());
+    rayon::for_each_chunk_mut(&mut payload, grain * N, |base, chunk| {
+        for (b, &v) in chunk.chunks_exact_mut(N).zip(&values[base / N..]) {
+            b.copy_from_slice(&to_le(v));
+        }
+    });
+    payload
+}
+
+/// CRC-32C of every chunk's bytes (`bytes` picks them out of an item), on
+/// the pool, in chunk order.
+fn chunk_crcs<C: Sync>(chunks: &[C], bytes: impl Fn(&C) -> &[u8] + Sync + Send) -> Vec<u32> {
+    let mut crcs = vec![0u32; chunks.len()];
+    rayon::for_each_chunk_mut(&mut crcs, fixed_grain(chunks.len()), |base, out| {
+        for (crc, c) in out.iter_mut().zip(&chunks[base..]) {
+            *crc = crc32c(bytes(c));
+        }
+    });
+    crcs
 }
 
 /// Default chunk payload size.
@@ -162,11 +214,7 @@ impl Container {
         if self.payload.len() != self.element_count() * 8 {
             return Err(IoError::Format("payload length != shape".into()));
         }
-        Ok(self
-            .payload
-            .par_chunks_exact(8)
-            .map(|b| f64::from_le_bytes(le_array(b)))
-            .collect())
+        Ok(decode_le(&self.payload, f64::from_le_bytes))
     }
 
     /// Decode the payload as little-endian `f32`s.
@@ -180,11 +228,7 @@ impl Container {
         if self.payload.len() != self.element_count() * 4 {
             return Err(IoError::Format("payload length != shape".into()));
         }
-        Ok(self
-            .payload
-            .par_chunks_exact(4)
-            .map(|b| f32::from_le_bytes(le_array(b)))
-            .collect())
+        Ok(decode_le(&self.payload, f32::from_le_bytes))
     }
 
     /// Build a container from `f64` values.
@@ -195,10 +239,7 @@ impl Container {
         metadata: BTreeMap<String, String>,
     ) -> Self {
         assert_eq!(values.len(), shape.iter().product::<usize>());
-        let payload: Vec<u8> = values
-            .par_iter()
-            .flat_map_iter(|v| v.to_le_bytes())
-            .collect();
+        let payload = encode_le(values, f64::to_le_bytes);
         Self {
             header: Header {
                 name: name.into(),
@@ -219,10 +260,7 @@ impl Container {
         metadata: BTreeMap<String, String>,
     ) -> Self {
         assert_eq!(values.len(), shape.iter().product::<usize>());
-        let payload: Vec<u8> = values
-            .par_iter()
-            .flat_map_iter(|v| v.to_le_bytes())
-            .collect();
+        let payload = encode_le(values, f32::to_le_bytes);
         Self {
             header: Header {
                 name: name.into(),
@@ -240,7 +278,7 @@ impl Container {
 /// chunk (checksums computed in parallel).
 pub fn write_container(path: &Path, container: &Container) -> Result<(), IoError> {
     let chunks: Vec<&[u8]> = container.payload.chunks(DEFAULT_CHUNK_BYTES).collect();
-    let crcs: Vec<u32> = chunks.par_iter().map(|c| crc32c(c)).collect();
+    let crcs = chunk_crcs(&chunks, |c| c);
 
     let mut header = container.header.clone();
     header.n_chunks = chunks.len();
@@ -360,11 +398,12 @@ pub fn parse_container(bytes: &[u8]) -> Result<Container, IoError> {
         )));
     }
 
-    // Verify all checksums in parallel.
+    // Verify all checksums in parallel; the lowest corrupt chunk is reported.
+    let crcs = chunk_crcs(&chunks, |(c, _)| c);
     let bad = chunks
-        .par_iter()
-        .enumerate()
-        .find_map_first(|(i, (c, crc))| if crc32c(c) != *crc { Some(i) } else { None });
+        .iter()
+        .zip(&crcs)
+        .position(|((_, want), got)| want != got);
     if let Some(chunk) = bad {
         Registry::current().counter("io.checksum_failures").inc();
         return Err(IoError::ChecksumMismatch { chunk });
@@ -491,17 +530,14 @@ pub fn salvage_container_bytes(bytes: &[u8]) -> Result<SalvagedContainer, IoErro
     }
     let (chunks, _) = carve_chunks(bytes, &header, start);
 
-    let crc_ok: Vec<bool> = chunks
-        .par_iter()
-        .map(|(c, crc)| crc32c(c) == *crc)
-        .collect();
+    let crcs = chunk_crcs(&chunks, |(c, _)| c);
 
     let mut payload = Vec::new();
     let mut lost_ranges: Vec<(usize, usize)> = Vec::new();
     let mut corrupt_chunks = Vec::new();
-    for (i, ((chunk, _), ok)) in chunks.iter().zip(&crc_ok).enumerate() {
+    for (i, ((chunk, want), got)) in chunks.iter().zip(&crcs).enumerate() {
         let at = payload.len();
-        if *ok {
+        if want == got {
             payload.extend_from_slice(chunk);
         } else {
             corrupt_chunks.push(i);
@@ -875,6 +911,25 @@ mod tests {
         // …and an untruncated image still parses.
         assert_eq!(parse_container(&bytes).unwrap().to_f64().unwrap(), vals);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_lowest_corrupt_chunk_is_reported() {
+        // Five 16-byte chunks; chunks 1 and 3 each get one flipped byte.
+        let payload: Vec<u8> = (0..80).collect();
+        let chunks: Vec<&[u8]> = payload.chunks(16).collect();
+        let h = header("[10]", "5");
+        let mut bytes = image(&h, &chunks);
+        for k in [3, 1] {
+            bytes[12 + h.len() + k * (8 + 16 + 4) + 8 + 5] ^= 0x40;
+        }
+        assert!(matches!(
+            parse_container(&bytes),
+            Err(IoError::ChecksumMismatch { chunk: 1 })
+        ));
+        let s = salvage_container_bytes(&bytes).unwrap();
+        assert_eq!(s.corrupt_chunks, vec![1, 3]);
+        assert_eq!(s.lost_ranges, vec![(16, 32), (48, 64)]);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! - a JSON header (name, element type, shape, free-form metadata),
 //! - fixed-size chunks, each carrying a CRC-32C of its payload (the SSE4.2
 //!   `crc32` instruction where the CPU has it, slice-by-8 elsewhere),
-//! - parallel (rayon) encode/decode of the numeric payloads.
+//! - numeric payloads encoded and decoded, and chunk checksums computed,
+//!   in parallel on the pool's chunk entry points (`rayon::for_each_chunk_mut`).
 //!
 //! Gauge fields, propagator bundles, and correlators all serialize through
 //! the same container. Corruption of any byte is detected

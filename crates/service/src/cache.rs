@@ -476,22 +476,23 @@ mod tests {
                 .num_threads(4)
                 .build()
                 .expect("pool");
+            let mut slots: Vec<Option<CacheOutcome>> = vec![None; 8];
             pool.install(|| {
-                use rayon::prelude::*;
-                (0..8usize)
-                    .into_par_iter()
-                    .map(|_| {
-                        let (v, outcome) = cache
-                            .get_or_compute(key(9), || {
-                                computes.fetch_add(1, Ordering::SeqCst);
-                                Ok(result(9.0))
-                            })
-                            .expect("get_or_compute");
-                        assert_eq!(v.solution, result(9.0).solution);
-                        outcome
-                    })
-                    .collect()
-            })
+                rayon::for_each_chunk_mut(&mut slots, 1, |_, slot| {
+                    let (v, outcome) = cache
+                        .get_or_compute(key(9), || {
+                            computes.fetch_add(1, Ordering::SeqCst);
+                            Ok(result(9.0))
+                        })
+                        .expect("get_or_compute");
+                    assert_eq!(v.solution, result(9.0).solution);
+                    slot[0] = Some(outcome);
+                })
+            });
+            slots
+                .into_iter()
+                .map(|o| o.expect("every miss ran"))
+                .collect()
         };
         assert_eq!(computes.load(Ordering::SeqCst), 1, "exactly one solve");
         assert_eq!(

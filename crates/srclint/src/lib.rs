@@ -119,7 +119,7 @@ pub struct Config {
     /// Path prefixes R3 applies to (the unattended-at-scale crates).
     pub panic_scope: Vec<String>,
     /// Files exempt from R5 — the deterministic reducers themselves, plus
-    /// the vendored pool/iterator internals they are built on.
+    /// the vendored pool internals they are built on.
     pub float_reduce_exempt: Vec<String>,
     /// Files where R6's `Ordering::Relaxed` is audited and allowed: every
     /// relaxed atomic there is a monotone stats counter (or the pool's

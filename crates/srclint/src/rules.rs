@@ -426,7 +426,7 @@ mod tests {
         let par = "fn f(v: &[f64]) -> f64 { v.par_iter().cloned().sum() }";
         assert_eq!(run("crates/x/src/lib.rs", par).len(), 1);
         assert!(run("crates/core/src/blas.rs", par).is_empty());
-        assert!(run("vendor/rayon/src/iter.rs", par).is_empty());
+        assert!(run("vendor/rayon/src/lib.rs", par).is_empty());
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Width-invariance regression suite for the gauge monitors that used to
-//! reduce floats through unordered `par_iter().sum()` / `.reduce()` chains
+//! reduce floats through unordered parallel-iterator `sum()` / `reduce()` chains
 //! (`R5-unordered-float-reduce` baseline suppressions burned down alongside
 //! the solve service).
 //!

@@ -245,14 +245,15 @@ fn timeslice_contractions_bits_stable_across_widths() {
 fn pool_neither_drops_nor_duplicates_chunks() {
     // Real-thread stress at the public API level: every index must be
     // visited exactly once per call, under repeated contended jobs.
-    use rayon::prelude::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     at_width(8, || {
         for round in 0..100 {
             let n = 1000 + round * 7;
             let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            (0..n).into_par_iter().for_each(|i| {
-                hits[i].fetch_add(1, Ordering::Relaxed);
+            rayon::for_each_chunk(n, n.div_ceil(64), |r| {
+                for i in r {
+                    hits[i].fetch_add(1, Ordering::Relaxed);
+                }
             });
             for (i, h) in hits.iter().enumerate() {
                 assert_eq!(h.load(Ordering::Relaxed), 1, "index {i} in round {round}");
