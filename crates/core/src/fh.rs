@@ -17,7 +17,6 @@
 
 use crate::complex::C64;
 use crate::contract::{common_source_time, timeslice_sum, BaryonKernel};
-use crate::field::FermionField;
 use crate::gamma::{gamma3_gamma5, SpinMatrix};
 use crate::lattice::Lattice;
 use crate::prop::{Propagator, PropagatorSolver};
@@ -63,24 +62,15 @@ impl<'s, 'a> FeynmanHellmann<'s, 'a> {
         t_insert: usize,
     ) -> (Propagator, Vec<SolveStats>) {
         let lat = self.solver.lattice();
-        let mut columns = Vec::with_capacity(12);
-        let mut stats = Vec::with_capacity(12);
-        for col in &base.columns {
-            let src = FermionField {
-                data: (0..lat.volume())
-                    .map(|x| {
-                        if lat.time_of(x) == t_insert {
-                            col.data[x].apply_spin_matrix(&self.insertion)
-                        } else {
-                            crate::spinor::Spinor::zero()
-                        }
-                    })
-                    .collect(),
-            };
-            let (q, s) = self.solver.solve(&src);
+        let (columns, stats) = self.solver.columns(base.columns.len(), |k, x| {
+            if lat.time_of(x) == t_insert {
+                base.columns[k].data[x].apply_spin_matrix(&self.insertion)
+            } else {
+                crate::spinor::Spinor::zero()
+            }
+        });
+        for s in &stats {
             assert!(s.converged, "fixed-time sequential solve failed: {s:?}");
-            columns.push(q);
-            stats.push(s);
         }
         (
             Propagator {

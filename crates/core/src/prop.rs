@@ -10,14 +10,28 @@
 //!
 //! Every solve goes through the red–black preconditioned system (prepare →
 //! CGNE (optionally mixed-precision) → reconstruct), exactly the production
-//! path of the paper.
+//! path of the paper. The walls are written straight into the two
+//! checkerboards and read straight out of them; no full 5D vector is built.
+//!
+//! **Threading.** The columns of a propagator are independent, so they run
+//! side by side as pool tasks, the way the paper's job manager runs many
+//! small solves at once rather than strong-scaling one past its knee. Inside
+//! a column every parallel loop then runs inline on the task's thread. A lone
+//! [`PropagatorSolver::solve`] is one task run inline on the caller, so its
+//! loops spread over the whole pool instead. Either way a column's solution
+//! and [`SolveStats`] are bit-identical at any pool width
+//! (`tests/propagator_columns.rs`). Each column reports its solve into the
+//! caller's ambient [`obs::Registry`]; the `solver.reliable_update` events of
+//! concurrent columns interleave in that registry in scheduling order, so
+//! only their per-column subsequences are deterministic.
 
 use crate::complex::C64;
 use crate::dirac::{LinearOp, MobiusParams, NormalOp, PrecMobius, PrecWilson};
 use crate::field::{FermionField, GaugeField};
-use crate::lattice::Lattice;
+use crate::lattice::{Lattice, Parity};
 use crate::solver::{cgne, mixed_cg, solve_normal, CgParams, MixedParams, SolveStats};
 use crate::spinor::Spinor;
+use obs::Registry;
 
 /// Which action / solver pipeline produces the propagator.
 #[derive(Clone, Copy, Debug)]
@@ -120,13 +134,27 @@ impl Propagator {
     }
 }
 
+/// The pipeline a [`SolverKind`] selects. A Möbius solver's f64 red–black
+/// operator is built once, in [`PropagatorSolver::new`], and shared by
+/// every column it solves.
+enum Operator<'a> {
+    /// 4D Wilson quarks of this bare mass.
+    Wilson { mass: f64 },
+    /// Möbius domain-wall quarks, with a mixed-precision inner solve when
+    /// `mixed`.
+    Mobius { prec: Box<Prec64<'a>>, mixed: bool },
+}
+
+/// The f64 red–black Möbius operator a solver shares across its columns.
+type Prec64<'a> = PrecMobius<'a, f64, GaugeField<f64>>;
+
 /// Propagator factory bound to a gauge configuration.
 pub struct PropagatorSolver<'a> {
     lattice: &'a Lattice,
     gauge: &'a GaugeField<f64>,
     /// Single-precision copy of the gauge field for the mixed solver.
     gauge32: GaugeField<f32>,
-    kind: SolverKind,
+    op: Operator<'a>,
     /// Stopping criteria.
     pub solve_params: CgParams,
 }
@@ -134,11 +162,22 @@ pub struct PropagatorSolver<'a> {
 impl<'a> PropagatorSolver<'a> {
     /// Bind to a configuration.
     pub fn new(lattice: &'a Lattice, gauge: &'a GaugeField<f64>, kind: SolverKind) -> Self {
+        let op = match kind {
+            SolverKind::WilsonPrecCgne { mass } => Operator::Wilson { mass },
+            SolverKind::MobiusCgne { params } => Operator::Mobius {
+                prec: Box::new(PrecMobius::new(lattice, gauge, params)),
+                mixed: false,
+            },
+            SolverKind::MobiusMixed { params } => Operator::Mobius {
+                prec: Box::new(PrecMobius::new(lattice, gauge, params)),
+                mixed: true,
+            },
+        };
         Self {
             lattice,
             gauge,
             gauge32: gauge.cast(),
-            kind,
+            op,
             solve_params: CgParams {
                 tol: 1e-8,
                 max_iter: 20_000,
@@ -152,59 +191,105 @@ impl<'a> PropagatorSolver<'a> {
     }
 
     /// Solve `D q = b` for one 4D source column, returning the 4D solution.
+    /// The column's own loops spread over the whole pool.
     pub fn solve(&self, source: &FermionField<f64>) -> (FermionField<f64>, SolveStats) {
         assert_eq!(source.len(), self.lattice.volume());
-        match self.kind {
-            SolverKind::WilsonPrecCgne { mass } => {
-                let prec = PrecWilson::new(self.lattice, self.gauge, mass, true);
-                let (b_e, b_o) = prec.split(&source.data);
-                let rhs = prec.prepare_source(&b_e, &b_o);
-                let mut x_o = vec![Spinor::zero(); prec.vec_len()];
-                let stats = cgne(&prec, &mut x_o, &rhs, self.solve_params);
-                let x_e = prec.reconstruct_even(&b_e, &x_o);
-                (
-                    FermionField {
-                        data: prec.merge(&x_e, &x_o),
-                    },
-                    stats,
-                )
-            }
-            SolverKind::MobiusCgne { params } => self.solve_mobius(source, params, false),
-            SolverKind::MobiusMixed { params } => self.solve_mobius(source, params, true),
+        let (mut q, mut stats) = self.columns(1, |_, x| source.data[x]);
+        match (q.pop(), stats.pop()) {
+            (Some(q), Some(s)) => (q, s),
+            _ => unreachable!("one column in, one column out"),
         }
     }
 
-    /// Red–black preconditioned Möbius solve with wall injection/extraction.
+    /// The column driver of every propagator: `n` independent solves `D q_k
+    /// = b_k`, `source(k, x)` the spinor of `b_k` at site `x`, run as `n`
+    /// concurrent pool tasks. Each task's own parallel loops then run inline
+    /// on its thread, so a column's bits are those of a lone [`Self::solve`]
+    /// at any pool width; with `n = 1` the one task runs inline on the
+    /// caller and its loops spread over the pool instead. The tasks share
+    /// the solver's f64 operator (and one f64 normal operator); its scratch
+    /// lock serializes only the source preparation, the reconstruction and
+    /// the f64 applies of the true residuals. Each task builds its own f32
+    /// operator, whose lock would otherwise serialize every inner iteration.
+    /// The caller's ambient [`Registry`] is installed in every task, so each
+    /// solve reports where a sequential loop would have reported it.
+    pub(crate) fn columns(
+        &self,
+        n: usize,
+        source: impl Fn(usize, usize) -> Spinor<f64> + Sync,
+    ) -> (Vec<FermionField<f64>>, Vec<SolveStats>) {
+        let registry = Registry::current();
+        // The solutions are allocated here, on the calling thread, so only
+        // a column's transient vectors live in a worker's heap.
+        let empty = (
+            FermionField::zeros(self.lattice.volume()),
+            SolveStats::new(),
+        );
+        let mut slots = vec![empty; n];
+        let mut run = |column: &(dyn Fn(usize, &mut [Spinor<f64>]) -> SolveStats + Sync)| {
+            rayon::for_each_chunk_mut(&mut slots, 1, |k, slot| {
+                let _ambient = registry.install_scoped();
+                let (q, stats) = &mut slot[0];
+                *stats = column(k, &mut q.data);
+            });
+        };
+        match &self.op {
+            Operator::Wilson { mass } => run(&|k, q| self.solve_wilson(*mass, |x| source(k, x), q)),
+            Operator::Mobius { prec, mixed } => {
+                let n64 = NormalOp::new(&**prec);
+                run(&|k, q| self.solve_mobius(prec, &n64, *mixed, |x| source(k, x), q))
+            }
+        }
+        slots.into_iter().unzip()
+    }
+
+    /// Red–black preconditioned Wilson solve into `q`, on the task's own
+    /// operator.
+    fn solve_wilson(
+        &self,
+        mass: f64,
+        source: impl Fn(usize) -> Spinor<f64>,
+        q: &mut [Spinor<f64>],
+    ) -> SolveStats {
+        let prec = PrecWilson::new(self.lattice, self.gauge, mass, true);
+        let b: Vec<Spinor<f64>> = (0..self.lattice.volume()).map(source).collect();
+        let (b_e, b_o) = prec.split(&b);
+        let rhs = prec.prepare_source(&b_e, &b_o);
+        let mut x_o = vec![Spinor::zero(); prec.vec_len()];
+        let stats = cgne(&prec, &mut x_o, &rhs, self.solve_params);
+        let x_e = prec.reconstruct_even(&b_e, &x_o);
+        q.copy_from_slice(&prec.merge(&x_e, &x_o));
+        stats
+    }
+
+    /// Red–black preconditioned Möbius solve into `q`, with wall
+    /// injection/extraction. Neither the 5D source nor the 5D solution is
+    /// ever held whole: the walls are written straight into (and read
+    /// straight out of) the two checkerboards.
     fn solve_mobius(
         &self,
-        source: &FermionField<f64>,
-        params: MobiusParams,
+        prec: &Prec64<'a>,
+        n64: &NormalOp<'_, f64, Prec64<'a>>,
         mixed: bool,
-    ) -> (FermionField<f64>, SolveStats) {
-        let v = self.lattice.volume();
-        let l5 = params.l5;
-
-        // Wall injection of the 4D source.
-        let mut b5 = vec![Spinor::zero(); l5 * v];
-        for (x, s) in source.data.iter().enumerate() {
-            b5[(l5 - 1) * v + x] = s.chiral_project(false);
-            b5[x] += s.chiral_project(true);
-        }
-
-        let prec = PrecMobius::new(self.lattice, self.gauge, params);
-        let (b_e, b_o) = prec.split(&b5);
-        let rhs = prec.prepare_source(&b_e, &b_o);
+        source: impl Fn(usize) -> Spinor<f64>,
+        q: &mut [Spinor<f64>],
+    ) -> SolveStats {
+        let lat = self.lattice;
+        let (l5, hv) = (prec.params().l5, lat.half_volume());
+        let rhs = prec.prepare_source(
+            &inject(lat, l5, &source, Parity::Even),
+            &inject(lat, l5, &source, Parity::Odd),
+        );
         let mut x_o = vec![Spinor::zero(); prec.vec_len()];
 
         let stats = if mixed {
-            let prec32 = PrecMobius::new(self.lattice, &self.gauge32, params);
-            let n64 = NormalOp::new(&prec);
+            let prec32 = PrecMobius::new(lat, &self.gauge32, *prec.params());
             let n32 = NormalOp::new(&prec32);
             // CGNE: mixed CG on M̂†M̂ x = M̂† rhs, reporting the residual of
             // the first-order system.
-            solve_normal(&prec, &mut x_o, &rhs, |x, ne_rhs| {
+            solve_normal(prec, &mut x_o, &rhs, |x, ne_rhs| {
                 mixed_cg(
-                    &n64,
+                    n64,
                     &n32,
                     x,
                     ne_rhs,
@@ -215,35 +300,40 @@ impl<'a> PropagatorSolver<'a> {
                 )
             })
         } else {
-            cgne(&prec, &mut x_o, &rhs, self.solve_params)
+            // CG iterates on the task's own operator: the shared one's lock
+            // would serialize every iteration of the concurrent columns.
+            let own = PrecMobius::new(lat, self.gauge, *prec.params());
+            cgne(&own, &mut x_o, &rhs, self.solve_params)
         };
 
-        let x_e = prec.reconstruct_even(&b_e, &x_o);
-        let full = prec.merge(&x_e, &x_o);
-
+        let x_e = prec.reconstruct_even(&inject(lat, l5, &source, Parity::Even), &x_o);
         // Wall extraction of the 4D quark field.
-        let mut q = FermionField::zeros(v);
-        for x in 0..v {
-            q.data[x] = full[x].chiral_project(false) + full[(l5 - 1) * v + x].chiral_project(true);
+        for (x, qx) in q.iter_mut().enumerate() {
+            let half = match lat.parity(x) {
+                Parity::Even => &x_e,
+                Parity::Odd => &x_o,
+            };
+            let i = lat.cb_index(x);
+            *qx = half[i].chiral_project(false) + half[(l5 - 1) * hv + i].chiral_project(true);
         }
-        (q, stats)
+        stats
     }
 
     /// All 12 columns from a point source at `site`.
     pub fn point_propagator(&self, site: usize) -> (Propagator, Vec<SolveStats>) {
-        let mut columns = Vec::with_capacity(12);
-        let mut stats = Vec::with_capacity(12);
-        for spin in 0..4 {
-            for color in 0..3 {
-                let b = point_source(self.lattice, site, spin, color);
-                let (q, s) = self.solve(&b);
-                assert!(
-                    s.converged,
-                    "propagator column (spin {spin}, color {color}) did not converge: {s:?}"
-                );
-                columns.push(q);
-                stats.push(s);
+        let (columns, stats) = self.columns(12, |sc, x| {
+            if x == site {
+                Spinor::unit(sc / 3, sc % 3)
+            } else {
+                Spinor::zero()
             }
+        });
+        for (sc, s) in stats.iter().enumerate() {
+            let (spin, color) = (sc / 3, sc % 3);
+            assert!(
+                s.converged,
+                "propagator column (spin {spin}, color {color}) did not converge: {s:?}"
+            );
         }
         (
             Propagator {
@@ -263,20 +353,11 @@ impl<'a> PropagatorSolver<'a> {
         base: &Propagator,
         insertion: &crate::gamma::SpinMatrix<f64>,
     ) -> (Propagator, Vec<SolveStats>) {
-        let mut columns = Vec::with_capacity(12);
-        let mut stats = Vec::with_capacity(12);
-        for col in &base.columns {
-            let src = FermionField {
-                data: col
-                    .data
-                    .iter()
-                    .map(|s| s.apply_spin_matrix(insertion))
-                    .collect(),
-            };
-            let (q, s) = self.solve(&src);
+        let (columns, stats) = self.columns(base.columns.len(), |k, x| {
+            base.columns[k].data[x].apply_spin_matrix(insertion)
+        });
+        for s in &stats {
             assert!(s.converged, "sequential solve failed: {s:?}");
-            columns.push(q);
-            stats.push(s);
         }
         (
             Propagator {
@@ -287,6 +368,27 @@ impl<'a> PropagatorSolver<'a> {
             stats,
         )
     }
+}
+
+/// One checkerboard of the wall injection of a 4D source,
+/// `B_s(y) = δ_{s,L5−1} P₋ b(y) + δ_{s,0} P₊ b(y)`, on the sites of `parity`.
+/// The `s = 0` wall is `0 + P₊ b`, so an exact `−0` of `P₊ b` is stored as
+/// `+0`.
+fn inject(
+    lattice: &Lattice,
+    l5: usize,
+    source: &impl Fn(usize) -> Spinor<f64>,
+    parity: Parity,
+) -> Vec<Spinor<f64>> {
+    let sites = lattice.sites_with_parity(parity);
+    let hv = sites.len();
+    let mut b = vec![Spinor::zero(); l5 * hv];
+    for (i, &x) in sites.iter().enumerate() {
+        let s = source(x as usize);
+        b[(l5 - 1) * hv + i] = s.chiral_project(false);
+        b[i] += s.chiral_project(true);
+    }
+    b
 }
 
 #[cfg(test)]

@@ -129,9 +129,12 @@ fn propagator_columns_equal_lone_solves_at_every_width() {
         .iter()
         .map(|col| FermionField {
             data: (0..lat.volume())
-                .map(|x| match lat.time_of(x) == t_insert {
-                    true => col.data[x].apply_spin_matrix(&ins),
-                    false => Spinor::zero(),
+                .map(|x| {
+                    if lat.time_of(x) == t_insert {
+                        col.data[x].apply_spin_matrix(&ins)
+                    } else {
+                        Spinor::zero()
+                    }
                 })
                 .collect(),
         })
