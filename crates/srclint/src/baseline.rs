@@ -242,7 +242,7 @@ mod tests {
             finding(rule_ids::PANIC_SITE, "a.rs", 3, "x.unwrap();"),
             finding(rule_ids::PANIC_SITE, "a.rs", 7, "x.unwrap();"),
         ];
-        let base = Baseline::from_findings(&two[..1].to_vec());
+        let base = Baseline::from_findings(&two[..1]);
         let applied = base.apply(two);
         assert_eq!(applied.suppressed.len(), 1);
         assert_eq!(applied.fresh.len(), 1);

@@ -187,7 +187,7 @@ pub fn check_layering(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>
             .find(|(pkg, _)| *pkg == m.name)
             .map(|(_, f)| f.as_slice())
             .unwrap_or(&[]);
-        let isolated = cfg.isolated_packages.iter().any(|p| *p == m.name);
+        let isolated = cfg.isolated_packages.contains(&m.name);
         let refs = referenced_crates(&m.dir, cfg)?;
 
         for (dep, (line, raw)) in &m.deps {

@@ -364,7 +364,7 @@ pub fn test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
             if t.ident() == Some("mod") {
                 start_line = Some(t.line);
             }
-            if t.is_punct('{') && start_line.is_some() {
+            if let (Some(start), true) = (start_line, t.is_punct('{')) {
                 // Brace-match to the end of the module body.
                 let mut depth = 1usize;
                 let mut k = j + 1;
@@ -378,7 +378,7 @@ pub fn test_spans(tokens: &[Token]) -> Vec<(u32, u32)> {
                     end_line = code[k].1.line;
                     k += 1;
                 }
-                spans.push((start_line.expect("set above"), end_line));
+                spans.push((start, end_line));
                 j = k;
                 break;
             }
