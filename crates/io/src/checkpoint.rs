@@ -183,6 +183,27 @@ mod tests {
     }
 
     #[test]
+    fn hostile_checkpoint_files_are_errors_never_panics_or_wrong_data() {
+        let dir = tmpdir("hostile");
+        let path = dir.join("cg.lqio");
+        let data: Vec<f64> = (0..64).map(|i| (i as f64).cos()).collect();
+        write_checkpoint(&path, "cg-state", 7, &data).unwrap();
+        let image = fs::read(&path).unwrap();
+        // The sequence number sits in the unchecksummed header: a flip in
+        // its digit may parse as another number. Nothing else may change.
+        let key = format!("\"{SEQ_KEY}\":\"7\"");
+        let at = image.windows(key.len()).position(|w| w == key.as_bytes());
+        let digit = at.expect("seq in header") + key.len() - 2;
+        crate::tests::assert_hostile_reads(&path, &image, 1, read_checkpoint, |(seq, v), byte| {
+            v.iter()
+                .map(|x| x.to_bits())
+                .eq(data.iter().map(|x| x.to_bits()))
+                && (*seq == 7 || byte == digit)
+        });
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn store_rotates_and_falls_back_on_corruption() {
         let dir = tmpdir("rotate");
         let mut store = CheckpointStore::new(&dir.join("cg"), "cg-state");

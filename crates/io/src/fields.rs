@@ -92,6 +92,7 @@ pub fn read_correlator(path: &Path) -> Result<Vec<lqcd_core::complex::C64>, IoEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::assert_hostile_reads;
     use lqcd_core::complex::C64;
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -136,6 +137,33 @@ mod tests {
         write_correlator(&path, &corr, BTreeMap::new()).unwrap();
         assert_eq!(read_correlator(&path).unwrap(), corr);
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn hostile_gauge_files_are_errors_never_panics_or_wrong_links() {
+        let lat = Lattice::new([2, 2, 2, 2]);
+        let gauge = GaugeField::<f64>::hot(&lat, 29);
+        let path = tmp("gauge_hostile.lqio");
+        write_gauge(&path, &lat, &gauge, BTreeMap::new()).unwrap();
+        let image = std::fs::read(&path).unwrap();
+        assert_hostile_reads(
+            &path,
+            &image,
+            7,
+            |p| read_gauge(p, &lat),
+            |g, _| g.links() == gauge.links(),
+        );
+    }
+
+    #[test]
+    fn hostile_correlator_files_are_errors_never_panics_or_wrong_values() {
+        let corr: Vec<C64> = (0..16)
+            .map(|t| C64::new((-(t as f64)).exp(), 0.25 * t as f64))
+            .collect();
+        let path = tmp("corr_hostile.lqio");
+        write_correlator(&path, &corr, BTreeMap::new()).unwrap();
+        let image = std::fs::read(&path).unwrap();
+        assert_hostile_reads(&path, &image, 1, read_correlator, |c, _| *c == corr);
     }
 
     #[test]

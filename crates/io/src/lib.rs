@@ -26,6 +26,8 @@ pub mod bundle;
 pub mod checkpoint;
 pub mod container;
 pub mod fields;
+#[cfg(test)]
+mod tests;
 
 /// The chunk checksum, shared with the halo frames of `lqcd_core::comms`.
 pub use lqcd_core::crc32c;
