@@ -3,7 +3,9 @@
 //! tolerance is 1e-8, so f32 storage loses nothing physical and halves the
 //! I/O volume the workflow's 0.5% budget pays for).
 
-use crate::container::{le_array, read_container, salvage_container, write_container, Container};
+use crate::container::{
+    fill_records, read_verified, salvage_container, write_framed, Header, Payload,
+};
 use crate::IoError;
 use lqcd_core::complex::Complex;
 use lqcd_core::field::FermionField;
@@ -22,7 +24,8 @@ pub enum BundlePrecision {
 }
 
 /// Write a propagator's 12 columns as one container with shape
-/// `[12, volume, 4, 3, 2]`.
+/// `[12, volume, 4, 3, 2]`, each site's spinor encoded straight into its
+/// chunk of the file image.
 pub fn write_propagator(
     path: &Path,
     prop: &Propagator,
@@ -30,70 +33,83 @@ pub fn write_propagator(
     mut metadata: BTreeMap<String, String>,
 ) -> Result<(), IoError> {
     let volume = prop.columns[0].len();
+    assert_eq!(prop.columns.len(), 12);
+    assert!(prop.columns.iter().all(|col| col.len() == volume));
     metadata.insert("source_site".into(), prop.source_site.to_string());
     metadata.insert("source_time".into(), prop.source_time.to_string());
     let shape = vec![12, volume, 4, 3, 2];
-
-    let mut values64 = Vec::with_capacity(12 * volume * 24);
-    for col in &prop.columns {
-        assert_eq!(col.len(), volume);
-        for sp in &col.data {
-            for s in 0..4 {
-                for c in 0..3 {
-                    values64.push(sp.s[s].c[c].re);
-                    values64.push(sp.s[s].c[c].im);
-                }
-            }
-        }
+    let site = |i: usize| &prop.columns[i / volume].data[i % volume];
+    match precision {
+        BundlePrecision::F64 => write_framed(
+            path,
+            Header::new("propagator", "f64", shape, metadata),
+            12 * volume * 192,
+            |at, out| {
+                fill_records(at, out, |i, b: &mut [u8; 192]| {
+                    put_spinor(site(i), b, f64::to_le_bytes)
+                })
+            },
+        ),
+        BundlePrecision::F32 => write_framed(
+            path,
+            Header::new("propagator", "f32", shape, metadata),
+            12 * volume * 96,
+            |at, out| {
+                fill_records(at, out, |i, b: &mut [u8; 96]| {
+                    put_spinor(site(i), b, |v| (v as f32).to_le_bytes())
+                })
+            },
+        ),
     }
-    let container = match precision {
-        BundlePrecision::F64 => Container::from_f64("propagator", shape, &values64, metadata),
-        BundlePrecision::F32 => {
-            let values32: Vec<f32> = values64.iter().map(|&v| v as f32).collect();
-            Container::from_f32("propagator", shape, &values32, metadata)
-        }
-    };
-    write_container(path, &container)
+}
+
+/// Encode a spinor's 24 reals (spin, colour, re/im) as `E`-byte values.
+fn put_spinor<const E: usize, const N: usize>(
+    sp: &Spinor<f64>,
+    out: &mut [u8; N],
+    to_le: impl Fn(f64) -> [u8; E],
+) {
+    for (k, z) in out.chunks_exact_mut(2 * E).enumerate() {
+        let c = sp.s[k / 3].c[k % 3];
+        z[..E].copy_from_slice(&to_le(c.re));
+        z[E..].copy_from_slice(&to_le(c.im));
+    }
 }
 
 /// Read a propagator bundle written by [`write_propagator`] (either
 /// precision; f32 widens on read).
 pub fn read_propagator(path: &Path) -> Result<Propagator, IoError> {
-    decode_propagator(&read_container(path)?)
+    read_verified(path, |header, payload| decode_propagator(&header, payload))
 }
 
-/// Decode a propagator from an already-verified (or salvaged) container.
-fn decode_propagator(c: &Container) -> Result<Propagator, IoError> {
-    if c.header.shape.len() != 5 || c.header.shape[0] != 12 || c.header.shape[2..] != [4, 3, 2] {
+/// Decode a propagator from a verified (or salvaged) payload.
+fn decode_propagator(header: &Header, payload: &Payload) -> Result<Propagator, IoError> {
+    if header.shape.len() != 5 || header.shape[0] != 12 || header.shape[2..] != [4, 3, 2] {
         return Err(IoError::ShapeMismatch(format!(
             "not a propagator bundle: shape {:?}",
-            c.header.shape
+            header.shape
         )));
     }
-    let volume = c.header.shape[1];
-    let esize = c
-        .header
+    let volume = header.shape[1];
+    let esize = header
         .element_size()
-        .ok_or_else(|| IoError::Format(format!("unknown dtype {}", c.header.dtype)))?;
-    if volume.checked_mul(12 * 24 * esize) != Some(c.payload.len()) {
+        .ok_or_else(|| IoError::Format(format!("unknown dtype {}", header.dtype)))?;
+    if volume.checked_mul(12 * 24 * esize) != Some(payload.len()) {
         return Err(IoError::Format("payload length != shape".into()));
     }
-    let source_site = c
-        .header
-        .metadata
-        .get("source_site")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| IoError::Format("missing source_site".into()))?;
-    let source_time = c
-        .header
-        .metadata
-        .get("source_time")
-        .and_then(|s| s.parse().ok())
-        .ok_or_else(|| IoError::Format("missing source_time".into()))?;
+    let source = |key: &str| {
+        header
+            .metadata
+            .get(key)
+            .and_then(|s| s.parse().ok())
+            .ok_or_else(|| IoError::Format(format!("missing {key}")))
+    };
+    let source_site = source("source_site")?;
+    let source_time = source("source_time")?;
     let columns = if esize == 4 {
-        decode_columns(&c.payload, volume, |b| f32::from_le_bytes(b) as f64)
+        decode_columns::<4, 96>(payload, volume, |b| f32::from_le_bytes(b) as f64)
     } else {
-        decode_columns(&c.payload, volume, f64::from_le_bytes)
+        decode_columns::<8, 192>(payload, volume, f64::from_le_bytes)
     };
     Ok(Propagator {
         columns,
@@ -103,16 +119,14 @@ fn decode_propagator(c: &Container) -> Result<Propagator, IoError> {
 }
 
 /// The 12 columns of a `[12, volume, 4, 3, 2]` payload of `E`-byte
-/// little-endian reals, each filled straight from its byte range (no
-/// whole-payload intermediate), columns in parallel. The caller's thread
-/// reserves every column, so a worker's allocator arena never ends up
-/// holding a propagator.
-fn decode_columns<const E: usize>(
-    payload: &[u8],
+/// little-endian reals (`N`-byte sites), each filled straight from its
+/// chunks, columns in parallel. The caller's thread reserves every column,
+/// so a worker's allocator arena never ends up holding a propagator.
+fn decode_columns<const E: usize, const N: usize>(
+    payload: &Payload,
     volume: usize,
     real: impl Fn([u8; E]) -> f64 + Sync + Send,
 ) -> Vec<FermionField<f64>> {
-    let site_bytes = 24 * E;
     let mut columns: Vec<FermionField<f64>> = (0..12)
         .map(|_| FermionField {
             data: Vec::with_capacity(volume),
@@ -120,16 +134,14 @@ fn decode_columns<const E: usize>(
         .collect();
     // One pool task per column.
     rayon::for_each_chunk_mut(&mut columns, 1, |col, field| {
-        let bytes = &payload[col * volume * site_bytes..][..volume * site_bytes];
-        field[0]
-            .data
-            .extend(bytes.chunks_exact(site_bytes).map(|site| {
-                let mut sp = Spinor::zero();
-                for (k, z) in site.chunks_exact(2 * E).enumerate() {
-                    sp.s[k / 3].c[k % 3] = Complex::new(real(le_array(z)), real(le_array(&z[E..])));
-                }
-                sp
-            }));
+        let data = &mut field[0].data;
+        payload.for_each_record::<N>(col * volume * N, volume, |site| {
+            let mut sp = Spinor::zero();
+            for (k, z) in site.as_chunks::<E>().0.chunks_exact(2).enumerate() {
+                sp.s[k / 3].c[k % 3] = Complex::new(real(z[0]), real(z[1]));
+            }
+            data.push(sp);
+        });
     });
     columns
 }
@@ -185,11 +197,7 @@ pub fn read_propagator_salvaged(path: &Path) -> Result<SalvagedPropagator, IoErr
     }
     lost_columns.dedup();
 
-    let container = Container {
-        header: s.header,
-        payload: s.payload,
-    };
-    let propagator = decode_propagator(&container)?;
+    let propagator = decode_propagator(&s.header, &Payload::whole(&s.payload))?;
     Ok(SalvagedPropagator {
         propagator,
         lost_columns,
@@ -199,6 +207,7 @@ pub fn read_propagator_salvaged(path: &Path) -> Result<SalvagedPropagator, IoErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::{write_container, Container};
     use lqcd_core::prelude::*;
 
     fn tmp(name: &str) -> std::path::PathBuf {

@@ -17,7 +17,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
-use crate::container::{read_container, write_container, Container};
+use crate::container::{fill_records, read_verified, write_framed, Header};
 use crate::IoError;
 
 /// Metadata key under which the checkpoint sequence number is stored.
@@ -31,8 +31,12 @@ const SEQ_KEY: &str = "checkpoint_seq";
 pub fn write_checkpoint(path: &Path, label: &str, seq: u64, data: &[f64]) -> Result<(), IoError> {
     let mut metadata = BTreeMap::new();
     metadata.insert(SEQ_KEY.to_string(), seq.to_string());
-    let container = Container::from_f64(label, vec![data.len()], data, metadata);
-    write_container(path, &container)
+    write_framed(
+        path,
+        Header::new(label, "f64", vec![data.len()], metadata),
+        data.len() * 8,
+        |at, out| fill_records(at, out, |i, b| *b = data[i].to_le_bytes()),
+    )
 }
 
 /// Read one checkpoint payload from `path`, returning `(seq, data)`.
@@ -41,14 +45,15 @@ pub fn write_checkpoint(path: &Path, label: &str, seq: u64, data: &[f64]) -> Res
 /// [`IoError::ChecksumMismatch`]; a missing or malformed sequence number is
 /// a [`IoError::Format`] error.
 pub fn read_checkpoint(path: &Path) -> Result<(u64, Vec<f64>), IoError> {
-    let container = read_container(path)?;
-    let seq = container
-        .header
-        .metadata
-        .get(SEQ_KEY)
-        .and_then(|s| s.parse::<u64>().ok())
-        .ok_or_else(|| IoError::Format(format!("missing or bad {SEQ_KEY} metadata")))?;
-    Ok((seq, container.to_f64()?))
+    read_verified(path, |header, payload| {
+        let seq = header
+            .metadata
+            .get(SEQ_KEY)
+            .and_then(|s| s.parse::<u64>().ok())
+            .ok_or_else(|| IoError::Format(format!("missing or bad {SEQ_KEY} metadata")))?;
+        header.check_payload("f64", payload.len())?;
+        Ok((seq, payload.decode_vec(|b| f64::from_le_bytes(*b))))
+    })
 }
 
 /// Two-slot rotating checkpoint store.

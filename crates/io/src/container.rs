@@ -15,7 +15,7 @@ use crate::crc32c::crc32c;
 use crate::IoError;
 use obs::{Json, Registry};
 use std::collections::BTreeMap;
-use std::io::{Read, Write};
+use std::io::Read;
 use std::path::Path;
 
 /// File magic.
@@ -30,45 +30,10 @@ pub(crate) fn le_array<const N: usize>(b: &[u8]) -> [u8; N] {
     a
 }
 
-/// Pool chunk length for a parallel loop over `len` items (payload
-/// elements, checksummed chunks): 64 pool tasks at any length, derived from
-/// `len` only.
+/// Pool chunk length for a parallel loop over `len` items: 64 pool tasks
+/// at any length, derived from `len` only.
 fn fixed_grain(len: usize) -> usize {
     len.div_ceil(64).max(1)
-}
-
-/// Little-endian `N`-byte values of `payload` decoded by `from_le`, on the
-/// pool. `payload.len()` is a multiple of `N`.
-fn decode_le<T, const N: usize>(
-    payload: &[u8],
-    from_le: impl Fn([u8; N]) -> T + Sync + Send,
-) -> Vec<T>
-where
-    T: Copy + Default + Send,
-{
-    let n = payload.len() / N;
-    let mut out = vec![T::default(); n];
-    rayon::for_each_chunk_mut(&mut out, fixed_grain(n), |base, chunk| {
-        for (o, b) in chunk.iter_mut().zip(payload[base * N..].chunks_exact(N)) {
-            *o = from_le(le_array(b));
-        }
-    });
-    out
-}
-
-/// `values` encoded as little-endian bytes by `to_le`, on the pool.
-fn encode_le<T, const N: usize>(values: &[T], to_le: impl Fn(T) -> [u8; N] + Sync + Send) -> Vec<u8>
-where
-    T: Copy + Sync,
-{
-    let mut payload = vec![0u8; values.len() * N];
-    let grain = fixed_grain(values.len());
-    rayon::for_each_chunk_mut(&mut payload, grain * N, |base, chunk| {
-        for (b, &v) in chunk.chunks_exact_mut(N).zip(&values[base / N..]) {
-            b.copy_from_slice(&to_le(v));
-        }
-    });
-    payload
 }
 
 /// CRC-32C of every chunk's bytes (`bytes` picks them out of an item), on
@@ -102,6 +67,38 @@ pub struct Header {
 }
 
 impl Header {
+    /// A header for a payload still to be framed (`n_chunks` is fixed when
+    /// it is written).
+    pub(crate) fn new(
+        name: &str,
+        dtype: &str,
+        shape: Vec<usize>,
+        metadata: BTreeMap<String, String>,
+    ) -> Self {
+        Header {
+            name: name.into(),
+            dtype: dtype.into(),
+            shape,
+            n_chunks: 0,
+            metadata,
+        }
+    }
+
+    /// `Ok` if the payload is `payload_len` bytes of `dtype` elements, as
+    /// many as the shape holds.
+    pub(crate) fn check_payload(&self, dtype: &str, payload_len: usize) -> Result<(), IoError> {
+        if self.dtype != dtype {
+            return Err(IoError::ShapeMismatch(format!(
+                "expected dtype {dtype}, file has {}",
+                self.dtype
+            )));
+        }
+        if self.expected_payload_bytes() != Some(payload_len) {
+            return Err(IoError::Format("payload length != shape".into()));
+        }
+        Ok(())
+    }
+
     /// Bytes per element for the known dtypes.
     pub fn element_size(&self) -> Option<usize> {
         match self.dtype.as_str() {
@@ -205,30 +202,14 @@ impl Container {
 
     /// Decode the payload as little-endian `f64`s.
     pub fn to_f64(&self) -> Result<Vec<f64>, IoError> {
-        if self.header.dtype != "f64" {
-            return Err(IoError::ShapeMismatch(format!(
-                "expected dtype f64, file has {}",
-                self.header.dtype
-            )));
-        }
-        if self.payload.len() != self.element_count() * 8 {
-            return Err(IoError::Format("payload length != shape".into()));
-        }
-        Ok(decode_le(&self.payload, f64::from_le_bytes))
+        self.header.check_payload("f64", self.payload.len())?;
+        Ok(Payload::whole(&self.payload).decode_vec(|b| f64::from_le_bytes(*b)))
     }
 
     /// Decode the payload as little-endian `f32`s.
     pub fn to_f32(&self) -> Result<Vec<f32>, IoError> {
-        if self.header.dtype != "f32" {
-            return Err(IoError::ShapeMismatch(format!(
-                "expected dtype f32, file has {}",
-                self.header.dtype
-            )));
-        }
-        if self.payload.len() != self.element_count() * 4 {
-            return Err(IoError::Format("payload length != shape".into()));
-        }
-        Ok(decode_le(&self.payload, f32::from_le_bytes))
+        self.header.check_payload("f32", self.payload.len())?;
+        Ok(Payload::whole(&self.payload).decode_vec(|b| f32::from_le_bytes(*b)))
     }
 
     /// Build a container from `f64` values.
@@ -239,15 +220,10 @@ impl Container {
         metadata: BTreeMap<String, String>,
     ) -> Self {
         assert_eq!(values.len(), shape.iter().product::<usize>());
-        let payload = encode_le(values, f64::to_le_bytes);
+        let mut payload = vec![0u8; values.len() * 8];
+        fill_records(0, &mut payload, |i, b| *b = values[i].to_le_bytes());
         Self {
-            header: Header {
-                name: name.into(),
-                dtype: "f64".into(),
-                shape,
-                n_chunks: 0, // fixed at write time
-                metadata,
-            },
+            header: Header::new(name, "f64", shape, metadata),
             payload,
         }
     }
@@ -260,45 +236,200 @@ impl Container {
         metadata: BTreeMap<String, String>,
     ) -> Self {
         assert_eq!(values.len(), shape.iter().product::<usize>());
-        let payload = encode_le(values, f32::to_le_bytes);
+        let mut payload = vec![0u8; values.len() * 4];
+        fill_records(0, &mut payload, |i, b| *b = values[i].to_le_bytes());
         Self {
-            header: Header {
-                name: name.into(),
-                dtype: "f32".into(),
-                shape,
-                n_chunks: 0,
-                metadata,
-            },
+            header: Header::new(name, "f32", shape, metadata),
             payload,
         }
     }
 }
 
-/// Write a container to `path`, chunking the payload and checksumming each
-/// chunk (checksums computed in parallel).
-pub fn write_container(path: &Path, container: &Container) -> Result<(), IoError> {
-    let chunks: Vec<&[u8]> = container.payload.chunks(DEFAULT_CHUNK_BYTES).collect();
-    let crcs = chunk_crcs(&chunks, |c| c);
-
-    let mut header = container.header.clone();
-    header.n_chunks = chunks.len();
-    let header_json = header.to_json().to_string().into_bytes();
-
-    let mut file = std::io::BufWriter::new(std::fs::File::create(path)?);
-    file.write_all(&MAGIC)?;
-    file.write_all(&(header_json.len() as u32).to_le_bytes())?;
-    file.write_all(&header_json)?;
-    for (chunk, crc) in chunks.iter().zip(&crcs) {
-        file.write_all(&(chunk.len() as u64).to_le_bytes())?;
-        file.write_all(chunk)?;
-        file.write_all(&crc.to_le_bytes())?;
+/// Fill `out` with the payload bytes from offset `at` on, for a payload of
+/// `N`-byte records with record `i` encoded by `encode(i, record)`. A record
+/// cut by either end of `out` (a chunk boundary) is encoded whole into a
+/// stack buffer and its share copied over.
+pub(crate) fn fill_records<const N: usize>(
+    at: usize,
+    mut out: &mut [u8],
+    encode: impl Fn(usize, &mut [u8; N]),
+) {
+    let mut rec = at / N;
+    let skip = at % N;
+    if skip != 0 {
+        let mut buf = [0u8; N];
+        encode(rec, &mut buf);
+        let take = (N - skip).min(out.len());
+        let (head, rest) = out.split_at_mut(take);
+        head.copy_from_slice(&buf[skip..skip + take]);
+        out = rest;
+        rec += 1;
     }
-    file.flush()?;
+    let (whole, tail) = out.as_chunks_mut::<N>();
+    for b in whole {
+        encode(rec, b);
+        rec += 1;
+    }
+    if !tail.is_empty() {
+        let mut buf = [0u8; N];
+        encode(rec, &mut buf);
+        let n = tail.len();
+        tail.copy_from_slice(&buf[..n]);
+    }
+}
+
+/// Write the container image of a `payload_len`-byte payload to `path` in
+/// one write. The image is framed in place: each chunk record's length, its
+/// payload, put there by `fill(payload offset, bytes)`, and its CRC-32C are
+/// written by one pool task, so no payload is staged anywhere else.
+pub(crate) fn write_framed(
+    path: &Path,
+    mut header: Header,
+    payload_len: usize,
+    fill: impl Fn(usize, &mut [u8]) + Sync + Send,
+) -> Result<(), IoError> {
+    header.n_chunks = payload_len.div_ceil(DEFAULT_CHUNK_BYTES);
+    let json = header.to_json().to_string().into_bytes();
+    let body = 12 + json.len();
+    let mut image = vec![0u8; body + payload_len + 12 * header.n_chunks];
+    image[..8].copy_from_slice(&MAGIC);
+    image[8..12].copy_from_slice(&(json.len() as u32).to_le_bytes());
+    image[12..body].copy_from_slice(&json);
+    let record = 8 + DEFAULT_CHUNK_BYTES + 4;
+    rayon::for_each_chunk_mut(&mut image[body..], record, |at, rec| {
+        let (len, rest) = rec.split_at_mut(8);
+        let (payload, crc) = rest.split_at_mut(rest.len() - 4);
+        len.copy_from_slice(&(payload.len() as u64).to_le_bytes());
+        fill(at / record * DEFAULT_CHUNK_BYTES, payload);
+        crc.copy_from_slice(&crc32c(payload).to_le_bytes());
+    });
+    std::fs::write(path, &image)?;
     let reg = Registry::current();
     reg.counter("io.containers_written").inc();
-    reg.counter("io.bytes_written")
-        .add((12 + header_json.len() + container.payload.len() + chunks.len() * 12) as u64);
+    reg.counter("io.bytes_written").add(image.len() as u64);
     Ok(())
+}
+
+/// Write a container to `path`: its payload framed into checksummed chunks.
+pub fn write_container(path: &Path, container: &Container) -> Result<(), IoError> {
+    let payload = &container.payload;
+    write_framed(path, container.header.clone(), payload.len(), |at, out| {
+        out.copy_from_slice(&payload[at..at + out.len()])
+    })
+}
+
+/// The payload of a verified container, as its chunks' payloads in file
+/// order, borrowed from the image: readers decode from here straight into
+/// their destination, with no concatenated copy.
+pub(crate) struct Payload<'a> {
+    /// `(payload offset, bytes)` per chunk.
+    chunks: Vec<(usize, &'a [u8])>,
+    len: usize,
+}
+
+impl<'a> Payload<'a> {
+    fn new(parts: impl IntoIterator<Item = &'a [u8]>) -> Self {
+        let mut len = 0;
+        let chunks = parts
+            .into_iter()
+            .map(|c| {
+                len += c.len();
+                (len - c.len(), c)
+            })
+            .collect();
+        Payload { chunks, len }
+    }
+
+    /// A payload held in one piece.
+    pub(crate) fn whole(bytes: &'a [u8]) -> Self {
+        Self::new([bytes])
+    }
+
+    /// Total payload bytes.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The payload concatenated into one owned vector.
+    fn to_vec(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(self.len);
+        for (_, c) in &self.chunks {
+            out.extend_from_slice(c);
+        }
+        out
+    }
+
+    /// Call `f` on each of the `count` `N`-byte records from payload offset
+    /// `at` on, in order. A record split across chunks is joined in a stack
+    /// buffer; every other record is borrowed in place.
+    pub(crate) fn for_each_record<const N: usize>(
+        &self,
+        mut at: usize,
+        mut count: usize,
+        mut f: impl FnMut(&[u8; N]),
+    ) {
+        assert!(at + count * N <= self.len, "records past the payload");
+        if count == 0 {
+            return;
+        }
+        let mut c = self.chunks.partition_point(|&(start, _)| start <= at) - 1;
+        while count > 0 {
+            // Skip to the chunk holding `at` (past any empty ones).
+            while self.chunks[c].0 + self.chunks[c].1.len() <= at {
+                c += 1;
+            }
+            let (whole, _) = self.chunks[c].1[at - self.chunks[c].0..].as_chunks::<N>();
+            let k = whole.len().min(count);
+            whole[..k].iter().for_each(&mut f);
+            at += k * N;
+            count -= k;
+            if count == 0 {
+                break;
+            }
+            let mut buf = [0u8; N];
+            let mut filled = 0;
+            while filled < N {
+                while self.chunks[c].0 + self.chunks[c].1.len() <= at {
+                    c += 1;
+                }
+                let src = &self.chunks[c].1[at - self.chunks[c].0..];
+                let n = src.len().min(N - filled);
+                buf[filled..filled + n].copy_from_slice(&src[..n]);
+                filled += n;
+                at += n;
+            }
+            f(&buf);
+            count -= 1;
+        }
+    }
+
+    /// `out[i] = decode(record i)` for the payload's leading `out.len()`
+    /// `N`-byte records, on the pool.
+    pub(crate) fn decode_into<T: Send, const N: usize>(
+        &self,
+        out: &mut [T],
+        decode: impl Fn(&[u8; N]) -> T + Sync + Send,
+    ) {
+        rayon::for_each_chunk_mut(out, fixed_grain(out.len()), |base, chunk| {
+            let n = chunk.len();
+            let mut slots = chunk.iter_mut();
+            self.for_each_record(base * N, n, |r| {
+                if let Some(slot) = slots.next() {
+                    *slot = decode(r);
+                }
+            });
+        });
+    }
+
+    /// Every `N`-byte record of the payload decoded, on the pool.
+    pub(crate) fn decode_vec<T: Copy + Default + Send, const N: usize>(
+        &self,
+        decode: impl Fn(&[u8; N]) -> T + Sync + Send,
+    ) -> Vec<T> {
+        let mut out = vec![T::default(); self.len / N];
+        self.decode_into(&mut out, decode);
+        out
+    }
 }
 
 /// Read only the header of a container (no payload, no checksum work) —
@@ -379,9 +510,11 @@ fn carve_chunks<'a>(
     (out, off)
 }
 
-/// Parse and verify a container from an in-memory image (the strict path:
-/// any missing or corrupt chunk is an error).
-pub fn parse_container(bytes: &[u8]) -> Result<Container, IoError> {
+/// Verify a container image: its header, its framing, and every chunk's
+/// CRC-32C, each chunk checked in place on the pool (the strict path: any
+/// missing or corrupt chunk is an error). Returns the header and the chunk
+/// payloads, still in the image.
+pub(crate) fn verify(bytes: &[u8]) -> Result<(Header, Payload<'_>), IoError> {
     let (header, start) = parse_header_bytes(bytes)?;
     let (chunks, end) = carve_chunks(bytes, &header, start);
     if chunks.len() != header.n_chunks {
@@ -398,7 +531,7 @@ pub fn parse_container(bytes: &[u8]) -> Result<Container, IoError> {
         )));
     }
 
-    // Verify all checksums in parallel; the lowest corrupt chunk is reported.
+    // The lowest corrupt chunk is reported.
     let crcs = chunk_crcs(&chunks, |(c, _)| c);
     let bad = chunks
         .iter()
@@ -409,15 +542,31 @@ pub fn parse_container(bytes: &[u8]) -> Result<Container, IoError> {
         return Err(IoError::ChecksumMismatch { chunk });
     }
 
-    let total = chunks.iter().map(|(c, _)| c.len()).sum();
-    let mut payload = Vec::with_capacity(total);
-    for (c, _) in &chunks {
-        payload.extend_from_slice(c);
-    }
     let reg = Registry::current();
     reg.counter("io.containers_read").inc();
     reg.counter("io.bytes_read").add(bytes.len() as u64);
-    Ok(Container { header, payload })
+    Ok((header, Payload::new(chunks.into_iter().map(|(c, _)| c))))
+}
+
+/// Read the container at `path`, verify it, and hand its header and chunk
+/// payloads to `decode`.
+pub(crate) fn read_verified<T>(
+    path: &Path,
+    decode: impl FnOnce(Header, &Payload) -> Result<T, IoError>,
+) -> Result<T, IoError> {
+    let bytes = std::fs::read(path)?;
+    let (header, payload) = verify(&bytes)?;
+    decode(header, &payload)
+}
+
+/// Parse and verify a container from an in-memory image (the strict path:
+/// any missing or corrupt chunk is an error).
+pub fn parse_container(bytes: &[u8]) -> Result<Container, IoError> {
+    let (header, payload) = verify(bytes)?;
+    Ok(Container {
+        header,
+        payload: payload.to_vec(),
+    })
 }
 
 /// Read and verify a container from `path`.

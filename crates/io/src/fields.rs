@@ -1,13 +1,16 @@
 //! Serialization of physics objects through the container format.
 
-use crate::container::{read_container, write_container, Container};
+use crate::container::{fill_records, read_verified, write_framed, Header};
 use crate::IoError;
-use lqcd_core::complex::Complex;
+use lqcd_core::complex::{Complex, C64};
 use lqcd_core::field::GaugeField;
 use lqcd_core::lattice::{Lattice, ND};
 use lqcd_core::su3::{Su3, NC};
 use std::collections::BTreeMap;
 use std::path::Path;
+
+/// Bytes of one link in the file: 9 complex `f64`s.
+const LINK_BYTES: usize = NC * NC * 16;
 
 /// Write a gauge configuration (f64, row-major links, re/im interleaved).
 pub fn write_gauge(
@@ -17,76 +20,84 @@ pub fn write_gauge(
     metadata: BTreeMap<String, String>,
 ) -> Result<(), IoError> {
     let dims = lattice.dims();
-    let mut values = Vec::with_capacity(lattice.volume() * ND * NC * NC * 2);
-    for u in gauge.links() {
-        for row in &u.m {
-            for e in row {
-                values.push(e.re);
-                values.push(e.im);
-            }
-        }
-    }
+    let links = gauge.links();
+    assert_eq!(links.len(), lattice.volume() * ND);
     let shape = vec![dims[0], dims[1], dims[2], dims[3], ND, NC * NC * 2];
-    let c = Container::from_f64("gauge", shape, &values, metadata);
-    write_container(path, &c)
+    write_framed(
+        path,
+        Header::new("gauge", "f64", shape, metadata),
+        links.len() * LINK_BYTES,
+        |at, out| {
+            fill_records(at, out, |l, b: &mut [u8; LINK_BYTES]| {
+                for (k, z) in b.chunks_exact_mut(16).enumerate() {
+                    let e = links[l].m[k / NC][k % NC];
+                    z[..8].copy_from_slice(&e.re.to_le_bytes());
+                    z[8..].copy_from_slice(&e.im.to_le_bytes());
+                }
+            })
+        },
+    )
 }
 
 /// Read a gauge configuration written by [`write_gauge`].
 pub fn read_gauge(path: &Path, lattice: &Lattice) -> Result<GaugeField<f64>, IoError> {
-    let c = read_container(path)?;
-    let dims = lattice.dims();
-    let expect = vec![dims[0], dims[1], dims[2], dims[3], ND, NC * NC * 2];
-    if c.header.shape != expect {
-        return Err(IoError::ShapeMismatch(format!(
-            "file shape {:?}, lattice needs {:?}",
-            c.header.shape, expect
-        )));
-    }
-    let values = c.to_f64()?;
-    let mut gauge = GaugeField::cold(lattice);
-    for (l, link) in gauge.links_mut().iter_mut().enumerate() {
-        let base = l * NC * NC * 2;
-        let mut u = Su3::zero();
-        for i in 0..NC {
-            for j in 0..NC {
-                let k = base + (i * NC + j) * 2;
-                u.m[i][j] = Complex::new(values[k], values[k + 1]);
-            }
+    read_verified(path, |header, payload| {
+        let dims = lattice.dims();
+        let expect = vec![dims[0], dims[1], dims[2], dims[3], ND, NC * NC * 2];
+        if header.shape != expect {
+            return Err(IoError::ShapeMismatch(format!(
+                "file shape {:?}, lattice needs {:?}",
+                header.shape, expect
+            )));
         }
-        *link = u;
-    }
-    Ok(gauge)
+        header.check_payload("f64", payload.len())?;
+        let mut gauge = GaugeField::cold(lattice);
+        payload.decode_into(gauge.links_mut(), |b: &[u8; LINK_BYTES]| {
+            let mut u = Su3::zero();
+            for (k, z) in b.as_chunks::<8>().0.chunks_exact(2).enumerate() {
+                u.m[k / NC][k % NC] =
+                    Complex::new(f64::from_le_bytes(z[0]), f64::from_le_bytes(z[1]));
+            }
+            u
+        });
+        Ok(gauge)
+    })
 }
 
 /// Write a (complex) correlator as `[nt, 2]`.
 pub fn write_correlator(
     path: &Path,
-    corr: &[lqcd_core::complex::C64],
+    corr: &[C64],
     metadata: BTreeMap<String, String>,
 ) -> Result<(), IoError> {
-    let mut values = Vec::with_capacity(corr.len() * 2);
-    for c in corr {
-        values.push(c.re);
-        values.push(c.im);
-    }
-    let c = Container::from_f64("correlator", vec![corr.len(), 2], &values, metadata);
-    write_container(path, &c)
+    write_framed(
+        path,
+        Header::new("correlator", "f64", vec![corr.len(), 2], metadata),
+        corr.len() * 16,
+        |at, out| {
+            fill_records(at, out, |t, b: &mut [u8; 16]| {
+                b[..8].copy_from_slice(&corr[t].re.to_le_bytes());
+                b[8..].copy_from_slice(&corr[t].im.to_le_bytes());
+            })
+        },
+    )
 }
 
 /// Read a correlator written by [`write_correlator`].
-pub fn read_correlator(path: &Path) -> Result<Vec<lqcd_core::complex::C64>, IoError> {
-    let c = read_container(path)?;
-    if c.header.shape.len() != 2 || c.header.shape[1] != 2 {
-        return Err(IoError::ShapeMismatch(format!(
-            "not a correlator file: shape {:?}",
-            c.header.shape
-        )));
-    }
-    let values = c.to_f64()?;
-    Ok(values
-        .chunks_exact(2)
-        .map(|p| lqcd_core::complex::C64::new(p[0], p[1]))
-        .collect())
+pub fn read_correlator(path: &Path) -> Result<Vec<C64>, IoError> {
+    read_verified(path, |header, payload| {
+        if header.shape.len() != 2 || header.shape[1] != 2 {
+            return Err(IoError::ShapeMismatch(format!(
+                "not a correlator file: shape {:?}",
+                header.shape
+            )));
+        }
+        header.check_payload("f64", payload.len())?;
+        Ok(payload.decode_vec(|b: &[u8; 16]| {
+            let z = b.as_chunks::<8>().0;
+            C64::new(f64::from_le_bytes(z[0]), f64::from_le_bytes(z[1]))
+        }))
+    })
 }
 
 #[cfg(test)]

@@ -8,19 +8,25 @@
 //!
 //! - a JSON header (name, element type, shape, free-form metadata),
 //! - fixed-size chunks, each carrying a CRC-32C of its payload (the SSE4.2
-//!   `crc32` instruction where the CPU has it, slice-by-8 elsewhere),
-//! - numeric payloads encoded and decoded, and chunk checksums computed,
-//!   in parallel on the pool's chunk entry points (`rayon::for_each_chunk_mut`).
+//!   `crc32` instruction where the CPU has it, slice-by-8 elsewhere).
 //!
-//! Gauge fields, propagator bundles, and correlators all serialize through
-//! the same container. Corruption of any byte is detected
-//! on read, and detection is recoverable rather than fatal: bounded re-read
-//! retries ([`read_container_with_retry`]) handle transient read-path
-//! faults, and partial salvage ([`salvage_container`],
+//! Gauge fields, propagator bundles, correlators and solver checkpoints all
+//! serialize through the same container, by one encoder and one decoder.
+//! A writer encodes its object's records (a spinor, a link, a complex
+//! number, a real) straight into the framed file image: one pool task per
+//! chunk writes the chunk's length, its payload and its CRC-32C, and the
+//! image goes to the file in one write. A reader verifies every chunk's
+//! CRC-32C in place in the file image, then decodes from the verified chunks
+//! straight into the destination object; no payload is staged or
+//! concatenated on either path except where an owned [`Container`] or
+//! [`SalvagedContainer`] is asked for.
+//!
+//! Corruption of any chunk byte is detected on read (the header JSON
+//! carries no checksum), and detection is recoverable rather than fatal:
+//! bounded re-read retries ([`read_container_with_retry`]) handle transient
+//! read-path faults, and partial salvage ([`salvage_container`],
 //! [`read_propagator_salvaged`]) recovers the intact chunks of a damaged
 //! file so only the lost pieces need recomputing.
-
-#![allow(clippy::needless_range_loop)]
 
 pub mod bundle;
 pub mod checkpoint;
