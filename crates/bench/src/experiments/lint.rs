@@ -99,9 +99,7 @@ pub fn run_lint(args: &[String]) -> i32 {
         _ => print!("{}", report::render_text(&applied)),
     }
     let clean = applied.fresh.is_empty() && applied.stale.is_empty();
-    if check && !clean {
-        1
-    } else if !check && !applied.fresh.is_empty() {
+    if (check && !clean) || (!check && !applied.fresh.is_empty()) {
         1
     } else {
         0
