@@ -337,7 +337,7 @@ impl<'a> Payload<'a> {
                 (len - c.len(), c)
             })
             .collect();
-        Payload { chunks, len }
+        Self { chunks, len }
     }
 
     /// A payload held in one piece.
@@ -365,41 +365,32 @@ impl<'a> Payload<'a> {
     pub(crate) fn for_each_record<const N: usize>(
         &self,
         mut at: usize,
-        mut count: usize,
+        count: usize,
         mut f: impl FnMut(&[u8; N]),
     ) {
-        assert!(at + count * N <= self.len, "records past the payload");
-        if count == 0 {
-            return;
-        }
-        let mut c = self.chunks.partition_point(|&(start, _)| start <= at) - 1;
-        while count > 0 {
-            // Skip to the chunk holding `at` (past any empty ones).
-            while self.chunks[c].0 + self.chunks[c].1.len() <= at {
-                c += 1;
-            }
-            let (whole, _) = self.chunks[c].1[at - self.chunks[c].0..].as_chunks::<N>();
-            let k = whole.len().min(count);
-            whole[..k].iter().for_each(&mut f);
-            at += k * N;
-            count -= k;
-            if count == 0 {
+        let end = at + count * N;
+        assert!(end <= self.len, "records past the payload");
+        let (mut buf, mut filled) = ([0u8; N], 0);
+        let first = self.chunks.partition_point(|&(start, _)| start <= at);
+        for &(start, bytes) in &self.chunks[first.saturating_sub(1)..] {
+            if at == end {
                 break;
             }
-            let mut buf = [0u8; N];
-            let mut filled = 0;
-            while filled < N {
-                while self.chunks[c].0 + self.chunks[c].1.len() <= at {
-                    c += 1;
-                }
-                let src = &self.chunks[c].1[at - self.chunks[c].0..];
+            let mut src = &bytes[at - start..bytes.len().min(end - start)];
+            at += src.len();
+            if filled > 0 {
                 let n = src.len().min(N - filled);
                 buf[filled..filled + n].copy_from_slice(&src[..n]);
-                filled += n;
-                at += n;
+                (filled, src) = (filled + n, &src[n..]);
+                if filled < N {
+                    continue;
+                }
+                f(&buf);
             }
-            f(&buf);
-            count -= 1;
+            let (whole, tail) = src.as_chunks::<N>();
+            whole.iter().for_each(&mut f);
+            buf[..tail.len()].copy_from_slice(tail);
+            filled = tail.len();
         }
     }
 
@@ -1079,6 +1070,59 @@ mod tests {
         let s = salvage_container_bytes(&bytes).unwrap();
         assert_eq!(s.corrupt_chunks, vec![1, 3]);
         assert_eq!(s.lost_ranges, vec![(16, 32), (48, 64)]);
+    }
+
+    /// Record `i` of 24 bytes holds the bytes `24 i .. 24 i + 24` (mod 256).
+    fn counting_record(i: usize, b: &mut [u8; 24]) {
+        for (k, x) in b.iter_mut().enumerate() {
+            *x = (i * 24 + k) as u8;
+        }
+    }
+
+    #[test]
+    fn a_record_fills_the_same_bytes_however_the_chunks_cut_it() {
+        let mut whole = vec![0u8; 240];
+        fill_records(0, &mut whole, counting_record);
+        assert!(whole.iter().enumerate().all(|(j, &b)| b == j as u8));
+        for at in 0..240 {
+            for len in [0, 1, 5, 23, 24, 25, 100] {
+                if at + len <= 240 {
+                    let mut out = vec![0u8; len];
+                    fill_records(at, &mut out, counting_record);
+                    assert_eq!(out, whole[at..at + len], "at {at}, len {len}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_record_reads_the_same_bytes_however_the_chunks_cut_it() {
+        let bytes: Vec<u8> = (0..=255).collect();
+        let mut parts = Vec::new();
+        let mut at = 0;
+        for n in [0, 5, 1, 0, 50, 7, 3, 126, 64, 0] {
+            parts.push(&bytes[at..at + n]);
+            at += n;
+        }
+        assert_eq!(at, bytes.len());
+        let (split, whole) = (Payload::new(parts), Payload::whole(&bytes));
+        let records = |p: &Payload, first: usize, count: usize| {
+            let mut out = Vec::new();
+            p.for_each_record::<24>(first * 24, count, |r| out.push(*r));
+            out
+        };
+        for first in 0..=10 {
+            for count in 0..=10 - first {
+                let want: Vec<[u8; 24]> = (first..first + count)
+                    .map(|i| std::array::from_fn(|k| (i * 24 + k) as u8))
+                    .collect();
+                assert_eq!(records(&split, first, count), want);
+                assert_eq!(records(&whole, first, count), want);
+            }
+        }
+        let mut out = [[0u8; 24]; 10];
+        split.decode_into(&mut out, |r: &[u8; 24]| *r);
+        assert_eq!(out.to_vec(), records(&whole, 0, 10));
     }
 
     #[test]
