@@ -22,9 +22,9 @@ use std::path::Path;
 pub const MAGIC: [u8; 8] = *b"LQIO\x01\0\0\n";
 
 /// Copy the first `N` bytes of a slice into an array. Callers guarantee
-/// `b.len() >= N` (via `chunks_exact` or an explicit bounds check), which
-/// keeps the decode paths free of `unwrap`/`expect` panic sites.
-pub(crate) fn le_array<const N: usize>(b: &[u8]) -> [u8; N] {
+/// `b.len() >= N` by an explicit bounds check, which keeps the header and
+/// framing decode free of `unwrap`/`expect` panic sites.
+fn le_array<const N: usize>(b: &[u8]) -> [u8; N] {
     let mut a = [0u8; N];
     a.copy_from_slice(&b[..N]);
     a
@@ -195,11 +195,6 @@ pub struct Container {
 }
 
 impl Container {
-    /// Total element count implied by the shape.
-    pub fn element_count(&self) -> usize {
-        self.header.shape.iter().product()
-    }
-
     /// Decode the payload as little-endian `f64`s.
     pub fn to_f64(&self) -> Result<Vec<f64>, IoError> {
         self.header.check_payload("f64", self.payload.len())?;
@@ -368,8 +363,11 @@ impl<'a> Payload<'a> {
         count: usize,
         mut f: impl FnMut(&[u8; N]),
     ) {
+        assert!(
+            at <= self.len && count <= (self.len - at) / N,
+            "records past the payload"
+        );
         let end = at + count * N;
-        assert!(end <= self.len, "records past the payload");
         let (mut buf, mut filled) = ([0u8; N], 0);
         let first = self.chunks.partition_point(|&(start, _)| start <= at);
         for &(start, bytes) in &self.chunks[first.saturating_sub(1)..] {
