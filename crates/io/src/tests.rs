@@ -230,8 +230,8 @@ pub(crate) fn assert_hostile_reads<T>(
     std::fs::remove_file(path).ok();
 }
 
-/// A scratch directory of its own for each test.
-fn scratch(test: &str) -> PathBuf {
+/// A temporary directory of its own for each test.
+fn test_dir(test: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("lattice_io_{test}_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     dir
@@ -308,7 +308,7 @@ fn every_writer_matches_the_staged_image_byte_for_byte() {
     let (lat, gauge) = straddling_gauge();
     let corr = long_correlator();
     let data = long_checkpoint();
-    let dir = scratch("writers");
+    let dir = test_dir("writers");
     let tmp = |name: &str| dir.join(name);
     for w in [1, 2, 4] {
         at_width(w, || {
@@ -348,7 +348,7 @@ fn every_reader_matches_the_staged_decode_bit_for_bit() {
     let (lat, gauge) = straddling_gauge();
     let corr = long_correlator();
     let data = long_checkpoint();
-    let dir = scratch("readers");
+    let dir = test_dir("readers");
     let tmp = |name: &str| dir.join(name);
     let bundles = [BundlePrecision::F32, BundlePrecision::F64].map(|precision| {
         let path = tmp(&format!("read_bundle_{precision:?}.lqio"));
@@ -393,7 +393,7 @@ fn one_write_and_one_read_count_one_container_and_the_file_bytes() {
     let (lat, gauge) = straddling_gauge();
     let corr = long_correlator();
     let data = long_checkpoint();
-    let dir = scratch("counters");
+    let dir = test_dir("counters");
     let path = dir.join("x.lqio");
     type Pass<'a> = Box<dyn Fn() + 'a>;
     let passes: [(&str, Pass); 5] = [
