@@ -16,7 +16,7 @@
 //! reaches a more precise answer with an order of magnitude fewer samples.
 
 use crate::complex::C64;
-use crate::contract::{common_source_time, timeslice_sum, BaryonKernel};
+use crate::contract::{baryon_sum, common_source_time, gather, BaryonKernel, SiteLanes, SiteValue};
 use crate::gamma::{gamma3_gamma5, SpinMatrix};
 use crate::lattice::Lattice;
 use crate::prop::{Propagator, PropagatorSolver};
@@ -94,21 +94,37 @@ pub fn fh_nucleon_correlator(
     fh_d: &Propagator,
     projector: &SpinMatrix<f64>,
 ) -> Vec<C64> {
-    let t0 = common_source_time(&[prop_u, prop_d, fh_u, fh_d]);
+    fh_sum::<SiteLanes>(lattice, [prop_u, prop_d, fh_u, fh_d], projector)
+}
+
+/// [`fh_nucleon_correlator`] over groups of `E::WIDTH` sites.
+fn fh_sum<E: SiteValue>(
+    lattice: &Lattice,
+    props: [&Propagator; 4],
+    projector: &SpinMatrix<f64>,
+) -> Vec<C64> {
+    let t0 = common_source_time(&props);
     let kernel = BaryonKernel::new(projector);
+    let [prop_u, prop_d, fh_u, fh_d] = props;
     // One pass: each of the four propagators is gathered, and each quark
-    // line prepared, once per site for all three substitutions.
-    timeslice_sum(lattice, t0, C64::zero(), |x| {
-        let (u, fu) = (prop_u.site_matrix(x), fh_u.site_matrix(x));
-        let (u_folded, fu_folded) = (kernel.sink_folded(&u), kernel.sink_folded(&fu));
-        let (u_traced, fu_traced) = (kernel.sink_traced(&u), kernel.sink_traced(&fu));
-        let d = kernel.diquark_sandwiched(&prop_d.site_matrix(x));
-        let fd = kernel.diquark_sandwiched(&fh_d.site_matrix(x));
-        let c_u1 = kernel.site(&fu, &fu_folded, &u, &u_traced, &d);
-        let c_u2 = kernel.site(&u, &u_folded, &fu, &fu_traced, &d);
-        let c_d = kernel.site(&u, &u_folded, &u, &u_traced, &fd);
-        (lattice.time_of(x), c_u1 + c_u2 - c_d)
-    })
+    // line prepared, once per site group for all three substitutions.
+    baryon_sum(
+        lattice,
+        t0,
+        &kernel,
+        #[inline(always)]
+        |k: &BaryonKernel, x| {
+            let (u, fu) = (gather::<E>(prop_u, x), gather(fh_u, x));
+            let (u_folded, fu_folded) = (k.sink_folded(&u), k.sink_folded(&fu));
+            let (u_traced, fu_traced) = (k.sink_traced(&u), k.sink_traced(&fu));
+            let d = k.diquark_sandwiched(&gather(prop_d, x));
+            let fd = k.diquark_sandwiched(&gather(fh_d, x));
+            let c_u1 = k.site(&fu, &fu_folded, &u, &u_traced, &d);
+            let c_u2 = k.site(&u, &u_folded, &fu, &fu_traced, &d);
+            let c_d = k.site(&u, &u_folded, &u, &u_traced, &fd);
+            c_u1 + c_u2 - c_d
+        },
+    )
 }
 
 /// The effective coupling `g_eff(t) = R(t+1) − R(t)` with
@@ -235,6 +251,21 @@ mod tests {
             let got = fh_nucleon_correlator(&lat, &u, &d, &fh_u, &fh_d, &proj);
             let err = rel_err(&got, &want);
             assert!(err <= 1e-12, "relative error {err}");
+        }
+    }
+
+    #[test]
+    fn lanes_equal_the_one_site_chain_bit_for_bit() {
+        use crate::contract::tests::{bits, gaussian_prop, projectors};
+        let lat = Lattice::new([4, 4, 2, 4]);
+        let (u, d) = (gaussian_prop(&lat, 100), gaussian_prop(&lat, 200));
+        let (fh_u, fh_d) = (gaussian_prop(&lat, 300), gaussian_prop(&lat, 400));
+        for (name, proj) in projectors() {
+            assert_eq!(
+                bits(&fh_nucleon_correlator(&lat, &u, &d, &fh_u, &fh_d, &proj)),
+                bits(&fh_sum::<C64>(&lat, [&u, &d, &fh_u, &fh_d], &proj)),
+                "{name} projector"
+            );
         }
     }
 

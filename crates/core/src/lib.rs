@@ -64,8 +64,7 @@ pub mod prelude {
     };
     pub use crate::complex::{Complex, C32, C64};
     pub use crate::contract::{
-        effective_mass, meson_correlator, pion_correlator, pion_correlator_momentum,
-        proton_correlator, proton_correlator_general,
+        effective_mass, pion_correlator, proton_correlator, proton_correlator_general,
     };
     pub use crate::dirac::{
         DiracOp, HoppingKernel, LinearOp, MobiusDirac, MobiusParams, NormalOp, PrecMobius,

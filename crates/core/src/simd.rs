@@ -10,6 +10,12 @@
 //! one per call from `has_avx2`. The baseline codegen runs only on CPUs
 //! without AVX2 (and on other architectures).
 //!
+//! Two kernels lay sites across vector lanes: the fused stencil
+//! (`dirac::lanes`), and the baryon contraction, whose `SiteLanes` complex
+//! holds four sites' reals and four sites' imaginaries as plain `[f64; 4]`
+//! arrays, so every lane repeats the one-site `C64` chain and the
+//! autovectorizer fills a 256-bit register per operation.
+//!
 //! The one exception to plain loops is the fused stencil's lane gather and
 //! scatter (`dirac::lanes`), written as in-register transposes with
 //! `std::arch` intrinsics. Their contract: every intrinsic sits in one
@@ -205,11 +211,42 @@ mod tests {
         }
     }
 
+    /// The baryon contraction's lane pipeline (gather, sink fold and trace,
+    /// diquark sandwich, site) on every group of a volume, dispatched and
+    /// called directly, each lane also held to the one-site chain.
+    fn baryon_lanes_dispatched_match_direct_and_scalar() {
+        use crate::contract::tests::{gaussian_prop, projectors};
+        use crate::contract::{proton_group, BaryonKernel, SiteLanes, SiteValue, LANES};
+        use crate::lattice::Lattice;
+        let lat = Lattice::new([4, 4, 2, 4]);
+        let props = [100, 200, 300].map(|seed| gaussian_prop(&lat, seed));
+        let props = props.each_ref();
+        let bits = |z: crate::complex::C64| (z.re.to_bits(), z.im.to_bits());
+        for (name, proj) in projectors() {
+            let kernel = BaryonKernel::new(&proj);
+            for x in (0..lat.volume()).step_by(LANES) {
+                let direct = proton_group::<SiteLanes>(&kernel, props, x).sites();
+                let dispatched = dispatch(
+                    &kernel,
+                    #[inline(always)]
+                    |k| proton_group::<SiteLanes>(k, props, x),
+                )
+                .sites();
+                for l in 0..LANES {
+                    let want = bits(proton_group(&kernel, props, x + l));
+                    assert_eq!(bits(dispatched[l]), bits(direct[l]), "{name}: site {x}+{l}");
+                    assert_eq!(bits(direct[l]), want, "{name}: site {x}+{l}");
+                }
+            }
+        }
+    }
+
     /// On an AVX2 host this compares the AVX2 and the baseline codegen of
     /// one source, built into one test binary, to the bit: a site-at-a-time
-    /// kernel body, and the lane body at every group width the fused sweep
-    /// runs (8 and 4 lanes in `f32`, 4 and 2 in `f64`), each lane also held
-    /// to the scalar chain it replaces.
+    /// kernel body, the stencil's lane body at every group width the fused
+    /// sweep runs (8 and 4 lanes in `f32`, 4 and 2 in `f64`) and the baryon
+    /// contraction's lane pipeline, each lane also held to the scalar chain
+    /// it replaces.
     #[test]
     fn dispatch_is_bit_identical_to_a_direct_call() {
         dispatched_matches_direct::<f64>();
@@ -218,5 +255,6 @@ mod tests {
         lanes_dispatched_match_direct_and_scalar::<f32, 4>();
         lanes_dispatched_match_direct_and_scalar::<f64, 4>();
         lanes_dispatched_match_direct_and_scalar::<f64, 2>();
+        baryon_lanes_dispatched_match_direct_and_scalar();
     }
 }
