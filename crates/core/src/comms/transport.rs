@@ -10,7 +10,10 @@
 //! [`FaultyTransport`] runs the framed protocol over those boxes. Every
 //! payload travels inside a [`Frame`] envelope (sequence number, source
 //! rank × dim × side, and a CRC-32C from [`crate::crc32c`] over the header
-//! and payload bits, which catches every single-bit flip). The send path
+//! and payload bits, which catches every single-bit flip). The checksummed
+//! bytes are the 24 header bytes, then every component as its little-endian
+//! `f64` bits; an `f64` payload is those bytes in memory, so the CRC runs
+//! straight over it ([`Frame::compute_checksum`]). The send path
 //! seals the frame once, parks it in its box for retransmission and queues
 //! the same shared frame through the seeded [`CommFaultProfile`] injector;
 //! only a corrupted or a stale copy is a new frame. The receive path
@@ -68,16 +71,21 @@ pub struct Frame<R: Real> {
     pub payload: Payload<R>,
 }
 
-/// The checksummed words of one spinor: each component's real then
-/// imaginary part, spin-major then colour, as `to_f64().to_bits()`.
-#[inline(always)]
-fn spinor_words<R: Real>(sp: &Spinor<R>) -> [u64; 24] {
-    std::array::from_fn(|k| {
-        let z = sp.s[k / 6].c[k % 6 / 2];
-        let part = if k % 2 == 0 { z.re } else { z.im };
-        part.to_f64().to_bits()
-    })
-}
+/// Spinors widened per stack block when an `f32` payload is checksummed.
+const WIDEN_BLOCK: usize = 32;
+
+/// Checksummed bytes per spinor: 24 components, 8 bytes each.
+const SPINOR_WIRE_BYTES: usize = 24 * 8;
+
+/// The layout [`Frame::compute_checksum`] reads an `f64` payload's bytes
+/// by: a spinor is its 24 components in serialization order, real then
+/// imaginary part, spin-major then colour, with no padding.
+const _: () = {
+    use crate::complex::Complex;
+    use std::mem::{offset_of, size_of};
+    assert!(size_of::<Spinor<f64>>() == SPINOR_WIRE_BYTES);
+    assert!(offset_of!(Complex<f64>, re) == 0 && offset_of!(Complex<f64>, im) == 8);
+};
 
 impl<R: Real> Frame<R> {
     /// Seal `payload` into a checksummed frame.
@@ -95,19 +103,51 @@ impl<R: Real> Frame<R> {
     }
 
     /// CRC-32C over the header words `seq`, `src`, `mu << 8 | side`, then
-    /// every payload component's bits, each word fed little-endian: equal to
-    /// [`crc32c`](crate::crc32c::crc32c) of that byte serialization.
-    /// Component bits go through `to_f64` — exact for both supported
-    /// precisions, so the checksum is stable under the precision the wire
-    /// actually carries.
+    /// every payload component's bits as `to_f64().to_bits()`, real then
+    /// imaginary part, spin-major then colour, each word little-endian:
+    /// equal to [`crc32c`](crate::crc32c::crc32c) of that byte
+    /// serialization. Widening is exact for both supported precisions, so
+    /// the checksum is stable under the precision the wire carries. An
+    /// `f64` payload on a little-endian target is that serialization in
+    /// memory and is checksummed in place; an `f32` payload is widened a
+    /// block of spinors at a time into a stack buffer.
     pub fn compute_checksum(&self) -> u32 {
-        let header = [
+        use crate::crc32c::{crc32c, crc32c_extend};
+        let mut header = [0u8; 24];
+        let words = [
             self.seq,
             u64::from(self.src),
             (u64::from(self.mu) << 8) | u64::from(self.side),
         ];
-        let payload = self.payload.iter().flat_map(spinor_words);
-        crate::crc32c::crc32c_words(header.into_iter().chain(payload))
+        for (out, w) in header.chunks_exact_mut(8).zip(words) {
+            out.copy_from_slice(&w.to_le_bytes());
+        }
+        let crc = crc32c(&header);
+        #[cfg(target_endian = "little")]
+        if std::any::TypeId::of::<R>() == std::any::TypeId::of::<f64>() {
+            let p = &self.payload;
+            // SAFETY: `R` is `f64`, so `p` is `p.len()` contiguous
+            // `Spinor<f64>`s of 24 `f64`s each in serialization order with
+            // no padding (the layout assertion above); any initialised
+            // bytes may be read as `u8`, and the view borrows `p`. On a
+            // little-endian target an `f64`'s memory image is
+            // `to_bits().to_le_bytes()`, the serialization itself.
+            let bytes = unsafe {
+                std::slice::from_raw_parts(p.as_ptr().cast::<u8>(), std::mem::size_of_val(&p[..]))
+            };
+            return crc32c_extend(crc, bytes);
+        }
+        self.payload.chunks(WIDEN_BLOCK).fold(crc, |crc, block| {
+            let mut wide = [0u8; WIDEN_BLOCK * SPINOR_WIRE_BYTES];
+            let parts = block
+                .iter()
+                .flat_map(|sp| sp.s.iter().flat_map(|cv| cv.c.iter()))
+                .flat_map(|z| [z.re, z.im]);
+            for (w, part) in wide.chunks_exact_mut(8).zip(parts) {
+                w.copy_from_slice(&part.to_f64().to_bits().to_le_bytes());
+            }
+            crc32c_extend(crc, &wide[..block.len() * SPINOR_WIRE_BYTES])
+        })
     }
 
     /// Whether the payload still matches the checksum sealed at send time.
@@ -475,27 +515,104 @@ mod tests {
         Frame::new(0x0123_4567_89AB_CDEF, 5, 3, BOX_BWD, p)
     }
 
-    #[test]
-    fn frame_checksum_is_crc32c_of_the_little_endian_words() {
-        let f = dense_frame();
+    /// The checksummed serialization of `f`, built independently of
+    /// [`Frame::compute_checksum`]: the three header words, then every
+    /// component widened to `f64`, each word little-endian.
+    fn wire_bytes<R: Real>(f: &Frame<R>) -> Vec<u8> {
         let mut bytes = Vec::new();
-        for w in [f.seq, u64::from(f.src), (u64::from(f.mu) << 8) | 1] {
+        let side = (u64::from(f.mu) << 8) | u64::from(f.side);
+        for w in [f.seq, u64::from(f.src), side] {
             bytes.extend_from_slice(&w.to_le_bytes());
         }
         for sp in &f.payload {
             for z in sp.s.iter().flat_map(|cv| cv.c.iter()) {
-                bytes.extend_from_slice(&z.re.to_bits().to_le_bytes());
-                bytes.extend_from_slice(&z.im.to_bits().to_le_bytes());
+                bytes.extend_from_slice(&z.re.to_f64().to_bits().to_le_bytes());
+                bytes.extend_from_slice(&z.im.to_f64().to_bits().to_le_bytes());
             }
         }
-        assert_eq!(bytes.len(), (3 + 3 * 24) * 8);
-        assert_eq!(f.checksum, crate::crc32c::crc32c(&bytes));
+        assert_eq!(bytes.len(), (3 + 24 * f.payload.len()) * 8);
+        bytes
+    }
+
+    /// `n` spinors whose components cycle through `specials`.
+    fn special_payload<R: Real>(specials: &[R], n: usize) -> Payload<R> {
+        (0..n)
+            .map(|i| {
+                let mut sp = Spinor::<R>::zero();
+                for (k, z) in sp.s.iter_mut().flat_map(|cv| cv.c.iter_mut()).enumerate() {
+                    z.re = specials[(i + 2 * k) % specials.len()];
+                    z.im = specials[(i + 2 * k + 1) % specials.len()];
+                }
+                sp
+            })
+            .collect()
+    }
+
+    #[test]
+    fn frame_checksum_is_crc32c_of_the_little_endian_words() {
+        let f = dense_frame();
+        assert_eq!(f.checksum, crate::crc32c::crc32c(&wire_bytes(&f)));
         assert!(f.verify());
         // f32 components are widened exactly, so the same values hash alike.
         let narrow: Payload<f32> = f.payload.iter().map(|sp| sp.cast()).collect();
         let g = Frame::new(f.seq, 5, 3, BOX_BWD, narrow);
         let wide: Payload<f64> = g.payload.iter().map(|sp| sp.cast()).collect();
         assert_eq!(g.checksum, Frame::new(f.seq, 5, 3, BOX_BWD, wide).checksum);
+        assert_eq!(g.checksum, crate::crc32c::crc32c(&wire_bytes(&g)));
+
+        // Values whose bits a numeric path would fold together: −0 and +0,
+        // subnormals, ±∞, and NaNs with payloads and either sign, in every
+        // component slot, on payloads that cross the f32 widening block
+        // and the CRC's three-way block lengths.
+        let specials64 = [
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE / 4.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(0x7FF8_0000_0000_0ABC),
+            f64::from_bits(0xFFF0_0000_DEAD_BEEF),
+        ];
+        let specials32 = [
+            -0.0,
+            0.0,
+            f32::from_bits(1),
+            f32::MIN_POSITIVE / 4.0,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::from_bits(0x7FC0_0ABC),
+            f32::from_bits(0xFF80_BEEF),
+        ];
+        for n in [
+            1,
+            5,
+            WIDEN_BLOCK - 1,
+            WIDEN_BLOCK,
+            WIDEN_BLOCK + 1,
+            129,
+            300,
+        ] {
+            let seq = 7 + n as u64;
+            let f = Frame::new(seq, 2, 1, BOX_FWD, special_payload(&specials64, n));
+            assert_eq!(
+                f.checksum,
+                crate::crc32c::crc32c(&wire_bytes(&f)),
+                "f64, {n}"
+            );
+            assert!(f.verify(), "f64, {n}");
+            let g = Frame::new(seq, 2, 1, BOX_FWD, special_payload(&specials32, n));
+            assert_eq!(
+                g.checksum,
+                crate::crc32c::crc32c(&wire_bytes(&g)),
+                "f32, {n}"
+            );
+            assert!(g.verify(), "f32, {n}");
+        }
+        // −0 and +0 compare equal but do not checksum alike.
+        let plus = Frame::new(1, 0, 0, BOX_FWD, payload(&[0.0]));
+        let minus = Frame::new(1, 0, 0, BOX_FWD, payload(&[-0.0]));
+        assert_ne!(plus.checksum, minus.checksum);
     }
 
     #[test]

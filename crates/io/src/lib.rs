@@ -7,8 +7,9 @@
 //! container with the same role:
 //!
 //! - a JSON header (name, element type, shape, free-form metadata),
-//! - fixed-size chunks, each carrying a CRC-32C of its payload (the SSE4.2
-//!   `crc32` instruction where the CPU has it, slice-by-8 elsewhere).
+//! - fixed-size chunks, each carrying a CRC-32C of its payload (three
+//!   interleaved SSE4.2 `crc32` chains where the CPU has the instruction,
+//!   slice-by-8 elsewhere).
 //!
 //! Gauge fields, propagator bundles, correlators and solver checkpoints all
 //! serialize through the same container, by one encoder and one decoder.

@@ -164,8 +164,8 @@ impl Backend {
     }
 
     /// Resolve a request's `(config, mass)` pair: an unknown configuration
-    /// id or a `mass_bits` that does not decode to a finite number is
-    /// rejected here, before any operator is built on it.
+    /// id, or a `mass_bits` that does not decode to a finite, non-negative
+    /// number, is rejected here, before any operator is built on it.
     fn system(
         &self,
         config_id: u32,
@@ -178,6 +178,9 @@ impl Backend {
         let mass = f64::from_bits(mass_bits);
         if !mass.is_finite() {
             return Err(ServiceError::Config(format!("mass {mass} is not finite")));
+        }
+        if mass < 0.0 {
+            return Err(ServiceError::Config(format!("mass {mass} is negative")));
         }
         Ok((gauge, mass))
     }
@@ -363,10 +366,17 @@ mod tests {
         assert!(be
             .solve_dense_batch(99, mass_bits, Precision::Sloppy, &[])
             .is_err());
-        // A mass that decodes to NaN/±∞ is refused by every entry point
-        // instead of burning a full solve to a breakdown.
+        // A mass that decodes to NaN/±∞, or to a negative number, is
+        // refused by every entry point instead of burning a full solve to a
+        // breakdown.
         let is_config = |e: ServiceError| matches!(e, ServiceError::Config(_));
-        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        for bad in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            -0.2,
+            -f64::MIN_POSITIVE,
+        ] {
             let bits = bad.to_bits();
             let p = Precision::Sloppy;
             assert!(be
